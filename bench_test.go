@@ -338,6 +338,7 @@ func BenchmarkAblationLimboPushCASLoop(b *testing.B) {
 
 func BenchmarkDispatchHotPath(b *testing.B)  { hotpath.DispatchHotPath(b) }
 func BenchmarkHeapLoadParallel(b *testing.B) { hotpath.HeapLoadParallel(b) }
+func BenchmarkAMOActiveMessage(b *testing.B) { hotpath.AMOActiveMessage(b) }
 
 // The BENCH_6 pair: the aggregated hot-key write storm with in-flight
 // absorption off (baseline) and on (current).

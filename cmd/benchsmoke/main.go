@@ -1,6 +1,7 @@
 // Command benchsmoke runs the measurement-plane hot-path benchmarks —
-// the exact bodies behind BenchmarkDispatchHotPath and
-// BenchmarkHeapLoadParallel, shared via internal/bench/hotpath — with
+// the exact bodies behind BenchmarkDispatchHotPath,
+// BenchmarkHeapLoadParallel and BenchmarkAMOActiveMessage (serial and,
+// on a multi-CPU host, parallel), shared via internal/bench/hotpath — with
 // testing.Benchmark and writes a machine-readable JSON record: the
 // perf-trajectory artifact CI uploads as BENCH_5.json, so regressions
 // of the harness itself are visible across PRs.
@@ -279,10 +280,10 @@ func main() {
 	} else {
 		record = Report{
 			Label: *label, GoVersion: env.GoVersion, GOMAXPROCS: env.GOMAXPROCS,
-			Results: run("hotpath", []namedBench{
+			Results: run("hotpath", append([]namedBench{
 				{"DispatchHotPath", hotpath.DispatchHotPath},
 				{"HeapLoadParallel", hotpath.HeapLoadParallel},
-			}),
+			}, procPoints("AMOActiveMessage", hotpath.AMOActiveMessage)...)),
 		}
 	}
 

@@ -1,6 +1,7 @@
 // Package hotpath holds the measurement-plane hot-path benchmark
 // bodies shared by the repository-root testing.B entry points
-// (BenchmarkDispatchHotPath, BenchmarkHeapLoadParallel) and
+// (BenchmarkDispatchHotPath, BenchmarkHeapLoadParallel,
+// BenchmarkAMOActiveMessage) and
 // cmd/benchsmoke, which runs the same workloads through
 // testing.Benchmark to produce the BENCH_5 perf-trajectory JSON. One
 // definition serves both consumers, so the CI bench-smoke gate and
@@ -170,6 +171,33 @@ func HeapLoadParallel(b *testing.B) {
 				return
 			}
 			i++
+		}
+	})
+}
+
+// AMOActiveMessage measures the harness cost of a remote 64-bit atomic
+// under BackendNone and the zero latency profile: an active message
+// whose modelled cost is zero, so what remains is the transport itself
+// — the round-trip and occupancy charges, one handler-slot acquire and
+// release on the target locale, and the counter and matrix increments.
+// Each task adds to a word homed on its neighbour, so every locale's
+// handler slots are in use at once under RunParallel; at GOMAXPROCS=1
+// the same body is the serial per-op cost.
+func AMOActiveMessage(b *testing.B) {
+	s := pgas.NewSystem(pgas.Config{Locales: Locales, Backend: comm.BackendNone, Seed: 42})
+	b.Cleanup(s.Shutdown)
+	var words [Locales]*pgas.Word64
+	for l := range words {
+		words[l] = pgas.NewWord64(s.Ctx(0), (l+1)%Locales, 0)
+	}
+	var nextTask atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		src := int(nextTask.Add(1)-1) % Locales
+		c, w := s.Ctx(src), words[src]
+		for pb.Next() {
+			w.Add(c, 1)
 		}
 	})
 }

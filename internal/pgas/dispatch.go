@@ -71,9 +71,9 @@ func (s *System) dispatchOn(src *Ctx, target int, fn func(*Ctx)) {
 func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 	// Register before checking shutdown: Shutdown sets the flag first
 	// and only then quiesces, so either this task is visible to that
-	// quiesce (and the queues outlive it) or the flag is already set
-	// here and we refuse — no window where the task outlives the
-	// progress workers.
+	// quiesce (and the AM path stays open for it) or the flag is already
+	// set here and we refuse — no window where the task outlives the
+	// system.
 	s.asyncPending.Add(1)
 	if s.shutdown.Load() {
 		s.asyncPending.Add(-1)

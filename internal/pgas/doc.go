@@ -1,15 +1,15 @@
 // Package pgas implements an in-process Partitioned Global Address
 // Space runtime: the substrate the paper's constructs run on, and the
 // only layer that owns mechanism (task spawning, active-message
-// queues, batch delivery). Everything above it communicates through
+// handler slots, batch delivery). Everything above it goes through
 // Ctx methods, so the comm counters see every event exactly once.
 //
 // # Topology and tasks
 //
 // A System hosts a fixed set of locales. Each locale owns a gas.Heap
-// (its partition of the global address space), a bounded pool of
-// progress workers that execute incoming active messages (the
-// serialization the paper's "none" curves exhibit), and a slot in the
+// (its partition of the global address space), a bounded number of
+// handler slots for incoming active messages (the serialization the
+// paper's "none" curves exhibit), and a slot in the
 // privatization registry. Tasks are goroutines bound to a locale
 // through a Ctx — the analogue of Chapel's implicit `here` — carrying
 // a private deterministic random stream.

@@ -1,16 +1,19 @@
 package pgas
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gopgas/internal/comm"
 )
 
 // Regression guards for the goroutine-free sync dispatch and the
-// pooled active-message completion channels: storms of concurrent
-// AsyncOn launches, nested async spawns, and AM atomics all riding the
-// recycled plumbing must quiesce cleanly and count exactly. These
+// inline active-message handlers: storms of concurrent AsyncOn
+// launches, nested async spawns, and AM atomics must quiesce cleanly,
+// count exactly and respect the per-locale handler-slot bound. These
 // tests earn their keep under -race (CI runs the suite with it).
 
 // TestAsyncOnStormQuiesce hammers AsyncOn from many initiator tasks at
@@ -64,55 +67,73 @@ func TestAsyncOnStormQuiesce(t *testing.T) {
 	}
 }
 
-// TestAMDonePoolReuseUnderStorm drives a storm of remote AM atomics —
-// the amCall path whose completion channels are recycled through
-// amDonePool — from concurrent tasks on every locale. A stale or
-// double signal on a reused channel would either lose an operation
-// (wrong sum), unblock a caller before its handler ran (torn count),
-// or deadlock; the exact final value proves each call completed
-// exactly once.
-func TestAMDonePoolReuseUnderStorm(t *testing.T) {
+// TestAMSlotBoundUnderStorm drives a storm of remote AM atomics from
+// concurrent tasks on every locale, with handlers that track how many
+// of them are executing on each target at once. The handler-slot bound
+// is the modelled serialisation of the "none" backend: no locale may
+// ever run more than ProgressWorkers handlers concurrently, every call
+// must run its handler exactly once (exact sums), and each call counts
+// one AMAMO. The handler occupancy delay keeps slots held long enough
+// for callers to pile up behind them.
+func TestAMSlotBoundUnderStorm(t *testing.T) {
 	const locales = 4
 	const tasks = 16
-	const perTask = 300
-	// BackendNone makes every remote 64-bit atomic an active message,
-	// maximising pressure on the pooled channels; a tiny AM queue keeps
-	// senders blocking and channels cycling through the pool fast.
-	s := NewSystem(Config{Locales: locales, Backend: comm.BackendNone, AMQueueDepth: 2})
-	defer s.Shutdown()
+	const perTask = 200
+	for _, slots := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
+			s := NewSystem(Config{
+				Locales:         locales,
+				Backend:         comm.BackendNone,
+				ProgressWorkers: slots,
+				Latency:         comm.LatencyProfile{AMHandlerNS: 1000},
+			})
+			defer s.Shutdown()
 
-	root := s.Ctx(0)
-	words := make([]*Word64, locales)
-	for l := 0; l < locales; l++ {
-		words[l] = NewWord64(root, l, 0)
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < tasks; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c := s.Ctx(g % locales)
-			for i := 0; i < perTask; i++ {
-				// Always target a word homed away from the caller so the
-				// op must ride an AM and a pooled done channel.
-				dst := (c.Here() + 1 + i%(locales-1)) % locales
-				words[dst].Add(c, 1)
+			var inFlight, highWater, sums [locales]atomic.Int64
+			var wg sync.WaitGroup
+			for g := 0; g < tasks; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					c := s.Ctx(g % locales)
+					for i := 0; i < perTask; i++ {
+						// Always a remote home, so the op must ride amCall.
+						dst := (c.Here() + 1 + i%(locales-1)) % locales
+						s.dispatchAMO64(c, dst, func() uint64 {
+							n := inFlight[dst].Add(1)
+							for {
+								h := highWater[dst].Load()
+								if n <= h || highWater[dst].CompareAndSwap(h, n) {
+									break
+								}
+							}
+							runtime.Gosched() // let a bound violation show
+							sums[dst].Add(1)
+							inFlight[dst].Add(-1)
+							return 0
+						})
+					}
+				}(g)
 			}
-		}(g)
-	}
-	wg.Wait()
+			wg.Wait()
 
-	var sum uint64
-	for l := 0; l < locales; l++ {
-		sum += words[l].Read(root)
-	}
-	if want := uint64(tasks * perTask); sum != want {
-		t.Fatalf("AM storm lost updates: sum = %d, want %d", sum, want)
-	}
-	snap := s.Counters().Snapshot()
-	if snap.AMAMOs < tasks*perTask {
-		t.Fatalf("amAMO count = %d, want >= %d", snap.AMAMOs, tasks*perTask)
+			var sum int64
+			for l := 0; l < locales; l++ {
+				if h := highWater[l].Load(); h > int64(slots) {
+					t.Errorf("locale %d ran %d handlers at once, bound is %d", l, h, slots)
+				}
+				if busy := s.locales[l].amBusy.Load(); busy != 0 {
+					t.Errorf("locale %d still holds %d handler slots", l, busy)
+				}
+				sum += sums[l].Load()
+			}
+			if want := int64(tasks * perTask); sum != want {
+				t.Fatalf("AM storm ran %d handlers, want %d", sum, want)
+			}
+			if got := s.Counters().Snapshot().AMAMOs; got != tasks*perTask {
+				t.Fatalf("AMAMOs = %d, want %d", got, tasks*perTask)
+			}
+		})
 	}
 }
 

@@ -24,17 +24,11 @@ type Config struct {
 	// the calibrated benchmark profile.
 	Latency comm.LatencyProfile
 
-	// ProgressWorkers is the number of active-message handler
-	// goroutines per locale; it bounds how many AM atomics a locale can
-	// service concurrently, which is the serialization the paper's
-	// "none" curves exhibit. Defaults to 2.
+	// ProgressWorkers is the number of active-message handler slots per
+	// locale; it bounds how many AM atomics a locale can service
+	// concurrently, which is the serialization the paper's "none" curves
+	// exhibit. Defaults to 2.
 	ProgressWorkers int
-
-	// AMQueueDepth is the capacity of each locale's active-message
-	// queue: how many injected-but-unserviced messages a locale absorbs
-	// before senders block, modelling the NIC's bounded rx queue.
-	// 0 selects the default of 64; negative values are rejected.
-	AMQueueDepth int
 
 	// Agg configures the per-task aggregation buffers (capacity and
 	// flush policy). The zero value selects FlushOnCapacity with
@@ -107,29 +101,74 @@ type System struct {
 	privFree []int // destroyed privatization ids, recycled by NewPrivatized
 
 	closing  atomic.Bool // Shutdown entered (guards the drain sequence)
-	shutdown atomic.Bool
-	workerWG sync.WaitGroup
+	shutdown atomic.Bool // new AsyncOn launches are refused
+	stopped  atomic.Bool // quiesce window over: active messages are refused
 }
 
-// Locale is one logical compute node: an id, a heap partition, a
-// progress-worker pool, and a table of privatized instances.
+// Locale is one logical compute node: an id, a heap partition, bounded
+// active-message handler slots, and a table of privatized instances.
 type Locale struct {
 	id   int
-	sys  *System
 	heap *gas.Heap
-	amq  chan amReq
 
 	privMu    sync.RWMutex
 	privTable []any
+
+	// Active-message handler slots (amCall): amBusy counts the handlers
+	// executing here, at most Config.ProgressWorkers; every inbound AM
+	// atomic writes it, hence the cache line of its own. Callers park on
+	// amFree, not spin: a runnable waiter would stretch the occupancy
+	// delay of the handler it awaits.
+	_         [64]byte
+	amBusy    atomic.Int32
+	amWaiting atomic.Int32 // callers parked, or about to park, on amFree
+	_         [56]byte
+	amMu      sync.Mutex
+	amFree    sync.Cond
 }
 
-type amReq struct {
-	fn   func()
-	done chan struct{}
+// tryAMSlot takes a handler slot unless all of them are busy.
+func (l *Locale) tryAMSlot(slots int32) bool {
+	for {
+		busy := l.amBusy.Load()
+		if busy >= slots {
+			return false
+		}
+		if l.amBusy.CompareAndSwap(busy, busy+1) {
+			return true
+		}
+	}
+}
+
+// acquireAMSlot takes a handler slot, parking while all are busy. A
+// waiter announces itself in amWaiting before its last try, and a
+// releaser reads amWaiting after giving its slot back, so one of the
+// two always sees the other: no wakeup is lost.
+func (l *Locale) acquireAMSlot(slots int32) {
+	if l.tryAMSlot(slots) {
+		return
+	}
+	l.amMu.Lock()
+	l.amWaiting.Add(1)
+	for !l.tryAMSlot(slots) {
+		l.amFree.Wait()
+	}
+	l.amWaiting.Add(-1)
+	l.amMu.Unlock()
+}
+
+// releaseAMSlot gives a handler slot back and wakes one parked caller.
+func (l *Locale) releaseAMSlot() {
+	l.amBusy.Add(-1)
+	if l.amWaiting.Load() != 0 {
+		l.amMu.Lock()
+		l.amFree.Signal()
+		l.amMu.Unlock()
+	}
 }
 
 // NewSystem boots a System with cfg. It panics on invalid
-// configuration; call Shutdown when done to stop the progress workers.
+// configuration; call Shutdown when done.
 func NewSystem(cfg Config) *System {
 	if cfg.Locales < 1 {
 		panic(fmt.Sprintf("pgas: Locales must be >= 1, got %d", cfg.Locales))
@@ -139,12 +178,6 @@ func NewSystem(cfg Config) *System {
 	}
 	if cfg.ProgressWorkers <= 0 {
 		cfg.ProgressWorkers = 2
-	}
-	if cfg.AMQueueDepth < 0 {
-		panic(fmt.Sprintf("pgas: AMQueueDepth must be >= 0, got %d", cfg.AMQueueDepth))
-	}
-	if cfg.AMQueueDepth == 0 {
-		cfg.AMQueueDepth = 64
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -166,45 +199,22 @@ func NewSystem(cfg Config) *System {
 	}
 	s.locales = make([]*Locale, cfg.Locales)
 	for i := range s.locales {
-		loc := &Locale{
-			id:   i,
-			sys:  s,
-			heap: gas.NewHeap(i),
-			amq:  make(chan amReq, cfg.AMQueueDepth),
-		}
-		s.locales[i] = loc
-		for w := 0; w < cfg.ProgressWorkers; w++ {
-			s.workerWG.Add(1)
-			go loc.progressWorker()
-		}
+		l := &Locale{id: i, heap: gas.NewHeap(i)}
+		l.amFree.L = &l.amMu
+		s.locales[i] = l
 	}
 	return s
 }
 
-// progressWorker drains the locale's active-message queue. Handlers
-// are small and terminal (an atomic op plus the modelled occupancy
-// cost); they never issue further communication, so a bounded pool
-// cannot deadlock. The occupancy cost is scaled by the locale's own
-// perturbation factor: a slow locale services its inbound AMs slowly.
-func (l *Locale) progressWorker() {
-	defer l.sys.workerWG.Done()
-	handlerNS := int64(float64(l.sys.cfg.Latency.AMHandlerNS) * l.sys.cfg.Perturb.ScaleFor(l.id))
-	for req := range l.amq {
-		comm.Delay(handlerNS)
-		req.fn()
-		req.done <- struct{}{}
-	}
-}
-
-// Shutdown settles the partition retry plane, waits for asynchronous
-// operations to quiesce, then stops all progress workers. Any
-// communication attempted after Shutdown panics; a System is not
-// restartable. The retry ledger drains *before* the shutdown flag goes
-// up: redelivered ops may legitimately launch async reroutes and AM
-// atomics, which must land inside the quiesce window, not panic
-// against a half-dead system. The flag is then set before the quiesce
-// so a racing AsyncOn either lands inside the window or is refused —
-// it can never outlive the progress workers.
+// Shutdown settles the partition retry plane, then waits for
+// asynchronous operations to quiesce. Any communication attempted
+// after Shutdown panics; a System is not restartable. The retry ledger
+// drains *before* the shutdown flag goes up: redelivered ops may
+// legitimately launch async reroutes and AM atomics, which must land
+// inside the quiesce window, not panic against a half-dead system. The
+// flag is then set before the quiesce so a racing AsyncOn either lands
+// inside the window or is refused; active messages are refused only
+// once the window has closed.
 func (s *System) Shutdown() {
 	if s.closing.Swap(true) {
 		return
@@ -214,10 +224,7 @@ func (s *System) Shutdown() {
 	s.DrainParking()
 	s.shutdown.Store(true)
 	s.Quiesce()
-	for _, l := range s.locales {
-		close(l.amq)
-	}
-	s.workerWG.Wait()
+	s.stopped.Store(true)
 }
 
 // NumLocales returns the configured locale count.
@@ -273,25 +280,26 @@ func (s *System) Run(fn func(ctx *Ctx)) {
 	fn(s.Ctx(0))
 }
 
-// amDonePool recycles the completion channels of amCall: one channel
-// per in-flight active message instead of one allocation per call. The
-// channels are buffered (capacity 1) so the progress worker's signal
-// never blocks and the channel is quiescent again by the time the
-// waiter returns it to the pool.
-var amDonePool = sync.Pool{
-	New: func() any { return make(chan struct{}, 1) },
-}
-
-// amCall ships fn from src to the target locale's progress workers and
-// waits for it to execute. It is the transport for active-message
-// atomics and remote DCAS; callers are responsible for counting the
-// event.
+// amCall executes fn as an active-message handler on the target locale:
+// the transport for AM atomics and remote DCAS; callers count the event.
+// The caller is blocked for the whole call either way, so — like
+// dispatchOn — the handler runs on the calling goroutine: the caller
+// pays the round trip, takes one of the target's ProgressWorkers handler
+// slots (parking while all are busy: the serialisation a bounded handler
+// pool imposes), pays the handler occupancy — scaled by the target's
+// factor in the live perturbation plan, so a slow locale services its
+// inbound AMs slowly — and runs fn. Handlers are terminal (an atomic
+// op, no further communication), so a bounded slot count cannot deadlock.
 func (s *System) amCall(src, target int, fn func()) {
+	if s.stopped.Load() {
+		panic("pgas: active message after Shutdown")
+	}
 	s.delay(src, target, s.cfg.Latency.AMRoundTripNS)
-	done := amDonePool.Get().(chan struct{})
-	s.locales[target].amq <- amReq{fn: fn, done: done}
-	<-done
-	amDonePool.Put(done)
+	l := s.locales[target]
+	l.acquireAMSlot(int32(s.cfg.ProgressWorkers))
+	s.delay(target, target, s.cfg.Latency.AMHandlerNS)
+	fn()
+	l.releaseAMSlot()
 }
 
 // delay injects ns of simulated latency for an event between src and
@@ -307,11 +315,10 @@ func (s *System) delay(src, dst int, ns int64) {
 }
 
 // SetPerturbation swaps the live latency fault plan: every subsequent
-// injected delay uses p. The zero Perturbation clears faults. Two
-// cfg-time captures do not follow a swap: progress-worker AM handler
-// occupancy (fixed at boot) and the flush-delay scaling inside
-// already-created aggregation buffers — new tasks' aggregators pick up
-// the current plan.
+// injected delay uses p, AM handler occupancy included. The zero
+// Perturbation clears faults. One cfg-time capture does not follow a
+// swap: the flush-delay scaling inside already-created aggregation
+// buffers — new tasks' aggregators pick up the current plan.
 func (s *System) SetPerturbation(p comm.Perturbation) {
 	s.perturb.Store(&p)
 }
@@ -339,15 +346,6 @@ func (s *System) Reachable(src, dst int) bool {
 		return p.Reachable(src, dst)
 	}
 	return true
-}
-
-// refuse reports whether a remote operation issued by src toward
-// target must be refused under the live fault plan: the target is dead
-// or the pair is partitioned. Salvage contexts — the recovery plane —
-// are exempt, which is what lets failover reach a dead locale's shards
-// and limbo lists.
-func (s *System) refuse(src *Ctx, target int) bool {
-	return s.refusalOf(src, target) != refuseNone
 }
 
 // refusal classifies why (or whether) an operation is refused; the two

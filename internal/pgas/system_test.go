@@ -3,6 +3,7 @@ package pgas
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gopgas/internal/comm"
 )
@@ -243,4 +244,55 @@ func TestShutdownIdempotent(t *testing.T) {
 	s := NewSystem(Config{Locales: 2})
 	s.Shutdown()
 	s.Shutdown() // must not panic
+}
+
+// Shutdown ends a System's communication plane for good: both the
+// async launch path and the inline active-message path refuse with an
+// explicit check once it has returned.
+func TestCommunicationAfterShutdownPanics(t *testing.T) {
+	s := NewSystem(Config{Locales: 2, Backend: comm.BackendNone})
+	c := s.Ctx(0)
+	w64 := NewWord64(c, 1, 0)
+	w128 := NewWord128(c, 1, 0, 0)
+	s.Shutdown()
+	cases := []struct {
+		name, want string
+		fn         func()
+	}{
+		{"AsyncOn", "pgas: AsyncOn after Shutdown", func() { c.AsyncOn(1, func(*Ctx) {}) }},
+		{"AM atomic", "pgas: active message after Shutdown", func() { w64.Add(c, 1) }},
+		{"remote DCAS", "pgas: active message after Shutdown", func() { w128.DCAS(c, 0, 0, 1, 1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("recovered %v, want panic %q", got, tc.want)
+				}
+			}()
+			tc.fn()
+		})
+	}
+}
+
+// AM handler occupancy follows the live fault plan: a locale slowed
+// after boot (SetPerturbation, the POST /api/fault path) services its
+// inbound active messages at the scaled cost from the next call on.
+func TestAMHandlerOccupancyFollowsLivePerturbation(t *testing.T) {
+	const handlerNS = 100_000 // above comm.Delay's spin/sleep threshold
+	const scale = 4
+	s := NewSystem(Config{
+		Locales: 2,
+		Backend: comm.BackendNone,
+		Latency: comm.LatencyProfile{AMHandlerNS: handlerNS},
+	})
+	defer s.Shutdown()
+	c := s.Ctx(0)
+	w := NewWord64(c, 1, 0)
+	s.SetPerturbation(comm.Perturbation{Scales: []float64{1, scale}})
+	start := time.Now()
+	w.Add(c, 1)
+	if got, want := time.Since(start), time.Duration(scale*handlerNS); got < want {
+		t.Fatalf("AM atomic toward the slowed locale took %v, want at least the scaled occupancy %v", got, want)
+	}
 }

@@ -36,3 +36,31 @@ func TestDispatchZeroAllocAcrossTracerStates(t *testing.T) {
 		})
 	}
 }
+
+// Active-message atomics run inline on the calling goroutine: no
+// request, no completion channel, and the handler closures stay on the
+// caller's stack. Under BackendNone every remote 64-bit atomic and
+// every remote 128-bit operation rides that path.
+func TestAMAtomicsZeroAlloc(t *testing.T) {
+	s := NewSystem(Config{Locales: 2, Backend: comm.BackendNone})
+	defer s.Shutdown()
+	c := s.Ctx(0)
+	w64 := NewWord64(c, 1, 0)
+	w128 := NewWord128(c, 1, 0, 0)
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"Word64.Add", func() { w64.Add(c, 1) }},
+		{"Word64.CompareAndSwap", func() { w64.CompareAndSwap(c, 0, 0) }},
+		{"Word64.Read", func() { w64.Read(c) }},
+		{"Word128.DCAS", func() { w128.DCAS(c, 0, 0, 0, 0) }},
+		{"Word128.Read", func() { w128.Read(c) }},
+		{"Word128.CASLo64", func() { w128.CASLo64(c, 0, 0) }},
+	}
+	for _, tc := range cases {
+		if avg := testing.AllocsPerRun(200, tc.fn); avg != 0 {
+			t.Errorf("remote %s allocates %.2f/op", tc.name, avg)
+		}
+	}
+}
