@@ -340,6 +340,11 @@ func BenchmarkDispatchHotPath(b *testing.B)  { hotpath.DispatchHotPath(b) }
 func BenchmarkHeapLoadParallel(b *testing.B) { hotpath.HeapLoadParallel(b) }
 func BenchmarkAMOActiveMessage(b *testing.B) { hotpath.AMOActiveMessage(b) }
 
+// Delay fidelity through a task's account: ns/op is the achieved wall
+// time per 2500 ns charge, alone and with four tasks side by side.
+func BenchmarkDelayPaced(b *testing.B)         { hotpath.DelayPaced(b) }
+func BenchmarkDelayPacedParallel(b *testing.B) { hotpath.DelayPacedParallel(b) }
+
 // The BENCH_6 pair: the aggregated hot-key write storm with in-flight
 // absorption off (baseline) and on (current).
 func BenchmarkWriteStormHotKeyUncombined(b *testing.B) { hotpath.WriteStormHotKeyUncombined(b) }

@@ -1,7 +1,8 @@
 // Command benchsmoke runs the measurement-plane hot-path benchmarks —
 // the exact bodies behind BenchmarkDispatchHotPath,
-// BenchmarkHeapLoadParallel and BenchmarkAMOActiveMessage (serial and,
-// on a multi-CPU host, parallel), shared via internal/bench/hotpath — with
+// BenchmarkHeapLoadParallel, BenchmarkAMOActiveMessage (serial and, on a
+// multi-CPU host, parallel) and BenchmarkDelayPaced (one task and four
+// side by side), shared via internal/bench/hotpath — with
 // testing.Benchmark and writes a machine-readable JSON record: the
 // perf-trajectory artifact CI uploads as BENCH_5.json, so regressions
 // of the harness itself are visible across PRs.
@@ -278,12 +279,17 @@ func main() {
 			Speedup:     speedup,
 		}
 	} else {
+		benches := []namedBench{
+			{"DispatchHotPath", hotpath.DispatchHotPath},
+			{"HeapLoadParallel", hotpath.HeapLoadParallel},
+		}
+		benches = append(benches, procPoints("AMOActiveMessage", hotpath.AMOActiveMessage)...)
+		benches = append(benches,
+			namedBench{"DelayPaced/serial", withProcs(1, hotpath.DelayPaced)},
+			namedBench{"DelayPaced/parallel4", hotpath.DelayPacedParallel})
 		record = Report{
 			Label: *label, GoVersion: env.GoVersion, GOMAXPROCS: env.GOMAXPROCS,
-			Results: run("hotpath", append([]namedBench{
-				{"DispatchHotPath", hotpath.DispatchHotPath},
-				{"HeapLoadParallel", hotpath.HeapLoadParallel},
-			}, procPoints("AMOActiveMessage", hotpath.AMOActiveMessage)...)),
+			Results: run("hotpath", benches),
 		}
 	}
 

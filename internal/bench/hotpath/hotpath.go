@@ -1,7 +1,7 @@
 // Package hotpath holds the measurement-plane hot-path benchmark
 // bodies shared by the repository-root testing.B entry points
 // (BenchmarkDispatchHotPath, BenchmarkHeapLoadParallel,
-// BenchmarkAMOActiveMessage) and
+// BenchmarkAMOActiveMessage, BenchmarkDelayPaced) and
 // cmd/benchsmoke, which runs the same workloads through
 // testing.Benchmark to produce the BENCH_5 perf-trajectory JSON. One
 // definition serves both consumers, so the CI bench-smoke gate and
@@ -13,6 +13,7 @@
 package hotpath
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -201,6 +202,45 @@ func AMOActiveMessage(b *testing.B) {
 		}
 	})
 }
+
+// delayPacedNS is the charge the DelayPaced rungs make: the calibrated
+// profile's AM round trip, the commonest delay of a scale-1 run.
+const delayPacedNS = 2500
+
+// delayPaced has `tasks` tasks, each on its own locale, make b.N remote
+// GET charges of delayPacedNS side by side. ns/op is the wall time one
+// task needed per charge, so a faithful delay plane reads delayPacedNS:
+// anything above it is overshoot the tasks' accounts failed to carry.
+func delayPaced(b *testing.B, tasks int) {
+	s := pgas.NewSystem(pgas.Config{
+		Locales: Locales,
+		Backend: comm.BackendNone,
+		Latency: comm.LatencyProfile{PutGetNS: delayPacedNS},
+		Seed:    42,
+	})
+	b.Cleanup(s.Shutdown)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for t := 0; t < tasks; t++ {
+		wg.Add(1)
+		go func(c *pgas.Ctx) {
+			defer wg.Done()
+			dst := (c.Here() + 1) % Locales
+			for i := 0; i < b.N; i++ {
+				c.ChargeGet(dst)
+			}
+		}(s.Ctx(t))
+	}
+	wg.Wait()
+}
+
+// DelayPaced is the serial rung: one task charging alone.
+func DelayPaced(b *testing.B) { delayPaced(b, 1) }
+
+// DelayPacedParallel is the contended rung: four tasks spinning in
+// their delays side by side, the shape of the benchmark's closed loop,
+// where every yield hands the CPU to another spinner.
+func DelayPacedParallel(b *testing.B) { delayPaced(b, 4) }
 
 // movingHotStorm measures the per-write cost of the owner-table-routed
 // hashmap upsert path under a moving hot set: every writer hammers one

@@ -110,7 +110,7 @@ type Aggregator struct {
 	counters *Counters
 	matrix   *Matrix
 	lat      LatencyProfile
-	perturb  Perturbation
+	delay    func(dst int, ns int64)
 	deliver  func(dst int, batch []Op)
 	bufs     [][]Op
 	bytes    []int64
@@ -138,6 +138,7 @@ func NewAggregator(src, nDest int, cfg AggConfig, counters *Counters, matrix *Ma
 		counters: counters,
 		matrix:   matrix,
 		lat:      lat,
+		delay:    func(_ int, ns int64) { Delay(ns) },
 		deliver:  deliver,
 		bufs:     make([][]Op, nDest),
 		bytes:    make([]int64, nDest),
@@ -148,11 +149,10 @@ func NewAggregator(src, nDest int, cfg AggConfig, counters *Counters, matrix *Ma
 // Capacity returns the effective per-destination capacity.
 func (a *Aggregator) Capacity() int { return a.cfg.Capacity }
 
-// SetPerturbation installs a per-locale latency fault plan: every
-// flush's bulk cost is scaled by the slower of (src, dst), mirroring
-// how the dispatch layer perturbs unaggregated operations. Counters
-// are unaffected. Call before the first Enqueue.
-func (a *Aggregator) SetPerturbation(p Perturbation) { a.perturb = p }
+// SetDelay replaces what pays a flush's bulk cost toward dst (by
+// default Delay, unscaled): the pgas layer routes it to the owning
+// task's delay account under the live perturbation plan.
+func (a *Aggregator) SetDelay(fn func(dst int, ns int64)) { a.delay = fn }
 
 // SetTracer installs a span recorder: every flush records a KindFlush
 // span on the source locale carrying the batch's byte and op counts.
@@ -233,11 +233,7 @@ func (a *Aggregator) FlushDst(dst int) {
 	if a.matrix != nil && dst != a.src {
 		a.matrix.Inc(a.src, dst)
 	}
-	ns := a.lat.BulkStartupNS + bytes*a.lat.BulkPerByteNS
-	if a.perturb.Enabled() {
-		ns = int64(float64(ns) * a.perturb.PairScale(a.src, dst))
-	}
-	Delay(ns)
+	a.delay(dst, a.lat.BulkStartupNS+bytes*a.lat.BulkPerByteNS)
 	a.deliver(dst, batch)
 	sp.End()
 }

@@ -5,26 +5,70 @@ import (
 	"time"
 )
 
-// Delay busy-waits for approximately ns nanoseconds, yielding to the Go
-// scheduler so that concurrent simulated operations overlap the way
-// in-flight network operations do on real hardware. A sleeping
-// goroutine models a task blocked on the network: the CPU is free to
-// run other tasks, which is exactly the latency-hiding behaviour the
-// figures depend on.
-//
-// For waits shorter than the OS timer resolution (~50µs) a
-// yield-interleaved spin is used; longer waits sleep. ns <= 0 is a
-// no-op, so the zero latency profile costs nothing but the branch.
-func Delay(ns int64) {
+const (
+	// maxCredit bounds a Pacer's carried overshoot, in ns: a GC pause or
+	// a descheduled vCPU inside one delay buys this much skipped waiting,
+	// never a long burst of free charges.
+	maxCredit = 100_000
+
+	// sleepThreshold is the OS timer resolution (~50µs): shorter waits
+	// spin-yield, longer ones sleep.
+	sleepThreshold = 50_000
+)
+
+// clockBase anchors the delay clock: time.Since of a Time that carries
+// a monotonic reading is one clock read (time.Now is two).
+var clockBase = time.Now()
+
+func clockNS() int64 { return int64(time.Since(clockBase)) }
+
+// Pacer is one task's delay account: every modelled nanosecond is
+// charged once. A wait never ends exactly on its deadline — the
+// spin-yield loop and the run queue overshoot by a microsecond or so —
+// and the Pacer carries that overshoot as credit into the task's next
+// charges instead of letting each of them pay it again, so the wall
+// time a task spends in delays equals what the model charged it. The
+// zero value is an empty account; a Pacer is task-private.
+type Pacer struct {
+	credit int64 // ns waited beyond what was charged, <= maxCredit
+}
+
+// Credit returns the carried overshoot in nanoseconds (diagnostic).
+func (p *Pacer) Credit() int64 { return p.credit }
+
+// Delay charges ns to the account and returns the wall nanoseconds it
+// waited: none, and no clock read, while the credit covers the charge;
+// otherwise until now + ns − credit, booking the overshoot as the new
+// credit. The wait yields to the Go scheduler so that concurrent
+// simulated operations overlap the way in-flight network operations do
+// on real hardware — the latency hiding the figures depend on. ns <= 0
+// is a no-op, so the zero latency profile costs only the branch.
+func (p *Pacer) Delay(ns int64) (waited int64) {
 	if ns <= 0 {
-		return
+		return 0
 	}
-	if ns >= 50_000 {
-		time.Sleep(time.Duration(ns))
-		return
+	if p.credit >= ns {
+		p.credit -= ns
+		return 0
 	}
-	deadline := time.Now().Add(time.Duration(ns))
-	for time.Now().Before(deadline) {
+	start := clockNS()
+	deadline := start + ns - p.credit
+	now := start
+	if deadline-start >= sleepThreshold {
+		time.Sleep(time.Duration(deadline - start))
+		now = clockNS()
+	}
+	for now < deadline {
 		runtime.Gosched()
+		now = clockNS()
 	}
+	p.credit = min(now-deadline, maxCredit)
+	return now - start
+}
+
+// Delay waits about ns nanoseconds on a fresh account, for callers with
+// no task to carry overshoot for; the pgas layer charges a task's Pacer.
+func Delay(ns int64) {
+	var p Pacer
+	p.Delay(ns)
 }

@@ -21,8 +21,12 @@
 // costs for NIC atomics, AM round trips, on-statement spawns, GET/PUT,
 // and bulk-transfer startup/per-byte. The zero profile disables delays
 // entirely — unit tests stay fast while the counters stay exact.
-// Delay(ns) spin-yields below ~50µs and sleeps above, so short
-// simulated latencies do not collapse into scheduler noise.
+// A wait spin-yields below ~50µs and sleeps above, so short simulated
+// latencies do not collapse into scheduler noise. Charges are paced per
+// task: a Pacer (held by pgas.Ctx) carries each wait's overshoot as
+// bounded credit into the task's next charges, so a task waits the
+// nanoseconds it was charged, not those plus every wait's overshoot.
+// Delay(ns) is the same loop on a fresh account.
 //
 // # Counters and the matrix
 //

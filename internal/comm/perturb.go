@@ -6,10 +6,10 @@ package comm
 // modes — a "slow locale" (one node with a degraded NIC or a noisy
 // neighbour) is a Perturbation with one scale above 1.0, and a
 // uniformly stretched network is one with every scale above 1.0. The
-// pgas dispatch layer consults PairScale at every delay site, and the
-// Aggregator applies it to flush costs, so a perturbed locale slows
-// both the traffic it initiates and the traffic aimed at it — exactly
-// how a slow node hurts a real PGAS job.
+// pgas dispatch layer consults PairScale at every delay site,
+// aggregated flush costs included, so a perturbed locale slows both the
+// traffic it initiates and the traffic aimed at it — exactly how a slow
+// node hurts a real PGAS job.
 //
 // Perturbation scales only injected *latency*; communication counters
 // are unaffected, so counter-asserted evidence stays exact under any

@@ -3,7 +3,6 @@ package atomics
 import (
 	"sync"
 
-	"gopgas/internal/comm"
 	"gopgas/internal/gas"
 	"gopgas/internal/pgas"
 )
@@ -64,8 +63,7 @@ func (t *DescriptorTable) Register(c *pgas.Ctx, addr gas.Addr) Descriptor {
 	t.mu.Unlock()
 
 	if shard := t.shardOf(d); shard != c.Here() {
-		t.sys.Counters().IncAMAMO(c.Here())
-		comm.Delay(t.sys.Latency().AMRoundTripNS)
+		c.ChargeAMRoundTrip(shard)
 	}
 	return d
 }
@@ -77,8 +75,7 @@ func (t *DescriptorTable) Resolve(c *pgas.Ctx, d Descriptor) gas.Addr {
 		return gas.AddrNil
 	}
 	if shard := t.shardOf(d); shard != c.Here() {
-		t.sys.Counters().IncGet(c.Here())
-		comm.Delay(t.sys.Latency().PutGetNS)
+		c.ChargeGet(shard)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -126,3 +126,49 @@ func TestGasLimitInSystemConstructor(t *testing.T) {
 	}()
 	pgas.NewSystem(pgas.Config{Locales: gas.MaxLocales + 1})
 }
+
+// A remote Register and Resolve are charged through the dispatch layer
+// like any other remote event: counter and matrix move together, on the
+// (caller, shard) cell, and the cost follows the live fault plan.
+func TestDescriptorChargesThroughDispatch(t *testing.T) {
+	lat := comm.LatencyProfile{AMRoundTripNS: 2000, PutGetNS: 1000}
+	s := pgas.NewSystem(pgas.Config{Locales: 4, Backend: comm.BackendNone, Latency: lat})
+	defer s.Shutdown()
+	c := s.Ctx(0)
+	tbl := NewDescriptorTable(c)
+
+	// step runs fn, which must make exactly one remote event toward
+	// shard, and returns the nanoseconds the model charged for it.
+	step := func(what string, shard int, fn func()) int64 {
+		t.Helper()
+		before, cell := s.Counters().Snapshot(), s.Matrix().Get(0, shard)
+		m0, _ := s.DelayTotals()
+		fn()
+		d := s.Counters().Snapshot().Sub(before)
+		if d.Remote() != 1 || s.Matrix().Get(0, shard) != cell+1 || s.Matrix().Total() != before.Remote()+1 {
+			t.Fatalf("%s: %d remote events, matrix cell (0,%d) %d -> %d, matrix total %d",
+				what, d.Remote(), shard, cell, s.Matrix().Get(0, shard), s.Matrix().Total())
+		}
+		m1, _ := s.DelayTotals()
+		return m1 - m0
+	}
+
+	// Descriptors 1, 2, 3 live on shards 1, 2, 3: all remote from 0.
+	var d1 Descriptor
+	if ns := step("register", 1, func() { d1 = tbl.Register(c, c.Alloc(&node{v: 1})) }); ns != lat.AMRoundTripNS {
+		t.Fatalf("remote register charged %dns, want %dns", ns, lat.AMRoundTripNS)
+	}
+	if ns := step("resolve", 1, func() { tbl.Resolve(c, d1) }); ns != lat.PutGetNS {
+		t.Fatalf("remote resolve charged %dns, want %dns", ns, lat.PutGetNS)
+	}
+
+	const scale = 3
+	s.SetPerturbation(comm.Perturbation{Scales: []float64{1, 1, scale, 1}})
+	var d2 Descriptor
+	if ns := step("slowed register", 2, func() { d2 = tbl.Register(c, c.Alloc(&node{v: 2})) }); ns != scale*lat.AMRoundTripNS {
+		t.Fatalf("register toward the slowed shard charged %dns, want %dns", ns, scale*lat.AMRoundTripNS)
+	}
+	if ns := step("slowed resolve", 2, func() { tbl.Resolve(c, d2) }); ns != scale*lat.PutGetNS {
+		t.Fatalf("resolve toward the slowed shard charged %dns, want %dns", ns, scale*lat.PutGetNS)
+	}
+}

@@ -63,8 +63,7 @@ func newAggregator(c *Ctx) *Aggregator {
 			// reclaimable, so deferred==reclaimed stays provable after
 			// a crash. Salvage contexts (c.salvage) never drop.
 			r := s.refusalOf(c, dst)
-			tc := s.borrowCtx(s.locales[dst])
-			tc.salvage = c.salvage
+			tc := s.borrowCtx(s.locales[dst], c)
 			for _, op := range batch {
 				if _, isFree := op.Exec.(freeOp); !isFree && r != refuseNone {
 					if r == refusePartition && s.parkOp(c.here.id, dst, op) {
@@ -86,7 +85,7 @@ func newAggregator(c *Ctx) *Aggregator {
 			}
 			s.releaseCtx(tc)
 		})
-	a.agg.SetPerturbation(s.Perturbation())
+	a.agg.SetDelay(func(dst int, ns int64) { s.delay(c, c.here.id, dst, ns) })
 	a.agg.SetTracer(s.tracer, c.taskID)
 	return a
 }

@@ -2,6 +2,8 @@ package pgas
 
 import (
 	"sync"
+
+	"gopgas/internal/comm"
 )
 
 // Ctx is a task's view of the system: which locale it is executing on
@@ -17,6 +19,12 @@ type Ctx struct {
 	agg     *Aggregator // lazily created per-task aggregation buffers
 	isAsync bool        // task was launched by AsyncOn (counted in asyncPending)
 	salvage bool        // recovery-plane task, exempt from crash/partition refusal
+
+	// pace is the delay account System.delay charges: the task's own
+	// pacer, or — for the pooled Ctx of a sync on-statement body or an
+	// aggregated delivery — that of the task blocked on it.
+	pacer comm.Pacer
+	pace  *comm.Pacer
 }
 
 // Sys returns the owning System.
@@ -73,11 +81,11 @@ func (c *Ctx) CoforallLocales(fn func(ctx *Ctx)) {
 		wg.Add(1)
 		go func(l *Locale) {
 			defer wg.Done()
-			if l.id != c.here.id {
-				s.delay(c.here.id, l.id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
-			}
 			tc := s.newCtx(l)
 			tc.salvage = c.salvage
+			if l.id != c.here.id {
+				s.delay(tc, c.here.id, l.id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+			}
 			fn(tc)
 		}(loc)
 	}
@@ -131,7 +139,8 @@ func ForallCyclic[P any](c *Ctx, n, tasksPerLocale int,
 		go func(l *Locale) {
 			defer wg.Done()
 			if l.id != c.here.id {
-				s.delay(c.here.id, l.id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+				// The on-statement carrying the locale's tasks is a task too.
+				s.delay(s.newCtx(l), c.here.id, l.id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
 			}
 			// Iterations owned by locale l: l.id, l.id+L, l.id+2L, ...
 			// Split them contiguously among the locale's tasks.

@@ -54,9 +54,8 @@ func (s *System) dispatchOn(src *Ctx, target int, fn func(*Ctx)) {
 		sp = tr.Begin(src.here.id, trace.KindDispatch, src.taskID, src.here.id, target, 0, 0)
 	}
 	s.chargeOnStmt(src.here.id, target)
-	s.delay(src.here.id, target, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
-	tc := s.borrowCtx(s.locales[target])
-	tc.salvage = src.salvage
+	s.delay(src, src.here.id, target, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+	tc := s.borrowCtx(s.locales[target], src)
 	fn(tc)
 	s.releaseCtx(tc)
 	sp.End()
@@ -108,12 +107,12 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 	salvage := src.salvage
 	go func() {
 		defer s.asyncPending.Add(-1)
-		if remote {
-			s.delay(srcID, target, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
-		}
 		tc := s.newCtx(s.locales[target])
 		tc.isAsync = true
 		tc.salvage = salvage
+		if remote {
+			s.delay(tc, srcID, target, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+		}
 		fn(tc)
 		sp.End()
 	}()
@@ -142,18 +141,18 @@ func (s *System) dispatchAMO64(c *Ctx, home int, op func() uint64) uint64 {
 	case comm.BackendUGNI:
 		s.counters.IncNICAMO(c.here.id)
 		s.matrix.Inc(c.here.id, home)
-		s.delay(c.here.id, home, s.cfg.Latency.NICAtomicNS)
+		s.delay(c, c.here.id, home, s.cfg.Latency.NICAtomicNS)
 		return op()
 	default:
 		if home == c.here.id {
 			s.counters.IncLocalAMO(home)
-			s.delay(home, home, s.cfg.Latency.LocalAtomicNS)
+			s.delay(c, home, home, s.cfg.Latency.LocalAtomicNS)
 			return op()
 		}
 		s.counters.IncAMAMO(c.here.id)
 		s.matrix.Inc(c.here.id, home)
 		var res uint64
-		s.amCall(c.here.id, home, func() { res = op() })
+		s.amCall(c, home, func() { res = op() })
 		return res
 	}
 }
@@ -166,13 +165,13 @@ func (s *System) dispatchDCAS(c *Ctx, home int, op func()) {
 	// Never refused — memory plane, like dispatchAMO64.
 	if home == c.here.id {
 		s.counters.IncDCASLocal(home)
-		s.delay(home, home, s.cfg.Latency.LocalAtomicNS)
+		s.delay(c, home, home, s.cfg.Latency.LocalAtomicNS)
 		op()
 		return
 	}
 	s.counters.IncDCASRemote(c.here.id)
 	s.matrix.Inc(c.here.id, home)
-	s.amCall(c.here.id, home, op)
+	s.amCall(c, home, op)
 }
 
 // ChargeGet records and charges one small remote read toward owner.
@@ -182,14 +181,24 @@ func (s *System) dispatchDCAS(c *Ctx, home int, op func()) {
 func (c *Ctx) ChargeGet(owner int) {
 	c.sys.counters.IncGet(c.here.id)
 	c.sys.matrix.Inc(c.here.id, owner)
-	c.sys.delay(c.here.id, owner, c.sys.cfg.Latency.PutGetNS)
+	c.sys.delay(c, c.here.id, owner, c.sys.cfg.Latency.PutGetNS)
 }
 
 // ChargePut records and charges one small remote write toward owner.
 func (c *Ctx) ChargePut(owner int) {
 	c.sys.counters.IncPut(c.here.id)
 	c.sys.matrix.Inc(c.here.id, owner)
-	c.sys.delay(c.here.id, owner, c.sys.cfg.Latency.PutGetNS)
+	c.sys.delay(c, c.here.id, owner, c.sys.cfg.Latency.PutGetNS)
+}
+
+// ChargeAMRoundTrip records and charges one active-message round trip
+// toward owner, counted as an AM atomic: the cost of an owner-side
+// insertion into storage that lives outside the gas heaps (the
+// descriptor table). owner must differ from the calling locale.
+func (c *Ctx) ChargeAMRoundTrip(owner int) {
+	c.sys.counters.IncAMAMO(c.here.id)
+	c.sys.matrix.Inc(c.here.id, owner)
+	c.sys.delay(c, c.here.id, owner, c.sys.cfg.Latency.AMRoundTripNS)
 }
 
 // ChargeBulk records and charges one bulk transfer of `bytes` between
@@ -198,16 +207,16 @@ func (c *Ctx) ChargePut(owner int) {
 // (e.g. a sharded structure shipping a drained segment home); owner
 // must differ from the calling locale.
 func (c *Ctx) ChargeBulk(owner int, bytes int64) {
-	c.sys.chargeBulk(c.here.id, owner, bytes)
+	c.sys.chargeBulk(c, c.here.id, owner, bytes)
 }
 
-// chargeBulk records and charges one bulk transfer of `bytes` toward
-// dst (the FreeBulk/AllocBulkOn path; aggregated flushes account for
-// themselves inside comm.Aggregator).
-func (s *System) chargeBulk(src, dst int, bytes int64) {
+// chargeBulk records one bulk transfer of `bytes` from src toward dst
+// and charges it to c's account (the FreeBulk/AllocBulkOn path;
+// aggregated flushes account for themselves inside comm.Aggregator).
+func (s *System) chargeBulk(c *Ctx, src, dst int, bytes int64) {
 	s.counters.IncBulk(src, bytes)
 	s.matrix.Inc(src, dst)
-	s.delay(src, dst, s.cfg.Latency.BulkStartupNS+bytes*s.cfg.Latency.BulkPerByteNS)
+	s.delay(c, src, dst, s.cfg.Latency.BulkStartupNS+bytes*s.cfg.Latency.BulkPerByteNS)
 }
 
 // AsyncOn launches fn on the target locale and returns immediately —

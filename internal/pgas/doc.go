@@ -33,8 +33,12 @@
 // Word128 and the memory operations are thin veneers over it, so the
 // synchronous, asynchronous and aggregated paths share one accounting
 // implementation and cannot drift. Injected delays come from the
-// configured comm.LatencyProfile, scaled by the comm.Perturbation
-// fault plan at every site.
+// configured comm.LatencyProfile, scaled by the live comm.Perturbation
+// fault plan at every site, and are charged to the issuing task's
+// delay account (comm.Pacer, held by its Ctx; the pooled Ctx of a sync
+// on-statement body or an aggregated delivery charges its caller's),
+// which carries a wait's overshoot into the task's next charges.
+// System.DelayTotals reports what was charged and waited.
 //
 // # Aggregation buffers
 //

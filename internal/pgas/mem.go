@@ -26,7 +26,7 @@ func (c *Ctx) AllocOn(locale int, obj any) gas.Addr {
 	}
 	s := c.sys
 	s.chargeOnStmt(c.here.id, locale)
-	s.delay(c.here.id, locale, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+	s.delay(c, c.here.id, locale, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
 	return s.locales[locale].heap.Alloc(obj)
 }
 
@@ -42,7 +42,7 @@ func (c *Ctx) AllocBulkOn(locale int, objs []any) []gas.Addr {
 	}
 	s := c.sys
 	if locale != c.here.id {
-		s.chargeBulk(c.here.id, locale, int64(len(objs)*16))
+		s.chargeBulk(c, c.here.id, locale, int64(len(objs)*16))
 	}
 	h := s.locales[locale].heap
 	for i, obj := range objs {
@@ -107,7 +107,7 @@ func (c *Ctx) Free(addr gas.Addr) bool {
 	if owner != c.here.id {
 		c.sys.counters.IncOnStmt(c.here.id)
 		c.sys.matrix.Inc(c.here.id, owner)
-		c.sys.delay(c.here.id, owner, c.sys.cfg.Latency.AMRoundTripNS)
+		c.sys.delay(c, c.here.id, owner, c.sys.cfg.Latency.AMRoundTripNS)
 	}
 	return c.sys.locales[owner].heap.Free(addr)
 }
@@ -122,7 +122,7 @@ func (c *Ctx) FreeBulk(locale int, addrs []gas.Addr) int {
 	}
 	s := c.sys
 	if locale != c.here.id {
-		s.chargeBulk(c.here.id, locale, int64(len(addrs)*8))
+		s.chargeBulk(c, c.here.id, locale, int64(len(addrs)*8))
 	}
 	h := s.locales[locale].heap
 	n := 0

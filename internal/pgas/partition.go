@@ -153,13 +153,14 @@ func (s *System) pumpParking(force bool) {
 // redelivery flight is charged as one bulk transfer (the ops' original
 // enqueue/flush accounting already happened when they first shipped),
 // and the batch executes on a destination-pinned pooled context
-// exactly like an aggregated delivery. The context is marked async so
-// an op that flushes inside its exec never tries to quiesce the system
-// from inside the pump.
+// exactly like an aggregated delivery, except that no task is blocked
+// on it: the context pays the flight and its ops' charges from an
+// account of its own. It is marked async so an op that flushes inside
+// its exec never tries to quiesce the system from inside the pump.
 func (s *System) redeliverParked(src, dst int, batch []comm.Op, bytes int64) {
-	s.chargeBulk(src, dst, bytes)
-	tc := s.borrowCtx(s.locales[dst])
+	tc := s.borrowCtx(s.locales[dst], nil)
 	tc.isAsync = true
+	s.chargeBulk(tc, src, dst, bytes)
 	for _, op := range batch {
 		switch exec := op.Exec.(type) {
 		case freeOp:

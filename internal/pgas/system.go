@@ -125,6 +125,13 @@ type Locale struct {
 	_         [56]byte
 	amMu      sync.Mutex
 	amFree    sync.Cond
+
+	// DelayTotals: what System.delay charged this locale's contexts and
+	// how long they waited, on a cache line of their own.
+	_           [64]byte
+	modelledNS  atomic.Int64
+	delayWaitNS atomic.Int64
+	_           [48]byte
 }
 
 // tryAMSlot takes a handler slot unless all of them are busy.
@@ -288,37 +295,54 @@ func (s *System) Run(fn func(ctx *Ctx)) {
 // slots (parking while all are busy: the serialisation a bounded handler
 // pool imposes), pays the handler occupancy — scaled by the target's
 // factor in the live perturbation plan, so a slow locale services its
-// inbound AMs slowly — and runs fn. Handlers are terminal (an atomic
-// op, no further communication), so a bounded slot count cannot deadlock.
-func (s *System) amCall(src, target int, fn func()) {
+// inbound AMs slowly — and runs fn. Both charges go to the caller's
+// delay account. Handlers are terminal (an atomic op, no further
+// communication), so a bounded slot count cannot deadlock.
+func (s *System) amCall(c *Ctx, target int, fn func()) {
 	if s.stopped.Load() {
 		panic("pgas: active message after Shutdown")
 	}
-	s.delay(src, target, s.cfg.Latency.AMRoundTripNS)
+	s.delay(c, c.here.id, target, s.cfg.Latency.AMRoundTripNS)
 	l := s.locales[target]
 	l.acquireAMSlot(int32(s.cfg.ProgressWorkers))
-	s.delay(target, target, s.cfg.Latency.AMHandlerNS)
+	s.delay(c, target, target, s.cfg.Latency.AMHandlerNS)
 	fn()
 	l.releaseAMSlot()
 }
 
-// delay injects ns of simulated latency for an event between src and
-// dst, scaled by the live perturbation plan (fault injection). All
-// dispatch-layer delay sites route through here so a fault plan covers
-// every class of communication uniformly — including one installed
-// mid-run via SetPerturbation.
-func (s *System) delay(src, dst int, ns int64) {
+// delay charges ns of simulated latency for an event between src and
+// dst to task c's delay account (comm.Pacer: overshoot is carried into
+// the task's next charges, not paid on top), scaled by the live
+// perturbation plan. Every charge the pgas layer makes routes through
+// here, so a fault plan — including one installed mid-run via
+// SetPerturbation — covers every class of communication uniformly. The
+// zero latency profile leaves at the first branch.
+func (s *System) delay(c *Ctx, src, dst int, ns int64) {
+	if ns <= 0 {
+		return
+	}
 	if p := s.perturb.Load(); p != nil && p.Enabled() {
 		ns = int64(float64(ns) * p.PairScale(src, dst))
 	}
-	comm.Delay(ns)
+	c.here.modelledNS.Add(ns)
+	c.here.delayWaitNS.Add(c.pace.Delay(ns))
+}
+
+// DelayTotals returns the nanoseconds the model has charged so far
+// (perturbation applied) and the wall nanoseconds tasks waited for
+// them; the excess is what stalls longer than the account's clamp cost.
+func (s *System) DelayTotals() (modelledNS, waitNS int64) {
+	for _, l := range s.locales {
+		modelledNS += l.modelledNS.Load()
+		waitNS += l.delayWaitNS.Load()
+	}
+	return modelledNS, waitNS
 }
 
 // SetPerturbation swaps the live latency fault plan: every subsequent
-// injected delay uses p, AM handler occupancy included. The zero
-// Perturbation clears faults. One cfg-time capture does not follow a
-// swap: the flush-delay scaling inside already-created aggregation
-// buffers — new tasks' aggregators pick up the current plan.
+// injected delay uses p — AM handler occupancy and the flush charge of
+// already-created aggregation buffers included. The zero Perturbation
+// clears faults.
 func (s *System) SetPerturbation(p comm.Perturbation) {
 	s.perturb.Store(&p)
 }
@@ -412,27 +436,37 @@ func (s *System) newCtx(l *Locale) *Ctx {
 	id := s.taskSeq.Add(1)
 	c := &Ctx{sys: s, here: l, taskID: id}
 	c.rng = rngSeed(s.cfg.Seed, uint64(l.id), id)
+	c.pace = &c.pacer
 	return c
 }
 
 // borrowCtx returns a pooled Ctx initialised exactly as newCtx would
 // initialise a fresh one — same task-id draw, same RNG seeding — so a
-// pooled task is indistinguishable from a spawned one. Callers must
-// pair it with releaseCtx and must not let the Ctx escape the call
-// (dispatchOn's contract: the callee's Ctx dies with the call).
-func (s *System) borrowCtx(l *Locale) *Ctx {
+// pooled task is indistinguishable from a spawned one. It runs on the
+// goroutine of caller, the task blocked on it, so it charges caller's
+// delay account and inherits its salvage exemption; with no caller (the
+// retry pump) it owns its account. Callers must pair it with releaseCtx
+// and must not let the Ctx escape the call (dispatchOn's contract: the
+// callee's Ctx dies with the call).
+func (s *System) borrowCtx(l *Locale, caller *Ctx) *Ctx {
 	c, _ := s.ctxPool.Get().(*Ctx)
 	if c == nil {
 		c = &Ctx{}
 	}
 	id := s.taskSeq.Add(1)
 	*c = Ctx{sys: s, here: l, taskID: id, rng: rngSeed(s.cfg.Seed, uint64(l.id), id)}
+	if caller != nil {
+		c.pace, c.salvage = caller.pace, caller.salvage
+	} else {
+		c.pace = &c.pacer
+	}
 	return c
 }
 
 // releaseCtx clears and recycles a borrowed Ctx. Any unflushed
 // aggregation buffers are dropped with it, matching the pre-pooling
-// behaviour where the callee's Ctx was garbage the moment fn returned.
+// behaviour where the callee's Ctx was garbage the moment fn returned;
+// so is any delay credit, which never reaches the next borrower.
 func (s *System) releaseCtx(c *Ctx) {
 	*c = Ctx{}
 	s.ctxPool.Put(c)

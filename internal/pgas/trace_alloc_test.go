@@ -57,10 +57,16 @@ func TestAMAtomicsZeroAlloc(t *testing.T) {
 		{"Word128.DCAS", func() { w128.DCAS(c, 0, 0, 0, 0) }},
 		{"Word128.Read", func() { w128.Read(c) }},
 		{"Word128.CASLo64", func() { w128.CASLo64(c, 0, 0) }},
+		{"Ctx.ChargeGet", func() { c.ChargeGet(1) }},
 	}
 	for _, tc := range cases {
 		if avg := testing.AllocsPerRun(200, tc.fn); avg != 0 {
 			t.Errorf("remote %s allocates %.2f/op", tc.name, avg)
 		}
+	}
+	// Under the zero profile a charge leaves System.delay at its first
+	// branch: it never reaches the task's account, so it reads no clock.
+	if m, w := s.DelayTotals(); m != 0 || w != 0 {
+		t.Errorf("zero-profile charges reached the delay account: modelled %dns, waited %dns", m, w)
 	}
 }

@@ -267,6 +267,7 @@ func runPhase(sys *pgas.System, c0 *pgas.Ctx, em epoch.EpochManager, drv Driver,
 
 	before := sys.Counters().Snapshot()
 	beforeM := sys.Matrix().Snapshot()
+	modelled0, wait0 := sys.DelayTotals()
 	start := time.Now()
 
 	// Mid-phase fault monitor: polls the phase's issued-op total and
@@ -399,23 +400,26 @@ func runPhase(sys *pgas.System, c0 *pgas.Ctx, em epoch.EpochManager, drv Driver,
 	}
 	snap := sys.Counters().Snapshot().Sub(before)
 	matrix := bench.SubMatrix(sys.Matrix().Snapshot(), beforeM)
+	modelled, wait := sys.DelayTotals()
 	throughput := 0.0
 	if seconds > 0 {
 		throughput = float64(ops) / seconds
 	}
 	return PhaseReport{
-		Name:       ph.Name,
-		Rounds:     ph.rounds(),
-		Ops:        ops,
-		OpsByKind:  byKind,
-		Seconds:    seconds,
-		Throughput: throughput,
-		Latency:    merged.Summary(),
-		Comm:       snap,
-		RemoteOps:  snap.Remote(),
-		Matrix:     matrix,
-		MaxInbound: bench.MaxInboundOf(matrix),
-		Digest:     digest.Load(),
+		Name:        ph.Name,
+		Rounds:      ph.rounds(),
+		Ops:         ops,
+		OpsByKind:   byKind,
+		Seconds:     seconds,
+		Throughput:  throughput,
+		ModelledNS:  modelled - modelled0,
+		DelayWaitNS: wait - wait0,
+		Latency:     merged.Summary(),
+		Comm:        snap,
+		RemoteOps:   snap.Remote(),
+		Matrix:      matrix,
+		MaxInbound:  bench.MaxInboundOf(matrix),
+		Digest:      digest.Load(),
 	}
 }
 

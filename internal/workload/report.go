@@ -134,6 +134,14 @@ type PhaseReport struct {
 	Seconds    float64 `json:"seconds"`
 	Throughput float64 `json:"throughput_ops_per_sec"`
 
+	// ModelledNS is what the latency model charged during the phase
+	// (pgas.System.DelayTotals: every injected delay, perturbation
+	// applied, summed over tasks) and DelayWaitNS the wall time tasks
+	// waited for it. Seconds × tasks − DelayWaitNS is the runtime's own
+	// cost. Both are zero, and omitted, under the zero latency profile.
+	ModelledNS  int64 `json:"modelled_ns,omitempty"`
+	DelayWaitNS int64 `json:"delay_wait_ns,omitempty"`
+
 	// Latency digests the per-op wall latency histogram (HDR-style
 	// log buckets, <=~3% quantization).
 	Latency bench.LatencySummary `json:"latency"`
@@ -190,6 +198,9 @@ func (r *Report) WriteSummary(w io.Writer) {
 			p.Name, p.Ops, p.Seconds, p.Throughput,
 			fmtNS(p.Latency.P50NS), fmtNS(p.Latency.P99NS), fmtNS(p.Latency.P999NS),
 			p.RemoteOps, p.MaxInbound)
+		if p.ModelledNS > 0 {
+			fmt.Fprintf(w, "  modelled=%s waited=%s", fmtNS(p.ModelledNS), fmtNS(p.DelayWaitNS))
+		}
 		if hits, miss := p.Comm.CacheHits, p.Comm.CacheMiss; hits+miss+p.Comm.CacheInval > 0 {
 			rate := 0.0
 			if hits+miss > 0 {
