@@ -21,24 +21,25 @@
 //	        [-http :8077] [-out report.json] [-print-spec] [-quiet]
 //
 // -cache enables the hashmap's per-locale read replication cache
-// (hashmap only): gets are served from locale-private replicas,
-// mutations write through with broadcast invalidation, and the report
-// gains cache hit/miss/invalidation counters — compare the run phase's
-// maxInbound with and without it under a hot-set distribution to see
-// the owner hotspot disappear.
+// (hashmap only): gets are served from locale-private replicas, every
+// mutation ends in a broadcast invalidation from the locale that
+// applied it, and the report gains cache hit/miss/invalidation
+// counters — compare the run phase's maxInbound with and without it
+// under a hot-set distribution to see the owner hotspot disappear.
+// Composable with -combine, -rebalance and -failover.
 //
-// -combine enables write absorption (hashmap only, mutually exclusive
-// with -cache): mutations route through the fire-and-forget
-// UpsertAgg/RemoveAgg path, repeat writes to a key absorb inside the
-// source's aggregation buffer before shipping, and the owner drains
+// -combine enables write absorption (hashmap only): mutations route
+// through the fire-and-forget UpsertAgg/RemoveAgg path, repeat writes
+// to a key absorb inside the source's aggregation buffer before
+// shipping, and the owner drains
 // deliveries through its flat combiner. The report gains absorbed/
 // enqueued and CAS counters — compare the run phase's shipped-op total
 // with and without it under a hot-set distribution to see the write
 // storm collapse.
 //
 // -rebalance enables dynamic hot-shard rebalancing (hashmap only,
-// composable with -combine, mutually exclusive with -cache): writes
-// route to each bucket's current owner through the live owner table, a
+// composable with -combine and -cache): writes route to each bucket's
+// current owner through the live owner table, a
 // rebalance.Controller samples windowed comm-matrix column deltas on a
 // periodic tick, and over-ratio owners hand their hottest buckets —
 // contents included, via the epoch-coherent handoff — to cold locales.
@@ -51,11 +52,10 @@
 // -crash-phase (default 1, the run phase), or mid-phase once the
 // system has issued -crash-after-ops operations. Ops toward the dead
 // locale are refused into the lost-ops ledger and the report gains an
-// availability section. Add -failover (hashmap, queue and stack;
-// excludes -cache) to have the survivors adopt the dead locale's
-// shards and force-retire its stranded epoch tokens; without it the
-// run demonstrates the wedged-reclamation regime and reports NOT
-// RECOVERED. With
+// availability section. Add -failover (hashmap, queue and stack) to
+// have the survivors adopt the dead locale's shards and force-retire
+// its stranded epoch tokens; without it the run demonstrates the
+// wedged-reclamation regime and reports NOT RECOVERED. With
 // -failover, a NOT RECOVERED verdict exits 1.
 //
 // -partition severs the locale pair A,B at the start of phase
@@ -119,14 +119,14 @@ func main() {
 		crashLoc  = flag.Int("crash-locale", 0, "fault injection: crash this locale during the run (0 = off; locale 0 cannot crash)")
 		crashPh   = flag.Int("crash-phase", 1, "phase index at whose start the crash lands (with -crash-locale)")
 		crashOps  = flag.Int64("crash-after-ops", 0, "apply the crash mid-phase after this many system-wide ops instead of at the phase boundary")
-		failover  = flag.Bool("failover", false, "recover from the crash: survivors adopt the dead locale's shards and its epoch tokens are force-retired (hashmap, queue and stack; excludes -cache)")
+		failover  = flag.Bool("failover", false, "recover from the crash: survivors adopt the dead locale's shards and its epoch tokens are force-retired (hashmap, queue and stack)")
 		partition = flag.String("partition", "", "fault injection: sever this locale pair \"A,B\" during the run")
 		partPh    = flag.Int("partition-phase", 1, "phase index at whose start the sever lands (with -partition)")
 		healAfter = flag.Float64("heal-after", 0, "heal the severed pair this many milliseconds after the sever (0 = at the next phase boundary)")
 		useCache  = flag.Bool("cache", false, "enable the hot-key read replication cache (hashmap only)")
 		cacheSlot = flag.Int("cache-slots", 0, "per-locale cache slots (0 = 256)")
-		combine   = flag.Bool("combine", false, "enable write absorption: in-flight combining + owner-side flat combining (hashmap only, excludes -cache)")
-		rebalance = flag.Bool("rebalance", false, "enable dynamic hot-shard rebalancing: owner-table routing + controller-driven bucket migration (hashmap only, excludes -cache)")
+		combine   = flag.Bool("combine", false, "enable write absorption: in-flight combining + owner-side flat combining (hashmap only)")
+		rebalance = flag.Bool("rebalance", false, "enable dynamic hot-shard rebalancing: owner-table routing + controller-driven bucket migration (hashmap only)")
 		traceOn   = flag.Bool("trace", false, "enable the event-tracing plane (spans for dispatch/flush/combine/epoch/migrate)")
 		traceRate = flag.Int("trace-sample", 0, "trace 1 in N high-frequency events (0 = 64; control-plane events always record)")
 		traceOut  = flag.String("trace-out", "", "write the drained trace as Chrome trace-event JSON here (implies -trace)")

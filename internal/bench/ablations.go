@@ -569,8 +569,8 @@ func AblationReplication(cfg Config) Figure {
 		sys.Run(func(c *pgas.Ctx) {
 			em := epoch.NewEpochManager(c)
 			m := hashmap.New[int](c, 8*locales, em)
-			// Both arms build the view so both pick identical hot keys;
-			// the uncached arm simply never routes through it.
+			// Both arms attach the cache so both pick identical hot keys;
+			// the uncached arm simply reads through the cacheless handle.
 			cv := m.Cached(c, cacheSlots)
 			hot := a8HotKeys(m, cv.Cache(), hotKeys)
 			em.Protect(c, func(tok *epoch.Token) {
@@ -647,7 +647,7 @@ type stormVerdict struct {
 }
 
 // replicationStorm drives the seeded invalidation-storm scenario: on
-// every locale one task issues a hot-key mix through a CachedView —
+// every locale one task issues a hot-key mix through a cached map —
 // mostly gets, with periodic write-through Upserts and Removes (each
 // broadcasting invalidations) and periodic reclaim attempts, so cached
 // reads race entry retirement and epoch advancement the whole run. It
@@ -873,7 +873,7 @@ const (
 )
 
 // movingHotStorm drives the moving-hot-set write storm: every locale
-// but 0 hammers its own hot key through the owner-table-routed view,
+// but 0 hammers its own hot key through the owner-routed UpsertAgg,
 // all hot buckets homed on locale 0, and the hot set jumps to fresh
 // buckets (still homed on 0) at every window boundary. The rebalanced
 // arm steps a rebalance.Controller once per quantum — inline, from
@@ -891,7 +891,6 @@ func movingHotStorm(cfg Config, locales int, rebalanced bool) (Point, rebalanceV
 	sys.Run(func(c *pgas.Ctx) {
 		em := epoch.NewEpochManager(c)
 		m := hashmap.New[int](c, 16*locales, em)
-		rv := m.Rebalanced(c)
 		hot := a10WindowKeys(m, locales, a10Windows)
 		em.Protect(c, func(tok *epoch.Token) {
 			for _, ks := range hot {
@@ -905,7 +904,7 @@ func movingHotStorm(cfg Config, locales int, rebalanced bool) (Point, rebalanceV
 		// quantum even at 2 locales (7 flush events + 1 launch) while
 		// ignoring launch-and-handoff residue; MaxMoves covers every
 		// writer's bucket in one window.
-		ctrl := rebalance.NewController(c, rv, rebalance.Config{
+		ctrl := rebalance.NewController(c, m, rebalance.Config{
 			Ratio:     1.5,
 			MinEvents: 8,
 			MaxMoves:  locales,
@@ -920,7 +919,7 @@ func movingHotStorm(cfg Config, locales int, rebalanced bool) (Point, rebalanceV
 						}
 						k := hot[w][lc.Here()-1]
 						for i := 0; i < reps; i++ {
-							rv.UpsertAgg(lc, k, i)
+							m.UpsertAgg(lc, k, i)
 							if (i+1)%a10FlushEvery == 0 {
 								lc.Flush()
 							}
@@ -1025,7 +1024,7 @@ func a11VictimKeys(m hashmap.Map[int], locales int) []uint64 {
 
 // crashStorm drives the crash-under-hot-load scenario: every locale
 // but the victim hammers its own victim-homed key through the
-// owner-table-routed view (combine off, so refused ops count
+// owner-routed fire-and-forget writes (combine off, so refused ops count
 // one-for-one), with every a11RemoveEvery-th write a removal that
 // defers a node. After a11PreQuanta quanta the victim strands one
 // pinned token (the pin a fail-stop kill leaves behind), the epoch
@@ -1048,7 +1047,6 @@ func crashStorm(cfg Config, locales int, failover bool) (Point, crashVerdict) {
 	sys.Run(func(c *pgas.Ctx) {
 		em := epoch.NewEpochManager(c)
 		m := hashmap.New[int](c, 16*locales, em)
-		rv := m.Rebalanced(c)
 		keys := a11VictimKeys(m, locales)
 		em.Protect(c, func(tok *epoch.Token) {
 			for _, k := range keys {
@@ -1067,10 +1065,10 @@ func crashStorm(cfg Config, locales int, failover bool) (Point, crashVerdict) {
 				k := keys[idx]
 				for i := 0; i < reps; i++ {
 					if (i+1)%a11RemoveEvery == 0 {
-						rv.RemoveAgg(lc, k)
+						m.RemoveAgg(lc, k)
 						lc.Flush()
 					} else {
-						rv.UpsertAgg(lc, k, i)
+						m.UpsertAgg(lc, k, i)
 					}
 				}
 				lc.Flush()
@@ -1089,7 +1087,7 @@ func crashStorm(cfg Config, locales int, failover bool) (Point, crashVerdict) {
 			}
 			if failover {
 				sc := c.Salvage()
-				v.Shards, v.Bytes = rv.Failover(sc, a11Victim)
+				v.Shards, v.Bytes = m.Failover(sc, a11Victim)
 				v.Tokens = em.ForceRetire(sc, a11Victim)
 				sc.Flush()
 			}

@@ -285,7 +285,6 @@ func movingHotStorm(b *testing.B, rebalanced bool) {
 	// windows*(Locales-1) distinct hot buckets must all be homed on
 	// locale 0, and only 1/Locales of the buckets are: size accordingly.
 	m := hashmap.New[int](c0, 64*Locales, em)
-	rv := m.Rebalanced(c0)
 	hot := make([][]uint64, windows)
 	used := make(map[int]bool)
 	k := uint64(0)
@@ -312,7 +311,7 @@ func movingHotStorm(b *testing.B, rebalanced bool) {
 		// books a couple of on-stmt events, and without the floor a
 		// single stray event reads as an over-ratio source and migrates
 		// the (quiet, all-local) hot buckets right back off the writers.
-		ctrl = rebalance.NewController(c0, rv, rebalance.Config{
+		ctrl = rebalance.NewController(c0, m, rebalance.Config{
 			Ratio:     1.5,
 			MinEvents: 4,
 			MaxMoves:  Locales,
@@ -330,7 +329,7 @@ func movingHotStorm(b *testing.B, rebalanced bool) {
 		i := 0
 		for pb.Next() {
 			w := (i / windowEvery) % windows
-			rv.UpsertAgg(c, hot[w][src-1], i)
+			m.UpsertAgg(c, hot[w][src-1], i)
 			i++
 			if i%flushEvery == 0 {
 				c.Flush()

@@ -307,11 +307,24 @@ func (b AggBuffer) Add(w *Word64, delta uint64) {
 // Quiescence over async work is the launcher's join, not the async
 // task's.
 func (c *Ctx) Flush() {
-	if c.agg != nil {
-		c.agg.agg.Flush()
-	}
+	c.drainBuffers()
 	if !c.isAsync {
 		c.sys.Quiesce()
+	}
+}
+
+// drainBuffers ships everything in c's aggregation buffers and waits
+// for nothing else: the buffer half of Flush, and all the runtime runs
+// on a Ctx it owns — borrowed for an on-statement body, an aggregated
+// delivery or a parked redelivery, or created for an AsyncOn task —
+// when the body returns. Without that an owner-side enqueue (a cache
+// invalidation issued from inside a delivered write) would vanish with
+// the Ctx. No quiesce there: the enclosing flush or Quiesce is the
+// join, and a delivery that waited for system quiescence from inside a
+// flush could wait on itself.
+func (c *Ctx) drainBuffers() {
+	if c.agg != nil {
+		c.agg.agg.Flush()
 	}
 }
 

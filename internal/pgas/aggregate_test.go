@@ -271,6 +271,52 @@ func TestFlushInsideAsyncTask(t *testing.T) {
 	})
 }
 
+// A body running on a runtime-owned Ctx cannot flush after its last
+// enqueue — the Ctx is the runtime's, recycled or dropped the moment
+// the body returns — so the runtime drains it: an op the body buffered
+// toward a third locale lands before the enclosing call (or, for an
+// async task, the launcher's Quiesce) returns.
+func TestRuntimeCtxDrainsBuffers(t *testing.T) {
+	enqueue := func(landed *atomic.Int64) func(*Ctx) {
+		return func(tc *Ctx) {
+			tc.Aggregator(2).Call(func(lc *Ctx) {
+				if lc.Here() == 2 {
+					landed.Add(1)
+				}
+			})
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(s *System, c *Ctx, body func(*Ctx))
+	}{
+		{"sync on-statement body", func(_ *System, c *Ctx, body func(*Ctx)) {
+			c.On(1, body)
+		}},
+		{"aggregated delivery", func(_ *System, c *Ctx, body func(*Ctx)) {
+			buf := c.Aggregator(1)
+			buf.Call(body)
+			buf.Flush()
+		}},
+		{"AsyncOn task", func(s *System, c *Ctx, body func(*Ctx)) {
+			c.AsyncOn(1, body)
+			s.Quiesce()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newAggTestSystem(t, 3)
+			s.Run(func(c *Ctx) {
+				var landed atomic.Int64
+				tc.run(s, c, enqueue(&landed))
+				if got := landed.Load(); got != 1 {
+					t.Fatalf("op buffered on the runtime's Ctx landed %d times, want 1", got)
+				}
+			})
+		})
+	}
+}
+
 // Aggregated adds stay coherent with direct Word64 operations under
 // the ugni backend: the flushed add executes as a NIC atomic on the
 // owner, not an incoherent CPU atomic.

@@ -39,10 +39,13 @@ func (s *System) dispatchOn(src *Ctx, target int, fn func(*Ctx)) {
 	// transient instead: the call parks in place — the calling task
 	// retries with exponential backoff until the pair heals (then
 	// proceeds with normal delivery below) or the retry deadline
-	// expires (booked expired, fn never runs).
-	if r := s.refusalOf(src, target); r != refuseNone {
-		if r == refuseCrash || !s.parkSyncOn(src, target) {
-			s.counters.IncOpsLost(src.here.id, 1)
+	// expires (booked expired — not lost — and fn never runs).
+	switch s.refusalOf(src, target) {
+	case refuseCrash:
+		s.counters.IncOpsLost(src.here.id, 1)
+		return
+	case refusePartition:
+		if !s.parkSyncOn(src, target) {
 			return
 		}
 	}
@@ -114,6 +117,7 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 			s.delay(tc, srcID, target, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
 		}
 		fn(tc)
+		tc.drainBuffers()
 		sp.End()
 	}()
 }

@@ -183,14 +183,16 @@ func (s *System) redeliverParked(src, dst int, batch []comm.Op, bytes int64) {
 // call is dropped). Synchronous calls cannot park in the ledger — the
 // caller is waiting and the closure may capture its stack — so the
 // retry happens at the call site, with the same books and the same
-// policy knobs as the ledger. Returns false without touching the books
-// when the retry plane is disabled.
+// policy knobs as the ledger. It reports whether the call may proceed;
+// a dropped call is already on the books — expired, or lost when the
+// retry plane is disabled and partitions account fail-stop.
 func (s *System) parkSyncOn(src *Ctx, target int) bool {
 	cfg := s.cfg.Park
+	srcID := src.here.id
 	if cfg.Disable {
+		s.counters.IncOpsLost(srcID, 1)
 		return false
 	}
-	srcID := src.here.id
 	s.counters.IncOpsParked(srcID, 1)
 	deadline := s.nowNS() + cfg.DeadlineNS
 	backoff := cfg.InitialBackoffNS

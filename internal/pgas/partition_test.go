@@ -176,9 +176,9 @@ func TestPartitionSyncOnExpires(t *testing.T) {
 		}
 	})
 	snap := s.Counters().Snapshot()
-	if snap.OpsParked != 1 || snap.OpsExpired != 1 || snap.OpsRedelivered != 0 {
-		t.Fatalf("expiry books: parked=%d redelivered=%d expired=%d",
-			snap.OpsParked, snap.OpsRedelivered, snap.OpsExpired)
+	if snap.OpsParked != 1 || snap.OpsExpired != 1 || snap.OpsRedelivered != 0 || snap.OpsLost != 0 {
+		t.Fatalf("expiry books: parked=%d redelivered=%d expired=%d lost=%d",
+			snap.OpsParked, snap.OpsRedelivered, snap.OpsExpired, snap.OpsLost)
 	}
 }
 

@@ -463,11 +463,13 @@ func (s *System) borrowCtx(l *Locale, caller *Ctx) *Ctx {
 	return c
 }
 
-// releaseCtx clears and recycles a borrowed Ctx. Any unflushed
-// aggregation buffers are dropped with it, matching the pre-pooling
-// behaviour where the callee's Ctx was garbage the moment fn returned;
-// so is any delay credit, which never reaches the next borrower.
+// releaseCtx drains, clears and recycles a borrowed Ctx. The body it
+// ran had no chance to flush after its last enqueue — the runtime owns
+// the Ctx, not the body — so whatever it left buffered ships here,
+// before the enclosing call returns (see drainBuffers). Any delay
+// credit is dropped with the Ctx and never reaches the next borrower.
 func (s *System) releaseCtx(c *Ctx) {
+	c.drainBuffers()
 	*c = Ctx{}
 	s.ctxPool.Put(c)
 }

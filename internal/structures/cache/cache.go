@@ -39,14 +39,16 @@
 //     epoch advances prove quiescence, exactly like a structure node.
 //     The poisoned heaps turn any violation into a detected UAF.
 //
-// Staleness is bounded, not zero: invalidations ride the write-through
-// caller's aggregation buffers (one op per locale, batched into bulk
-// flushes), so a replica may serve the old value until the writer's
-// buffers flush — at capacity, or at Ctx.Flush. Callers that need
-// read-your-writes across locales flush after mutating.
+// Staleness is bounded, not zero: invalidations ride the aggregation
+// buffers of the context that issued them (one op per live locale,
+// batched into bulk flushes), so a replica may serve the old value
+// until those buffers flush — at capacity, at Ctx.Flush, or when the
+// runtime drains a context of its own (an invalidation issued from
+// inside a delivered write). Callers that need read-your-writes across
+// locales flush after mutating.
 //
 // The cache itself is structure-agnostic: it memoizes any fetch
-// closure. hashmap.CachedView is the packaged integration.
+// closure. hashmap.Map.Cached is the packaged integration.
 package cache
 
 import (
@@ -265,16 +267,17 @@ func (ca Cache[V]) publish(c *pgas.Ctx, tok *epoch.Token, st *set, k uint64, gen
 	}
 }
 
-// Invalidate broadcasts a coherence bump for k to every locale's
-// replica, riding the calling task's aggregation buffers: one buffered
-// op per remote locale (batched into bulk flushes), executed inline
-// for the local replica. Each op bumps the set generation — killing
+// Invalidate broadcasts a coherence bump for k to every live locale's
+// replica, riding c's aggregation buffers: one buffered op per remote
+// locale (batched into bulk flushes), executed inline for the local
+// replica. Each op bumps the set generation — killing
 // in-flight fills — and retires k's published entry through the epoch
 // manager on its own locale.
 //
-// Remote invalidations take effect when the caller's buffers flush (at
-// capacity, or at Ctx.Flush); until then remote replicas may serve the
-// previous value. Write-through callers that need prompt coherence
+// Remote invalidations take effect when c's buffers flush (at capacity,
+// at Ctx.Flush, or — when c is the runtime's context for a delivered
+// op — as that delivery returns); until then remote replicas may serve
+// the previous value. Write-through callers that need prompt coherence
 // flush after mutating.
 //
 // The generation is per set, so the bump also kills any *other* key's
@@ -286,7 +289,15 @@ func (ca Cache[V]) publish(c *pgas.Ctx, tok *epoch.Token, st *set, k uint64, gen
 func (ca Cache[V]) Invalidate(c *pgas.Ctx, k uint64) {
 	idx := ca.index(k)
 	em := ca.obj.Manager()
+	sys := c.Sys()
 	for dst := 0; dst < c.NumLocales(); dst++ {
+		// A dead locale serves no reads, and an op toward it would only
+		// be refused into the lost-ops ledger — which counts workload
+		// ops a crash swallowed, not coherence traffic to a replica
+		// nobody can hit.
+		if !sys.Alive(dst) {
+			continue
+		}
 		ca.obj.AggOnOwner(c, dst, func(lc *pgas.Ctx, sh *shard) {
 			sh.invals.Add(1)
 			lc.Sys().Counters().IncCacheInval(lc.Here())

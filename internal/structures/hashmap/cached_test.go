@@ -1,6 +1,8 @@
 package hashmap
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"gopgas/internal/comm"
@@ -159,4 +161,129 @@ func TestCachedViewChurn(t *testing.T) {
 			t.Fatalf("heap verdict after churn: %+v", h)
 		}
 	})
+}
+
+// The cache stays coherent when the writes it must observe never touch
+// the writer's own context: every locale reads a shared hot-key set
+// through the cached handle while every locale also fires
+// UpsertAgg/RemoveAgg at it with in-flight combining on, and a driver
+// task migrates the keys' buckets round-robin the whole time — so
+// writes are absorbed, applied under a remote owner's combiner,
+// re-routed past a republish, and each one invalidates the replicas
+// from whichever locale finally applied it. Once the writers have
+// flushed and the re-route chains have quiesced, every key read through
+// the cache on every locale must equal what the owner's list holds.
+// Under -race this storms the owner-side invalidation and the runtime's
+// context drain against fills, migrations and epoch reclamation.
+func TestMapCacheCoherentUnderRoutedWrites(t *testing.T) {
+	const locales, tasks, hotKeys, ops, maxMigrations = 4, 2, 12, 600, 1024
+	s := pgas.NewSystem(pgas.Config{
+		Locales: locales,
+		Backend: comm.BackendNone,
+		Seed:    11,
+		Agg:     comm.AggConfig{Combine: true},
+	})
+	defer s.Shutdown()
+	c0 := s.Ctx(0)
+	em := epoch.NewEpochManager(c0)
+	base := New[int64](c0, 8, em)
+	m := base.Cached(c0, 16)
+
+	stop := make(chan struct{})
+	var migWG sync.WaitGroup
+	var migrations int64
+	migWG.Add(1)
+	go func() {
+		defer migWG.Done()
+		mc := s.Ctx(0)
+		for r := 0; r < maxMigrations; r++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e := m.BucketOf(uint64(r % hotKeys))
+			dst := (m.EntryOwner(e) + 1 + r%(locales-1)) % locales
+			if _, ok := m.Migrate(mc, e, dst); ok {
+				migrations++
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for loc := 0; loc < locales; loc++ {
+		for task := 0; task < tasks; task++ {
+			wg.Add(1)
+			go func(loc, task int) {
+				defer wg.Done()
+				c := s.Ctx(loc)
+				id := int64(loc*tasks + task)
+				tok := em.Register(c)
+				for i := 0; i < ops; i++ {
+					k := uint64(i+loc+task) % hotKeys
+					switch {
+					case i%41 == 17:
+						m.RemoveAgg(c, k)
+					case i%3 == 0:
+						m.UpsertAgg(c, k, id<<32|int64(i))
+					default:
+						m.Get(c, tok, k) // fills race the invalidations
+					}
+					if i%128 == 127 {
+						tok.TryReclaim(c)
+					}
+				}
+				c.Flush()
+				tok.Unregister(c)
+			}(loc, task)
+		}
+	}
+	wg.Wait()
+	close(stop)
+	migWG.Wait()
+	c0.Flush() // drain any still-pending async re-route chains
+
+	if migrations == 0 {
+		t.Fatal("driver performed no migrations; the storm is vacuous")
+	}
+	present := 0
+	c0.CoforallLocales(func(lc *pgas.Ctx) {
+		em.Protect(lc, func(tok *epoch.Token) {
+			for k := uint64(0); k < hotKeys; k++ {
+				want, wantOK := base.Get(lc, tok, k)
+				got, ok := m.Get(lc, tok, k)
+				if ok != wantOK || got != want {
+					t.Errorf("locale %d key %d: cache reads (%d,%v), owner's list holds (%d,%v)",
+						lc.Here(), k, got, ok, want, wantOK)
+				}
+				if lc.Here() == 0 && wantOK {
+					present++
+				}
+			}
+		})
+	})
+	if present == 0 {
+		t.Fatal("storm left every key absent; the comparison is vacuous")
+	}
+
+	snap := s.Counters().Snapshot()
+	if snap.CacheHits == 0 || snap.CacheInval == 0 {
+		t.Fatalf("cache never engaged: %+v", snap)
+	}
+	if snap.MigAdopted != snap.MigRetired {
+		t.Fatalf("books unbalanced: adopted %d retired %d", snap.MigAdopted, snap.MigRetired)
+	}
+	if snap.AggOps+snap.AggCombined != snap.AggOpsEnq {
+		t.Fatalf("shipped+combined != enqueued: %+v", snap)
+	}
+	heap := s.HeapStats()
+	if heap.UAFLoads != 0 || heap.UAFStores != 0 || heap.UAFFrees != 0 {
+		t.Fatalf("use-after-free under the coherence storm: %+v", heap)
+	}
+	em.Clear(c0)
+	if st := em.Stats(c0); st.Deferred != st.Reclaimed {
+		t.Fatalf("epoch books after storm: deferred %d reclaimed %d", st.Deferred, st.Reclaimed)
+	}
+	m.Destroy(c0)
 }

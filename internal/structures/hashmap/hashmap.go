@@ -18,6 +18,15 @@
 // are the CASes/reads on the bucket's own cells, which live with the
 // bucket's owner. Callers that want those to be local too can route
 // work with HomeOf.
+//
+// There is one map type and one write path. Ownership of a bucket is a
+// live shared.OwnerTable entry (identity e % L until the first
+// Migrate), fire-and-forget writes carry the generation they sampled
+// and are applied — or re-routed — inside the owner's flat combiner
+// (writeOp.Exec), and a read replication cache attached with Cached is
+// invalidated from that same site, so caching, write absorption,
+// rebalancing and crash failover compose instead of excluding each
+// other. migrate.go holds the ownership handoff.
 package hashmap
 
 import (
@@ -27,8 +36,10 @@ import (
 	"gopgas/internal/comm"
 	"gopgas/internal/core/epoch"
 	"gopgas/internal/pgas"
+	"gopgas/internal/structures/cache"
 	"gopgas/internal/structures/list"
 	"gopgas/internal/structures/shared"
+	"gopgas/internal/trace"
 )
 
 // bucketSlot is one bucket's shared, mutable cell: the current list
@@ -47,28 +58,34 @@ type bucketSlot[V any] struct {
 // the mutable part), so replicas never need coherence traffic —
 // exactly what makes privatization free. The combiner is the other
 // mutable member: each locale's replica carries the flat combiner that
-// serializes combined writes delivered to that locale's buckets (see
-// UpsertAgg) and, under rebalancing, the migrations of buckets it
-// owns.
+// serializes the fire-and-forget writes delivered to that locale's
+// buckets (see UpsertAgg) and the migrations of buckets it owns.
 type table[V any] struct {
 	buckets []*bucketSlot[V]
 	comb    shared.Combiner
 }
 
-// bucket returns the slot's current list.
-func (t *table[V]) bucket(e int) *list.List[V] {
-	return t.buckets[e].list.Load()
+// core is what every copy of a Map handle shares by pointer: the
+// bucket slots (for the ctx-less heat reads), the live owner table,
+// and the switch that turns heat counting on.
+type core[V any] struct {
+	slots []*bucketSlot[V]
+	tab   *shared.OwnerTable
+	em    epoch.EpochManager
+	// heatOn is set by the first EntryHeat call — a rebalance.Controller
+	// anchoring its first window — so a map nobody ranks never pays the
+	// shared-counter bump on its read path.
+	heatOn atomic.Bool
 }
 
 // Map is a distributed lock-free hash map from uint64 keys to V. It is
 // a small copyable handle (like EpochManager): copy it into tasks and
 // across locales freely. The zero value is invalid; create with New.
 type Map[V any] struct {
-	priv     pgas.Privatized[table[V]]
-	mask     uint64
-	nbuckets int
-	em       epoch.EpochManager
-	locales  int
+	priv pgas.Privatized[table[V]]
+	core *core[V]
+	ca   *cache.Cache[V] // nil unless Cached attached one to this handle
+	mask uint64
 }
 
 // New creates a map with the given bucket count (rounded up to a power
@@ -89,13 +106,19 @@ func New[V any](c *pgas.Ctx, buckets int, em epoch.EpochManager) Map[V] {
 	// homed on locale i%L, so the bucket's mutable state lives with its
 	// owner regardless of which locale's replica resolved it. The slot
 	// pointers are shared across replicas; a migration's list swap is
-	// therefore visible to every locale with one store.
+	// therefore visible to every locale with one store. The owner table
+	// starts as the same identity, and nothing republishes it on a map
+	// that never migrates.
 	slots := make([]*bucketSlot[V], n)
 	for i := range slots {
 		slots[i] = &bucketSlot[V]{}
 		slots[i].list.Store(list.New[V](c, i%L, em))
 	}
-	m := Map[V]{mask: uint64(n - 1), nbuckets: n, em: em, locales: L}
+	m := Map[V]{mask: uint64(n - 1), core: &core[V]{
+		slots: slots,
+		tab:   shared.NewOwnerTable(n, func(e int) int { return e % L }),
+		em:    em,
+	}}
 	m.priv = pgas.NewPrivatized(c, func(lc *pgas.Ctx) *table[V] {
 		replica := make([]*bucketSlot[V], n)
 		copy(replica, slots)
@@ -106,27 +129,73 @@ func New[V any](c *pgas.Ctx, buckets int, em epoch.EpochManager) Map[V] {
 	return m
 }
 
-// Manager returns the epoch manager the map reclaims through.
-func (m Map[V]) Manager() epoch.EpochManager { return m.em }
+// Cached returns the same map with a read replication cache attached
+// to the returned handle (internal/structures/cache): one 2-way
+// set-associative replica of `slots` entries per locale (the set count
+// rounded up to a power of two), sharing the map's epoch manager so
+// cached entries and structure nodes reclaim through one domain. slots
+// must be positive.
+//
+// Get through the returned handle memoizes the owner-computed lookup
+// in the calling locale's replica, so repeat reads of a hot key are
+// locale-private hits instead of remote traffic to the bucket's owner.
+// Every mutation through it — on any path — ends in an invalidation
+// broadcast for the key (see invalidate). Coherence is a contract on
+// the *writers*: once a key is read through a cached handle, every
+// mutation of it must go through a copy of that handle; the handle
+// Cached was called on stays cacheless, and its writes are invisible
+// to the replicas.
+//
+// Invalidations ride the writing context's aggregation buffers (one op
+// per live locale, batched into bulk flushes), so remote replicas may
+// serve the previous value until those buffers flush — at capacity, at
+// Ctx.Flush, or, for a write applied on its owner, when the runtime
+// drains the delivery's context. A writer that needs read-your-writes
+// across locales flushes after mutating. Entries are pinned and
+// retired through the map's own EpochManager, so a cached read can
+// never observe reclaimed memory (the cache package documents the
+// generation protocol).
+func (m Map[V]) Cached(c *pgas.Ctx, slots int) Map[V] {
+	ca := cache.New[V](c, slots, m.core.em)
+	m.ca = &ca
+	return m
+}
 
-// Destroy tears the map down: every bucket list frees its remaining
-// nodes (one bulk free per bucket toward its home), then the
-// privatized table replicas are released and the registry slot is
-// returned for reuse. The bucket lists are shared across replicas, so
-// they are destroyed exactly once, before the replica teardown. The
-// map must be quiescent; entries already removed were retired through
-// the epoch manager — let it clear to reclaim them. No task may use
-// any copy of the handle afterwards. Churn scenarios rely on this
-// leaving zero gas-heap or registry residue.
+// Cache returns the replication cache attached to this handle, for
+// statistics and manual invalidation; the zero (invalid) Cache when
+// none is.
+func (m Map[V]) Cache() cache.Cache[V] {
+	if m.ca == nil {
+		return cache.Cache[V]{}
+	}
+	return *m.ca
+}
+
+// Manager returns the epoch manager the map reclaims through.
+func (m Map[V]) Manager() epoch.EpochManager { return m.core.em }
+
+// Destroy tears the map down: the attached cache first, if any, then
+// every bucket list frees its remaining nodes (one bulk free per
+// bucket toward its home), then the privatized table replicas are
+// released and the registry slot is returned for reuse. The bucket
+// lists are shared across replicas, so they are destroyed exactly
+// once, before the replica teardown. The map must be quiescent;
+// entries already removed were retired through the epoch manager — let
+// it clear to reclaim them. No task may use any copy of the handle
+// afterwards. Churn scenarios rely on this leaving zero gas-heap or
+// registry residue.
 func (m Map[V]) Destroy(c *pgas.Ctx) {
-	for _, s := range m.priv.Get(c).buckets {
+	if m.ca != nil {
+		m.ca.Destroy(c)
+	}
+	for _, s := range m.core.slots {
 		s.list.Load().Destroy(c)
 	}
 	m.priv.Destroy(c, nil)
 }
 
 // NumBuckets returns the bucket count.
-func (m Map[V]) NumBuckets() int { return m.nbuckets }
+func (m Map[V]) NumBuckets() int { return len(m.core.slots) }
 
 // hash finalizes the key (splitmix64 mixer) so adjacent keys spread
 // across buckets.
@@ -141,33 +210,75 @@ func hash(k uint64) uint64 {
 
 // bucket returns the current list for k, resolved through the calling
 // locale's privatized table replica — zero communication beyond the
-// slot's atomic pointer load.
+// slot's atomic pointer load. It never consults the owner table: the
+// pointer always names a complete list (old until a migration's swap,
+// new after).
 func (m Map[V]) bucket(c *pgas.Ctx, k uint64) *list.List[V] {
-	return m.priv.Get(c).bucket(int(hash(k) & m.mask))
+	return m.priv.Get(c).buckets[hash(k)&m.mask].list.Load()
 }
 
 // BucketOf reports which bucket index k hashes to — the entry
-// granularity the rebalanced view migrates at. Zero communication.
+// granularity Migrate moves ownership at. Zero communication.
 func (m Map[V]) BucketOf(k uint64) int {
 	return int(hash(k) & m.mask)
 }
 
-// HomeOf reports which locale owns k's bucket. Callers co-locate work
-// with it (run the mutation in an on-statement or aggregation batch
-// toward HomeOf(k)) to make the bucket CAS locale-local; InsertBulk
-// does exactly this. Zero communication: the routing map is replicated
-// with the table. This is the *static* owner arithmetic; the
-// Rebalanced view routes through a live owner table instead.
+// HomeOf reports which locale currently owns k's bucket: e % L until
+// the bucket's first migration, the adopter after. Callers co-locate
+// work with it (run the mutation in an on-statement or aggregation
+// batch toward HomeOf(k)) to make the bucket CAS locale-local; the
+// fire-and-forget writes do exactly this. Zero communication: the
+// owner table is one shared word per bucket.
 func (m Map[V]) HomeOf(k uint64) int {
-	return int(hash(k)&m.mask) % m.locales
+	return m.EntryOwner(m.BucketOf(k))
 }
 
-// BucketLocale is HomeOf under its historical name.
-func (m Map[V]) BucketLocale(k uint64) int { return m.HomeOf(k) }
+// invalidate is where every mutation of a bucket ends — the sync
+// writes on their caller, the fire-and-forget writes on whichever
+// locale applied them: when this handle carries a cache, broadcast k's
+// invalidation. It must run after the list mutation (a replica that
+// refetches once its set generation is bumped must find the new
+// value) and outside any combiner: the broadcast may flush c's
+// buffers, and a flush that delivered into a second locale's combiner
+// while holding the first could deadlock against its mirror image.
+func (m Map[V]) invalidate(c *pgas.Ctx, k uint64) {
+	if m.ca != nil {
+		m.ca.Invalidate(c, k)
+	}
+}
 
-// Insert adds (k, v) if absent, reporting whether it inserted.
+// Insert adds (k, v) if absent, reporting whether it inserted. (An
+// unsuccessful insert changed nothing, so nothing is invalidated.)
 func (m Map[V]) Insert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
-	return m.bucket(c, k).Insert(c, tok, k, v)
+	ok := m.bucket(c, k).Insert(c, tok, k, v)
+	if ok {
+		m.invalidate(c, k)
+	}
+	return ok
+}
+
+// Upsert inserts or replaces (k, v), reporting whether it replaced an
+// existing value.
+//
+// The synchronous writes (Insert, Upsert, Remove) CAS the bucket's
+// current list from the calling task and are not serialized against
+// Migrate: one that resolved the list before a migration's snapshot
+// and lands after it is applied to the retired list and lost. Traffic
+// that must survive ownership changes uses the fire-and-forget writes,
+// which apply under the owner's combiner.
+func (m Map[V]) Upsert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
+	replaced := m.bucket(c, k).Upsert(c, tok, k, v)
+	m.invalidate(c, k)
+	return replaced
+}
+
+// Remove deletes k, reporting whether it was present.
+func (m Map[V]) Remove(c *pgas.Ctx, tok *epoch.Token, k uint64) bool {
+	ok := m.bucket(c, k).Remove(c, tok, k)
+	if ok {
+		m.invalidate(c, k)
+	}
+	return ok
 }
 
 // KV is one key/value pair for the bulk-insert path.
@@ -176,136 +287,208 @@ type KV[V any] struct {
 	V V
 }
 
+// combineKindMapWrite namespaces the hashmap's merge keys away from
+// the pgas and shared layers' kinds.
+const combineKindMapWrite uint8 = 32
+
+// mapWriteBytes models one aggregated map write on the wire: a key
+// plus one value word, matching the pgas layer's put convention.
+const mapWriteBytes = 16
+
+type writeKind uint8
+
+const (
+	writeUpsert writeKind = iota
+	writeRemove
+	writeInsert
+)
+
+// writeOp is one buffered fire-and-forget write headed for its
+// bucket's owner, carrying the owner-table generation sampled at
+// enqueue. Upserts and removes of one key absorb last-writer-wins in
+// the task's aggregation buffer — an upsert superseded by a remove
+// ships only the remove, and vice versa, keeping the later (fresher)
+// generation sample — and the survivor applies on the owner through
+// the table replica's flat combiner instead of CAS-ing the hot bucket
+// directly. Inserts ship as plain calls: insert-if-absent does not
+// merge.
+type writeOp[V any] struct {
+	m       Map[V]
+	gen     uint64
+	k       uint64
+	v       V
+	n       *atomic.Int64 // InsertBulk's tally of successful inserts
+	kind    writeKind
+	changed bool // set under the combiner: applied, and k's entry changed
+}
+
+// route samples the owner of k's bucket and builds the op that carries
+// the sample's generation there.
+func (m Map[V]) route(kind writeKind, k uint64, v V) (owner int, op *writeOp[V]) {
+	owner, gen := m.core.tab.Owner(m.BucketOf(k))
+	return owner, &writeOp[V]{m: m, gen: gen, k: k, v: v, kind: kind}
+}
+
+func (o *writeOp[V]) CombineKey() comm.CombineKey {
+	return comm.CombineKey{Kind: combineKindMapWrite, Ref: o.m.priv, K: o.k}
+}
+
+func (o *writeOp[V]) Absorb(later comm.CombinableOp) (int64, bool) {
+	l := later.(*writeOp[V])
+	o.gen = l.gen
+	o.v = l.v
+	o.kind = l.kind
+	return 0, true
+}
+
+// Exec is the delivered side of every fire-and-forget write, and the
+// map's one owner-side write site: take the local replica's combiner,
+// re-check the generation inside it (exact — migrations of this bucket
+// serialize on the same combiner), and either apply against the slot's
+// current list or re-dispatch to the bucket's new owner. On a map that
+// never migrated the generation always matches. The cache invalidation
+// follows once the combiner is released (see invalidate); when tc is
+// the runtime's context for a delivery, the runtime drains it before
+// the delivery returns.
+func (o *writeOp[V]) Exec(tc *pgas.Ctx) {
+	t := o.m.priv.Get(tc)
+	t.comb.Do(func() { o.applyOwned(tc, t) })
+	if o.changed {
+		o.m.invalidate(tc, o.k)
+	}
+}
+
+// applyOwned runs under t's combiner. The re-dispatch of a stale op is
+// an async task: a synchronous on-stmt here could deadlock two locales
+// draining each other's combined deliveries, while an async task is
+// tracked by system quiescence and holds no lock across the hop.
+func (o *writeOp[V]) applyOwned(tc *pgas.Ctx, t *table[V]) {
+	e := o.m.BucketOf(o.k)
+	owner, cur := o.m.core.tab.Owner(e)
+	if cur != o.gen {
+		tc.Sys().Counters().IncMigReroute(tc.Here())
+		if tr := tc.Sys().Tracer(); tr != nil {
+			tr.Instant(tc.Here(), trace.KindReroute, tc.TaskID(), tc.Here(), owner, 0, int64(e))
+		}
+		// The redelivery is a copy: this Exec still reads o.changed once
+		// the combiner lets go, possibly after the copy has applied.
+		re := *o
+		re.gen = cur
+		tc.AsyncOn(owner, re.Exec)
+		return
+	}
+	slot := t.buckets[e]
+	if o.m.core.heatOn.Load() {
+		slot.heat.Add(1)
+	}
+	o.m.core.em.Protect(tc, func(tok *epoch.Token) {
+		b := slot.list.Load()
+		switch o.kind {
+		case writeUpsert:
+			b.Upsert(tc, tok, o.k, o.v)
+			o.changed = true
+		case writeRemove:
+			o.changed = b.Remove(tc, tok, o.k)
+		case writeInsert:
+			if o.changed = b.Insert(tc, tok, o.k, o.v); o.changed {
+				o.n.Add(1)
+			}
+		}
+	})
+}
+
+// UpsertAgg buffers a fire-and-forget upsert of (k, v) into the
+// calling task's aggregation buffer toward the current owner of k's
+// bucket. The write executes there when the buffer flushes (at
+// capacity, or at Ctx.Flush), under a destination-local epoch token,
+// serialized through the owner replica's flat combiner. Under the
+// system's AggConfig.Combine policy, repeated writes to one key
+// collapse to the last buffered one before the wire. Use Upsert when
+// the replaced verdict or immediate visibility matters.
+//
+// A write that raced a migration — sampled the old owner, delivered
+// after the republish — re-routes itself (comm's MigReroutes) and
+// applies when its async redelivery runs, so two same-task writes to
+// one key that straddle a migration may apply out of program order
+// (the contract already promises only eventual visibility; this widens
+// the window). Callers that need a deterministic final state quiesce
+// (Ctx.Flush) and write a final pass, as the storm tests do.
+func (m Map[V]) UpsertAgg(c *pgas.Ctx, k uint64, v V) {
+	owner, op := m.route(writeUpsert, k, v)
+	c.Aggregator(owner).CallCombinable(mapWriteBytes, op)
+}
+
+// RemoveAgg buffers a fire-and-forget removal of k, with the same
+// routing, combining and visibility contract as UpsertAgg.
+func (m Map[V]) RemoveAgg(c *pgas.Ctx, k uint64) {
+	var zero V
+	owner, op := m.route(writeRemove, k, zero)
+	c.Aggregator(owner).CallCombinable(mapWriteBytes, op)
+}
+
 // InsertBulk adds every absent (k, v) pair, returning how many were
 // inserted. Pairs are routed through the calling task's aggregation
-// buffers to the locale owning their bucket and executed there — the
-// remote CAS per insert of the per-op path becomes a locale-local CAS
-// inside a per-destination batch, so the communication cost is one
-// bulk flush per destination locale (per buffer capacity) instead of
-// one round trip per pair. Each batch runs under a destination-local
-// epoch token; no caller token is needed.
+// buffers to the locale owning their bucket and applied there under
+// its combiner — the remote CAS per insert of the per-op path becomes
+// a locale-local CAS inside a per-destination batch, so the
+// communication cost is one bulk flush per destination locale (per
+// buffer capacity) instead of one round trip per pair. Each pair runs
+// under a destination-local epoch token; no caller token is needed.
+// With a cache attached the batch is coherent on return: the flush
+// below covers the deliveries' invalidations too.
 //
 // Duplicate keys within pairs insert first-come-first-served, like
 // concurrent Inserts.
 func (m Map[V]) InsertBulk(c *pgas.Ctx, pairs []KV[V]) int {
 	var inserted atomic.Int64
 	for _, kv := range pairs {
-		kv := kv
-		c.Aggregator(m.HomeOf(kv.K)).Call(func(tc *pgas.Ctx) {
-			m.em.Protect(tc, func(tok *epoch.Token) {
-				if m.bucket(tc, kv.K).Insert(tc, tok, kv.K, kv.V) {
-					inserted.Add(1)
-				}
-			})
-		})
+		owner, op := m.route(writeInsert, kv.K, kv.V)
+		op.n = &inserted
+		c.Aggregator(owner).Call(op.Exec)
 	}
 	c.Flush()
 	return int(inserted.Load())
 }
 
-// Upsert inserts or replaces (k, v), reporting whether it replaced an
-// existing value.
-func (m Map[V]) Upsert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
-	return m.bucket(c, k).Upsert(c, tok, k, v)
-}
-
-// combineKindMapWrite namespaces the hashmap's merge keys away from
-// the pgas and shared layers' kinds.
-const combineKindMapWrite uint8 = 32
-
-// mapWriteOp is one buffered fire-and-forget write (upsert or remove)
-// headed for its key's home locale. Writes to the same key absorb
-// last-writer-wins in the task's aggregation buffer — an upsert
-// superseded by a remove ships only the remove, and vice versa — and
-// the survivor applies on the owner through the table replica's flat
-// combiner instead of CAS-ing the hot bucket directly.
-type mapWriteOp[V any] struct {
-	m      Map[V]
-	k      uint64
-	v      V
-	remove bool
-}
-
-func (o *mapWriteOp[V]) CombineKey() comm.CombineKey {
-	return comm.CombineKey{Kind: combineKindMapWrite, Ref: o.m.priv, K: o.k}
-}
-
-func (o *mapWriteOp[V]) Absorb(later comm.CombinableOp) (int64, bool) {
-	l := later.(*mapWriteOp[V])
-	o.v = l.v
-	o.remove = l.remove
-	return 0, true
-}
-
-func (o *mapWriteOp[V]) Exec(tc *pgas.Ctx) {
-	t := o.m.priv.Get(tc)
-	t.comb.Do(func() {
-		o.m.em.Protect(tc, func(tok *epoch.Token) {
-			b := t.bucket(int(hash(o.k) & o.m.mask))
-			if o.remove {
-				b.Remove(tc, tok, o.k)
-			} else {
-				b.Upsert(tc, tok, o.k, o.v)
-			}
-		})
-	})
-}
-
-// mapWriteBytes models one aggregated map write on the wire: a key
-// plus one value word, matching the pgas layer's put convention.
-const mapWriteBytes = 16
-
-// UpsertAgg buffers a fire-and-forget upsert of (k, v) into the
-// calling task's aggregation buffer toward k's home locale. The write
-// executes there when the buffer flushes (at capacity, or at
-// Ctx.Flush), under a destination-local epoch token, serialized
-// through the owner replica's flat combiner. Under the system's
-// AggConfig.Combine policy, repeated writes to one key collapse to the
-// last buffered one before the wire. Use Upsert when the replaced
-// verdict or immediate visibility matters.
-func (m Map[V]) UpsertAgg(c *pgas.Ctx, k uint64, v V) {
-	c.Aggregator(m.HomeOf(k)).CallCombinable(mapWriteBytes, &mapWriteOp[V]{m: m, k: k, v: v})
-}
-
-// RemoveAgg buffers a fire-and-forget removal of k, with the same
-// routing, combining and visibility contract as UpsertAgg.
-func (m Map[V]) RemoveAgg(c *pgas.Ctx, k uint64) {
-	c.Aggregator(m.HomeOf(k)).CallCombinable(mapWriteBytes, &mapWriteOp[V]{m: m, k: k, remove: true})
-}
-
-// Remove deletes k, reporting whether it was present.
-func (m Map[V]) Remove(c *pgas.Ctx, tok *epoch.Token, k uint64) bool {
-	return m.bucket(c, k).Remove(c, tok, k)
-}
-
-// Get returns the value for k.
+// Get returns the value for k. Through a handle with a cache attached
+// it is served from the calling locale's replica when present and
+// coherent; a miss falls through to the owner-computed lookup and
+// publishes the result locally. Absent keys are not cached.
 func (m Map[V]) Get(c *pgas.Ctx, tok *epoch.Token, k uint64) (V, bool) {
-	return m.bucket(c, k).Get(c, tok, k)
+	if m.ca != nil {
+		return m.ca.GetThrough(c, tok, k, func() (V, bool) { return m.lookup(c, tok, k) })
+	}
+	return m.lookup(c, tok, k)
+}
+
+// lookup is the owner-computed read: follow the slot's current list
+// pointer, counting the bucket's heat once a controller ranks it.
+func (m Map[V]) lookup(c *pgas.Ctx, tok *epoch.Token, k uint64) (V, bool) {
+	slot := m.priv.Get(c).buckets[hash(k)&m.mask]
+	if m.core.heatOn.Load() {
+		slot.heat.Add(1)
+	}
+	return slot.list.Load().Get(c, tok, k)
 }
 
 // Contains reports whether k is present.
 func (m Map[V]) Contains(c *pgas.Ctx, tok *epoch.Token, k uint64) bool {
-	return m.bucket(c, k).Contains(c, tok, k)
+	_, ok := m.Get(c, tok, k)
+	return ok
 }
 
-// ForEach visits every live entry under one pin (a weakly consistent
-// snapshot, like iterating Go's sync.Map: entries inserted or removed
-// concurrently may or may not be observed). Iteration order is bucket
-// order then key order. fn returning false stops early.
+// ForEach visits every live entry under the caller's token (a weakly
+// consistent snapshot, like iterating Go's sync.Map: entries inserted
+// or removed concurrently may or may not be observed), walking each
+// bucket's list once. Iteration order is bucket order then key order.
+// fn returning false stops early.
 func (m Map[V]) ForEach(c *pgas.Ctx, tok *epoch.Token, fn func(k uint64, v V) bool) {
 	for _, s := range m.priv.Get(c).buckets {
-		b := s.list.Load()
-		stop := false
-		for _, k := range b.Keys(c, tok) {
-			if v, ok := b.Get(c, tok, k); ok {
-				if !fn(k, v) {
-					stop = true
-					break
-				}
+		keys, vals := s.list.Load().Entries(c, tok)
+		for i, k := range keys {
+			if !fn(k, vals[i]) {
+				return
 			}
-		}
-		if stop {
-			return
 		}
 	}
 }

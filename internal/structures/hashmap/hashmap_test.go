@@ -341,10 +341,10 @@ func TestMapBucketDistribution(t *testing.T) {
 	s.Run(func(c *pgas.Ctx) {
 		em := epoch.NewEpochManager(c)
 		m := New[int](c, 64, em)
-		// BucketLocale must cover all locales for a spread of keys.
+		// HomeOf must cover all locales for a spread of keys.
 		seen := map[int]bool{}
 		for k := uint64(0); k < 256; k++ {
-			l := m.BucketLocale(k)
+			l := m.HomeOf(k)
 			if l < 0 || l >= 4 {
 				t.Fatalf("bucket locale %d out of range", l)
 			}

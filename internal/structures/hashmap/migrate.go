@@ -1,0 +1,199 @@
+package hashmap
+
+import (
+	"gopgas/internal/core/epoch"
+	"gopgas/internal/pgas"
+	"gopgas/internal/structures/list"
+	"gopgas/internal/trace"
+)
+
+// Ownership migration. A bucket's owner is its shared.OwnerTable entry;
+// Migrate hands a bucket's contents — and its future write traffic — to
+// a new locale at runtime. The handoff is epoch-coherent and
+// write-serialized:
+//
+//  1. the migration runs inside the source replica's flat combiner —
+//     the same serialization every fire-and-forget write applies under
+//     (writeOp.Exec) — so no such write can land on the old list after
+//     the snapshot;
+//  2. the snapshot ships to the destination via the aggregation
+//     buffer's bulk framing and is drained synchronously (a
+//     single-destination flush, legal while holding the combiner);
+//  3. the slot's list pointer swings to the filled destination list
+//     and the owner table republishes (owner, generation+1) in one
+//     atomic store;
+//  4. the old list is retired through the EpochManager: every node is
+//     defer-deleted but the list stays structurally intact, so pinned
+//     readers that resolved it before the swap keep traversing live
+//     memory until they drain.
+//
+// Reads never consult the table: they follow the slot's list pointer,
+// which always names a complete list (old until the swap, new after).
+// A migration moves entries without changing any key's value, so an
+// attached cache needs no invalidation for it.
+
+// NumEntries returns the bucket count under the name the rebalance
+// controller's Target interface knows it by — the migration
+// granularity.
+func (m Map[V]) NumEntries() int { return m.NumBuckets() }
+
+// EntryOwner returns bucket e's current owner locale.
+func (m Map[V]) EntryOwner(e int) int {
+	owner, _ := m.core.tab.Owner(e)
+	return owner
+}
+
+// EntryHeat returns bucket e's accumulated traffic count, read (and
+// differenced) by the rebalance controller to rank candidate buckets.
+// Counting starts with the first call: every owner-computed read and
+// owner-applied write bumps its bucket from then on, and a map no
+// controller was ever built over skips the bumps entirely.
+func (m Map[V]) EntryHeat(e int) int64 {
+	if !m.core.heatOn.Load() {
+		m.core.heatOn.Store(true)
+	}
+	return m.core.slots[e].heat.Load()
+}
+
+// Failover adopts every bucket the dead locale owns onto the
+// survivors: bucket e goes to the e-th alive locale round-robin, so a
+// given crash always produces the same deterministic placement. Each
+// adoption is one ordinary epoch-coherent Migrate — the entry hop
+// targets the dead source, so the caller must pass a salvage context
+// (pgas.Ctx.Salvage) or every migration is refused. The retired lists
+// land on the dead locale's limbo; run EpochManager.ForceRetire
+// afterwards to drain them and clear any stranded pins.
+//
+// Every completed adoption records one always-on KindAdopt span
+// (src = dead locale, dst = adopter, bytes = payload, arg = bucket),
+// so a trace's adopt begin-count equals the returned shard count
+// exactly; the handoff's own duration is on its KindMigrate span.
+func (m Map[V]) Failover(c *pgas.Ctx, dead int) (shards, bytes int64) {
+	sys := c.Sys()
+	var alive []int
+	for l := 0; l < c.NumLocales(); l++ {
+		if l != dead && sys.Alive(l) {
+			alive = append(alive, l)
+		}
+	}
+	if len(alive) == 0 {
+		return 0, 0
+	}
+	tr := sys.Tracer()
+	for e := 0; e < m.NumBuckets(); e++ {
+		if owner, _ := m.core.tab.Owner(e); owner != dead {
+			continue
+		}
+		dst := alive[e%len(alive)]
+		b, ok := m.Migrate(c, e, dst)
+		if !ok {
+			continue
+		}
+		shards++
+		bytes += b
+		if tr != nil {
+			sp := tr.Begin(c.Here(), trace.KindAdopt, c.TaskID(), dead, dst, 0, int64(e))
+			sp.EndWith(b, int64(e))
+		}
+	}
+	return shards, bytes
+}
+
+// Migrate hands bucket e to locale dst: drain the source's combiner,
+// snapshot the bucket, ship the contents through the bulk framing,
+// swap the slot's list pointer, republish the owner table with a
+// bumped generation, and retire the old list's memory through the
+// epoch manager. Returns the payload bytes shipped and whether the
+// migration ran — it declines (false) when dst already owns e or when
+// another migration republished e after the caller sampled it.
+//
+// Every completed migration books one MigAdopted at the destination
+// (inside the shipped fill op), one MigRetired and the payload's
+// MigBytes at the source — an empty bucket still ships its (empty)
+// fill op, so adopted == retired == migrations exactly.
+func (m Map[V]) Migrate(c *pgas.Ctx, e, dst int) (bytes int64, ok bool) {
+	if dst < 0 || dst >= c.NumLocales() {
+		return 0, false
+	}
+	// Migrating into a dead locale would strand the bucket: the fill op
+	// would drain to the lost-ops ledger and the republished owner would
+	// never answer. Decline — even from a salvage context.
+	if !c.Sys().Alive(dst) {
+		return 0, false
+	}
+	src, gen := m.core.tab.Owner(e)
+	if src == dst {
+		return 0, false
+	}
+	c.On(src, func(lc *pgas.Ctx) {
+		t := m.priv.Get(lc)
+		t.comb.Do(func() {
+			// Re-check under the combiner: a migration that won the race
+			// republished e, and this one must not double-move it.
+			if _, cur := m.core.tab.Owner(e); cur != gen {
+				return
+			}
+			slot := t.buckets[e]
+			old := slot.list.Load()
+			var keys []uint64
+			var vals []V
+			m.core.em.Protect(lc, func(tok *epoch.Token) {
+				keys, vals = old.Entries(lc, tok)
+			})
+			// The fresh list is homed on dst; it stays private (published
+			// to nobody) until the fill op below has drained, so the swap
+			// installs a complete list.
+			fresh := list.New[V](lc, dst, m.core.em)
+			bytes = int64(len(keys)) * mapWriteBytes
+			agg := lc.Aggregator(dst)
+			landed := false
+			agg.CallSized(bytes, func(ac *pgas.Ctx) {
+				landed = true
+				ac.Sys().Counters().IncMigAdopt(ac.Here())
+				m.core.em.Protect(ac, func(tok *epoch.Token) {
+					for i, k := range keys {
+						fresh.Insert(ac, tok, k, vals[i])
+					}
+				})
+			})
+			// Synchronous single-destination drain: legal while holding
+			// the combiner (no system quiesce, no foreign combiner taken —
+			// the fill op touches only the still-private fresh list).
+			agg.Flush()
+			if !landed {
+				// dst died between the entry liveness check and the drain:
+				// the fill op was refused into the lost-ops ledger. Abandon
+				// the handoff — the old list stays published, ownership
+				// does not move, and the books stay balanced (no adopt was
+				// counted, so no retire may be either). The private fresh
+				// list is retired so nothing leaks.
+				m.core.em.Protect(lc, func(tok *epoch.Token) {
+					fresh.Retire(lc, tok)
+				})
+				bytes = 0
+				return
+			}
+			// The span opens only once the fill has landed: nothing can
+			// fail past this point, so migration spans count completed
+			// handoffs exactly (begins == MigAdopted).
+			var sp trace.Span
+			if tr := lc.Sys().Tracer(); tr != nil {
+				sp = tr.Begin(lc.Here(), trace.KindMigrate, lc.TaskID(), lc.Here(), dst, 0, int64(e))
+			}
+			slot.list.Store(fresh)
+			m.core.tab.Republish(e, dst)
+			m.core.em.Protect(lc, func(tok *epoch.Token) {
+				old.Retire(lc, tok)
+			})
+			sc := lc.Sys().Counters()
+			sc.IncMigRetire(lc.Here())
+			sc.IncMigBytes(lc.Here(), bytes)
+			ok = true
+			sp.EndWith(bytes, int64(e))
+		})
+	})
+	if !ok {
+		bytes = 0
+	}
+	return bytes, ok
+}

@@ -21,7 +21,7 @@ func TestRebalancedMigrateMovesBucket(t *testing.T) {
 	c0 := s.Ctx(0)
 	em := epoch.NewEpochManager(c0)
 	m := New[int64](c0, 16, em)
-	rv := m.Rebalanced(c0)
+	rv := m
 
 	keys := make([]uint64, 0, 24)
 	for k := uint64(1); k <= 24; k++ {
@@ -54,8 +54,8 @@ func TestRebalancedMigrateMovesBucket(t *testing.T) {
 	if got := rv.EntryOwner(e); got != dst {
 		t.Fatalf("owner after migration = %d, want %d", got, dst)
 	}
-	if got := rv.OwnerOf(keys[0]); got != dst {
-		t.Fatalf("OwnerOf = %d, want %d", got, dst)
+	if got := rv.HomeOf(keys[0]); got != dst {
+		t.Fatalf("HomeOf = %d, want %d", got, dst)
 	}
 	delta := s.Counters().Snapshot().Sub(before)
 	if delta.MigAdopted != 1 || delta.MigRetired != 1 || delta.MigBytes != bytes {
@@ -115,7 +115,7 @@ func TestRebalancedMigrateEmptyBucket(t *testing.T) {
 	c0 := s.Ctx(0)
 	em := epoch.NewEpochManager(c0)
 	m := New[int64](c0, 8, em)
-	rv := m.Rebalanced(c0)
+	rv := m
 
 	bytes, ok := rv.Migrate(c0, 0, 1)
 	if !ok || bytes != 0 {
@@ -140,7 +140,7 @@ func TestRebalancedStaleWriteReroutes(t *testing.T) {
 	c0 := s.Ctx(0)
 	em := epoch.NewEpochManager(c0)
 	m := New[int64](c0, 16, em)
-	rv := m.Rebalanced(c0)
+	rv := m
 
 	// A key whose bucket starts on a remote locale, so the write
 	// buffers instead of executing inline.
@@ -195,7 +195,7 @@ func runMigrationStorm(t *testing.T, migrate bool) (map[uint64]int64, comm.Snaps
 	c0 := s.Ctx(0)
 	em := epoch.NewEpochManager(c0)
 	m := New[int64](c0, 32, em)
-	rv := m.Rebalanced(c0)
+	rv := m
 
 	stop := make(chan struct{})
 	var migWG sync.WaitGroup
@@ -315,7 +315,7 @@ func TestRebalancedCrashFailoverStorm(t *testing.T) {
 	c0 := s.Ctx(0)
 	em := epoch.NewEpochManager(c0)
 	m := New[int64](c0, 32, em)
-	rv := m.Rebalanced(c0)
+	rv := m
 
 	// The stranded pin: a task the crash will kill mid-read. Left alone
 	// it wedges every epoch advance after the first; ForceRetire must

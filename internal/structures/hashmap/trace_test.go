@@ -22,7 +22,7 @@ func TestRebalancedMigrateSpans(t *testing.T) {
 	c0 := s.Ctx(0)
 	em := epoch.NewEpochManager(c0)
 	m := New[int64](c0, 8, em)
-	rv := m.Rebalanced(c0)
+	rv := m
 
 	for k := uint64(1); k <= 32; k++ {
 		rv.UpsertAgg(c0, k, int64(k))
@@ -97,7 +97,7 @@ func TestCrashFailoverSpans(t *testing.T) {
 	c0 := s.Ctx(0)
 	em := epoch.NewEpochManager(c0)
 	m := New[int64](c0, 16, em)
-	rv := m.Rebalanced(c0)
+	rv := m
 
 	for k := uint64(1); k <= 64; k++ {
 		rv.UpsertAgg(c0, k, int64(k))

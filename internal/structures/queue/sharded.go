@@ -100,7 +100,7 @@ func (q Sharded[T]) TryDequeueAny(c *pgas.Ctx, tok *epoch.Token) (v T, from int,
 
 // Failover adopts the dead locale's segment after a crash: from a
 // salvage context (pgas.Ctx.Salvage — required, the same contract as
-// hashmap.Rebalanced.Failover) the dead segment drains on its own
+// hashmap.Map.Failover) the dead segment drains on its own
 // locale and its values re-home onto the surviving locales through the
 // bulk framing, in contiguous chunks that preserve the segment's FIFO
 // order within each adopter. Steal paths (TryDequeueAny) already skip

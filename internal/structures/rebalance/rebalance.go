@@ -8,9 +8,9 @@
 //
 // The controller is structure-agnostic: anything that can enumerate
 // its entries, report their owner and heat, and migrate one entry
-// satisfies Target (hashmap.Rebalanced does, at per-bucket
-// granularity). The controller only decides *what* to move *where*;
-// the target owns the epoch-coherent handoff itself.
+// satisfies Target (hashmap.Map does, at per-bucket granularity). The
+// controller only decides *what* to move *where*; the target owns the
+// epoch-coherent handoff itself.
 package rebalance
 
 import (

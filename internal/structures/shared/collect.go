@@ -109,7 +109,7 @@ func TryTakeAny[S, T any](c *pgas.Ctx, o Object[S], tok *epoch.Token, pop PopFun
 // FailoverDrain adopts a dead locale's shard after a crash. It must be
 // called on a salvage context (pgas.Ctx.Salvage) — the recovery
 // plane's exemption from refusal, the same contract as
-// hashmap.Rebalanced.Failover: under the shared-storage conceit a
+// hashmap.Map.Failover: under the shared-storage conceit a
 // crashed locale's heap partition survives, so the salvage task drains
 // the dead shard on its own locale and re-homes the values onto the
 // alive locales in contiguous chunks, shipped through the same

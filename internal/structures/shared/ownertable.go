@@ -3,8 +3,6 @@ package shared
 import (
 	"fmt"
 	"sync/atomic"
-
-	"gopgas/internal/pgas"
 )
 
 // OwnerTable maps partition entries (buckets, segments — whatever
@@ -55,11 +53,6 @@ func (t *OwnerTable) Owner(e int) (owner int, gen uint64) {
 	return int(v & (1<<ownerBits - 1)), v >> ownerBits
 }
 
-// Gen returns entry e's current generation.
-func (t *OwnerTable) Gen(e int) uint64 {
-	return t.entries[e].Load() >> ownerBits
-}
-
 // Republish moves entry e to owner, bumping its generation, and
 // returns the new generation. Only the task serializing e's migrations
 // (the one holding the source shard's combiner) may call it; in-flight
@@ -73,81 +66,4 @@ func (t *OwnerTable) Republish(e, owner int) uint64 {
 	gen++
 	t.entries[e].Store(gen<<ownerBits | uint64(owner))
 	return gen
-}
-
-// OnEntry runs fn against entry e's owner shard on its locale and
-// waits, consulting tab instead of static owner arithmetic. If a
-// migration republishes e between the sample and delivery, the
-// delivered closure declines (recording a re-route) and the caller
-// retries against the new owner — safe for a synchronous call because
-// the retry happens caller-side, holding no owner-side serialization.
-// The generation check is advisory (it is not serialized against the
-// migration itself); ops that must be exactly serialized with
-// migrations route through CombineOnEntry.
-func (o Object[S]) OnEntry(c *pgas.Ctx, tab *OwnerTable, e int, fn func(lc *pgas.Ctx, s *S)) {
-	for {
-		owner, gen := tab.Owner(e)
-		done := false
-		c.On(owner, func(lc *pgas.Ctx) {
-			if tab.Gen(e) != gen {
-				lc.Sys().Counters().IncMigReroute(lc.Here())
-				return
-			}
-			done = true
-			fn(lc, o.priv.Get(lc))
-		})
-		if done {
-			return
-		}
-	}
-}
-
-// AggOnEntry is AggOnOwner routed through the owner table: the op
-// buffers toward entry e's sampled owner and re-checks the generation
-// when it executes there. A stale delivery re-dispatches itself to the
-// current owner as an async task (fire-and-forget, tracked by system
-// quiescence) — it must not call back synchronously, because the
-// delivery may be running inside a flush that a synchronous on-stmt
-// could deadlock against.
-func (o Object[S]) AggOnEntry(c *pgas.Ctx, tab *OwnerTable, e int, fn func(lc *pgas.Ctx, s *S)) {
-	owner, gen := tab.Owner(e)
-	c.Aggregator(owner).Call(func(lc *pgas.Ctx) {
-		o.redeliverEntry(lc, tab, e, gen, false, fn)
-	})
-}
-
-// CombineOnEntry is CombineOnOwner routed through the owner table: the
-// delivered op takes the owner shard's combiner and re-checks the
-// generation inside it, which makes the check exact — a migration for
-// the same shard runs under the same combiner, so the op observes
-// either the pre-migration owner (and applies before the handoff) or
-// the published new owner (and re-routes). This is the write-path
-// protocol structures with migratable shards build on.
-func (o Object[S]) CombineOnEntry(c *pgas.Ctx, tab *OwnerTable, e int, fn func(lc *pgas.Ctx, s *S)) {
-	owner, gen := tab.Owner(e)
-	c.Aggregator(owner).Call(func(lc *pgas.Ctx) {
-		o.redeliverEntry(lc, tab, e, gen, true, fn)
-	})
-}
-
-// redeliverEntry is the delivered side of the entry-routed paths: check
-// the generation (under the combiner when combine is set), apply fn on
-// a current owner, or re-route to the new one.
-func (o Object[S]) redeliverEntry(lc *pgas.Ctx, tab *OwnerTable, e int, gen uint64, combine bool, fn func(lc *pgas.Ctx, s *S)) {
-	body := func() {
-		owner, cur := tab.Owner(e)
-		if cur != gen {
-			lc.Sys().Counters().IncMigReroute(lc.Here())
-			lc.AsyncOn(owner, func(ac *pgas.Ctx) {
-				o.redeliverEntry(ac, tab, e, cur, combine, fn)
-			})
-			return
-		}
-		fn(lc, o.priv.Get(lc))
-	}
-	if combine {
-		o.comb.Get(lc).Do(body)
-	} else {
-		body()
-	}
 }

@@ -95,7 +95,7 @@ func (s Sharded[T]) TryPopAny(c *pgas.Ctx, tok *epoch.Token) (v T, from int, ok 
 
 // Failover adopts the dead locale's segment after a crash: from a
 // salvage context (pgas.Ctx.Salvage — required, the same contract as
-// hashmap.Rebalanced.Failover) the dead segment drains on its own
+// hashmap.Map.Failover) the dead segment drains on its own
 // locale and its values re-home onto the surviving locales through the
 // bulk framing, in contiguous chunks. Steal paths (TryPopAny) already
 // skip unreachable victims, so adoption is the only road the stranded

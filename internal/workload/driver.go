@@ -71,30 +71,22 @@ func NewDriver(s Structure) (Driver, error) {
 
 // hashmapDriver drives hashmap.Map: keyed inserts/gets/removes plus
 // InsertBulk, which routes pairs to their bucket owners through the
-// aggregation buffers. When the spec enables the cache, every op goes
-// through a hashmap.CachedView instead: gets are served from
-// per-locale replicas, mutations write through with broadcast
-// invalidation. When the spec enables combining, mutations route
-// through the fire-and-forget UpsertAgg/RemoveAgg path instead —
-// absorbed in flight per the spec's combine policy and drained through
-// the owner's flat combiner — while gets stay on the direct path.
-// When the spec enables rebalancing — or schedules a crash with
-// failover, which needs the same gen-checked reroute to survive
-// ownership changing under live traffic — every op goes through the
-// owner-table-routed hashmap.Rebalanced view instead; with rebalancing
-// the driver additionally exposes a Ticker control loop stepping a
-// rebalance.Controller that migrates hot buckets off overloaded
-// locales mid-phase.
+// aggregation buffers. There is one map handle whatever the spec turns
+// on. The cache attaches per-locale read replicas to it, invalidated
+// by every write on whichever locale applies it. Combining, rebalancing
+// and a scheduled crash failover each switch Insert/Remove from the
+// synchronous path to the fire-and-forget UpsertAgg/RemoveAgg — the
+// writes that absorb in flight per the combine policy, apply under the
+// owner's flat combiner, and carry the owner-table generation that
+// lets them survive ownership changing under live traffic. With
+// rebalancing the driver additionally exposes a Ticker control loop
+// stepping a rebalance.Controller that migrates hot buckets off
+// overloaded locales mid-phase.
 type hashmapDriver struct {
-	m          hashmap.Map[int64]
-	cv         hashmap.CachedView[int64]
-	rv         hashmap.Rebalanced[int64]
-	ctrl       *rebalance.Controller
-	cached     bool
-	combined   bool
-	rebalanced bool
-	routed     bool // route through rv: rebalanced or failover scheduled
-	interval   time.Duration
+	m        hashmap.Map[int64]
+	ctrl     *rebalance.Controller // nil unless the spec rebalances
+	agg      bool                  // fire-and-forget writes
+	interval time.Duration
 }
 
 func (d *hashmapDriver) Structure() Structure { return StructureHashmap }
@@ -109,19 +101,14 @@ func (d *hashmapDriver) Supports(k OpKind) bool {
 
 func (d *hashmapDriver) Setup(c *pgas.Ctx, em epoch.EpochManager, spec Spec) {
 	d.m = hashmap.New[int64](c, spec.Buckets, em)
-	d.cached = spec.Cache != nil && spec.Cache.Enabled
-	d.combined = spec.Combine != nil && spec.Combine.Enabled
-	d.rebalanced = spec.Rebalance != nil && spec.Rebalance.Enabled
-	d.routed = d.rebalanced || spec.hasFailover()
-	if d.cached {
-		d.cv = d.m.Cached(c, spec.Cache.Slots)
+	if spec.Cache != nil && spec.Cache.Enabled {
+		d.m = d.m.Cached(c, spec.Cache.Slots)
 	}
-	if d.routed {
-		d.rv = d.m.Rebalanced(c)
-	}
-	if d.rebalanced {
-		rb := spec.Rebalance
-		d.ctrl = rebalance.NewController(c, d.rv, rebalance.Config{
+	rb := spec.Rebalance
+	rebalanced := rb != nil && rb.Enabled
+	d.agg = rebalanced || spec.hasFailover() || (spec.Combine != nil && spec.Combine.Enabled)
+	if rebalanced {
+		d.ctrl = rebalance.NewController(c, d.m, rebalance.Config{
 			Ratio:    rb.Ratio,
 			MaxMoves: rb.MaxMoves,
 			Cooldown: rb.Cooldown,
@@ -132,68 +119,33 @@ func (d *hashmapDriver) Setup(c *pgas.Ctx, em epoch.EpochManager, spec Spec) {
 
 // TickInterval exposes the rebalance controller's window length; 0
 // (no control loop) unless the spec enabled rebalancing.
-func (d *hashmapDriver) TickInterval() time.Duration {
-	if !d.rebalanced {
-		return 0
-	}
-	return d.interval
-}
+func (d *hashmapDriver) TickInterval() time.Duration { return d.interval }
 
 // Tick judges one rebalancing window.
 func (d *hashmapDriver) Tick(c *pgas.Ctx) { d.ctrl.Step(c) }
 
 // Failover adopts every bucket the dead locale owns onto the alive
-// locales through the epoch-coherent migration path. Requires the
-// owner-table view, which Setup builds whenever the spec schedules a
-// failover crash (or enables rebalancing).
+// locales through the epoch-coherent migration path.
 func (d *hashmapDriver) Failover(c *pgas.Ctx, dead int) (shards, bytes int64) {
-	if !d.routed {
-		return 0, 0
-	}
-	return d.rv.Failover(c, dead)
+	return d.m.Failover(c, dead)
 }
 
 func (d *hashmapDriver) Apply(c *pgas.Ctx, tok *epoch.Token, kind OpKind, key uint64) {
-	if d.cached {
-		switch kind {
-		case OpInsert:
-			d.cv.Upsert(c, tok, key, int64(key))
-		case OpGet:
-			d.cv.Get(c, tok, key)
-		case OpRemove:
-			d.cv.Remove(c, tok, key)
-		}
-		return
-	}
-	if d.routed {
-		switch kind {
-		case OpInsert:
-			d.rv.UpsertAgg(c, key, int64(key))
-		case OpGet:
-			d.rv.Get(c, tok, key)
-		case OpRemove:
-			d.rv.RemoveAgg(c, key)
-		}
-		return
-	}
-	if d.combined {
-		switch kind {
-		case OpInsert:
-			d.m.UpsertAgg(c, key, int64(key))
-		case OpGet:
-			d.m.Get(c, tok, key)
-		case OpRemove:
-			d.m.RemoveAgg(c, key)
-		}
-		return
-	}
 	switch kind {
-	case OpInsert:
-		d.m.Upsert(c, tok, key, int64(key))
 	case OpGet:
 		d.m.Get(c, tok, key)
+	case OpInsert:
+		if d.agg {
+			d.m.UpsertAgg(c, key, int64(key))
+		} else {
+			d.m.Upsert(c, tok, key, int64(key))
+		}
 	case OpRemove:
-		d.m.Remove(c, tok, key)
+		if d.agg {
+			d.m.RemoveAgg(c, key)
+		} else {
+			d.m.Remove(c, tok, key)
+		}
 	}
 }
 
@@ -202,24 +154,10 @@ func (d *hashmapDriver) ApplyBulk(c *pgas.Ctx, _ int, keys []uint64) {
 	for i, k := range keys {
 		pairs[i] = hashmap.KV[int64]{K: k, V: int64(k)}
 	}
-	if d.cached {
-		d.cv.InsertBulk(c, pairs)
-		return
-	}
-	if d.routed {
-		d.rv.InsertBulk(c, pairs)
-		return
-	}
 	d.m.InsertBulk(c, pairs)
 }
 
-func (d *hashmapDriver) Destroy(c *pgas.Ctx) {
-	if d.cached {
-		d.cv.Destroy(c)
-		return
-	}
-	d.m.Destroy(c)
-}
+func (d *hashmapDriver) Destroy(c *pgas.Ctx) { d.m.Destroy(c) }
 
 // queueDriver drives queue.Sharded: enqueue/dequeue on the calling
 // locale's segment, work-stealing dequeues, and bulk enqueues routed

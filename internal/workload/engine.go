@@ -214,10 +214,10 @@ func applyCrash(sys *pgas.System, c0 *pgas.Ctx, em epoch.EpochManager, drv Drive
 	avail.TokensForceRetired += tokens
 	avail.RecoverNS += time.Since(t0).Nanoseconds()
 	if shards == 0 && bytes == 0 && tokens == 0 {
-		// Nothing was adopted or retired: the driver had no owner-table
-		// view (or the locale owned nothing and ran no tasks, which the
-		// engine's own pins make impossible). Either way the crash was
-		// not recovered from.
+		// Nothing was adopted or retired: every adoption was declined
+		// (no survivor to adopt onto), or the locale owned nothing and
+		// ran no tasks — which the engine's own pins make impossible.
+		// Either way the crash was not recovered from.
 		avail.Recovered = false
 	}
 }

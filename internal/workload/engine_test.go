@@ -622,6 +622,87 @@ func TestRebalancedScenarioDigestInvariant(t *testing.T) {
 	}
 }
 
+// TestAllFeaturesScenarioBooksBalance runs the combination the spec
+// used to reject piecewise: the read cache, write absorption and
+// dynamic rebalancing all on, and a locale crashing mid-storm with
+// failover. Every write — absorbed, re-routed past a migration, or
+// landing on an adopter — invalidates the replicas from the locale that
+// applied it, so the run must recover, stay heap-safe and balance its
+// epoch and migration books; and none of the machinery may change what
+// the workload asked for: the op-stream digests equal those of the
+// plain run under the same fault plan. The storm is open-loop paced so
+// it spans many controller windows and the crash lands long before any
+// task on the dying locale could finish its budget (a finished task
+// would contribute its digest, an abandoned one does not).
+func TestAllFeaturesScenarioBooksBalance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive (paced phase)")
+	}
+	plain := Spec{
+		Name:           "all-features",
+		Structure:      StructureHashmap,
+		Locales:        4,
+		TasksPerLocale: 2,
+		Backend:        "none",
+		Seed:           0xA11F,
+		Keyspace:       16, // ~1-key hot set: one bucket takes most traffic
+		Dist:           KeyDist{Kind: DistHotSet, HotFraction: 0.07, HotProb: 0.95},
+		Phases: []Phase{
+			{Name: "load", Mix: Mix{Insert: 1}, OpsPerTask: 64},
+			{Name: "storm", Mix: Mix{Insert: 5, Get: 4, Remove: 1, Bulk: 0.05},
+				OpsPerTask: 300, TargetRate: 3000, BulkSize: 8}, // ≈100ms of windows
+			{Name: "after", Mix: Mix{Insert: 1, Get: 3}, OpsPerTask: 200},
+		},
+		Faults: Faults{Crashes: []CrashSpec{{Locale: 2, Phase: 1, AfterOps: 400, Failover: true}}},
+	}
+	all := plain
+	all.Cache = &CacheSpec{Enabled: true, Slots: 32}
+	all.Combine = &CombineSpec{Enabled: true}
+	all.Rebalance = &RebalanceSpec{Enabled: true, Ratio: 1.5, IntervalMS: 1}
+
+	reports := map[string]*Report{}
+	for name, spec := range map[string]Spec{"plain": plain, "all-features": all} {
+		rep, err := Run(spec, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if av := rep.Availability; av == nil || !av.Recovered || av.Crashes != 1 || av.ShardsAdopted == 0 {
+			t.Fatalf("%s run did not recover from its crash: %+v", name, av)
+		}
+		if !rep.Heap.Safe() {
+			t.Fatalf("%s run unsafe: %+v", name, rep.Heap)
+		}
+		if !rep.Epoch.Balanced() {
+			t.Fatalf("%s epoch leak: %+v", name, rep.Epoch)
+		}
+		reports[name] = rep
+	}
+	var hits, invals, shipped, combined, enqueued, adopted, retired int64
+	for i, ph := range reports["all-features"].Phases {
+		if want := reports["plain"].Phases[i].Digest; ph.Digest != want {
+			t.Fatalf("phase %q: the feature stack changed the op stream: %x vs %x", ph.Name, ph.Digest, want)
+		}
+		hits += ph.Comm.CacheHits
+		invals += ph.Comm.CacheInval
+		shipped += ph.Comm.AggOps
+		combined += ph.Comm.AggCombined
+		enqueued += ph.Comm.AggOpsEnq
+		adopted += ph.Comm.MigAdopted
+		retired += ph.Comm.MigRetired
+	}
+	if hits == 0 || invals == 0 {
+		t.Fatalf("cache never engaged: %d hits, %d invalidations", hits, invals)
+	}
+	// The dying locale's tasks abandon their buffers unflushed, so the
+	// crash leaves enqueued ahead of shipped+combined by design.
+	if combined == 0 || shipped+combined > enqueued {
+		t.Fatalf("absorption books: shipped %d + combined %d vs enqueued %d", shipped, combined, enqueued)
+	}
+	if adopted == 0 || adopted != retired {
+		t.Fatalf("migration books: adopted %d retired %d", adopted, retired)
+	}
+}
+
 // TestPartitionScenarioBooksSettle runs a three-phase combined-write
 // hashmap scenario with a scheduled partition: pair (1,2) severs at the
 // degraded phase boundary and heals at the next. Writes refused by the

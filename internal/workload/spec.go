@@ -253,7 +253,8 @@ func (f Faults) parkConfig() comm.ParkConfig {
 }
 
 // hasFailover reports whether any scheduled crash requests failover
-// (which makes the hashmap driver route through the owner-table view).
+// (which puts the hashmap driver's writes on the fire-and-forget path,
+// the one serialized against the adoption's migrations).
 func (s Spec) hasFailover() bool {
 	for _, cr := range s.Faults.Crashes {
 		if cr.Failover {
@@ -278,10 +279,11 @@ func (f Faults) perturbation(locales int) comm.Perturbation {
 }
 
 // CacheSpec configures the hot-key read replication cache
-// (hashmap.CachedView). When enabled, the driver routes every Get
-// through a per-locale replica and every mutation writes through with
-// broadcast invalidation; the run's comm evidence gains the
-// CacheHits/CacheMiss/CacheInval counters.
+// (hashmap.Map.Cached). When enabled, every Get is served through a
+// per-locale replica and every mutation — synchronous, or applied on
+// its bucket's owner — ends in a broadcast invalidation; the run's comm
+// evidence gains the CacheHits/CacheMiss/CacheInval counters.
+// Composable with combine, rebalance and crash failover.
 type CacheSpec struct {
 	// Enabled turns the cache on. Only the hashmap structure supports
 	// it; Validate rejects other structures.
@@ -299,24 +301,20 @@ type CacheSpec struct {
 // attempt/retry counters quantify the owner-side relief.
 type CombineSpec struct {
 	// Enabled turns write absorption on. Only the hashmap structure
-	// supports it, and it is mutually exclusive with the read cache
-	// (combined writes bypass the CachedView's invalidation broadcast);
-	// Validate rejects both misuses.
+	// supports it; Validate rejects the others.
 	Enabled bool `json:"enabled"`
 }
 
 // RebalanceSpec configures dynamic hot-shard rebalancing: the driver
-// routes hashmap traffic through the owner-table view
-// (hashmap.Rebalanced) and runs a rebalance.Controller beside the
-// workers, migrating the hottest buckets off any locale whose windowed
-// inbound traffic exceeds the imbalance ratio. The run's comm evidence
-// gains the MigAdopted/MigRetired/MigBytes/MigReroutes counters.
+// issues hashmap writes fire-and-forget toward each bucket's live
+// owner and runs a rebalance.Controller beside the workers, migrating
+// the hottest buckets off any locale whose windowed inbound traffic
+// exceeds the imbalance ratio. The run's comm evidence gains the
+// MigAdopted/MigRetired/MigBytes/MigReroutes counters.
 type RebalanceSpec struct {
 	// Enabled turns rebalancing on. Only the hashmap structure supports
-	// it, and it is mutually exclusive with the read cache (owner-routed
-	// writes bypass the CachedView's invalidation broadcast); Validate
-	// rejects both misuses. Composable with combine: routed writes stay
-	// absorbable in flight.
+	// it; Validate rejects the others. Composable with combine (the
+	// writes stay absorbable in flight) and with the cache.
 	Enabled bool `json:"enabled"`
 	// Ratio is the imbalance trigger (busiest inbound column vs the
 	// per-locale mean, per window); must be > 1 when set, 0 means 2.
@@ -526,20 +524,12 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("workload: cache slots must be >= 0, got %d", ca.Slots)
 		}
 	}
-	if co := s.Combine; co != nil && co.Enabled {
-		if s.Structure != StructureHashmap {
-			return fmt.Errorf("workload: combine is only supported by the hashmap structure, not %q", s.Structure)
-		}
-		if s.Cache != nil && s.Cache.Enabled {
-			return fmt.Errorf("workload: combine and cache are mutually exclusive (combined writes bypass cache invalidation)")
-		}
+	if co := s.Combine; co != nil && co.Enabled && s.Structure != StructureHashmap {
+		return fmt.Errorf("workload: combine is only supported by the hashmap structure, not %q", s.Structure)
 	}
 	if rb := s.Rebalance; rb != nil && rb.Enabled {
 		if s.Structure != StructureHashmap {
 			return fmt.Errorf("workload: rebalance is only supported by the hashmap structure, not %q", s.Structure)
-		}
-		if s.Cache != nil && s.Cache.Enabled {
-			return fmt.Errorf("workload: rebalance and cache are mutually exclusive (owner-routed writes bypass cache invalidation)")
 		}
 		if rb.Ratio <= 1 {
 			return fmt.Errorf("workload: rebalance ratio must be > 1, got %v", rb.Ratio)
@@ -605,9 +595,6 @@ func (s Spec) Validate() error {
 			case StructureHashmap, StructureQueue, StructureStack:
 			default:
 				return fmt.Errorf("workload: crash failover is only supported by the hashmap, queue and stack structures, not %q", s.Structure)
-			}
-			if s.Cache != nil && s.Cache.Enabled {
-				return fmt.Errorf("workload: crash failover and cache are mutually exclusive (owner-routed writes bypass cache invalidation)")
 			}
 		}
 	}

@@ -125,6 +125,24 @@ func goldenSpec() Spec {
 	}
 }
 
+// writeSpecFile serializes s into a fresh temp file and returns its
+// path (the format LoadSpec reads back).
+func writeSpecFile(t *testing.T, s Spec) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // Serialize → parse → deep-equal: the full spec surface (every knob
 // populated, cache included) survives the JSON round trip bit-exactly,
 // and the strict parser rejects unknown keys at any nesting depth.
@@ -133,16 +151,7 @@ func TestSpecGoldenRoundTrip(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("golden spec invalid: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "golden.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
+	path := writeSpecFile(t, s)
 	back, err := LoadSpec(path)
 	if err != nil {
 		t.Fatal(err)
@@ -157,16 +166,7 @@ func TestSpecGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path2 := filepath.Join(t.TempDir(), "golden2.json")
-	f2, err := os.Create(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.WriteJSON(f2); err != nil {
-		t.Fatal(err)
-	}
-	f2.Close()
-	raw2, err := os.ReadFile(path2)
+	raw2, err := os.ReadFile(writeSpecFile(t, back))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +196,47 @@ func TestSpecGoldenRoundTrip(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "\"trace\"") {
 		t.Fatalf("nil trace serialized:\n%s", buf.String())
+	}
+}
+
+// The cache composes with everything the hashmap's one write path
+// carries: each combination Validate used to reject as "mutually
+// exclusive" — the cache with combine, with rebalance, with crash
+// failover, and all of them at once — is a legal spec that survives
+// the JSON round trip bit-exactly.
+func TestSpecComposedFeaturesRoundTrip(t *testing.T) {
+	combine := func(s *Spec) { s.Combine.Enabled = true }
+	rebalance := func(s *Spec) { s.Rebalance.Enabled = true }
+	failover := func(s *Spec) { s.Faults.Crashes[0].Failover = true }
+	cases := []struct {
+		name   string
+		enable []func(*Spec)
+	}{
+		{"cache+combine", []func(*Spec){combine}},
+		{"cache+rebalance", []func(*Spec){rebalance}},
+		{"cache+failover", []func(*Spec){failover}},
+		{"cache+combine+rebalance+failover", []func(*Spec){combine, rebalance, failover}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := goldenSpec() // cache on; combine, rebalance and failover off
+			for _, on := range tc.enable {
+				on(&s)
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatalf("composed spec rejected: %v", err)
+			}
+			back, err := LoadSpec(writeSpecFile(t, s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, s) {
+				t.Fatalf("round trip drifted:\n got %+v\nwant %+v", back, s)
+			}
+			if err := back.WithDefaults().Validate(); err != nil {
+				t.Fatalf("reloaded composed spec rejected: %v", err)
+			}
+		})
 	}
 }
 
@@ -259,13 +300,9 @@ func TestValidateCombine(t *testing.T) {
 	if err := q.Validate(); err == nil || !strings.Contains(err.Error(), "combine") {
 		t.Fatalf("combine on queue accepted (err=%v)", err)
 	}
+	// A disabled combine spec is inert: legal anywhere, cache included.
 	both := validSpec()
 	both.Cache = &CacheSpec{Enabled: true, Slots: 16}
-	both.Combine = &CombineSpec{Enabled: true}
-	if err := both.Validate(); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("cache+combine accepted (err=%v)", err)
-	}
-	// A disabled combine spec is inert: legal anywhere, cache included.
 	both.Combine = &CombineSpec{Enabled: false}
 	if err := both.WithDefaults().Validate(); err != nil {
 		t.Fatalf("disabled combine rejected: %v", err)
@@ -288,12 +325,6 @@ func TestValidateRebalance(t *testing.T) {
 	q.Rebalance = &RebalanceSpec{Enabled: true}
 	if err := q.WithDefaults().Validate(); err == nil || !strings.Contains(err.Error(), "rebalance") {
 		t.Fatalf("rebalance on queue accepted (err=%v)", err)
-	}
-	both := validSpec()
-	both.Cache = &CacheSpec{Enabled: true, Slots: 16}
-	both.Rebalance = &RebalanceSpec{Enabled: true}
-	if err := both.WithDefaults().Validate(); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("cache+rebalance accepted (err=%v)", err)
 	}
 	// The imbalance trigger must exceed 1: a ratio at or below the mean
 	// would fire on perfectly balanced traffic.
@@ -398,10 +429,6 @@ func TestValidateFaultPlan(t *testing.T) {
 			s.Phases = []Phase{{Name: "run", Mix: Mix{Insert: 1}, OpsPerTask: 10}}
 			s.Faults.Crashes = []CrashSpec{{Locale: 1, Phase: 0, Failover: true}}
 		}, "hashmap, queue and stack"},
-		{"failover with cache", func(s *Spec) {
-			s.Cache = &CacheSpec{Enabled: true, Slots: 16}
-			s.Faults.Crashes = []CrashSpec{{Locale: 1, Phase: 0, Failover: true}}
-		}, "mutually exclusive"},
 		{"partition out of range", func(s *Spec) {
 			s.Faults.Partitions = []PartitionSpec{{A: 0, B: 64}}
 		}, "out of range"},
