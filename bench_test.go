@@ -12,7 +12,6 @@ package gopgas
 import (
 	"testing"
 
-	"gopgas/internal/bench/hotpath"
 	"gopgas/internal/comm"
 	"gopgas/internal/core/atomics"
 	"gopgas/internal/core/epoch"
@@ -329,38 +328,6 @@ func BenchmarkAblationLimboPushCASLoop(b *testing.B) {
 		}
 	}
 }
-
-// --- Measurement-plane hot paths (perf trajectory, BENCH_5) -----------
-
-// The bodies live in internal/bench/hotpath, shared with
-// cmd/benchsmoke so the CI bench smoke and the recorded BENCH_5
-// trajectory point always measure the same workloads.
-
-func BenchmarkDispatchHotPath(b *testing.B)  { hotpath.DispatchHotPath(b) }
-func BenchmarkHeapLoadParallel(b *testing.B) { hotpath.HeapLoadParallel(b) }
-func BenchmarkAMOActiveMessage(b *testing.B) { hotpath.AMOActiveMessage(b) }
-
-// Delay fidelity through a task's account: ns/op is the achieved wall
-// time per 2500 ns charge, alone and with four tasks side by side.
-func BenchmarkDelayPaced(b *testing.B)         { hotpath.DelayPaced(b) }
-func BenchmarkDelayPacedParallel(b *testing.B) { hotpath.DelayPacedParallel(b) }
-
-// The BENCH_6 pair: the aggregated hot-key write storm with in-flight
-// absorption off (baseline) and on (current).
-func BenchmarkWriteStormHotKeyUncombined(b *testing.B) { hotpath.WriteStormHotKeyUncombined(b) }
-func BenchmarkWriteStormHotKeyCombined(b *testing.B)   { hotpath.WriteStormHotKeyCombined(b) }
-
-// The BENCH_7 pair: the moving-hot-set write storm with ownership
-// static (baseline) and dynamically rebalanced (current).
-func BenchmarkMovingHotStormStatic(b *testing.B)     { hotpath.MovingHotStormStatic(b) }
-func BenchmarkMovingHotStormRebalanced(b *testing.B) { hotpath.MovingHotStormRebalanced(b) }
-
-// The BENCH_8 tracing arms: the dispatch storm with a recorder
-// attached but disabled (enabled-flag load only) and enabled at 1/64
-// sampling. BenchmarkDispatchHotPath above stays recorder-free — its
-// number must hold the BENCH_5 trajectory within noise.
-func BenchmarkDispatchHotPathTracerIdle(b *testing.B) { hotpath.DispatchHotPathTracerIdle(b) }
-func BenchmarkDispatchHotPathTraced(b *testing.B)     { hotpath.DispatchHotPathTraced(b) }
 
 func BenchmarkAblationLimboDeferDelete(b *testing.B) {
 	s := benchSystem(b, 1, comm.BackendNone)

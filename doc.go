@@ -22,7 +22,7 @@
 //   - internal/bench   — regenerates every figure of the evaluation
 //
 // See README.md for a tour, DESIGN.md for the system inventory and the
-// simulation substitutions, and EXPERIMENTS.md for the measured
-// figure-by-figure reproduction record. The root package holds the
-// top-level benchmark entry points (bench_test.go) and no code.
+// simulation substitutions, and benchmark/README.md for the runtime
+// overhead benchmark. The root package holds the top-level benchmark
+// entry points (bench_test.go, structures_bench_test.go) and no code.
 package gopgas

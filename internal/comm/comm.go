@@ -9,8 +9,8 @@ type Backend int
 const (
 	// BackendNone corresponds to CHPL_NETWORK_ATOMICS=none: there is no
 	// NIC offload, so locale-local atomics are native CPU atomics and
-	// every remote atomic is shipped as an active message that the
-	// target locale's progress workers execute serially.
+	// every remote atomic is shipped as an active message that runs
+	// under one of the target locale's bounded handler slots.
 	BackendNone Backend = iota
 
 	// BackendUGNI corresponds to CHPL_NETWORK_ATOMICS=ugni on
@@ -52,7 +52,7 @@ func ParseBackend(s string) (Backend, error) {
 // class of simulated communication. The defaults are calibrated to the
 // relative magnitudes reported for Cray Aries systems: RDMA atomics
 // complete in about a microsecond, active messages cost a few
-// microseconds of wire time plus occupancy on a progress worker, and
+// microseconds of wire time plus occupancy of a handler slot, and
 // bulk transfers pay a fixed startup cost plus a per-byte cost.
 //
 // A zero profile (Zero) disables all injected delays; counters still
@@ -67,9 +67,9 @@ type LatencyProfile struct {
 	// handler to run.
 	AMRoundTripNS int64
 
-	// AMHandlerNS is the occupancy cost the target locale's progress
-	// worker pays per active-message atomic; it is what serializes AM
-	// atomics that target the same locale.
+	// AMHandlerNS is how long an active-message atomic occupies one of
+	// the target locale's handler slots; with the slot count bounded it
+	// is what serializes AM atomics that target the same locale.
 	AMHandlerNS int64
 
 	// PutGetNS is the latency of a small RDMA PUT or GET.

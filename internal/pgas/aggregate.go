@@ -50,37 +50,12 @@ func newAggregator(c *Ctx) *Aggregator {
 			// were one on-statement carrying the whole scatter list.
 			// The destination context is scoped to the batch, so it
 			// comes from the same pool the sync dispatch path uses.
-			//
-			// A flush aimed at a dead destination drains to the
-			// lost-ops ledger: each workload op in the batch counts one
-			// OpsLost and is discarded. A flush aimed at a partitioned
-			// destination parks instead — the pair may heal, so each
-			// workload op files into the source locale's retry ledger
-			// and redelivers through this same framing later. Frees are
-			// the one exemption from both: they are the reclamation
-			// protocol's scatter lists, and under the shared-storage
-			// failover conceit a dead locale's heap partition remains
-			// reclaimable, so deferred==reclaimed stays provable after
-			// a crash. Salvage contexts (c.salvage) never drop.
-			r := s.refusalOf(c, dst)
+			// Each op is admitted on its own against the live fault
+			// plan; a refused one is already parked or booked lost.
 			tc := s.borrowCtx(s.locales[dst], c)
 			for _, op := range batch {
-				if _, isFree := op.Exec.(freeOp); !isFree && r != refuseNone {
-					if r == refusePartition && s.parkOp(c.here.id, dst, op) {
-						continue
-					}
-					s.counters.IncOpsLost(c.here.id, 1)
-					continue
-				}
-				switch exec := op.Exec.(type) {
-				case freeOp:
-					exec(tc)
-				case func(*Ctx):
-					exec(tc)
-				case CombinableCall:
-					exec.Exec(tc)
-				default:
-					panic(fmt.Sprintf("pgas: unknown aggregated op payload %T", op.Exec))
+				if s.admit(c, dst, op) {
+					execOp(tc, op)
 				}
 			}
 			s.releaseCtx(tc)
@@ -238,10 +213,9 @@ func (b AggBuffer) CallSized(bytes int64, fn func(ctx *Ctx)) {
 }
 
 // freeOp is the distinguished payload type of aggregated frees. The
-// named type is load-bearing: the deliver path type-switches on it to
-// exempt the reclamation plane's scatter lists from the dead-
-// destination drop, so a crash can lose workload writes but never a
-// deferred deletion.
+// named type is load-bearing: admit type-asserts on it to exempt the
+// reclamation plane's scatter lists from refusal, so a crash can lose
+// workload writes but never a deferred deletion.
 type freeOp func(*Ctx)
 
 // Free buffers the release of addr, which must be owned by the

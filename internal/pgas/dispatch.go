@@ -32,22 +32,8 @@ func (s *System) dispatchOn(src *Ctx, target int, fn func(*Ctx)) {
 		fn(src)
 		return
 	}
-	// A dead destination fails fast: the op is refused before any
-	// charge — one OpsLost, no on-stmt, no matrix entry, no delay, fn
-	// never runs. Failing here (not stalling) is what keeps Quiesce and
-	// coforall joins crash-tolerant. A partitioned destination is
-	// transient instead: the call parks in place — the calling task
-	// retries with exponential backoff until the pair heals (then
-	// proceeds with normal delivery below) or the retry deadline
-	// expires (booked expired — not lost — and fn never runs).
-	switch s.refusalOf(src, target) {
-	case refuseCrash:
-		s.counters.IncOpsLost(src.here.id, 1)
+	if !s.admit(src, target, comm.Op{}) {
 		return
-	case refusePartition:
-		if !s.parkSyncOn(src, target) {
-			return
-		}
 	}
 	// The Enabled check is hoisted to the call site: Begin is too big to
 	// inline, and this is the hottest loop in every sweep — an idle
@@ -83,24 +69,15 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 	}
 	srcID := src.here.id
 	remote := target != srcID
-	// A crash refuses the same way as the sync path: one OpsLost,
-	// nothing launched, nothing left for Quiesce to wait on — which is
-	// how quiescence comes to exclude dead locales. A partition parks
-	// the launch in the retry ledger instead — nothing is in flight (so
-	// quiescence is not wedged while severed) and the task launches
-	// from the ledger when the pair heals.
+	// A refused launch leaves nothing in flight: a dropped task never
+	// existed and a parked one launches from the ledger when the pair
+	// heals, so Quiesce excludes dead locales and is not wedged while a
+	// pair is severed.
 	if remote {
-		if r := s.refusalOf(src, target); r != refuseNone {
+		if !s.admit(src, target, comm.Op{Bytes: aggCallBytes, Exec: fn}) {
 			s.asyncPending.Add(-1)
-			if r == refusePartition &&
-				s.parkOp(srcID, target, comm.Op{Bytes: aggCallBytes, Exec: fn}) {
-				return
-			}
-			s.counters.IncOpsLost(srcID, 1)
 			return
 		}
-	}
-	if remote {
 		s.chargeOnStmt(srcID, target)
 	}
 	var sp trace.Span
@@ -120,6 +97,69 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 		tc.drainBuffers()
 		sp.End()
 	}()
+}
+
+// admit is the one place that decides whether an execution-plane
+// operation from src toward the remote locale dst is delivered, parked
+// or lost, and the one place that books a loss. It reports whether the
+// caller may deliver now; on false the op is already on the books and
+// the caller charges nothing — no on-stmt, no matrix entry, no delay,
+// the body never runs here.
+//
+// A dead destination fails fast — one OpsLost — which is what keeps
+// Quiesce and coforall joins crash-tolerant. A partitioned destination
+// is transient, so the op parks: op files into src's retry ledger and
+// redelivers through redeliverParked when the pair heals, while a zero
+// op is a synchronous on-statement, whose caller is waiting and whose
+// closure may capture its stack, so it parks in place (parkSyncOn) and
+// proceeds with normal delivery if the pair heals in time. With the
+// retry plane disabled a partition accounts fail-stop, like a crash.
+//
+// Two exemptions: salvage contexts are never refused (refusalOf), and
+// neither are aggregated frees — the reclamation protocol's scatter
+// lists. Under the shared-storage failover conceit a dead locale's heap
+// partition remains reclaimable, so deferred==reclaimed stays provable
+// after a crash.
+func (s *System) admit(src *Ctx, dst int, op comm.Op) bool {
+	// The un-faulted path — the hottest loop of every sweep — ends
+	// here: one atomic load and no second call.
+	p := s.perturb.Load()
+	if p == nil || !p.Faulted() {
+		return true
+	}
+	r := refusalOf(p, src, dst)
+	if r == refuseNone {
+		return true
+	}
+	if _, isFree := op.Exec.(freeOp); isFree {
+		return true
+	}
+	if r == refusePartition {
+		if op.Exec == nil {
+			if !s.cfg.Park.Disable {
+				return s.parkSyncOn(src, dst)
+			}
+		} else if s.parkOp(src.here.id, dst, op) {
+			return false
+		}
+	}
+	s.counters.IncOpsLost(src.here.id, 1)
+	return false
+}
+
+// execOp runs one delivered or redelivered aggregated op on tc, the
+// destination-pinned context of its batch.
+func execOp(tc *Ctx, op comm.Op) {
+	switch exec := op.Exec.(type) {
+	case freeOp:
+		exec(tc)
+	case func(*Ctx):
+		exec(tc)
+	case CombinableCall:
+		exec.Exec(tc)
+	default:
+		panic(fmt.Sprintf("pgas: unknown aggregated op payload %T", op.Exec))
+	}
 }
 
 // chargeOnStmt records one remote on-statement without paying its

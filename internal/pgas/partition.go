@@ -103,10 +103,10 @@ func (s *System) nowNS() int64 {
 	return time.Since(s.startTime).Nanoseconds()
 }
 
-// parkOp files one partition-refused aggregated op from srcLoc toward
-// dst into the retry plane, starting the background pump on first use.
-// Returns false when the plane is disabled — the caller falls back to
-// the lost-ops ledger.
+// parkOp files one partition-refused aggregated op or async launch
+// from srcLoc toward dst into the retry plane, starting the background
+// pump on first use. Returns false when the plane is disabled — admit
+// falls back to the lost-ops ledger.
 func (s *System) parkOp(srcLoc, dst int, op comm.Op) bool {
 	if !s.parking[srcLoc].Park(dst, op, s.nowNS()) {
 		return false
@@ -162,16 +162,7 @@ func (s *System) redeliverParked(src, dst int, batch []comm.Op, bytes int64) {
 	tc.isAsync = true
 	s.chargeBulk(tc, src, dst, bytes)
 	for _, op := range batch {
-		switch exec := op.Exec.(type) {
-		case freeOp:
-			exec(tc)
-		case func(*Ctx):
-			exec(tc)
-		case CombinableCall:
-			exec.Exec(tc)
-		default:
-			panic(fmt.Sprintf("pgas: unknown parked op payload %T", op.Exec))
-		}
+		execOp(tc, op)
 	}
 	s.releaseCtx(tc)
 }
@@ -184,15 +175,11 @@ func (s *System) redeliverParked(src, dst int, batch []comm.Op, bytes int64) {
 // caller is waiting and the closure may capture its stack — so the
 // retry happens at the call site, with the same books and the same
 // policy knobs as the ledger. It reports whether the call may proceed;
-// a dropped call is already on the books — expired, or lost when the
-// retry plane is disabled and partitions account fail-stop.
+// a dropped call is already booked expired — never lost. admit calls it
+// only with the retry plane enabled.
 func (s *System) parkSyncOn(src *Ctx, target int) bool {
 	cfg := s.cfg.Park
 	srcID := src.here.id
-	if cfg.Disable {
-		s.counters.IncOpsLost(srcID, 1)
-		return false
-	}
 	s.counters.IncOpsParked(srcID, 1)
 	deadline := s.nowNS() + cfg.DeadlineNS
 	backoff := cfg.InitialBackoffNS

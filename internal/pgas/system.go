@@ -384,13 +384,12 @@ const (
 )
 
 // refusalOf classifies a remote operation from src toward target under
-// the live fault plan: refuseCrash when the target is dead,
+// the faulted plan p: refuseCrash when the target is dead,
 // refusePartition when both endpoints are alive but the pair is
 // severed, refuseNone otherwise (including for salvage contexts, which
 // the fault plan exempts).
-func (s *System) refusalOf(src *Ctx, target int) refusal {
-	p := s.perturb.Load()
-	if p == nil || !p.Faulted() || src.salvage {
+func refusalOf(p *comm.Perturbation, src *Ctx, target int) refusal {
+	if src.salvage {
 		return refuseNone
 	}
 	if !p.Alive(target) {

@@ -11,8 +11,8 @@ import (
 // recorder pays one nil check, a disabled recorder one atomic flag
 // load, and an enabled recorder writes fixed-size events into a
 // preallocated ring — none of the three may allocate on a remote
-// on-statement. The ns/op side of the same contract is benchmark-gated
-// (BenchmarkDispatchHotPath vs the BENCH_5 trajectory).
+// on-statement. The ns/op side of the same contract is the benchmark
+// ladder's pgas.on_sync_ns rung (benchmark/README.md).
 func TestDispatchZeroAllocAcrossTracerStates(t *testing.T) {
 	disabled := trace.NewRecorder(2, trace.Config{BufferSize: 256})
 	disabled.SetEnabled(false)

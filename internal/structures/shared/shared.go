@@ -97,27 +97,6 @@ func (o Object[S]) AggOnOwnerSized(c *pgas.Ctx, owner int, bytes int64, fn func(
 	})
 }
 
-// CombineOnOwner is AggOnOwner routed through shard `owner`'s flat
-// combiner: the buffered op still ships with the task's aggregation
-// buffer, but on delivery it publishes itself on the owner shard's
-// Combiner and is applied in one sequential drain pass alongside every
-// other concurrently delivered op. Use it for writes that would
-// otherwise CAS-storm a hot shard; fn runs serialized against all
-// other combined ops on that shard.
-func (o Object[S]) CombineOnOwner(c *pgas.Ctx, owner int, fn func(lc *pgas.Ctx, s *S)) {
-	c.Aggregator(owner).Call(func(lc *pgas.Ctx) {
-		o.comb.Get(lc).Do(func() {
-			fn(lc, o.priv.Get(lc))
-		})
-	})
-}
-
-// ShardCombiner returns shard `owner`'s Combiner — a diagnostic peek
-// for tests asserting on combining factors, like Shard.
-func (o Object[S]) ShardCombiner(c *pgas.Ctx, owner int) *Combiner {
-	return o.comb.GetOn(c, owner)
-}
-
 // ForEachShard runs fn once per shard, on the shard's locale, in
 // parallel (a coforall over locales: one on-statement per remote
 // locale). It returns when every shard has been visited.
