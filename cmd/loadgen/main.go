@@ -55,8 +55,7 @@
 // availability section. Add -failover (hashmap, queue and stack) to
 // have the survivors adopt the dead locale's shards and force-retire
 // its stranded epoch tokens; without it the run demonstrates the
-// wedged-reclamation regime and reports NOT RECOVERED. With
-// -failover, a NOT RECOVERED verdict exits 1.
+// wedged-reclamation regime and reports NOT RECOVERED.
 //
 // -partition severs the locale pair A,B at the start of phase
 // -partition-phase (default 1). With -heal-after the pair heals that
@@ -65,8 +64,7 @@
 // refused across the severed link park in the per-locale retry ledgers
 // and redeliver at the heal — the report's availability section gains
 // sever/heal counts, time-to-heal, and the parked/redelivered/expired
-// settlement. A crash-free partitioned run that ends with unsettled
-// retry books or a nonzero lost-ops ledger exits 1.
+// settlement.
 //
 // -trace enables the event-tracing plane: begin/end spans for
 // dispatch, flush, combine, epoch and migration lifecycles recorded
@@ -84,8 +82,9 @@
 // -print-spec writes the effective spec JSON to stdout (pipe it to a
 // file, tweak, and feed it back with -spec). The run summary prints to
 // stdout; -out writes the full workload.Report JSON. Exit status 1
-// means the run detected a safety violation (use-after-free / double
-// free), 2 a bad invocation.
+// means the run broke one of workload.Report.Invariants — heap safety,
+// the reclamation, aggregator, retry and trace books, crash recovery;
+// each violation is named on stderr — and 2 a bad invocation.
 package main
 
 import (
@@ -259,37 +258,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *outPath)
 	}
 
-	if !rep.Heap.Safe() {
-		fmt.Fprintf(os.Stderr, "loadgen: SAFETY VIOLATION: %d use-after-free loads, %d use-after-free stores, %d double frees\n",
-			rep.Heap.UAFLoads, rep.Heap.UAFStores, rep.Heap.UAFFrees)
+	failed := false
+	for _, inv := range rep.Invariants() {
+		if !inv.Held {
+			fmt.Fprintf(os.Stderr, "loadgen: INVARIANT VIOLATED: %s: %s\n", inv.Name, inv.Detail)
+			failed = true
+		}
+	}
+	if failed {
 		os.Exit(1)
-	}
-	// A crash plan that asked for failover on every crash must report
-	// recovery; a deliberately-wedged (no-failover) crash is allowed to
-	// stay unrecovered.
-	wantRecover := len(spec.Faults.Crashes) > 0
-	for _, cr := range spec.Faults.Crashes {
-		if !cr.Failover {
-			wantRecover = false
-		}
-	}
-	if a := rep.Availability; a != nil && wantRecover && !a.Recovered {
-		fmt.Fprintln(os.Stderr, "loadgen: AVAILABILITY VIOLATION: crash failover did not recover")
-		os.Exit(1)
-	}
-	// A partitioned run without crashes must settle the retry ledgers
-	// and keep the fail-stop ledger empty — a partition is transient,
-	// not a loss.
-	if a := rep.Availability; a != nil && len(spec.Faults.Partitions) > 0 && len(spec.Faults.Crashes) == 0 {
-		if !a.RetryBalanced() {
-			fmt.Fprintf(os.Stderr, "loadgen: RETRY VIOLATION: parked=%d != redelivered=%d + expired=%d\n",
-				a.OpsParked, a.OpsRedelivered, a.OpsExpired)
-			os.Exit(1)
-		}
-		if a.OpsLost != 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: RETRY VIOLATION: partition leaked %d ops into the fail-stop ledger\n", a.OpsLost)
-			os.Exit(1)
-		}
 	}
 }
 

@@ -17,10 +17,10 @@
 // failover now covers the hashmap, sharded queue and sharded stack;
 // the skiplist soaks unperturbed). -partition severs the pair (1,2)
 // mid-steady-phase of every scenario and heals it 50ms later — the
-// transient-fault drill: the summary gains a PASS/FAIL verdict that
-// every sever healed, the retry ledgers settled (parked ==
-// redelivered + expired), and (crash-free) nothing leaked into the
-// fail-stop ledger.
+// transient-fault drill: the summary's partitions line shows the sever,
+// the heal and the time between them, beside PASS/FAIL verdicts that
+// the retry ledgers settled (parked == redelivered + expired) and
+// (crash-free) nothing leaked into the fail-stop ledger.
 // -http starts the live telemetry and
 // control server for the whole soak — the server outlives scenario
 // boundaries, re-attaching to each structure's run in turn, so an
@@ -28,8 +28,9 @@
 // /api/trace windows (with -trace), profile via /debug/pprof, and
 // inject latency faults into whichever scenario is running with POST
 // /api/fault. -trace additionally records the event-tracing plane at
-// 1/64 sampling and prints each run's span books in the summary. Exit
-// status 1 means an invariant was violated.
+// 1/64 sampling and prints each run's span books in the summary. Every
+// verdict is one entry of workload.Report.Invariants, printed PASS or
+// FAIL per structure; exit status 1 means at least one FAIL.
 //
 // The engine covers the four scenario targets (hashmap, sharded
 // queue/stack, skiplist); rcuarray and the bare Harris list keep
@@ -41,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"gopgas/internal/telemetry"
 	"gopgas/internal/workload"
@@ -105,50 +105,13 @@ func main() {
 		}
 		rep.WriteSummary(os.Stdout)
 		totalOps += rep.TotalOps
-		if rep.Heap.Safe() {
-			fmt.Printf("PASS  %s: no use-after-free, no double free\n", s)
-		} else {
-			fmt.Printf("FAIL  %s: %d poisoned loads, %d poisoned stores, %d double frees\n", s, rep.Heap.UAFLoads, rep.Heap.UAFStores, rep.Heap.UAFFrees)
-			failures++
-		}
-		if rep.Epoch.Balanced() {
-			fmt.Printf("PASS  %s: all deferred reclaimed (%d)\n", s, rep.Epoch.Deferred)
-		} else {
-			fmt.Printf("FAIL  %s: reclaimed %d of %d deferred\n", s, rep.Epoch.Reclaimed, rep.Epoch.Deferred)
-			failures++
-		}
-		if a := rep.Availability; a != nil {
-			if a.Crashes > 0 {
-				if a.Recovered {
-					fmt.Printf("PASS  %s: recovered from %d crash(es): opsLost=%d shardsAdopted=%d tokensForceRetired=%d\n",
-						s, a.Crashes, a.OpsLost, a.ShardsAdopted, a.TokensForceRetired)
-				} else {
-					fmt.Printf("FAIL  %s: crash failover did not recover (%d crash(es), opsLost=%d)\n", s, a.Crashes, a.OpsLost)
-					failures++
-				}
-			}
-			if a.Partitions > 0 {
-				// Partitions are transient: every sever must have healed and
-				// the retry ledgers must settle. Only a crash-free drill can
-				// demand an empty fail-stop ledger.
-				ok := a.Heals == a.Partitions && a.RetryBalanced() && (a.Crashes > 0 || a.OpsLost == 0)
-				if ok {
-					fmt.Printf("PASS  %s: %d partition(s) healed in %v: parked=%d redelivered=%d expired=%d\n",
-						s, a.Partitions, time.Duration(a.TimeToHealNS), a.OpsParked, a.OpsRedelivered, a.OpsExpired)
-				} else {
-					fmt.Printf("FAIL  %s: partition drill: %d sever(s) %d heal(s), parked=%d redelivered=%d expired=%d opsLost=%d\n",
-						s, a.Partitions, a.Heals, a.OpsParked, a.OpsRedelivered, a.OpsExpired, a.OpsLost)
-					failures++
-				}
-			}
-		}
-		if rep.Trace != nil {
-			if rep.Trace.Balanced {
-				fmt.Printf("PASS  %s: trace books balanced (%d events, %d dropped)\n", s, rep.Trace.Events, rep.Trace.Dropped)
-			} else {
-				fmt.Printf("FAIL  %s: trace books unbalanced: %v\n", s, rep.Trace.Spans)
+		for _, inv := range rep.Invariants() {
+			verdict := "PASS"
+			if !inv.Held {
+				verdict = "FAIL"
 				failures++
 			}
+			fmt.Printf("%s  %s: %s (%s)\n", verdict, s, inv.Name, inv.Detail)
 		}
 	}
 	fmt.Printf("soak total: %d ops across %d structures\n", totalOps, len(targets))

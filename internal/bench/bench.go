@@ -4,8 +4,8 @@
 // the workload the paper describes, and reports both wall time and the
 // deterministic communication counters.
 //
-// Two caveats, recorded here and in EXPERIMENTS.md, follow from
-// running a 64-node Cray simulation on one machine:
+// Two caveats, recorded here and in DESIGN.md ("Figures and ablations"),
+// follow from running a 64-node Cray simulation on one machine:
 //
 //   - Injected latencies are busy-wait (spin-yield) delays because this
 //     host's sleep granularity (~1.2 ms) would crush the microsecond

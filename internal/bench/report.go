@@ -45,8 +45,8 @@ func colWidth(label string) int {
 }
 
 // WriteCSV renders a figure as long-form CSV with both timing and
-// communication columns — the machine-readable record EXPERIMENTS.md
-// references.
+// communication columns — the machine-readable record behind
+// benchrunner -csv.
 func WriteCSV(w io.Writer, f Figure) {
 	fmt.Fprintln(w, "figure,panel,series,x,seconds,puts,gets,nic_amos,am_amos,local_amos,on_stmts,bulk_xfers,bulk_bytes,dcas_local,dcas_remote,agg_flushes,agg_ops,agg_bytes,cache_hits,cache_miss,cache_inval")
 	for _, p := range f.Panels {

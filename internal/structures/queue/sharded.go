@@ -151,12 +151,6 @@ func (q Sharded[T]) Destroy(c *pgas.Ctx) {
 	})
 }
 
-// SegmentLocale reports which locale owns the segment a value enqueued
-// by a task on `locale` lands in — the owner-computed routing map
-// (identity, one segment per locale), surfaced for symmetry with
-// hashmap.Map.HomeOf.
-func (q Sharded[T]) SegmentLocale(locale int) int { return locale }
-
 // Stats sums the per-segment operation counters (owner-computed: one
 // on-statement per remote segment).
 func (q Sharded[T]) Stats(c *pgas.Ctx) Stats {

@@ -65,9 +65,6 @@ func New[T any](c *pgas.Ctx, home, blockSize int, em epoch.EpochManager) *Array[
 // Manager returns the epoch manager the array reclaims through.
 func (a *Array[T]) Manager() epoch.EpochManager { return a.em }
 
-// BlockSize returns the configured block granule.
-func (a *Array[T]) BlockSize() int { return a.blockSize }
-
 // load returns the current table under the caller's pin.
 func (a *Array[T]) load(c *pgas.Ctx) *table[T] {
 	return pgas.MustDeref[*table[T]](c, a.tbl.Read(c))

@@ -21,7 +21,6 @@
 //	OnOwner(c, i, fn)   synchronous on-statement to shard i's locale
 //	AsyncOnOwner        fire-and-forget on-statement (quiesce-tracked)
 //	AggOnOwner          buffered op toward shard i (one flush per batch)
-//	AggOnOwnerSized     the same, charged its real payload volume
 //	ForEachShard        coforall over every shard, on its locale
 //	Gather / Sum        owner-computed reduction over all shards
 //

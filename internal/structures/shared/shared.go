@@ -87,16 +87,6 @@ func (o Object[S]) AggOnOwner(c *pgas.Ctx, owner int, fn func(lc *pgas.Ctx, s *S
 	})
 }
 
-// AggOnOwnerSized is AggOnOwner for ops that carry a payload: bytes is
-// the modelled wire size of what fn ships (a batch of n values is
-// n*ValueBytes), charged to the aggregated-volume counters so the
-// communication evidence reflects real data movement.
-func (o Object[S]) AggOnOwnerSized(c *pgas.Ctx, owner int, bytes int64, fn func(lc *pgas.Ctx, s *S)) {
-	c.Aggregator(owner).CallSized(bytes, func(lc *pgas.Ctx) {
-		fn(lc, o.priv.Get(lc))
-	})
-}
-
 // ForEachShard runs fn once per shard, on the shard's locale, in
 // parallel (a coforall over locales: one on-statement per remote
 // locale). It returns when every shard has been visited.

@@ -118,9 +118,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// NumKinds returns the number of event kinds (for summary consumers).
-func NumKinds() int { return int(numKinds) }
-
 // sampled reports whether k is a high-frequency kind subject to the
 // recorder's sampling rate. Control-plane kinds always record: they
 // are rare, and their span books are asserted exactly against the
@@ -270,9 +267,6 @@ func (r *Recorder) Enabled() bool { return r.enabled.Load() }
 
 // SampleRate returns the effective 1-in-N rate for sampled kinds.
 func (r *Recorder) SampleRate() int { return int(r.rate) }
-
-// Cap returns the per-locale ring capacity in events.
-func (r *Recorder) Cap() int { return int(r.mask + 1) }
 
 // Locales returns the number of per-locale rings.
 func (r *Recorder) Locales() int { return len(r.rings) }

@@ -24,11 +24,21 @@
 //     (Seconds), optionally paced open-loop (TargetRate)
 //   - phases (the classic load → run → churn shape; churn rounds
 //     destroy and recreate the structure)
-//   - fault injection (a comm.Perturbation latency plan — slow-locale
-//     or explicit per-locale scales; counters stay exact)
+//   - fault injection: a comm.Perturbation latency plan (slow-locale
+//     or explicit per-locale scales; counters stay exact) and a
+//     liveness plan of fail-stop crashes and transient partitions
 //   - the hashmap's read replication cache (CacheSpec): gets served
 //     from per-locale replicas, mutations writing through with
 //     broadcast invalidation
+//
+// # The fault schedule
+//
+// A spec's crashes and partitions become one ordered schedule: an event
+// is due at a (phase, issued-op count) mark — count 0 is the phase's
+// boundary, which replays exactly — or, for a wall-clock heal, some time
+// after its own sever. One function applies what is due, called at every
+// round boundary and, while a round's workers run, by one clock goroutine
+// that also steps the driver's control loop (see DESIGN.md).
 //
 // # Determinism
 //
@@ -48,7 +58,8 @@
 // invalidations), the busiest-inbound-column hotspot metric, and the
 // digest. The run-level Report adds the end-of-run heap verdict
 // (use-after-free and double-free totals from the poisoned heaps) and
-// the epoch-reclamation balance (deferred vs reclaimed).
+// the epoch-reclamation balance (deferred vs reclaimed);
+// Report.Invariants names every identity a finished run is held to.
 //
 // cmd/loadgen is the CLI (flags or -spec JSON); cmd/soak runs
 // long-lived churn scenarios on the same engine.

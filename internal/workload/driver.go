@@ -34,10 +34,10 @@ type Driver interface {
 }
 
 // Ticker is an optional Driver extension: a periodic control loop the
-// engine runs beside each round's workers, on its own task context.
-// TickInterval returning 0 disables the loop for this run. Tick is
-// called from exactly one goroutine; it may communicate (the context
-// is the loop's own).
+// engine's round clock steps beside each round's workers. TickInterval
+// returning 0 disables the loop for this run. Tick is called from
+// exactly one goroutine, never during Setup or Destroy; it may
+// communicate (the context is the clock's for the round).
 type Ticker interface {
 	TickInterval() time.Duration
 	Tick(c *pgas.Ctx)

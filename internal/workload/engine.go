@@ -18,7 +18,8 @@ import (
 // Report. progress, when non-nil, receives one line per completed
 // phase. The System is built from the spec — locales, backend,
 // latency profile (LatencyScale × the calibrated default) and the
-// fault-injection perturbation — and torn down before Run returns.
+// fault-injection perturbation — and torn down before Run returns. Its
+// crashes and partitions become one ordered schedule (see run.step).
 func Run(spec Spec, progress io.Writer) (*Report, error) {
 	return RunLive(spec, progress, nil)
 }
@@ -27,7 +28,9 @@ func Run(spec Spec, progress io.Writer) (*Report, error) {
 // run attaches its System and trace recorder to it for the duration,
 // so a telemetry.Server built from tel.Options() serves the run's
 // counters, latency percentiles, trace windows and fault control while
-// the scenario executes.
+// the scenario executes. Faults injected through that control plane
+// change the system under the schedule, never the schedule, which
+// tolerates them (a pair already healed just settles).
 func RunLive(spec Spec, progress io.Writer, tel *Telemetry) (*Report, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -36,10 +39,6 @@ func RunLive(spec Spec, progress io.Writer, tel *Telemetry) (*Report, error) {
 	backend, err := comm.ParseBackend(spec.Backend)
 	if err != nil {
 		return nil, err
-	}
-	var latency comm.LatencyProfile
-	if spec.LatencyScale > 0 {
-		latency = comm.DefaultProfile().Scale(spec.LatencyScale)
 	}
 	var tracer *trace.Recorder
 	if spec.Trace != nil && spec.Trace.Enabled {
@@ -51,7 +50,7 @@ func RunLive(spec Spec, progress io.Writer, tel *Telemetry) (*Report, error) {
 	sys := pgas.NewSystem(pgas.Config{
 		Locales: spec.Locales,
 		Backend: backend,
-		Latency: latency,
+		Latency: comm.DefaultProfile().Scale(spec.LatencyScale), // scale 0 is the zero profile: no injected delay
 		Perturb: spec.Faults.perturbation(spec.Locales),
 		Seed:    spec.Seed,
 		Agg:     comm.AggConfig{Combine: spec.Combine != nil && spec.Combine.Enabled},
@@ -63,52 +62,27 @@ func RunLive(spec Spec, progress io.Writer, tel *Telemetry) (*Report, error) {
 		tel.attach(spec.Name, sys, tracer)
 		defer tel.detach()
 	}
-	c0 := sys.Ctx(0)
-
-	em := epoch.NewEpochManager(c0)
 	drv, err := NewDriver(spec.Structure)
 	if err != nil {
 		return nil, err
 	}
-	drv.Setup(c0, em, spec)
-
+	r := &run{spec: spec, sys: sys, c0: sys.Ctx(0), drv: drv, tel: tel,
+		sched: newSchedule(spec.Faults), live: make([]atomic.Int64, spec.Locales)}
+	r.em = epoch.NewEpochManager(r.c0)
+	drv.Setup(r.c0, r.em, spec)
 	// The Zipfian generator's construction is an O(keyspace) zeta sum;
 	// (keyspace, theta) are spec-level, so build it once and share it
 	// across phases and tasks (immutable after construction).
-	var zipf *zipfGen
 	if spec.Dist.Kind == DistZipfian {
-		zipf = newZipfGen(spec.Keyspace, spec.Dist.Theta)
+		r.zipf = newZipfGen(spec.Keyspace, spec.Dist.Theta)
 	}
-
-	var avail *AvailabilityReport
-	if len(spec.Faults.Crashes) > 0 || len(spec.Faults.Partitions) > 0 {
-		avail = &AvailabilityReport{Recovered: true}
+	if len(r.sched) > 0 {
+		r.avail = &AvailabilityReport{Recovered: true}
 	}
-	pp := newPartitionPlan(sys, spec.Faults.Partitions, avail)
 
 	rep := &Report{Spec: spec}
-	for pi, ph := range spec.Phases {
-		// Boundary faults land before the phase spawns its workers, so a
-		// seeded run with the same fault schedule replays exactly: first
-		// the partition plan's phase events (heals, then severs), then the
-		// boundary crashes. Mid-phase faults (AfterOps/AtOps > 0) are
-		// handed to runPhase, which applies them from a monitor while the
-		// workers run.
-		if pp != nil {
-			pp.phaseStart(pi)
-		}
-		var mid []CrashSpec
-		for _, cr := range spec.Faults.Crashes {
-			if cr.Phase != pi {
-				continue
-			}
-			if cr.AfterOps > 0 {
-				mid = append(mid, cr)
-			} else {
-				applyCrash(sys, c0, em, drv, spec, cr, avail, nil)
-			}
-		}
-		pr := runPhase(sys, c0, em, drv, spec, pi, ph, zipf, tel, mid, pp, avail)
+	for pi := range spec.Phases {
+		pr := r.runPhase(pi)
 		rep.Phases = append(rep.Phases, pr)
 		rep.TotalOps += pr.Ops
 		rep.TotalSeconds += pr.Seconds
@@ -118,23 +92,22 @@ func RunLive(spec Spec, progress io.Writer, tel *Telemetry) (*Report, error) {
 		}
 	}
 
-	// Settle the retry plane before the final books: cancel pending
-	// wall-clock heals, then run the final redeliver-or-expire pass so
-	// OpsParked == OpsRedelivered + OpsExpired holds on every report.
-	pp.stop()
+	// Settle the retry plane before the final books — every round's clock
+	// is joined, so no heal can still land — with the final redeliver-or-
+	// expire pass: OpsParked == OpsRedelivered + OpsExpired on every report.
 	sys.DrainParking()
 
 	// Final teardown: reclaim everything still deferred so the heap
 	// and epoch verdicts reflect leaks, not pending reclamation.
-	em.Clear(c0)
+	r.em.Clear(r.c0)
 	h := sys.HeapStats()
 	rep.Heap = HeapReport{
 		Live: h.Live, Allocs: h.Allocs, Frees: h.Frees,
 		UAFLoads: h.UAFLoads, UAFStores: h.UAFStores, UAFFrees: h.UAFFrees,
 	}
-	est := em.Stats(c0)
+	est := r.em.Stats(r.c0)
 	rep.Epoch = EpochReport{Deferred: est.Deferred, Reclaimed: est.Reclaimed, Advances: est.Advances, AdvanceFail: est.AdvanceFail}
-	if avail != nil {
+	if avail := r.avail; avail != nil {
 		snap := sys.Counters().Snapshot()
 		avail.OpsLost = snap.OpsLost
 		avail.OpsParked = snap.OpsParked
@@ -148,78 +121,22 @@ func RunLive(spec Spec, progress io.Writer, tel *Telemetry) (*Report, error) {
 	return rep, nil
 }
 
-// applyCrash kills one locale and, when asked, recovers from it. The
-// sequence models a fail-stop node loss:
-//
-//  1. Strand the pins the dead locale's tasks would have held: the
-//     simulator cannot kill goroutines mid-operation, so one pinned
-//     token per task is registered on the locale just before it goes
-//     down. These are the pins that wedge every later epoch advance
-//     unless force-retired.
-//  2. Mark the locale dead (System.Crash): from here every op whose
-//     destination is the dead locale is refused into the OpsLost
-//     ledger, and the engine stops spawning its workers.
-//  3. When the crash asks for failover: adopt its shards onto the
-//     survivors through the driver's FailoverHandler, then force-
-//     retire the stranded tokens and drain the dead locale's limbo —
-//     both from a salvage context, the recovery plane's exemption from
-//     refusal (the shared-storage conceit). The wall time of this step
-//     is the crash's time-to-recover.
-//
-// Idempotent per locale: a second crash of an already-dead locale is a
-// no-op that records nothing.
-//
-// live, when non-nil, holds the phase's per-locale running-task counts:
-// a mid-phase crash waits for the dead locale's tasks to observe the
-// crash and abandon (they poll Alive every 16 ops) before force-
-// retiring, because clearing a pin a still-draining task holds live
-// would break the grace period that pin guarantees. Boundary crashes
-// pass nil — no tasks are running between phases.
-func applyCrash(sys *pgas.System, c0 *pgas.Ctx, em epoch.EpochManager, drv Driver, spec Spec, cr CrashSpec, avail *AvailabilityReport, live []atomic.Int64) {
-	if !sys.Alive(cr.Locale) {
-		return
-	}
-	c0.On(cr.Locale, func(lc *pgas.Ctx) {
-		for t := 0; t < spec.TasksPerLocale; t++ {
-			em.Pin(lc)
-		}
-	})
-	if err := sys.Crash(cr.Locale); err != nil {
-		// Validate bounds crash locales; reaching here means the spec
-		// bypassed validation, which the run should surface, not hide.
-		panic(err)
-	}
-	avail.Crashes++
-	if !cr.Failover {
-		avail.Recovered = false
-		return
-	}
-	fh, ok := drv.(FailoverHandler)
-	if !ok {
-		avail.Recovered = false
-		return
-	}
-	if live != nil {
-		for live[cr.Locale].Load() > 0 {
-			time.Sleep(10 * time.Microsecond)
-		}
-	}
-	t0 := time.Now()
-	sc := c0.Salvage()
-	shards, bytes := fh.Failover(sc, cr.Locale)
-	tokens := em.ForceRetire(sc, cr.Locale)
-	sc.Flush()
-	avail.ShardsAdopted += shards
-	avail.BytesAdopted += bytes
-	avail.TokensForceRetired += tokens
-	avail.RecoverNS += time.Since(t0).Nanoseconds()
-	if shards == 0 && bytes == 0 && tokens == 0 {
-		// Nothing was adopted or retired: every adoption was declined
-		// (no survivor to adopt onto), or the locale owned nothing and
-		// ran no tasks — which the engine's own pins make impossible.
-		// Either way the crash was not recovered from.
-		avail.Recovered = false
-	}
+// run is what one scenario execution shares across phases, rounds and
+// tasks. c0, avail and sched belong to whichever goroutine keeps the
+// engine's time — the scenario goroutine between rounds, the round's
+// clock during one, while the scenario goroutine sits in the worker join;
+// starting and joining the clock are the handoffs. The rest is fixed.
+type run struct {
+	spec  Spec
+	sys   *pgas.System
+	c0    *pgas.Ctx
+	em    epoch.EpochManager
+	drv   Driver
+	zipf  *zipfGen
+	tel   *Telemetry
+	avail *AvailabilityReport // nil unless the spec schedules a liveness fault
+	sched schedule
+	live  []atomic.Int64 // running worker tasks per locale: what a crash waits out
 }
 
 // drainTrace quiesces the system, drains whatever the live window left
@@ -251,90 +168,55 @@ func drainTrace(sys *pgas.System, tracer *trace.Recorder) (*TraceReport, []trace
 	return tr, events
 }
 
-// runPhase executes one phase (all rounds) and assembles its report.
-// mid holds the phase's mid-phase crashes (AfterOps > 0) and pp the
-// partition plan (mid-phase severs, AtOps > 0): a monitor applies each
-// once the phase's tasks have issued that many ops.
-func runPhase(sys *pgas.System, c0 *pgas.Ctx, em epoch.EpochManager, drv Driver, spec Spec, phaseIdx int, ph Phase, zipf *zipfGen, tel *Telemetry, mid []CrashSpec, pp *partitionPlan, avail *AvailabilityReport) PhaseReport {
-	workers := spec.Locales * spec.TasksPerLocale
-	hists := make([]*bench.Histogram, workers)
-	for i := range hists {
-		hists[i] = &bench.Histogram{}
+// phaseState is what one phase's tasks write and its report reduces.
+type phaseState struct {
+	idx    int
+	hists  []bench.Histogram // one per worker slot
+	counts []atomic.Int64    // ops by kind; a slice, so the per-op adds share no cache line with read-only fields
+	digest atomic.Uint64
+}
+
+// issued totals the phase's ops so far, across rounds: the count the
+// schedule's op marks are in.
+func (ps *phaseState) issued() (n int64) {
+	for k := range ps.counts {
+		n += ps.counts[k].Load()
 	}
-	counts := make([]atomic.Int64, numOps)
-	liveTasks := make([]atomic.Int64, spec.Locales)
-	var digest atomic.Uint64
+	return n
+}
+
+// runPhase executes one phase and assembles its report. A round is a
+// boundary step of the schedule, the workers and, if needed, a clock.
+func (r *run) runPhase(pi int) PhaseReport {
+	spec, sys, ph := r.spec, r.sys, r.spec.Phases[pi]
+	ps := &phaseState{
+		idx:    pi,
+		hists:  make([]bench.Histogram, spec.Locales*spec.TasksPerLocale),
+		counts: make([]atomic.Int64, numOps),
+	}
 
 	before := sys.Counters().Snapshot()
 	beforeM := sys.Matrix().Snapshot()
 	modelled0, wait0 := sys.DelayTotals()
 	start := time.Now()
 
-	// Mid-phase fault monitor: polls the phase's issued-op total and
-	// applies each pending crash (AfterOps) and sever (AtOps) the first
-	// time the total reaches its mark. It owns its Ctx (contexts are
-	// single-goroutine) and runs across rounds — Validate already rejects
-	// mid-phase faults in churn phases, so it can never race
-	// Destroy/Setup.
-	var crashStop chan struct{}
-	var crashWG sync.WaitGroup
-	if len(mid) > 0 || pp.hasMidSevers(phaseIdx) {
-		crashStop = make(chan struct{})
-		pending := append([]CrashSpec(nil), mid...)
-		crashWG.Add(1)
-		go func() {
-			defer crashWG.Done()
-			mc := sys.Ctx(0)
-			ticker := time.NewTicker(200 * time.Microsecond)
-			defer ticker.Stop()
-			seversDone := false
-			for len(pending) > 0 || !seversDone {
-				select {
-				case <-crashStop:
-					return
-				case <-ticker.C:
-					var issued int64
-					for k := range counts {
-						issued += counts[k].Load()
-					}
-					rest := pending[:0]
-					for _, cr := range pending {
-						if issued >= cr.AfterOps {
-							applyCrash(sys, mc, em, drv, spec, cr, avail, liveTasks)
-						} else {
-							rest = append(rest, cr)
-						}
-					}
-					pending = rest
-					seversDone = pp.applyMidSevers(phaseIdx, issued)
-				}
-			}
-		}()
-	}
-
 	for round := 0; round < ph.rounds(); round++ {
-		// Drivers with a periodic control loop (rebalancing) get one
-		// ticker task per round, on its own context, stopped before any
-		// churn teardown so the loop never races Destroy/Setup.
-		var tickStop chan struct{}
-		var tickWG sync.WaitGroup
-		if tk, ok := drv.(Ticker); ok && tk.TickInterval() > 0 {
-			tickStop = make(chan struct{})
-			tickWG.Add(1)
-			go func() {
-				defer tickWG.Done()
-				tc := sys.Ctx(0)
-				ticker := time.NewTicker(tk.TickInterval())
-				defer ticker.Stop()
-				for {
-					select {
-					case <-tickStop:
-						return
-					case <-ticker.C:
-						tk.Tick(tc)
-					}
-				}
-			}()
+		// Boundary events land before the round spawns its workers, so a
+		// seeded run with the same fault schedule replays exactly.
+		now := time.Now()
+		r.step(pi, ps.issued(), now)
+
+		// A clock only when the round has an op mark to poll, an armed
+		// wall-clock heal to wait for or a driver loop (rebalancing) to
+		// tick: a fault-free round spawns workers and nothing else.
+		var tick time.Duration
+		if tk, ok := r.drv.(Ticker); ok {
+			tick = tk.TickInterval()
+		}
+		var stop, done chan struct{}
+		if _, timed := r.sched.wait(pi, now); timed || tick > 0 {
+			stop, done = make(chan struct{}), make(chan struct{})
+			go r.clock(ps, tick, stop, done)
 		}
 		var wg sync.WaitGroup
 		for loc := 0; loc < spec.Locales; loc++ {
@@ -348,24 +230,24 @@ func runPhase(sys *pgas.System, c0 *pgas.Ctx, em epoch.EpochManager, drv Driver,
 					}
 					continue
 				}
-				liveTasks[loc].Add(1)
+				r.live[loc].Add(1)
 				wg.Add(1)
 				go func(loc, t int) {
 					defer wg.Done()
-					defer liveTasks[loc].Add(-1)
-					runTask(sys, em, drv, spec, phaseIdx, round, loc, t, ph, zipf,
-						hists[loc*spec.TasksPerLocale+t], counts, &digest, tel)
+					defer r.live[loc].Add(-1)
+					r.runTask(ps, round, loc, t)
 				}(loc, t)
 			}
 		}
 		wg.Wait()
-		if tickStop != nil {
-			close(tickStop)
-			tickWG.Wait()
-			// A stale routed write the last windows re-routed may still
-			// be an async task in flight; quiesce before judging the
-			// round or tearing anything down.
-			c0.Flush()
+		if stop != nil {
+			// Joined before the round is judged: the clock can race neither
+			// a churn Destroy/Setup nor the final drain. A stale routed write
+			// its last tick re-routed may still be an async task in flight;
+			// quiesce before judging the round or tearing anything down.
+			close(stop)
+			<-done
+			r.c0.Flush()
 		}
 		if ph.Churn && round != ph.rounds()-1 {
 			// Between rounds: settle the retry ledgers first — a parked op
@@ -375,25 +257,21 @@ func runPhase(sys *pgas.System, c0 *pgas.Ctx, em epoch.EpochManager, drv Driver,
 			// severed at the teardown expire (settled, never replayed into
 			// the wrong incarnation).
 			sys.DrainParking()
-			em.Clear(c0)
-			drv.Destroy(c0)
-			drv.Setup(c0, em, spec)
+			r.em.Clear(r.c0)
+			r.drv.Destroy(r.c0)
+			r.drv.Setup(r.c0, r.em, spec)
 		}
-	}
-	if crashStop != nil {
-		close(crashStop)
-		crashWG.Wait()
 	}
 	seconds := time.Since(start).Seconds()
 
 	merged := &bench.Histogram{}
-	for _, h := range hists {
-		merged.Merge(h)
+	for i := range ps.hists {
+		merged.Merge(&ps.hists[i])
 	}
 	byKind := make(map[string]int64)
 	var ops int64
-	for k := range counts {
-		if n := counts[k].Load(); n > 0 {
+	for k := range ps.counts {
+		if n := ps.counts[k].Load(); n > 0 {
 			byKind[OpKind(k).String()] = n
 			ops += n
 		}
@@ -419,29 +297,59 @@ func runPhase(sys *pgas.System, c0 *pgas.Ctx, em epoch.EpochManager, drv Driver,
 		RemoteOps:   snap.Remote(),
 		Matrix:      matrix,
 		MaxInbound:  bench.MaxInboundOf(matrix),
-		Digest:      digest.Load(),
+		Digest:      ps.digest.Load(),
+	}
+}
+
+// clock keeps the engine's time while a round's workers run: it sleeps
+// to the soonest of the schedule's next possible due time and the
+// driver's next tick, then steps whichever is due. It exits when stop
+// closes or nothing is left to wait for, and closes done.
+func (r *run) clock(ps *phaseState, tick time.Duration, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	now := time.Now()
+	nextTick := now.Add(tick)
+	for {
+		d, ok := r.sched.wait(ps.idx, now)
+		if tick > 0 && (!ok || nextTick.Sub(now) < d) {
+			d, ok = nextTick.Sub(now), true
+		}
+		if !ok {
+			return
+		}
+		select {
+		case <-stop:
+			return
+		case <-time.After(d):
+		}
+		now = time.Now()
+		r.step(ps.idx, ps.issued(), now)
+		if tick > 0 && !now.Before(nextTick) {
+			r.drv.(Ticker).Tick(r.c0)
+			nextTick = now.Add(tick)
+		}
 	}
 }
 
 // runTask is one worker task of one phase round: it draws ops from its
 // private stream and applies them through the driver, recording wall
-// latency per op.
-func runTask(sys *pgas.System, em epoch.EpochManager, drv Driver, spec Spec,
-	phaseIdx, round, loc, task int, ph Phase, zipf *zipfGen,
-	hist *bench.Histogram, counts []atomic.Int64, digest *atomic.Uint64, tel *Telemetry) {
+// latency per op. The loop reads only locals.
+func (r *run) runTask(ps *phaseState, round, loc, task int) {
+	spec, sys, drv, counts := r.spec, r.sys, r.drv, ps.counts
+	ph, hist := spec.Phases[ps.idx], &ps.hists[loc*spec.TasksPerLocale+task]
 
 	// Live telemetry rides in batches: samples accumulate in a private
 	// chunk and merge into the bridge every liveChunkSize ops, so the
 	// worker never takes the bridge mutex on the per-op path.
 	var live *liveChunk
-	if tel != nil {
-		live = tel.newChunk()
+	if r.tel != nil {
+		live = r.tel.newChunk()
 		defer live.flush()
 	}
 
 	c := sys.Ctx(loc)
-	tok := em.Register(c)
-	st := NewStream(spec.Seed, phaseIdx, round, loc, task, spec.Keyspace, spec.Dist, ph.Mix, zipf)
+	tok := r.em.Register(c)
+	st := NewStream(spec.Seed, ps.idx, round, loc, task, spec.Keyspace, spec.Dist, ph.Mix, r.zipf)
 
 	var deadline time.Time
 	if ph.Seconds > 0 {
@@ -519,6 +427,6 @@ func runTask(sys *pgas.System, em epoch.EpochManager, drv Driver, spec Spec,
 	// Ship anything still sitting in this task's aggregation buffers
 	// (bulk routing) before the round joins.
 	c.Flush()
-	digest.Add(sum)
+	ps.digest.Add(sum)
 	tok.Unregister(c)
 }

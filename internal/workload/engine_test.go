@@ -43,6 +43,17 @@ func scenarioFor(s Structure) Spec {
 	}
 }
 
+// requireInvariants fails the test on any end-of-run identity the report
+// breaks: the safety preamble of every scenario test.
+func requireInvariants(t *testing.T, name string, rep *Report) {
+	t.Helper()
+	for _, inv := range rep.Invariants() {
+		if !inv.Held {
+			t.Fatalf("%s run: %s violated: %s", name, inv.Name, inv.Detail)
+		}
+	}
+}
+
 // TestScenarioPerStructure runs the acceptance scenario — a Zipfian
 // mixed-op workload with a churn phase — against every structure and
 // checks the report carries the full evidence set: per-phase
@@ -83,12 +94,7 @@ func TestScenarioPerStructure(t *testing.T) {
 					t.Fatalf("%s run phase reports zero remote ops", s)
 				}
 			}
-			if !rep.Heap.Safe() {
-				t.Fatalf("safety violations: %+v", rep.Heap)
-			}
-			if !rep.Epoch.Balanced() {
-				t.Fatalf("epoch leak: reclaimed %d of %d deferred", rep.Epoch.Reclaimed, rep.Epoch.Deferred)
-			}
+			requireInvariants(t, string(s), rep)
 		})
 	}
 }
@@ -275,14 +281,8 @@ func TestCachedScenarioHotspotRelief(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, rep := range map[string]*Report{"uncached": uncached, "cached": cached} {
-		if !rep.Heap.Safe() {
-			t.Fatalf("%s run unsafe: %+v", name, rep.Heap)
-		}
-		if !rep.Epoch.Balanced() {
-			t.Fatalf("%s epoch leak: %+v", name, rep.Epoch)
-		}
-	}
+	requireInvariants(t, "uncached", uncached)
+	requireInvariants(t, "cached", cached)
 	ur, cr := uncached.Phases[1], cached.Phases[1]
 	if ur.Comm.CacheHits != 0 {
 		t.Fatalf("uncached run counted cache hits: %v", ur.Comm)
@@ -339,14 +339,8 @@ func TestCombinedScenarioDigestInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, rep := range map[string]*Report{"plain": plain, "combined": absorbed} {
-		if !rep.Heap.Safe() {
-			t.Fatalf("%s run unsafe: %+v", name, rep.Heap)
-		}
-		if !rep.Epoch.Balanced() {
-			t.Fatalf("%s epoch leak: %+v", name, rep.Epoch)
-		}
-	}
+	requireInvariants(t, "plain", plain)
+	requireInvariants(t, "combined", absorbed)
 	pp, ap := plain.Phases[0], absorbed.Phases[0]
 	if pp.Digest != ap.Digest {
 		t.Fatalf("absorption changed the op stream: %x vs %x", pp.Digest, ap.Digest)
@@ -383,9 +377,7 @@ func TestChurnReachesSteadyHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.Heap.Safe() {
-			t.Fatalf("safety violations: %+v", rep.Heap)
-		}
+		requireInvariants(t, "churn", rep)
 		return rep.Heap.Live
 	}
 	one := run(1)
@@ -433,9 +425,7 @@ func TestSlowLocaleFaultInjection(t *testing.T) {
 	if perturbed.Phases[0].Digest != fast.Phases[0].Digest {
 		t.Fatal("fault injection changed the op stream")
 	}
-	if !perturbed.Heap.Safe() {
-		t.Fatalf("safety violations under fault: %+v", perturbed.Heap)
-	}
+	requireInvariants(t, "perturbed", perturbed)
 	// The home is 16x slower and every op touches it; the run must be
 	// several times slower (generous margin — CI hosts are noisy).
 	if perturbed.Phases[0].Seconds < fast.Phases[0].Seconds*2.5 {
@@ -484,9 +474,7 @@ func TestTracedScenarioBooksBalance(t *testing.T) {
 	if rep.Phases[0].Digest != plain.Phases[0].Digest {
 		t.Fatalf("tracing changed the op stream: %x vs %x", rep.Phases[0].Digest, plain.Phases[0].Digest)
 	}
-	if !rep.Heap.Safe() || !rep.Epoch.Balanced() {
-		t.Fatalf("traced run failed safety verdicts: heap %+v epoch %+v", rep.Heap, rep.Epoch)
-	}
+	requireInvariants(t, "traced", rep)
 	tr := rep.Trace
 	if tr == nil {
 		t.Fatal("traced run produced no trace report")
@@ -599,14 +587,8 @@ func TestRebalancedScenarioDigestInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, rep := range map[string]*Report{"static": static, "rebalanced": rebalanced} {
-		if !rep.Heap.Safe() {
-			t.Fatalf("%s run unsafe: %+v", name, rep.Heap)
-		}
-		if !rep.Epoch.Balanced() {
-			t.Fatalf("%s epoch leak: %+v", name, rep.Epoch)
-		}
-	}
+	requireInvariants(t, "static", static)
+	requireInvariants(t, "rebalanced", rebalanced)
 	sp, rp := static.Phases[0], rebalanced.Phases[0]
 	if sp.Digest != rp.Digest {
 		t.Fatalf("rebalancing changed the op stream: %x vs %x", sp.Digest, rp.Digest)
@@ -669,12 +651,7 @@ func TestAllFeaturesScenarioBooksBalance(t *testing.T) {
 		if av := rep.Availability; av == nil || !av.Recovered || av.Crashes != 1 || av.ShardsAdopted == 0 {
 			t.Fatalf("%s run did not recover from its crash: %+v", name, av)
 		}
-		if !rep.Heap.Safe() {
-			t.Fatalf("%s run unsafe: %+v", name, rep.Heap)
-		}
-		if !rep.Epoch.Balanced() {
-			t.Fatalf("%s epoch leak: %+v", name, rep.Epoch)
-		}
+		requireInvariants(t, name, rep)
 		reports[name] = rep
 	}
 	var hits, invals, shipped, combined, enqueued, adopted, retired int64
@@ -739,9 +716,7 @@ func TestPartitionScenarioBooksSettle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Heap.Safe() || !rep.Epoch.Balanced() {
-		t.Fatalf("partitioned run failed safety verdicts: heap %+v epoch %+v", rep.Heap, rep.Epoch)
-	}
+	requireInvariants(t, "partitioned", rep)
 	av := rep.Availability
 	if av == nil {
 		t.Fatal("partitioned run reports no availability verdict")
@@ -848,6 +823,118 @@ func TestSeededPartitionHealReplay(t *testing.T) {
 	}
 }
 
+// TestMidPhaseSeverTimedHeal covers the two partition clocks no other Go
+// test reaches: the sever lands mid-phase at an issued-op mark and the
+// heal comes due on the wall clock, 20ms later, while the same
+// time-based phase is still running. The mix mostly buffers its writes
+// and flushes them on every bulk op, so both severed endpoints ship
+// toward each other many times inside the window; the retry deadline and
+// ledger capacity are far past anything the run can reach, so every
+// parked op must wait for the heal and none may expire.
+func TestMidPhaseSeverTimedHeal(t *testing.T) {
+	spec := Spec{
+		Name:           "mid-sever-timed-heal",
+		Structure:      StructureHashmap,
+		Locales:        4,
+		TasksPerLocale: 2,
+		Backend:        "none",
+		Seed:           0x71ED,
+		Keyspace:       1 << 10,
+		Dist:           KeyDist{Kind: DistZipfian, Theta: 0.8},
+		Combine:        &CombineSpec{Enabled: true},
+		Trace:          &TraceSpec{Enabled: true, SampleRate: 64},
+		Phases: []Phase{
+			{Name: "load", Mix: Mix{Insert: 1}, OpsPerTask: 300},
+			{Name: "storm", Mix: Mix{Insert: 1, Bulk: 0.05}, Seconds: 0.25, BulkSize: 8},
+		},
+		Faults: Faults{
+			Partitions: []PartitionSpec{{A: 1, B: 2, Phase: 1, AtOps: 1000, HealAfterMS: 20}},
+			Retry:      &RetrySpec{DeadlineMS: 600_000, Capacity: 1 << 20},
+		},
+	}
+	rep, err := Run(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireInvariants(t, "partitioned", rep)
+	av := rep.Availability
+	if av == nil {
+		t.Fatal("partitioned run reports no availability verdict")
+	}
+	if av.Partitions != 1 || av.Heals != 1 {
+		t.Fatalf("lifecycle accounting: %d sever(s), %d heal(s), want 1 and 1", av.Partitions, av.Heals)
+	}
+	if av.TimeToHealNS < 20_000_000 {
+		t.Fatalf("healed %dns after the sever, before the 20ms the schedule asks for", av.TimeToHealNS)
+	}
+	if av.OpsParked == 0 {
+		t.Fatal("the severed window never parked a refused op")
+	}
+	if av.OpsExpired != 0 {
+		t.Fatalf("ops expired under a deadline far past the run: %d", av.OpsExpired)
+	}
+	if !av.RetryBalanced() {
+		t.Fatalf("retry books unsettled: parked=%d redelivered=%d expired=%d",
+			av.OpsParked, av.OpsRedelivered, av.OpsExpired)
+	}
+	if av.OpsLost != 0 {
+		t.Fatalf("partition leaked into the fail-stop ledger: opsLost=%d", av.OpsLost)
+	}
+	if tr := rep.Trace; tr == nil || tr.Instants["partition"] != 1 || tr.Instants["heal"] != 1 {
+		t.Fatalf("lifecycle instants not traced: %+v", tr)
+	}
+}
+
+// TestTimedHealNeverDue severs at the last phase's boundary with a
+// wall-clock heal ten minutes out: the run ends first, so the heal must
+// never land — not during the run and, the part -race checks, not after
+// Run has handed the report back. Everything parked behind the pair
+// expires at the final drain and the books still settle.
+func TestTimedHealNeverDue(t *testing.T) {
+	spec := Spec{
+		Name:           "heal-never-due",
+		Structure:      StructureHashmap,
+		Locales:        4,
+		TasksPerLocale: 2,
+		Backend:        "none",
+		Seed:           0x0DD,
+		Keyspace:       1 << 10,
+		Dist:           KeyDist{Kind: DistZipfian, Theta: 0.8},
+		Combine:        &CombineSpec{Enabled: true},
+		Phases: []Phase{
+			{Name: "load", Mix: Mix{Insert: 1}, OpsPerTask: 300},
+			{Name: "severed", Mix: Mix{Insert: 1}, OpsPerTask: 400},
+		},
+		Faults: Faults{
+			Partitions: []PartitionSpec{{A: 1, B: 2, Phase: 1, HealAfterMS: 600_000}},
+			Retry:      &RetrySpec{DeadlineMS: 600_000},
+		},
+	}
+	rep, err := Run(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireInvariants(t, "partitioned", rep)
+	if rep.Availability == nil {
+		t.Fatal("partitioned run reports no availability verdict")
+	}
+	av := *rep.Availability
+	if av.Partitions != 1 || av.Heals != 0 || av.TimeToHealNS != 0 {
+		t.Fatalf("lifecycle accounting: %d sever(s), %d heal(s), timeToHeal=%d, want 1, 0 and 0",
+			av.Partitions, av.Heals, av.TimeToHealNS)
+	}
+	if av.OpsParked == 0 || av.OpsRedelivered != 0 || av.OpsExpired != av.OpsParked {
+		t.Fatalf("a pair severed to the end must expire everything it parked: parked=%d redelivered=%d expired=%d",
+			av.OpsParked, av.OpsRedelivered, av.OpsExpired)
+	}
+	if av.OpsLost != 0 {
+		t.Fatalf("partition leaked into the fail-stop ledger: opsLost=%d", av.OpsLost)
+	}
+	if *rep.Availability != av {
+		t.Fatalf("the report changed after Run returned: %+v, was %+v", *rep.Availability, av)
+	}
+}
+
 // TestQueueStackCrashFailover runs the crash-failover drill against the
 // sharded queue and stack: locale 2 dies at the degraded-phase boundary
 // and its segment drains onto the survivors through the shared salvage
@@ -878,9 +965,7 @@ func TestQueueStackCrashFailover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rep.Heap.Safe() || !rep.Epoch.Balanced() {
-				t.Fatalf("failover run failed safety verdicts: heap %+v epoch %+v", rep.Heap, rep.Epoch)
-			}
+			requireInvariants(t, "failover", rep)
 			av := rep.Availability
 			if av == nil {
 				t.Fatal("crashed run reports no availability verdict")

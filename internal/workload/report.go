@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"gopgas/internal/bench"
 	"gopgas/internal/comm"
@@ -12,8 +13,8 @@ import (
 
 // Report is the machine-readable record of one scenario run: the spec
 // that produced it (with defaults applied), one entry per phase, and
-// the end-of-run heap safety verdict. It serializes as JSON — the
-// artifact CI uploads and the BENCH_* trajectory tracks.
+// the end-of-run verdicts Invariants judges. It serializes as JSON —
+// the artifact CI uploads from every loadgen smoke.
 type Report struct {
 	Spec   Spec          `json:"spec"`
 	Phases []PhaseReport `json:"phases"`
@@ -178,6 +179,55 @@ type HeapReport struct {
 // use-after-free (load or store) or double free.
 func (h HeapReport) Safe() bool {
 	return h.UAFLoads == 0 && h.UAFStores == 0 && h.UAFFrees == 0
+}
+
+// Invariant is one end-of-run identity a report is held to: its name,
+// whether it held, and the part of the report the verdict was read from.
+type Invariant struct {
+	Name   string
+	Held   bool
+	Detail string
+}
+
+// Invariants lists, each once, every end-of-run identity that applies to
+// the run: the one list loadgen, soak and the tests judge a report by.
+// Which apply is read from the report's own spec: a crash that did not
+// ask for failover (the deliberately wedged arm) is not held to recovery,
+// and a locale crashed by hand through /api/fault is in no spec, so its
+// run still gets the aggregator identity's exact form.
+func (r *Report) Invariants() []Invariant {
+	var inv []Invariant
+	add := func(name string, held bool, evidence any) {
+		inv = append(inv, Invariant{name, held, fmt.Sprintf("%+v", evidence)})
+	}
+	add("heap safe", r.Heap.Safe(), r.Heap)
+	add("deferred == reclaimed", r.Epoch.Balanced(), r.Epoch)
+
+	a, faults := r.Availability, r.Spec.Faults
+	var agg struct{ Shipped, Combined, Enqueued int64 }
+	for _, p := range r.Phases {
+		agg.Shipped += p.Comm.AggOps
+		agg.Combined += p.Comm.AggCombined
+		agg.Enqueued += p.Comm.AggOpsEnq
+	}
+	// A dying locale's tasks abandon their buffers unflushed, so a crash
+	// may leave enqueued ahead of shipped + combined, never behind.
+	sent := agg.Shipped + agg.Combined
+	add("shipped + combined == enqueued", sent == agg.Enqueued || a != nil && a.Crashes > 0 && sent < agg.Enqueued, agg)
+	if a != nil {
+		wedged := slices.ContainsFunc(faults.Crashes, func(cr CrashSpec) bool { return !cr.Failover })
+		if len(faults.Crashes) > 0 && !wedged {
+			add("crash failover recovered", a.Recovered, *a)
+		}
+		add("parked == redelivered + expired", a.RetryBalanced(), *a)
+		if len(faults.Partitions) > 0 && len(faults.Crashes) == 0 {
+			add("crash-free partition lost nothing", a.OpsLost == 0, *a)
+		}
+	}
+	if t := r.Trace; t != nil {
+		add("trace books balanced", t.Balanced, *t)
+	}
+	return inv
 }
 
 // WriteJSON writes the report as indented JSON.

@@ -139,9 +139,9 @@ func (p Phase) bulkSize() int {
 
 // Faults is the scenario's fault-injection plan. The latency half
 // (scales, slow locale) lowers to a comm.Perturbation installed at
-// boot: latency scales, counters exact. The liveness half — partitions
-// installed at boot, crashes applied by the engine at their scheduled
-// point — changes exactly one counter, the OpsLost ledger.
+// boot: latency scales, counters exact. The liveness half — crashes and
+// partitions, applied by the engine's schedule at their scheduled point
+// — moves only the OpsLost ledger and the retry plane's parked books.
 type Faults struct {
 	// SlowFactor, when positive, makes locale SlowLocale run that many
 	// times slower (the "slow locale" mode: every delay touching it is
@@ -186,8 +186,8 @@ type CrashSpec struct {
 	// Phase is the phase index at whose start the crash applies.
 	Phase int `json:"phase"`
 	// AfterOps, when positive, applies the crash mid-phase instead:
-	// once the phase's tasks have issued this many ops system-wide, a
-	// monitor task kills the locale. Mid-phase crashes land at a racing
+	// once the phase's tasks have issued this many ops system-wide, the
+	// round's clock kills the locale. Mid-phase crashes land at a racing
 	// op count, so — like ReclaimEvery — they trade bit-identical
 	// replay for mid-storm realism; phase-boundary crashes (AfterOps 0)
 	// replay bit-identically.
