@@ -62,9 +62,9 @@ type AggConfig struct {
 // two buffered ops with equal keys address the same logical cell and
 // may be merged. Kind namespaces the key space per operation type
 // (an Add and a Put to the same word must not merge), Ref anchors the
-// key to a structure or word identity (any comparable value — a
-// pointer, a Privatized handle), and K carries the cell index or
-// hashmap key within that structure.
+// key to a structure or word identity (a comparable value that boxes
+// without allocating — a pointer; the key is built on every enqueue),
+// and K carries the cell index or hashmap key within that structure.
 type CombineKey struct {
 	Kind uint8
 	Ref  any
@@ -176,9 +176,9 @@ func (a *Aggregator) Enqueue(dst int, op Op) {
 	if a.cfg.Combine {
 		if co, isCombinable := op.Exec.(CombinableOp); isCombinable {
 			key := co.CombineKey()
-			if i, hit := a.idx[dst][key]; hit {
-				if grow, ok := a.bufs[dst][i].Exec.(CombinableOp).Absorb(co); ok {
-					a.bufs[dst][i].Bytes += grow
+			if prev := a.buffered(dst, key); prev != nil {
+				if grow, ok := prev.Exec.(CombinableOp).Absorb(co); ok {
+					prev.Bytes += grow
 					a.bytes[dst] += grow
 					a.counters.IncAggCombined(a.src)
 					return
@@ -195,6 +195,33 @@ func (a *Aggregator) Enqueue(dst int, op Op) {
 	if a.cfg.Policy == FlushOnCapacity && len(a.bufs[dst]) >= a.cfg.Capacity {
 		a.FlushDst(dst)
 	}
+}
+
+// buffered is the one reader of the combine index: it returns the op
+// in dst's buffer filed under key, nil when there is none. The index
+// only fills under AggConfig.Combine, so with the policy off every
+// lookup misses.
+func (a *Aggregator) buffered(dst int, key CombineKey) *Op {
+	if i, hit := a.idx[dst][key]; hit {
+		return &a.bufs[dst][i]
+	}
+	return nil
+}
+
+// Buffered returns the op already buffered for dst under key, for a
+// caller that can merge into it without building the op an Enqueue
+// would only absorb and drop (a value merge; the buffered op's Bytes
+// stay as they are). A hit books exactly what that Enqueue would have:
+// one AggEnqueue and one AggCombined. A miss returns nil and books
+// nothing — the caller builds its op and Enqueues it.
+func (a *Aggregator) Buffered(dst int, key CombineKey) CombinableOp {
+	prev := a.buffered(dst, key)
+	if prev == nil {
+		return nil
+	}
+	a.counters.IncAggEnqueue(a.src)
+	a.counters.IncAggCombined(a.src)
+	return prev.Exec.(CombinableOp)
 }
 
 // PendingTo returns the number of operations buffered for dst.

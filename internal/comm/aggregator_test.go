@@ -188,6 +188,71 @@ func TestAggregatorCombineIndexResetOnFlush(t *testing.T) {
 	}
 }
 
+// Buffered is the merge-before-build lookup: a hit hands back the op
+// already in dst's buffer and books the enqueue it stands in for as one
+// AggEnqueue plus one AggCombined, so shipped+combined==enqueued holds
+// across the flush; a miss, another destination's buffer, a flushed
+// buffer and an aggregator with Combine off return nil and book
+// nothing.
+func TestAggregatorBuffered(t *testing.T) {
+	var c Counters
+	var delivered []Op
+	ref := new(int)
+	a := NewAggregator(0, 4, AggConfig{Combine: true}, &c, nil, Zero(),
+		func(dst int, batch []Op) { delivered = append(delivered, batch...) })
+	key := (&lastOp{ref: ref, k: 7}).CombineKey()
+	if got := a.Buffered(1, key); got != nil {
+		t.Fatalf("Buffered on an empty buffer = %v", got)
+	}
+	first := &lastOp{ref: ref, k: 7, v: 1}
+	a.Enqueue(1, Op{Bytes: 16, Exec: first})
+	if got := a.Buffered(2, key); got != nil {
+		t.Fatalf("Buffered looked into another destination: %v", got)
+	}
+	if got := a.Buffered(1, (&lastOp{ref: ref, k: 8}).CombineKey()); got != nil {
+		t.Fatalf("Buffered hit a different key: %v", got)
+	}
+	if s := c.Snapshot(); s.AggOpsEnq != 1 || s.AggCombined != 0 {
+		t.Fatalf("misses booked something: %+v", s)
+	}
+	for i := int64(2); i <= 4; i++ {
+		got := a.Buffered(1, key)
+		if got != CombinableOp(first) {
+			t.Fatalf("Buffered = %v, want the buffered op", got)
+		}
+		got.(*lastOp).v = i // the caller's merge
+		if s := c.Snapshot(); s.AggOpsEnq != i || s.AggCombined != i-1 {
+			t.Fatalf("hit %d booked %+v", i-1, s)
+		}
+	}
+	// Enqueue's own absorb branch reads the same index.
+	a.Enqueue(1, Op{Bytes: 16, Exec: &lastOp{ref: ref, k: 7, v: 5}})
+	a.Flush()
+	if len(delivered) != 1 || delivered[0].Exec.(*lastOp).v != 5 {
+		t.Fatalf("delivered %v", delivered)
+	}
+	s := c.Snapshot()
+	if s.AggOps != 1 || s.AggOpsEnq != 5 || s.AggCombined != 4 || s.AggBytes != 16 {
+		t.Fatalf("counters = %+v", s)
+	}
+	if s.AggOps+s.AggCombined != s.AggOpsEnq {
+		t.Fatalf("shipped+combined != enqueued: %+v", s)
+	}
+	if got := a.Buffered(1, key); got != nil {
+		t.Fatalf("Buffered survived the flush: %v", got)
+	}
+
+	c.Reset()
+	off := NewAggregator(0, 2, AggConfig{}, &c, nil, Zero(), func(int, []Op) {})
+	off.Enqueue(1, Op{Bytes: 16, Exec: first})
+	if got := off.Buffered(1, key); got != nil {
+		t.Fatalf("Buffered with Combine off = %v", got)
+	}
+	if s := c.Snapshot(); s.AggOpsEnq != 1 || s.AggCombined != 0 {
+		t.Fatalf("Combine-off lookup booked something: %+v", s)
+	}
+}
+
 // A manual-policy aggregator never ships on its own.
 func TestAggregatorManualPolicy(t *testing.T) {
 	var c Counters

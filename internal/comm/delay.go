@@ -20,7 +20,9 @@ const (
 // a monotonic reading is one clock read (time.Now is two).
 var clockBase = time.Now()
 
-func clockNS() int64 { return int64(time.Since(clockBase)) }
+// ClockNS reads the delay clock: monotonic nanoseconds since process
+// start, for timing an interval with one clock read at each end.
+func ClockNS() int64 { return int64(time.Since(clockBase)) }
 
 // Pacer is one task's delay account: every modelled nanosecond is
 // charged once. A wait never ends exactly on its deadline — the
@@ -51,16 +53,16 @@ func (p *Pacer) Delay(ns int64) (waited int64) {
 		p.credit -= ns
 		return 0
 	}
-	start := clockNS()
+	start := ClockNS()
 	deadline := start + ns - p.credit
 	now := start
 	if deadline-start >= sleepThreshold {
 		time.Sleep(time.Duration(deadline - start))
-		now = clockNS()
+		now = ClockNS()
 	}
 	for now < deadline {
 		runtime.Gosched()
-		now = clockNS()
+		now = ClockNS()
 	}
 	p.credit = min(now-deadline, maxCredit)
 	return now - start

@@ -35,6 +35,7 @@ import (
 // still be a proper atomic load (the Go analogue of the relaxed loads
 // a C/Chapel implementation would use).
 type limboNode struct {
+	gas.Boxed
 	val  atomic.Uint64 // gas.Addr of the deferred object
 	next atomic.Uint64 // gas.Addr of the next limboNode (locale-local)
 }
@@ -81,20 +82,36 @@ func (l *LimboList) Push(c *pgas.Ctx, obj gas.Addr) {
 }
 
 // PopAll detaches the entire list in one exchange and returns its
-// head; the caller traverses it with Next. Must only be called in the
-// deletion phase (no concurrent pushers), per the epoch protocol.
+// head; the caller hands the chain to Release. Must only be called in
+// the deletion phase (no concurrent pushers), per the epoch protocol.
 func (l *LimboList) PopAll() gas.Addr {
 	return l.head.Exchange(gas.AddrNil)
 }
 
-// Next returns the deferred object stored at node and the following
-// node, recycling node onto the free pool. It is the traversal step of
-// the deletion phase.
-func (l *LimboList) Next(c *pgas.Ctx, node gas.Addr) (obj, next gas.Addr) {
-	n := pgas.MustDeref[*limboNode](c, node)
-	obj, next = n.loadVal(), n.loadNext()
-	l.recycle(c, node, n)
-	return obj, next
+// Release walks a chain PopAll detached exactly once, calling visit
+// with every deferred object, and hands the whole chain back to the
+// free pool with a single stamped CAS: the chain is already linked
+// head to tail, so only the tail's next pointer changes. A nil head is
+// a no-op.
+func (l *LimboList) Release(c *pgas.Ctx, head gas.Addr, visit func(obj gas.Addr)) {
+	if head.IsNil() {
+		return
+	}
+	var tail *limboNode
+	for node := head; !node.IsNil(); node = tail.loadNext() {
+		tail = pgas.MustDeref[*limboNode](c, node)
+		if obj := tail.loadVal(); !obj.IsNil() {
+			visit(obj)
+		}
+		tail.storeVal(gas.AddrNil)
+	}
+	for {
+		top := l.pool.ReadABA()
+		tail.storeNext(top.Object())
+		if l.pool.CompareAndSwapABA(top, head) {
+			return
+		}
+	}
 }
 
 // recycleNode pops a node from the free pool — ABA-protected: between
@@ -118,31 +135,11 @@ func (l *LimboList) recycleNode(c *pgas.Ctx, obj gas.Addr) (gas.Addr, *limboNode
 	}
 }
 
-// recycle pushes a spent node back onto the free pool (Treiber push
-// with ABA protection).
-func (l *LimboList) recycle(c *pgas.Ctx, node gas.Addr, n *limboNode) {
-	n.storeVal(gas.AddrNil)
-	for {
-		top := l.pool.ReadABA()
-		n.storeNext(top.Object())
-		if l.pool.CompareAndSwapABA(top, node) {
-			return
-		}
-	}
-}
-
 // Drain pops every deferred object into a slice — a convenience used
-// by Clear and by tests; the production path iterates PopAll/Next
-// without materialising a slice.
+// by tests; the production path scatters straight from Release without
+// materialising a slice.
 func (l *LimboList) Drain(c *pgas.Ctx) []gas.Addr {
 	var objs []gas.Addr
-	node := l.PopAll()
-	for !node.IsNil() {
-		var obj gas.Addr
-		obj, node = l.Next(c, node)
-		if !obj.IsNil() {
-			objs = append(objs, obj)
-		}
-	}
+	l.Release(c, l.PopAll(), func(obj gas.Addr) { objs = append(objs, obj) })
 	return objs
 }

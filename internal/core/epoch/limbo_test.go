@@ -55,6 +55,7 @@ func TestLimboEmptyDrain(t *testing.T) {
 		if !l.PopAll().IsNil() {
 			t.Fatal("PopAll of empty list not nil")
 		}
+		l.Release(c, gas.AddrNil, func(gas.Addr) { t.Fatal("Release of a nil chain visited an object") })
 	})
 }
 
@@ -78,6 +79,109 @@ func TestLimboNodeRecycling(t *testing.T) {
 			t.Fatalf("second round allocated %d fresh nodes", got-allocsAfterRound1)
 		}
 	})
+}
+
+// The deletion phase is one walk: every object of a detached chain is
+// visited exactly once, the whole chain goes back to the pool in one
+// piece, and the pool then serves as many pushes as the chain was long
+// without touching the heap or the host allocator.
+func TestLimboReleaseOneWalk(t *testing.T) {
+	s := newTestSystem(t, 1, comm.BackendNone)
+	s.Run(func(c *pgas.Ctx) {
+		l := NewLimboList(c)
+		const n = 100
+		seen := make(map[gas.Addr]int, n)
+		for i := 0; i < n; i++ {
+			l.Push(c, c.Alloc(&payload{v: i}))
+		}
+		l.Release(c, l.PopAll(), func(obj gas.Addr) { seen[obj]++ })
+		if len(seen) != n {
+			t.Fatalf("visited %d distinct objects, want %d", len(seen), n)
+		}
+		for obj, times := range seen {
+			if times != 1 {
+				t.Fatalf("%v visited %d times", obj, times)
+			}
+		}
+		if !l.PopAll().IsNil() {
+			t.Fatal("list not empty after the detach")
+		}
+		obj := c.Alloc(&payload{})
+		heapAllocs := s.HeapStats().Allocs
+		visited := 0
+		if avg := testing.AllocsPerRun(20, func() {
+			for i := 0; i < n; i++ {
+				l.Push(c, obj)
+			}
+			l.Release(c, l.PopAll(), func(gas.Addr) { visited++ })
+		}); avg != 0 {
+			t.Errorf("a warm pool allocates %.2f per %d pushes and their release", avg, n)
+		}
+		if visited != 21*n { // AllocsPerRun warms up with one extra run
+			t.Errorf("visited %d objects over 21 rounds of %d", visited, n)
+		}
+		if got := s.HeapStats().Allocs; got != heapAllocs {
+			t.Errorf("warm pool allocated %d fresh nodes", got-heapAllocs)
+		}
+	})
+}
+
+// Generations are independent lists with independent pools: tasks
+// pushing onto the current generation's list while the reclaimer
+// detaches and releases another's (run with -race) lose nothing and
+// double nothing on either.
+func TestLimboReleaseBesidePushersOnAnotherList(t *testing.T) {
+	s := newTestSystem(t, 1, comm.BackendNone)
+	c0 := s.Ctx(0)
+	current, reclaiming := NewLimboList(c0), NewLimboList(c0)
+	const tasks = 4
+	const per = 500
+	var wg sync.WaitGroup
+	for g := 0; g < tasks; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := s.Ctx(0)
+			for i := 0; i < per; i++ {
+				current.Push(c, c.Alloc(&payload{}))
+			}
+		}()
+	}
+	released := 0
+	for round := 0; round < 50; round++ {
+		want := make(map[gas.Addr]bool, 32)
+		for i := 0; i < 32; i++ {
+			a := c0.Alloc(&payload{})
+			want[a] = true
+			reclaiming.Push(c0, a)
+		}
+		reclaiming.Release(c0, reclaiming.PopAll(), func(obj gas.Addr) {
+			if !want[obj] {
+				t.Errorf("round %d: %v visited twice or never pushed", round, obj)
+			}
+			delete(want, obj)
+			c0.Free(obj)
+			released++
+		})
+		if len(want) != 0 {
+			t.Fatalf("round %d lost %d objects", round, len(want))
+		}
+	}
+	wg.Wait()
+	got := current.Drain(c0)
+	set := make(map[gas.Addr]bool, len(got))
+	for _, a := range got {
+		set[a] = true
+	}
+	if len(got) != tasks*per || len(set) != tasks*per {
+		t.Fatalf("current list drained %d objects (%d distinct), want %d", len(got), len(set), tasks*per)
+	}
+	if released != 50*32 {
+		t.Fatalf("released %d, want %d", released, 50*32)
+	}
+	if st := s.HeapStats(); st.UAFLoads+st.UAFStores+st.UAFFrees != 0 {
+		t.Fatalf("heap misuse: %v", st)
+	}
 }
 
 func TestLimboConcurrentInsertPhase(t *testing.T) {

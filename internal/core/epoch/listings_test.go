@@ -72,10 +72,7 @@ func TestListing2LimboList(t *testing.T) {
 		}
 		head := l.PopAll() // one exchange detaches everything
 		seen := 0
-		for !head.IsNil() {
-			_, head = l.Next(c, head)
-			seen++
-		}
+		l.Release(c, head, func(gas.Addr) { seen++ })
 		if seen != 2 {
 			t.Fatalf("popped %d nodes", seen)
 		}

@@ -179,18 +179,13 @@ func (m *LocalEpochManager) TryReclaim(c *pgas.Ctx) {
 
 func (m *LocalEpochManager) reclaimGeneration(c *pgas.Ctx, e uint64) {
 	list := m.limbo[e]
-	node := list.PopAll()
+	heap := c.Sys().LocaleHeap(m.locale)
 	freed := 0
-	for !node.IsNil() {
-		var obj gas.Addr
-		obj, node = list.Next(c, node)
-		if obj.IsNil() {
-			continue
-		}
-		if c.Sys().LocaleHeap(m.locale).Free(obj) {
+	list.Release(c, list.PopAll(), func(obj gas.Addr) {
+		if heap.Free(obj) {
 			freed++
 		}
-	}
+	})
 	m.reclaimed.Add(int64(freed))
 }
 

@@ -232,15 +232,15 @@ func (em EpochManager) TryReclaim(c *pgas.Ctx) {
 }
 
 // reclaimGeneration detaches limbo generation e on this locale,
-// scatters its objects by owning locale, and routes each destination's
-// batch through the task's aggregation buffers: the frees ride one
-// bulk flush per destination (locale-local objects release inline for
-// free). Runs on the instance's locale, driven by the single elected
-// reclaimer.
+// scatters its objects by owning locale in one walk of the detached
+// chain, and frees each destination's batch in bulk: the locale's own
+// with one pass through its allocator lock, every remote one through
+// the task's aggregation buffers, one bulk flush per destination. Runs
+// on the instance's locale, driven by the single elected reclaimer.
 func (li *instance) reclaimGeneration(lc *pgas.Ctx, e uint64) {
 	list := li.limbo[e]
-	node := list.PopAll()
-	if node.IsNil() {
+	head := list.PopAll()
+	if head.IsNil() {
 		return
 	}
 	var sp trace.Span
@@ -250,18 +250,18 @@ func (li *instance) reclaimGeneration(lc *pgas.Ctx, e uint64) {
 		sp = tr.Begin(lc.Here(), trace.KindEpochReclaim, lc.TaskID(), lc.Here(), lc.Here(), 0, int64(e))
 	}
 	// Scatter objects to their locale.
-	for !node.IsNil() {
-		var obj gas.Addr
-		obj, node = list.Next(lc, node)
-		if obj.IsNil() {
-			continue
-		}
+	list.Release(lc, head, func(obj gas.Addr) {
 		li.objsToDelete[obj.Locale()] = append(li.objsToDelete[obj.Locale()], obj)
-	}
-	// Aggregate and delete, one flush per destination locale.
+	})
+	// Delete, one bulk free or one flush per destination locale.
 	before := lc.Aggregator(li.locale).Freed()
+	var local int64
 	for dest, batch := range li.objsToDelete {
 		if len(batch) == 0 {
+			continue
+		}
+		if dest == li.locale {
+			local += int64(lc.FreeBulk(dest, batch))
 			continue
 		}
 		buf := lc.Aggregator(dest)
@@ -270,7 +270,7 @@ func (li *instance) reclaimGeneration(lc *pgas.Ctx, e uint64) {
 		}
 		buf.Flush()
 	}
-	freed := lc.Aggregator(li.locale).Freed() - before
+	freed := local + lc.Aggregator(li.locale).Freed() - before
 	li.reclaimed.Add(freed)
 	// Clear the scatter lists.
 	for i := range li.objsToDelete {

@@ -27,6 +27,16 @@ import (
 // Alloc/Free free-list bookkeeping, standing in for the (also locking)
 // system allocator underneath Chapel's `new`; the read path every
 // structure Deref rides never touches it.
+//
+// The box is a Go `any` cell. An object that embeds Boxed carries that
+// cell inside itself, so publishing it costs no host allocation beyond
+// the object's own and Load reaches box and object on one cache line;
+// any other object gets a freshly allocated box. Either way a box is
+// written exactly once, before the slot store that publishes it, and
+// never again — not by Free, not by a later Store (an object whose
+// embedded box is already in use gets a fresh one) — which is what
+// lets a reader that loaded the box just before a Free still read the
+// old object instead of a recycled one.
 type Heap struct {
 	locale int
 
@@ -57,6 +67,31 @@ const (
 // a fresh box rather than mutating the old one), so a reader that won
 // the race to load a box may safely dereference it.
 type chunk [chunkSize]atomic.Pointer[any]
+
+// Boxed is the header a heap-resident type embeds (by value, with the
+// object handed to Alloc as a pointer) to carry its own slot box: the
+// object and its box are then one host allocation instead of two. The
+// zero value is ready to use; the first Alloc or Store of the object
+// claims the box, which must happen on one goroutine — an unpublished
+// object has one owner.
+type Boxed struct{ box any }
+
+func (b *Boxed) heapBox() *any { return &b.box }
+
+// boxOf returns the box to publish for obj: the one embedded in obj
+// while that is still empty, a fresh one otherwise. It never writes a
+// box that has been published.
+func boxOf(obj any) *any {
+	if b, ok := obj.(interface{ heapBox() *any }); ok {
+		if box := b.heapBox(); *box == nil {
+			*box = obj
+			return box
+		}
+	}
+	box := new(any)
+	*box = obj
+	return box
+}
 
 // NewHeap creates the heap for the given locale id.
 func NewHeap(locale int) *Heap {
@@ -105,8 +140,7 @@ func (h *Heap) grow(idx uint64) {
 // slots are reused LIFO, so the returned Addr may equal one freed a
 // moment ago — deliberately so; see the package comment.
 func (h *Heap) Alloc(obj any) Addr {
-	box := new(any)
-	*box = obj
+	box := boxOf(obj)
 
 	h.mu.Lock()
 	var idx uint64
@@ -158,9 +192,9 @@ func (h *Heap) Load(addr Addr) (obj any, ok bool) {
 
 // Store overwrites the object at addr, reporting false if the slot has
 // been freed (a detected use-after-free write, counted in UAFStores).
-// Store is lock-free: it installs a freshly boxed object with a CAS so
-// that racing a concurrent Free can only lose — a poisoned slot is
-// never resurrected.
+// Store is lock-free: it installs a box no reader has seen (boxOf) with
+// a CAS so that racing a concurrent Free can only lose — a poisoned slot
+// is never resurrected.
 func (h *Heap) Store(addr Addr, obj any) bool {
 	h.checkOwner(addr)
 	s := h.slot(addr.Index())
@@ -168,8 +202,7 @@ func (h *Heap) Store(addr Addr, obj any) bool {
 		h.uafStores.Add(1)
 		return false
 	}
-	box := new(any)
-	*box = obj
+	box := boxOf(obj)
 	for {
 		old := s.Load()
 		if old == nil {

@@ -23,69 +23,132 @@ func TestHeapAllocLoad(t *testing.T) {
 	}
 }
 
+// boxedObj carries its own slot box (the Boxed header), as structure
+// nodes do.
+type boxedObj struct {
+	Boxed
+	v int
+}
+
+// forEachObjectKind runs one heap-contract test twice: with plain
+// values, whose box the heap allocates, and with a header-carrying
+// type, whose box lives inside the object. The contract — poison,
+// UAF counting, LIFO reuse, Stats — must not tell them apart.
+func forEachObjectKind(t *testing.T, test func(t *testing.T, mk func(v int) any, val func(obj any) int)) {
+	t.Run("plain", func(t *testing.T) {
+		test(t, func(v int) any { return v }, func(obj any) int { return obj.(int) })
+	})
+	t.Run("boxed", func(t *testing.T) {
+		test(t, func(v int) any { return &boxedObj{v: v} }, func(obj any) int { return obj.(*boxedObj).v })
+	})
+}
+
 func TestHeapFreePoisons(t *testing.T) {
-	h := NewHeap(0)
-	a := h.Alloc("x")
-	if !h.Free(a) {
-		t.Fatal("first free failed")
-	}
-	if _, ok := h.Load(a); ok {
-		t.Fatal("load after free must fail (poison)")
-	}
-	if h.Free(a) {
-		t.Fatal("double free must be detected")
-	}
-	st := h.Stats()
-	if st.UAFLoads != 1 || st.UAFFrees != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
+	forEachObjectKind(t, func(t *testing.T, mk func(int) any, val func(any) int) {
+		h := NewHeap(0)
+		a := h.Alloc(mk(1))
+		// A reader that wins the race to load the box just before Free...
+		stale := h.slot(a.Index()).Load()
+		if !h.Free(a) {
+			t.Fatal("first free failed")
+		}
+		if _, ok := h.Load(a); ok {
+			t.Fatal("load after free must fail (poison)")
+		}
+		if h.Free(a) {
+			t.Fatal("double free must be detected")
+		}
+		st := h.Stats()
+		if st.UAFLoads != 1 || st.UAFFrees != 1 {
+			t.Fatalf("stats = %+v", st)
+		}
+		// ...still reads the old object, even once the address is reused:
+		// a published box is never rewritten.
+		if b := h.Alloc(mk(2)); b != a {
+			t.Fatalf("slot not reused: %v vs %v", a, b)
+		}
+		if got := val(*stale); got != 1 {
+			t.Fatalf("stale reader sees %d through the old box, want 1", got)
+		}
+	})
 }
 
 func TestHeapLIFOReuse(t *testing.T) {
-	h := NewHeap(0)
-	a := h.Alloc("a")
-	h.Free(a)
-	b := h.Alloc("b")
-	if a != b {
-		t.Fatalf("expected LIFO slot reuse: %v vs %v — the ABA hazard depends on it", a, b)
-	}
-	got, ok := h.Load(b)
-	if !ok || got.(string) != "b" {
-		t.Fatalf("reused slot holds %v ok=%v", got, ok)
-	}
+	forEachObjectKind(t, func(t *testing.T, mk func(int) any, val func(any) int) {
+		h := NewHeap(0)
+		a := h.Alloc(mk(1))
+		h.Free(a)
+		b := h.Alloc(mk(2))
+		if a != b {
+			t.Fatalf("expected LIFO slot reuse: %v vs %v — the ABA hazard depends on it", a, b)
+		}
+		got, ok := h.Load(b)
+		if !ok || val(got) != 2 {
+			t.Fatalf("reused slot holds %v ok=%v", got, ok)
+		}
+	})
 }
 
 func TestHeapStoreInPlace(t *testing.T) {
+	forEachObjectKind(t, func(t *testing.T, mk func(int) any, val func(any) int) {
+		h := NewHeap(0)
+		first := mk(1)
+		a := h.Alloc(first)
+		before := h.slot(a.Index()).Load()
+		if !h.Store(a, mk(2)) {
+			t.Fatal("store to live slot failed")
+		}
+		got, _ := h.Load(a)
+		if val(got) != 2 {
+			t.Fatalf("got %v", got)
+		}
+		if val(*before) != 1 {
+			t.Fatalf("Store rewrote the box a reader may hold: it reads %d", val(*before))
+		}
+		// Storing an object whose box is already in use — here the one
+		// Alloc published — installs a fresh box, never the used one.
+		if !h.Store(a, first) {
+			t.Fatal("store of the first object failed")
+		}
+		if again := h.slot(a.Index()).Load(); again == before || val(*again) != 1 {
+			t.Fatalf("re-stored object rides its old box (%v) or reads %d", again == before, val(*again))
+		}
+		h.Free(a)
+		if h.Store(a, mk(3)) {
+			t.Fatal("store to freed slot must be detected")
+		}
+		st := h.Stats()
+		if st.UAFStores != 1 {
+			t.Fatalf("UAFStores = %d, want 1", st.UAFStores)
+		}
+		if st.UAFLoads != 0 {
+			t.Fatalf("a poisoned store must not count as a poisoned load: %+v", st)
+		}
+		if got := st.String(); !strings.Contains(got, "uafStores=1") {
+			t.Fatalf("Stats.String() = %q missing uafStores", got)
+		}
+		// A store to an address beyond anything ever allocated is the same
+		// class of bug.
+		if h.Store(MakeAddr(0, 1<<20), mk(4)) {
+			t.Fatal("store to never-allocated slot must be detected")
+		}
+		if st = h.Stats(); st.UAFStores != 2 {
+			t.Fatalf("UAFStores = %d, want 2", st.UAFStores)
+		}
+	})
+}
+
+// Publishing a header-carrying object costs the heap no host
+// allocation: the object's own is the only one, against two (object
+// and box) for a type without the header.
+func TestHeapAllocBoxedAddsNoAllocation(t *testing.T) {
 	h := NewHeap(0)
-	a := h.Alloc(1)
-	if !h.Store(a, 2) {
-		t.Fatal("store to live slot failed")
+	h.Free(h.Alloc(0)) // first chunk and free-list capacity exist
+	if avg := testing.AllocsPerRun(200, func() { h.Free(h.Alloc(&boxedObj{})) }); avg != 1 {
+		t.Errorf("Alloc of a header-carrying object: %.2f allocations, want 1 (the object)", avg)
 	}
-	got, _ := h.Load(a)
-	if got.(int) != 2 {
-		t.Fatalf("got %v", got)
-	}
-	h.Free(a)
-	if h.Store(a, 3) {
-		t.Fatal("store to freed slot must be detected")
-	}
-	st := h.Stats()
-	if st.UAFStores != 1 {
-		t.Fatalf("UAFStores = %d, want 1", st.UAFStores)
-	}
-	if st.UAFLoads != 0 {
-		t.Fatalf("a poisoned store must not count as a poisoned load: %+v", st)
-	}
-	if got := st.String(); !strings.Contains(got, "uafStores=1") {
-		t.Fatalf("Stats.String() = %q missing uafStores", got)
-	}
-	// A store to an address beyond anything ever allocated is the same
-	// class of bug.
-	if h.Store(MakeAddr(0, 1<<20), 4) {
-		t.Fatal("store to never-allocated slot must be detected")
-	}
-	if st = h.Stats(); st.UAFStores != 2 {
-		t.Fatalf("UAFStores = %d, want 2", st.UAFStores)
+	if avg := testing.AllocsPerRun(200, func() { h.Free(h.Alloc(&struct{ v int }{})) }); avg != 2 {
+		t.Errorf("Alloc of a plain object: %.2f allocations, want 2 (object and box)", avg)
 	}
 }
 
@@ -115,22 +178,24 @@ func TestHeapFreeBulk(t *testing.T) {
 }
 
 func TestHeapStats(t *testing.T) {
-	h := NewHeap(0)
-	var addrs []Addr
-	for i := 0; i < 5; i++ {
-		addrs = append(addrs, h.Alloc(i))
-	}
-	st := h.Stats()
-	if st.Live != 5 || st.Allocs != 5 || st.HighWater != 5 {
-		t.Fatalf("stats = %+v", st)
-	}
-	for _, a := range addrs[:3] {
-		h.Free(a)
-	}
-	st = h.Stats()
-	if st.Live != 2 || st.Frees != 3 || st.HighWater != 5 {
-		t.Fatalf("stats = %+v", st)
-	}
+	forEachObjectKind(t, func(t *testing.T, mk func(int) any, _ func(any) int) {
+		h := NewHeap(0)
+		var addrs []Addr
+		for i := 0; i < 5; i++ {
+			addrs = append(addrs, h.Alloc(mk(i)))
+		}
+		st := h.Stats()
+		if st.Live != 5 || st.Allocs != 5 || st.HighWater != 5 {
+			t.Fatalf("stats = %+v", st)
+		}
+		for _, a := range addrs[:3] {
+			h.Free(a)
+		}
+		st = h.Stats()
+		if st.Live != 2 || st.Frees != 3 || st.HighWater != 5 {
+			t.Fatalf("stats = %+v", st)
+		}
+	})
 }
 
 func TestHeapConcurrentAllocFree(t *testing.T) {

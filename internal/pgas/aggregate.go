@@ -140,6 +140,16 @@ func (b AggBuffer) CallCombinable(bytes int64, op CombinableCall) {
 	b.a.agg.Enqueue(b.dst, comm.Op{Bytes: bytes, Exec: op})
 }
 
+// Buffered returns the combinable call this task already holds in its
+// buffer for the destination under key, so the caller can merge a later
+// write into it before building anything (see comm.Aggregator.Buffered
+// for what a hit books). It returns nil on a miss, with the Combine
+// policy off, and always for the local destination, whose calls
+// execute inline and are never buffered.
+func (b AggBuffer) Buffered(key comm.CombineKey) comm.CombinableOp {
+	return b.a.agg.Buffered(b.dst, key)
+}
+
 // addOp is the mergeable payload behind AggBuffer.Add: deltas against
 // one word sum in-buffer (addition commutes, so folding N adds into
 // one preserves the final value and every concurrent interleaving).
@@ -228,16 +238,19 @@ func (b AggBuffer) Free(addr gas.Addr) {
 		panic(fmt.Sprintf("pgas: aggregated Free(%v) into buffer for locale %d", addr, b.dst))
 	}
 	a := b.a
-	var fn freeOp = func(tc *Ctx) {
-		if tc.here.heap.Free(addr) {
-			a.freed.Add(1)
-		}
-	}
-	if b.dst == b.a.c.here.id {
-		fn(b.a.c)
+	if b.dst == a.c.here.id {
+		a.release(a.c, addr) // inline, and no closure built
 		return
 	}
-	b.a.agg.Enqueue(b.dst, comm.Op{Bytes: aggFreeBytes, Exec: fn})
+	var fn freeOp = func(tc *Ctx) { a.release(tc, addr) }
+	a.agg.Enqueue(b.dst, comm.Op{Bytes: aggFreeBytes, Exec: fn})
+}
+
+// release frees addr on tc's locale, its owner, and counts it in Freed.
+func (a *Aggregator) release(tc *Ctx, addr gas.Addr) {
+	if tc.here.heap.Free(addr) {
+		a.freed.Add(1)
+	}
 }
 
 // Put buffers an overwrite of the object stored at addr (owned by the

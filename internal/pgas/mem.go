@@ -113,9 +113,10 @@ func (c *Ctx) Free(addr gas.Addr) bool {
 }
 
 // FreeBulk ships addrs to the target locale in one bulk transfer and
-// frees them there, returning the number actually freed. All addrs
-// must be owned by locale; the EpochManager builds exactly such
-// per-locale batches in its scatter phase.
+// frees them there under one acquisition of its allocator lock,
+// returning the number actually freed. All addrs must be owned by
+// locale (the heap panics on a foreign one); the EpochManager builds
+// exactly such per-locale batches in its scatter phase.
 func (c *Ctx) FreeBulk(locale int, addrs []gas.Addr) int {
 	if len(addrs) == 0 {
 		return 0
@@ -124,18 +125,5 @@ func (c *Ctx) FreeBulk(locale int, addrs []gas.Addr) int {
 	if locale != c.here.id {
 		s.chargeBulk(c, c.here.id, locale, int64(len(addrs)*8))
 	}
-	h := s.locales[locale].heap
-	n := 0
-	for _, a := range addrs {
-		if a.IsNil() {
-			continue
-		}
-		if a.Locale() != locale {
-			panic(fmt.Sprintf("pgas: FreeBulk(%d) given foreign addr %v", locale, a))
-		}
-		if h.Free(a) {
-			n++
-		}
-	}
-	return n
+	return s.locales[locale].heap.FreeBulk(addrs)
 }

@@ -9,6 +9,12 @@ package pgas
 // zero communication, which the comm-counter tests verify. This is
 // what lets the EpochManager's pin/unpin path stay flat across
 // locales (Figure 7).
+//
+// Each locale's table is an immutable slice behind an atomic pointer
+// (the way gas.Heap publishes its chunk directory): NewPrivatized and
+// Destroy build a modified copy under the locale's mutex and republish
+// it, so Get takes no lock and writes no shared word — every task and
+// every inbound delivery of a locale starts its structure op here.
 
 // Privatized is the copyable handle to a per-locale replicated
 // instance of T. The zero value is invalid; create with NewPrivatized.
@@ -40,17 +46,37 @@ func NewPrivatized[T any](c *Ctx, create func(ctx *Ctx) *T) Privatized[T] {
 	s.privMu.Unlock()
 
 	c.CoforallLocales(func(lc *Ctx) {
-		inst := create(lc)
-		l := lc.here
-		l.privMu.Lock()
-		for len(l.privTable) <= pid {
-			l.privTable = append(l.privTable, nil)
-		}
-		l.privTable[pid] = inst
-		l.privMu.Unlock()
+		lc.here.setPriv(pid, create(lc))
 	})
 	return Privatized[T]{pid: pid, ok: true}
 }
+
+// priv resolves a privatization id in the locale's published table.
+func (l *Locale) priv(pid int) any {
+	return (*l.privTable.Load())[pid]
+}
+
+// setPriv republishes the locale's table with slot pid holding inst
+// (nil clears it), growing the table if needed, and returns what the
+// slot held. Readers keep whichever version they loaded.
+func (l *Locale) setPriv(pid int, inst any) (old any) {
+	l.privMu.Lock()
+	defer l.privMu.Unlock()
+	var cur []any
+	if p := l.privTable.Load(); p != nil {
+		cur = *p
+	}
+	next := make([]any, max(len(cur), pid+1))
+	copy(next, cur)
+	old, next[pid] = next[pid], inst
+	l.privTable.Store(&next)
+	return old
+}
+
+// ID returns the handle's privatization id: unique among the live
+// privatized objects of a system (destroyed ids are recycled), so it
+// can stand for the object's identity in a comparable key.
+func (p Privatized[T]) ID() int { return p.pid }
 
 // Valid distinguishes a handle produced by NewPrivatized from the
 // (invalid) zero value. It does not track destruction: handles are
@@ -87,19 +113,11 @@ func (p Privatized[T]) Destroy(c *Ctx, finalize func(ctx *Ctx, inst *T)) {
 		}
 	}
 	s.privMu.Unlock()
-	here := c.here
-	here.privMu.RLock()
-	empty := here.privTable[p.pid] == nil
-	here.privMu.RUnlock()
-	if empty {
+	if c.here.priv(p.pid) == nil {
 		panic("pgas: Destroy of an already-destroyed Privatized handle")
 	}
 	c.CoforallLocales(func(lc *Ctx) {
-		l := lc.here
-		l.privMu.Lock()
-		inst := l.privTable[p.pid]
-		l.privTable[p.pid] = nil
-		l.privMu.Unlock()
+		inst := lc.here.setPriv(p.pid, nil)
 		if finalize != nil && inst != nil {
 			finalize(lc, inst.(*T))
 		}
@@ -117,11 +135,7 @@ func (p Privatized[T]) Get(c *Ctx) *T {
 	if !p.ok {
 		panic("pgas: Get through an invalid (zero-value) Privatized handle")
 	}
-	l := c.here
-	l.privMu.RLock()
-	inst := l.privTable[p.pid]
-	l.privMu.RUnlock()
-	return inst.(*T)
+	return c.here.priv(p.pid).(*T)
 }
 
 // GetOn returns the instance on a specific locale. Unlike Get this may
@@ -132,9 +146,5 @@ func (p Privatized[T]) GetOn(c *Ctx, locale int) *T {
 	if !p.ok {
 		panic("pgas: GetOn through an invalid (zero-value) Privatized handle")
 	}
-	l := c.sys.locales[locale]
-	l.privMu.RLock()
-	inst := l.privTable[p.pid]
-	l.privMu.RUnlock()
-	return inst.(*T)
+	return c.sys.locales[locale].priv(p.pid).(*T)
 }

@@ -66,6 +66,57 @@ func TestPrivatizedConcurrentCreateAndLookup(t *testing.T) {
 	}
 }
 
+// Get takes no lock: it reads whichever version of the locale's table
+// was published last. Lookups of one long-lived handle racing creates
+// and destroys of *other* handles — each of which republishes every
+// locale's table — always resolve their own instance (run with -race).
+func TestPrivatizedGetRacesTableRepublication(t *testing.T) {
+	s := NewSystem(Config{Locales: 2, Backend: comm.BackendNone})
+	defer s.Shutdown()
+	h := NewPrivatized(s.Ctx(0), func(lc *Ctx) *privThing {
+		return &privThing{locale: lc.Here(), tag: -1}
+	})
+	want := [2]*privThing{h.GetOn(s.Ctx(0), 0), h.GetOn(s.Ctx(0), 1)}
+	var churners, readers sync.WaitGroup
+	var stop atomic.Bool
+	for g := 0; g < 2; g++ {
+		churners.Add(1)
+		go func(g int) {
+			defer churners.Done()
+			c := s.Ctx(g)
+			for i := 0; i < 200; i++ {
+				other := NewPrivatized(c, func(lc *Ctx) *privThing {
+					return &privThing{locale: lc.Here(), tag: i}
+				})
+				if other.ID() == h.ID() {
+					t.Errorf("live id %d handed out again", h.ID())
+				}
+				other.Destroy(c, nil)
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			c := s.Ctx(g % 2)
+			for !stop.Load() {
+				if got := h.Get(c); got != want[g%2] {
+					t.Errorf("Get on locale %d resolved %+v", g%2, got)
+					return
+				}
+				if got := h.GetOn(c, 1-g%2); got != want[1-g%2] {
+					t.Errorf("GetOn(%d) resolved %+v", 1-g%2, got)
+					return
+				}
+			}
+		}(g)
+	}
+	churners.Wait()
+	stop.Store(true)
+	readers.Wait()
+}
+
 // Get performs zero communication from every locale.
 func TestPrivatizedGetIsZeroComm(t *testing.T) {
 	s := NewSystem(Config{Locales: 4, Backend: comm.BackendNone})

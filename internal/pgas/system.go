@@ -111,8 +111,12 @@ type Locale struct {
 	id   int
 	heap *gas.Heap
 
-	privMu    sync.RWMutex
-	privTable []any
+	// privTable is the locale's table of privatized instances, indexed
+	// by Privatized.pid: an immutable slice republished copy-on-write
+	// under privMu, so resolving a handle is one atomic load and one
+	// indexed load with no shared write.
+	privMu    sync.Mutex
+	privTable atomic.Pointer[[]any]
 
 	// Active-message handler slots (amCall): amBusy counts the handlers
 	// executing here, at most Config.ProgressWorkers; every inbound AM

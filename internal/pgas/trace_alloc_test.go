@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gopgas/internal/comm"
+	"gopgas/internal/gas"
 	"gopgas/internal/trace"
 )
 
@@ -69,4 +70,53 @@ func TestAMAtomicsZeroAlloc(t *testing.T) {
 	if m, w := s.DelayTotals(); m != 0 || w != 0 {
 		t.Errorf("zero-profile charges reached the delay account: modelled %dns, waited %dns", m, w)
 	}
+}
+
+// The aggregation layer's own allocation contract: asking a combinable
+// op for its merge key boxes nothing (the key is built on every
+// enqueue), a lookup that finds nothing to merge into costs nothing,
+// and an aggregated Free toward the task's own locale releases inline
+// without building the closure a buffered free ships as — the one
+// allocation below is the freed object itself.
+func TestAggregationPathsZeroAlloc(t *testing.T) {
+	s := NewSystem(Config{Locales: 2, Backend: comm.BackendNone, Agg: comm.AggConfig{Combine: true}})
+	defer s.Shutdown()
+	c := s.Ctx(0)
+	add := &addOp{w: NewWord64(c, 1, 0), delta: 1}
+	put := &putOp{addr: gas.MakeAddr(1, 7), obj: 1}
+	type cell struct{ gas.Boxed }
+	local, remote := c.Aggregator(0), c.Aggregator(1)
+	cases := []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"addOp.CombineKey", 0, func() { add.CombineKey() }},
+		{"putOp.CombineKey", 0, func() { put.CombineKey() }},
+		{"AggBuffer.Buffered miss", 0, func() { remote.Buffered(add.CombineKey()) }},
+		{"local AggBuffer.Free", 1, func() { local.Free(c.Alloc(&cell{})) }},
+	}
+	for _, tc := range cases {
+		if avg := testing.AllocsPerRun(200, tc.fn); avg != tc.want {
+			t.Errorf("%s allocates %.2f/op, want %.0f", tc.name, avg, tc.want)
+		}
+	}
+
+	// Buffered sees only what is in flight toward a remote destination.
+	remote.Add(add.w, 2)
+	before := s.Counters().Snapshot()
+	if got := remote.Buffered(add.CombineKey()); got == nil || got.(*addOp).delta != 2 {
+		t.Errorf("Buffered = %v, want the buffered add", got)
+	}
+	if d := s.Counters().Snapshot().Sub(before); d.AggOpsEnq != 1 || d.AggCombined != 1 {
+		t.Errorf("a hit booked %+v, want one enqueue and one combine", d)
+	}
+	before = s.Counters().Snapshot()
+	if got := local.Buffered(add.CombineKey()); got != nil {
+		t.Errorf("Buffered on the local destination = %v", got)
+	}
+	if d := s.Counters().Snapshot().Sub(before); d.AggOpsEnq != 0 || d.AggCombined != 0 {
+		t.Errorf("a local lookup booked %+v", d)
+	}
+	c.Flush()
 }

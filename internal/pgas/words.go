@@ -31,12 +31,21 @@ type Word64 struct {
 // NewWord64 allocates a network-atomic word homed on the given locale
 // with an initial value.
 func NewWord64(c *Ctx, home int, init uint64) *Word64 {
+	w := new(Word64)
+	w.Init(c, home, init)
+	return w
+}
+
+// Init sets up a word in place — one held by value inside the object
+// it belongs to, as a structure node holds its successor word — homed
+// on the given locale with an initial value. It must run before the
+// word is shared.
+func (w *Word64) Init(c *Ctx, home int, init uint64) {
 	if home < 0 || home >= c.NumLocales() {
 		panic("pgas: Word64 home out of range")
 	}
-	w := &Word64{home: home}
+	w.home = home
 	w.v.Store(init)
-	return w
 }
 
 // Home returns the id of the locale the word resides on.

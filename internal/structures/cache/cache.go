@@ -68,8 +68,10 @@ const Ways = 2
 // entry is one published cache cell: an immutable (key, value) pair
 // tagged with the set generation it was fetched under. Entries are
 // allocated on the caching locale's gas heap and reclaimed only
-// through the epoch manager once unpublished.
+// through the epoch manager once unpublished. The heap box lives inside
+// the entry, so a fill is one host allocation.
 type entry[V any] struct {
+	gas.Boxed
 	key uint64
 	gen uint64
 	val V

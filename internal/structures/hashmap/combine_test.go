@@ -97,3 +97,65 @@ func TestMapCombineEquivalence(t *testing.T) {
 		t.Fatalf("absorption below 5x: shipped %d of %d enqueued", onSnap.AggOps, onSnap.AggOpsEnq)
 	}
 }
+
+// An absorbed write costs the host nothing: with combining on, a
+// fire-and-forget write toward a remote owner whose key is already in
+// the task's buffer merges into the buffered op before anything is
+// built, and the lookup's key boxes for free. The counters book the
+// merge exactly as an absorbed Enqueue would be, and a write to a
+// locally owned key applies inline as before.
+func TestAbsorbedAggWriteZeroAlloc(t *testing.T) {
+	s := pgas.NewSystem(pgas.Config{
+		Locales: 2,
+		Backend: comm.BackendNone,
+		Agg:     comm.AggConfig{Combine: true, Policy: comm.FlushManual},
+	})
+	defer s.Shutdown()
+	c := s.Ctx(0)
+	em := epoch.NewEpochManager(c)
+	m := New[int64](c, 16, em)
+	remote, local := uint64(0), uint64(0)
+	for m.HomeOf(remote) != 1 {
+		remote++
+	}
+	for m.HomeOf(local) != 0 {
+		local++
+	}
+
+	before := s.Counters().Snapshot()
+	m.UpsertAgg(c, remote, 1) // the op every later write merges into
+	const runs = 200
+	if avg := testing.AllocsPerRun(runs, func() { m.UpsertAgg(c, remote, 2) }); avg != 0 {
+		t.Errorf("absorbed UpsertAgg allocates %.2f/op", avg)
+	}
+	if avg := testing.AllocsPerRun(runs, func() { m.RemoveAgg(c, remote) }); avg != 0 {
+		t.Errorf("absorbed RemoveAgg allocates %.2f/op", avg)
+	}
+	op := &writeOp[int64]{m: m, k: remote}
+	if avg := testing.AllocsPerRun(runs, func() { op.CombineKey() }); avg != 0 {
+		t.Errorf("writeOp.CombineKey allocates %.2f/op", avg)
+	}
+	d := s.Counters().Snapshot().Sub(before)
+	// AllocsPerRun adds one warm-up call to each measured loop.
+	if want := int64(2 * (runs + 1)); d.AggOpsEnq != want+1 || d.AggCombined != want {
+		t.Errorf("booked enq=%d combined=%d, want %d enqueued and all but the first combined", d.AggOpsEnq, d.AggCombined, want+1)
+	}
+	if n := c.Aggregator(1).Pending(); n != 1 {
+		t.Errorf("%d ops buffered toward the owner, want the 1 they merged into", n)
+	}
+	m.UpsertAgg(c, remote, 7) // last writer wins over the removes
+	m.UpsertAgg(c, local, 9)  // local owner: applied inline, never buffered
+	c.Flush()
+	tok := em.Register(c)
+	if v, ok := m.Get(c, tok, remote); !ok || v != 7 {
+		t.Errorf("merged write landed as (%d, %v), want (7, true)", v, ok)
+	}
+	if v, ok := m.Get(c, tok, local); !ok || v != 9 {
+		t.Errorf("local write landed as (%d, %v), want (9, true)", v, ok)
+	}
+	tok.Unregister(c)
+	d = s.Counters().Snapshot().Sub(before)
+	if d.AggOps+d.AggCombined != d.AggOpsEnq {
+		t.Errorf("shipped+combined != enqueued across the flush: %+v", d)
+	}
+}

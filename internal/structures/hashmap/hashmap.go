@@ -322,22 +322,24 @@ type writeOp[V any] struct {
 	changed bool // set under the combiner: applied, and k's entry changed
 }
 
-// route samples the owner of k's bucket and builds the op that carries
-// the sample's generation there.
-func (m Map[V]) route(kind writeKind, k uint64, v V) (owner int, op *writeOp[V]) {
-	owner, gen := m.core.tab.Owner(m.BucketOf(k))
-	return owner, &writeOp[V]{m: m, gen: gen, k: k, v: v, kind: kind}
+// mergeKey is the identity fire-and-forget writes of k combine under:
+// the core every copy of the handle shares, so the key boxes without
+// allocating.
+func (m Map[V]) mergeKey(k uint64) comm.CombineKey {
+	return comm.CombineKey{Kind: combineKindMapWrite, Ref: m.core, K: k}
 }
 
-func (o *writeOp[V]) CombineKey() comm.CombineKey {
-	return comm.CombineKey{Kind: combineKindMapWrite, Ref: o.m.priv, K: o.k}
+func (o *writeOp[V]) CombineKey() comm.CombineKey { return o.m.mergeKey(o.k) }
+
+// merge folds a later write of the same key into o, last writer wins:
+// the later value and kind, and the later (fresher) generation sample.
+func (o *writeOp[V]) merge(gen uint64, v V, kind writeKind) {
+	o.gen, o.v, o.kind = gen, v, kind
 }
 
 func (o *writeOp[V]) Absorb(later comm.CombinableOp) (int64, bool) {
 	l := later.(*writeOp[V])
-	o.gen = l.gen
-	o.v = l.v
-	o.kind = l.kind
+	o.merge(l.gen, l.v, l.kind)
 	return 0, true
 }
 
@@ -414,16 +416,28 @@ func (o *writeOp[V]) applyOwned(tc *pgas.Ctx, t *table[V]) {
 // the window). Callers that need a deterministic final state quiesce
 // (Ctx.Flush) and write a final pass, as the storm tests do.
 func (m Map[V]) UpsertAgg(c *pgas.Ctx, k uint64, v V) {
-	owner, op := m.route(writeUpsert, k, v)
-	c.Aggregator(owner).CallCombinable(mapWriteBytes, op)
+	m.writeAgg(c, writeUpsert, k, v)
 }
 
 // RemoveAgg buffers a fire-and-forget removal of k, with the same
 // routing, combining and visibility contract as UpsertAgg.
 func (m Map[V]) RemoveAgg(c *pgas.Ctx, k uint64) {
 	var zero V
-	owner, op := m.route(writeRemove, k, zero)
-	c.Aggregator(owner).CallCombinable(mapWriteBytes, op)
+	m.writeAgg(c, writeRemove, k, zero)
+}
+
+// writeAgg samples the owner of k's bucket and either merges the write
+// into the one this task already has buffered for k — the common case
+// on a hot key, and no allocation — or builds the op that carries the
+// sample's generation there.
+func (m Map[V]) writeAgg(c *pgas.Ctx, kind writeKind, k uint64, v V) {
+	owner, gen := m.core.tab.Owner(m.BucketOf(k))
+	buf := c.Aggregator(owner)
+	if prev := buf.Buffered(m.mergeKey(k)); prev != nil {
+		prev.(*writeOp[V]).merge(gen, v, kind)
+		return
+	}
+	buf.CallCombinable(mapWriteBytes, &writeOp[V]{m: m, gen: gen, k: k, v: v, kind: kind})
 }
 
 // InsertBulk adds every absent (k, v) pair, returning how many were
@@ -442,8 +456,8 @@ func (m Map[V]) RemoveAgg(c *pgas.Ctx, k uint64) {
 func (m Map[V]) InsertBulk(c *pgas.Ctx, pairs []KV[V]) int {
 	var inserted atomic.Int64
 	for _, kv := range pairs {
-		owner, op := m.route(writeInsert, kv.K, kv.V)
-		op.n = &inserted
+		owner, gen := m.core.tab.Owner(m.BucketOf(kv.K))
+		op := &writeOp[V]{m: m, gen: gen, k: kv.K, v: kv.V, n: &inserted, kind: writeInsert}
 		c.Aggregator(owner).Call(op.Exec)
 	}
 	c.Flush()

@@ -38,11 +38,22 @@ func unpack(v uint64) (gas.Addr, bool) {
 }
 
 // node is one list cell; key and val are immutable, next is a
-// network-atomic word carrying (successor address | mark bit).
+// network-atomic word carrying (successor address | mark bit). The
+// word and the heap box live inside the node, so a cell is one host
+// object and a traversal step touches one cache line.
 type node[V any] struct {
+	gas.Boxed
 	key  uint64
 	val  V
-	next *pgas.Word64
+	next pgas.Word64
+}
+
+// newNode allocates the cell for (k, v) on the list's home with its
+// successor word already pointing at succ.
+func (l *List[V]) newNode(c *pgas.Ctx, k uint64, v V, succ gas.Addr) gas.Addr {
+	n := &node[V]{key: k, val: v}
+	n.next.Init(c, l.home, pack(succ, false))
+	return c.AllocOn(l.home, n)
 }
 
 // List is a distributed sorted lock-free list keyed by uint64. Nodes
@@ -100,7 +111,7 @@ retry:
 		if cn.key >= k {
 			return pred, curr, cn
 		}
-		pred = cn.next
+		pred = &cn.next
 		curr = succ
 	}
 }
@@ -114,8 +125,7 @@ func (l *List[V]) Insert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
 		if cn != nil && cn.key == k {
 			return false
 		}
-		n := &node[V]{key: k, val: v, next: pgas.NewWord64(c, l.home, pack(curr, false))}
-		addr := c.AllocOn(l.home, n)
+		addr := l.newNode(c, k, v, curr)
 		if pred.CompareAndSwap(c, pack(curr, false), pack(addr, false)) {
 			l.inserts.Add(1)
 			return true
@@ -135,8 +145,7 @@ func (l *List[V]) Upsert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) (replaced
 	defer tok.Unpin(c)
 	for {
 		pred, curr, cn := l.search(c, tok, k)
-		n := &node[V]{key: k, val: v, next: pgas.NewWord64(c, l.home, pack(curr, false))}
-		addr := c.AllocOn(l.home, n)
+		addr := l.newNode(c, k, v, curr)
 		if !pred.CompareAndSwap(c, pack(curr, false), pack(addr, false)) {
 			c.Free(addr)
 			continue

@@ -266,3 +266,18 @@ func TestListStats(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// A list cell is one host object: node, successor word and heap box
+// are a single allocation, so an insert costs the Go allocator exactly
+// that (the structure-level gate beside pgas's TestAMAtomicsZeroAlloc).
+func TestListInsertAllocatesOneObject(t *testing.T) {
+	_, l, tok, c := setup(t, 1)
+	l.Insert(c, tok, 0, 0) // first heap chunk exists
+	k := uint64(0)
+	if avg := testing.AllocsPerRun(200, func() {
+		k++
+		l.Insert(c, tok, k, int(k))
+	}); avg > 1 {
+		t.Fatalf("Insert allocates %.2f objects per node, want at most 1", avg)
+	}
+}

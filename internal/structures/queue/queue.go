@@ -24,10 +24,20 @@ import (
 // node is one queue cell. next is a network-atomic word holding a
 // gas.Addr: it is CASed by enqueuers on arbitrary locales, so a
 // processor atomic would not model a real PGAS system; val is
-// immutable after construction.
+// immutable after construction. The word and the heap box live inside
+// the node, so a cell is one host object.
 type node[T any] struct {
+	gas.Boxed
 	val  T
-	next *pgas.Word64
+	next pgas.Word64
+}
+
+// newNode allocates a cell for v on the queue's home, its successor
+// word nil.
+func (q *Queue[T]) newNode(c *pgas.Ctx, v T) gas.Addr {
+	n := &node[T]{val: v}
+	n.next.Init(c, q.home, 0)
+	return c.AllocOn(q.home, n)
 }
 
 // Queue is a distributed lock-free FIFO. Nodes live on the queue's
@@ -51,7 +61,8 @@ func New[T any](c *pgas.Ctx, home int, em epoch.EpochManager) *Queue[T] {
 		em:   em,
 		home: home,
 	}
-	dummy := c.AllocOn(home, &node[T]{next: pgas.NewWord64(c, home, 0)})
+	var zero T
+	dummy := q.newNode(c, zero)
 	q.head.Write(c, dummy)
 	q.tail.Write(c, dummy)
 	return q
@@ -82,8 +93,7 @@ func (q *Queue[T]) destroy(c *pgas.Ctx) {
 // Enqueue appends v. Standard Michael–Scott: link the node after the
 // tail, helping a lagging tail forward when necessary.
 func (q *Queue[T]) Enqueue(c *pgas.Ctx, tok *epoch.Token, v T) {
-	n := &node[T]{val: v, next: pgas.NewWord64(c, q.home, 0)}
-	addr := c.AllocOn(q.home, n)
+	addr := q.newNode(c, v)
 	tok.Pin(c)
 	defer tok.Unpin(c)
 	for {
@@ -124,13 +134,13 @@ func (q *Queue[T]) EnqueueBulk(c *pgas.Ctx, tok *epoch.Token, vals []T) {
 	}
 	addrs := c.AllocBulkOn(q.home, objs)
 	// Pre-link the chain: the nodes are unpublished, so the next words
-	// can be created initialised without any communication.
+	// can be initialised without any communication.
 	for i := range nodes {
-		next := uint64(0)
+		next := gas.AddrNil
 		if i+1 < len(nodes) {
-			next = uint64(addrs[i+1])
+			next = addrs[i+1]
 		}
-		nodes[i].next = pgas.NewWord64(c, q.home, next)
+		nodes[i].next.Init(c, q.home, uint64(next))
 	}
 	first, last := addrs[0], addrs[len(addrs)-1]
 	tok.Pin(c)

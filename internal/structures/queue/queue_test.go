@@ -214,3 +214,37 @@ func TestQueueNodeReclamation(t *testing.T) {
 		}
 	})
 }
+
+// A queue cell is one host object, and retiring one costs nothing once
+// the limbo list's node pool is warm: an enqueue allocates the cell and
+// nothing else; a dequeue — its DeferDelete and the limbo push under it
+// included — allocates nothing (the structure-level gate beside pgas's
+// TestAMAtomicsZeroAlloc).
+func TestQueueCellIsOneAllocation(t *testing.T) {
+	s := newTestSystem(t, 1, comm.BackendNone)
+	s.Run(func(c *pgas.Ctx) {
+		em := epoch.NewEpochManager(c)
+		q := New[int](c, 0, em)
+		tok := em.Register(c)
+		const n = 200
+		// Warm the current generation's pool with n+1 limbo nodes (one per
+		// AllocsPerRun call, warm-up included): Clear hands the whole chain
+		// back to the pool without advancing the epoch.
+		for i := 0; i <= n; i++ {
+			q.Enqueue(c, tok, i)
+		}
+		for i := 0; i <= n; i++ {
+			q.Dequeue(c, tok)
+		}
+		em.Clear(c)
+		if avg := testing.AllocsPerRun(n, func() { q.Enqueue(c, tok, 1) }); avg > 1 {
+			t.Errorf("Enqueue allocates %.2f objects per cell, want at most 1", avg)
+		}
+		if avg := testing.AllocsPerRun(n, func() { q.Dequeue(c, tok) }); avg != 0 {
+			t.Errorf("Dequeue allocates %.2f/op with a warm limbo pool", avg)
+		}
+		if st := em.Stats(c); st.Deferred != 2*(n+1) {
+			t.Errorf("deferred %d cells, want %d", st.Deferred, 2*(n+1))
+		}
+	})
+}

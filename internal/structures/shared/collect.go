@@ -39,8 +39,11 @@ type bulkOp[S, T any] struct {
 	apply func(lc *pgas.Ctx, s *S, vals []T)
 }
 
+// CombineKey packs the (object, owner) pair into K — the object's
+// privatization id is unique among live objects and an owner is a
+// locale id — so building the key boxes nothing.
 func (o *bulkOp[S, T]) CombineKey() comm.CombineKey {
-	return comm.CombineKey{Kind: combineKindBulk, Ref: o.obj.priv, K: uint64(o.owner)}
+	return comm.CombineKey{Kind: combineKindBulk, K: uint64(o.obj.priv.ID())<<32 | uint64(o.owner)}
 }
 
 func (o *bulkOp[S, T]) Absorb(later comm.CombinableOp) (int64, bool) {

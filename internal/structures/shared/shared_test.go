@@ -131,3 +131,31 @@ func TestObjectDestroyRunsFinalizers(t *testing.T) {
 		}
 	})
 }
+
+// A bulk batch's merge key names its (object, owner) pair without
+// boxing anything: equal for two batches of one object toward one
+// owner — so they concatenate in flight — distinct across owners and
+// across objects, and free to build on every enqueue.
+func TestBulkOpCombineKey(t *testing.T) {
+	s := newTestSystem(t, 2)
+	s.Run(func(c *pgas.Ctx) {
+		em := epoch.NewEpochManager(c)
+		mk := func() Object[testShard] {
+			return New(c, em, func(lc *pgas.Ctx, _ int) *testShard { return &testShard{builtOn: lc.Here()} })
+		}
+		a, b := mk(), mk()
+		key := func(o Object[testShard], owner int) comm.CombineKey {
+			return (&bulkOp[testShard, int]{obj: o, owner: owner}).CombineKey()
+		}
+		if key(a, 1) != key(a, 1) {
+			t.Fatal("one (object, owner) pair, two keys")
+		}
+		if key(a, 1) == key(a, 0) || key(a, 1) == key(b, 1) {
+			t.Fatalf("keys collide: %+v %+v %+v", key(a, 1), key(a, 0), key(b, 1))
+		}
+		op := &bulkOp[testShard, int]{obj: a, owner: 1}
+		if avg := testing.AllocsPerRun(200, func() { op.CombineKey() }); avg != 0 {
+			t.Fatalf("bulkOp.CombineKey allocates %.2f/op", avg)
+		}
+	})
+}

@@ -38,18 +38,20 @@ func unpack(v uint64) (gas.Addr, bool) {
 }
 
 // node is one tower. key/val are immutable; next[i] is level i's
-// marked successor word.
+// marked successor word, held by value: a tower is the node plus one
+// slice of words, and the heap box lives inside the node.
 type node[V any] struct {
+	gas.Boxed
 	key      uint64
 	val      V
 	topLevel int
-	next     []*pgas.Word64
+	next     []pgas.Word64
 }
 
 // List is a distributed lock-free skip list keyed by uint64. Nodes
 // live on the list's home locale.
 type List[V any] struct {
-	head []*pgas.Word64 // sentinel successor words per level
+	head []pgas.Word64 // sentinel successor words per level
 	em   epoch.EpochManager
 	home int
 
@@ -65,9 +67,9 @@ func New[V any](c *pgas.Ctx, home int, em epoch.EpochManager) *List[V] {
 		panic("skiplist: the mark bit needs locale ids below 2^15")
 	}
 	l := &List[V]{em: em, home: home}
-	l.head = make([]*pgas.Word64, MaxLevel)
+	l.head = make([]pgas.Word64, MaxLevel)
 	for i := range l.head {
-		l.head[i] = pgas.NewWord64(c, home, 0)
+		l.head[i].Init(c, home, 0)
 	}
 	return l
 }
@@ -98,9 +100,9 @@ retry:
 		for level := MaxLevel - 1; level >= 0; level-- {
 			// The pred *word* at this level belongs to the pred *node*
 			// found at the level above (or the head sentinel).
-			pred := l.head[level]
+			pred := &l.head[level]
 			if predNode != nil {
-				pred = predNode.next[level]
+				pred = &predNode.next[level]
 			}
 			curr, _ := unpack(pred.Read(c))
 			for {
@@ -123,7 +125,7 @@ retry:
 				}
 				if cn.key < k {
 					predNode = cn
-					pred = cn.next[level]
+					pred = &cn.next[level]
 					curr = succ
 					continue
 				}
@@ -151,11 +153,11 @@ func (l *List[V]) Insert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
 		if found {
 			return false
 		}
-		n := &node[V]{key: k, val: v, topLevel: topLevel, next: make([]*pgas.Word64, topLevel)}
-		addr := c.AllocOn(l.home, n)
-		for i := 0; i < topLevel; i++ {
-			n.next[i] = pgas.NewWord64(c, l.home, pack(succs[i], false))
+		n := &node[V]{key: k, val: v, topLevel: topLevel, next: make([]pgas.Word64, topLevel)}
+		for i := range n.next {
+			n.next[i].Init(c, l.home, pack(succs[i], false))
 		}
+		addr := c.AllocOn(l.home, n)
 		// Linearization: link the bottom level.
 		if !preds[0].CompareAndSwap(c, pack(succs[0], false), pack(addr, false)) {
 			c.Free(addr) // never published
@@ -238,9 +240,9 @@ func (l *List[V]) Get(c *pgas.Ctx, tok *epoch.Token, k uint64) (v V, ok bool) {
 	var predNode *node[V]
 	var candidate *node[V]
 	for level := MaxLevel - 1; level >= 0; level-- {
-		pred := l.head[level]
+		pred := &l.head[level]
 		if predNode != nil {
-			pred = predNode.next[level]
+			pred = &predNode.next[level]
 		}
 		curr, _ := unpack(pred.Read(c))
 		for !curr.IsNil() {

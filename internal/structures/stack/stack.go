@@ -23,8 +23,10 @@ import (
 // node is one stack cell. The next field is written only before the
 // node is published by the CAS and read only by tasks that obtained
 // the node from the head afterwards, so a plain field suffices; val is
-// immutable after construction.
+// immutable after construction. The heap box lives inside the node, so
+// a cell is one host object.
 type node[T any] struct {
+	gas.Boxed
 	val  T
 	next gas.Addr
 }

@@ -398,9 +398,9 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 		if kind == OpBulk {
 			keys := st.NextKeys(ph.bulkSize())
 			owner := int(st.next() % uint64(spec.Locales))
-			t0 := time.Now()
+			t0 := comm.ClockNS()
 			drv.ApplyBulk(c, owner, keys)
-			ns := time.Since(t0).Nanoseconds()
+			ns := comm.ClockNS() - t0
 			hist.Record(ns)
 			if live != nil {
 				live.record(ns)
@@ -410,9 +410,9 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 			}
 		} else {
 			key := st.NextKey()
-			t0 := time.Now()
+			t0 := comm.ClockNS()
 			drv.Apply(c, tok, kind, key)
-			ns := time.Since(t0).Nanoseconds()
+			ns := comm.ClockNS() - t0
 			hist.Record(ns)
 			if live != nil {
 				live.record(ns)
