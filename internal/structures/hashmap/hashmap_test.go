@@ -232,6 +232,10 @@ func TestMapConcurrentMixedWorkload(t *testing.T) {
 	}
 	wg.Wait()
 	c := s.Ctx(0)
+	// Every marker unlinked its node before returning: none lingers.
+	if st := m.Stats(c); st.Unlinks != st.Removes {
+		t.Fatalf("at quiescence unlinks=%d removes=%d, want equal", st.Unlinks, st.Removes)
+	}
 	em.Clear(c)
 	if uaf := s.HeapStats().UAFLoads; uaf != 0 {
 		t.Fatalf("%d use-after-free loads in mixed workload", uaf)
@@ -330,6 +334,11 @@ func TestMapUpsertAlwaysVisible(t *testing.T) {
 		close(stop)
 	}()
 	wg.Wait()
+	// All 400 superseded nodes are unlinked, though nothing but Gets of
+	// the same key ever walked the bucket.
+	if st := m.Stats(s.Ctx(0)); st.Removes != 400 || st.Unlinks != st.Removes {
+		t.Fatalf("stats after 400 replacements = %+v, want 400 removes, each unlinked", st)
+	}
 	em.Clear(s.Ctx(0))
 	if uaf := s.HeapStats().UAFLoads; uaf != 0 {
 		t.Fatalf("%d UAF loads", uaf)

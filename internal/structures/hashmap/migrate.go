@@ -69,17 +69,11 @@ func (m Map[V]) EntryHeat(e int) int64 {
 // so a trace's adopt begin-count equals the returned shard count
 // exactly; the handoff's own duration is on its KindMigrate span.
 func (m Map[V]) Failover(c *pgas.Ctx, dead int) (shards, bytes int64) {
-	sys := c.Sys()
-	var alive []int
-	for l := 0; l < c.NumLocales(); l++ {
-		if l != dead && sys.Alive(l) {
-			alive = append(alive, l)
-		}
-	}
+	alive := survivors(c, dead)
 	if len(alive) == 0 {
 		return 0, 0
 	}
-	tr := sys.Tracer()
+	tr := c.Sys().Tracer()
 	for e := 0; e < m.NumBuckets(); e++ {
 		if owner, _ := m.core.tab.Owner(e); owner != dead {
 			continue
@@ -99,6 +93,17 @@ func (m Map[V]) Failover(c *pgas.Ctx, dead int) (shards, bytes int64) {
 	return shards, bytes
 }
 
+// survivors lists the alive locales other than dead, in locale order.
+func survivors(c *pgas.Ctx, dead int) []int {
+	var alive []int
+	for l := 0; l < c.NumLocales(); l++ {
+		if l != dead && c.Sys().Alive(l) {
+			alive = append(alive, l)
+		}
+	}
+	return alive
+}
+
 // Migrate hands bucket e to locale dst: drain the source's combiner,
 // snapshot the bucket, ship the contents through the bulk framing,
 // swap the slot's list pointer, republish the owner table with a
@@ -110,7 +115,17 @@ func (m Map[V]) Failover(c *pgas.Ctx, dead int) (shards, bytes int64) {
 // Every completed migration books one MigAdopted at the destination
 // (inside the shipped fill op), one MigRetired and the payload's
 // MigBytes at the source — an empty bucket still ships its (empty)
-// fill op, so adopted == retired == migrations exactly.
+// fill op, so adopted == retired == migrations exactly. A handoff
+// abandoned after its fill landed (dst died under it) retires the copy
+// it shipped, so adopted == retired holds there too.
+//
+// A bucket is never left with a dead owner. dst's liveness is checked
+// three times: at entry; under the combiner once the fill has landed
+// (abandon); and after the republish, where a dead dst makes the
+// migrator move the bucket on to a survivor itself. The last closes the
+// race with Failover's sweep: System.Crash and Republish are both
+// atomic stores, so either this check sees the crash, or the republish
+// is visible to any Failover that starts after Crash returned.
 func (m Map[V]) Migrate(c *pgas.Ctx, e, dst int) (bytes int64, ok bool) {
 	if dst < 0 || dst >= c.NumLocales() {
 		return 0, false
@@ -118,7 +133,8 @@ func (m Map[V]) Migrate(c *pgas.Ctx, e, dst int) (bytes int64, ok bool) {
 	// Migrating into a dead locale would strand the bucket: the fill op
 	// would drain to the lost-ops ledger and the republished owner would
 	// never answer. Decline — even from a salvage context.
-	if !c.Sys().Alive(dst) {
+	sys := c.Sys()
+	if !sys.Alive(dst) {
 		return 0, false
 	}
 	src, gen := m.core.tab.Owner(e)
@@ -160,32 +176,35 @@ func (m Map[V]) Migrate(c *pgas.Ctx, e, dst int) (bytes int64, ok bool) {
 			// the combiner (no system quiesce, no foreign combiner taken —
 			// the fill op touches only the still-private fresh list).
 			agg.Flush()
-			if !landed {
-				// dst died between the entry liveness check and the drain:
-				// the fill op was refused into the lost-ops ledger. Abandon
-				// the handoff — the old list stays published, ownership
-				// does not move, and the books stay balanced (no adopt was
-				// counted, so no retire may be either). The private fresh
-				// list is retired so nothing leaks.
+			// The span opens only once the fill has landed, so migration
+			// spans count adopted fills exactly (begins == MigAdopted).
+			var sp trace.Span
+			if tr := sys.Tracer(); tr != nil && landed {
+				sp = tr.Begin(lc.Here(), trace.KindMigrate, lc.TaskID(), lc.Here(), dst, 0, int64(e))
+			}
+			if !landed || !sys.Alive(dst) {
+				// dst died after the entry liveness check. Abandon the
+				// handoff — the old list stays published and ownership
+				// does not move. The private fresh list is retired so
+				// nothing leaks, and the books stay balanced: a fill op
+				// refused into the lost-ops ledger counted no adopt, so
+				// there is no retire either; one that landed before the
+				// crash did, and its copy is what is retired here.
 				m.core.em.Protect(lc, func(tok *epoch.Token) {
 					fresh.Retire(lc, tok)
 				})
-				bytes = 0
+				if landed {
+					sys.Counters().IncMigRetire(lc.Here())
+					sp.EndWith(0, int64(e))
+				}
 				return
-			}
-			// The span opens only once the fill has landed: nothing can
-			// fail past this point, so migration spans count completed
-			// handoffs exactly (begins == MigAdopted).
-			var sp trace.Span
-			if tr := lc.Sys().Tracer(); tr != nil {
-				sp = tr.Begin(lc.Here(), trace.KindMigrate, lc.TaskID(), lc.Here(), dst, 0, int64(e))
 			}
 			slot.list.Store(fresh)
 			m.core.tab.Republish(e, dst)
 			m.core.em.Protect(lc, func(tok *epoch.Token) {
 				old.Retire(lc, tok)
 			})
-			sc := lc.Sys().Counters()
+			sc := sys.Counters()
 			sc.IncMigRetire(lc.Here())
 			sc.IncMigBytes(lc.Here(), bytes)
 			ok = true
@@ -193,7 +212,17 @@ func (m Map[V]) Migrate(c *pgas.Ctx, e, dst int) (bytes int64, ok bool) {
 		})
 	})
 	if !ok {
-		bytes = 0
+		return 0, false
 	}
-	return bytes, ok
+	if !sys.Alive(dst) {
+		// dst died between the check under the combiner and the
+		// republish, and Failover's sweep may already be past e: adopt it
+		// onward from here (outside src's combiner — the next hop takes
+		// dst's). Whichever of the two gets there first wins the
+		// generation check; the other declines.
+		if alive := survivors(c, dst); len(alive) > 0 {
+			m.Migrate(c.Salvage(), e, alive[e%len(alive)])
+		}
+	}
+	return bytes, true
 }

@@ -436,7 +436,14 @@ func TestRebalancedCrashFailoverStorm(t *testing.T) {
 		t.Fatalf("victim tasks abandoned %d ops, want exactly %d (half of each task's budget)",
 			lostBudget.Load(), want)
 	}
-	if shards != int64(victimOwned) {
+	// victimOwned is a sample, not a fence: the one migration the driver
+	// had in flight across the crash republishes after it. Out of the
+	// victim (admitted before the crash), failover finds a shard fewer;
+	// into it (republished in the window after its last liveness check),
+	// the migrator moves the bucket on itself, before or after failover
+	// counted it — a shard fewer or a shard more. What is guaranteed is
+	// asserted below: no entry is left with the victim, books balance.
+	if d := shards - int64(victimOwned); d < -1 || d > 1 {
 		t.Fatalf("failover adopted %d shards, victim owned %d at recovery", shards, victimOwned)
 	}
 	if shards == 0 {
@@ -512,6 +519,73 @@ func TestRebalancedCrashFailoverStorm(t *testing.T) {
 		t.Fatalf("epoch books after crash storm: deferred %d reclaimed %d", st.Deferred, st.Reclaimed)
 	}
 	m.Destroy(c0)
+}
+
+// A locale dies while buckets are being migrated into it. The crash is
+// timed off the adopt counter — the fill op books it as it lands — so
+// round after round it falls inside a handoff: after the fill landed
+// (the handoff is abandoned and its shipped copy retired) or after the
+// liveness check under the combiner (the bucket is republished to the
+// dead locale, and the migrator or the failover sweep moves it on).
+// Once both have returned no bucket is owned by the dead locale, no key
+// is lost and every book balances.
+func TestRebalancedMigrateIntoDyingLocale(t *testing.T) {
+	const locales, buckets, keys, victim, rounds = 4, 8, 64, 2, 100
+	for round := 0; round < rounds; round++ {
+		s := pgas.NewSystem(pgas.Config{Locales: locales, Backend: comm.BackendNone, Seed: 7})
+		c0 := s.Ctx(0)
+		em := epoch.NewEpochManager(c0)
+		m := New[int64](c0, buckets, em)
+		tok := em.Register(c0)
+		for k := uint64(0); k < keys; k++ {
+			m.Insert(c0, tok, k, int64(k))
+		}
+
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mc := s.Ctx(1)
+			for r := 0; r < 2*buckets; r++ {
+				if e := r % buckets; m.EntryOwner(e) != victim {
+					m.Migrate(mc, e, victim)
+				}
+			}
+		}()
+		for s.Counters().Snapshot().MigAdopted < int64(1+round%6) {
+			runtime.Gosched()
+		}
+		if err := s.Crash(victim); err != nil {
+			t.Fatal(err)
+		}
+		sc := c0.Salvage()
+		m.Failover(sc, victim)
+		wg.Wait()
+
+		for e := 0; e < buckets; e++ {
+			if m.EntryOwner(e) == victim {
+				t.Fatalf("round %d: entry %d still owned by dead locale %d", round, e, victim)
+			}
+		}
+		if n := m.Len(c0, tok); n != keys {
+			t.Fatalf("round %d: %d keys after recovery, want %d", round, n, keys)
+		}
+		if snap := s.Counters().Snapshot(); snap.MigAdopted != snap.MigRetired {
+			t.Fatalf("round %d: books unbalanced: adopted %d retired %d", round, snap.MigAdopted, snap.MigRetired)
+		}
+		tok.Unregister(c0)
+		em.ForceRetire(sc, victim)
+		sc.Flush()
+		em.Clear(c0)
+		if st := em.Stats(c0); st.Deferred != st.Reclaimed {
+			t.Fatalf("round %d: epoch books: deferred %d reclaimed %d", round, st.Deferred, st.Reclaimed)
+		}
+		if heap := s.HeapStats(); heap.UAFLoads != 0 || heap.UAFStores != 0 || heap.UAFFrees != 0 {
+			t.Fatalf("round %d: use-after-free: %+v", round, heap)
+		}
+		m.Destroy(c0)
+		s.Shutdown()
+	}
 }
 
 // The migration storm is invisible to the data: a run whose buckets

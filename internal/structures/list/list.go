@@ -50,10 +50,10 @@ type node[V any] struct {
 
 // newNode allocates the cell for (k, v) on the list's home with its
 // successor word already pointing at succ.
-func (l *List[V]) newNode(c *pgas.Ctx, k uint64, v V, succ gas.Addr) gas.Addr {
+func (l *List[V]) newNode(c *pgas.Ctx, k uint64, v V, succ gas.Addr) (gas.Addr, *node[V]) {
 	n := &node[V]{key: k, val: v}
 	n.next.Init(c, l.home, pack(succ, false))
-	return c.AllocOn(l.home, n)
+	return c.AllocOn(l.home, n), n
 }
 
 // List is a distributed sorted lock-free list keyed by uint64. Nodes
@@ -65,7 +65,7 @@ type List[V any] struct {
 
 	inserts   atomic.Int64
 	removes   atomic.Int64
-	unlinks   atomic.Int64 // physical unlinks (may exceed removes via helping)
+	unlinks   atomic.Int64 // physical unlinks: never above removes, equal at quiescence
 	destroyed atomic.Bool
 }
 
@@ -84,36 +84,77 @@ func New[V any](c *pgas.Ctx, home int, em epoch.EpochManager) *List[V] {
 // Manager returns the epoch manager the list reclaims through.
 func (l *List[V]) Manager() epoch.EpochManager { return l.em }
 
-// search locates the window (predWord, curr) such that curr is the
-// first unmarked node with key >= k; it physically unlinks any marked
-// nodes it passes, defer-deleting them (Harris's helping rule). The
+// search walks from the head to the first unmarked node with key >= k
+// — with past set, key > k — and returns the window around it: pred,
+// the word that points at curr; cn, the node at curr (nil at the tail);
+// and next, the unmarked successor word it read for cn, so a caller
+// that goes on to CAS that word need not read it again. It physically
+// unlinks every marked node it passes (Harris's helping rule). The
 // caller must hold a pin.
-func (l *List[V]) search(c *pgas.Ctx, tok *epoch.Token, k uint64) (pred *pgas.Word64, curr gas.Addr, cn *node[V]) {
+func (l *List[V]) search(c *pgas.Ctx, tok *epoch.Token, k uint64, past bool) (pred *pgas.Word64, curr gas.Addr, cn *node[V], next uint64) {
 retry:
 	pred = l.head
 	curr, _ = unpack(pred.Read(c))
-	for {
-		if curr.IsNil() {
-			return pred, curr, nil
-		}
+	for !curr.IsNil() {
 		cn = pgas.MustDeref[*node[V]](c, curr)
-		succ, marked := unpack(cn.next.Read(c))
-		if marked {
-			// Help: physically unlink the marked node.
-			if !pred.CompareAndSwap(c, pack(curr, false), pack(succ, false)) {
+		next = cn.next.Read(c)
+		succ, marked := unpack(next)
+		switch {
+		case marked:
+			if !l.snip(c, tok, pred, curr, succ) {
 				goto retry // window changed; restart from the head
 			}
-			l.unlinks.Add(1)
-			tok.DeferDelete(c, curr)
 			curr = succ
-			continue
+		case cn.key > k || cn.key == k && !past:
+			return pred, curr, cn, next
+		default:
+			pred, curr = &cn.next, succ
 		}
-		if cn.key >= k {
-			return pred, curr, cn
-		}
-		pred = &cn.next
-		curr = succ
 	}
+	return pred, curr, nil, 0
+}
+
+// snip is the physical unlink: it swings pred from the marked node at
+// curr to curr's successor. The CAS succeeds for exactly one task —
+// pred must still be unmarked and still point at curr — and that task
+// books the unlink and owns the node's retirement.
+func (l *List[V]) snip(c *pgas.Ctx, tok *epoch.Token, pred *pgas.Word64, curr, succ gas.Addr) bool {
+	if !pred.CompareAndSwap(c, pack(curr, false), pack(succ, false)) {
+		return false
+	}
+	l.unlinks.Add(1)
+	tok.DeferDelete(c, curr)
+	return true
+}
+
+// deleteNode is both phases of a deletion for the node cn at curr:
+// logical (mark) then physical (unlink + DeferDelete). next is cn's
+// successor word as the caller last read it — the word is read again
+// only after a lost CAS — and pred is the word the caller holds that
+// points at curr. It reports false, having changed nothing, when
+// another task marked the node first; that task owns the deletion.
+//
+// The marker tries the unlink once on the window it already holds
+// (Harris's direct unlink). Only if that CAS loses does it traverse
+// again, and then past cn.key: a node superseded by an Upsert sits
+// behind its unmarked replacement of the same key, where a search that
+// stops at cn.key never arrives. Either way the node is unlinked before
+// deleteNode returns.
+func (l *List[V]) deleteNode(c *pgas.Ctx, tok *epoch.Token, pred *pgas.Word64, curr gas.Addr, cn *node[V], next uint64) bool {
+	for {
+		if next&markBit != 0 {
+			return false
+		}
+		if cn.next.CompareAndSwap(c, next, next|markBit) {
+			break
+		}
+		next = cn.next.Read(c)
+	}
+	l.removes.Add(1)
+	if succ, _ := unpack(next); !l.snip(c, tok, pred, curr, succ) {
+		l.search(c, tok, cn.key, true)
+	}
+	return true
 }
 
 // Insert adds (k, v) if k is absent, reporting whether it inserted.
@@ -121,11 +162,11 @@ func (l *List[V]) Insert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
 	tok.Pin(c)
 	defer tok.Unpin(c)
 	for {
-		pred, curr, cn := l.search(c, tok, k)
+		pred, curr, cn, _ := l.search(c, tok, k, false)
 		if cn != nil && cn.key == k {
 			return false
 		}
-		addr := l.newNode(c, k, v, curr)
+		addr, _ := l.newNode(c, k, v, curr)
 		if pred.CompareAndSwap(c, pack(curr, false), pack(addr, false)) {
 			l.inserts.Add(1)
 			return true
@@ -144,61 +185,35 @@ func (l *List[V]) Upsert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) (replaced
 	tok.Pin(c)
 	defer tok.Unpin(c)
 	for {
-		pred, curr, cn := l.search(c, tok, k)
-		addr := l.newNode(c, k, v, curr)
+		pred, curr, cn, next := l.search(c, tok, k, false)
+		addr, nn := l.newNode(c, k, v, curr)
 		if !pred.CompareAndSwap(c, pack(curr, false), pack(addr, false)) {
 			c.Free(addr)
 			continue
 		}
 		l.inserts.Add(1)
-		if cn != nil && cn.key == k {
-			// Mark the superseded node; search() will unlink it (or we
-			// unlink it here if the window is still quiet).
-			l.markNode(c, tok, curr, cn)
-			return true
+		if cn == nil || cn.key != k {
+			return false
 		}
-		return false
+		// The new node is the superseded one's predecessor now.
+		l.deleteNode(c, tok, &nn.next, curr, cn, next)
+		return true
 	}
 }
 
-// markNode sets the mark bit on a node and attempts the physical
-// unlink from its immediate predecessor word.
-func (l *List[V]) markNode(c *pgas.Ctx, tok *epoch.Token, addr gas.Addr, n *node[V]) {
-	for {
-		succRaw := n.next.Read(c)
-		succ, marked := unpack(succRaw)
-		if marked {
-			return // someone else removed it
-		}
-		if n.next.CompareAndSwap(c, succRaw, pack(succ, true)) {
-			l.removes.Add(1)
-			// Best-effort immediate unlink; search() helps otherwise.
-			l.search(c, tok, n.key)
-			return
-		}
-	}
-}
-
-// Remove deletes k, reporting whether it was present. Deletion is
-// two-phase: logical (mark) then physical (unlink + DeferDelete).
+// Remove deletes k, reporting whether it was present.
 func (l *List[V]) Remove(c *pgas.Ctx, tok *epoch.Token, k uint64) bool {
 	tok.Pin(c)
 	defer tok.Unpin(c)
 	for {
-		_, _, cn := l.search(c, tok, k)
+		pred, curr, cn, next := l.search(c, tok, k, false)
 		if cn == nil || cn.key != k {
 			return false
 		}
-		succRaw := cn.next.Read(c)
-		succ, marked := unpack(succRaw)
-		if marked {
-			continue // concurrently removed; re-search
-		}
-		if cn.next.CompareAndSwap(c, succRaw, pack(succ, true)) {
-			l.removes.Add(1)
-			l.search(c, tok, k) // physical unlink via helping
+		if l.deleteNode(c, tok, pred, curr, cn, next) {
 			return true
 		}
+		// Concurrently removed; re-search.
 	}
 }
 
@@ -217,19 +232,19 @@ retry:
 		curr, _ := unpack(l.head.Read(c))
 		for !curr.IsNil() {
 			cn := pgas.MustDeref[*node[V]](c, curr)
+			if cn.key > k {
+				return v, false // before reading a successor word it would not use
+			}
 			succ, marked := unpack(cn.next.Read(c))
 			if cn.key == k {
 				if marked {
 					// Help unlink it (Harris's rule), then re-traverse:
 					// the retry observes either the Upsert's
 					// replacement node or the completed removal.
-					l.search(c, tok, k)
+					l.search(c, tok, k, false)
 					continue retry
 				}
 				return cn.val, true
-			}
-			if cn.key > k {
-				return v, false
 			}
 			curr = succ
 		}
@@ -306,11 +321,12 @@ func (l *List[V]) Entries(c *pgas.Ctx, tok *epoch.Token) (keys []uint64, vals []
 // and the old one is being unpublished.
 //
 // The caller must hold the list's combiner (no concurrent mutation).
-// Under that serialization no marked node is still linked — a writer's
-// mark is followed by its unlink (or a reader's helping unlink, which
-// defers the node) before the writer's turn ends — so every node seen
-// here is unmarked and this is its only DeferDelete. Marked nodes are
-// skipped defensively: their unlinker owns their retirement.
+// Under that serialization no marked node is still linked: a marker
+// does not return while its node is linked (deleteNode unlinks it
+// through the window it holds, or traverses past the key until it is
+// gone), and whichever task's CAS unlinked it has deferred it. So every
+// node seen here is unmarked and this is its only DeferDelete. Marked
+// nodes are skipped defensively: their unlinker owns their retirement.
 func (l *List[V]) Retire(c *pgas.Ctx, tok *epoch.Token) int {
 	tok.Pin(c)
 	defer tok.Unpin(c)

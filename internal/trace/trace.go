@@ -54,8 +54,9 @@ const (
 	KindEpochReclaim
 	// KindMigrate spans one epoch-coherent bucket handoff on the source
 	// owner: snapshot, ship, republish, retire; bytes is the shipped
-	// payload, arg the bucket index. Recorded only for migrations that
-	// complete, so begin-counts equal the MigAdopted/MigRetired books.
+	// payload, arg the bucket index. Recorded only for migrations whose
+	// fill landed (a handoff abandoned after that ends with zero bytes),
+	// so begin-counts equal the MigAdopted/MigRetired books.
 	KindMigrate
 	// KindReroute is an instant: a routed write found a stale owner
 	// generation and re-dispatched; dst is the current owner, arg the
