@@ -31,7 +31,9 @@
 // -combine enables write absorption (hashmap only): mutations route
 // through the fire-and-forget UpsertAgg/RemoveAgg path, repeat writes
 // to a key absorb inside the source's aggregation buffer before
-// shipping, and the owner drains
+// shipping — writes to keys the source's own locale owns included: they
+// buffer and merge like remote ones and are delivered at the flush
+// without a transfer — and the owner drains
 // deliveries through its flat combiner. The report gains absorbed/
 // enqueued and CAS counters — compare the run phase's shipped-op total
 // with and without it under a hot-set distribution to see the write

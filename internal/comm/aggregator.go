@@ -2,6 +2,8 @@ package comm
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 
 	"gopgas/internal/trace"
 )
@@ -118,16 +120,119 @@ type Aggregator struct {
 	tracer    *trace.Recorder // nil unless SetTracer installed one
 	traceTask uint64
 
-	// idx maps CombineKey → buffer slot per destination, built lazily
-	// when Combine is on and dropped whole at flush (the slots it holds
-	// are positions in the flushed buffer).
-	idx []map[CombineKey]int
+	// idx maps CombineKey → position in bufs[dst], one index per
+	// destination. It fills only under Combine and is cleared at flush:
+	// the positions it holds are positions in the flushed buffer.
+	idx []combineIndex
+}
+
+// combineIndex is one destination's merge index: an open-addressing
+// table with linear probing from CombineKey to the position of the op
+// filed under it. A slot is live while it carries the index's current
+// generation, so reset — every flush — is one increment instead of a
+// sweep or a new table. The table doubles at load ½ (a FlushManual
+// buffer is unbounded) and is kept across flushes.
+type combineIndex struct {
+	slots []combineSlot // len is zero or a power of two
+	shift uint          // 64 - log2(len(slots))
+	n     int           // live slots
+	gen   uint32        // nonzero once there are slots: a zeroed slot is dead
+}
+
+type combineSlot struct {
+	key CombineKey
+	pos int
+	gen uint32
+}
+
+const combineIndexMinSlots = 64
+
+var combineSeed = maphash.MakeSeed()
+
+// home returns the slot key's probe sequence starts at. The hash covers
+// every field: addOp keys differ only in Ref, hashmap keys only in K.
+// The multiplier is 2^64/φ; the slot is the product's top bits.
+func (ix *combineIndex) home(key CombineKey) int {
+	h := key.K + uint64(key.Kind)<<56
+	if key.Ref != nil {
+		h += maphash.Comparable(combineSeed, key.Ref)
+	}
+	return int(h * 0x9E3779B97F4A7C15 >> ix.shift)
+}
+
+// get returns the position filed under key.
+func (ix *combineIndex) get(key CombineKey) (pos int, hit bool) {
+	if ix.n == 0 {
+		return 0, false
+	}
+	mask := len(ix.slots) - 1
+	for i := ix.home(key); ; i = (i + 1) & mask {
+		s := &ix.slots[i]
+		if s.gen != ix.gen {
+			return 0, false
+		}
+		if s.key == key {
+			return s.pos, true
+		}
+	}
+}
+
+// put files pos under key, replacing what was filed there.
+func (ix *combineIndex) put(key CombineKey, pos int) {
+	if 2*(ix.n+1) > len(ix.slots) {
+		ix.grow()
+	}
+	mask := len(ix.slots) - 1
+	for i := ix.home(key); ; i = (i + 1) & mask {
+		s := &ix.slots[i]
+		if s.gen != ix.gen {
+			*s = combineSlot{key: key, pos: pos, gen: ix.gen}
+			ix.n++
+			return
+		}
+		if s.key == key {
+			s.pos = pos
+			return
+		}
+	}
+}
+
+// grow doubles the table and refiles the live slots.
+func (ix *combineIndex) grow() {
+	old, live := ix.slots, ix.gen
+	size := max(2*len(old), combineIndexMinSlots)
+	ix.slots = make([]combineSlot, size)
+	ix.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	ix.n = 0
+	ix.gen = max(live, 1)
+	for i := range old {
+		if old[i].gen == live {
+			ix.put(old[i].key, old[i].pos)
+		}
+	}
+}
+
+// reset empties the index in O(1); only when the generation wraps are
+// the slots swept, so that none left from 2^32 resets ago reads live.
+func (ix *combineIndex) reset() {
+	if ix.n == 0 {
+		return
+	}
+	ix.n = 0
+	if ix.gen++; ix.gen == 0 {
+		clear(ix.slots)
+		ix.gen = 1
+	}
 }
 
 // NewAggregator creates an aggregator for operations issued from
 // locale src toward nDest destinations. Every flush increments the
-// aggregation counters and the (src, dst) matrix cell, charges the
-// bulk-transfer latency from lat, and hands the batch to deliver.
+// aggregation counters and hands the batch to deliver; a flush toward
+// another locale is also one bulk transfer — the bulk counters, the
+// (src, dst) matrix cell and the bulk-transfer latency from lat — while
+// a flush of src's own buffer crosses no wire and books none of those.
+// A delivered batch is the callee's to keep: the aggregator starts a
+// new buffer after every flush and never touches a shipped one again.
 func NewAggregator(src, nDest int, cfg AggConfig, counters *Counters, matrix *Matrix, lat LatencyProfile, deliver func(dst int, batch []Op)) *Aggregator {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultAggCapacity
@@ -142,7 +247,7 @@ func NewAggregator(src, nDest int, cfg AggConfig, counters *Counters, matrix *Ma
 		deliver:  deliver,
 		bufs:     make([][]Op, nDest),
 		bytes:    make([]int64, nDest),
-		idx:      make([]map[CombineKey]int, nDest),
+		idx:      make([]combineIndex, nDest),
 	}
 }
 
@@ -184,10 +289,7 @@ func (a *Aggregator) Enqueue(dst int, op Op) {
 					return
 				}
 			}
-			if a.idx[dst] == nil {
-				a.idx[dst] = make(map[CombineKey]int)
-			}
-			a.idx[dst][key] = len(a.bufs[dst])
+			a.idx[dst].put(key, len(a.bufs[dst]))
 		}
 	}
 	a.bufs[dst] = append(a.bufs[dst], op)
@@ -202,7 +304,7 @@ func (a *Aggregator) Enqueue(dst int, op Op) {
 // only fills under AggConfig.Combine, so with the policy off every
 // lookup misses.
 func (a *Aggregator) buffered(dst int, key CombineKey) *Op {
-	if i, hit := a.idx[dst][key]; hit {
+	if i, hit := a.idx[dst].get(key); hit {
 		return &a.bufs[dst][i]
 	}
 	return nil
@@ -241,7 +343,10 @@ func (a *Aggregator) Pending() int {
 // rides on (an aggregated flush IS a bulk shipment, so scatter-list
 // style assertions keep holding), the matrix attributes it to
 // (src, dst), and the initiating task pays one startup plus per-byte
-// cost for the whole batch. An empty buffer is a no-op.
+// cost for the whole batch. The source's own buffer is delivered without
+// a transfer: the flush is counted (shipped + combined == enqueued holds
+// over every destination) but no bulk counter, matrix cell or delay is.
+// An empty buffer is a no-op.
 func (a *Aggregator) FlushDst(dst int) {
 	batch := a.bufs[dst]
 	if len(batch) == 0 {
@@ -250,24 +355,36 @@ func (a *Aggregator) FlushDst(dst int) {
 	bytes := a.bytes[dst]
 	a.bufs[dst] = nil
 	a.bytes[dst] = 0
-	a.idx[dst] = nil
+	a.idx[dst].reset()
 	var sp trace.Span
 	if a.tracer != nil {
 		sp = a.tracer.Begin(a.src, trace.KindFlush, a.traceTask, a.src, dst, bytes, int64(len(batch)))
 	}
 	a.counters.IncAggFlush(a.src, int64(len(batch)), bytes)
-	a.counters.IncBulk(a.src, bytes)
-	if a.matrix != nil && dst != a.src {
-		a.matrix.Inc(a.src, dst)
+	if dst != a.src {
+		a.counters.IncBulk(a.src, bytes)
+		if a.matrix != nil {
+			a.matrix.Inc(a.src, dst)
+		}
+		a.delay(dst, a.lat.BulkStartupNS+bytes*a.lat.BulkPerByteNS)
 	}
-	a.delay(dst, a.lat.BulkStartupNS+bytes*a.lat.BulkPerByteNS)
 	a.deliver(dst, batch)
 	sp.End()
 }
 
-// Flush ships every non-empty buffer.
+// Flush ships every non-empty buffer and returns with nothing pending.
+// The source's own buffer goes first: its batch runs on the flushing
+// task, and what that enqueues (a cache invalidation behind a delivered
+// write) rides the remote flushes of the same pass. Whatever a delivery
+// still leaves behind takes another pass.
 func (a *Aggregator) Flush() {
-	for dst := range a.bufs {
-		a.FlushDst(dst)
+	n := len(a.bufs)
+	for {
+		for i := 0; i < n; i++ {
+			a.FlushDst((a.src + i) % n)
+		}
+		if a.Pending() == 0 {
+			return
+		}
 	}
 }

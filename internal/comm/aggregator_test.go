@@ -1,6 +1,11 @@
 package comm
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // A capacity-policy aggregator auto-flushes full buffers: 1000 ops to
 // one destination at capacity 256 ship in exactly 4 flushes, each also
@@ -299,4 +304,293 @@ func TestAggregatorDefaultCapacity(t *testing.T) {
 	if a.Capacity() != DefaultAggCapacity {
 		t.Fatalf("capacity = %d, want %d", a.Capacity(), DefaultAggCapacity)
 	}
+}
+
+// The source's own buffer is a destination like any other — it merges,
+// fills, flushes at capacity — except that flushing it crosses no wire:
+// the aggregation counters book the flush so shipped + combined ==
+// enqueued holds over every destination, and nothing else moves.
+func TestAggregatorOwnLocaleFlush(t *testing.T) {
+	const n = 10
+	var c Counters
+	m := NewMatrix(3)
+	ref := new(int)
+	var delivered []Op
+	a := NewAggregator(1, 3, AggConfig{Capacity: 4, Combine: true}, &c, m, DefaultProfile(),
+		func(dst int, batch []Op) {
+			if dst != 1 {
+				t.Fatalf("delivered to %d, want 1", dst)
+			}
+			delivered = append(delivered, batch...)
+		})
+	var delayed int64
+	a.SetDelay(func(_ int, ns int64) { delayed += ns })
+	for i := 0; i < n; i++ {
+		a.Enqueue(1, Op{Bytes: 16, Exec: &lastOp{ref: ref, k: 7, v: int64(i)}})
+	}
+	if a.PendingTo(1) != 1 || a.Pending() != 1 || len(delivered) != 0 {
+		t.Fatalf("before flush: pending %d, delivered %d, want 1 buffered", a.Pending(), len(delivered))
+	}
+	if got := a.Buffered(1, (&lastOp{ref: ref, k: 7}).CombineKey()); got == nil {
+		t.Fatal("Buffered missed the own-locale buffer")
+	}
+	a.Flush()
+	if len(delivered) != 1 || delivered[0].Exec.(*lastOp).v != n-1 {
+		t.Fatalf("delivered %v, want the last write alone", delivered)
+	}
+	// The Buffered hit above stood in for one more enqueue.
+	want := Snapshot{AggFlushes: 1, AggOps: 1, AggOpsEnq: n + 1, AggCombined: n, AggBytes: 16}
+	if s := c.Snapshot(); s != want || s.Remote() != 0 {
+		t.Fatalf("counters = %+v (remote %d), want %+v", s, s.Remote(), want)
+	}
+	for src, row := range m.Snapshot() {
+		for dst, v := range row {
+			if v != 0 {
+				t.Fatalf("matrix[%d][%d] = %d after an own-locale flush", src, dst, v)
+			}
+		}
+	}
+	if delayed != 0 {
+		t.Fatalf("own-locale flush charged %d ns", delayed)
+	}
+
+	// Distinct keys fill the buffer and flush it at capacity, still free.
+	c.Reset()
+	for k := uint64(0); k < 9; k++ {
+		a.Enqueue(1, Op{Bytes: 16, Exec: &lastOp{ref: ref, k: k}})
+	}
+	want = Snapshot{AggFlushes: 2, AggOps: 8, AggOpsEnq: 9, AggBytes: 128}
+	if s := c.Snapshot(); s != want || a.PendingTo(1) != 1 || delayed != 0 {
+		t.Fatalf("capacity flushes: counters %+v, pending %d, delayed %d; want %+v, 1, 0", s, a.PendingTo(1), delayed, want)
+	}
+}
+
+// Flush returns with nothing pending even when deliveries enqueue: the
+// own-locale batch runs first, so what it enqueues toward other locales
+// rides the same pass, and what a later delivery leaves behind takes
+// another.
+func TestAggregatorFlushLeavesNothingPending(t *testing.T) {
+	var c Counters
+	var a *Aggregator
+	var order []int
+	second := false
+	a = NewAggregator(2, 4, AggConfig{}, &c, nil, Zero(), func(dst int, batch []Op) {
+		order = append(order, dst)
+		switch {
+		case dst == 2 && !second:
+			// An owner-side effect of the local batch: one op toward
+			// every other locale, the shape of a cache invalidation.
+			for l := 0; l < 4; l++ {
+				if l != 2 {
+					a.Enqueue(l, Op{Bytes: 8})
+				}
+			}
+		case dst == 1 && !second:
+			second = true
+			a.Enqueue(2, Op{Bytes: 8}) // lands behind the pass's cursor
+		}
+	})
+	a.Enqueue(2, Op{Bytes: 16})
+	a.Enqueue(3, Op{Bytes: 16})
+	a.Flush()
+	if a.Pending() != 0 {
+		t.Fatalf("Flush left %d ops pending", a.Pending())
+	}
+	if want := []int{2, 3, 0, 1, 2}; !slices.Equal(order, want) {
+		t.Fatalf("deliveries went %v, want %v", order, want)
+	}
+	// Locale 3's two ops shared one transfer; the own-locale ones took none.
+	want := Snapshot{AggFlushes: 5, AggOps: 6, AggOpsEnq: 6, AggBytes: 16 + 24 + 8 + 8 + 8, BulkXfers: 3, BulkBytes: 24 + 8 + 8}
+	if s := c.Snapshot(); s != want {
+		t.Fatalf("counters = %+v, want %+v", s, want)
+	}
+}
+
+// ixModel drives a combineIndex and the map it replaced through the same
+// calls; check compares the two whole, not the key last touched.
+type ixModel struct {
+	t   testing.TB
+	ix  combineIndex
+	ref map[CombineKey]int
+}
+
+func newIxModel(t testing.TB, gen uint32) *ixModel {
+	return &ixModel{t: t, ix: combineIndex{gen: gen}, ref: make(map[CombineKey]int)}
+}
+
+func (m *ixModel) put(key CombineKey, pos int) {
+	m.ix.put(key, pos)
+	m.ref[key] = pos
+}
+
+func (m *ixModel) get(key CombineKey) {
+	m.t.Helper()
+	pos, hit := m.ix.get(key)
+	want, wantHit := m.ref[key]
+	if hit != wantHit || hit && pos != want {
+		m.t.Fatalf("get(%+v) = (%d, %v), want (%d, %v)", key, pos, hit, want, wantHit)
+	}
+}
+
+func (m *ixModel) reset() {
+	m.ix.reset()
+	clear(m.ref)
+}
+
+func (m *ixModel) check() {
+	m.t.Helper()
+	if m.ix.n != len(m.ref) {
+		m.t.Fatalf("index holds %d keys, want %d", m.ix.n, len(m.ref))
+	}
+	if 2*m.ix.n > len(m.ix.slots) {
+		m.t.Fatalf("load above 1/2: %d keys in %d slots", m.ix.n, len(m.ix.slots))
+	}
+	live := 0
+	for _, s := range m.ix.slots {
+		if s.gen == m.ix.gen {
+			live++
+		}
+	}
+	if live != m.ix.n {
+		m.t.Fatalf("%d slots carry the live generation, want %d", live, m.ix.n)
+	}
+	for key := range m.ref {
+		m.get(key)
+	}
+}
+
+// longestProbe is the most slots any filed key's lookup visits.
+func (m *ixModel) longestProbe() int {
+	longest, mask := 0, len(m.ix.slots)-1
+	for key := range m.ref {
+		n := 1
+		for i := m.ix.home(key); m.ix.slots[i].key != key; i = (i + 1) & mask {
+			n++
+		}
+		longest = max(longest, n)
+	}
+	return longest
+}
+
+var ixRefs = [4]*int{nil, new(int), new(int), new(int)}
+
+// ixScript decodes script three bytes at a time into put/get/reset calls
+// over keys that collide in every pair of fields, checking the whole
+// index against the reference after every reset and at the end.
+func ixScript(t testing.TB, gen uint32, script []byte) {
+	m := newIxModel(t, gen)
+	for i := 0; i+2 < len(script); i += 3 {
+		op, a, b := script[i], script[i+1], script[i+2]
+		key := CombineKey{Kind: a >> 2 & 3, K: uint64(a>>4)<<8 | uint64(b)}
+		if r := ixRefs[a&3]; r != nil { // a nil *int in Ref is not a nil Ref
+			key.Ref = r
+		}
+		switch {
+		case op < 160:
+			m.put(key, i)
+		case op < 250:
+			m.get(key)
+		default:
+			m.check()
+			m.reset()
+		}
+	}
+	m.check()
+}
+
+func ixSeedScripts() [][]byte {
+	rng := rand.New(rand.NewSource(22))
+	long := make([]byte, 3*20000)
+	rng.Read(long)
+	return [][]byte{
+		nil,
+		{0, 0, 0, 200, 0, 0, 255, 0, 0, 200, 0, 0},                 // put, hit, reset, miss
+		{0, 1, 5, 0, 2, 5, 0, 4, 5, 0, 5, 5, 200, 1, 5, 200, 6, 5}, // keys apart only in Ref, only in Kind
+		long,
+	}
+}
+
+// combineIndex against the map[CombineKey]int it replaced.
+func TestCombineIndexMatchesMap(t *testing.T) {
+	for _, gen := range []uint32{0, 1, math.MaxUint32 - 2} {
+		for _, script := range ixSeedScripts() {
+			ixScript(t, gen, script)
+		}
+	}
+
+	t.Run("keys apart only in Ref", func(t *testing.T) {
+		// addOp's keys: K and Kind equal, a thousand words. A hash that
+		// skipped Ref would chain them into one thousand-slot probe.
+		m := newIxModel(t, 0)
+		for i := 0; i < 1000; i++ {
+			m.put(CombineKey{Kind: 1, Ref: new(int)}, i)
+		}
+		m.check()
+		if got := m.longestProbe(); got > 64 {
+			t.Fatalf("longest probe over 1000 refs at K == 0 is %d slots", got)
+		}
+	})
+	t.Run("keys apart only in K", func(t *testing.T) {
+		m := newIxModel(t, 0)
+		for k := 0; k < 1000; k++ {
+			m.put(CombineKey{Kind: 3, Ref: ixRefs[1], K: uint64(k)}, k)
+		}
+		m.check()
+		if got := m.longestProbe(); got > 8 {
+			t.Fatalf("longest probe over 1000 consecutive K is %d slots", got)
+		}
+	})
+	t.Run("keys apart only in Kind", func(t *testing.T) {
+		m := newIxModel(t, 0)
+		for kind := 0; kind < 256; kind++ {
+			m.put(CombineKey{Kind: uint8(kind), Ref: ixRefs[1], K: 7}, kind)
+		}
+		m.check()
+	})
+	t.Run("growth without a reset", func(t *testing.T) {
+		m := newIxModel(t, 0)
+		for k := 0; k < 12000; k++ {
+			m.put(CombineKey{Ref: ixRefs[k&3], K: uint64(k)}, k)
+			if k&1023 == 0 {
+				m.check()
+			}
+		}
+		for k := 0; k < 12000; k += 7 {
+			m.put(CombineKey{Ref: ixRefs[k&3], K: uint64(k)}, -k) // refile, no growth
+		}
+		m.check()
+		if m.ix.n != 12000 {
+			t.Fatalf("index holds %d keys, want 12000", m.ix.n)
+		}
+	})
+	t.Run("reset cycles across the generation wrap", func(t *testing.T) {
+		m := newIxModel(t, math.MaxUint32-500)
+		slots := 0
+		for cycle := 0; cycle < 1000; cycle++ {
+			for k := 0; k < 20; k++ {
+				m.put(CombineKey{Ref: ixRefs[1], K: uint64(cycle*7 + k)}, k)
+			}
+			m.get(CombineKey{Ref: ixRefs[1], K: uint64(cycle*7 - 1)}) // last cycle's, gone
+			m.check()
+			m.reset()
+			m.check()
+			if cycle == 0 {
+				slots = len(m.ix.slots)
+			}
+		}
+		if m.ix.gen == 0 || m.ix.gen > 500 {
+			t.Fatalf("generation %d after 1000 resets from MaxUint32-500: no wrap past zero", m.ix.gen)
+		}
+		if len(m.ix.slots) != slots {
+			t.Fatalf("table went from %d to %d slots over reset cycles", slots, len(m.ix.slots))
+		}
+	})
+}
+
+func FuzzCombineIndex(f *testing.F) {
+	for _, script := range ixSeedScripts() {
+		f.Add(uint32(0), script)
+		f.Add(uint32(math.MaxUint32-1), script)
+	}
+	f.Fuzz(func(t *testing.T, gen uint32, script []byte) { ixScript(t, gen, script) })
 }

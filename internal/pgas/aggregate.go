@@ -17,9 +17,16 @@ import (
 // capacity. One flush costs one bulk transfer instead of one round
 // trip per operation.
 //
-// Operations destined for the task's own locale execute inline
-// immediately (as `on here` is elided), so callers can aggregate
-// uniformly without special-casing locality.
+// Callers aggregate uniformly without special-casing locality. Toward
+// the task's own locale, Call, CallSized and Free execute inline
+// immediately (as `on here` is elided): nothing about them can merge, so
+// buffering would only defer. Mergeable operations (CallCombinable, and
+// Put and Add, which ride it) do the same while the system's
+// AggConfig.Combine is off; with it on they buffer toward the own locale
+// like toward any other, because what absorption saves is the owner-side
+// work of the writes that never apply, and that costs the same whichever
+// locale issued them. The own-locale buffer flushes on the same triggers
+// and executes on the task's own Ctx; only the transfer is elided.
 
 // Modelled payload sizes, in bytes, of the buffered operation kinds.
 // They keep BulkBytes meaningful: a Free ships one address, the others
@@ -46,6 +53,15 @@ func newAggregator(c *Ctx) *Aggregator {
 	a.agg = comm.NewAggregator(c.here.id, len(s.locales), s.cfg.Agg,
 		&s.counters, s.matrix, s.cfg.Latency,
 		func(dst int, batch []comm.Op) {
+			// The task's own locale: no wire, so nothing to admit and
+			// no context to borrow — the batch runs where an inline
+			// local call would have.
+			if dst == c.here.id {
+				for _, op := range batch {
+					execOp(c, op)
+				}
+				return
+			}
 			// The batch executes on the destination, as if the flush
 			// were one on-statement carrying the whole scatter list.
 			// The destination context is scoped to the batch, so it
@@ -126,14 +142,17 @@ type CombinableCall interface {
 
 // CallCombinable buffers op for deferred execution on the destination
 // locale, exposing its merge surface to the aggregator. bytes is the
-// modelled wire size (clamped up to the plain Call size). A local
-// destination executes inline immediately, mirroring Call — absorption
-// never applies locally because there is no wire to absorb from.
+// modelled wire size (clamped up to the plain Call size). With the
+// Combine policy off a local destination executes inline immediately,
+// mirroring Call: nothing can merge. With it on the op is buffered
+// whatever the destination, so a hot key's writes absorb on the locale
+// that owns it too; the task's own later reads see the write once the
+// buffer has flushed, as they do for every other destination.
 func (b AggBuffer) CallCombinable(bytes int64, op CombinableCall) {
 	if bytes < aggCallBytes {
 		bytes = aggCallBytes
 	}
-	if b.dst == b.a.c.here.id {
+	if b.dst == b.a.c.here.id && !b.a.c.sys.cfg.Agg.Combine {
 		op.Exec(b.a.c)
 		return
 	}
@@ -143,9 +162,8 @@ func (b AggBuffer) CallCombinable(bytes int64, op CombinableCall) {
 // Buffered returns the combinable call this task already holds in its
 // buffer for the destination under key, so the caller can merge a later
 // write into it before building anything (see comm.Aggregator.Buffered
-// for what a hit books). It returns nil on a miss, with the Combine
-// policy off, and always for the local destination, whose calls
-// execute inline and are never buffered.
+// for what a hit books). It returns nil on a miss and with the Combine
+// policy off; the task's own locale is a destination like any other.
 func (b AggBuffer) Buffered(key comm.CombineKey) comm.CombinableOp {
 	return b.a.agg.Buffered(b.dst, key)
 }

@@ -1,6 +1,7 @@
 package pgas
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -107,7 +108,9 @@ func TestFlushLosesNothing(t *testing.T) {
 }
 
 // Aggregated operations destined for the task's own locale execute
-// inline with zero communication, like an elided `on here`.
+// inline with zero communication, like an elided `on here` — all of
+// them while the Combine policy is off (the system here), the
+// unmergeable ones always (TestOwnLocaleCombinableOpsBuffer).
 func TestLocalOpsExecuteInline(t *testing.T) {
 	s := newAggTestSystem(t, 2)
 	s.Run(func(c *Ctx) {
@@ -129,6 +132,57 @@ func TestLocalOpsExecuteInline(t *testing.T) {
 		}
 		if d.Remote() != 0 || d.AggFlushes != 0 {
 			t.Fatalf("local aggregation communicated: %v", d)
+		}
+	})
+}
+
+// Under the Combine policy a mergeable op toward the task's own locale
+// buffers and merges like one toward any other: it lands at flush, on
+// the task's own Ctx, and the flush is booked as a flush and as nothing
+// else — no transfer, no matrix cell. Call and Free still run inline.
+func TestOwnLocaleCombinableOpsBuffer(t *testing.T) {
+	s := NewSystem(Config{Locales: 2, Backend: comm.BackendNone, Agg: comm.AggConfig{Combine: true}})
+	defer s.Shutdown()
+	s.Run(func(c *Ctx) {
+		type obj struct{ v int }
+		w := NewWord64(c, 0, 0)
+		a, gone := c.Alloc(&obj{1}), c.Alloc(&obj{0})
+		before, beforeM := s.Counters().Snapshot(), s.Matrix().Snapshot()
+		buf := c.Aggregator(0)
+		for i := 1; i <= 5; i++ {
+			buf.Add(w, uint64(i))
+		}
+		for v := 2; v <= 4; v++ {
+			buf.Put(a, &obj{v})
+		}
+		ran := false
+		buf.Call(func(tc *Ctx) { ran = tc == c })
+		buf.Free(gone)
+		if !ran || buf.Freed() != 1 {
+			t.Fatalf("own-locale Call ran inline on the task's Ctx: %v, Free freed %d; want true, 1", ran, buf.Freed())
+		}
+		if got := MustDeref[*obj](c, a); w.v.Load() != 0 || got.v != 1 {
+			t.Fatalf("before flush: word %d, object %d; want 0 and 1, both writes still buffered", w.v.Load(), got.v)
+		}
+		if buf.Pending() != 2 || c.PendingOps() != 2 {
+			t.Fatalf("before flush: %d ops buffered (%d on the task), want the 2 the writes merged into", buf.Pending(), c.PendingOps())
+		}
+		want := comm.Snapshot{AggOpsEnq: 8, AggCombined: 6}
+		if d := s.Counters().Snapshot().Sub(before); d != want {
+			t.Fatalf("before flush: counters %+v, want %+v", d, want)
+		}
+		c.Flush()
+		if got := MustDeref[*obj](c, a); w.v.Load() != 15 || got.v != 4 {
+			t.Fatalf("after flush: word %d, object %d; want the sum 15 and the last store 4", w.v.Load(), got.v)
+		}
+		// One flush of two ops; the merged add is the one local atomic.
+		want = comm.Snapshot{AggOpsEnq: 8, AggCombined: 6, AggOps: 2, AggFlushes: 1, AggBytes: aggAddBytes + aggPutBytes, LocalAMOs: 1}
+		d := s.Counters().Snapshot().Sub(before)
+		if d != want || d.Remote() != 0 || c.PendingOps() != 0 {
+			t.Fatalf("after flush: counters %+v (remote %d, pending %d), want %+v", d, d.Remote(), c.PendingOps(), want)
+		}
+		if m := s.Matrix().Snapshot(); !reflect.DeepEqual(m, beforeM) {
+			t.Fatalf("own-locale flush moved the matrix: %v -> %v", beforeM, m)
 		}
 	})
 }

@@ -287,3 +287,51 @@ func TestMapCacheCoherentUnderRoutedWrites(t *testing.T) {
 	}
 	m.Destroy(c0)
 }
+
+// Ctx.Flush leaves nothing pending when an own-locale delivery enqueues
+// on the flushing task's own buffers. Through a cached handle, a
+// combined write of a key the writer's locale owns applies at the flush,
+// on the writer's Ctx, and its invalidations land in that same task's
+// buffers toward every other locale — behind the flush's cursor for the
+// lower-numbered ones unless the own-locale buffer goes first. One Flush
+// must ship them too: every replica then re-fetches the new value.
+func TestCachedOwnLocaleAggWriteFlushesItsInvalidations(t *testing.T) {
+	const locales = 4
+	s := pgas.NewSystem(pgas.Config{Locales: locales, Backend: comm.BackendNone, Agg: comm.AggConfig{Combine: true}})
+	defer s.Shutdown()
+	c0 := s.Ctx(0)
+	em := epoch.NewEpochManager(c0)
+	m := New[int64](c0, 16, em).Cached(c0, 16)
+	c := s.Ctx(locales - 2) // has both lower- and higher-numbered neighbours
+	own := keyHomedOn(m, c.Here())
+	em.Protect(c, func(tok *epoch.Token) { m.Upsert(c, tok, own, 1) })
+	c.Flush()
+	readAll := func(want int64) {
+		t.Helper()
+		c0.CoforallLocales(func(lc *pgas.Ctx) {
+			em.Protect(lc, func(tok *epoch.Token) {
+				if v, ok := m.Get(lc, tok, own); !ok || v != want {
+					t.Errorf("locale %d reads (%d, %v) through its cache, want (%d, true)", lc.Here(), v, ok, want)
+				}
+			})
+		})
+	}
+	readAll(1) // every replica now holds the old value
+
+	before := s.Counters().Snapshot()
+	m.UpsertAgg(c, own, 2)
+	if c.PendingOps() != 1 {
+		t.Fatalf("%d ops pending after one own-locale UpsertAgg, want 1", c.PendingOps())
+	}
+	c.Flush()
+	if c.PendingOps() != 0 {
+		t.Fatalf("Flush left %d ops pending", c.PendingOps())
+	}
+	// One flush of the write, then one per other locale carrying its
+	// invalidation — in the same pass, so exactly locales-1 transfers.
+	d := s.Counters().Snapshot().Sub(before)
+	if d.AggFlushes != locales || d.BulkXfers != locales-1 || d.AggOps != locales || d.AggOps+d.AggCombined != d.AggOpsEnq {
+		t.Fatalf("counters %+v, want %d flushes of one op each, %d of them transfers", d, locales, locales-1)
+	}
+	readAll(2)
+}

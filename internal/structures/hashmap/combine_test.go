@@ -8,6 +8,7 @@ import (
 	"gopgas/internal/comm"
 	"gopgas/internal/core/epoch"
 	"gopgas/internal/pgas"
+	"gopgas/internal/structures/list"
 )
 
 // runCombineStorm drives a seeded aggregated write storm — every task
@@ -98,12 +99,21 @@ func TestMapCombineEquivalence(t *testing.T) {
 	}
 }
 
+// keyHomedOn returns the smallest key whose bucket locale loc owns.
+func keyHomedOn[V any](m Map[V], loc int) uint64 {
+	k := uint64(0)
+	for m.HomeOf(k) != loc {
+		k++
+	}
+	return k
+}
+
 // An absorbed write costs the host nothing: with combining on, a
 // fire-and-forget write toward a remote owner whose key is already in
 // the task's buffer merges into the buffered op before anything is
 // built, and the lookup's key boxes for free. The counters book the
 // merge exactly as an absorbed Enqueue would be, and a write to a
-// locally owned key applies inline as before.
+// locally owned key lands at the same flush.
 func TestAbsorbedAggWriteZeroAlloc(t *testing.T) {
 	s := pgas.NewSystem(pgas.Config{
 		Locales: 2,
@@ -114,13 +124,7 @@ func TestAbsorbedAggWriteZeroAlloc(t *testing.T) {
 	c := s.Ctx(0)
 	em := epoch.NewEpochManager(c)
 	m := New[int64](c, 16, em)
-	remote, local := uint64(0), uint64(0)
-	for m.HomeOf(remote) != 1 {
-		remote++
-	}
-	for m.HomeOf(local) != 0 {
-		local++
-	}
+	remote, local := keyHomedOn(m, 1), keyHomedOn(m, 0)
 
 	before := s.Counters().Snapshot()
 	m.UpsertAgg(c, remote, 1) // the op every later write merges into
@@ -144,7 +148,7 @@ func TestAbsorbedAggWriteZeroAlloc(t *testing.T) {
 		t.Errorf("%d ops buffered toward the owner, want the 1 they merged into", n)
 	}
 	m.UpsertAgg(c, remote, 7) // last writer wins over the removes
-	m.UpsertAgg(c, local, 9)  // local owner: applied inline, never buffered
+	m.UpsertAgg(c, local, 9)  // local owner: buffered like the remote one
 	c.Flush()
 	tok := em.Register(c)
 	if v, ok := m.Get(c, tok, remote); !ok || v != 7 {
@@ -158,4 +162,107 @@ func TestAbsorbedAggWriteZeroAlloc(t *testing.T) {
 	if d.AggOps+d.AggCombined != d.AggOpsEnq {
 		t.Errorf("shipped+combined != enqueued across the flush: %+v", d)
 	}
+}
+
+// Absorption depends on the key, not on where the key lives: with
+// combining on, N fire-and-forget writes of a key the writing locale
+// owns buffer and merge like remote ones — nothing reaches the bucket's
+// list before the flush, one write does after it, and the flush is
+// booked as a flush and nothing else (no transfer, no matrix cell, no
+// remote event). With combining off nothing can merge, so each write
+// still applies inline and books nothing.
+func TestOwnLocaleAggWritesAbsorb(t *testing.T) {
+	const locales, n = 4, 10
+	boot := func(t *testing.T, combine bool) (*pgas.System, *pgas.Ctx, epoch.EpochManager, Map[int64], uint64) {
+		s := pgas.NewSystem(pgas.Config{Locales: locales, Backend: comm.BackendNone, Agg: comm.AggConfig{Combine: combine}})
+		t.Cleanup(s.Shutdown)
+		em := epoch.NewEpochManager(s.Ctx(0))
+		m := New[int64](s.Ctx(0), 16, em)
+		c := s.Ctx(2)
+		return s, c, em, m, keyHomedOn(m, c.Here())
+	}
+	get := func(c *pgas.Ctx, em epoch.EpochManager, m Map[int64], k uint64) (v int64, ok bool) {
+		em.Protect(c, func(tok *epoch.Token) { v, ok = m.Get(c, tok, k) })
+		return v, ok
+	}
+	matrixUnmoved := func(t *testing.T, s *pgas.System, before [][]int64) {
+		t.Helper()
+		if after := s.Matrix().Snapshot(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("own-locale writes moved the matrix: %v -> %v", before, after)
+		}
+	}
+
+	t.Run("combine on: one write survives", func(t *testing.T) {
+		s, c, em, m, own := boot(t, true)
+		before, beforeM := s.Counters().Snapshot(), s.Matrix().Snapshot()
+		for i := 1; i <= n; i++ {
+			m.UpsertAgg(c, own, int64(i))
+		}
+		if p := c.Aggregator(c.Here()).Pending(); p != 1 || c.PendingOps() != 1 {
+			t.Fatalf("before flush: %d ops in the own-locale buffer, %d on the task; want 1 and 1", p, c.PendingOps())
+		}
+		if st := m.Stats(c); st != (list.Stats{}) {
+			t.Fatalf("before flush: list stats %+v, want none — nothing applied yet", st)
+		}
+		want := comm.Snapshot{AggOpsEnq: n, AggCombined: n - 1}
+		if d := s.Counters().Snapshot().Sub(before); d != want {
+			t.Fatalf("before flush: counters %+v, want %+v", d, want)
+		}
+		c.Flush()
+		if st := m.Stats(c); st != (list.Stats{Inserts: 1}) {
+			t.Fatalf("after flush: list stats %+v, want one insert", st)
+		}
+		want = comm.Snapshot{AggOpsEnq: n, AggCombined: n - 1, AggOps: 1, AggFlushes: 1, AggBytes: mapWriteBytes,
+			LocalAMOs: 2, CASAttempts: 1}
+		d := s.Counters().Snapshot().Sub(before)
+		if d != want || d.Remote() != 0 || c.PendingOps() != 0 {
+			t.Fatalf("after flush: counters %+v (remote %d, pending %d), want %+v", d, d.Remote(), c.PendingOps(), want)
+		}
+		matrixUnmoved(t, s, beforeM)
+		if v, ok := get(c, em, m, own); !ok || v != n {
+			t.Fatalf("key reads (%d, %v), want the last write (%d, true)", v, ok, n)
+		}
+	})
+
+	t.Run("combine on: a remove absorbs the upsert before it", func(t *testing.T) {
+		s, c, em, m, own := boot(t, true)
+		before, beforeM := s.Counters().Snapshot(), s.Matrix().Snapshot()
+		m.UpsertAgg(c, own, 1)
+		m.RemoveAgg(c, own)
+		c.Flush()
+		d := s.Counters().Snapshot().Sub(before)
+		if d.AggOpsEnq != 2 || d.AggCombined != 1 || d.AggOps != 1 || d.AggFlushes != 1 || d.BulkXfers != 0 || d.Remote() != 0 {
+			t.Fatalf("counters %+v, want 2 enqueued, 1 combined, 1 shipped in 1 flush and no transfer", d)
+		}
+		matrixUnmoved(t, s, beforeM)
+		if st := m.Stats(c); st != (list.Stats{}) {
+			t.Fatalf("list stats %+v, want none: the surviving remove found nothing", st)
+		}
+		if v, ok := get(c, em, m, own); ok {
+			t.Fatalf("key reads (%d, true), want absent", v)
+		}
+	})
+
+	t.Run("combine off: every write applies inline", func(t *testing.T) {
+		s, c, em, m, own := boot(t, false)
+		before, beforeM := s.Counters().Snapshot(), s.Matrix().Snapshot()
+		for i := 1; i <= n; i++ {
+			m.UpsertAgg(c, own, int64(i))
+			if v, ok := get(c, em, m, own); !ok || v != int64(i) || c.PendingOps() != 0 {
+				t.Fatalf("write %d: key reads (%d, %v) with %d ops pending, want it applied inline", i, v, ok, c.PendingOps())
+			}
+		}
+		d := s.Counters().Snapshot().Sub(before)
+		// Locale-local list work is all that may have moved.
+		d.LocalAMOs, d.CASAttempts = 0, 0
+		if d != (comm.Snapshot{}) {
+			t.Fatalf("inline writes booked aggregation or communication: %+v", d)
+		}
+		matrixUnmoved(t, s, beforeM)
+		// Each upsert after the first replaces: insert the new node, mark
+		// and unlink the old one.
+		if st := m.Stats(c); st != (list.Stats{Inserts: n, Removes: n - 1, Unlinks: n - 1}) {
+			t.Fatalf("list stats %+v, want %d inserts and %d replaced nodes", st, n, n-1)
+		}
+	})
 }

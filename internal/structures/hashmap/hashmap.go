@@ -405,7 +405,9 @@ func (o *writeOp[V]) applyOwned(tc *pgas.Ctx, t *table[V]) {
 // capacity, or at Ctx.Flush), under a destination-local epoch token,
 // serialized through the owner replica's flat combiner. Under the
 // system's AggConfig.Combine policy, repeated writes to one key
-// collapse to the last buffered one before the wire. Use Upsert when
+// collapse to the last buffered one before they ship — a key the
+// caller's own locale owns included: it buffers like any other and is
+// not visible to the caller before the flush either. Use Upsert when
 // the replaced verdict or immediate visibility matters.
 //
 // A write that raced a migration — sampled the old owner, delivered

@@ -60,8 +60,9 @@ func (q Sharded[T]) EnqueueBulk(c *pgas.Ctx, tok *epoch.Token, vals []T) {
 // token) when the buffer flushes — at capacity, or at Ctx.Flush. Use
 // it to feed a consumer's locale from a producer elsewhere; no caller
 // token is needed. A remote batch is not visible until the flush; a
-// batch for the caller's own locale executes inline immediately, as
-// aggregated local operations always do.
+// batch for the caller's own locale executes inline immediately unless
+// the system's AggConfig.Combine is on, when it buffers and merges like
+// a remote one.
 func (q Sharded[T]) EnqueueBulkOn(c *pgas.Ctx, owner int, vals []T) {
 	if len(vals) == 0 {
 		return

@@ -56,8 +56,9 @@ func (s Sharded[T]) PushBulk(c *pgas.Ctx, tok *epoch.Token, vals []T) {
 // owner (a locale-local PushBulk under a destination-local token) when
 // the buffer flushes — at capacity, or at Ctx.Flush. No caller token
 // is needed. A remote batch is not visible until the flush; a batch
-// for the caller's own locale executes inline immediately, as
-// aggregated local operations always do.
+// for the caller's own locale executes inline immediately unless the
+// system's AggConfig.Combine is on, when it buffers and merges like a
+// remote one.
 func (s Sharded[T]) PushBulkOn(c *pgas.Ctx, owner int, vals []T) {
 	if len(vals) == 0 {
 		return

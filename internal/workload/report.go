@@ -205,15 +205,25 @@ func (r *Report) Invariants() []Invariant {
 
 	a, faults := r.Availability, r.Spec.Faults
 	var agg struct{ Shipped, Combined, Enqueued int64 }
+	var mig struct{ Adopted, Retired int64 }
+	var delay struct{ WaitNS, ModelledNS int64 }
 	for _, p := range r.Phases {
 		agg.Shipped += p.Comm.AggOps
 		agg.Combined += p.Comm.AggCombined
 		agg.Enqueued += p.Comm.AggOpsEnq
+		mig.Adopted += p.Comm.MigAdopted
+		mig.Retired += p.Comm.MigRetired
+		delay.WaitNS += p.DelayWaitNS
+		delay.ModelledNS += p.ModelledNS
 	}
 	// A dying locale's tasks abandon their buffers unflushed, so a crash
 	// may leave enqueued ahead of shipped + combined, never behind.
 	sent := agg.Shipped + agg.Combined
 	add("shipped + combined == enqueued", sent == agg.Enqueued || a != nil && a.Crashes > 0 && sent < agg.Enqueued, agg)
+	add("adopted == retired", mig.Adopted == mig.Retired, mig)
+	// Judged over the whole run: a wait that straddles a phase boundary
+	// is charged in one phase and finished in the next.
+	add("delay_wait_ns >= modelled_ns", delay.WaitNS >= delay.ModelledNS, delay)
 	if a != nil {
 		wedged := slices.ContainsFunc(faults.Crashes, func(cr CrashSpec) bool { return !cr.Failover })
 		if len(faults.Crashes) > 0 && !wedged {

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"gopgas/internal/comm"
+	"gopgas/internal/core/epoch"
+	"gopgas/internal/pgas"
+	"gopgas/internal/structures/hashmap"
 )
 
 // violated returns the names of the invariants a report breaks.
@@ -26,8 +29,8 @@ func TestInvariantsNameTheViolation(t *testing.T) {
 	clean := func() *Report {
 		return &Report{
 			Phases: []PhaseReport{
-				{Comm: comm.Snapshot{AggOps: 5, AggCombined: 3, AggOpsEnq: 8}},
-				{Comm: comm.Snapshot{AggOps: 2, AggOpsEnq: 2}},
+				{Comm: comm.Snapshot{AggOps: 5, AggCombined: 3, AggOpsEnq: 8, MigAdopted: 2, MigRetired: 1}, ModelledNS: 900, DelayWaitNS: 800},
+				{Comm: comm.Snapshot{AggOps: 2, AggOpsEnq: 2, MigRetired: 1}, ModelledNS: 100, DelayWaitNS: 200},
 			},
 			Epoch: EpochReport{Deferred: 7, Reclaimed: 7},
 			Trace: &TraceReport{Balanced: true},
@@ -54,6 +57,12 @@ func TestInvariantsNameTheViolation(t *testing.T) {
 			r.Spec.Faults, r.Availability = failover, &AvailabilityReport{Crashes: 1, Recovered: true}
 			r.Phases[1].Comm.AggOps++
 		}, []string{"shipped + combined == enqueued"}},
+		{"a shard adopted and never retired", func(r *Report) { r.Phases[1].Comm.MigAdopted++ }, []string{"adopted == retired"}},
+		{"a shard retired twice", func(r *Report) { r.Phases[0].Comm.MigRetired++ }, []string{"adopted == retired"}},
+		{"a wait that straddles a phase boundary balances over the run", func(r *Report) {
+			r.Phases[0].DelayWaitNS, r.Phases[1].DelayWaitNS = 0, 1000
+		}, nil},
+		{"a charge nobody waited for", func(r *Report) { r.Phases[1].ModelledNS++ }, []string{"delay_wait_ns >= modelled_ns"}},
 		{"failover asked for, not recovered", func(r *Report) {
 			r.Spec.Faults, r.Availability = failover, &AvailabilityReport{Crashes: 1}
 		}, []string{"crash failover recovered"}},
@@ -74,5 +83,57 @@ func TestInvariantsNameTheViolation(t *testing.T) {
 		if got := violated(r); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: violated %q, want %q", c.name, got, c.want)
 		}
+	}
+}
+
+// The crash drill for the own-locale buffer: under combining a task's
+// writes to keys its own locale owns sit in its buffer like any others,
+// so a task that dies with its locale — exits without flushing, as
+// runTask does — abandons them too. They never apply, the books end
+// with shipped + combined < enqueued, and the invariant list holds that
+// in its crash form only.
+func TestCrashAbandonsOwnLocaleBuffer(t *testing.T) {
+	const writes = 5
+	sys := pgas.NewSystem(pgas.Config{Locales: 3, Backend: comm.BackendNone, Agg: comm.AggConfig{Combine: true}})
+	defer sys.Shutdown()
+	c0 := sys.Ctx(0)
+	em := epoch.NewEpochManager(c0)
+	m := hashmap.New[int64](c0, 16, em)
+	c := sys.Ctx(2)
+	own := uint64(0)
+	for m.HomeOf(own) != c.Here() {
+		own++
+	}
+	for i := 1; i <= writes; i++ {
+		m.UpsertAgg(c, own, int64(i))
+	}
+	if c.PendingOps() != 1 {
+		t.Fatalf("%d ops buffered before the crash, want the 1 the writes merged into", c.PendingOps())
+	}
+	if err := sys.Crash(c.Here()); err != nil {
+		t.Fatal(err)
+	}
+	// The task is gone: no Flush. What it had buffered is lost with it.
+	em.Protect(c0, func(tok *epoch.Token) {
+		if v, ok := m.Get(c0, tok, own); ok {
+			t.Errorf("abandoned write applied: key reads (%d, true)", v)
+		}
+	})
+	snap := sys.Counters().Snapshot()
+	if snap.AggOpsEnq != writes || snap.AggCombined != writes-1 || snap.AggOps != 0 || snap.AggFlushes != 0 {
+		t.Fatalf("aggregator books %+v, want %d enqueued, %d combined, none shipped", snap, writes, writes-1)
+	}
+
+	rep := &Report{
+		Spec:         Spec{Faults: Faults{Crashes: []CrashSpec{{Locale: 2}}}},
+		Phases:       []PhaseReport{{Comm: snap}},
+		Availability: &AvailabilityReport{Crashes: 1, OpsLost: snap.OpsLost},
+	}
+	if got := violated(rep); got != nil {
+		t.Fatalf("crashed run violated %q", got)
+	}
+	rep.Spec.Faults, rep.Availability = Faults{}, nil
+	if got, want := violated(rep), []string{"shipped + combined == enqueued"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("the same books without a crash violated %q, want %q", got, want)
 	}
 }
