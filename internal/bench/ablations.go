@@ -27,24 +27,12 @@ import (
 // whole story of Section II.A.
 func AblationCompression(cfg Config) Figure {
 	totalOps := cfg.ops(1 << 13)
-	panel := Panel{Title: "CAS+Read mix by representation (ugni)", XLabel: "Locales"}
-	modes := []struct {
-		label string
-		mode  atomics.Mode
-	}{
-		{"compressed (RDMA)", atomics.ModeCompressed},
-		{"wide (DCAS fallback)", atomics.ModeWide},
-		{"descriptor (RDMA+indirection)", atomics.ModeDescriptor},
-	}
-	for _, m := range modes {
-		s := Series{Label: m.label}
-		for _, locales := range cfg.localeSweep(2) {
-			sys := cfg.newSystem(locales, comm.BackendUGNI)
-			var secs float64
-			var snap comm.Snapshot
-			sys.Run(func(c *pgas.Ctx) {
-				opt := atomics.Options{Mode: m.mode}
-				if m.mode == atomics.ModeDescriptor {
+	mix := func(mode atomics.Mode) runFunc {
+		return func(locales int) (Point, verdict) {
+			return cfg.measure(machine{locales: locales, backend: comm.BackendUGNI}, func(tr *trial) {
+				c := tr.c
+				opt := atomics.Options{Mode: mode}
+				if mode == atomics.ModeDescriptor {
 					opt.Table = atomics.NewDescriptorTable(c)
 				}
 				cells := make([]*atomics.AtomicObject, fig3Cells)
@@ -54,7 +42,7 @@ func AblationCompression(cfg Config) Figure {
 					objs[i] = c.AllocOn(i%locales, &workerState{v: i})
 					cells[i].Write(c, objs[i])
 				}
-				secs, snap = timed(sys, func() {
+				tr.timed(func() {
 					pgas.ForallCyclic(c, totalOps, cfg.TasksPerLocale, nil,
 						func(tc *pgas.Ctx, _ struct{}, i int) {
 							cell := cells[tc.RandIntn(fig3Cells)]
@@ -67,17 +55,16 @@ func AblationCompression(cfg Config) Figure {
 						}, nil)
 				})
 			})
-			sys.Shutdown()
-			s.Points = append(s.Points, Point{X: locales, Seconds: secs, Comm: snap})
-			cfg.progressf("ablA %-30s locales=%-3d %8.4fs  [%v]\n", m.label, locales, secs, snap)
 		}
-		panel.Series = append(panel.Series, s)
 	}
 	return Figure{
 		ID:      "A1",
 		Title:   "Ablation: pointer compression vs DCAS fallback vs descriptor table",
 		Caption: "Compression keeps CAS on the NIC; the wide fallback demotes every operation to remote execution; descriptors restore the NIC at the price of resolution GETs.",
-		Panels:  []Panel{panel},
+		Panels: []Panel{cfg.sweep("CAS+Read mix by representation (ugni)", "Locales", cfg.localeSweep(2),
+			arm{"compressed (RDMA)", "ablA compressed", mix(atomics.ModeCompressed)},
+			arm{"wide (DCAS fallback)", "ablA wide", mix(atomics.ModeWide)},
+			arm{"descriptor (RDMA+indirection)", "ablA descriptor", mix(atomics.ModeDescriptor)})},
 	}
 }
 
@@ -87,40 +74,30 @@ func AblationCompression(cfg Config) Figure {
 // round trip record-wrapping eliminates.
 func AblationPrivatization(cfg Config) Figure {
 	iters := cfg.ops(1 << 13)
-	panel := Panel{Title: "Pin/unpin loop (none backend)", XLabel: "Locales"}
-
-	priv := Series{Label: "privatized (epoch cache)"}
-	naive := Series{Label: "unprivatized (remote epoch read per pin)"}
-	for _, locales := range cfg.localeSweep(1) {
-		// Privatized: the real EpochManager path.
-		p := cfg.best(func() Point { return cfg.runPinUnpin(locales, iters, comm.BackendNone) })
-		priv.Points = append(priv.Points, p)
-		cfg.progressf("ablB privatized   locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-
-		// Naive: every pin performs a remote read of the global epoch.
-		sys := cfg.newSystem(locales, comm.BackendNone)
-		var secs float64
-		var snap comm.Snapshot
-		sys.Run(func(c *pgas.Ctx) {
-			global := pgas.NewWord64(c, 0, 1)
-			secs, snap = timed(sys, func() {
-				pgas.ForallCyclic(c, iters, cfg.TasksPerLocale, nil,
+	// Privatized: the real EpochManager path.
+	privatized := func(locales int) (Point, verdict) {
+		return cfg.runPinUnpin(locales, iters, comm.BackendNone)
+	}
+	// Naive: every pin performs a remote read of the global epoch.
+	naive := func(locales int) (Point, verdict) {
+		return cfg.measure(machine{locales: locales}, func(tr *trial) {
+			global := pgas.NewWord64(tr.c, 0, 1)
+			tr.timed(func() {
+				pgas.ForallCyclic(tr.c, iters, cfg.TasksPerLocale, nil,
 					func(tc *pgas.Ctx, _ struct{}, i int) {
 						global.Read(tc) // "pin": fetch the epoch remotely
 						_ = i           // "unpin": store is local either way
 					}, nil)
 			})
 		})
-		sys.Shutdown()
-		naive.Points = append(naive.Points, Point{X: locales, Seconds: secs, Comm: snap})
-		cfg.progressf("ablB unprivatized locales=%-3d %8.4fs  [%v]\n", locales, secs, snap)
 	}
-	panel.Series = []Series{priv, naive}
 	return Figure{
 		ID:      "A2",
 		Title:   "Ablation: privatization",
-		Caption: "The privatized manager pins against a locale-local cache (zero communication); without privatization every pin is a remote epoch read that serializes on locale 0's progress workers.",
-		Panels:  []Panel{panel},
+		Caption: "The privatized manager pins against a locale-local cache (zero communication); without privatization every pin is a remote epoch read that queues for one of locale 0's handler slots.",
+		Panels: []Panel{cfg.sweep("Pin/unpin loop (none backend)", "Locales", cfg.localeSweep(1),
+			arm{"privatized (epoch cache)", "ablB privatized", privatized},
+			arm{"unprivatized (remote epoch read per pin)", "ablB unprivatized", naive})},
 	}
 }
 
@@ -128,38 +105,29 @@ func AblationPrivatization(cfg Config) Figure {
 // against freeing each remote object with an individual RPC.
 func AblationScatter(cfg Config) Figure {
 	numObjects := cfg.ops(1 << 12)
-	panel := Panel{Title: "Reclaiming 100% remote objects", XLabel: "Locales"}
-	scatter := Series{Label: "scatter lists (bulk)"}
-	rpc := Series{Label: "per-object RPC"}
-	for _, locales := range cfg.localeSweep(2) {
-		// Scatter: the real manager path, reclamation at the end.
-		p := cfg.best(func() Point { return cfg.runDeletion(locales, numObjects, 100, 0, comm.BackendNone) })
-		scatter.Points = append(scatter.Points, p)
-		cfg.progressf("ablC scatter locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-
-		// Naive: free each remote object individually.
-		sys := cfg.newSystem(locales, comm.BackendNone)
-		var secs float64
-		var snap comm.Snapshot
-		sys.Run(func(c *pgas.Ctx) {
-			objs := buildObjs(c, numObjects, 100)
-			secs, snap = timed(sys, func() {
-				pgas.ForallCyclic(c, numObjects, cfg.TasksPerLocale, nil,
+	// Scatter: the real manager path, reclamation at the end.
+	scatter := func(locales int) (Point, verdict) {
+		return cfg.runDeletion(locales, numObjects, 100, 0, comm.BackendNone)
+	}
+	// Naive: free each remote object individually.
+	rpc := func(locales int) (Point, verdict) {
+		return cfg.measure(machine{locales: locales}, func(tr *trial) {
+			objs := buildObjs(tr.c, numObjects, 100)
+			tr.timed(func() {
+				pgas.ForallCyclic(tr.c, numObjects, cfg.TasksPerLocale, nil,
 					func(tc *pgas.Ctx, _ struct{}, i int) {
 						tc.Free(objs[i])
 					}, nil)
 			})
 		})
-		sys.Shutdown()
-		rpc.Points = append(rpc.Points, Point{X: locales, Seconds: secs, Comm: snap})
-		cfg.progressf("ablC rpc     locales=%-3d %8.4fs  [%v]\n", locales, secs, snap)
 	}
-	panel.Series = []Series{scatter, rpc}
 	return Figure{
 		ID:      "A3",
 		Title:   "Ablation: scatter lists",
 		Caption: "Sorting dead objects by owner turns N remote frees into one bulk transfer per (source, destination) locale pair.",
-		Panels:  []Panel{panel},
+		Panels: []Panel{cfg.sweep("Reclaiming 100% remote objects", "Locales", cfg.localeSweep(2),
+			arm{"scatter lists (bulk)", "ablC scatter", scatter},
+			arm{"per-object RPC", "ablC rpc", rpc})},
 	}
 }
 
@@ -170,81 +138,67 @@ func AblationScatter(cfg Config) Figure {
 // so the measured difference is retries under contention.
 func AblationLimboPush(cfg Config) Figure {
 	totalOps := cfg.ops(1 << 15)
-	panel := Panel{Title: "Concurrent push of preallocated nodes (1 locale)", XLabel: "Tasks"}
-	exch := Series{Label: "wait-free exchange (Listing 2)"}
-	casLoop := Series{Label: "lock-free CAS loop"}
 
 	type pushNode struct {
 		next gas.Addr
 	}
-	runVariant := func(tasks int, useExchange bool) Point {
-		sys := cfg.newSystem(1, comm.BackendNone)
-		defer sys.Shutdown()
-		var secs float64
-		var snap comm.Snapshot
-		sys.Run(func(c *pgas.Ctx) {
-			// Exchange push needs no ABA stamp (no read-modify window);
-			// the CAS loop reads the head and must detect recycling, so
-			// it carries the stamp — each mechanism with its natural
-			// protection, as in the paper.
-			exHead := atomics.NewLocal(0, false)
-			casHead := atomics.NewLocal(0, true)
-			per := totalOps / tasks
-			nodes := make([][]gas.Addr, tasks)
-			for t := 0; t < tasks; t++ {
-				for i := 0; i < per; i++ {
-					nodes[t] = append(nodes[t], c.Alloc(&pushNode{}))
+	push := func(useExchange bool) runFunc {
+		return func(tasks int) (Point, verdict) {
+			return cfg.measure(machine{locales: 1}, func(tr *trial) {
+				c := tr.c
+				// Exchange push needs no ABA stamp (no read-modify window);
+				// the CAS loop reads the head and must detect recycling, so
+				// it carries the stamp — each mechanism with its natural
+				// protection, as in the paper.
+				exHead := atomics.NewLocal(0, false)
+				casHead := atomics.NewLocal(0, true)
+				per := totalOps / tasks
+				nodes := make([][]gas.Addr, tasks)
+				for t := 0; t < tasks; t++ {
+					for i := 0; i < per; i++ {
+						nodes[t] = append(nodes[t], c.Alloc(&pushNode{}))
+					}
 				}
-			}
-			secs, snap = timed(sys, func() {
-				c.Coforall(tasks, func(tc *pgas.Ctx, t int) {
-					if useExchange {
+				tr.timed(func() {
+					c.Coforall(tasks, func(tc *pgas.Ctx, t int) {
+						if useExchange {
+							for _, addr := range nodes[t] {
+								n := pgas.MustDeref[*pushNode](tc, addr)
+								old := exHead.Exchange(addr)
+								n.next = old
+							}
+							return
+						}
 						for _, addr := range nodes[t] {
 							n := pgas.MustDeref[*pushNode](tc, addr)
-							old := exHead.Exchange(addr)
-							n.next = old
-						}
-						return
-					}
-					for _, addr := range nodes[t] {
-						n := pgas.MustDeref[*pushNode](tc, addr)
-						for {
-							top := casHead.ReadABA()
-							n.next = top.Object()
-							if casHead.CompareAndSwapABA(top, addr) {
-								break
+							for {
+								top := casHead.ReadABA()
+								n.next = top.Object()
+								if casHead.CompareAndSwapABA(top, addr) {
+									break
+								}
 							}
 						}
-					}
+					})
 				})
 			})
-		})
-		return Point{X: tasks, Seconds: secs, Comm: snap}
+		}
 	}
-
-	for _, tasks := range cfg.taskSweep() {
-		p := cfg.best(func() Point { return runVariant(tasks, true) })
-		exch.Points = append(exch.Points, p)
-		cfg.progressf("ablD exchange tasks=%-3d %8.4fs\n", tasks, p.Seconds)
-
-		p = cfg.best(func() Point { return runVariant(tasks, false) })
-		casLoop.Points = append(casLoop.Points, p)
-		cfg.progressf("ablD casloop  tasks=%-3d %8.4fs\n", tasks, p.Seconds)
-	}
-	panel.Series = []Series{exch, casLoop}
 	return Figure{
 		ID:      "A4",
 		Title:   "Ablation: wait-free limbo push vs CAS loop",
 		Caption: "Listing 2's single-exchange push never retries; a CAS-loop push retries under contention. Node handling is identical on both sides.",
-		Panels:  []Panel{panel},
+		Panels: []Panel{cfg.sweep("Concurrent push of preallocated nodes (1 locale)", "Tasks", cfg.taskSweep(),
+			arm{"wait-free exchange (Listing 2)", "ablD exchange", push(true)},
+			arm{"lock-free CAS loop", "ablD casloop", push(false)})},
 	}
 }
 
 // AblationAggregation compares direct per-operation dispatch against
 // the aggregation layer on two workloads. Panel 1: remote network-
 // atomic increments on the none backend — the direct path pays one AM
-// round trip per increment (serialized by the target's progress
-// workers), the aggregated path buffers fire-and-forget adds and
+// round trip per increment (each taking one of the target's handler
+// slots), the aggregated path buffers fire-and-forget adds and
 // flushes in the task epilogue, paying one bulk transfer per batch.
 // Panel 2: producers on every locale feeding one queue — per-op
 // Enqueue pays one remote allocation RPC per element, EnqueueBulk
@@ -257,104 +211,76 @@ func AblationAggregation(cfg Config) Figure {
 	totalOps := cfg.ops(1 << 13)
 	const batchLen = 64
 
-	incPanel := Panel{Title: "Remote increments: direct AM vs aggregated (none)", XLabel: "Locales"}
-	runInc := func(locales int, aggregated bool) Point {
-		sys := cfg.newSystem(locales, comm.BackendNone)
-		defer sys.Shutdown()
-		var secs float64
-		var snap comm.Snapshot
-		sys.Run(func(c *pgas.Ctx) {
-			words := make([]*pgas.Word64, locales)
-			for l := range words {
-				words[l] = pgas.NewWord64(c, l, 0)
-			}
-			secs, snap = timed(sys, func() {
-				pgas.ForallCyclic(c, totalOps, cfg.TasksPerLocale, nil,
-					func(tc *pgas.Ctx, _ struct{}, i int) {
-						dst := tc.RandIntn(locales)
-						if aggregated {
-							tc.Aggregator(dst).Add(words[dst], 1)
-						} else {
-							words[dst].Add(tc, 1)
-						}
-					},
-					func(tc *pgas.Ctx, _ struct{}) {
-						tc.Flush() // drain the task's buffers in the epilogue
-					})
+	inc := func(aggregated bool) runFunc {
+		return func(locales int) (Point, verdict) {
+			return cfg.measure(machine{locales: locales}, func(tr *trial) {
+				words := make([]*pgas.Word64, locales)
+				for l := range words {
+					words[l] = pgas.NewWord64(tr.c, l, 0)
+				}
+				tr.timed(func() {
+					pgas.ForallCyclic(tr.c, totalOps, cfg.TasksPerLocale, nil,
+						func(tc *pgas.Ctx, _ struct{}, i int) {
+							dst := tc.RandIntn(locales)
+							if aggregated {
+								tc.Aggregator(dst).Add(words[dst], 1)
+							} else {
+								words[dst].Add(tc, 1)
+							}
+						},
+						func(tc *pgas.Ctx, _ struct{}) {
+							tc.Flush() // drain the task's buffers in the epilogue
+						})
+				})
 			})
-		})
-		return Point{X: locales, Seconds: secs, Comm: snap}
+		}
 	}
 
-	queuePanel := Panel{Title: "Queue producers: per-op vs bulk enqueue (none)", XLabel: "Locales"}
-	runQueue := func(locales int, bulk bool) Point {
-		sys := cfg.newSystem(locales, comm.BackendNone)
-		defer sys.Shutdown()
-		var secs float64
-		var snap comm.Snapshot
-		sys.Run(func(c *pgas.Ctx) {
-			em := epoch.NewEpochManager(c)
-			q := queue.New[int](c, 0, em)
-			per := totalOps / locales
-			if per < 1 {
-				per = 1
-			}
-			secs, snap = timed(sys, func() {
-				c.CoforallLocales(func(lc *pgas.Ctx) {
-					em.Protect(lc, func(tok *epoch.Token) {
-						if !bulk {
+	produce := func(bulk bool) runFunc {
+		return func(locales int) (Point, verdict) {
+			return cfg.measure(machine{locales: locales}, func(tr *trial) {
+				em := tr.epochs()
+				q := queue.New[int](tr.c, 0, em)
+				per := max(totalOps/locales, 1)
+				tr.timed(func() {
+					tr.c.CoforallLocales(func(lc *pgas.Ctx) {
+						em.Protect(lc, func(tok *epoch.Token) {
+							if !bulk {
+								for i := 0; i < per; i++ {
+									q.Enqueue(lc, tok, i)
+								}
+								return
+							}
+							batch := make([]int, 0, batchLen)
 							for i := 0; i < per; i++ {
-								q.Enqueue(lc, tok, i)
+								batch = append(batch, i)
+								if len(batch) == batchLen {
+									q.EnqueueBulk(lc, tok, batch)
+									batch = batch[:0]
+								}
 							}
-							return
-						}
-						batch := make([]int, 0, batchLen)
-						for i := 0; i < per; i++ {
-							batch = append(batch, i)
-							if len(batch) == batchLen {
+							if len(batch) > 0 {
 								q.EnqueueBulk(lc, tok, batch)
-								batch = batch[:0]
 							}
-						}
-						if len(batch) > 0 {
-							q.EnqueueBulk(lc, tok, batch)
-						}
+						})
 					})
 				})
 			})
-			em.Clear(c)
-		})
-		return Point{X: locales, Seconds: secs, Comm: snap}
+		}
 	}
 
-	direct := Series{Label: "direct (per-op round trips)"}
-	agged := Series{Label: "aggregated (batched flushes)"}
-	perOp := Series{Label: "per-op enqueue"}
-	bulkEnq := Series{Label: "bulk enqueue (64/batch)"}
-	for _, locales := range cfg.localeSweep(2) {
-		p := cfg.best(func() Point { return runInc(locales, false) })
-		direct.Points = append(direct.Points, p)
-		cfg.progressf("ablF direct     locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-
-		p = cfg.best(func() Point { return runInc(locales, true) })
-		agged.Points = append(agged.Points, p)
-		cfg.progressf("ablF aggregated locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-
-		p = cfg.best(func() Point { return runQueue(locales, false) })
-		perOp.Points = append(perOp.Points, p)
-		cfg.progressf("ablF enqueue    locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-
-		p = cfg.best(func() Point { return runQueue(locales, true) })
-		bulkEnq.Points = append(bulkEnq.Points, p)
-		cfg.progressf("ablF enqBulk    locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-	}
-	incPanel.Series = []Series{direct, agged}
-	queuePanel.Series = []Series{perOp, bulkEnq}
 	return Figure{
 		ID:      "A6",
 		Title:   "Ablation: direct vs aggregated remote-op dispatch",
 		Caption: "Aggregation buffers small remote operations per destination and ships each buffer as one bulk transfer: per-op round-trip latency becomes per-batch latency, and the comm counters drop from O(ops) round trips to O(flushes) bulk transfers.",
-		Panels:  []Panel{incPanel, queuePanel},
+		Panels: []Panel{
+			cfg.sweep("Remote increments: direct AM vs aggregated (none)", "Locales", cfg.localeSweep(2),
+				arm{"direct (per-op round trips)", "ablF direct", inc(false)},
+				arm{"aggregated (batched flushes)", "ablF aggregated", inc(true)}),
+			cfg.sweep("Queue producers: per-op vs bulk enqueue (none)", "Locales", cfg.localeSweep(2),
+				arm{"per-op enqueue", "ablF enqueue", produce(false)},
+				arm{"bulk enqueue (64/batch)", "ablF enqBulk", produce(true)}),
+		},
 	}
 }
 
@@ -373,153 +299,96 @@ func AblationAggregation(cfg Config) Figure {
 func AblationSharding(cfg Config) Figure {
 	perLocale := cfg.ops(1 << 9) // weak scaling: per-locale work is constant
 
-	queuePanel := Panel{Title: "Queue enq+deq per locale: single-home vs sharded (none)", XLabel: "Locales"}
-	runQueue := func(locales int, sharded bool) Point {
-		sys := cfg.newSystem(locales, comm.BackendNone)
-		defer sys.Shutdown()
-		var pt Point
-		sys.Run(func(c *pgas.Ctx) {
-			em := epoch.NewEpochManager(c)
-			var enq func(lc *pgas.Ctx, tok *epoch.Token, v int)
-			var deq func(lc *pgas.Ctx, tok *epoch.Token)
-			if sharded {
-				q := queue.NewSharded[int](c, em)
-				enq = func(lc *pgas.Ctx, tok *epoch.Token, v int) { q.Enqueue(lc, tok, v) }
-				deq = func(lc *pgas.Ctx, tok *epoch.Token) { q.Dequeue(lc, tok) }
-			} else {
-				q := queue.New[int](c, 0, em)
-				enq = func(lc *pgas.Ctx, tok *epoch.Token, v int) { q.Enqueue(lc, tok, v) }
-				deq = func(lc *pgas.Ctx, tok *epoch.Token) { q.Dequeue(lc, tok) }
-			}
-			pt.Seconds, pt.Comm, pt.Matrix, pt.MaxInbound = timedMatrix(sys, func() {
-				c.CoforallLocales(func(lc *pgas.Ctx) {
-					em.Protect(lc, func(tok *epoch.Token) {
-						for i := 0; i < perLocale; i++ {
-							enq(lc, tok, i)
-						}
-						for i := 0; i < perLocale; i++ {
-							deq(lc, tok)
-						}
-					})
-				})
-			})
-			em.Clear(c)
-		})
-		pt.X = locales
-		return pt
-	}
-
-	stackPanel := Panel{Title: "Stack push+pop per locale: single-home vs sharded (none)", XLabel: "Locales"}
-	runStack := func(locales int, sharded bool) Point {
-		sys := cfg.newSystem(locales, comm.BackendNone)
-		defer sys.Shutdown()
-		var pt Point
-		sys.Run(func(c *pgas.Ctx) {
-			em := epoch.NewEpochManager(c)
-			var push func(lc *pgas.Ctx, tok *epoch.Token, v int)
-			var pop func(lc *pgas.Ctx, tok *epoch.Token)
-			if sharded {
-				st := stack.NewSharded[int](c, em)
-				push = func(lc *pgas.Ctx, tok *epoch.Token, v int) { st.Push(lc, tok, v) }
-				pop = func(lc *pgas.Ctx, tok *epoch.Token) { st.Pop(lc, tok) }
-			} else {
-				st := stack.New[int](c, 0, em)
-				push = func(lc *pgas.Ctx, tok *epoch.Token, v int) { st.Push(lc, tok, v) }
-				pop = func(lc *pgas.Ctx, tok *epoch.Token) { st.Pop(lc, tok) }
-			}
-			pt.Seconds, pt.Comm, pt.Matrix, pt.MaxInbound = timedMatrix(sys, func() {
-				c.CoforallLocales(func(lc *pgas.Ctx) {
-					em.Protect(lc, func(tok *epoch.Token) {
-						for i := 0; i < perLocale; i++ {
-							push(lc, tok, i)
-						}
-						for i := 0; i < perLocale; i++ {
-							pop(lc, tok)
-						}
-					})
-				})
-			})
-			em.Clear(c)
-		})
-		pt.X = locales
-		return pt
-	}
-
-	mapPanel := Panel{Title: "Hashmap gets: locale-local vs random buckets (none)", XLabel: "Locales"}
-	runMap := func(locales int, localOnly bool) Point {
-		sys := cfg.newSystem(locales, comm.BackendNone)
-		defer sys.Shutdown()
-		var pt Point
-		sys.Run(func(c *pgas.Ctx) {
-			em := epoch.NewEpochManager(c)
-			m := hashmap.New[int](c, 8*locales, em)
-			keys := make([]hashmap.KV[int], 32*locales)
-			for k := range keys {
-				keys[k] = hashmap.KV[int]{K: uint64(k), V: k}
-			}
-			m.InsertBulk(c, keys)
-			// Sequential per-locale windows keep the counter deltas
-			// attributable; the claim is volume, not wall time.
-			pt.Seconds, pt.Comm, pt.Matrix, pt.MaxInbound = timedMatrix(sys, func() {
-				for l := 0; l < locales; l++ {
-					lc := sys.Ctx(l)
-					em.Protect(lc, func(tok *epoch.Token) {
-						for rep := 0; rep < 4; rep++ {
-							for k := range keys {
-								if localOnly && m.HomeOf(uint64(k)) != l {
-									continue
-								}
-								m.Get(lc, tok, uint64(k))
+	// The queue and stack panels run one fill-then-drain loop; an arm
+	// builds its container on locale 0's task and hands back the
+	// insert and remove methods.
+	type (
+		putFn  = func(*pgas.Ctx, *epoch.Token, int)
+		takeFn = func(*pgas.Ctx, *epoch.Token) (int, bool)
+	)
+	fillDrain := func(build func(*pgas.Ctx, epoch.EpochManager) (putFn, takeFn)) runFunc {
+		return func(locales int) (Point, verdict) {
+			return cfg.measure(machine{locales: locales, matrix: true}, func(tr *trial) {
+				em := tr.epochs()
+				put, take := build(tr.c, em)
+				tr.timed(func() {
+					tr.c.CoforallLocales(func(lc *pgas.Ctx) {
+						em.Protect(lc, func(tok *epoch.Token) {
+							for i := 0; i < perLocale; i++ {
+								put(lc, tok, i)
 							}
-						}
+							for i := 0; i < perLocale; i++ {
+								take(lc, tok)
+							}
+						})
 					})
-				}
+				})
 			})
-			em.Clear(c)
-		})
-		pt.X = locales
-		return pt
+		}
+	}
+	singleQueue := func(c *pgas.Ctx, em epoch.EpochManager) (putFn, takeFn) {
+		q := queue.New[int](c, 0, em)
+		return q.Enqueue, q.Dequeue
+	}
+	shardedQueue := func(c *pgas.Ctx, em epoch.EpochManager) (putFn, takeFn) {
+		q := queue.NewSharded[int](c, em)
+		return q.Enqueue, q.Dequeue
+	}
+	singleStack := func(c *pgas.Ctx, em epoch.EpochManager) (putFn, takeFn) {
+		st := stack.New[int](c, 0, em)
+		return st.Push, st.Pop
+	}
+	shardedStack := func(c *pgas.Ctx, em epoch.EpochManager) (putFn, takeFn) {
+		st := stack.NewSharded[int](c, em)
+		return st.Push, st.Pop
 	}
 
-	singleQ := Series{Label: "single-home queue"}
-	shardQ := Series{Label: "owner-sharded queue"}
-	singleS := Series{Label: "single-home stack"}
-	shardS := Series{Label: "owner-sharded stack"}
-	localM := Series{Label: "local buckets (HomeOf-routed)"}
-	randM := Series{Label: "random buckets"}
-	for _, locales := range cfg.localeSweep(2) {
-		p := cfg.best(func() Point { return runQueue(locales, false) })
-		singleQ.Points = append(singleQ.Points, p)
-		cfg.progressf("ablG queue single  locales=%-3d %8.4fs  hotCol=%-8d [%v]\n", locales, p.Seconds, p.MaxInbound, p.Comm)
-
-		p = cfg.best(func() Point { return runQueue(locales, true) })
-		shardQ.Points = append(shardQ.Points, p)
-		cfg.progressf("ablG queue sharded locales=%-3d %8.4fs  hotCol=%-8d [%v]\n", locales, p.Seconds, p.MaxInbound, p.Comm)
-
-		p = cfg.best(func() Point { return runStack(locales, false) })
-		singleS.Points = append(singleS.Points, p)
-		cfg.progressf("ablG stack single  locales=%-3d %8.4fs  hotCol=%-8d [%v]\n", locales, p.Seconds, p.MaxInbound, p.Comm)
-
-		p = cfg.best(func() Point { return runStack(locales, true) })
-		shardS.Points = append(shardS.Points, p)
-		cfg.progressf("ablG stack sharded locales=%-3d %8.4fs  hotCol=%-8d [%v]\n", locales, p.Seconds, p.MaxInbound, p.Comm)
-
-		p = cfg.best(func() Point { return runMap(locales, true) })
-		localM.Points = append(localM.Points, p)
-		cfg.progressf("ablG map local     locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-
-		p = cfg.best(func() Point { return runMap(locales, false) })
-		randM.Points = append(randM.Points, p)
-		cfg.progressf("ablG map random    locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
+	gets := func(localOnly bool) runFunc {
+		return func(locales int) (Point, verdict) {
+			return cfg.measure(machine{locales: locales, matrix: true}, func(tr *trial) {
+				em := tr.epochs()
+				m := hashmap.New[int](tr.c, 8*locales, em)
+				keys := make([]hashmap.KV[int], 32*locales)
+				for k := range keys {
+					keys[k] = hashmap.KV[int]{K: uint64(k), V: k}
+				}
+				m.InsertBulk(tr.c, keys)
+				// Sequential per-locale windows keep the counter deltas
+				// attributable; the claim is volume, not wall time.
+				tr.timed(func() {
+					for l := 0; l < locales; l++ {
+						lc := tr.sys.Ctx(l)
+						em.Protect(lc, func(tok *epoch.Token) {
+							for rep := 0; rep < 4; rep++ {
+								for k := range keys {
+									if localOnly && m.HomeOf(uint64(k)) != l {
+										continue
+									}
+									m.Get(lc, tok, uint64(k))
+								}
+							}
+						})
+					}
+				})
+			})
+		}
 	}
-	queuePanel.Series = []Series{singleQ, shardQ}
-	stackPanel.Series = []Series{singleS, shardS}
-	mapPanel.Series = []Series{localM, randM}
+
 	return Figure{
 		ID:      "A7",
 		Title:   "Ablation: single-home vs owner-sharded structures",
 		Caption: "Sharding by owner keeps structure operations on the calling locale: the single-home queue/stack's home column in the comm matrix grows O(L) under weak scaling while the sharded versions' busiest column stays O(1), and HomeOf-routed hashmap gets perform zero remote events.",
-		Panels:  []Panel{queuePanel, stackPanel, mapPanel},
+		Panels: []Panel{
+			cfg.sweep("Queue enq+deq per locale: single-home vs sharded (none)", "Locales", cfg.localeSweep(2),
+				arm{"single-home queue", "ablG queue single", fillDrain(singleQueue)},
+				arm{"owner-sharded queue", "ablG queue sharded", fillDrain(shardedQueue)}),
+			cfg.sweep("Stack push+pop per locale: single-home vs sharded (none)", "Locales", cfg.localeSweep(2),
+				arm{"single-home stack", "ablG stack single", fillDrain(singleStack)},
+				arm{"owner-sharded stack", "ablG stack sharded", fillDrain(shardedStack)}),
+			cfg.sweep("Hashmap gets: locale-local vs random buckets (none)", "Locales", cfg.localeSweep(2),
+				arm{"local buckets (HomeOf-routed)", "ablG map local", gets(true)},
+				arm{"random buckets", "ablG map random", gets(false)}),
+		},
 	}
 }
 
@@ -561,89 +430,66 @@ func AblationReplication(cfg Config) Figure {
 	const hotKeys = 8
 	const cacheSlots = 4 * hotKeys
 
-	hotPanel := Panel{Title: "Hot-key gets per locale: owner-computed vs replicated (none)", XLabel: "Locales"}
-	runHot := func(locales int, cached bool) Point {
-		sys := cfg.newSystem(locales, comm.BackendNone)
-		defer sys.Shutdown()
-		var pt Point
-		sys.Run(func(c *pgas.Ctx) {
-			em := epoch.NewEpochManager(c)
-			m := hashmap.New[int](c, 8*locales, em)
-			// Both arms attach the cache so both pick identical hot keys;
-			// the uncached arm simply reads through the cacheless handle.
-			cv := m.Cached(c, cacheSlots)
-			hot := a8HotKeys(m, cv.Cache(), hotKeys)
-			em.Protect(c, func(tok *epoch.Token) {
-				for _, k := range hot {
-					m.Insert(c, tok, k, int(k))
-				}
-			})
-			if cached {
-				// Warm every replica outside the measured window: the
-				// steady state under scrutiny is the all-hit regime, so
-				// the one cold miss per (locale, key) is setup, exactly
-				// like the inserts above.
-				c.CoforallLocales(func(lc *pgas.Ctx) {
-					em.Protect(lc, func(tok *epoch.Token) {
-						for _, k := range hot {
-							cv.Get(lc, tok, k)
-						}
-					})
+	hot := func(cached bool) runFunc {
+		return func(locales int) (Point, verdict) {
+			return cfg.measure(machine{locales: locales, matrix: true}, func(tr *trial) {
+				c := tr.c
+				em := tr.epochs()
+				m := hashmap.New[int](c, 8*locales, em)
+				// Both arms attach the cache so both pick identical hot keys;
+				// the uncached arm simply reads through the cacheless handle.
+				cv := m.Cached(c, cacheSlots)
+				hot := a8HotKeys(m, cv.Cache(), hotKeys)
+				em.Protect(c, func(tok *epoch.Token) {
+					for _, k := range hot {
+						m.Insert(c, tok, k, int(k))
+					}
 				})
-			}
-			pt.Seconds, pt.Comm, pt.Matrix, pt.MaxInbound = timedMatrix(sys, func() {
-				c.CoforallLocales(func(lc *pgas.Ctx) {
-					em.Protect(lc, func(tok *epoch.Token) {
-						for rep := 0; rep < reps; rep++ {
-							k := hot[rep%hotKeys]
-							if cached {
+				if cached {
+					// Warm every replica outside the measured window: the
+					// steady state under scrutiny is the all-hit regime, so
+					// the one cold miss per (locale, key) is setup, exactly
+					// like the inserts above.
+					c.CoforallLocales(func(lc *pgas.Ctx) {
+						em.Protect(lc, func(tok *epoch.Token) {
+							for _, k := range hot {
 								cv.Get(lc, tok, k)
-							} else {
-								m.Get(lc, tok, k)
 							}
-						}
+						})
+					})
+				}
+				tr.timed(func() {
+					c.CoforallLocales(func(lc *pgas.Ctx) {
+						em.Protect(lc, func(tok *epoch.Token) {
+							for rep := 0; rep < reps; rep++ {
+								k := hot[rep%hotKeys]
+								if cached {
+									cv.Get(lc, tok, k)
+								} else {
+									m.Get(lc, tok, k)
+								}
+							}
+						})
 					})
 				})
 			})
-			em.Clear(c)
-		})
-		pt.X = locales
-		return pt
+		}
 	}
 
-	stormPanel := Panel{Title: "Invalidation storm: cached gets vs write-through mutations (none)", XLabel: "Locales"}
-	uncached := Series{Label: "owner-computed gets (hot column)"}
-	cachedS := Series{Label: "replicated gets (warmed cache)"}
-	storm := Series{Label: "cached mix + invalidation storm"}
-	for _, locales := range cfg.localeSweep(2) {
-		p := cfg.best(func() Point { return runHot(locales, false) })
-		uncached.Points = append(uncached.Points, p)
-		cfg.progressf("ablH uncached locales=%-3d %8.4fs  hotCol=%-8d [%v]\n", locales, p.Seconds, p.MaxInbound, p.Comm)
-
-		p = cfg.best(func() Point { return runHot(locales, true) })
-		cachedS.Points = append(cachedS.Points, p)
-		cfg.progressf("ablH cached   locales=%-3d %8.4fs  hotCol=%-8d [%v]\n", locales, p.Seconds, p.MaxInbound, p.Comm)
-
-		p, _ = replicationStorm(cfg, locales)
-		storm.Points = append(storm.Points, p)
-		cfg.progressf("ablH storm    locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-	}
-	hotPanel.Series = []Series{uncached, cachedS}
-	stormPanel.Series = []Series{storm}
 	return Figure{
 		ID:      "A8",
 		Title:   "Ablation: hot-key read replication cache",
 		Caption: "Owner-computed gets funnel hot-key traffic into the owner's matrix column, which grows O(L); per-locale replicas with epoch-coherent write-through invalidation serve repeat gets locally, pinning the busiest column at the single launch event while the poisoned heaps verify no cached read ever observes reclaimed memory.",
-		Panels:  []Panel{hotPanel, stormPanel},
+		Panels: []Panel{
+			cfg.sweep("Hot-key gets per locale: owner-computed vs replicated (none)", "Locales", cfg.localeSweep(2),
+				arm{"owner-computed gets (hot column)", "ablH uncached", hot(false)},
+				arm{"replicated gets (warmed cache)", "ablH cached", hot(true)}),
+			cfg.sweep("Invalidation storm: cached gets vs write-through mutations (none)", "Locales", cfg.localeSweep(2),
+				arm{"cached mix + invalidation storm", "ablH storm", func(locales int) (Point, verdict) {
+					return replicationStorm(cfg, locales)
+				}}),
+		},
 	}
-}
-
-// stormVerdict carries the safety evidence of one replicationStorm
-// run: the poisoned-heap totals and the epoch manager's reclamation
-// balance after the final clear.
-type stormVerdict struct {
-	Heap  gas.Stats
-	Epoch epoch.Stats
 }
 
 // replicationStorm drives the seeded invalidation-storm scenario: on
@@ -654,15 +500,12 @@ type stormVerdict struct {
 // returns the timed Point and the safety verdicts: any use-after-free
 // would be detected by the poisoned heaps, and every retired entry
 // must be physically reclaimed by the end.
-func replicationStorm(cfg Config, locales int) (Point, stormVerdict) {
-	sys := cfg.newSystem(locales, comm.BackendNone)
-	defer sys.Shutdown()
+func replicationStorm(cfg Config, locales int) (Point, verdict) {
 	ops := cfg.ops(1 << 11)
 	const stormKeys = 16
-	var pt Point
-	var v stormVerdict
-	sys.Run(func(c *pgas.Ctx) {
-		em := epoch.NewEpochManager(c)
+	return cfg.measure(machine{locales: locales, matrix: true}, func(tr *trial) {
+		c := tr.c
+		em := tr.epochs()
 		m := hashmap.New[int](c, 8*locales, em)
 		cv := m.Cached(c, 64)
 		em.Protect(c, func(tok *epoch.Token) {
@@ -670,7 +513,7 @@ func replicationStorm(cfg Config, locales int) (Point, stormVerdict) {
 				m.Insert(c, tok, k, int(k))
 			}
 		})
-		pt.Seconds, pt.Comm, pt.Matrix, pt.MaxInbound = timedMatrix(sys, func() {
+		tr.timed(func() {
 			c.CoforallLocales(func(lc *pgas.Ctx) {
 				tok := em.Register(lc)
 				defer tok.Unregister(lc)
@@ -691,12 +534,7 @@ func replicationStorm(cfg Config, locales int) (Point, stormVerdict) {
 				lc.Flush() // ship this task's remaining invalidations
 			})
 		})
-		em.Clear(c)
-		v.Heap = sys.HeapStats()
-		v.Epoch = em.Stats(c)
 	})
-	pt.X = locales
-	return pt, v
 }
 
 // a9HotKeys picks `count` keys all homed on locale 0 of the map: the
@@ -726,95 +564,69 @@ func a9HotKeys(m hashmap.Map[int], count int) []uint64 {
 // Word64 Adds, where absorption merges deltas arithmetically instead
 // of last-writer-wins. Both arms drain through the owner's flat
 // combiner, so the delta between them is the in-flight absorption
-// alone. Locale 0 does not write: its ops would execute inline (never
-// enqueued) and blur the shipped/enqueued and CAS comparisons
-// TestAblationA9 asserts.
+// alone. Locale 0 does not write: its ops are own-locale writes, which
+// the Combine-off arm executes inline (never enqueued) and the
+// Combine-on arm buffers, so they would blur the shipped/enqueued and
+// CAS comparisons TestAblationA9 asserts.
 func AblationWriteAbsorption(cfg Config) Figure {
 	reps := cfg.ops(1 << 9)
 	const hotKeys = 4
 
-	upsertPanel := Panel{Title: "Hot-key upsert storm: shipped writes & owner CAS (none)", XLabel: "Locales"}
-	runUpserts := func(locales int, combine bool) Point {
-		sys := cfg.newSystemAgg(locales, comm.BackendNone, comm.AggConfig{Combine: combine})
-		defer sys.Shutdown()
-		var pt Point
-		sys.Run(func(c *pgas.Ctx) {
-			em := epoch.NewEpochManager(c)
-			m := hashmap.New[int](c, 8*locales, em)
-			hot := a9HotKeys(m, hotKeys*locales)
-			pt.Seconds, pt.Comm, pt.Matrix, pt.MaxInbound = timedMatrix(sys, func() {
-				c.CoforallLocales(func(lc *pgas.Ctx) {
-					if lc.Here() == 0 {
-						return
-					}
-					mine := hot[lc.Here()*hotKeys : (lc.Here()+1)*hotKeys]
-					for i := 0; i < reps; i++ {
-						m.UpsertAgg(lc, mine[i%hotKeys], i)
-					}
-					lc.Flush()
+	upserts := func(combine bool) runFunc {
+		return func(locales int) (Point, verdict) {
+			return cfg.measure(machine{locales: locales, agg: comm.AggConfig{Combine: combine}, matrix: true}, func(tr *trial) {
+				m := hashmap.New[int](tr.c, 8*locales, tr.epochs())
+				hot := a9HotKeys(m, hotKeys*locales)
+				tr.timed(func() {
+					tr.c.CoforallLocales(func(lc *pgas.Ctx) {
+						if lc.Here() == 0 {
+							return
+						}
+						mine := hot[lc.Here()*hotKeys : (lc.Here()+1)*hotKeys]
+						for i := 0; i < reps; i++ {
+							m.UpsertAgg(lc, mine[i%hotKeys], i)
+						}
+						lc.Flush()
+					})
 				})
 			})
-			em.Clear(c)
-		})
-		pt.X = locales
-		return pt
+		}
 	}
-
-	addPanel := Panel{Title: "Hot-word add storm: shipped deltas (none)", XLabel: "Locales"}
-	runAdds := func(locales int, combine bool) Point {
-		sys := cfg.newSystemAgg(locales, comm.BackendNone, comm.AggConfig{Combine: combine})
-		defer sys.Shutdown()
-		var pt Point
-		sys.Run(func(c *pgas.Ctx) {
-			words := make([]*pgas.Word64, hotKeys)
-			for i := range words {
-				words[i] = pgas.NewWord64(c, 0, 0)
-			}
-			pt.Seconds, pt.Comm, pt.Matrix, pt.MaxInbound = timedMatrix(sys, func() {
-				c.CoforallLocales(func(lc *pgas.Ctx) {
-					if lc.Here() == 0 {
-						return
-					}
-					b := lc.Aggregator(0)
-					for i := 0; i < reps; i++ {
-						b.Add(words[i%hotKeys], 1)
-					}
-					lc.Flush()
+	adds := func(combine bool) runFunc {
+		return func(locales int) (Point, verdict) {
+			return cfg.measure(machine{locales: locales, agg: comm.AggConfig{Combine: combine}, matrix: true}, func(tr *trial) {
+				words := make([]*pgas.Word64, hotKeys)
+				for i := range words {
+					words[i] = pgas.NewWord64(tr.c, 0, 0)
+				}
+				tr.timed(func() {
+					tr.c.CoforallLocales(func(lc *pgas.Ctx) {
+						if lc.Here() == 0 {
+							return
+						}
+						b := lc.Aggregator(0)
+						for i := 0; i < reps; i++ {
+							b.Add(words[i%hotKeys], 1)
+						}
+						lc.Flush()
+					})
 				})
 			})
-		})
-		pt.X = locales
-		return pt
+		}
 	}
 
-	plainU := Series{Label: "uncombined upserts (ship every write)"}
-	combU := Series{Label: "combined upserts (absorbed in flight)"}
-	plainA := Series{Label: "uncombined adds (ship every delta)"}
-	combA := Series{Label: "combined adds (merged deltas)"}
-	for _, locales := range cfg.localeSweep(2) {
-		p := cfg.best(func() Point { return runUpserts(locales, false) })
-		plainU.Points = append(plainU.Points, p)
-		cfg.progressf("ablI upsert plain locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-
-		p = cfg.best(func() Point { return runUpserts(locales, true) })
-		combU.Points = append(combU.Points, p)
-		cfg.progressf("ablI upsert comb  locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-
-		p = cfg.best(func() Point { return runAdds(locales, false) })
-		plainA.Points = append(plainA.Points, p)
-		cfg.progressf("ablI add plain    locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-
-		p = cfg.best(func() Point { return runAdds(locales, true) })
-		combA.Points = append(combA.Points, p)
-		cfg.progressf("ablI add comb     locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-	}
-	upsertPanel.Series = []Series{plainU, combU}
-	addPanel.Series = []Series{plainA, combA}
 	return Figure{
 		ID:      "A9",
 		Title:   "Ablation: write absorption (in-flight combining + owner-side flat combining)",
 		Caption: "Under a hot-key write storm, in-flight combining absorbs repeat writes to a key inside the source's aggregation buffer, so shipped ops and the owner's CAS work scale with the hot-key count instead of the write count; both arms drain through the owner's flat combiner, which serializes the replay and keeps CAS retries at zero.",
-		Panels:  []Panel{upsertPanel, addPanel},
+		Panels: []Panel{
+			cfg.sweep("Hot-key upsert storm: shipped writes & owner CAS (none)", "Locales", cfg.localeSweep(2),
+				arm{"uncombined upserts (ship every write)", "ablI upsert plain", upserts(false)},
+				arm{"combined upserts (absorbed in flight)", "ablI upsert comb", upserts(true)}),
+			cfg.sweep("Hot-word add storm: shipped deltas (none)", "Locales", cfg.localeSweep(2),
+				arm{"uncombined adds (ship every delta)", "ablI add plain", adds(false)},
+				arm{"combined adds (merged deltas)", "ablI add comb", adds(true)}),
+		},
 	}
 }
 
@@ -851,16 +663,6 @@ func a10WindowKeys(m hashmap.Map[int], locales, windows int) [][]uint64 {
 	return keys
 }
 
-// rebalanceVerdict carries the evidence of one movingHotStorm run:
-// the controller's own books, the comm counter deltas they must
-// reconcile with, and the safety verdicts.
-type rebalanceVerdict struct {
-	Ctrl  rebalance.Stats
-	Comm  comm.Snapshot
-	Heap  gas.Stats
-	Epoch epoch.Stats
-}
-
 // a10 storm geometry, shared by both arms and by TestAblationA10's
 // arithmetic: each of `a10Windows` windows hammers a fresh hot-key set
 // for `a10Quanta` quanta, each writer flushing every `a10FlushEvery`
@@ -880,16 +682,15 @@ const (
 // the orchestrating task, so the run is deterministic — which detects
 // locale 0's over-ratio column at each window's first quantum and
 // hands the hot buckets to cold locales; the static arm never steps
-// it. Locale 0 does not write: its ops would execute inline and blur
-// the column comparison.
-func movingHotStorm(cfg Config, locales int, rebalanced bool) (Point, rebalanceVerdict) {
-	sys := cfg.newSystemAgg(locales, comm.BackendNone, comm.AggConfig{})
-	defer sys.Shutdown()
+// it. Locale 0 does not write: combining is off, so its own-locale
+// writes would execute inline and blur the column comparison. The
+// verdict's Ctrl is the controller's own books, which the comm counter
+// totals beside it must reconcile with.
+func movingHotStorm(cfg Config, locales int, rebalanced bool) (Point, verdict) {
 	reps := cfg.ops(1 << 9)
-	var pt Point
-	var v rebalanceVerdict
-	sys.Run(func(c *pgas.Ctx) {
-		em := epoch.NewEpochManager(c)
+	return cfg.measure(machine{locales: locales, matrix: true}, func(tr *trial) {
+		c := tr.c
+		em := tr.epochs()
 		m := hashmap.New[int](c, 16*locales, em)
 		hot := a10WindowKeys(m, locales, a10Windows)
 		em.Protect(c, func(tok *epoch.Token) {
@@ -910,7 +711,7 @@ func movingHotStorm(cfg Config, locales int, rebalanced bool) (Point, rebalanceV
 			MaxMoves:  locales,
 			Cooldown:  1,
 		})
-		pt.Seconds, pt.Comm, pt.Matrix, pt.MaxInbound = timedMatrix(sys, func() {
+		tr.timed(func() {
 			for w := 0; w < a10Windows; w++ {
 				for q := 0; q < a10Quanta; q++ {
 					c.CoforallLocales(func(lc *pgas.Ctx) {
@@ -932,14 +733,8 @@ func movingHotStorm(cfg Config, locales int, rebalanced bool) (Point, rebalanceV
 				}
 			}
 		})
-		em.Clear(c)
-		v.Ctrl = ctrl.Stats()
-		v.Comm = sys.Counters().Snapshot()
-		v.Heap = sys.HeapStats()
-		v.Epoch = em.Stats(c)
+		tr.v.Ctrl = ctrl.Stats()
 	})
-	pt.X = locales
-	return pt, v
 }
 
 // AblationRebalancing measures the gap static ownership leaves open —
@@ -953,25 +748,16 @@ func movingHotStorm(cfg Config, locales int, rebalanced bool) (Point, rebalanceV
 // accumulating the whole run. TestAblationA10 asserts the bound, the
 // static arm's O(L) growth, and the exact migration books.
 func AblationRebalancing(cfg Config) Figure {
-	panel := Panel{Title: "Moving hot set: busiest inbound column (none)", XLabel: "Locales"}
-	static := Series{Label: "static ownership (column accumulates)"}
-	dynamic := Series{Label: "rebalanced (hot buckets migrate off)"}
-	for _, locales := range cfg.localeSweep(2) {
-		p, _ := movingHotStorm(cfg, locales, false)
-		static.Points = append(static.Points, p)
-		cfg.progressf("ablJ static     locales=%-3d %8.4fs  hotCol=%-8d [%v]\n", locales, p.Seconds, p.MaxInbound, p.Comm)
-
-		p, vd := movingHotStorm(cfg, locales, true)
-		dynamic.Points = append(dynamic.Points, p)
-		cfg.progressf("ablJ rebalanced locales=%-3d %8.4fs  hotCol=%-8d migs=%d [%v]\n",
-			locales, p.Seconds, p.MaxInbound, vd.Ctrl.Migrations, p.Comm)
+	storm := func(rebalanced bool) runFunc {
+		return func(locales int) (Point, verdict) { return movingHotStorm(cfg, locales, rebalanced) }
 	}
-	panel.Series = []Series{static, dynamic}
 	return Figure{
 		ID:      "A10",
 		Title:   "Ablation: dynamic hot-shard rebalancing",
 		Caption: "A moving hot set defeats any static placement: every window's writes funnel into the hot buckets' home column, which grows with locales and run length. The rebalance controller reads the windowed comm-matrix deltas, detects the over-ratio source, and migrates the hot buckets through the epoch-coherent ownership handoff, bounding the busiest inbound column near the per-window burst while the poisoned heaps verify no in-flight reader ever observes reclaimed bucket memory.",
-		Panels:  []Panel{panel},
+		Panels: []Panel{cfg.sweep("Moving hot set: busiest inbound column (none)", "Locales", cfg.localeSweep(2),
+			arm{"static ownership (column accumulates)", "ablJ static", storm(false)},
+			arm{"rebalanced (hot buckets migrate off)", "ablJ rebalanced", storm(true)})},
 	}
 }
 
@@ -992,19 +778,6 @@ const (
 // a11Victim is the crashed locale: not 0 (locale 0 hosts the global
 // epoch word and the orchestrating task, and cannot crash).
 const a11Victim = 1
-
-// crashVerdict carries the evidence of one crashStorm run: the
-// failover books (shards adopted, bytes moved, tokens force-retired),
-// the comm counters they must reconcile with — OpsLost being the
-// availability headline — and the safety verdicts.
-type crashVerdict struct {
-	Shards int64
-	Bytes  int64
-	Tokens int64
-	Comm   comm.Snapshot
-	Heap   gas.Stats
-	Epoch  epoch.Stats
-}
 
 // a11VictimKeys picks one hot key per writer locale (every locale but
 // the victim), all homed on the victim and each in a distinct bucket,
@@ -1037,15 +810,14 @@ func a11VictimKeys(m hashmap.Map[int], locales int) []uint64 {
 // stale pin; failed over, writes follow the republished owner table
 // and elections succeed. All control flow is inline from the
 // orchestrating task between quiescent quanta, so both arms replay
-// exactly.
-func crashStorm(cfg Config, locales int, failover bool) (Point, crashVerdict) {
-	sys := cfg.newSystemAgg(locales, comm.BackendNone, comm.AggConfig{})
-	defer sys.Shutdown()
+// exactly. The verdict's Shards/Bytes/Tokens are the failover books
+// (shards adopted, bytes moved, tokens force-retired); the comm totals
+// beside them must reconcile — OpsLost being the availability headline.
+func crashStorm(cfg Config, locales int, failover bool) (Point, verdict) {
 	reps := cfg.ops(1 << 9)
-	var pt Point
-	var v crashVerdict
-	sys.Run(func(c *pgas.Ctx) {
-		em := epoch.NewEpochManager(c)
+	return cfg.measure(machine{locales: locales, matrix: true}, func(tr *trial) {
+		c := tr.c
+		em := tr.epochs()
 		m := hashmap.New[int](c, 16*locales, em)
 		keys := a11VictimKeys(m, locales)
 		em.Protect(c, func(tok *epoch.Token) {
@@ -1075,33 +847,27 @@ func crashStorm(cfg Config, locales int, failover bool) (Point, crashVerdict) {
 			})
 			em.TryReclaim(c)
 		}
-		pt.Seconds, pt.Comm, pt.Matrix, pt.MaxInbound = timedMatrix(sys, func() {
+		tr.timed(func() {
 			for q := 0; q < a11PreQuanta; q++ {
 				quantum()
 			}
 			// The crash: strand the pin, stale it with one advance, kill.
 			c.On(a11Victim, func(vc *pgas.Ctx) { em.Pin(vc) })
 			em.TryReclaim(c)
-			if err := sys.Crash(a11Victim); err != nil {
+			if err := tr.sys.Crash(a11Victim); err != nil {
 				panic(err)
 			}
 			if failover {
 				sc := c.Salvage()
-				v.Shards, v.Bytes = m.Failover(sc, a11Victim)
-				v.Tokens = em.ForceRetire(sc, a11Victim)
+				tr.v.Shards, tr.v.Bytes = m.Failover(sc, a11Victim)
+				tr.v.Tokens = em.ForceRetire(sc, a11Victim)
 				sc.Flush()
 			}
 			for q := 0; q < a11PostQuanta; q++ {
 				quantum()
 			}
 		})
-		em.Clear(c)
-		v.Comm = sys.Counters().Snapshot()
-		v.Heap = sys.HeapStats()
-		v.Epoch = em.Stats(c)
 	})
-	pt.X = locales
-	return pt, v
 }
 
 // AblationCrashFailover measures what a fail-stop locale loss costs
@@ -1118,26 +884,16 @@ func crashStorm(cfg Config, locales int, failover bool) (Point, crashVerdict) {
 // loss, the adoption books, and that both arms still end heap-safe
 // with deferred == reclaimed.
 func AblationCrashFailover(cfg Config) Figure {
-	panel := Panel{Title: "Locale crash under hot load: ops lost (none)", XLabel: "Locales"}
-	wedged := Series{Label: "no failover (ledger grows, reclamation wedged)"}
-	recovered := Series{Label: "failover (shards adopted, pins force-retired)"}
-	for _, locales := range cfg.localeSweep(2) {
-		p, vd := crashStorm(cfg, locales, false)
-		wedged.Points = append(wedged.Points, p)
-		cfg.progressf("ablK wedged   locales=%-3d %8.4fs  lost=%-8d advFail=%d [%v]\n",
-			locales, p.Seconds, vd.Comm.OpsLost, vd.Epoch.AdvanceFail, p.Comm)
-
-		p, vd = crashStorm(cfg, locales, true)
-		recovered.Points = append(recovered.Points, p)
-		cfg.progressf("ablK failover locales=%-3d %8.4fs  lost=%-8d adopted=%d retired=%d [%v]\n",
-			locales, p.Seconds, vd.Comm.OpsLost, vd.Shards, vd.Tokens, p.Comm)
+	storm := func(failover bool) runFunc {
+		return func(locales int) (Point, verdict) { return crashStorm(cfg, locales, failover) }
 	}
-	panel.Series = []Series{wedged, recovered}
 	return Figure{
 		ID:      "A11",
 		Title:   "Ablation: crash failover vs wedged reclamation",
 		Caption: "A fail-stop locale crash leaves two poisons: its shards keep absorbing (and losing) every write routed at them, and its stranded epoch pins block every advance election, wedging reclamation system-wide. The failover protocol adopts the dead locale's buckets onto the survivors through the same epoch-coherent handoff rebalancing uses and force-retires the stranded pins, after which writes follow the republished owner table with zero further loss and reclamation proceeds — while the poisoned heaps verify the recovery never freed memory a surviving reader could still observe.",
-		Panels:  []Panel{panel},
+		Panels: []Panel{cfg.sweep("Locale crash under hot load: ops lost (none)", "Locales", cfg.localeSweep(2),
+			arm{"no failover (ledger grows, reclamation wedged)", "ablK wedged", storm(false)},
+			arm{"failover (shards adopted, pins force-retired)", "ablK failover", storm(true)})},
 	}
 }
 
@@ -1162,15 +918,6 @@ const (
 	a12PairB = 2
 )
 
-// partitionVerdict carries the evidence of one flashPartition run: the
-// comm counters (the retry ledger books and the lost-ops ledger are
-// the headline) plus the safety verdicts.
-type partitionVerdict struct {
-	Comm  comm.Snapshot
-	Heap  gas.Stats
-	Epoch epoch.Stats
-}
-
 // a12KeyHomedOn returns the smallest key the map homes on `home`.
 func a12KeyHomedOn(m hashmap.Map[int], home int) uint64 {
 	for k := uint64(0); ; k++ {
@@ -1191,25 +938,17 @@ func a12KeyHomedOn(m hashmap.Map[int], home int) uint64 {
 // redelivers all of them; with the plane disabled every refused op
 // drains straight to the lost-ops ledger, O(rate × duration). All
 // control flow is inline from the orchestrating task between quiescent
-// quanta, so both arms replay exactly.
-func flashPartition(cfg Config, locales int, retry bool) (Point, partitionVerdict) {
+// quanta, so both arms replay exactly. In the verdict's comm totals the
+// retry ledger books and the lost-ops ledger are the headline.
+func flashPartition(cfg Config, locales int, retry bool) (Point, verdict) {
 	park := comm.ParkConfig{DeadlineNS: int64(time.Hour), Capacity: 1 << 16}
 	if !retry {
 		park = comm.ParkConfig{Disable: true}
 	}
-	sys := pgas.NewSystem(pgas.Config{
-		Locales: locales,
-		Backend: comm.BackendNone,
-		Latency: cfg.Latency,
-		Seed:    cfg.Seed,
-		Park:    park,
-	})
-	defer sys.Shutdown()
 	reps := cfg.ops(1 << 9)
-	var pt Point
-	var v partitionVerdict
-	sys.Run(func(c *pgas.Ctx) {
-		em := epoch.NewEpochManager(c)
+	return cfg.measure(machine{locales: locales, park: park, matrix: true}, func(tr *trial) {
+		c := tr.c
+		em := tr.epochs()
 		m := hashmap.New[int](c, 16*locales, em)
 		// One target key per locale: the pair aim at each other, the
 		// rest at their ring successor (skipping nothing — the ring
@@ -1239,11 +978,11 @@ func flashPartition(cfg Config, locales int, retry bool) (Point, partitionVerdic
 				lc.Flush()
 			})
 		}
-		pt.Seconds, pt.Comm, pt.Matrix, pt.MaxInbound = timedMatrix(sys, func() {
+		tr.timed(func() {
 			for q := 0; q < a12PreQuanta; q++ {
 				quantum()
 			}
-			if err := sys.Sever(a12PairA, a12PairB); err != nil {
+			if err := tr.sys.Sever(a12PairA, a12PairB); err != nil {
 				panic(err)
 			}
 			for q := 0; q < a12SevQuanta; q++ {
@@ -1251,20 +990,14 @@ func flashPartition(cfg Config, locales int, retry bool) (Point, partitionVerdic
 			}
 			// Heal pumps the retry ledgers synchronously: every parked
 			// op redelivers before the next quantum issues.
-			if err := sys.Heal(a12PairA, a12PairB); err != nil {
+			if err := tr.sys.Heal(a12PairA, a12PairB); err != nil {
 				panic(err)
 			}
 			for q := 0; q < a12PostQuanta; q++ {
 				quantum()
 			}
 		})
-		em.Clear(c)
-		v.Comm = sys.Counters().Snapshot()
-		v.Heap = sys.HeapStats()
-		v.Epoch = em.Stats(c)
 	})
-	pt.X = locales
-	return pt, v
 }
 
 // AblationPartitionRetry measures what a transient network partition
@@ -1277,26 +1010,16 @@ func flashPartition(cfg Config, locales int, retry bool) (Point, partitionVerdic
 // with zero expiries and zero losses. TestAblationA12 asserts both
 // arms' exact arithmetic.
 func AblationPartitionRetry(cfg Config) Figure {
-	panel := Panel{Title: "Flash partition: ops lost (none)", XLabel: "Locales"}
-	dropped := Series{Label: "retry disabled (every refused op lost: O(rate × duration))"}
-	parked := Series{Label: "retry/backoff (parked, redelivered at heal)"}
-	for _, locales := range cfg.localeSweep(4) {
-		p, vd := flashPartition(cfg, locales, false)
-		dropped.Points = append(dropped.Points, p)
-		cfg.progressf("ablL dropped locales=%-3d %8.4fs  lost=%-8d [%v]\n",
-			locales, p.Seconds, vd.Comm.OpsLost, p.Comm)
-
-		p, vd = flashPartition(cfg, locales, true)
-		parked.Points = append(parked.Points, p)
-		cfg.progressf("ablL retried locales=%-3d %8.4fs  lost=%-8d parked=%d redelivered=%d [%v]\n",
-			locales, p.Seconds, vd.Comm.OpsLost, vd.Comm.OpsParked, vd.Comm.OpsRedelivered, p.Comm)
+	partition := func(retry bool) runFunc {
+		return func(locales int) (Point, verdict) { return flashPartition(cfg, locales, retry) }
 	}
-	panel.Series = []Series{dropped, parked}
 	return Figure{
 		ID:      "A12",
 		Title:   "Ablation: partition retry plane vs fail-stop refusal",
 		Caption: "A transient partition is not a crash, but without a retry plane the books cannot tell the difference: every op refused across the severed pair drains to the lost-ops ledger for the whole outage, O(rate × duration). The retry plane parks refused ops in bounded per-locale ledgers with exponential backoff and redelivers them through the normal aggregation path when the pair heals — the settlement identity OpsParked == OpsRedelivered + OpsExpired closes with zero losses, reserving the fail-stop ledger for actual crashes.",
-		Panels:  []Panel{panel},
+		Panels: []Panel{cfg.sweep("Flash partition: ops lost (none)", "Locales", cfg.localeSweep(4),
+			arm{"retry disabled (every refused op lost: O(rate × duration))", "ablL dropped", partition(false)},
+			arm{"retry/backoff (parked, redelivered at heal)", "ablL retried", partition(true)})},
 	}
 }
 

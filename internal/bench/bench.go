@@ -22,10 +22,14 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"gopgas/internal/comm"
+	"gopgas/internal/core/epoch"
+	"gopgas/internal/gas"
 	"gopgas/internal/pgas"
+	"gopgas/internal/structures/rebalance"
 )
 
 // Config controls sweep sizes. The zero value is unusable; use
@@ -155,22 +159,141 @@ type Figure struct {
 	Panels  []Panel
 }
 
-// timed runs fn and returns elapsed seconds plus the comm delta.
-func timed(sys *pgas.System, fn func()) (float64, comm.Snapshot) {
-	before := sys.Counters().Snapshot()
-	start := time.Now()
-	fn()
-	secs := time.Since(start).Seconds()
-	return secs, sys.Counters().Snapshot().Sub(before)
+// machine says which system one measurement boots. The zero backend is
+// BackendNone; zero agg and park are the system defaults.
+type machine struct {
+	locales int
+	backend comm.Backend
+	agg     comm.AggConfig
+	park    comm.ParkConfig
+	// matrix also captures the locale-pair delta of the timed region
+	// (Point.Matrix, Point.MaxInbound) for figures that argue about
+	// where traffic lands; those points are the benchrunner -matrix rows.
+	matrix bool
 }
 
-// timedMatrix is timed plus the locale-pair matrix delta and its
-// busiest inbound column, for figures that argue about hotspots.
-func timedMatrix(sys *pgas.System, fn func()) (float64, comm.Snapshot, [][]int64, int64) {
-	beforeM := sys.Matrix().Snapshot()
-	secs, snap := timed(sys, fn)
-	delta := SubMatrix(sys.Matrix().Snapshot(), beforeM)
-	return secs, snap, delta, MaxInboundOf(delta)
+// trial is one booted machine, handed to the arm's body: everything the
+// body does before timed is setup, everything after it is the arm's own
+// teardown. v holds the scenario books a body may fill in (Ctrl,
+// Shards/Bytes/Tokens); measure fills the rest after the body returns.
+type trial struct {
+	sys *pgas.System
+	c   *pgas.Ctx // locale 0's task, the one that orchestrates the run
+	v   verdict
+
+	matrix bool
+	em     *epoch.EpochManager
+	pt     Point
+}
+
+// verdict is the evidence a run leaves behind beside its Point: the
+// whole-run comm counters (setup included, unlike Point.Comm), the
+// poisoned-heap totals and the epoch manager's reclamation balance after
+// the final clear, plus the books of the scenarios that keep any —
+// A10's controller, A11's failover.
+type verdict struct {
+	Comm  comm.Snapshot
+	Heap  gas.Stats
+	Epoch epoch.Stats
+
+	Ctrl                  rebalance.Stats
+	Shards, Bytes, Tokens int64
+}
+
+// epochs returns the run's epoch manager. measure clears it and books
+// its stats into the verdict once the body is done.
+func (t *trial) epochs() epoch.EpochManager {
+	em := epoch.NewEpochManager(t.c)
+	t.em = &em
+	return em
+}
+
+// timed marks the measured region: wall-clock seconds and the comm
+// counter delta of fn, plus the matrix delta and its busiest inbound
+// column when the machine asked for them.
+func (t *trial) timed(fn func()) {
+	var beforeM [][]int64
+	if t.matrix {
+		beforeM = t.sys.Matrix().Snapshot()
+	}
+	before := t.sys.Counters().Snapshot()
+	start := time.Now()
+	fn()
+	t.pt.Seconds = time.Since(start).Seconds()
+	t.pt.Comm = t.sys.Counters().Snapshot().Sub(before)
+	if t.matrix {
+		t.pt.Matrix = SubMatrix(t.sys.Matrix().Snapshot(), beforeM)
+		t.pt.MaxInbound = MaxInboundOf(t.pt.Matrix)
+	}
+}
+
+// measure is the one boot/time/teardown path of the package: it boots
+// m, runs body on locale 0, clears the epoch manager the body asked for,
+// captures the verdict and shuts the system down. Point.X is left to
+// sweep, which knows what the x axis is.
+func (cfg Config) measure(m machine, body func(t *trial)) (Point, verdict) {
+	sys := pgas.NewSystem(pgas.Config{
+		Locales: m.locales,
+		Backend: m.backend,
+		Latency: cfg.Latency,
+		Seed:    cfg.Seed,
+		Agg:     m.agg,
+		Park:    m.park,
+	})
+	defer sys.Shutdown()
+	t := &trial{sys: sys, matrix: m.matrix}
+	sys.Run(func(c *pgas.Ctx) {
+		t.c = c
+		body(t)
+		if t.em != nil {
+			t.em.Clear(c)
+			t.v.Epoch = t.em.Stats(c)
+		}
+	})
+	t.v.Comm = sys.Counters().Snapshot()
+	t.v.Heap = sys.HeapStats()
+	return t.pt, t.v
+}
+
+// runFunc measures one arm at sweep coordinate x (a locale or task
+// count, as the panel's x axis says).
+type runFunc func(x int) (Point, verdict)
+
+// arm is one row of a sweep: a labelled series and the run that
+// produces its points.
+type arm struct {
+	label string // series label
+	tag   string // progress-line prefix
+	run   runFunc
+}
+
+// sweep measures every arm at every x — the fastest of cfg.Repeats runs
+// each — and returns the panel, one series per arm in arm order. It
+// stamps Point.X and prints the progress line.
+func (cfg Config) sweep(title, xLabel string, xs []int, arms ...arm) Panel {
+	panel := Panel{Title: title, XLabel: xLabel, Series: make([]Series, len(arms))}
+	tagWidth := 0
+	for i, a := range arms {
+		panel.Series[i].Label = a.label
+		tagWidth = max(tagWidth, len(a.tag))
+	}
+	for _, x := range xs {
+		for i, a := range arms {
+			p := cfg.best(func() Point {
+				p, _ := a.run(x)
+				return p
+			})
+			p.X = x
+			panel.Series[i].Points = append(panel.Series[i].Points, p)
+			hot := ""
+			if p.Matrix != nil {
+				hot = fmt.Sprintf("hotCol=%-8d ", p.MaxInbound)
+			}
+			cfg.progressf("%-*s %s=%-3d %8.4fs  %s[%v]\n",
+				tagWidth, a.tag, strings.ToLower(xLabel), x, p.Seconds, hot, p.Comm)
+		}
+	}
+	return panel
 }
 
 // SubMatrix returns the element-wise difference a - b of two comm
@@ -217,21 +340,4 @@ func MaxInboundOf(m [][]int64) int64 {
 		}
 	}
 	return best
-}
-
-// newSystem builds a benchmark system.
-func (cfg Config) newSystem(locales int, backend comm.Backend) *pgas.System {
-	return cfg.newSystemAgg(locales, backend, comm.AggConfig{})
-}
-
-// newSystemAgg builds a benchmark system with an explicit aggregation
-// policy — the write-absorption ablation flips Combine per arm.
-func (cfg Config) newSystemAgg(locales int, backend comm.Backend, agg comm.AggConfig) *pgas.System {
-	return pgas.NewSystem(pgas.Config{
-		Locales: locales,
-		Backend: backend,
-		Latency: cfg.Latency,
-		Seed:    cfg.Seed,
-		Agg:     agg,
-	})
 }

@@ -563,7 +563,7 @@ func TestAblationA11(t *testing.T) {
 				locales, fv.Epoch.Advances, fv.Epoch.AdvanceFail, a11PreQuanta+1+a11PostQuanta)
 		}
 
-		for arm, vd := range map[string]crashVerdict{"wedged": wv, "failover": fv} {
+		for arm, vd := range map[string]verdict{"wedged": wv, "failover": fv} {
 			if vd.Heap.UAFLoads != 0 || vd.Heap.UAFStores != 0 || vd.Heap.UAFFrees != 0 {
 				t.Fatalf("L=%d: %s arm heap verdict: %+v", locales, arm, vd.Heap)
 			}
@@ -620,7 +620,7 @@ func TestAblationA12(t *testing.T) {
 			t.Fatalf("L=%d: retry arm lost %d ops, want 0", locales, rv.Comm.OpsLost)
 		}
 
-		for arm, vd := range map[string]partitionVerdict{"disabled": dv, "retry": rv} {
+		for arm, vd := range map[string]verdict{"disabled": dv, "retry": rv} {
 			if vd.Heap.UAFLoads != 0 || vd.Heap.UAFStores != 0 || vd.Heap.UAFFrees != 0 {
 				t.Fatalf("L=%d: %s arm heap verdict: %+v", locales, arm, vd.Heap)
 			}

@@ -113,27 +113,18 @@ func (v *objVariant) op(c *pgas.Ctx, cell int, kind int) {
 	}
 }
 
-// runAtomicMix executes totalOps mixed operations split across the
-// system's locales and tasks, returning the timing point.
-func (cfg Config) runAtomicMix(locales, tasksPerLocale, totalOps int, backend comm.Backend, v atomicVariant) Point {
-	sys := cfg.newSystem(locales, backend)
-	defer sys.Shutdown()
-	var secs float64
-	var snap comm.Snapshot
-	sys.Run(func(c *pgas.Ctx) {
-		v.setup(c, locales)
-		secs, snap = timed(sys, func() {
-			pgas.ForallCyclic(c, totalOps, tasksPerLocale, nil,
+// atomicMix executes totalOps mixed operations on v's cells, split
+// across the system's locales and tasks.
+func (cfg Config) atomicMix(v atomicVariant, backend comm.Backend, totalOps, locales, tasksPerLocale int) (Point, verdict) {
+	return cfg.measure(machine{locales: locales, backend: backend}, func(tr *trial) {
+		v.setup(tr.c, locales)
+		tr.timed(func() {
+			pgas.ForallCyclic(tr.c, totalOps, tasksPerLocale, nil,
 				func(tc *pgas.Ctx, _ struct{}, i int) {
 					v.op(tc, tc.RandIntn(fig3Cells), tc.RandIntn(4))
 				}, nil)
 		})
 	})
-	x := locales
-	if locales == 1 {
-		x = tasksPerLocale
-	}
-	return Point{X: x, Seconds: secs, Comm: snap}
 }
 
 // Figure3 regenerates both panels of Figure 3.
@@ -141,24 +132,19 @@ func Figure3(cfg Config) Figure {
 	sharedOps := cfg.ops(1 << 17)
 	distOps := cfg.ops(1 << 14)
 
-	shared := Panel{Title: "Shared Memory", XLabel: "Tasks"}
-	sharedVariants := []atomicVariant{
+	var shared []arm
+	for _, v := range []atomicVariant{
 		&intVariant{label: "atomic int"},
 		&objVariant{label: "AtomicObject (ABA)", aba: true},
 		&objVariant{label: "AtomicObject"},
-	}
-	for _, v := range sharedVariants {
-		s := Series{Label: v.name()}
-		for _, tasks := range cfg.taskSweep() {
-			p := cfg.best(func() Point { return cfg.runAtomicMix(1, tasks, sharedOps, comm.BackendNone, v) })
-			s.Points = append(s.Points, p)
-			cfg.progressf("fig3 shared %-22s tasks=%-3d %8.4fs\n", v.name(), tasks, p.Seconds)
-		}
-		shared.Series = append(shared.Series, s)
+	} {
+		shared = append(shared, arm{v.name(), "fig3 shared " + v.name(), func(tasks int) (Point, verdict) {
+			return cfg.atomicMix(v, comm.BackendNone, sharedOps, 1, tasks)
+		}})
 	}
 
-	dist := Panel{Title: "Distributed Memory", XLabel: "Locales"}
-	distRuns := []struct {
+	var dist []arm
+	for _, r := range []struct {
 		variant atomicVariant
 		backend comm.Backend
 	}{
@@ -167,16 +153,10 @@ func Figure3(cfg Config) Figure {
 		{&objVariant{label: "AtomicObject (ABA)", aba: true}, comm.BackendNone},
 		{&objVariant{label: "AtomicObject (none)"}, comm.BackendNone},
 		{&objVariant{label: "AtomicObject (ugni)"}, comm.BackendUGNI},
-	}
-	for _, r := range distRuns {
-		s := Series{Label: r.variant.name()}
-		for _, locales := range cfg.localeSweep(1) {
-			p := cfg.best(func() Point { return cfg.runAtomicMix(locales, cfg.TasksPerLocale, distOps, r.backend, r.variant) })
-			p.X = locales
-			s.Points = append(s.Points, p)
-			cfg.progressf("fig3 dist   %-22s locales=%-3d %8.4fs  [%v]\n", r.variant.name(), locales, p.Seconds, p.Comm)
-		}
-		dist.Series = append(dist.Series, s)
+	} {
+		dist = append(dist, arm{r.variant.name(), "fig3 dist   " + r.variant.name(), func(locales int) (Point, verdict) {
+			return cfg.atomicMix(r.variant, r.backend, distOps, locales, cfg.TasksPerLocale)
+		}})
 	}
 
 	return Figure{
@@ -185,6 +165,9 @@ func Figure3(cfg Config) Figure {
 		Caption: fmt.Sprintf(
 			"Strong scaling of a 25/25/25/25 read/write/CAS/exchange mix over %d cells; shared panel %d ops, distributed panel %d ops.",
 			fig3Cells, sharedOps, distOps),
-		Panels: []Panel{shared, dist},
+		Panels: []Panel{
+			cfg.sweep("Shared Memory", "Tasks", cfg.taskSweep(), shared...),
+			cfg.sweep("Distributed Memory", "Locales", cfg.localeSweep(1), dist...),
+		},
 	}
 }

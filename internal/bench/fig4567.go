@@ -48,19 +48,16 @@ func buildObjs(c *pgas.Ctx, n int, remotePct int) []gas.Addr {
 // with a task-private token; pin, deferDelete, unpin, and tryReclaim
 // every reclaimEvery iterations (0 disables in-loop reclamation). The
 // final manager.Clear() is part of the timed region, as in Listing 5.
-func (cfg Config) runDeletion(locales, numObjects, remotePct, reclaimEvery int, backend comm.Backend) Point {
-	sys := cfg.newSystem(locales, backend)
-	defer sys.Shutdown()
-	var secs float64
-	var snap comm.Snapshot
-	sys.Run(func(c *pgas.Ctx) {
+func (cfg Config) runDeletion(locales, numObjects, remotePct, reclaimEvery int, backend comm.Backend) (Point, verdict) {
+	return cfg.measure(machine{locales: locales, backend: backend}, func(tr *trial) {
+		c := tr.c
 		em := epoch.NewEpochManager(c)
 		objs := buildObjs(c, numObjects, remotePct)
 		type taskPriv struct {
 			tok *epoch.Token
 			m   int
 		}
-		secs, snap = timed(sys, func() {
+		tr.timed(func() {
 			pgas.ForallCyclic(c, numObjects, cfg.TasksPerLocale,
 				func(tc *pgas.Ctx) *taskPriv {
 					return &taskPriv{tok: em.Register(tc)}
@@ -82,19 +79,14 @@ func (cfg Config) runDeletion(locales, numObjects, remotePct, reclaimEvery int, 
 			panic(fmt.Sprintf("bench: reclaimed %d of %d objects", st.Reclaimed, numObjects))
 		}
 	})
-	return Point{X: locales, Seconds: secs, Comm: snap}
 }
 
 // runPinUnpin executes the Figure 7 read-only loop.
-func (cfg Config) runPinUnpin(locales, iters int, backend comm.Backend) Point {
-	sys := cfg.newSystem(locales, backend)
-	defer sys.Shutdown()
-	var secs float64
-	var snap comm.Snapshot
-	sys.Run(func(c *pgas.Ctx) {
-		em := epoch.NewEpochManager(c)
-		secs, snap = timed(sys, func() {
-			pgas.ForallCyclic(c, iters, cfg.TasksPerLocale,
+func (cfg Config) runPinUnpin(locales, iters int, backend comm.Backend) (Point, verdict) {
+	return cfg.measure(machine{locales: locales, backend: backend}, func(tr *trial) {
+		em := epoch.NewEpochManager(tr.c)
+		tr.timed(func() {
+			pgas.ForallCyclic(tr.c, iters, cfg.TasksPerLocale,
 				func(tc *pgas.Ctx) *epoch.Token { return em.Register(tc) },
 				func(tc *pgas.Ctx, tok *epoch.Token, i int) {
 					tok.Pin(tc)
@@ -104,7 +96,6 @@ func (cfg Config) runPinUnpin(locales, iters int, backend comm.Backend) Point {
 			)
 		})
 	})
-	return Point{X: locales, Seconds: secs, Comm: snap}
 }
 
 // deletionFigure builds one of Figures 4–6.
@@ -117,23 +108,15 @@ func (cfg Config) deletionFigure(id, title string, reclaimEvery int) Figure {
 			numObjects, cfg.TasksPerLocale, cadence(reclaimEvery)),
 	}
 	for _, remotePct := range []int{0, 50, 100} {
-		panel := Panel{
-			Title:  fmt.Sprintf("%d%% Remote Objects", remotePct),
-			XLabel: "Locales",
-		}
+		var arms []arm
 		for _, backend := range []comm.Backend{comm.BackendNone, comm.BackendUGNI} {
-			s := Series{Label: backend.String()}
-			for _, locales := range cfg.localeSweep(2) {
-				p := cfg.best(func() Point {
+			arms = append(arms, arm{backend.String(), fmt.Sprintf("fig%s %3d%% remote %s", id, remotePct, backend),
+				func(locales int) (Point, verdict) {
 					return cfg.runDeletion(locales, numObjects, remotePct, reclaimEvery, backend)
-				})
-				s.Points = append(s.Points, p)
-				cfg.progressf("fig%s %3d%% remote %-5s locales=%-3d %8.4fs  [%v]\n",
-					id, remotePct, backend, locales, p.Seconds, p.Comm)
-			}
-			panel.Series = append(panel.Series, s)
+				}})
 		}
-		fig.Panels = append(fig.Panels, panel)
+		fig.Panels = append(fig.Panels,
+			cfg.sweep(fmt.Sprintf("%d%% Remote Objects", remotePct), "Locales", cfg.localeSweep(2), arms...))
 	}
 	return fig
 }
@@ -167,20 +150,16 @@ func Figure6(cfg Config) Figure {
 // Figure7 regenerates the read-only pin/unpin workload.
 func Figure7(cfg Config) Figure {
 	iters := cfg.ops(1 << 16)
-	panel := Panel{Title: "Pin-Unpin", XLabel: "Locales"}
+	var arms []arm
 	for _, backend := range []comm.Backend{comm.BackendNone, comm.BackendUGNI} {
-		s := Series{Label: backend.String()}
-		for _, locales := range cfg.localeSweep(1) {
-			p := cfg.best(func() Point { return cfg.runPinUnpin(locales, iters, backend) })
-			s.Points = append(s.Points, p)
-			cfg.progressf("fig7 %-5s locales=%-3d %8.4fs  [%v]\n", backend, locales, p.Seconds, p.Comm)
-		}
-		panel.Series = append(panel.Series, s)
+		arms = append(arms, arm{backend.String(), "fig7 " + backend.String(), func(locales int) (Point, verdict) {
+			return cfg.runPinUnpin(locales, iters, backend)
+		}})
 	}
 	return Figure{
 		ID:      "7",
 		Title:   "Read-only workload without deletion",
 		Caption: fmt.Sprintf("Pin/unpin loop over %d iterations; privatization keeps the loop communication-free, so curves stay flat.", iters),
-		Panels:  []Panel{panel},
+		Panels:  []Panel{cfg.sweep("Pin-Unpin", "Locales", cfg.localeSweep(1), arms...)},
 	}
 }

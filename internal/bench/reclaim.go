@@ -3,9 +3,7 @@ package bench
 import (
 	"sync"
 
-	"gopgas/internal/comm"
 	"gopgas/internal/core/atomics"
-	"gopgas/internal/core/epoch"
 	"gopgas/internal/core/hazard"
 	"gopgas/internal/pgas"
 )
@@ -24,111 +22,98 @@ import (
 // garbage bound.
 func AblationReclamation(cfg Config) Figure {
 	opsPerReader := cfg.ops(1 << 11)
-	panel := Panel{Title: "Shared-cell churn, readers on every locale (none backend)", XLabel: "Locales"}
-	ebr := Series{Label: "EpochManager (EBR)"}
-	hp := Series{Label: "Hazard Pointers"}
 
-	run := func(locales int, useHP bool) Point {
-		sys := cfg.newSystem(locales, comm.BackendNone)
-		defer sys.Shutdown()
-		c0 := sys.Ctx(0)
+	run := func(useHP bool) runFunc {
+		return func(locales int) (Point, verdict) {
+			return cfg.measure(machine{locales: locales}, func(tr *trial) {
+				c0 := tr.c
+				em := tr.epochs()
+				dom := hazard.NewDomain(c0, 64)
+				cell := atomics.New(c0, 0, atomics.Options{})
+				type blob struct{ v int }
+				cell.Write(c0, c0.Alloc(&blob{}))
 
-		em := epoch.NewEpochManager(c0)
-		dom := hazard.NewDomain(c0, 64)
-		cell := atomics.New(c0, 0, atomics.Options{})
-		type blob struct{ v int }
-		cell.Write(c0, c0.Alloc(&blob{}))
-
-		secs, snap := timed(sys, func() {
-			var readers, writer sync.WaitGroup
-			stop := make(chan struct{})
-			for l := 0; l < locales; l++ {
-				readers.Add(1)
-				go func(l int) {
-					defer readers.Done()
-					c := sys.Ctx(l)
-					if useHP {
-						s := dom.Acquire(c)
-						defer dom.Release(c, s)
-						for i := 0; i < opsPerReader; i++ {
-							addr := s.Protect(c, cell)
-							if !addr.IsNil() {
-								pgas.MustDeref[*blob](c, addr)
+				tr.timed(func() {
+					var readers, writer sync.WaitGroup
+					stop := make(chan struct{})
+					for l := 0; l < locales; l++ {
+						readers.Add(1)
+						go func(l int) {
+							defer readers.Done()
+							c := tr.sys.Ctx(l)
+							if useHP {
+								s := dom.Acquire(c)
+								defer dom.Release(c, s)
+								for i := 0; i < opsPerReader; i++ {
+									addr := s.Protect(c, cell)
+									if !addr.IsNil() {
+										pgas.MustDeref[*blob](c, addr)
+									}
+									s.Clear()
+								}
+								return
 							}
-							s.Clear()
+							tok := em.Register(c)
+							defer tok.Unregister(c)
+							for i := 0; i < opsPerReader; i++ {
+								tok.Pin(c)
+								addr := cell.Read(c)
+								if !addr.IsNil() {
+									pgas.MustDeref[*blob](c, addr)
+								}
+								tok.Unpin(c)
+							}
+						}(l)
+					}
+					// Writer churns the cell for the duration.
+					writer.Add(1)
+					go func() {
+						defer writer.Done()
+						c := c0
+						tok := em.Register(c)
+						defer tok.Unregister(c)
+						i := 0
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							i++
+							fresh := c.Alloc(&blob{v: i})
+							old := cell.Exchange(c, fresh)
+							if old.IsNil() {
+								continue
+							}
+							if useHP {
+								dom.Retire(c, old)
+							} else {
+								tok.Pin(c)
+								tok.DeferDelete(c, old)
+								tok.Unpin(c)
+								if i%256 == 0 {
+									tok.TryReclaim(c)
+								}
+							}
 						}
-						return
-					}
-					tok := em.Register(c)
-					defer tok.Unregister(c)
-					for i := 0; i < opsPerReader; i++ {
-						tok.Pin(c)
-						addr := cell.Read(c)
-						if !addr.IsNil() {
-							pgas.MustDeref[*blob](c, addr)
-						}
-						tok.Unpin(c)
-					}
-				}(l)
-			}
-			// Writer churns the cell for the duration.
-			writer.Add(1)
-			go func() {
-				defer writer.Done()
-				c := c0
-				tok := em.Register(c)
-				defer tok.Unregister(c)
-				i := 0
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					i++
-					fresh := c.Alloc(&blob{v: i})
-					old := cell.Exchange(c, fresh)
-					if old.IsNil() {
-						continue
-					}
-					if useHP {
-						dom.Retire(c, old)
-					} else {
-						tok.Pin(c)
-						tok.DeferDelete(c, old)
-						tok.Unpin(c)
-						if i%256 == 0 {
-							tok.TryReclaim(c)
-						}
-					}
+					}()
+					readers.Wait()
+					close(stop)
+					writer.Wait()
+				})
+				if useHP {
+					dom.Drain(c0)
 				}
-			}()
-			readers.Wait()
-			close(stop)
-			writer.Wait()
-		})
-		if useHP {
-			dom.Drain(c0)
-		} else {
-			em.Clear(c0)
+			})
 		}
-		return Point{X: locales, Seconds: secs, Comm: snap}
 	}
 
-	for _, locales := range cfg.localeSweep(1) {
-		p := cfg.best(func() Point { return run(locales, false) })
-		ebr.Points = append(ebr.Points, p)
-		cfg.progressf("ablE ebr locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-
-		p = cfg.best(func() Point { return run(locales, true) })
-		hp.Points = append(hp.Points, p)
-		cfg.progressf("ablE hp  locales=%-3d %8.4fs  [%v]\n", locales, p.Seconds, p.Comm)
-	}
-	panel.Series = []Series{ebr, hp}
 	return Figure{
 		ID:      "A5",
 		Title:   "Ablation: epoch-based reclamation vs hazard pointers",
 		Caption: "Identical shared-cell churn under both schemes; HP pays a validating re-read per access (one extra network op when the cell is remote), EBR pays a locale-local pin.",
-		Panels:  []Panel{panel},
+		Panels: []Panel{cfg.sweep("Shared-cell churn, readers on every locale (none backend)", "Locales", cfg.localeSweep(1),
+			arm{"EpochManager (EBR)", "ablE ebr", run(false)},
+			arm{"Hazard Pointers", "ablE hp", run(true)})},
 	}
 }

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,32 +110,118 @@ func TestDelayApproximatelyAccurate(t *testing.T) {
 	}
 }
 
+// Every Inc* is called, alone and accumulated across wrapped shard
+// hints, and the whole Snapshot is compared each time; the reflection
+// walks then hold the two-sites-per-counter rule: a Snapshot field that
+// no Inc* in the table feeds, or that Snapshot()/Sub() fail to carry,
+// fails here.
 func TestCountersRoundTrip(t *testing.T) {
-	var c Counters
-	// Spread the shard hints: the snapshot must merge every shard,
-	// including hints beyond the shard count (which wrap).
-	c.IncPut(0)
-	c.IncGet(1)
-	c.IncGet(counterShards + 1)
-	c.IncNICAMO(2)
-	c.IncAMAMO(3)
-	c.IncLocalAMO(4)
-	c.IncOnStmt(5)
-	c.IncBulk(6, 128)
-	c.IncDCASLocal(7)
-	c.IncDCASRemote(8)
-	s := c.Snapshot()
-	want := Snapshot{Puts: 1, Gets: 2, NICAMOs: 1, AMAMOs: 1, LocalAMOs: 1,
-		OnStmts: 1, BulkXfers: 1, BulkBytes: 128, DCASLocal: 1, DCASRemote: 1}
-	if s != want {
-		t.Fatalf("snapshot = %+v", s)
+	type inc struct {
+		name string
+		inc  func(c *Counters, src int)
+		want Snapshot
 	}
-	// Remote = puts+gets+nic+am+on+bulk+dcasRemote = 1+2+1+1+1+1+1.
-	if got := s.Remote(); got != 8 {
-		t.Fatalf("Remote() = %d", got)
+	incs := []inc{
+		{"IncPut", func(c *Counters, src int) { c.IncPut(src) }, Snapshot{Puts: 1}},
+		{"IncGet", func(c *Counters, src int) { c.IncGet(src) }, Snapshot{Gets: 1}},
+		{"IncNICAMO", func(c *Counters, src int) { c.IncNICAMO(src) }, Snapshot{NICAMOs: 1}},
+		{"IncAMAMO", func(c *Counters, src int) { c.IncAMAMO(src) }, Snapshot{AMAMOs: 1}},
+		{"IncLocalAMO", func(c *Counters, src int) { c.IncLocalAMO(src) }, Snapshot{LocalAMOs: 1}},
+		{"IncOnStmt", func(c *Counters, src int) { c.IncOnStmt(src) }, Snapshot{OnStmts: 1}},
+		{"IncBulk", func(c *Counters, src int) { c.IncBulk(src, 128) }, Snapshot{BulkXfers: 1, BulkBytes: 128}},
+		{"IncDCASLocal", func(c *Counters, src int) { c.IncDCASLocal(src) }, Snapshot{DCASLocal: 1}},
+		{"IncDCASRemote", func(c *Counters, src int) { c.IncDCASRemote(src) }, Snapshot{DCASRemote: 1}},
+		{"IncAggFlush", func(c *Counters, src int) { c.IncAggFlush(src, 5, 80) }, Snapshot{AggFlushes: 1, AggOps: 5, AggBytes: 80}},
+		{"IncCacheHit", func(c *Counters, src int) { c.IncCacheHit(src) }, Snapshot{CacheHits: 1}},
+		{"IncCacheMiss", func(c *Counters, src int) { c.IncCacheMiss(src) }, Snapshot{CacheMiss: 1}},
+		{"IncCacheInval", func(c *Counters, src int) { c.IncCacheInval(src) }, Snapshot{CacheInval: 1}},
+		{"IncAggEnqueue", func(c *Counters, src int) { c.IncAggEnqueue(src) }, Snapshot{AggOpsEnq: 1}},
+		{"IncAggCombined", func(c *Counters, src int) { c.IncAggCombined(src) }, Snapshot{AggCombined: 1}},
+		{"IncCAS ok", func(c *Counters, src int) { c.IncCAS(src, true) }, Snapshot{CASAttempts: 1}},
+		{"IncCAS failed", func(c *Counters, src int) { c.IncCAS(src, false) }, Snapshot{CASAttempts: 1, CASRetries: 1}},
+		{"IncMigAdopt", func(c *Counters, src int) { c.IncMigAdopt(src) }, Snapshot{MigAdopted: 1}},
+		{"IncMigRetire", func(c *Counters, src int) { c.IncMigRetire(src) }, Snapshot{MigRetired: 1}},
+		{"IncMigBytes", func(c *Counters, src int) { c.IncMigBytes(src, 16) }, Snapshot{MigBytes: 16}},
+		{"IncMigReroute", func(c *Counters, src int) { c.IncMigReroute(src) }, Snapshot{MigReroutes: 1}},
+		{"IncOpsLost", func(c *Counters, src int) { c.IncOpsLost(src, 3) }, Snapshot{OpsLost: 3}},
+		{"IncOpsParked", func(c *Counters, src int) { c.IncOpsParked(src, 4) }, Snapshot{OpsParked: 4}},
+		{"IncOpsRedelivered", func(c *Counters, src int) { c.IncOpsRedelivered(src, 2) }, Snapshot{OpsRedelivered: 2}},
+		{"IncOpsExpired", func(c *Counters, src int) { c.IncOpsExpired(src, 1) }, Snapshot{OpsExpired: 1}},
 	}
-	c.Reset()
-	if c.Snapshot() != (Snapshot{}) {
+
+	// fields lists a Snapshot's counters by reflection, never by name.
+	fields := func(s *Snapshot) []reflect.Value {
+		v := reflect.ValueOf(s).Elem()
+		out := make([]reflect.Value, v.NumField())
+		for i := range out {
+			if out[i] = v.Field(i); out[i].Kind() != reflect.Int64 {
+				t.Fatalf("Snapshot.%s is %s, not an int64 counter", v.Type().Field(i).Name, out[i].Kind())
+			}
+		}
+		return out
+	}
+
+	var all Counters
+	var sum Snapshot // what all must read, added up field by field
+	sumF := fields(&sum)
+	fed := make([]bool, len(sumF))
+	for i, tc := range incs {
+		c := new(Counters)
+		tc.inc(c, i)
+		if got := c.Snapshot(); got != tc.want {
+			t.Fatalf("%s alone: snapshot = %+v, want %+v", tc.name, got, tc.want)
+		}
+		// Twice more on the shared counters, the second hint past the
+		// shard count (it wraps): Snapshot must merge every shard.
+		before := all.Snapshot()
+		tc.inc(&all, i)
+		tc.inc(&all, i+counterShards+1)
+		for f, w := range fields(&tc.want) {
+			sumF[f].SetInt(sumF[f].Int() + 2*w.Int())
+			fed[f] = fed[f] || w.Int() != 0
+		}
+		if got := all.Snapshot(); got != sum {
+			t.Fatalf("after %s: snapshot = %+v, want %+v", tc.name, got, sum)
+		}
+		delta, want := all.Snapshot().Sub(before), tc.want
+		for _, w := range fields(&want) {
+			w.SetInt(2 * w.Int())
+		}
+		if delta != want {
+			t.Fatalf("%s: Sub window = %+v, want %+v", tc.name, delta, want)
+		}
+	}
+	for f, ok := range fed {
+		if !ok {
+			t.Errorf("Snapshot.%s: no Inc* in the table feeds it", reflect.TypeOf(sum).Field(f).Name)
+		}
+	}
+	for ct, m := reflect.TypeOf(&all), 0; m < ct.NumMethod(); m++ {
+		name := ct.Method(m).Name
+		if strings.HasPrefix(name, "Inc") && !slices.ContainsFunc(incs, func(tc inc) bool { return strings.HasPrefix(tc.name, name) }) {
+			t.Errorf("Counters.%s is not in the table", name)
+		}
+	}
+
+	// Sub carries every field: distinct values in, field-wise difference out.
+	var a, b Snapshot
+	for f := range fields(&a) {
+		fields(&a)[f].SetInt(int64(100 + 7*f))
+		fields(&b)[f].SetInt(int64(f))
+	}
+	d := a.Sub(b)
+	for f, v := range fields(&d) {
+		if v.Int() != int64(100+6*f) {
+			t.Errorf("Sub dropped Snapshot.%s: %d", reflect.TypeOf(d).Field(f).Name, v.Int())
+		}
+	}
+
+	// Remote = puts+gets+nic+am+on+bulk+dcasRemote, each fed twice by 1.
+	if got := sum.Remote(); got != 14 {
+		t.Fatalf("Remote() = %d, want 14", got)
+	}
+	all.Reset()
+	if all.Snapshot() != (Snapshot{}) {
 		t.Fatal("Reset left residue")
 	}
 }

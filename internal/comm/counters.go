@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Counters records communication-diagnostic totals, in the spirit of
@@ -33,45 +34,12 @@ type Counters struct {
 // hints map to distinct shards.
 const counterShards = 64
 
-// Indices into a shard's value array, one per counter.
-const (
-	cPuts = iota
-	cGets
-	cNICAMOs
-	cAMAMOs
-	cLocalAMOs
-	cOnStmts
-	cBulkXfers
-	cBulkBytes
-	cDCASLocal
-	cDCASRemote
-	cAggFlushes
-	cAggOps
-	cAggBytes
-	cCacheHits
-	cCacheMiss
-	cCacheInval
-	cAggOpsEnq
-	cAggCombined
-	cCASAttempts
-	cCASRetries
-	cMigAdopted
-	cMigRetired
-	cMigBytes
-	cMigReroutes
-	cOpsLost
-	cOpsParked
-	cOpsRedelivered
-	cOpsExpired
-	numCounters
-)
-
 // counterShard is one padded cell: 28 counters span three and a half
 // 64-byte cache lines, and the trailing pad keeps
 // neighbouring shards' lines from abutting whatever alignment the
 // enclosing array lands on.
 type counterShard struct {
-	v [numCounters]atomic.Int64
+	v counterSet[atomic.Int64]
 	_ [64]byte
 }
 
@@ -82,40 +50,37 @@ func (c *Counters) shard(src int) *counterShard {
 	return &c.shards[uint(src)%counterShards]
 }
 
-// total sums one counter across every shard.
-func (c *Counters) total(ctr int) int64 {
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v[ctr].Load()
-	}
-	return t
-}
-
 // Snapshot is an immutable copy of the counter values at one instant.
-type Snapshot struct {
-	Puts       int64
-	Gets       int64
-	NICAMOs    int64
-	AMAMOs     int64
-	LocalAMOs  int64
-	OnStmts    int64
-	BulkXfers  int64
-	BulkBytes  int64
-	DCASLocal  int64
-	DCASRemote int64
-	AggFlushes int64
-	AggOps     int64
-	AggBytes   int64
-	CacheHits  int64
-	CacheMiss  int64
-	CacheInval int64
+type Snapshot counterSet[int64]
+
+// counterSet declares the counters, once: a Snapshot holds them as plain
+// values, a shard as atomic cells. A counter is a field here plus the
+// Inc* method that feeds it — Snapshot, Sub and Reset walk the fields as
+// an array (every field is a T, and an atomic.Int64 is one int64 wide).
+type counterSet[T int64 | atomic.Int64] struct {
+	Puts       T
+	Gets       T
+	NICAMOs    T
+	AMAMOs     T
+	LocalAMOs  T
+	OnStmts    T
+	BulkXfers  T
+	BulkBytes  T
+	DCASLocal  T
+	DCASRemote T
+	AggFlushes T
+	AggOps     T
+	AggBytes   T
+	CacheHits  T
+	CacheMiss  T
+	CacheInval T
 
 	// Write-absorption counters. AggOpsEnq counts operations handed to
 	// an aggregator's Enqueue; AggOps (above) counts operations that
 	// actually shipped at flush time. Their gap is AggCombined: ops
 	// absorbed into an already-buffered mergeable op before the wire.
-	AggOpsEnq   int64
-	AggCombined int64
+	AggOpsEnq   T
+	AggCombined T
 
 	// CAS accounting, threaded through the pgas word primitives the
 	// same way shard hints were: CASAttempts counts every
@@ -123,8 +88,8 @@ type Snapshot struct {
 	// including DCAS), CASRetries the failed subset. Neither enters
 	// Remote() — a CAS's communication is already counted by its
 	// transport (NIC AMO, AM, or on-stmt).
-	CASAttempts int64
-	CASRetries  int64
+	CASAttempts T
+	CASRetries  T
 
 	// Ownership-migration accounting. MigAdopted counts shards (bucket
 	// contents) adopted by a destination locale, MigRetired shards
@@ -137,10 +102,10 @@ type Snapshot struct {
 	// the current owner. None of these enters Remote() — the on-stmts
 	// and bulk transfers a migration rides are counted by their
 	// transports as usual.
-	MigAdopted  int64
-	MigRetired  int64
-	MigBytes    int64
-	MigReroutes int64
+	MigAdopted  T
+	MigRetired  T
+	MigBytes    T
+	MigReroutes T
 
 	// OpsLost is the lost-ops ledger: operations refused by the
 	// dispatch layer because their destination was crashed (fail-stop —
@@ -151,7 +116,7 @@ type Snapshot struct {
 	// crash. Never enters Remote() — a lost op crossed no locale
 	// boundary. Partition refusals do NOT land here: partitions are
 	// transient, so their ops park in the retry plane below.
-	OpsLost int64
+	OpsLost T
 
 	// Retry-plane books. Operations refused because the
 	// source/destination pair is partitioned (both locales alive) park
@@ -165,52 +130,64 @@ type Snapshot struct {
 	// plane's settlement invariant. None enters Remote(): a parked op's
 	// redelivery flight is charged to the bulk counters by the
 	// transport when it actually flies.
-	OpsParked      int64
-	OpsRedelivered int64
-	OpsExpired     int64
+	OpsParked      T
+	OpsRedelivered T
+	OpsExpired     T
+}
+
+const numCounters = unsafe.Sizeof(Snapshot{}) / unsafe.Sizeof(int64(0))
+
+// words and cells view a Snapshot's and a shard's counters as arrays in
+// field order.
+func (s *Snapshot) words() *[numCounters]int64 {
+	return (*[numCounters]int64)(unsafe.Pointer(s))
+}
+
+func (sh *counterShard) cells() *[numCounters]atomic.Int64 {
+	return (*[numCounters]atomic.Int64)(unsafe.Pointer(&sh.v))
 }
 
 // IncPut records a small remote write issued by locale src.
-func (c *Counters) IncPut(src int) { c.shard(src).v[cPuts].Add(1) }
+func (c *Counters) IncPut(src int) { c.shard(src).v.Puts.Add(1) }
 
 // IncGet records a small remote read issued by locale src.
-func (c *Counters) IncGet(src int) { c.shard(src).v[cGets].Add(1) }
+func (c *Counters) IncGet(src int) { c.shard(src).v.Gets.Add(1) }
 
 // IncNICAMO records a NIC-offloaded atomic issued by locale src.
-func (c *Counters) IncNICAMO(src int) { c.shard(src).v[cNICAMOs].Add(1) }
+func (c *Counters) IncNICAMO(src int) { c.shard(src).v.NICAMOs.Add(1) }
 
 // IncAMAMO records an active-message atomic issued by locale src.
-func (c *Counters) IncAMAMO(src int) { c.shard(src).v[cAMAMOs].Add(1) }
+func (c *Counters) IncAMAMO(src int) { c.shard(src).v.AMAMOs.Add(1) }
 
 // IncLocalAMO records a locale-local CPU atomic on a network word.
-func (c *Counters) IncLocalAMO(src int) { c.shard(src).v[cLocalAMOs].Add(1) }
+func (c *Counters) IncLocalAMO(src int) { c.shard(src).v.LocalAMOs.Add(1) }
 
 // IncOnStmt records a remote procedure call issued by locale src.
-func (c *Counters) IncOnStmt(src int) { c.shard(src).v[cOnStmts].Add(1) }
+func (c *Counters) IncOnStmt(src int) { c.shard(src).v.OnStmts.Add(1) }
 
 // IncBulk records one bulk transfer carrying n payload bytes, issued
 // by locale src.
 func (c *Counters) IncBulk(src int, n int64) {
 	s := c.shard(src)
-	s.v[cBulkXfers].Add(1)
-	s.v[cBulkBytes].Add(n)
+	s.v.BulkXfers.Add(1)
+	s.v.BulkBytes.Add(n)
 }
 
 // IncDCASLocal records a locale-local emulated DCAS.
-func (c *Counters) IncDCASLocal(src int) { c.shard(src).v[cDCASLocal].Add(1) }
+func (c *Counters) IncDCASLocal(src int) { c.shard(src).v.DCASLocal.Add(1) }
 
 // IncDCASRemote records a remote DCAS shipped as an active message by
 // locale src.
-func (c *Counters) IncDCASRemote(src int) { c.shard(src).v[cDCASRemote].Add(1) }
+func (c *Counters) IncDCASRemote(src int) { c.shard(src).v.DCASRemote.Add(1) }
 
 // IncAggFlush records one aggregated flush from locale src carrying
 // ops operations and bytes payload bytes. The bulk transfer the flush
 // rides on is counted separately (via IncBulk) by the flusher.
 func (c *Counters) IncAggFlush(src int, ops, bytes int64) {
 	s := c.shard(src)
-	s.v[cAggFlushes].Add(1)
-	s.v[cAggOps].Add(ops)
-	s.v[cAggBytes].Add(bytes)
+	s.v.AggFlushes.Add(1)
+	s.v.AggOps.Add(ops)
+	s.v.AggBytes.Add(bytes)
 }
 
 // IncCacheHit records one read-replication cache hit on locale src: a
@@ -218,22 +195,22 @@ func (c *Counters) IncAggFlush(src int, ops, bytes int64) {
 // owner. Hits are locale-local by definition, so they never enter
 // Remote() or the matrix — the counter exists to make the avoided
 // communication visible next to the communication that did happen.
-func (c *Counters) IncCacheHit(src int) { c.shard(src).v[cCacheHits].Add(1) }
+func (c *Counters) IncCacheHit(src int) { c.shard(src).v.CacheHits.Add(1) }
 
 // IncCacheMiss records one read-replication cache miss on locale src
 // (the lookup fell through to the owner-computed path, whose remote
 // events are counted separately by the dispatch layer as usual).
-func (c *Counters) IncCacheMiss(src int) { c.shard(src).v[cCacheMiss].Add(1) }
+func (c *Counters) IncCacheMiss(src int) { c.shard(src).v.CacheMiss.Add(1) }
 
 // IncAggEnqueue records one operation handed to an aggregator by
 // locale src, before any combining. Together with AggOps (ops shipped
 // at flush) it bounds the absorption rate: shipped + combined == enq.
-func (c *Counters) IncAggEnqueue(src int) { c.shard(src).v[cAggOpsEnq].Add(1) }
+func (c *Counters) IncAggEnqueue(src int) { c.shard(src).v.AggOpsEnq.Add(1) }
 
 // IncAggCombined records one enqueued operation absorbed into an
 // already-buffered mergeable op on locale src instead of occupying its
 // own buffer slot.
-func (c *Counters) IncAggCombined(src int) { c.shard(src).v[cAggCombined].Add(1) }
+func (c *Counters) IncAggCombined(src int) { c.shard(src).v.AggCombined.Add(1) }
 
 // IncCAS records one compare-and-swap attempt on a simulated word by
 // locale src; ok reports whether it succeeded. Failed attempts also
@@ -241,102 +218,74 @@ func (c *Counters) IncAggCombined(src int) { c.shard(src).v[cAggCombined].Add(1)
 // attempts and k-1 retries.
 func (c *Counters) IncCAS(src int, ok bool) {
 	s := c.shard(src)
-	s.v[cCASAttempts].Add(1)
+	s.v.CASAttempts.Add(1)
 	if !ok {
-		s.v[cCASRetries].Add(1)
+		s.v.CASRetries.Add(1)
 	}
 }
 
 // IncMigAdopt records one migrated shard's contents adopted by locale
 // src (the destination executing the migration's fill op).
-func (c *Counters) IncMigAdopt(src int) { c.shard(src).v[cMigAdopted].Add(1) }
+func (c *Counters) IncMigAdopt(src int) { c.shard(src).v.MigAdopted.Add(1) }
 
 // IncMigRetire records one shard retired by locale src after its
 // contents were handed off to a new owner.
-func (c *Counters) IncMigRetire(src int) { c.shard(src).v[cMigRetired].Add(1) }
+func (c *Counters) IncMigRetire(src int) { c.shard(src).v.MigRetired.Add(1) }
 
 // IncMigBytes records n payload bytes shipped by a migration's bulk
 // fill from locale src. The bulk framing the bytes ride is charged to
 // the aggregated-volume counters by the transport, as usual.
-func (c *Counters) IncMigBytes(src int, n int64) { c.shard(src).v[cMigBytes].Add(n) }
+func (c *Counters) IncMigBytes(src int, n int64) { c.shard(src).v.MigBytes.Add(n) }
 
 // IncMigReroute records one delivered operation that observed a stale
 // owner generation on locale src and re-dispatched itself to the
 // current owner.
-func (c *Counters) IncMigReroute(src int) { c.shard(src).v[cMigReroutes].Add(1) }
+func (c *Counters) IncMigReroute(src int) { c.shard(src).v.MigReroutes.Add(1) }
 
 // IncOpsLost records n operations lost to a liveness fault, attributed
 // to the locale that tried (or would have tried) to issue them.
-func (c *Counters) IncOpsLost(src int, n int64) { c.shard(src).v[cOpsLost].Add(n) }
+func (c *Counters) IncOpsLost(src int, n int64) { c.shard(src).v.OpsLost.Add(n) }
 
 // IncOpsParked records n partition-refused operations entering locale
 // src's retry ledger.
-func (c *Counters) IncOpsParked(src int, n int64) { c.shard(src).v[cOpsParked].Add(n) }
+func (c *Counters) IncOpsParked(src int, n int64) { c.shard(src).v.OpsParked.Add(n) }
 
 // IncOpsRedelivered records n parked operations redelivered to their
 // destination by locale src after a heal or backoff retry.
-func (c *Counters) IncOpsRedelivered(src int, n int64) { c.shard(src).v[cOpsRedelivered].Add(n) }
+func (c *Counters) IncOpsRedelivered(src int, n int64) { c.shard(src).v.OpsRedelivered.Add(n) }
 
 // IncOpsExpired records n parked operations dropped by locale src at
 // the retry deadline or on ledger overflow.
-func (c *Counters) IncOpsExpired(src int, n int64) { c.shard(src).v[cOpsExpired].Add(n) }
+func (c *Counters) IncOpsExpired(src int, n int64) { c.shard(src).v.OpsExpired.Add(n) }
 
 // IncCacheInval records one invalidation operation executed on locale
 // src. A write-through mutation broadcasts one such op per locale, so
 // this counter exposes the write-amplification cost of replication;
 // the transport the ops ride (aggregated flushes) is counted
 // separately.
-func (c *Counters) IncCacheInval(src int) { c.shard(src).v[cCacheInval].Add(1) }
+func (c *Counters) IncCacheInval(src int) { c.shard(src).v.CacheInval.Add(1) }
 
 // Snapshot returns a point-in-time copy of all counters, merging the
 // shards. Concurrent increments land in either the before or after
 // side of a Sub window exactly as they would with unsharded counters.
 func (c *Counters) Snapshot() Snapshot {
-	var sums [numCounters]int64
-	for ctr := range sums {
-		sums[ctr] = c.total(ctr)
+	var s Snapshot
+	sums := s.words()
+	for i := range c.shards {
+		cells := c.shards[i].cells()
+		for ctr := range sums {
+			sums[ctr] += cells[ctr].Load()
+		}
 	}
-	return Snapshot{
-		Puts:       sums[cPuts],
-		Gets:       sums[cGets],
-		NICAMOs:    sums[cNICAMOs],
-		AMAMOs:     sums[cAMAMOs],
-		LocalAMOs:  sums[cLocalAMOs],
-		OnStmts:    sums[cOnStmts],
-		BulkXfers:  sums[cBulkXfers],
-		BulkBytes:  sums[cBulkBytes],
-		DCASLocal:  sums[cDCASLocal],
-		DCASRemote: sums[cDCASRemote],
-		AggFlushes: sums[cAggFlushes],
-		AggOps:     sums[cAggOps],
-		AggBytes:   sums[cAggBytes],
-		CacheHits:  sums[cCacheHits],
-		CacheMiss:  sums[cCacheMiss],
-		CacheInval: sums[cCacheInval],
-
-		AggOpsEnq:   sums[cAggOpsEnq],
-		AggCombined: sums[cAggCombined],
-		CASAttempts: sums[cCASAttempts],
-		CASRetries:  sums[cCASRetries],
-
-		MigAdopted:  sums[cMigAdopted],
-		MigRetired:  sums[cMigRetired],
-		MigBytes:    sums[cMigBytes],
-		MigReroutes: sums[cMigReroutes],
-
-		OpsLost: sums[cOpsLost],
-
-		OpsParked:      sums[cOpsParked],
-		OpsRedelivered: sums[cOpsRedelivered],
-		OpsExpired:     sums[cOpsExpired],
-	}
+	return s
 }
 
 // Reset zeroes every counter in every shard.
 func (c *Counters) Reset() {
 	for i := range c.shards {
-		for ctr := 0; ctr < numCounters; ctr++ {
-			c.shards[i].v[ctr].Store(0)
+		cells := c.shards[i].cells()
+		for ctr := range cells {
+			cells[ctr].Store(0)
 		}
 	}
 }
@@ -344,40 +293,11 @@ func (c *Counters) Reset() {
 // Sub returns the element-wise difference s - old, for measuring the
 // communication performed by one region of code.
 func (s Snapshot) Sub(old Snapshot) Snapshot {
-	return Snapshot{
-		Puts:       s.Puts - old.Puts,
-		Gets:       s.Gets - old.Gets,
-		NICAMOs:    s.NICAMOs - old.NICAMOs,
-		AMAMOs:     s.AMAMOs - old.AMAMOs,
-		LocalAMOs:  s.LocalAMOs - old.LocalAMOs,
-		OnStmts:    s.OnStmts - old.OnStmts,
-		BulkXfers:  s.BulkXfers - old.BulkXfers,
-		BulkBytes:  s.BulkBytes - old.BulkBytes,
-		DCASLocal:  s.DCASLocal - old.DCASLocal,
-		DCASRemote: s.DCASRemote - old.DCASRemote,
-		AggFlushes: s.AggFlushes - old.AggFlushes,
-		AggOps:     s.AggOps - old.AggOps,
-		AggBytes:   s.AggBytes - old.AggBytes,
-		CacheHits:  s.CacheHits - old.CacheHits,
-		CacheMiss:  s.CacheMiss - old.CacheMiss,
-		CacheInval: s.CacheInval - old.CacheInval,
-
-		AggOpsEnq:   s.AggOpsEnq - old.AggOpsEnq,
-		AggCombined: s.AggCombined - old.AggCombined,
-		CASAttempts: s.CASAttempts - old.CASAttempts,
-		CASRetries:  s.CASRetries - old.CASRetries,
-
-		MigAdopted:  s.MigAdopted - old.MigAdopted,
-		MigRetired:  s.MigRetired - old.MigRetired,
-		MigBytes:    s.MigBytes - old.MigBytes,
-		MigReroutes: s.MigReroutes - old.MigReroutes,
-
-		OpsLost: s.OpsLost - old.OpsLost,
-
-		OpsParked:      s.OpsParked - old.OpsParked,
-		OpsRedelivered: s.OpsRedelivered - old.OpsRedelivered,
-		OpsExpired:     s.OpsExpired - old.OpsExpired,
+	d, o := s.words(), old.words()
+	for ctr := range d {
+		d[ctr] -= o[ctr]
 	}
+	return s
 }
 
 // Remote reports the total number of operations that crossed a locale

@@ -54,51 +54,17 @@ type LocalToken struct {
 // locale.
 func (m *LocalEpochManager) Register(c *pgas.Ctx) *LocalToken {
 	m.checkLocale(c)
-	t := m.registerToken()
-	return t
+	return m.reg.register(func() *Token {
+		t := &Token{locale: m.locale}
+		t.localTok = &LocalToken{mgr: m, tok: t}
+		return t
+	}).localTok
 }
 
 func (m *LocalEpochManager) checkLocale(c *pgas.Ctx) {
 	if c.Here() != m.locale {
 		panic("epoch: LocalEpochManager used from a different locale")
 	}
-}
-
-// registerToken pops the free list or mints a LocalToken.
-func (m *LocalEpochManager) registerToken() *LocalToken {
-	r := &m.reg
-	for {
-		head := r.freeHead.Load()
-		idx := head & freeIdxMask
-		if idx == 0 {
-			break
-		}
-		t := (*r.tokens.Load())[idx-1]
-		next := t.nextFree.Load() & freeIdxMask
-		if r.freeHead.CompareAndSwap(head, (head>>32+1)<<32|next) {
-			return t.localTok
-		}
-	}
-	t := &Token{locale: m.locale}
-	lt := &LocalToken{mgr: m, tok: t}
-	t.localTok = lt
-	<-r.growMu
-	old := *r.tokens.Load()
-	t.slot = len(old)
-	grown := make([]*Token, len(old)+1)
-	copy(grown, old)
-	grown[t.slot] = t
-	r.tokens.Store(&grown)
-	r.growMu <- struct{}{}
-	for {
-		head := r.allocHead.Load()
-		t.nextAlloc = head
-		if r.allocHead.CompareAndSwap(head, t) {
-			break
-		}
-	}
-	r.count.Add(1)
-	return lt
 }
 
 // Pin enters the current epoch.
@@ -137,14 +103,7 @@ func (t *LocalToken) TryReclaim(c *pgas.Ctx) { t.mgr.TryReclaim(c) }
 // Unregister relinquishes the token.
 func (t *LocalToken) Unregister() {
 	t.tok.epoch.Store(0)
-	m := t.mgr
-	for {
-		head := m.reg.freeHead.Load()
-		t.tok.nextFree.Store(head & freeIdxMask)
-		if m.reg.freeHead.CompareAndSwap(head, (head>>32+1)<<32|uint64(t.tok.slot+1)) {
-			return
-		}
-	}
+	t.mgr.reg.pushFree(t.tok)
 }
 
 // TryReclaim is the local analogue of Listing 4 without the
@@ -159,13 +118,11 @@ func (m *LocalEpochManager) TryReclaim(c *pgas.Ctx) {
 	}
 	thisEpoch := m.epoch.Load()
 	safe := true
-	for t := m.reg.allocHead.Load(); t != nil; t = t.nextAlloc {
+	m.reg.forEach(func(t *Token) bool {
 		e := t.epoch.Load()
-		if e != 0 && e != thisEpoch {
-			safe = false
-			break
-		}
-	}
+		safe = e == 0 || e == thisEpoch
+		return safe
+	})
 	if safe {
 		newEpoch := nextEpoch(thisEpoch)
 		m.epoch.Store(newEpoch)

@@ -115,7 +115,8 @@ func NewEpochManager(c *pgas.Ctx) EpochManager {
 // previously relinquished one when available. The token starts
 // quiescent (not pinned).
 func (em EpochManager) Register(c *pgas.Ctx) *Token {
-	return em.priv.Get(c).register()
+	li := em.priv.Get(c)
+	return li.reg.register(func() *Token { return &Token{inst: li, locale: li.locale} })
 }
 
 // Pin is a convenience for Register-then-Pin in one call.
@@ -195,7 +196,7 @@ func (em EpochManager) TryReclaim(c *pgas.Ctx) {
 		li := em.priv.Get(lc)
 		ok := true
 		pinned := int64(0)
-		li.forEachToken(func(t *Token) bool {
+		li.reg.forEach(func(t *Token) bool {
 			e := t.epoch.Load()
 			if e != 0 {
 				pinned++
@@ -337,7 +338,7 @@ func (em EpochManager) ForceRetire(c *pgas.Ctx, locale int) int64 {
 	c.On(locale, func(lc *pgas.Ctx) {
 		li := em.priv.Get(lc)
 		tr := lc.Sys().Tracer()
-		li.forEachToken(func(t *Token) bool {
+		li.reg.forEach(func(t *Token) bool {
 			if e := t.epoch.Swap(0); e != 0 {
 				tokens++
 				if tr != nil {

@@ -28,8 +28,8 @@ type Token struct {
 	locale int
 
 	nextAlloc *Token        // append-only allocated list linkage
-	nextFree  atomic.Uint64 // free-list linkage (index+1 into inst.tokens)
-	slot      int           // index of this token in inst.tokens
+	nextFree  atomic.Uint64 // free-list linkage (index+1 into the registry's tokens)
+	slot      int           // index of this token in the registry's tokens
 	localTok  *LocalToken   // backlink when owned by a LocalEpochManager
 }
 
@@ -97,7 +97,7 @@ func (t *Token) TryReclaim(c *pgas.Ctx) {
 func (t *Token) Unregister(c *pgas.Ctx) {
 	t.checkLocale(c)
 	t.epoch.Store(0)
-	t.inst.pushFree(t)
+	t.inst.reg.pushFree(t)
 }
 
 func (t *Token) checkLocale(c *pgas.Ctx) {
@@ -135,9 +135,9 @@ func (r *tokenRegistry) init() {
 
 const freeIdxMask = (uint64(1) << 32) - 1
 
-// register pops a free token or mints a new one.
-func (inst *instance) register() *Token {
-	r := &inst.reg
+// register pops a free token or, when the free list is empty, mints one
+// with mint and links it into the registry.
+func (r *tokenRegistry) register(mint func() *Token) *Token {
 	// Fast path: ABA-protected pop of the free list.
 	for {
 		head := r.freeHead.Load()
@@ -153,7 +153,7 @@ func (inst *instance) register() *Token {
 		}
 	}
 	// Mint a new token and prepend it to the allocated list.
-	t := &Token{inst: inst, locale: inst.locale}
+	t := mint()
 	<-r.growMu
 	old := *r.tokens.Load()
 	t.slot = len(old)
@@ -174,8 +174,7 @@ func (inst *instance) register() *Token {
 }
 
 // pushFree returns a token to the free list (stamped Treiber push).
-func (inst *instance) pushFree(t *Token) {
-	r := &inst.reg
+func (r *tokenRegistry) pushFree(t *Token) {
 	for {
 		head := r.freeHead.Load()
 		t.nextFree.Store(head & freeIdxMask)
@@ -186,12 +185,12 @@ func (inst *instance) pushFree(t *Token) {
 	}
 }
 
-// forEachToken walks the allocated list (including currently
+// forEach walks the allocated list (including currently
 // unregistered tokens, whose epoch is 0 and therefore quiescent),
 // stopping early if fn returns false. This is the scan tryReclaim
 // performs on every locale.
-func (inst *instance) forEachToken(fn func(t *Token) bool) {
-	for t := inst.reg.allocHead.Load(); t != nil; t = t.nextAlloc {
+func (r *tokenRegistry) forEach(fn func(t *Token) bool) {
+	for t := r.allocHead.Load(); t != nil; t = t.nextAlloc {
 		if !fn(t) {
 			return
 		}
