@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -347,7 +348,7 @@ func AblationSharding(cfg Config) Figure {
 		return func(locales int) (Point, verdict) {
 			return cfg.measure(machine{locales: locales, matrix: true}, func(tr *trial) {
 				em := tr.epochs()
-				m := hashmap.New[int](tr.c, 8*locales, em)
+				m := hashmap.New[int](tr.c, 8*locales, em).Shipped(false) // the paper's walk; A13 ships
 				keys := make([]hashmap.KV[int], 32*locales)
 				for k := range keys {
 					keys[k] = hashmap.KV[int]{K: uint64(k), V: k}
@@ -435,7 +436,7 @@ func AblationReplication(cfg Config) Figure {
 			return cfg.measure(machine{locales: locales, matrix: true}, func(tr *trial) {
 				c := tr.c
 				em := tr.epochs()
-				m := hashmap.New[int](c, 8*locales, em)
+				m := hashmap.New[int](c, 8*locales, em).Shipped(false) // the paper's walk; A13 ships
 				// Both arms attach the cache so both pick identical hot keys;
 				// the uncached arm simply reads through the cacheless handle.
 				cv := m.Cached(c, cacheSlots)
@@ -506,7 +507,7 @@ func replicationStorm(cfg Config, locales int) (Point, verdict) {
 	return cfg.measure(machine{locales: locales, matrix: true}, func(tr *trial) {
 		c := tr.c
 		em := tr.epochs()
-		m := hashmap.New[int](c, 8*locales, em)
+		m := hashmap.New[int](c, 8*locales, em).Shipped(false) // the paper's walk; A13 ships
 		cv := m.Cached(c, 64)
 		em.Protect(c, func(tok *epoch.Token) {
 			for k := uint64(0); k < stormKeys; k++ {
@@ -691,7 +692,7 @@ func movingHotStorm(cfg Config, locales int, rebalanced bool) (Point, verdict) {
 	return cfg.measure(machine{locales: locales, matrix: true}, func(tr *trial) {
 		c := tr.c
 		em := tr.epochs()
-		m := hashmap.New[int](c, 16*locales, em)
+		m := hashmap.New[int](c, 16*locales, em).Shipped(false) // the paper's walk; A13 ships
 		hot := a10WindowKeys(m, locales, a10Windows)
 		em.Protect(c, func(tok *epoch.Token) {
 			for _, ks := range hot {
@@ -818,7 +819,7 @@ func crashStorm(cfg Config, locales int, failover bool) (Point, verdict) {
 	return cfg.measure(machine{locales: locales, matrix: true}, func(tr *trial) {
 		c := tr.c
 		em := tr.epochs()
-		m := hashmap.New[int](c, 16*locales, em)
+		m := hashmap.New[int](c, 16*locales, em).Shipped(false) // the paper's walk; A13 ships
 		keys := a11VictimKeys(m, locales)
 		em.Protect(c, func(tok *epoch.Token) {
 			for _, k := range keys {
@@ -949,7 +950,7 @@ func flashPartition(cfg Config, locales int, retry bool) (Point, verdict) {
 	return cfg.measure(machine{locales: locales, park: park, matrix: true}, func(tr *trial) {
 		c := tr.c
 		em := tr.epochs()
-		m := hashmap.New[int](c, 16*locales, em)
+		m := hashmap.New[int](c, 16*locales, em).Shipped(false) // the paper's walk; A13 ships
 		// One target key per locale: the pair aim at each other, the
 		// rest at their ring successor (skipping nothing — the ring
 		// only crosses the severed link at the pair itself).
@@ -1023,6 +1024,76 @@ func AblationPartitionRetry(cfg Config) Figure {
 	}
 }
 
+// a13Op is op i of locale l's share of A13's fixed synchronous mix over
+// keyspace keys: five gets, an insert, an upsert and a remove in every
+// eight ops, on a key stream that strides across the keyspace (37 is
+// odd, so coprime to the power-of-two keyspace). TestAblationA13
+// replays it against a model.
+func a13Op(l, i, keyspace int) (op byte, k uint64) {
+	return "gggggiur"[i%8], uint64((i*37 + l*11) % keyspace)
+}
+
+// AblationShipping compares the two routes a synchronous hashmap
+// operation on a remote bucket can take: the paper's walk (data
+// shipping — every word of the owner's list read or CASed across the
+// network, the owner's CPU idle under NIC atomics) and one on-statement
+// to the owner that runs the same list code on local words (function
+// shipping). Each locale in turn runs the same fixed sync-op mix against
+// a map whose even keys were bulk-loaded; sequential windows keep the
+// counters exact, and the claim is per-op volume, not wall time. On none
+// every remote word access is an active message, so the ship arm's one
+// on-statement undercuts the walk; on ugni a NIC atomic is cheaper than
+// an on-statement and the walk wins — the rule hashmap.New applies on
+// its own. TestAblationA13 asserts both arms' exact counters.
+func AblationShipping(cfg Config) Figure {
+	perLocale := cfg.ops(1 << 9)
+	run := func(backend comm.Backend, ship bool) runFunc {
+		return func(locales int) (Point, verdict) {
+			return cfg.measure(machine{locales: locales, backend: backend, matrix: true}, func(tr *trial) {
+				em := tr.epochs()
+				m := hashmap.New[int](tr.c, 8*locales, em).Shipped(ship)
+				keyspace := 32 * locales
+				load := make([]hashmap.KV[int], 0, keyspace/2)
+				for k := 0; k < keyspace; k += 2 {
+					load = append(load, hashmap.KV[int]{K: uint64(k), V: k})
+				}
+				m.InsertBulk(tr.c, load)
+				tr.timed(func() {
+					for l := 0; l < locales; l++ {
+						lc := tr.sys.Ctx(l)
+						em.Protect(lc, func(tok *epoch.Token) {
+							for i := 0; i < perLocale; i++ {
+								switch op, k := a13Op(l, i, keyspace); op {
+								case 'g':
+									m.Get(lc, tok, k)
+								case 'i':
+									m.Insert(lc, tok, k, i)
+								case 'u':
+									m.Upsert(lc, tok, k, i)
+								case 'r':
+									m.Remove(lc, tok, k)
+								}
+							}
+						})
+					}
+				})
+			})
+		}
+	}
+	var panels []Panel
+	for _, b := range []comm.Backend{comm.BackendNone, comm.BackendUGNI} {
+		panels = append(panels, cfg.sweep(fmt.Sprintf("Sync map ops per locale: walk vs ship (%v)", b), "Locales", cfg.localeSweep(2),
+			arm{"walk (data shipping)", "ablM " + b.String() + " walk", run(b, false)},
+			arm{"ship (one on-statement to the owner)", "ablM " + b.String() + " ship", run(b, true)}))
+	}
+	return Figure{
+		ID:      "A13",
+		Title:   "Ablation: function vs data shipping for synchronous map operations",
+		Caption: "A remote synchronous map operation either walks the owner's bucket list word by word (1 + 2v remote events, the paper's design, which keeps the owner's CPU idle under NIC atomics) or ships as one on-statement that runs the same list code on the owner's local words. Without NIC atomics every word access is an active message anyway, and the single on-statement wins; with them the walk is cheaper than an on-statement.",
+		Panels:  panels,
+	}
+}
+
 // Ablations runs every ablation study.
 func Ablations(cfg Config) []Figure {
 	return []Figure{
@@ -1038,5 +1109,6 @@ func Ablations(cfg Config) []Figure {
 		AblationRebalancing(cfg),
 		AblationCrashFailover(cfg),
 		AblationPartitionRetry(cfg),
+		AblationShipping(cfg),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"gopgas/internal/comm"
 	"gopgas/internal/core/epoch"
 	"gopgas/internal/pgas"
+	"gopgas/internal/structures/hashmap"
 	"gopgas/internal/structures/queue"
 	"gopgas/internal/structures/stack"
 )
@@ -83,7 +84,7 @@ func TestFigure7Structure(t *testing.T) {
 
 func TestAblationsStructure(t *testing.T) {
 	figs := Ablations(tinyConfig())
-	if len(figs) != 12 {
+	if len(figs) != 13 {
 		t.Fatalf("got %d ablations", len(figs))
 	}
 	ids := map[string]bool{}
@@ -93,7 +94,7 @@ func TestAblationsStructure(t *testing.T) {
 			t.Fatalf("ablation %s empty", f.ID)
 		}
 	}
-	for _, id := range []string{"A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10", "A11", "A12"} {
+	for _, id := range []string{"A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10", "A11", "A12", "A13"} {
 		if !ids[id] {
 			t.Fatalf("missing ablation %s (have %v)", id, ids)
 		}
@@ -697,4 +698,86 @@ func TestAblationA12(t *testing.T) {
 			},
 			func(sc *pgas.Ctx) (int64, int64) { return s.Failover(sc, victim) })
 	})
+}
+
+// The function-vs-data-shipping ablation's counters, exact at the zero
+// profile. A replay of the fixed mix against a model gives, per locale
+// count, the ops whose bucket another locale owns and the allocations
+// the walk makes on an owner (a fresh insert, every upsert). Then on
+// both backends the ship arm books one on-statement per remote op, no
+// GET and no per-word remote atomic, while the walk's on-statements are
+// its remote allocations; both arms touch the same words with the same
+// CASes — under none the ship arm's local atomics are the walk's local
+// plus AM atomics, under ugni every word access is a NIC atomic either
+// way — and the ship arm's matrix carries exactly its on-statements.
+func TestAblationA13(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Scale = 0.05 // 25 ops per locale
+	perLocale := cfg.ops(1 << 9)
+	f := AblationShipping(cfg)
+	if f.ID != "A13" || len(f.Panels) != 2 {
+		t.Fatalf("A13 shape: id=%s panels=%d", f.ID, len(f.Panels))
+	}
+	for idx, locales := range cfg.localeSweep(2) {
+		sys := pgas.NewSystem(pgas.Config{Locales: locales})
+		c := sys.Ctx(0)
+		m := hashmap.New[int](c, 8*locales, epoch.NewEpochManager(c))
+		keyspace := 32 * locales
+		present := map[uint64]bool{}
+		for k := 0; k < keyspace; k += 2 {
+			present[uint64(k)] = true
+		}
+		var remoteOps, remoteAllocs int64
+		for l := 0; l < locales; l++ {
+			for i := 0; i < perLocale; i++ {
+				op, k := a13Op(l, i, keyspace)
+				remote := m.HomeOf(k) != l
+				if remote {
+					remoteOps++
+				}
+				switch op {
+				case 'i', 'u':
+					if remote && (op == 'u' || !present[k]) {
+						remoteAllocs++
+					}
+					present[k] = true
+				case 'r':
+					delete(present, k)
+				}
+			}
+		}
+		sys.Shutdown()
+		if remoteOps == 0 || remoteAllocs == 0 {
+			t.Fatalf("L=%d: the mix reached no remote bucket", locales)
+		}
+
+		for _, panel := range f.Panels {
+			walk, ship := panel.Series[0].Points[idx].Comm, panel.Series[1].Points[idx].Comm
+			if ship.OnStmts != remoteOps || walk.OnStmts != remoteAllocs {
+				t.Fatalf("%s L=%d: on-statements ship %d walk %d, want %d and %d",
+					panel.Title, locales, ship.OnStmts, walk.OnStmts, remoteOps, remoteAllocs)
+			}
+			if ship.Gets != 0 || ship.AMAMOs != 0 || walk.AMAMOs+walk.LocalAMOs+walk.NICAMOs != ship.LocalAMOs+ship.NICAMOs {
+				t.Fatalf("%s L=%d: word accesses differ:\n ship %v\n walk %v", panel.Title, locales, ship, walk)
+			}
+			if walk.Gets == 0 || ship.CASAttempts != walk.CASAttempts || ship.CASRetries != 0 || walk.CASRetries != 0 {
+				t.Fatalf("%s L=%d: CAS or GET books:\n ship %v\n walk %v", panel.Title, locales, ship, walk)
+			}
+		}
+		none, ugni := f.Panels[0], f.Panels[1]
+		if s := none.Series[1].Points[idx].Comm; s.NICAMOs != 0 || s.Remote() != remoteOps {
+			t.Fatalf("none L=%d: ship arm booked %d remote events, want its %d on-statements: %v", locales, s.Remote(), remoteOps, s)
+		}
+		rows, _ := TotalsOf(none.Series[1].Points[idx].Matrix)
+		var sent int64
+		for _, n := range rows {
+			sent += n
+		}
+		if sent != remoteOps {
+			t.Fatalf("none L=%d: ship arm matrix carries %d events, want %d", locales, sent, remoteOps)
+		}
+		if s, w := ugni.Series[1].Points[idx].Comm, ugni.Series[0].Points[idx].Comm; s.LocalAMOs != 0 || s.NICAMOs != w.NICAMOs {
+			t.Fatalf("ugni L=%d: NIC atomics ship %d walk %d (local %d), want equal and no CPU atomics", locales, s.NICAMOs, w.NICAMOs, s.LocalAMOs)
+		}
+	}
 }

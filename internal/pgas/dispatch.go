@@ -32,9 +32,32 @@ func (s *System) dispatchOn(src *Ctx, target int, fn func(*Ctx)) {
 		fn(src)
 		return
 	}
-	if !s.admit(src, target, comm.Op{}) {
-		return
+	if s.admit(src, target, comm.Op{}) {
+		s.deliverOn(src, target, fn)
 	}
+}
+
+// TryOn is On for a caller that has another route: when the live fault
+// plan refuses the target — dead, or partitioned from this locale — it
+// returns false at once, without running fn and without touching any
+// book: no OpsLost, no parking, no delay. Otherwise it runs fn on the
+// target exactly as On does, charges included, and returns true.
+// Salvage contexts are never refused.
+func (c *Ctx) TryOn(target int, fn func(ctx *Ctx)) bool {
+	s := c.sys
+	if target == c.here.id {
+		fn(c)
+		return true
+	}
+	if p := s.perturb.Load(); p != nil && p.Faulted() && refusalOf(p, c, target) != refuseNone {
+		return false
+	}
+	s.deliverOn(c, target, fn)
+	return true
+}
+
+// deliverOn charges and runs an admitted remote on-statement.
+func (s *System) deliverOn(src *Ctx, target int, fn func(*Ctx)) {
 	// The Enabled check is hoisted to the call site: Begin is too big to
 	// inline, and this is the hottest loop in every sweep — an idle
 	// recorder must cost one inlined atomic load, not a call.

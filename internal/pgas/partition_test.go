@@ -94,6 +94,58 @@ func TestPartitionParkAndRedeliver(t *testing.T) {
 	}
 }
 
+// TryOn is the dispatch that books nothing when refused: against a
+// partitioned pair, and then a crashed target, it returns false without
+// running fn and leaves the whole counter snapshot, the retry ledgers
+// and the delay account as they were. A salvage context is never
+// refused, and a delivered TryOn books and charges exactly what On does.
+func TestTryOnRefusesWithoutBooking(t *testing.T) {
+	s := NewSystem(Config{Locales: 3, Backend: comm.BackendNone, Latency: comm.DefaultProfile().Scale(0.01)})
+	defer s.Shutdown()
+	c := s.Ctx(0)
+	ran := 0
+	fn := func(*Ctx) { ran++ }
+	refused := func(fault string) {
+		t.Helper()
+		before := s.Counters().Snapshot()
+		modelled, _ := s.DelayTotals()
+		if c.TryOn(1, fn) || ran != 0 {
+			t.Fatalf("%s: TryOn delivered (ran %d)", fault, ran)
+		}
+		if d := s.Counters().Snapshot(); d != before {
+			t.Fatalf("%s: refusal booked\n %+v\nwas\n %+v", fault, d, before)
+		}
+		if m, _ := s.DelayTotals(); m != modelled {
+			t.Fatalf("%s: refusal charged %d ns", fault, m-modelled)
+		}
+		if n := s.ParkedOps(); n != 0 {
+			t.Fatalf("%s: refusal parked %d ops", fault, n)
+		}
+	}
+	if err := s.Sever(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	refused("partitioned")
+	if err := s.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	refused("crashed")
+
+	if !c.Salvage().TryOn(1, fn) || ran != 1 {
+		t.Fatalf("salvage TryOn refused (ran %d)", ran)
+	}
+	before := s.Counters().Snapshot()
+	c.On(2, fn)
+	viaOn := s.Counters().Snapshot().Sub(before)
+	before = s.Counters().Snapshot()
+	if !c.TryOn(2, fn) || ran != 3 {
+		t.Fatalf("TryOn to a healthy locale refused (ran %d)", ran)
+	}
+	if viaTry := s.Counters().Snapshot().Sub(before); viaTry != viaOn || viaOn.OnStmts != 1 {
+		t.Fatalf("TryOn booked %+v, On booked %+v", viaTry, viaOn)
+	}
+}
+
 // AsyncOn against a severed pair parks without wedging quiescence; the
 // task runs when the pair heals.
 func TestPartitionAsyncOnParks(t *testing.T) {

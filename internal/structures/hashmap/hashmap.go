@@ -14,10 +14,18 @@
 // handle, and every locale holds its own replica of the (immutable)
 // bucket metadata through the pgas privatization registry. Resolving
 // key → bucket is therefore a locale-private indexed load on every
-// locale — zero communication — and an operation's only remote events
-// are the CASes/reads on the bucket's own cells, which live with the
-// bucket's owner. Callers that want those to be local too can route
-// work with HomeOf.
+// locale — zero communication.
+//
+// A synchronous operation on a bucket another locale owns takes one of
+// two routes, chosen once per map from the backend and latency profile
+// (see shipRule). It walks the owner's list from the caller — the
+// paper's data shipping, where the only remote events are the
+// reads/CASes on the bucket's own cells and the owner's CPU stays idle
+// under NIC atomics — or it ships as one on-statement to the owner,
+// which runs the same list code on local words (function shipping,
+// cheaper when every remote atomic is an active message anyway).
+// Callers that want the operation local outright can route work with
+// HomeOf.
 //
 // There is one map type and one write path. Ownership of a bucket is a
 // live shared.OwnerTable entry (identity e % L until the first
@@ -59,7 +67,8 @@ type bucketSlot[V any] struct {
 // exactly what makes privatization free. The combiner is the other
 // mutable member: each locale's replica carries the flat combiner that
 // serializes the fire-and-forget writes delivered to that locale's
-// buckets (see UpsertAgg) and the migrations of buckets it owns.
+// buckets (see UpsertAgg), the synchronous writes shipped to them (see
+// shipWrite) and the migrations of buckets it owns.
 type table[V any] struct {
 	buckets []*bucketSlot[V]
 	comb    shared.Combiner
@@ -86,6 +95,7 @@ type Map[V any] struct {
 	core *core[V]
 	ca   *cache.Cache[V] // nil unless Cached attached one to this handle
 	mask uint64
+	ship bool // sync ops on a remote bucket run on its owner (shipRule, Shipped)
 }
 
 // New creates a map with the given bucket count (rounded up to a power
@@ -114,7 +124,8 @@ func New[V any](c *pgas.Ctx, buckets int, em epoch.EpochManager) Map[V] {
 		slots[i] = &bucketSlot[V]{}
 		slots[i].list.Store(list.New[V](c, i%L, em))
 	}
-	m := Map[V]{mask: uint64(n - 1), core: &core[V]{
+	sys := c.Sys()
+	m := Map[V]{mask: uint64(n - 1), ship: shipRule(sys.Backend(), sys.Latency()), core: &core[V]{
 		slots: slots,
 		tab:   shared.NewOwnerTable(n, func(e int) int { return e % L }),
 		em:    em,
@@ -208,13 +219,19 @@ func hash(k uint64) uint64 {
 	return k
 }
 
-// bucket returns the current list for k, resolved through the calling
-// locale's privatized table replica — zero communication beyond the
+// slot returns k's bucket slot, resolved through the calling locale's
+// privatized table replica — zero communication.
+func (m Map[V]) slot(c *pgas.Ctx, k uint64) *bucketSlot[V] {
+	return m.priv.Get(c).buckets[hash(k)&m.mask]
+}
+
+// bucket returns the current list for k — zero communication beyond the
 // slot's atomic pointer load. It never consults the owner table: the
 // pointer always names a complete list (old until a migration's swap,
-// new after).
+// new after). This is the walk's resolution: load, then the list op's
+// own pin on the caller's token.
 func (m Map[V]) bucket(c *pgas.Ctx, k uint64) *list.List[V] {
-	return m.priv.Get(c).buckets[hash(k)&m.mask].list.Load()
+	return m.slot(c, k).list.Load()
 }
 
 // BucketOf reports which bucket index k hashes to — the entry
@@ -250,7 +267,12 @@ func (m Map[V]) invalidate(c *pgas.Ctx, k uint64) {
 // Insert adds (k, v) if absent, reporting whether it inserted. (An
 // unsuccessful insert changed nothing, so nothing is invalidated.)
 func (m Map[V]) Insert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
-	ok := m.bucket(c, k).Insert(c, tok, k, v)
+	var ok bool
+	if m.ship {
+		ok = m.shipped(c, tok, syncOp[V]{kind: opInsert, k: k, v: v}).ok
+	} else {
+		ok = m.bucket(c, k).Insert(c, tok, k, v)
+	}
 	if ok {
 		m.invalidate(c, k)
 	}
@@ -260,21 +282,33 @@ func (m Map[V]) Insert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
 // Upsert inserts or replaces (k, v), reporting whether it replaced an
 // existing value.
 //
-// The synchronous writes (Insert, Upsert, Remove) CAS the bucket's
-// current list from the calling task and are not serialized against
-// Migrate: one that resolved the list before a migration's snapshot
-// and lands after it is applied to the retired list and lost. Traffic
-// that must survive ownership changes uses the fire-and-forget writes,
-// which apply under the owner's combiner.
+// A shipped synchronous write (Insert, Upsert, Remove) applies under
+// the owner's combiner and survives ownership changes like the
+// fire-and-forget writes do. A walked one CASes the bucket's current
+// list from the calling task and is not serialized against Migrate:
+// one that resolved the list before a migration's snapshot and lands
+// after it is applied to the retired list and lost. Traffic that must
+// survive ownership changes on a walking handle uses the
+// fire-and-forget writes.
 func (m Map[V]) Upsert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
-	replaced := m.bucket(c, k).Upsert(c, tok, k, v)
+	var replaced bool
+	if m.ship {
+		replaced = m.shipped(c, tok, syncOp[V]{kind: opUpsert, k: k, v: v}).ok
+	} else {
+		replaced = m.bucket(c, k).Upsert(c, tok, k, v)
+	}
 	m.invalidate(c, k)
 	return replaced
 }
 
 // Remove deletes k, reporting whether it was present.
 func (m Map[V]) Remove(c *pgas.Ctx, tok *epoch.Token, k uint64) bool {
-	ok := m.bucket(c, k).Remove(c, tok, k)
+	var ok bool
+	if m.ship {
+		ok = m.shipped(c, tok, syncOp[V]{kind: opRemove, k: k}).ok
+	} else {
+		ok = m.bucket(c, k).Remove(c, tok, k)
+	}
 	if ok {
 		m.invalidate(c, k)
 	}
@@ -295,12 +329,15 @@ const combineKindMapWrite uint8 = 32
 // plus one value word, matching the pgas layer's put convention.
 const mapWriteBytes = 16
 
-type writeKind uint8
+// opKind is the list operation a writeOp or a syncOp carries; a
+// writeOp carries one of the three writes.
+type opKind uint8
 
 const (
-	writeUpsert writeKind = iota
-	writeRemove
-	writeInsert
+	opUpsert opKind = iota
+	opRemove
+	opInsert
+	opGet
 )
 
 // writeOp is one buffered fire-and-forget write headed for its
@@ -318,7 +355,7 @@ type writeOp[V any] struct {
 	k       uint64
 	v       V
 	n       *atomic.Int64 // InsertBulk's tally of successful inserts
-	kind    writeKind
+	kind    opKind
 	changed bool // set under the combiner: applied, and k's entry changed
 }
 
@@ -333,7 +370,7 @@ func (o *writeOp[V]) CombineKey() comm.CombineKey { return o.m.mergeKey(o.k) }
 
 // merge folds a later write of the same key into o, last writer wins:
 // the later value and kind, and the later (fresher) generation sample.
-func (o *writeOp[V]) merge(gen uint64, v V, kind writeKind) {
+func (o *writeOp[V]) merge(gen uint64, v V, kind opKind) {
 	o.gen, o.v, o.kind = gen, v, kind
 }
 
@@ -384,19 +421,14 @@ func (o *writeOp[V]) applyOwned(tc *pgas.Ctx, t *table[V]) {
 		slot.heat.Add(1)
 	}
 	o.m.core.em.Protect(tc, func(tok *epoch.Token) {
-		b := slot.list.Load()
-		switch o.kind {
-		case writeUpsert:
-			b.Upsert(tc, tok, o.k, o.v)
-			o.changed = true
-		case writeRemove:
-			o.changed = b.Remove(tc, tok, o.k)
-		case writeInsert:
-			if o.changed = b.Insert(tc, tok, o.k, o.v); o.changed {
-				o.n.Add(1)
-			}
-		}
+		w := syncOp[V]{kind: o.kind, k: o.k, v: o.v}
+		w.run(tc, tok, slot.list.Load())
+		// An upsert changes k's entry whether or not it replaced one.
+		o.changed = w.ok || o.kind == opUpsert
 	})
+	if o.changed && o.kind == opInsert {
+		o.n.Add(1)
+	}
 }
 
 // UpsertAgg buffers a fire-and-forget upsert of (k, v) into the
@@ -418,21 +450,21 @@ func (o *writeOp[V]) applyOwned(tc *pgas.Ctx, t *table[V]) {
 // the window). Callers that need a deterministic final state quiesce
 // (Ctx.Flush) and write a final pass, as the storm tests do.
 func (m Map[V]) UpsertAgg(c *pgas.Ctx, k uint64, v V) {
-	m.writeAgg(c, writeUpsert, k, v)
+	m.writeAgg(c, opUpsert, k, v)
 }
 
 // RemoveAgg buffers a fire-and-forget removal of k, with the same
 // routing, combining and visibility contract as UpsertAgg.
 func (m Map[V]) RemoveAgg(c *pgas.Ctx, k uint64) {
 	var zero V
-	m.writeAgg(c, writeRemove, k, zero)
+	m.writeAgg(c, opRemove, k, zero)
 }
 
 // writeAgg samples the owner of k's bucket and either merges the write
 // into the one this task already has buffered for k — the common case
 // on a hot key, and no allocation — or builds the op that carries the
 // sample's generation there.
-func (m Map[V]) writeAgg(c *pgas.Ctx, kind writeKind, k uint64, v V) {
+func (m Map[V]) writeAgg(c *pgas.Ctx, kind opKind, k uint64, v V) {
 	owner, gen := m.core.tab.Owner(m.BucketOf(k))
 	buf := c.Aggregator(owner)
 	if prev := buf.Buffered(m.mergeKey(k)); prev != nil {
@@ -459,7 +491,7 @@ func (m Map[V]) InsertBulk(c *pgas.Ctx, pairs []KV[V]) int {
 	var inserted atomic.Int64
 	for _, kv := range pairs {
 		owner, gen := m.core.tab.Owner(m.BucketOf(kv.K))
-		op := &writeOp[V]{m: m, gen: gen, k: kv.K, v: kv.V, n: &inserted, kind: writeInsert}
+		op := &writeOp[V]{m: m, gen: gen, k: kv.K, v: kv.V, n: &inserted, kind: opInsert}
 		c.Aggregator(owner).Call(op.Exec)
 	}
 	c.Flush()
@@ -477,12 +509,16 @@ func (m Map[V]) Get(c *pgas.Ctx, tok *epoch.Token, k uint64) (V, bool) {
 	return m.lookup(c, tok, k)
 }
 
-// lookup is the owner-computed read: follow the slot's current list
-// pointer, counting the bucket's heat once a controller ranks it.
+// lookup is the owner-computed read: the current list's Get, shipped
+// or walked, counting the bucket's heat once a controller ranks it.
 func (m Map[V]) lookup(c *pgas.Ctx, tok *epoch.Token, k uint64) (V, bool) {
-	slot := m.priv.Get(c).buckets[hash(k)&m.mask]
+	slot := m.slot(c, k)
 	if m.core.heatOn.Load() {
 		slot.heat.Add(1)
+	}
+	if m.ship {
+		o := m.shipped(c, tok, syncOp[V]{kind: opGet, k: k})
+		return o.v, o.ok
 	}
 	return slot.list.Load().Get(c, tok, k)
 }
