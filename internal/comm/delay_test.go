@@ -77,18 +77,28 @@ func TestPacerChargesWallTimeOnce(t *testing.T) {
 }
 
 // stallInDelay makes one p.Delay(ns) overshoot by about stall: on a
-// single P the delay's first yield hands the CPU to a goroutine that
-// holds it for that long. It reports whether the stall happened inside
-// the delay. The caller must have set GOMAXPROCS to 1.
+// single P the delay's yields hand the CPU to a goroutine that holds it
+// for that long. The scheduler may run something else in the delay's
+// short window, so a missed stall is waited out and tried again with a
+// fresh delay. It reports whether a stall happened inside a delay. The
+// caller must have set GOMAXPROCS to 1.
 func stallInDelay(p *Pacer, ns int64, stall time.Duration) bool {
-	var ran atomic.Bool
-	go func() {
-		for start := time.Now(); time.Since(start) < stall; {
+	for attempt := 0; attempt < 50; attempt++ {
+		var ran atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			for start := time.Now(); time.Since(start) < stall; {
+			}
+			ran.Store(true)
+			close(done)
+		}()
+		p.Delay(ns)
+		if ran.Load() {
+			return true
 		}
-		ran.Store(true)
-	}()
-	p.Delay(ns)
-	return ran.Load()
+		<-done
+	}
+	return false
 }
 
 // A stall inside a delay is carried only up to the clamp: it buys

@@ -434,6 +434,34 @@ func TestUseAfterFreeWithoutEBR(t *testing.T) {
 
 	const iters = 2000
 	var wg sync.WaitGroup
+	// One interleaving is forced rather than left to the scheduler: a
+	// reader snapshots the address, the writer swaps and frees it, and
+	// only then does the reader dereference its stale snapshot.
+	snapped, freed := make(chan struct{}), make(chan struct{})
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		c := s.Ctx(0)
+		mu.Lock()
+		a := shared.cur
+		mu.Unlock()
+		close(snapped)
+		<-freed
+		pgas.Deref[*payload](c, a) // reads a freed slot
+	}()
+	go func() {
+		defer wg.Done()
+		c := s.Ctx(0)
+		<-snapped
+		fresh := c.Alloc(&payload{v: -1})
+		mu.Lock()
+		old := shared.cur
+		shared.cur = fresh
+		mu.Unlock()
+		c.Free(old) // eager free: unsafe
+		close(freed)
+	}()
+	wg.Wait()
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
@@ -462,7 +490,7 @@ func TestUseAfterFreeWithoutEBR(t *testing.T) {
 	}()
 	wg.Wait()
 	if uaf := s.HeapStats().UAFLoads; uaf == 0 {
-		t.Skip("racy control did not trigger UAF this run (timing-dependent)")
+		t.Fatal("eager frees produced no detected use-after-free load")
 	}
 }
 

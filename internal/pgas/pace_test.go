@@ -20,21 +20,28 @@ var paceProfile = comm.LatencyProfile{
 }
 
 // stallCredit fills c's delay account to the clamp: on a single P a
-// delay's first yield hands the CPU to a goroutine that holds it for
-// milliseconds. The test is skipped if the scheduler did not play along.
+// delay's yields hand the CPU to a goroutine that holds it for
+// milliseconds. A stall the scheduler did not place inside the delay is
+// waited out and tried again; the test is skipped only if none landed.
 func stallCredit(t *testing.T, c *Ctx) int64 {
 	t.Helper()
-	var ran atomic.Bool
-	go func() {
-		for start := time.Now(); time.Since(start) < 5*time.Millisecond; {
+	for attempt := 0; attempt < 50; attempt++ {
+		var ran atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			for start := time.Now(); time.Since(start) < 5*time.Millisecond; {
+			}
+			ran.Store(true)
+			close(done)
+		}()
+		c.pace.Delay(20_000)
+		if ran.Load() {
+			return c.pace.Credit()
 		}
-		ran.Store(true)
-	}()
-	c.pace.Delay(20_000)
-	if !ran.Load() {
-		t.Skip("the stalling goroutine was not scheduled inside the delay")
+		<-done
 	}
-	return c.pace.Credit()
+	t.Skip("the stalling goroutine was never scheduled inside the delay")
+	return 0
 }
 
 // A synchronous on-statement body and an aggregated delivery run on the

@@ -55,7 +55,9 @@ import (
 // every operation) and a heat counter the rebalance controller reads
 // to rank candidate buckets. Slots are shared across every locale's
 // table replica, so a migration's single pointer store republishes the
-// new list to all locales at once.
+// new list to all locales at once. They sit in one backing array, and
+// each list holds its head word inside itself, so a lookup goes replica
+// → slot → list → first node with no other object in between.
 type bucketSlot[V any] struct {
 	list atomic.Pointer[list.List[V]]
 	heat atomic.Int64
@@ -78,7 +80,7 @@ type table[V any] struct {
 // bucket slots (for the ctx-less heat reads), the live owner table,
 // and the switch that turns heat counting on.
 type core[V any] struct {
-	slots []*bucketSlot[V]
+	slots []bucketSlot[V]
 	tab   *shared.OwnerTable
 	em    epoch.EpochManager
 	// heatOn is set by the first EntryHeat call — a rebalance.Controller
@@ -114,14 +116,13 @@ func New[V any](c *pgas.Ctx, buckets int, em epoch.EpochManager) Map[V] {
 	L := c.NumLocales()
 	// Build the shared bucket slots once: slot i's initial list is
 	// homed on locale i%L, so the bucket's mutable state lives with its
-	// owner regardless of which locale's replica resolved it. The slot
-	// pointers are shared across replicas; a migration's list swap is
+	// owner regardless of which locale's replica resolved it. The slots
+	// are shared across replicas; a migration's list swap is
 	// therefore visible to every locale with one store. The owner table
 	// starts as the same identity, and nothing republishes it on a map
 	// that never migrates.
-	slots := make([]*bucketSlot[V], n)
+	slots := make([]bucketSlot[V], n)
 	for i := range slots {
-		slots[i] = &bucketSlot[V]{}
 		slots[i].list.Store(list.New[V](c, i%L, em))
 	}
 	sys := c.Sys()
@@ -132,7 +133,9 @@ func New[V any](c *pgas.Ctx, buckets int, em epoch.EpochManager) Map[V] {
 	}}
 	m.priv = pgas.NewPrivatized(c, func(lc *pgas.Ctx) *table[V] {
 		replica := make([]*bucketSlot[V], n)
-		copy(replica, slots)
+		for i := range replica {
+			replica[i] = &slots[i]
+		}
 		t := &table[V]{buckets: replica}
 		t.comb.SetTracer(lc.Sys().Tracer(), lc.Here())
 		return t
@@ -199,8 +202,8 @@ func (m Map[V]) Destroy(c *pgas.Ctx) {
 	if m.ca != nil {
 		m.ca.Destroy(c)
 	}
-	for _, s := range m.core.slots {
-		s.list.Load().Destroy(c)
+	for i := range m.core.slots {
+		m.core.slots[i].list.Load().Destroy(c)
 	}
 	m.priv.Destroy(c, nil)
 }

@@ -59,7 +59,7 @@ func (l *List[V]) newNode(c *pgas.Ctx, k uint64, v V, succ gas.Addr) (gas.Addr, 
 // List is a distributed sorted lock-free list keyed by uint64. Nodes
 // live on the list's home locale.
 type List[V any] struct {
-	head *pgas.Word64 // sentinel successor word (no sentinel node needed)
+	head pgas.Word64 // sentinel successor word (no sentinel node needed), held in the list like a node's next
 	em   epoch.EpochManager
 	home int
 
@@ -74,11 +74,9 @@ func New[V any](c *pgas.Ctx, home int, em epoch.EpochManager) *List[V] {
 	if c.NumLocales() > 1<<15 {
 		panic("list: the mark bit needs locale ids below 2^15")
 	}
-	return &List[V]{
-		head: pgas.NewWord64(c, home, 0),
-		em:   em,
-		home: home,
-	}
+	l := &List[V]{em: em, home: home}
+	l.head.Init(c, home, 0)
+	return l
 }
 
 // Manager returns the epoch manager the list reclaims through.
@@ -93,7 +91,7 @@ func (l *List[V]) Manager() epoch.EpochManager { return l.em }
 // caller must hold a pin.
 func (l *List[V]) search(c *pgas.Ctx, tok *epoch.Token, k uint64, past bool) (pred *pgas.Word64, curr gas.Addr, cn *node[V], next uint64) {
 retry:
-	pred = l.head
+	pred = &l.head
 	curr, _ = unpack(pred.Read(c))
 	for !curr.IsNil() {
 		cn = pgas.MustDeref[*node[V]](c, curr)

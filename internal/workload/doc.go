@@ -53,7 +53,10 @@
 // # Evidence
 //
 // A PhaseReport records throughput, HDR-style log-bucketed latency
-// percentiles (bench.Histogram, ≤3% quantization), the exact comm
+// percentiles (bench.Histogram, ≤3% quantization; one chained clock
+// read per op, and in a paced phase response time from each op's
+// intended slot beside service time and the generator's lateness),
+// the exact comm
 // counter and matrix deltas (including cache hits/misses/
 // invalidations), the busiest-inbound-column hotspot metric, and the
 // digest. The run-level Report adds the end-of-run heap verdict

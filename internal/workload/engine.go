@@ -36,6 +36,16 @@ func RunLive(spec Spec, progress io.Writer, tel *Telemetry) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	drv, err := NewDriver(spec.Structure)
+	if err != nil {
+		return nil, err
+	}
+	return runWith(spec, drv, progress, tel)
+}
+
+// runWith is RunLive on a validated spec and the driver it runs; tests
+// hand it a driver of their own.
+func runWith(spec Spec, drv Driver, progress io.Writer, tel *Telemetry) (*Report, error) {
 	backend, err := comm.ParseBackend(spec.Backend)
 	if err != nil {
 		return nil, err
@@ -61,10 +71,6 @@ func RunLive(spec Spec, progress io.Writer, tel *Telemetry) (*Report, error) {
 	if tel != nil {
 		tel.attach(spec.Name, sys, tracer)
 		defer tel.detach()
-	}
-	drv, err := NewDriver(spec.Structure)
-	if err != nil {
-		return nil, err
 	}
 	r := &run{spec: spec, sys: sys, c0: sys.Ctx(0), drv: drv, tel: tel,
 		sched: newSchedule(spec.Faults), live: make([]atomic.Int64, spec.Locales)}
@@ -169,30 +175,66 @@ func drainTrace(sys *pgas.System, tracer *trace.Recorder) (*TraceReport, []trace
 }
 
 // phaseState is what one phase's tasks write and its report reduces.
+// Every slice has one entry per worker slot.
 type phaseState struct {
-	idx    int
-	hists  []bench.Histogram // one per worker slot
-	counts []atomic.Int64    // ops by kind; a slice, so the per-op adds share no cache line with read-only fields
-	digest atomic.Uint64
+	idx     int
+	hists   []bench.Histogram // each op's latency: response time when paced
+	service []bench.Histogram // paced phases only: from the op's actual issue
+	late    []bench.Histogram // paced phases only: actual issue − intended slot
+	counts  []countRow
+	digest  atomic.Uint64
+}
+
+// countRow is one worker's op counts by kind. Each op is one atomic add,
+// so issued() is exact whenever the clock polls it; the padding (two
+// cache lines, which the adjacent-line prefetcher fetches as a pair)
+// keeps those adds off every other worker's row.
+type countRow struct {
+	n [numOps]atomic.Int64
+	_ [128 - 8*numOps]byte
 }
 
 // issued totals the phase's ops so far, across rounds: the count the
 // schedule's op marks are in.
 func (ps *phaseState) issued() (n int64) {
-	for k := range ps.counts {
-		n += ps.counts[k].Load()
+	for _, c := range ps.byKind() {
+		n += c
 	}
 	return n
+}
+
+// byKind totals the phase's ops so far per kind, across workers.
+func (ps *phaseState) byKind() (n [numOps]int64) {
+	for w := range ps.counts {
+		for k := range n {
+			n[k] += ps.counts[w].n[k].Load()
+		}
+	}
+	return n
+}
+
+// summary merges one histogram per worker into the phase's digest.
+func summary(hists []bench.Histogram) bench.LatencySummary {
+	var merged bench.Histogram
+	for i := range hists {
+		merged.Merge(&hists[i])
+	}
+	return merged.Summary()
 }
 
 // runPhase executes one phase and assembles its report. A round is a
 // boundary step of the schedule, the workers and, if needed, a clock.
 func (r *run) runPhase(pi int) PhaseReport {
 	spec, sys, ph := r.spec, r.sys, r.spec.Phases[pi]
+	workers := spec.Locales * spec.TasksPerLocale
 	ps := &phaseState{
 		idx:    pi,
-		hists:  make([]bench.Histogram, spec.Locales*spec.TasksPerLocale),
-		counts: make([]atomic.Int64, numOps),
+		hists:  make([]bench.Histogram, workers),
+		counts: make([]countRow, workers),
+	}
+	if ph.TargetRate > 0 {
+		ps.service = make([]bench.Histogram, workers)
+		ps.late = make([]bench.Histogram, workers)
 	}
 
 	before := sys.Counters().Snapshot()
@@ -264,14 +306,10 @@ func (r *run) runPhase(pi int) PhaseReport {
 	}
 	seconds := time.Since(start).Seconds()
 
-	merged := &bench.Histogram{}
-	for i := range ps.hists {
-		merged.Merge(&ps.hists[i])
-	}
 	byKind := make(map[string]int64)
 	var ops int64
-	for k := range ps.counts {
-		if n := ps.counts[k].Load(); n > 0 {
+	for k, n := range ps.byKind() {
+		if n > 0 {
 			byKind[OpKind(k).String()] = n
 			ops += n
 		}
@@ -283,7 +321,7 @@ func (r *run) runPhase(pi int) PhaseReport {
 	if seconds > 0 {
 		throughput = float64(ops) / seconds
 	}
-	return PhaseReport{
+	pr := PhaseReport{
 		Name:        ph.Name,
 		Rounds:      ph.rounds(),
 		Ops:         ops,
@@ -292,13 +330,18 @@ func (r *run) runPhase(pi int) PhaseReport {
 		Throughput:  throughput,
 		ModelledNS:  modelled - modelled0,
 		DelayWaitNS: wait - wait0,
-		Latency:     merged.Summary(),
+		Latency:     summary(ps.hists),
 		Comm:        snap,
 		RemoteOps:   snap.Remote(),
 		Matrix:      matrix,
 		MaxInbound:  bench.MaxInboundOf(matrix),
 		Digest:      ps.digest.Load(),
 	}
+	if ps.service != nil {
+		service, late := summary(ps.service), summary(ps.late)
+		pr.Service, pr.Late = &service, &late
+	}
+	return pr
 }
 
 // clock keeps the engine's time while a round's workers run: it sleeps
@@ -333,10 +376,31 @@ func (r *run) clock(ps *phaseState, tick time.Duration, stop <-chan struct{}, do
 
 // runTask is one worker task of one phase round: it draws ops from its
 // private stream and applies them through the driver, recording wall
-// latency per op. The loop reads only locals.
+// latency per op. The loop reads only locals and its own worker slot.
+//
+// Time is one chained clock: the read that ends op i starts op i+1, so
+// all the loop does between two reads — the draw, the Apply, the
+// previous op's bookkeeping — is charged to one op, for one read per op.
+// A reclaim attempt is the exception: the clock is read again after it,
+// so reclaim time is in no op's latency.
+//
+// A paced task (TargetRate) holds a fixed schedule: op i is due at slot
+// i × interval past the task's start. An op whose slot is ahead sleeps
+// to it; one whose slot has passed — a stall held it up — issues at
+// once, and either way its latency is response time, timed from its
+// slot, so the backlog behind a stall is counted rather than forgiven
+// (coordinated omission). Service time, from the actual issue, and how
+// late the generator issued the op go to their own histograms.
 func (r *run) runTask(ps *phaseState, round, loc, task int) {
-	spec, sys, drv, counts := r.spec, r.sys, r.drv, ps.counts
-	ph, hist := spec.Phases[ps.idx], &ps.hists[loc*spec.TasksPerLocale+task]
+	spec, sys, drv := r.spec, r.sys, r.drv
+	ph, w := spec.Phases[ps.idx], loc*spec.TasksPerLocale+task
+	hist, counts := &ps.hists[w], &ps.counts[w].n
+	var service, late *bench.Histogram
+	var interval float64 // ns between slots; 0 in a closed loop
+	if ph.TargetRate > 0 {
+		service, late = &ps.service[w], &ps.late[w]
+		interval = float64(time.Second) / ph.TargetRate
+	}
 
 	// Live telemetry rides in batches: samples accumulate in a private
 	// chunk and merge into the bridge every liveChunkSize ops, so the
@@ -351,23 +415,16 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 	tok := r.em.Register(c)
 	st := NewStream(spec.Seed, ps.idx, round, loc, task, spec.Keyspace, spec.Dist, ph.Mix, r.zipf)
 
-	var deadline time.Time
-	if ph.Seconds > 0 {
-		deadline = time.Now().Add(time.Duration(ph.Seconds * float64(time.Second)))
-	}
-	var interval time.Duration
-	var next time.Time
-	if ph.TargetRate > 0 {
-		interval = time.Duration(float64(time.Second) / ph.TargetRate)
-		next = time.Now()
-	}
+	t := comm.ClockNS() // the latest clock read
+	start, deadline := t, t+int64(ph.Seconds*float64(time.Second))
+	reclaimIn := ph.ReclaimEvery // ops to the next reclaim attempt; below 0 for good when ReclaimEvery is 0
 	var sum uint64
 	for i := 0; ; i++ {
 		if ph.OpsPerTask > 0 {
 			if i >= ph.OpsPerTask {
 				break
 			}
-		} else if !time.Now().Before(deadline) {
+		} else if t >= deadline {
 			break
 		}
 		// Fail-stop: a task dies with its locale — it abandons its
@@ -382,46 +439,42 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 			}
 			return
 		}
-		if ph.TargetRate > 0 {
-			// Open-loop pacing: hold the issue schedule. Missed slots
-			// are forgiven (the schedule re-anchors at now), so a stall
-			// is followed by the steady rate, not a catch-up burst.
-			now := time.Now()
-			if now.Before(next) {
-				time.Sleep(next.Sub(now))
-				next = next.Add(interval)
-			} else {
-				next = now.Add(interval)
+		from := t // where this op's latency is timed from: its slot, when paced
+		if interval > 0 {
+			from = start + int64(float64(i)*interval)
+			if t < from {
+				time.Sleep(time.Duration(from - t))
+				t = comm.ClockNS()
 			}
 		}
 		kind := st.NextOp()
 		if kind == OpBulk {
 			keys := st.NextKeys(ph.bulkSize())
 			owner := int(st.next() % uint64(spec.Locales))
-			t0 := comm.ClockNS()
 			drv.ApplyBulk(c, owner, keys)
-			ns := comm.ClockNS() - t0
-			hist.Record(ns)
-			if live != nil {
-				live.record(ns)
-			}
 			for _, k := range keys {
 				sum += opDigest(kind, k)
 			}
 		} else {
 			key := st.NextKey()
-			t0 := comm.ClockNS()
 			drv.Apply(c, tok, kind, key)
-			ns := comm.ClockNS() - t0
-			hist.Record(ns)
-			if live != nil {
-				live.record(ns)
-			}
 			sum += opDigest(kind, key)
 		}
+		end := comm.ClockNS()
+		hist.Record(end - from)
+		if service != nil {
+			service.Record(end - t)
+			late.Record(t - from)
+		}
+		if live != nil {
+			live.record(end - from)
+		}
 		counts[kind].Add(1)
-		if ph.ReclaimEvery > 0 && (i+1)%ph.ReclaimEvery == 0 {
+		t = end
+		if reclaimIn--; reclaimIn == 0 {
+			reclaimIn = ph.ReclaimEvery
 			tok.TryReclaim(c)
+			t = comm.ClockNS()
 		}
 	}
 	// Ship anything still sitting in this task's aggregation buffers

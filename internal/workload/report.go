@@ -144,8 +144,15 @@ type PhaseReport struct {
 	DelayWaitNS int64 `json:"delay_wait_ns,omitempty"`
 
 	// Latency digests the per-op wall latency histogram (HDR-style
-	// log buckets, <=~3% quantization).
-	Latency bench.LatencySummary `json:"latency"`
+	// log buckets, <=~3% quantization). In a paced phase (TargetRate)
+	// it is response time, timed from each op's intended slot on the
+	// fixed issue schedule, so the ops a stall held up count its
+	// backlog; Service then times each op from its actual issue, and
+	// Late is how far behind its slot the generator issued it. A closed
+	// loop issues every op on time, so the two are omitted there.
+	Latency bench.LatencySummary  `json:"latency"`
+	Service *bench.LatencySummary `json:"service,omitempty"`
+	Late    *bench.LatencySummary `json:"late,omitempty"`
 
 	// Comm is the communication counter delta of the phase; RemoteOps
 	// is its locale-boundary-crossing total.
@@ -258,6 +265,10 @@ func (r *Report) WriteSummary(w io.Writer) {
 			p.Name, p.Ops, p.Seconds, p.Throughput,
 			fmtNS(p.Latency.P50NS), fmtNS(p.Latency.P99NS), fmtNS(p.Latency.P999NS),
 			p.RemoteOps, p.MaxInbound)
+		if s, l := p.Service, p.Late; s != nil && l != nil {
+			fmt.Fprintf(w, "  service p50=%s p99=%s  late p99=%s max=%s",
+				fmtNS(s.P50NS), fmtNS(s.P99NS), fmtNS(l.P99NS), fmtNS(l.MaxNS))
+		}
 		if p.ModelledNS > 0 {
 			fmt.Fprintf(w, "  modelled=%s waited=%s", fmtNS(p.ModelledNS), fmtNS(p.DelayWaitNS))
 		}

@@ -99,9 +99,11 @@ type Phase struct {
 	Seconds float64 `json:"seconds,omitempty"`
 
 	// TargetRate, when positive, paces each task at this many ops/sec
-	// (open-loop arrival): tasks sleep between ops to hold the rate
-	// instead of issuing back-to-back. 0 is closed-loop (as fast as
-	// the simulated system allows).
+	// (open-loop arrival): op i of a task is due i/TargetRate seconds
+	// after its start, a task sleeps to a slot that is ahead and
+	// catches up on ones that have passed, and latency is timed from
+	// the slot. 0 is closed-loop (as fast as the simulated system
+	// allows).
 	TargetRate float64 `json:"target_rate,omitempty"`
 
 	// Rounds repeats the phase body; 0 means 1.
