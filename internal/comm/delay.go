@@ -31,12 +31,26 @@ func ClockNS() int64 { return int64(time.Since(clockBase)) }
 // charges instead of letting each of them pay it again, so the wall
 // time a task spends in delays equals what the model charged it. The
 // zero value is an empty account; a Pacer is task-private.
+//
+// A Pacer can also be a tab (OpenTab), which waits for nothing: its
+// charges only add up, for a caller that runs in turn bodies the model
+// runs in parallel and then waits once, on its own account, for the
+// largest.
 type Pacer struct {
 	credit int64 // ns waited beyond what was charged, <= maxCredit
+	owed   int64 // a tab's charges since it was opened
+	tab    bool
 }
 
 // Credit returns the carried overshoot in nanoseconds (diagnostic).
 func (p *Pacer) Credit() int64 { return p.credit }
+
+// OpenTab makes p an empty tab: until the next OpenTab, Delay adds each
+// charge to Owed and returns at once.
+func (p *Pacer) OpenTab() { *p = Pacer{tab: true} }
+
+// Owed returns what a tab has been charged since it was opened.
+func (p *Pacer) Owed() int64 { return p.owed }
 
 // Delay charges ns to the account and returns the wall nanoseconds it
 // waited: none, and no clock read, while the credit covers the charge;
@@ -47,6 +61,10 @@ func (p *Pacer) Credit() int64 { return p.credit }
 // is a no-op, so the zero latency profile costs only the branch.
 func (p *Pacer) Delay(ns int64) (waited int64) {
 	if ns <= 0 {
+		return 0
+	}
+	if p.tab {
+		p.owed += ns
 		return 0
 	}
 	if p.credit >= ns {

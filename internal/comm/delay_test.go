@@ -127,6 +127,32 @@ func TestPacerCreditIsClamped(t *testing.T) {
 	}
 }
 
+// A tab waits for nothing and owes the sum of what it was charged;
+// opening it again empties it.
+func TestPacerTab(t *testing.T) {
+	var p Pacer
+	p.OpenTab()
+	start := time.Now()
+	for _, ns := range []int64{2500, 0, 1_000_000_000, -7, 1200} {
+		if waited := p.Delay(ns); waited != 0 {
+			t.Fatalf("a tab waited %dns for a %dns charge", waited, ns)
+		}
+	}
+	if got := time.Since(start); got >= 500*time.Millisecond {
+		t.Fatalf("a tab charged a second and took %v of wall time", got)
+	}
+	if got, want := p.Owed(), int64(2500+1_000_000_000+1200); got != want {
+		t.Fatalf("tab owes %dns, want %dns", got, want)
+	}
+	if p.Credit() != 0 {
+		t.Fatalf("a tab carried %dns of credit", p.Credit())
+	}
+	p.OpenTab()
+	if p.Owed() != 0 {
+		t.Fatalf("a reopened tab owes %dns", p.Owed())
+	}
+}
+
 // A charge the credit does not cover waits only for the remainder.
 func TestPacerPartialCredit(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -6,10 +6,11 @@
 // foundational problem of non-blocking data structures. EBR defers
 // each deletion into a "limbo list" tagged with the epoch in which the
 // object was logically removed; once every participating task has
-// provably moved two epochs past it, the list is reclaimed in bulk.
+// provably moved past every epoch in which it could still reach the
+// object, the list is reclaimed in bulk.
 //
 // The distributed adaptation privatizes the manager: each locale holds
-// its own instance (token lists, three limbo lists, an epoch cache)
+// its own instance (token lists, four limbo lists, an epoch cache)
 // reached with zero communication, while a single globally coherent
 // epoch object arbitrates advancement. Reclamation sorts dead objects
 // by owning locale into scatter lists so each remote locale receives
@@ -66,11 +67,27 @@ type LimboList struct {
 
 // NewLimboList creates an empty limbo list owned by the ctx's locale.
 func NewLimboList(c *pgas.Ctx) *LimboList {
-	return &LimboList{
-		locale: c.Here(),
-		head:   atomics.NewLocal(c.Here(), false),
-		pool:   atomics.NewLocal(c.Here(), true),
+	return newLimboList(c, atomics.NewLocal(c.Here(), true))
+}
+
+func newLimboList(c *pgas.Ctx, pool *atomics.LocalAtomicObject) *LimboList {
+	return &LimboList{locale: c.Here(), head: atomics.NewLocal(c.Here(), false), pool: pool}
+}
+
+// newGenerations builds a manager's limbo lists, one per epoch, on the
+// ctx's locale. They share one node pool, so the pool holds the
+// locale's peak limbo length once: a pool per list held every
+// generation's own peak, and deferrals come in bursts (a pinned task
+// descheduled for a few milliseconds blocks every advance meanwhile).
+// Sharing adds a chain push from Release beside the pushers' pops from
+// other generations; the stamped CASes order them as they order pops
+// among themselves.
+func newGenerations(c *pgas.Ctx) (limbo [numEpochs + 1]*LimboList) {
+	pool := atomics.NewLocal(c.Here(), true)
+	for e := firstEpoch; e <= numEpochs; e++ {
+		limbo[e] = newLimboList(c, pool)
 	}
+	return limbo
 }
 
 // Push defers obj onto the list: recycle (or allocate) a node, then a
@@ -133,6 +150,17 @@ func (l *LimboList) recycleNode(c *pgas.Ctx, obj gas.Addr) (gas.Addr, *limboNode
 			return top.Object(), n
 		}
 	}
+}
+
+// Len counts the deferred objects on the list by walking it. A push
+// links its node only after the exchange that publishes it, so the
+// count is exact only while no push is in flight.
+func (l *LimboList) Len(c *pgas.Ctx) int {
+	n := 0
+	for node := l.head.Read(); !node.IsNil(); node = pgas.MustDeref[*limboNode](c, node).loadNext() {
+		n++
+	}
+	return n
 }
 
 // Drain pops every deferred object into a slice — a convenience used

@@ -126,14 +126,16 @@ func TestLimboReleaseOneWalk(t *testing.T) {
 	})
 }
 
-// Generations are independent lists with independent pools: tasks
-// pushing onto the current generation's list while the reclaimer
-// detaches and releases another's (run with -race) lose nothing and
-// double nothing on either.
+// Generations are independent lists sharing one node pool: tasks
+// pushing onto the current generation's list — popping nodes off the
+// pool — while the reclaimer detaches another's and hands its chain
+// back to that pool (run with -race) lose nothing and double nothing
+// on either.
 func TestLimboReleaseBesidePushersOnAnotherList(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	c0 := s.Ctx(0)
-	current, reclaiming := NewLimboList(c0), NewLimboList(c0)
+	gens := newGenerations(c0)
+	current, reclaiming := gens[1], gens[2]
 	const tasks = 4
 	const per = 500
 	var wg sync.WaitGroup
@@ -181,6 +183,30 @@ func TestLimboReleaseBesidePushersOnAnotherList(t *testing.T) {
 	}
 	if st := s.HeapStats(); st.UAFLoads+st.UAFStores+st.UAFFrees != 0 {
 		t.Fatalf("heap misuse: %v", st)
+	}
+}
+
+// A chain released from one generation serves the next pushes to any
+// other: the pool holds the locale's peak once, not once per list.
+func TestGenerationsShareOnePool(t *testing.T) {
+	s := newTestSystem(t, 1, comm.BackendNone)
+	c := s.Ctx(0)
+	gens := newGenerations(c)
+	obj := c.Alloc(&payload{})
+	const burst = 64
+	for i := 0; i < burst; i++ {
+		gens[1].Push(c, obj)
+	}
+	gens[1].Drain(c)
+	allocs := s.HeapStats().Allocs
+	for e := firstEpoch + 1; e <= numEpochs; e++ {
+		for i := 0; i < burst; i++ {
+			gens[e].Push(c, obj)
+		}
+		gens[e].Drain(c)
+	}
+	if got := s.HeapStats().Allocs; got != allocs {
+		t.Fatalf("later generations allocated %d nodes beside the pooled %d", got-allocs, burst)
 	}
 }
 

@@ -123,16 +123,16 @@ func TestListing3Usage(t *testing.T) {
 
 // Listing 4 — tryReclaim's observable contract, step by step: the
 // local flag gate, the global flag gate, the all-locale scan, the
-// epoch advance (e % 3) + 1, and scatter-based bulk deletion are each
-// asserted through the public API (the implementation in manager.go
-// is the faithful port; this test pins its behaviour).
+// epoch advance (e % 4) + 1 — four generations where the listing keeps
+// three — and scatter-based bulk deletion are each asserted through
+// the public API (this test pins the port's behaviour).
 func TestListing4Contract(t *testing.T) {
 	s := newTestSystem(t, 3, comm.BackendNone)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 
-		// (e % 3) + 1 cycling from the initial epoch 1.
-		want := []uint64{2, 3, 1, 2}
+		// (e % 4) + 1 cycling from the initial epoch 1.
+		want := []uint64{2, 3, 4, 1, 2}
 		for _, w := range want {
 			em.TryReclaim(c)
 			if got := em.GlobalEpoch(c); got != w {
@@ -141,7 +141,7 @@ func TestListing4Contract(t *testing.T) {
 		}
 
 		// Scatter + bulk delete: defer objects on every locale, then a
-		// single tryReclaim pair frees them on their owners.
+		// run of three tryReclaims frees them on their owners.
 		tok := em.Register(c)
 		tok.Pin(c)
 		var objs []gas.Addr
@@ -155,9 +155,10 @@ func TestListing4Contract(t *testing.T) {
 		tok.Unpin(c)
 		em.TryReclaim(c)
 		em.TryReclaim(c)
+		em.TryReclaim(c)
 		for _, o := range objs {
 			if _, ok := pgas.Deref[*payload](c, o); ok {
-				t.Fatalf("object %v not reclaimed after two advances", o)
+				t.Fatalf("object %v not reclaimed after three advances", o)
 			}
 		}
 	})

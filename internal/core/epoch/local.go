@@ -33,9 +33,7 @@ func NewLocalEpochManager(c *pgas.Ctx) *LocalEpochManager {
 	m := &LocalEpochManager{locale: c.Here()}
 	m.reg.init()
 	m.epoch.Store(firstEpoch)
-	for e := firstEpoch; e <= numEpochs; e++ {
-		m.limbo[e] = NewLimboList(c)
-	}
+	m.limbo = newGenerations(c)
 	return m
 }
 
@@ -70,7 +68,7 @@ func (m *LocalEpochManager) checkLocale(c *pgas.Ctx) {
 // Pin enters the current epoch.
 func (t *LocalToken) Pin() {
 	if t.tok.epoch.Load() == 0 {
-		t.tok.epoch.Store(t.mgr.epoch.Load())
+		pinFrom(&t.tok.epoch, &t.mgr.epoch)
 	}
 }
 

@@ -35,13 +35,17 @@ func TestLocalManagerTwoAdvanceRule(t *testing.T) {
 		tok.DeferDelete(c, obj)
 		tok.Unpin()
 
-		m.TryReclaim(c)
-		if _, ok := pgas.Deref[*payload](c, obj); !ok {
-			t.Fatal("freed after one advance")
+		// The same generation arithmetic as EpochManager: freed at the
+		// third advance.
+		for n := 1; n <= 2; n++ {
+			m.TryReclaim(c)
+			if _, ok := pgas.Deref[*payload](c, obj); !ok {
+				t.Fatalf("freed after %d advance(s)", n)
+			}
 		}
 		m.TryReclaim(c)
 		if _, ok := pgas.Deref[*payload](c, obj); ok {
-			t.Fatal("live after two advances")
+			t.Fatal("live after three advances")
 		}
 		if st := m.Stats(); st.Reclaimed != 1 || st.Deferred != 1 {
 			t.Fatalf("stats = %+v", st)

@@ -1,6 +1,9 @@
 package epoch
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"gopgas/internal/gas"
@@ -8,22 +11,28 @@ import (
 	"gopgas/internal/trace"
 )
 
-// Epochs take the values 1, 2, 3 (advancing as e → (e mod 3) + 1);
-// 0 is reserved to mean "not in an epoch". Three limbo generations
-// per locale correspond to the epochs a live task can observe:
-// e−1, e, and e+1.
+// Epochs take the values 1..4 (advancing as e → (e mod 4) + 1); 0 is
+// reserved to mean "not in an epoch". Listing 4 keeps three limbo
+// generations; this port keeps four, because an advance publishes the
+// new epoch to the locales' caches one at a time. While it does, a
+// reader on an updated locale pins e+1 and may hold a node that a
+// lagging locale unlinks and files under e. With three generations
+// that node is freed at the next advance, which the e+1 pin allows;
+// with four it waits one advance more, until every pin that can hold
+// it has gone (DESIGN.md §Epoch-based reclamation has the argument).
 const (
-	numEpochs  = 3
+	numEpochs  = 4
 	firstEpoch = 1
 )
 
 // reclaimEpochOf returns which generation is safe to reclaim once the
-// global epoch has advanced to e: the one that is neither e nor the
-// previous epoch — every object in it was deferred at least two
-// advances ago.
+// global epoch has advanced to e: e−3, the one neither e, e−1 nor e−2.
+// Every object in it was deferred under a cache that read e−3, so every
+// reader that can still hold it is pinned in e−4..e−2, and the scan
+// that allowed this advance found every pin in e−1.
 func reclaimEpochOf(e uint64) uint64 { return e%numEpochs + 1 }
 
-// nextEpoch returns the successor of e in the 1→2→3→1 cycle.
+// nextEpoch returns the successor of e in the 1→2→3→4→1 cycle.
 func nextEpoch(e uint64) uint64 { return e%numEpochs + 1 }
 
 // globalEpoch is the single coherent epoch all locales come to
@@ -51,7 +60,8 @@ type instance struct {
 	// global flag.
 	isSettingEpoch atomic.Uint32
 
-	// limbo[1..3] are the three generations of deferred objects.
+	// limbo[1..4] are the four generations of deferred objects; they
+	// share one node pool (newGenerations).
 	limbo [numEpochs + 1]*LimboList
 
 	// reg holds the allocated and free token lists.
@@ -98,14 +108,12 @@ func NewEpochManager(c *pgas.Ctx) EpochManager {
 		}
 		inst.reg.init()
 		inst.localeEpoch.Store(firstEpoch)
-		for e := firstEpoch; e <= numEpochs; e++ {
-			inst.limbo[e] = NewLimboList(lc)
-		}
+		inst.limbo = newGenerations(lc)
 		return inst
 	})
 	// Patch the back-handle now that priv exists (tokens reach the
 	// manager through their instance).
-	c.CoforallLocales(func(lc *pgas.Ctx) {
+	c.VisitLocales(func(lc *pgas.Ctx) {
 		em.priv.Get(lc).em = em
 	})
 	return em
@@ -148,9 +156,14 @@ func (em EpochManager) GlobalEpoch(c *pgas.Ctx) uint64 {
 	return em.global.epoch.Read(c)
 }
 
+// yieldAfterStore is a schedule point in the advance pass: when set, it
+// runs after a locale has stored the new epoch and reclaimed its
+// generation, before the next locale does. Tests set it to act between
+// two locales' cache stores; it is nil otherwise.
+var yieldAfterStore func(locale int)
+
 // TryReclaim attempts to advance the global epoch and reclaim one
-// limbo generation on every locale. It is a faithful port of the
-// paper's Listing 4:
+// limbo generation on every locale. It ports the paper's Listing 4:
 //
 //  1. Win the locale-local election flag, else return immediately
 //     (another task on this locale is already trying).
@@ -158,11 +171,18 @@ func (em EpochManager) GlobalEpoch(c *pgas.Ctx) uint64 {
 //     return (a task on another locale is already trying).
 //  3. Scan every token on every locale; if any is pinned in an epoch
 //     other than the current one, advancement is unsafe — back out.
-//  4. Advance the global epoch to (e mod 3)+1; on every locale update
+//  4. Advance the global epoch to (e mod 4)+1; on every locale update
 //     the epoch cache, detach the reclaimable limbo generation, sort
 //     its objects into per-destination scatter lists, and free each
 //     destination's batch with one bulk transfer.
-//  5. Release both flags.
+//  5. Release both flags, once every locale's cache holds the new
+//     epoch.
+//
+// Listing 4's two `coforall … on` blocks are visits here
+// (pgas.Ctx.VisitLocales): the elected task walks the locales itself,
+// books the same on-statements and waits the same modelled time, but
+// spawns no goroutine. And it keeps four generations, not three (see
+// numEpochs).
 //
 // The early returns make the operation non-blocking: losing an
 // election wastes almost no effort, and the whole procedure is driven
@@ -191,10 +211,9 @@ func (em EpochManager) TryReclaim(c *pgas.Ctx) {
 		sp = tr.Begin(c.Here(), trace.KindEpochAdvance, c.TaskID(), c.Here(), c.Here(), 0, 0)
 	}
 	thisEpoch := em.global.epoch.Read(c)
-	safe := pgas.NewAndReduce()
-	c.CoforallLocales(func(lc *pgas.Ctx) {
+	safe := true
+	c.VisitLocales(func(lc *pgas.Ctx) {
 		li := em.priv.Get(lc)
-		ok := true
 		pinned := int64(0)
 		li.reg.forEach(func(t *Token) bool {
 			e := t.epoch.Load()
@@ -202,7 +221,7 @@ func (em EpochManager) TryReclaim(c *pgas.Ctx) {
 				pinned++
 			}
 			if e != 0 && e != thisEpoch {
-				ok = false
+				safe = false
 				return false
 			}
 			return true
@@ -210,16 +229,18 @@ func (em EpochManager) TryReclaim(c *pgas.Ctx) {
 		if tr != nil {
 			tr.Instant(lc.Here(), trace.KindPinned, lc.TaskID(), lc.Here(), lc.Here(), 0, pinned)
 		}
-		safe.And(ok)
 	})
 
-	if safe.Value() {
+	if safe {
 		newEpoch := nextEpoch(thisEpoch)
 		em.global.epoch.Write(c, newEpoch)
-		c.CoforallLocales(func(lc *pgas.Ctx) {
+		c.VisitLocales(func(lc *pgas.Ctx) {
 			li := em.priv.Get(lc)
 			li.localeEpoch.Store(newEpoch)
 			li.reclaimGeneration(lc, reclaimEpochOf(newEpoch))
+			if yieldAfterStore != nil {
+				yieldAfterStore(lc.Here())
+			}
 		})
 		inst.advances.Add(1)
 		sp.EndWith(0, int64(newEpoch))
@@ -289,8 +310,8 @@ func (li *instance) reclaimGeneration(lc *pgas.Ctx, e uint64) {
 // The caller must hold a *pinned* token on its own locale and keep it
 // pinned until after the buffer has flushed: the pin is what bounds
 // epoch advancement (to at most one step) while the deferral is still
-// buffered, giving the flushed deferral the same two-advance grace
-// period a local DeferDelete gets. A locale-local deferral executes
+// buffered, giving the flushed deferral the same grace period a local
+// DeferDelete gets. A locale-local deferral executes
 // immediately, exactly like Token.DeferDelete.
 func (em EpochManager) DeferDeleteOn(c *pgas.Ctx, tok *Token, locale int, obj gas.Addr) {
 	if !tok.Pinned() {
@@ -318,7 +339,7 @@ func (em EpochManager) DeferDeleteOn(c *pgas.Ctx, tok *Token, locale int, obj ga
 // Deliberately, ForceRetire does NOT drain the dead locale's limbo
 // lists: survivors may still hold pins taken before the crash and be
 // traversing lists the failover just retired onto that limbo, so an
-// immediate drain would break the two-advance grace period. Clearing
+// immediate drain would break the grace period. Clearing
 // the stranded pins is enough — the very next advances (now unblocked)
 // cycle the dead locale's generations with full grace, and the final
 // Clear drains whatever remains, which is how deferred==reclaimed
@@ -357,7 +378,7 @@ func (em EpochManager) ForceRetire(c *pgas.Ctx, locale int) int64 {
 // other task is interacting with the manager (typically at the end of
 // a phase or before teardown), per the paper.
 func (em EpochManager) Clear(c *pgas.Ctx) {
-	c.CoforallLocales(func(lc *pgas.Ctx) {
+	c.VisitLocales(func(lc *pgas.Ctx) {
 		li := em.priv.Get(lc)
 		for e := uint64(firstEpoch); e <= numEpochs; e++ {
 			li.reclaimGeneration(lc, e)
@@ -380,27 +401,77 @@ type Stats struct {
 // one on-statement per locale).
 func (em EpochManager) Stats(c *pgas.Ctx) Stats {
 	var s Stats
-	results := make([]Stats, c.NumLocales())
-	c.CoforallLocales(func(lc *pgas.Ctx) {
+	c.VisitLocales(func(lc *pgas.Ctx) {
 		li := em.priv.Get(lc)
-		results[lc.Here()] = Stats{
-			Deferred:      li.deferred.Load(),
-			Reclaimed:     li.reclaimed.Load(),
-			Advances:      li.advances.Load(),
-			AdvanceFail:   li.advanceFail.Load(),
-			LocalBackoff:  li.localBackoff.Load(),
-			GlobalBackoff: li.globalBackoff.Load(),
-			Tokens:        li.reg.count.Load(),
-		}
+		s.Deferred += li.deferred.Load()
+		s.Reclaimed += li.reclaimed.Load()
+		s.Advances += li.advances.Load()
+		s.AdvanceFail += li.advanceFail.Load()
+		s.LocalBackoff += li.localBackoff.Load()
+		s.GlobalBackoff += li.globalBackoff.Load()
+		s.Tokens += li.reg.count.Load()
 	})
-	for _, r := range results {
-		s.Deferred += r.Deferred
-		s.Reclaimed += r.Reclaimed
-		s.Advances += r.Advances
-		s.AdvanceFail += r.AdvanceFail
-		s.LocalBackoff += r.LocalBackoff
-		s.GlobalBackoff += r.GlobalBackoff
-		s.Tokens += r.Tokens
-	}
 	return s
+}
+
+// Generations holds one count per epoch: entry e is epoch e's, and
+// entry 0 is unused.
+type Generations [numEpochs + 1]int
+
+// LocaleState is one locale's share of a Snapshot.
+type LocaleState struct {
+	Cache  uint64      // the locale's epoch cache
+	Pinned Generations // tokens pinned in each epoch
+	Limbo  Generations // objects deferred in each generation
+}
+
+// Snapshot is the manager's whole state: the global epoch and every
+// locale's cache, pins and limbo lengths. Tests assert all of it after
+// each transition, not only the field the transition meant to change.
+type Snapshot struct {
+	Global  uint64
+	Locales []LocaleState
+}
+
+// Snapshot reads the whole state (communication: one on-statement per
+// remote locale). It walks the limbo lists, so it must only be called
+// when no other task is using the manager.
+func (em EpochManager) Snapshot(c *pgas.Ctx) Snapshot {
+	s := Snapshot{Global: em.global.epoch.Read(c)}
+	c.VisitLocales(func(lc *pgas.Ctx) {
+		li := em.priv.Get(lc)
+		ls := LocaleState{Cache: li.localeEpoch.Load()}
+		li.reg.forEach(func(t *Token) bool {
+			if e := t.epoch.Load(); e != 0 {
+				ls.Pinned[e]++
+			}
+			return true
+		})
+		for e := firstEpoch; e <= numEpochs; e++ {
+			ls.Limbo[e] = li.limbo[e].Len(lc)
+		}
+		s.Locales = append(s.Locales, ls)
+	})
+	return s
+}
+
+// Diff describes how s differs from want, locale by locale, or returns
+// nil when they are equal.
+func (s Snapshot) Diff(want Snapshot) error {
+	var diffs []string
+	if s.Global != want.Global {
+		diffs = append(diffs, fmt.Sprintf("global epoch %d, want %d", s.Global, want.Global))
+	}
+	if len(s.Locales) != len(want.Locales) {
+		diffs = append(diffs, fmt.Sprintf("%d locales, want %d", len(s.Locales), len(want.Locales)))
+	}
+	for l := range min(len(s.Locales), len(want.Locales)) {
+		if got, w := s.Locales[l], want.Locales[l]; got != w {
+			diffs = append(diffs, fmt.Sprintf("locale %d: %+v, want %+v", l, got, w))
+		}
+	}
+	if diffs == nil {
+		return nil
+	}
+	return errors.New(strings.Join(diffs, "; "))
 }

@@ -10,23 +10,18 @@ import (
 )
 
 func TestEpochCycle(t *testing.T) {
-	// 1 → 2 → 3 → 1, and the reclaim generation is the "third" epoch.
-	if nextEpoch(1) != 2 || nextEpoch(2) != 3 || nextEpoch(3) != 1 {
+	// 1 → 2 → 3 → 4 → 1, and an advance to e reclaims e−3: the
+	// generation that is none of e, e−1 and e−2.
+	prev := func(e uint64) uint64 { return (e+numEpochs-2)%numEpochs + 1 }
+	if nextEpoch(1) != 2 || nextEpoch(2) != 3 || nextEpoch(3) != 4 || nextEpoch(4) != 1 {
 		t.Fatal("epoch cycle broken")
 	}
-	if reclaimEpochOf(2) != 3 || reclaimEpochOf(3) != 1 || reclaimEpochOf(1) != 2 {
-		t.Fatal("reclaim generation wrong")
-	}
-	for e := uint64(1); e <= 3; e++ {
-		if reclaimEpochOf(e) == e || reclaimEpochOf(e) == (e+1)%3+1 {
-			// reclaim epoch must differ from both current and previous
+	for e := uint64(firstEpoch); e <= numEpochs; e++ {
+		if prev(nextEpoch(e)) != e {
+			t.Fatalf("prev(next(%d)) = %d", e, prev(nextEpoch(e)))
 		}
-		prev := e - 1
-		if prev == 0 {
-			prev = 3
-		}
-		if r := reclaimEpochOf(e); r == e || r == prev {
-			t.Fatalf("reclaimEpochOf(%d) = %d overlaps a live generation", e, r)
+		if r := reclaimEpochOf(e); r != prev(prev(prev(e))) {
+			t.Fatalf("reclaimEpochOf(%d) = %d, want e−3 = %d", e, r, prev(prev(prev(e))))
 		}
 	}
 }
@@ -111,8 +106,9 @@ func TestDeferDeleteRequiresPin(t *testing.T) {
 	})
 }
 
-// The two-advance rule: an object deferred in epoch e is reclaimed
-// only after the global epoch has advanced twice past e.
+// The grace rule: an object deferred in epoch e is reclaimed at the
+// third advance past e — the second past e+1, the newest epoch a reader
+// that can hold it may be pinned in.
 func TestTwoAdvanceReclamation(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	s.Run(func(c *pgas.Ctx) {
@@ -124,16 +120,18 @@ func TestTwoAdvanceReclamation(t *testing.T) {
 		tok.DeferDelete(c, obj)
 		tok.Unpin(c)
 
-		// First advance: object deferred in epoch 1; new epoch 2
-		// reclaims generation 3 (empty). Object must still be live.
-		em.TryReclaim(c)
-		if _, ok := pgas.Deref[*payload](c, obj); !ok {
-			t.Fatal("object reclaimed after one advance")
+		// Object deferred in epoch 1. The advances to 2 and 3 reclaim
+		// generations 3 and 4 (empty): the object must still be live.
+		for n := 1; n <= 2; n++ {
+			em.TryReclaim(c)
+			if _, ok := pgas.Deref[*payload](c, obj); !ok {
+				t.Fatalf("object reclaimed after %d advance(s)", n)
+			}
 		}
-		// Second advance: new epoch 3 reclaims generation 1 → freed.
+		// Third advance: new epoch 4 reclaims generation 1 → freed.
 		em.TryReclaim(c)
 		if _, ok := pgas.Deref[*payload](c, obj); ok {
-			t.Fatal("object still live after two advances")
+			t.Fatal("object still live after three advances")
 		}
 		if got := em.Stats(c).Reclaimed; got != 1 {
 			t.Fatalf("reclaimed = %d", got)
@@ -213,6 +211,7 @@ func TestScatterListBulkFree(t *testing.T) {
 		tok.Unpin(c)
 
 		before := s.Counters().Snapshot()
+		em.TryReclaim(c)
 		em.TryReclaim(c)
 		em.TryReclaim(c)
 		d := s.Counters().Snapshot().Sub(before)

@@ -64,10 +64,10 @@ func TestEpochModelConformance(t *testing.T) {
 					tok.DeferDelete(c, a)
 					// Deferral goes to the locale's *current* epoch
 					// (== modelEpoch here), and the object dies exactly
-					// two advances later.
+					// three advances later.
 					objs = append(objs, deferred{
 						addr:     a,
-						deadline: advances + 2,
+						deadline: advances + 3,
 					})
 				}
 			case 3:

@@ -17,7 +17,7 @@ import (
 // scope; the forall helpers in this package do the same through their
 // perTaskDone hook).
 //
-// epoch == 0 means "registered but quiescent"; 1..3 is the pinned
+// epoch == 0 means "registered but quiescent"; 1..4 is the pinned
 // epoch. The field is a processor atomic, not a network atomic: tokens
 // are only ever read remotely from inside an on-statement running on
 // their locale (the tryReclaim scan), so the paper "opts out" of NIC
@@ -39,7 +39,7 @@ func (t *Token) Locale() int { return t.locale }
 // Pinned reports whether the token is currently inside an epoch.
 func (t *Token) Pinned() bool { return t.epoch.Load() != 0 }
 
-// Epoch returns the pinned epoch (1..3), or 0 when quiescent.
+// Epoch returns the pinned epoch (1..4), or 0 when quiescent.
 func (t *Token) Epoch() uint64 { return t.epoch.Load() }
 
 // Pin enters the current epoch, read from the locale's privatized
@@ -48,7 +48,24 @@ func (t *Token) Epoch() uint64 { return t.epoch.Load() }
 func (t *Token) Pin(c *pgas.Ctx) {
 	t.checkLocale(c)
 	if t.epoch.Load() == 0 {
-		t.epoch.Store(t.inst.localeEpoch.Load())
+		pinFrom(&t.epoch, &t.inst.localeEpoch)
+	}
+}
+
+// pinFrom stores the epoch cache's value in a token's epoch word, then
+// reads the cache again until the two agree. A pin stored after the
+// cache moved on could be stale by any number of advances, and with
+// epochs counted modulo 4 a stale pin can pass for a current one. A pin
+// the cache still matched after the store is at most one advance behind
+// while it is held: the advance after that one scans after the store.
+func pinFrom(tok, cache *atomic.Uint64) {
+	for e := cache.Load(); ; {
+		tok.Store(e)
+		now := cache.Load()
+		if now == e {
+			return
+		}
+		e = now
 	}
 }
 
@@ -61,9 +78,9 @@ func (t *Token) Unpin(c *pgas.Ctx) {
 // DeferDelete logically deletes obj: it is pushed onto the limbo list
 // of the locale's *current* epoch (Figure 2: "limbo list 2 becomes the
 // current that all new reclaimed objects will be added to"), to be
-// physically reclaimed once two epoch advances prove no task can still
-// reach it. The token must be pinned — the pin is what stops the epoch
-// from advancing twice while callers still hold references.
+// physically reclaimed at the third epoch advance after, when no task
+// can still reach it. The token must be pinned — the pin is what stops
+// the epoch from advancing twice while callers still hold references.
 //
 // Deferring into the current epoch rather than the token's pinned
 // epoch matters for safety: a token may legally be pinned one epoch

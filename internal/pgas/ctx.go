@@ -92,6 +92,35 @@ func (c *Ctx) CoforallLocales(fn func(ctx *Ctx)) {
 	wg.Wait()
 }
 
+// VisitLocales runs fn once on every locale, in id order, on the
+// calling goroutine: `coforall loc in Locales do on loc` for a
+// control-plane body that has no need to run at the same time as the
+// others. It books what CoforallLocales books — one on-statement and
+// one matrix cell per remote locale — and like it bypasses crash
+// refusal. Each call of fn gets a borrowed Ctx pinned to its locale
+// (it must not escape the call) whose charges, the round trip included,
+// go on a tab of its own; the caller then waits once for the largest
+// tab, as it waited for the slowest of the coforall's parallel tasks.
+// Modelled nanoseconds are booked exactly as CoforallLocales books them.
+func (c *Ctx) VisitLocales(fn func(ctx *Ctx)) {
+	s := c.sys
+	var tab comm.Pacer
+	var makespan int64
+	for _, l := range s.locales {
+		tab.OpenTab()
+		tc := s.borrowCtx(l, c)
+		tc.pace = &tab
+		if l.id != c.here.id {
+			s.chargeOnStmt(c.here.id, l.id)
+			s.delay(tc, c.here.id, l.id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+		}
+		fn(tc)
+		s.releaseCtx(tc)
+		makespan = max(makespan, tab.Owed())
+	}
+	c.here.delayWaitNS.Add(c.pace.Delay(makespan))
+}
+
 // Coforall spawns n tasks on the current locale and waits for them —
 // `coforall tid in 0..#n`.
 func (c *Ctx) Coforall(n int, fn func(ctx *Ctx, tid int)) {
@@ -217,32 +246,4 @@ func ForallLocal[P any](c *Ctx, n, tasks int,
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// AndReduce accumulates a logical-AND reduction across tasks, the
-// analogue of Chapel's `with (&& reduce ok)` intent in Listing 4.
-// The zero value is NOT ready; use NewAndReduce, which starts true.
-type AndReduce struct {
-	mu sync.Mutex
-	v  bool
-}
-
-// NewAndReduce returns a reduction initialised to true.
-func NewAndReduce() *AndReduce { return &AndReduce{v: true} }
-
-// And folds b into the reduction.
-func (r *AndReduce) And(b bool) {
-	if b {
-		return
-	}
-	r.mu.Lock()
-	r.v = false
-	r.mu.Unlock()
-}
-
-// Value returns the reduced result; call after all contributors join.
-func (r *AndReduce) Value() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.v
 }

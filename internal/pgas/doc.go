@@ -20,9 +20,10 @@
 // rely on: synchronous on-statements (Ctx.On) and fire-and-forget
 // asynchronous ones (Ctx.AsyncOn, tracked by System.Quiesce),
 // coforall/forall loops over locales and cyclically distributed
-// domains with task-private values, network-atomic words (Word64,
-// Word128) routed per the configured comm.Backend, remote
-// allocation/load/free with bulk variants, an && reduction, and the
+// domains with task-private values, a control-plane visit of every
+// locale on the calling goroutine (Ctx.VisitLocales), network-atomic
+// words (Word64, Word128) routed per the configured comm.Backend,
+// remote allocation/load/free with bulk variants, and the
 // privatization registry.
 //
 // # The dispatch layer

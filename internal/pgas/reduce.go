@@ -3,10 +3,12 @@ package pgas
 import "sync"
 
 // Reductions over task contributions, the analogues of Chapel's
-// `+ reduce` / `min reduce` / `max reduce` intents. AndReduce (ctx.go)
-// is the one Listing 4 uses; these cover the common numeric cases for
-// workloads built on the runtime. All are safe for concurrent
-// contribution; read the result only after contributors join.
+// `+ reduce` / `min reduce` / `max reduce` intents, for the common
+// numeric cases of workloads built on the runtime. (Listing 4's
+// `&& reduce` needs none: its scan visits the locales in turn on one
+// goroutine, Ctx.VisitLocales, and folds into a local bool.) All are
+// safe for concurrent contribution; read the result only after
+// contributors join.
 
 // SumReduce accumulates an int64 sum.
 type SumReduce struct {

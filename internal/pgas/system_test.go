@@ -180,23 +180,6 @@ func TestForallLocal(t *testing.T) {
 	})
 }
 
-func TestAndReduce(t *testing.T) {
-	r := NewAndReduce()
-	if !r.Value() {
-		t.Fatal("fresh reduction must be true")
-	}
-	r.And(true)
-	r.And(true)
-	if !r.Value() {
-		t.Fatal("all-true reduction became false")
-	}
-	r.And(false)
-	r.And(true)
-	if r.Value() {
-		t.Fatal("reduction with a false contribution must be false")
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	s1 := NewSystem(Config{Locales: 2, Seed: 7})
 	defer s1.Shutdown()

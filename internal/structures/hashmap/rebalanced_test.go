@@ -62,6 +62,16 @@ func TestRebalancedMigrateMovesBucket(t *testing.T) {
 		t.Fatalf("books = adopted %d retired %d bytes %d, want 1/1/%d",
 			delta.MigAdopted, delta.MigRetired, delta.MigBytes, bytes)
 	}
+	// The retire filed every node of the old list on the source's limbo,
+	// in the current generation, and touched nothing else.
+	want := epoch.Snapshot{Global: 1, Locales: make([]epoch.LocaleState, locales)}
+	for l := range want.Locales {
+		want.Locales[l].Cache = 1
+	}
+	want.Locales[src].Limbo[1] = inBucket
+	if err := em.Snapshot(c0).Diff(want); err != nil {
+		t.Fatalf("epoch state after the migrate-retire: %v", err)
+	}
 
 	// Every key — migrated bucket or not — stays readable on both paths.
 	tok := em.Register(c0)
@@ -100,6 +110,10 @@ func TestRebalancedMigrateMovesBucket(t *testing.T) {
 	st := em.Stats(c0)
 	if st.Deferred != st.Reclaimed {
 		t.Fatalf("epoch books: deferred %d reclaimed %d", st.Deferred, st.Reclaimed)
+	}
+	want.Locales[src].Limbo[1] = 0
+	if err := em.Snapshot(c0).Diff(want); err != nil {
+		t.Fatalf("epoch state after Clear: %v", err)
 	}
 	heap := s.HeapStats()
 	if heap.UAFLoads != 0 || heap.UAFStores != 0 || heap.UAFFrees != 0 {

@@ -6,7 +6,7 @@
 // needed: a Remove first *marks* the node (making it unreachable to
 // new traversals semantically) and only then physically unlinks it;
 // tasks that already hold a reference keep dereferencing it safely
-// until two epoch advances prove quiescence.
+// until the epoch advances prove quiescence.
 //
 // The mark bit lives in the top bit of the node's next word, next to
 // the compressed address — the same spare-bit trick pointer
