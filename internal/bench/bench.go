@@ -212,17 +212,14 @@ func (t *trial) epochs() epoch.EpochManager {
 // counter delta of fn, plus the matrix delta and its busiest inbound
 // column when the machine asked for them.
 func (t *trial) timed(fn func()) {
-	var beforeM [][]int64
-	if t.matrix {
-		beforeM = t.sys.Matrix().Snapshot()
-	}
-	before := t.sys.Counters().Snapshot()
+	before, beforeM := t.sys.Counters().SnapshotMatrix()
 	start := time.Now()
 	fn()
 	t.pt.Seconds = time.Since(start).Seconds()
-	t.pt.Comm = t.sys.Counters().Snapshot().Sub(before)
+	after, afterM := t.sys.Counters().SnapshotMatrix()
+	t.pt.Comm = after.Sub(before)
 	if t.matrix {
-		t.pt.Matrix = SubMatrix(t.sys.Matrix().Snapshot(), beforeM)
+		t.pt.Matrix = SubMatrix(afterM, beforeM)
 		t.pt.MaxInbound = MaxInboundOf(t.pt.Matrix)
 	}
 }

@@ -228,9 +228,11 @@ func (ix *combineIndex) reset() {
 // NewAggregator creates an aggregator for operations issued from
 // locale src toward nDest destinations. Every flush increments the
 // aggregation counters and hands the batch to deliver; a flush toward
-// another locale is also one bulk transfer — the bulk counters, the
-// (src, dst) matrix cell and the bulk-transfer latency from lat — while
-// a flush of src's own buffer crosses no wire and books none of those.
+// another locale is also one bulk transfer — one KindBulk add on
+// matrix's (src, dst) cell, its bytes on counters, and the
+// bulk-transfer latency from lat — while a flush of src's own buffer
+// crosses no wire and books none of those. Pass the matrix counters
+// are bound to (NewCounters) for counters to read the transfer.
 // A delivered batch is the callee's to keep: the aggregator starts a
 // new buffer after every flush and never touches a shipped one again.
 func NewAggregator(src, nDest int, cfg AggConfig, counters *Counters, matrix *Matrix, lat LatencyProfile, deliver func(dst int, batch []Op)) *Aggregator {
@@ -339,11 +341,12 @@ func (a *Aggregator) Pending() int {
 }
 
 // FlushDst ships dst's buffer as one bulk transfer: the aggregation
-// counters record the flush, the bulk counters record the transfer it
-// rides on (an aggregated flush IS a bulk shipment, so scatter-list
-// style assertions keep holding), the matrix attributes it to
-// (src, dst), and the initiating task pays one startup plus per-byte
-// cost for the whole batch. The source's own buffer is delivered without
+// counters record the flush, the transfer it rides on is one KindBulk
+// event booked on the matrix's (src, dst) cell — which counters bound to
+// that matrix read as BulkXfers; an aggregated flush IS a bulk shipment,
+// so scatter-list style assertions keep holding — plus its bytes, and
+// the initiating task pays one startup plus per-byte cost for the whole
+// batch. The source's own buffer is delivered without
 // a transfer: the flush is counted (shipped + combined == enqueued holds
 // over every destination) but no bulk counter, matrix cell or delay is.
 // An empty buffer is a no-op.
@@ -362,10 +365,8 @@ func (a *Aggregator) FlushDst(dst int) {
 	}
 	a.counters.IncAggFlush(a.src, int64(len(batch)), bytes)
 	if dst != a.src {
-		a.counters.IncBulk(a.src, bytes)
-		if a.matrix != nil {
-			a.matrix.Inc(a.src, dst)
-		}
+		a.matrix.Book(a.src, dst, KindBulk)
+		a.counters.IncBulkBytes(a.src, bytes)
 		a.delay(dst, a.lat.BulkStartupNS+bytes*a.lat.BulkPerByteNS)
 	}
 	a.deliver(dst, batch)

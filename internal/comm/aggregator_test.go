@@ -7,13 +7,21 @@ import (
 	"testing"
 )
 
+// boundCounters returns counters bound to a fresh n×n matrix, as a
+// system's are: an aggregator books each flush's transfer on the matrix
+// and the counters read it there.
+func boundCounters(n int) (*Counters, *Matrix) {
+	m := NewMatrix(n)
+	return NewCounters(m), m
+}
+
 // A capacity-policy aggregator auto-flushes full buffers: 1000 ops to
 // one destination at capacity 256 ship in exactly 4 flushes, each also
 // counted as one bulk transfer.
 func TestAggregatorCapacityFlush(t *testing.T) {
-	var c Counters
+	c, m := boundCounters(4)
 	var delivered [][]Op
-	a := NewAggregator(0, 4, AggConfig{Capacity: 256}, &c, nil, Zero(),
+	a := NewAggregator(0, 4, AggConfig{Capacity: 256}, c, m, Zero(),
 		func(dst int, batch []Op) {
 			if dst != 1 {
 				t.Fatalf("delivered to %d, want 1", dst)
@@ -90,10 +98,10 @@ func (o *catOp) Absorb(later CombinableOp) (int64, bool) {
 // stores to one key keep only the last value, and distinct keys stay
 // distinct. The enqueue/combined/shipped counters account exactly.
 func TestAggregatorCombine(t *testing.T) {
-	var c Counters
+	c, m := boundCounters(4)
 	var delivered []Op
 	ref := new(int)
-	a := NewAggregator(0, 4, AggConfig{Capacity: 256, Combine: true}, &c, nil, Zero(),
+	a := NewAggregator(0, 4, AggConfig{Capacity: 256, Combine: true}, c, m, Zero(),
 		func(dst int, batch []Op) { delivered = append(delivered, batch...) })
 	for i := 0; i < 10; i++ {
 		a.Enqueue(1, Op{Bytes: 16, Exec: &sumOp{ref: ref, k: 7, delta: 1}})
@@ -130,9 +138,9 @@ func TestAggregatorCombine(t *testing.T) {
 // Concatenating merges grow the buffered op's byte tally, so the bulk
 // transfer still charges for every payload byte that ships.
 func TestAggregatorCombineGrowsBytes(t *testing.T) {
-	var c Counters
+	c, m := boundCounters(4)
 	ref := new(int)
-	a := NewAggregator(0, 2, AggConfig{Combine: true}, &c, nil, Zero(), func(int, []Op) {})
+	a := NewAggregator(0, 2, AggConfig{Combine: true}, c, m, Zero(), func(int, []Op) {})
 	a.Enqueue(1, Op{Bytes: 16, Exec: &catOp{ref: ref, vals: []int64{1, 2}}})
 	a.Enqueue(1, Op{Bytes: 24, Exec: &catOp{ref: ref, vals: []int64{3, 4, 5}}})
 	a.Flush()
@@ -149,9 +157,9 @@ func TestAggregatorCombineGrowsBytes(t *testing.T) {
 // With Combine off, combinable ops ship one-for-one; opaque ops never
 // merge even with Combine on.
 func TestAggregatorCombineOptIn(t *testing.T) {
-	var c Counters
+	c, m := boundCounters(4)
 	ref := new(int)
-	off := NewAggregator(0, 2, AggConfig{}, &c, nil, Zero(), func(int, []Op) {})
+	off := NewAggregator(0, 2, AggConfig{}, c, m, Zero(), func(int, []Op) {})
 	for i := 0; i < 5; i++ {
 		off.Enqueue(1, Op{Bytes: 16, Exec: &sumOp{ref: ref, k: 1, delta: 1}})
 	}
@@ -160,7 +168,7 @@ func TestAggregatorCombineOptIn(t *testing.T) {
 		t.Fatalf("Combine=false merged: %+v", s)
 	}
 	c.Reset()
-	on := NewAggregator(0, 2, AggConfig{Combine: true}, &c, nil, Zero(), func(int, []Op) {})
+	on := NewAggregator(0, 2, AggConfig{Combine: true}, c, m, Zero(), func(int, []Op) {})
 	for i := 0; i < 5; i++ {
 		on.Enqueue(1, Op{Bytes: 8, Exec: func() {}}) // opaque payload
 	}
@@ -173,10 +181,10 @@ func TestAggregatorCombineOptIn(t *testing.T) {
 // The merge index is dropped at flush: ops enqueued after a flush must
 // not absorb into positions of the already-shipped buffer.
 func TestAggregatorCombineIndexResetOnFlush(t *testing.T) {
-	var c Counters
+	c, m := boundCounters(4)
 	ref := new(int)
 	var batches [][]Op
-	a := NewAggregator(0, 2, AggConfig{Combine: true}, &c, nil, Zero(),
+	a := NewAggregator(0, 2, AggConfig{Combine: true}, c, m, Zero(),
 		func(dst int, batch []Op) { batches = append(batches, batch) })
 	a.Enqueue(1, Op{Bytes: 16, Exec: &sumOp{ref: ref, k: 1, delta: 1}})
 	a.FlushDst(1)
@@ -200,10 +208,10 @@ func TestAggregatorCombineIndexResetOnFlush(t *testing.T) {
 // buffer and an aggregator with Combine off return nil and book
 // nothing.
 func TestAggregatorBuffered(t *testing.T) {
-	var c Counters
+	c, m := boundCounters(4)
 	var delivered []Op
 	ref := new(int)
-	a := NewAggregator(0, 4, AggConfig{Combine: true}, &c, nil, Zero(),
+	a := NewAggregator(0, 4, AggConfig{Combine: true}, c, m, Zero(),
 		func(dst int, batch []Op) { delivered = append(delivered, batch...) })
 	key := (&lastOp{ref: ref, k: 7}).CombineKey()
 	if got := a.Buffered(1, key); got != nil {
@@ -248,7 +256,7 @@ func TestAggregatorBuffered(t *testing.T) {
 	}
 
 	c.Reset()
-	off := NewAggregator(0, 2, AggConfig{}, &c, nil, Zero(), func(int, []Op) {})
+	off := NewAggregator(0, 2, AggConfig{}, c, m, Zero(), func(int, []Op) {})
 	off.Enqueue(1, Op{Bytes: 16, Exec: first})
 	if got := off.Buffered(1, key); got != nil {
 		t.Fatalf("Buffered with Combine off = %v", got)
@@ -260,9 +268,9 @@ func TestAggregatorBuffered(t *testing.T) {
 
 // A manual-policy aggregator never ships on its own.
 func TestAggregatorManualPolicy(t *testing.T) {
-	var c Counters
+	c, m := boundCounters(4)
 	n := 0
-	a := NewAggregator(0, 2, AggConfig{Capacity: 4, Policy: FlushManual}, &c, nil, Zero(),
+	a := NewAggregator(0, 2, AggConfig{Capacity: 4, Policy: FlushManual}, c, m, Zero(),
 		func(int, []Op) { n++ })
 	for i := 0; i < 100; i++ {
 		a.Enqueue(1, Op{Bytes: 1})
@@ -280,11 +288,11 @@ func TestAggregatorManualPolicy(t *testing.T) {
 	}
 }
 
-// Flushes are attributed to the (src, dst) matrix cell.
+// Flushes are attributed to the (src, dst) matrix cell, which is where
+// the counters read each flush's bulk transfer.
 func TestAggregatorMatrixAttribution(t *testing.T) {
-	var c Counters
-	m := NewMatrix(3)
-	a := NewAggregator(1, 3, AggConfig{}, &c, m, Zero(), func(int, []Op) {})
+	c, m := boundCounters(3)
+	a := NewAggregator(1, 3, AggConfig{}, c, m, Zero(), func(int, []Op) {})
 	a.Enqueue(0, Op{Bytes: 8})
 	a.Enqueue(2, Op{Bytes: 8})
 	a.Enqueue(2, Op{Bytes: 8})
@@ -292,15 +300,16 @@ func TestAggregatorMatrixAttribution(t *testing.T) {
 	if m.Get(1, 0) != 1 || m.Get(1, 2) != 1 {
 		t.Fatalf("matrix rows: %v", m.Snapshot())
 	}
-	if got := c.Snapshot().AggFlushes; got != 2 {
-		t.Fatalf("AggFlushes = %d, want 2", got)
+	if s := c.Snapshot(); s.AggFlushes != 2 || s.BulkXfers != 2 || s.Remote() != m.Total() {
+		t.Fatalf("AggFlushes = %d, BulkXfers = %d, Remote() = %d, matrix total %d; want 2, 2, equal",
+			s.AggFlushes, s.BulkXfers, s.Remote(), m.Total())
 	}
 }
 
 // Capacity defaulting and the effective-capacity accessor.
 func TestAggregatorDefaultCapacity(t *testing.T) {
-	var c Counters
-	a := NewAggregator(0, 1, AggConfig{}, &c, nil, Zero(), func(int, []Op) {})
+	c, m := boundCounters(4)
+	a := NewAggregator(0, 1, AggConfig{}, c, m, Zero(), func(int, []Op) {})
 	if a.Capacity() != DefaultAggCapacity {
 		t.Fatalf("capacity = %d, want %d", a.Capacity(), DefaultAggCapacity)
 	}
@@ -312,11 +321,10 @@ func TestAggregatorDefaultCapacity(t *testing.T) {
 // enqueued holds over every destination, and nothing else moves.
 func TestAggregatorOwnLocaleFlush(t *testing.T) {
 	const n = 10
-	var c Counters
-	m := NewMatrix(3)
+	c, m := boundCounters(3)
 	ref := new(int)
 	var delivered []Op
-	a := NewAggregator(1, 3, AggConfig{Capacity: 4, Combine: true}, &c, m, DefaultProfile(),
+	a := NewAggregator(1, 3, AggConfig{Capacity: 4, Combine: true}, c, m, DefaultProfile(),
 		func(dst int, batch []Op) {
 			if dst != 1 {
 				t.Fatalf("delivered to %d, want 1", dst)
@@ -370,11 +378,11 @@ func TestAggregatorOwnLocaleFlush(t *testing.T) {
 // rides the same pass, and what a later delivery leaves behind takes
 // another.
 func TestAggregatorFlushLeavesNothingPending(t *testing.T) {
-	var c Counters
+	c, m := boundCounters(4)
 	var a *Aggregator
 	var order []int
 	second := false
-	a = NewAggregator(2, 4, AggConfig{}, &c, nil, Zero(), func(dst int, batch []Op) {
+	a = NewAggregator(2, 4, AggConfig{}, c, m, Zero(), func(dst int, batch []Op) {
 		order = append(order, dst)
 		switch {
 		case dst == 2 && !second:

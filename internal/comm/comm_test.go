@@ -129,6 +129,7 @@ func TestCountersRoundTrip(t *testing.T) {
 		{"IncLocalAMO", func(c *Counters, src int) { c.IncLocalAMO(src) }, Snapshot{LocalAMOs: 1}},
 		{"IncOnStmt", func(c *Counters, src int) { c.IncOnStmt(src) }, Snapshot{OnStmts: 1}},
 		{"IncBulk", func(c *Counters, src int) { c.IncBulk(src, 128) }, Snapshot{BulkXfers: 1, BulkBytes: 128}},
+		{"IncBulkBytes", func(c *Counters, src int) { c.IncBulkBytes(src, 128) }, Snapshot{BulkBytes: 128}},
 		{"IncDCASLocal", func(c *Counters, src int) { c.IncDCASLocal(src) }, Snapshot{DCASLocal: 1}},
 		{"IncDCASRemote", func(c *Counters, src int) { c.IncDCASRemote(src) }, Snapshot{DCASRemote: 1}},
 		{"IncAggFlush", func(c *Counters, src int) { c.IncAggFlush(src, 5, 80) }, Snapshot{AggFlushes: 1, AggOps: 5, AggBytes: 80}},
@@ -223,6 +224,66 @@ func TestCountersRoundTrip(t *testing.T) {
 	all.Reset()
 	if all.Snapshot() != (Snapshot{}) {
 		t.Fatal("Reset left residue")
+	}
+
+	// Booked: each Kind, alone on counters bound to a matrix, reads as
+	// exactly the src-only helper of the same kind does, and as one event
+	// on its pair; accumulated over every pair, the kinds between them
+	// feed exactly the seven fields Remote() adds up.
+	kinds := []struct {
+		k    Kind
+		want Snapshot
+	}{
+		{KindPut, Snapshot{Puts: 1}},
+		{KindGet, Snapshot{Gets: 1}},
+		{KindNICAMO, Snapshot{NICAMOs: 1}},
+		{KindAMAMO, Snapshot{AMAMOs: 1}},
+		{KindOnStmt, Snapshot{OnStmts: 1}},
+		{KindBulk, Snapshot{BulkXfers: 1}},
+		{KindDCASRemote, Snapshot{DCASRemote: 1}},
+	}
+	if len(kinds) != NumKinds {
+		t.Fatalf("table covers %d kinds, NumKinds is %d", len(kinds), NumKinds)
+	}
+	const n = 3
+	bm := NewMatrix(n)
+	bound := NewCounters(bm)
+	var bsum Snapshot
+	bsumF := fields(&bsum)
+	for i, tc := range kinds {
+		m := NewMatrix(n)
+		c := NewCounters(m)
+		m.Book(i%n, (i+1)%n, tc.k)
+		if got := c.Snapshot(); got != tc.want || got.Remote() != 1 || m.Total() != 1 || m.Get(i%n, (i+1)%n) != 1 {
+			t.Fatalf("Book(%d) alone: snapshot = %+v, matrix %v, want %+v on (%d, %d)", tc.k, got, m.Snapshot(), tc.want, i%n, (i+1)%n)
+		}
+		before := bound.Snapshot()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				bm.Book(src, dst, tc.k)
+			}
+		}
+		for f, w := range fields(&tc.want) {
+			bsumF[f].SetInt(bsumF[f].Int() + n*n*w.Int())
+		}
+		got, pairs := bound.SnapshotMatrix()
+		if got != bsum || got.Sub(before).Remote() != n*n {
+			t.Fatalf("after booking %d on every pair: snapshot = %+v, want %+v", tc.k, got, bsum)
+		}
+		for src, row := range pairs {
+			for dst, v := range row {
+				if v != int64(i+1) {
+					t.Fatalf("after booking %d: pair (%d, %d) = %d, want %d", tc.k, src, dst, v, i+1)
+				}
+			}
+		}
+	}
+	if got := bsum.Remote(); got != int64(n*n*NumKinds) || bm.Total() != got {
+		t.Fatalf("booked Remote() = %d, matrix Total() = %d, want %d each", got, bm.Total(), n*n*NumKinds)
+	}
+	bound.Reset()
+	if bound.Snapshot() != (Snapshot{}) || bm.Total() != 0 {
+		t.Fatal("Reset of bound counters left residue in the matrix")
 	}
 }
 

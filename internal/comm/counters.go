@@ -8,24 +8,35 @@ import (
 
 // Counters records communication-diagnostic totals, in the spirit of
 // Chapel's commDiagnostics module. Every simulated communication event
-// increments exactly one counter, so tests can make deterministic
-// assertions about communication volume — for example that privatized
-// instance lookup performs zero communication, or that scatter lists
-// reduce N remote frees to one bulk transfer per locale.
+// is counted exactly once, so tests can make deterministic assertions
+// about communication volume — for example that privatized instance
+// lookup performs zero communication, or that scatter lists reduce N
+// remote frees to one bulk transfer per locale.
 //
-// The totals live in cache-line-padded shards merged at Snapshot time:
-// every Inc* takes a shard hint (the source locale, which each call
-// site already has in hand), so tasks on different locales increment
-// disjoint cache lines instead of hammering one falsely-shared cluster
-// of sixteen adjacent words. Sharding is pure measurement-plane
-// plumbing — addition is commutative, so Snapshot/Sub/Reset observe
-// exactly the values an unsharded counter struct would, which is what
-// lets the counter-asserted ablation tests stay byte-for-byte
-// unchanged across the sharding.
+// The seven remote totals (Puts, Gets, NICAMOs, AMAMOs, OnStmts,
+// BulkXfers, DCASRemote) of Counters made by NewCounters are the sums
+// of the bound Matrix's per-kind cells: a remote event is one
+// Matrix.Book, and it is both a counter and a matrix entry. Everything
+// else — and, on Counters not bound to a matrix, the remote totals'
+// src-only Inc* helpers too — lives in cache-line-padded shards merged
+// at Snapshot time: every Inc* takes a shard hint (the source locale,
+// which each call site already has in hand), so tasks on different
+// locales increment disjoint cache lines. Addition is commutative, so
+// Snapshot/Sub/Reset observe exactly the values one flat counter
+// struct would.
 //
 // All methods are safe for concurrent use.
 type Counters struct {
+	pairs  *Matrix // nil unless made by NewCounters
 	shards [counterShards]counterShard
+}
+
+// NewCounters returns counters bound to pairs: their remote totals are
+// the sums of its cells, so Snapshot().Remote() == pairs.Total() as long
+// as nothing books a kindless pair (Matrix.Inc) or a src-only remote
+// Inc*.
+func NewCounters(pairs *Matrix) *Counters {
+	return &Counters{pairs: pairs}
 }
 
 // counterShards is the number of padded cells each counter is split
@@ -147,6 +158,12 @@ func (sh *counterShard) cells() *[numCounters]atomic.Int64 {
 	return (*[numCounters]atomic.Int64)(unsafe.Pointer(&sh.v))
 }
 
+// The src-only remote Inc* helpers below — IncPut, IncGet, IncNICAMO,
+// IncAMAMO, IncOnStmt, IncBulk, IncDCASRemote — count an event with no
+// destination on src's shard. Neither the pgas dispatch layer nor the
+// Aggregator calls them: both book each remote event once on its matrix
+// cell (Matrix.Book).
+
 // IncPut records a small remote write issued by locale src.
 func (c *Counters) IncPut(src int) { c.shard(src).v.Puts.Add(1) }
 
@@ -173,6 +190,11 @@ func (c *Counters) IncBulk(src int, n int64) {
 	s.v.BulkBytes.Add(n)
 }
 
+// IncBulkBytes records n payload bytes of a bulk transfer issued by
+// locale src whose event was booked on the bound matrix (KindBulk):
+// bytes are not events, so they are the one second add of a transfer.
+func (c *Counters) IncBulkBytes(src int, n int64) { c.shard(src).v.BulkBytes.Add(n) }
+
 // IncDCASLocal records a locale-local emulated DCAS.
 func (c *Counters) IncDCASLocal(src int) { c.shard(src).v.DCASLocal.Add(1) }
 
@@ -182,7 +204,8 @@ func (c *Counters) IncDCASRemote(src int) { c.shard(src).v.DCASRemote.Add(1) }
 
 // IncAggFlush records one aggregated flush from locale src carrying
 // ops operations and bytes payload bytes. The bulk transfer the flush
-// rides on is counted separately (via IncBulk) by the flusher.
+// rides on is booked separately (a KindBulk Matrix.Book plus
+// IncBulkBytes) by the flusher.
 func (c *Counters) IncAggFlush(src int, ops, bytes int64) {
 	s := c.shard(src)
 	s.v.AggFlushes.Add(1)
@@ -266,9 +289,24 @@ func (c *Counters) IncOpsExpired(src int, n int64) { c.shard(src).v.OpsExpired.A
 func (c *Counters) IncCacheInval(src int) { c.shard(src).v.CacheInval.Add(1) }
 
 // Snapshot returns a point-in-time copy of all counters, merging the
-// shards. Concurrent increments land in either the before or after
-// side of a Sub window exactly as they would with unsharded counters.
+// shards and, when the counters are bound to a matrix, summing its
+// cells by kind. Concurrent increments land in either the before or
+// after side of a Sub window exactly as they would with one flat
+// counter struct.
 func (c *Counters) Snapshot() Snapshot {
+	s, _ := c.snapshot(false)
+	return s
+}
+
+// SnapshotMatrix returns Snapshot() and the bound matrix's Snapshot()
+// from the same loads of its cells, so the remote totals and the pairs
+// of one read always agree: Remote() equals the pairs' sum, less any
+// kindless pairs. The matrix is nil for counters not bound to one.
+func (c *Counters) SnapshotMatrix() (Snapshot, [][]int64) {
+	return c.snapshot(true)
+}
+
+func (c *Counters) snapshot(withPairs bool) (Snapshot, [][]int64) {
 	var s Snapshot
 	sums := s.words()
 	for i := range c.shards {
@@ -277,16 +315,32 @@ func (c *Counters) Snapshot() Snapshot {
 			sums[ctr] += cells[ctr].Load()
 		}
 	}
-	return s
+	m := c.pairs
+	if m == nil {
+		return s, nil
+	}
+	var kinds [NumKinds]int64
+	var pairs [][]int64
+	if withPairs {
+		pairs = m.newPairs()
+	}
+	m.read(pairs, &kinds)
+	for k, v := range kinds {
+		sums[kindWord[k]] += v
+	}
+	return s, pairs
 }
 
-// Reset zeroes every counter in every shard.
+// Reset zeroes every counter in every shard, and the bound matrix.
 func (c *Counters) Reset() {
 	for i := range c.shards {
 		cells := c.shards[i].cells()
 		for ctr := range cells {
 			cells[ctr].Store(0)
 		}
+	}
+	if c.pairs != nil {
+		c.pairs.Reset()
 	}
 }
 

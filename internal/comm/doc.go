@@ -34,16 +34,22 @@
 // of Chapel's commDiagnostics module: puts, gets, NIC/AM/local
 // atomics, on-statements, bulk transfers and their bytes, local and
 // remote DCAS, aggregated flush/op/byte totals, and the read
-// replication cache's hit/miss/invalidation totals. Every event
-// increments exactly one counter, so tests make deterministic
-// assertions about communication volume (for example: privatized
-// lookup is zero-communication; N aggregated frees ship as one bulk
-// transfer per destination; a warmed cache serves a hot-key get storm
-// with zero remote events). Matrix attributes the same events to
-// (source, destination) locale pairs, answering what the scalars
-// cannot: whether traffic is balanced, and which locale is the
-// hotspot. Snapshot/Sub turn both into exact deltas around a measured
-// region.
+// replication cache's hit/miss/invalidation totals. Every event is
+// counted exactly once, so tests make deterministic assertions about
+// communication volume (for example: privatized lookup is
+// zero-communication; N aggregated frees ship as one bulk transfer per
+// destination; a warmed cache serves a hot-key get storm with zero
+// remote events). Matrix attributes the remote events to (source,
+// destination) locale pairs, answering what the scalars cannot:
+// whether traffic is balanced, and which locale is the hotspot.
+//
+// The two are one store. A remote event — one of the seven Kinds
+// Snapshot.Remote adds up — is a single Matrix.Book: one atomic add on
+// the cell keyed (source, destination, kind). Counters made by
+// NewCounters read their seven remote totals as sums over those cells,
+// so Snapshot().Remote() == Matrix.Total() by construction, and
+// Counters.SnapshotMatrix returns both from the same loads. Snapshot/Sub
+// turn them into exact deltas around a measured region.
 //
 // # Aggregation
 //

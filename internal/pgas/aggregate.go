@@ -51,7 +51,7 @@ func newAggregator(c *Ctx) *Aggregator {
 	s := c.sys
 	a := &Aggregator{c: c}
 	a.agg = comm.NewAggregator(c.here.id, len(s.locales), s.cfg.Agg,
-		&s.counters, s.matrix, s.cfg.Latency,
+		s.counters, s.matrix, s.cfg.Latency,
 		func(dst int, batch []comm.Op) {
 			// The task's own locale: no wire, so nothing to admit and
 			// no context to borrow — the batch runs where an inline
@@ -186,7 +186,7 @@ func (o *addOp) Absorb(later comm.CombinableOp) (int64, bool) {
 }
 
 func (o *addOp) Exec(tc *Ctx) {
-	o.w.amo(tc, func() uint64 { return o.w.v.Add(o.delta) })
+	o.w.Add(tc, o.delta)
 }
 
 // putOp is the mergeable payload behind AggBuffer.Put: stores to one

@@ -11,10 +11,14 @@ import (
 // The dispatch layer: every simulated remote operation — on-statement,
 // 64-bit AMO, 128-bit DCAS, GET/PUT charge — is routed, counted and
 // latency-charged here, in one place, instead of inline at each call
-// site. Ctx.On, Word64 and Word128 are thin veneers over these
-// methods, and the asynchronous surface (AsyncOn, the aggregation
-// buffers in aggregate.go) reuses exactly the same accounting, so the
-// sync and async paths can never drift apart.
+// site. Counting a remote event is one add on its (source,
+// destination, kind) matrix cell (comm.Matrix.Book), which the comm
+// counters read as well. Ctx.On, Word64 and Word128 are thin veneers
+// over these methods — a word's atomic runs in its own method on the
+// direct routes; only the active-message route ships a closure — and
+// the asynchronous surface (AsyncOn, the aggregation buffers in
+// aggregate.go) reuses exactly the same accounting, so the sync and
+// async paths can never drift apart.
 
 // dispatchOn charges and executes a synchronous on-statement: fn runs
 // on the target locale and the caller waits. `on here` is elided.
@@ -188,57 +192,77 @@ func execOp(tc *Ctx, op comm.Op) {
 // chargeOnStmt records one remote on-statement without paying its
 // latency (the payer differs between the sync and coforall paths).
 func (s *System) chargeOnStmt(src, dst int) {
-	s.counters.IncOnStmt(src)
-	s.matrix.Inc(src, dst)
+	s.matrix.Book(src, dst, comm.KindOnStmt)
 }
 
-// dispatchAMO64 routes a 64-bit atomic on a word homed on `home` per
-// the backend: NIC atomic under ugni (even locale-locally — Aries NIC
-// atomics are not coherent with CPU atomics), processor atomic when
-// local under none, active message to the home locale otherwise.
-func (s *System) dispatchAMO64(c *Ctx, home int, op func() uint64) uint64 {
-	// Atomics are never refused, even toward a dead home: the fault plan
-	// kills a locale's execution plane (on-statements, async launches,
-	// aggregated deliveries), not the partitioned address space — the
-	// same shared-storage conceit that lets salvage contexts adopt a
-	// dead locale's shards. Refusing here would also be worse than
-	// useless: a CAS that "fails" because its home died sends every
-	// lock-free retry loop into a livelock instead of failing fast.
-	switch s.cfg.Backend {
-	case comm.BackendUGNI:
-		s.counters.IncNICAMO(c.here.id)
-		s.matrix.Inc(c.here.id, home)
+// charge books one remote event of kind k from c's locale toward dst and
+// charges ns of its latency to c: one add on the event's matrix cell,
+// which is the counter too.
+func (s *System) charge(c *Ctx, dst int, k comm.Kind, ns int64) {
+	s.matrix.Book(c.here.id, dst, k)
+	s.delay(c, c.here.id, dst, ns)
+}
+
+// routeAMO64 books and charges one 64-bit atomic on a word homed on
+// home, routed per the backend, and reports whether it must run on home
+// over an active message (amAMO64). Otherwise the caller runs the
+// atomic in place: a NIC atomic under ugni (even locale-locally — Aries
+// NIC atomics are not coherent with CPU atomics), a processor atomic on
+// the word's own locale under none.
+//
+// Atomics are never refused, even toward a dead home: the fault plan
+// kills a locale's execution plane (on-statements, async launches,
+// aggregated deliveries), not the partitioned address space — the same
+// shared-storage conceit that lets salvage contexts adopt a dead
+// locale's shards. Refusing here would also be worse than useless: a
+// CAS that "fails" because its home died sends every lock-free retry
+// loop into a livelock instead of failing fast.
+func (s *System) routeAMO64(c *Ctx, home int) (am bool) {
+	switch {
+	case s.cfg.Backend == comm.BackendUGNI:
+		s.matrix.Book(c.here.id, home, comm.KindNICAMO)
 		s.delay(c, c.here.id, home, s.cfg.Latency.NICAtomicNS)
-		return op()
-	default:
-		if home == c.here.id {
-			s.counters.IncLocalAMO(home)
-			s.delay(c, home, home, s.cfg.Latency.LocalAtomicNS)
-			return op()
-		}
-		s.counters.IncAMAMO(c.here.id)
-		s.matrix.Inc(c.here.id, home)
-		var res uint64
-		s.amCall(c, home, func() { res = op() })
-		return res
+		return false
+	case home == c.here.id:
+		s.counters.IncLocalAMO(home)
+		s.delay(c, home, home, s.cfg.Latency.LocalAtomicNS)
+		return false
 	}
+	s.matrix.Book(c.here.id, home, comm.KindAMAMO)
+	return true
 }
 
-// dispatchDCAS routes a full-width 128-bit operation: no NIC offloads
-// these, so a remote cell always demotes to remote execution (an
-// active message), while a local cell runs the emulated CMPXCHG16B
-// directly.
-func (s *System) dispatchDCAS(c *Ctx, home int, op func()) {
-	// Never refused — memory plane, like dispatchAMO64.
+// amAMO64 runs op as an active-message handler on home and returns its
+// result: the AM route of a 64-bit atomic routeAMO64 has booked.
+func (s *System) amAMO64(c *Ctx, home int, op func() uint64) (res uint64) {
+	s.amCall(c, home, func() { res = op() })
+	return res
+}
+
+// dispatchAMO64 routes, books, charges and runs one 64-bit atomic op on
+// a word homed on home (routeAMO64), over an active message when the
+// route says so.
+func (s *System) dispatchAMO64(c *Ctx, home int, op func() uint64) uint64 {
+	if s.routeAMO64(c, home) {
+		return s.amAMO64(c, home, op)
+	}
+	return op()
+}
+
+// routeDCAS books and charges one full-width 128-bit operation on a
+// cell homed on home and reports whether it must run on home over an
+// active message (amCall): no NIC offloads these, so a remote cell
+// always demotes to remote execution, while a local cell runs the
+// emulated CMPXCHG16B in place. Never refused — memory plane, like
+// routeAMO64.
+func (s *System) routeDCAS(c *Ctx, home int) (am bool) {
 	if home == c.here.id {
 		s.counters.IncDCASLocal(home)
 		s.delay(c, home, home, s.cfg.Latency.LocalAtomicNS)
-		op()
-		return
+		return false
 	}
-	s.counters.IncDCASRemote(c.here.id)
-	s.matrix.Inc(c.here.id, home)
-	s.amCall(c, home, op)
+	s.matrix.Book(c.here.id, home, comm.KindDCASRemote)
+	return true
 }
 
 // ChargeGet records and charges one small remote read toward owner.
@@ -246,16 +270,12 @@ func (s *System) dispatchDCAS(c *Ctx, home int, op func()) {
 // storage lives outside the gas heaps; owner must differ from the
 // calling locale.
 func (c *Ctx) ChargeGet(owner int) {
-	c.sys.counters.IncGet(c.here.id)
-	c.sys.matrix.Inc(c.here.id, owner)
-	c.sys.delay(c, c.here.id, owner, c.sys.cfg.Latency.PutGetNS)
+	c.sys.charge(c, owner, comm.KindGet, c.sys.cfg.Latency.PutGetNS)
 }
 
 // ChargePut records and charges one small remote write toward owner.
 func (c *Ctx) ChargePut(owner int) {
-	c.sys.counters.IncPut(c.here.id)
-	c.sys.matrix.Inc(c.here.id, owner)
-	c.sys.delay(c, c.here.id, owner, c.sys.cfg.Latency.PutGetNS)
+	c.sys.charge(c, owner, comm.KindPut, c.sys.cfg.Latency.PutGetNS)
 }
 
 // ChargeAMRoundTrip records and charges one active-message round trip
@@ -263,9 +283,7 @@ func (c *Ctx) ChargePut(owner int) {
 // insertion into storage that lives outside the gas heaps (the
 // descriptor table). owner must differ from the calling locale.
 func (c *Ctx) ChargeAMRoundTrip(owner int) {
-	c.sys.counters.IncAMAMO(c.here.id)
-	c.sys.matrix.Inc(c.here.id, owner)
-	c.sys.delay(c, c.here.id, owner, c.sys.cfg.Latency.AMRoundTripNS)
+	c.sys.charge(c, owner, comm.KindAMAMO, c.sys.cfg.Latency.AMRoundTripNS)
 }
 
 // ChargeBulk records and charges one bulk transfer of `bytes` between
@@ -281,8 +299,8 @@ func (c *Ctx) ChargeBulk(owner int, bytes int64) {
 // and charges it to c's account (the FreeBulk/AllocBulkOn path;
 // aggregated flushes account for themselves inside comm.Aggregator).
 func (s *System) chargeBulk(c *Ctx, src, dst int, bytes int64) {
-	s.counters.IncBulk(src, bytes)
-	s.matrix.Inc(src, dst)
+	s.matrix.Book(src, dst, comm.KindBulk)
+	s.counters.IncBulkBytes(src, bytes)
 	s.delay(c, src, dst, s.cfg.Latency.BulkStartupNS+bytes*s.cfg.Latency.BulkPerByteNS)
 }
 

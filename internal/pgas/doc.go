@@ -33,7 +33,13 @@
 // latency-charged in dispatch.go, in one place. Ctx.On, Word64,
 // Word128 and the memory operations are thin veneers over it, so the
 // synchronous, asynchronous and aggregated paths share one accounting
-// implementation and cannot drift. Injected delays come from the
+// implementation and cannot drift. Counting a remote event is one
+// atomic add on its (source, destination, kind) cell of the system's
+// comm.Matrix, which the bound comm.Counters read as well, so
+// System.Counters and System.Matrix agree by construction. A word's
+// routing function books and charges the atomic and says where it
+// runs: in the Word64/Word128 method itself on the NIC and local
+// routes, in a closure shipped over an active message otherwise. Injected delays come from the
 // configured comm.LatencyProfile, scaled by the live comm.Perturbation
 // fault plan at every site, and are charged to the issuing task's
 // delay account (comm.Pacer, held by its Ctx; the pooled Ctx of a sync

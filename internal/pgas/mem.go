@@ -3,6 +3,7 @@ package pgas
 import (
 	"fmt"
 
+	"gopgas/internal/comm"
 	"gopgas/internal/gas"
 )
 
@@ -105,9 +106,7 @@ func (c *Ctx) Put(addr gas.Addr, obj any) bool {
 func (c *Ctx) Free(addr gas.Addr) bool {
 	owner := addr.Locale()
 	if owner != c.here.id {
-		c.sys.counters.IncOnStmt(c.here.id)
-		c.sys.matrix.Inc(c.here.id, owner)
-		c.sys.delay(c, c.here.id, owner, c.sys.cfg.Latency.AMRoundTripNS)
+		c.sys.charge(c, owner, comm.KindOnStmt, c.sys.cfg.Latency.AMRoundTripNS)
 	}
 	return c.sys.locales[owner].heap.Free(addr)
 }

@@ -68,7 +68,7 @@ type Config struct {
 type System struct {
 	cfg      Config
 	locales  []*Locale
-	counters comm.Counters
+	counters *comm.Counters // bound to matrix: a remote event is one cell
 	matrix   *comm.Matrix
 
 	taskSeq atomic.Uint64 // unique task ids, also salts per-task RNG
@@ -194,7 +194,8 @@ func NewSystem(cfg Config) *System {
 		cfg.Seed = 1
 	}
 	cfg.Park = cfg.Park.WithDefaults()
-	s := &System{cfg: cfg, matrix: comm.NewMatrix(cfg.Locales), tracer: cfg.Tracer, startTime: time.Now()}
+	matrix := comm.NewMatrix(cfg.Locales)
+	s := &System{cfg: cfg, counters: comm.NewCounters(matrix), matrix: matrix, tracer: cfg.Tracer, startTime: time.Now()}
 	if cfg.Perturb.Enabled() {
 		p := cfg.Perturb
 		s.perturb.Store(&p)
@@ -203,7 +204,7 @@ func NewSystem(cfg Config) *System {
 	s.parking = make([]*comm.Parking, cfg.Locales)
 	for i := range s.parking {
 		src := i
-		s.parking[i] = comm.NewParking(src, cfg.Locales, cfg.Park, &s.counters,
+		s.parking[i] = comm.NewParking(src, cfg.Locales, cfg.Park, s.counters,
 			func(dst int, batch []comm.Op, bytes int64) {
 				s.redeliverParked(src, dst, batch, bytes)
 			})
@@ -252,11 +253,14 @@ func (s *System) WidePointers() bool {
 }
 
 // Counters returns the system's communication-diagnostic counters.
-func (s *System) Counters() *comm.Counters { return &s.counters }
+func (s *System) Counters() *comm.Counters { return s.counters }
 
-// Matrix returns the per-locale-pair communication matrix: every
-// remote event counted by Counters is also attributed to its
-// (source, destination) pair here.
+// Matrix returns the per-locale-pair communication matrix. It is where
+// the remote events are counted: each is one add on its
+// (source, destination, kind) cell, and Counters' seven remote totals
+// are sums over those cells, so every remote event Counters counts is
+// attributed to its pair by construction — Counters().Snapshot().Remote()
+// == Matrix().Total(). Counters().SnapshotMatrix() reads both at once.
 func (s *System) Matrix() *comm.Matrix { return s.matrix }
 
 // Latency returns the configured latency profile.

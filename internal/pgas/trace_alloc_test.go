@@ -72,6 +72,52 @@ func TestAMAtomicsZeroAlloc(t *testing.T) {
 	}
 }
 
+// The direct routes run the atomic in the method itself: a NIC atomic
+// under ugni (remote and on the word's own locale) and a processor
+// atomic on the own locale under none build no closure, so they cannot
+// allocate one either.
+func TestDirectAtomicsZeroAlloc(t *testing.T) {
+	routes := []struct {
+		name    string
+		backend comm.Backend
+		home    int
+	}{
+		{"ugni-remote", comm.BackendUGNI, 1},
+		{"ugni-own", comm.BackendUGNI, 0},
+		{"none-own", comm.BackendNone, 0},
+	}
+	for _, r := range routes {
+		t.Run(r.name, func(t *testing.T) {
+			s := NewSystem(Config{Locales: 2, Backend: r.backend})
+			defer s.Shutdown()
+			c := s.Ctx(0)
+			w64 := NewWord64(c, r.home, 0)
+			w128 := NewWord128(c, r.home, 0, 0)
+			cases := []struct {
+				name string
+				fn   func()
+			}{
+				{"Word64.Read", func() { w64.Read(c) }},
+				{"Word64.Write", func() { w64.Write(c, 1) }},
+				{"Word64.Exchange", func() { w64.Exchange(c, 2) }},
+				{"Word64.CompareAndSwap", func() { w64.CompareAndSwap(c, 2, 3) }},
+				{"Word64.Add", func() { w64.Add(c, 1) }},
+				{"Word64.TestAndSet", func() { w64.TestAndSet(c) }},
+				{"Word64.Clear", func() { w64.Clear(c) }},
+				{"Word128.ReadLo64", func() { w128.ReadLo64(c) }},
+				{"Word128.WriteLo64", func() { w128.WriteLo64(c, 1) }},
+				{"Word128.ExchangeLo64", func() { w128.ExchangeLo64(c, 2) }},
+				{"Word128.CASLo64", func() { w128.CASLo64(c, 2, 3) }},
+			}
+			for _, tc := range cases {
+				if avg := testing.AllocsPerRun(200, tc.fn); avg != 0 {
+					t.Errorf("%s %s allocates %.2f/op", r.name, tc.name, avg)
+				}
+			}
+		})
+	}
+}
+
 // The aggregation layer's own allocation contract: asking a combinable
 // op for its merge key boxes nothing (the key is built on every
 // enqueue), a lookup that finds nothing to merge into costs nothing,

@@ -51,56 +51,78 @@ func (w *Word64) Init(c *Ctx, home int, init uint64) {
 // Home returns the id of the locale the word resides on.
 func (w *Word64) Home() int { return w.home }
 
-// amo routes op through the dispatch layer, returning its result.
-func (w *Word64) amo(c *Ctx, op func() uint64) uint64 {
-	return c.sys.dispatchAMO64(c, w.home, op)
+// am runs op on the word's home over an active message: the route
+// routeAMO64 picked when it returned true. Every other route runs the
+// atomic in the method itself.
+func (w *Word64) am(c *Ctx, op func() uint64) uint64 {
+	return c.sys.amAMO64(c, w.home, op)
 }
 
 // Read atomically loads the word.
 func (w *Word64) Read(c *Ctx) uint64 {
-	return w.amo(c, w.v.Load)
+	if c.sys.routeAMO64(c, w.home) {
+		return w.am(c, w.v.Load)
+	}
+	return w.v.Load()
 }
 
 // Write atomically stores val.
 func (w *Word64) Write(c *Ctx, val uint64) {
-	w.amo(c, func() uint64 { w.v.Store(val); return 0 })
+	if c.sys.routeAMO64(c, w.home) {
+		w.am(c, func() uint64 { w.v.Store(val); return 0 })
+		return
+	}
+	w.v.Store(val)
 }
 
 // Exchange atomically swaps in val and returns the previous value.
 func (w *Word64) Exchange(c *Ctx, val uint64) uint64 {
-	return w.amo(c, func() uint64 { return w.v.Swap(val) })
+	if c.sys.routeAMO64(c, w.home) {
+		return w.am(c, func() uint64 { return w.v.Swap(val) })
+	}
+	return w.v.Swap(val)
 }
 
 // CompareAndSwap atomically replaces old with new, reporting success.
 // Every attempt (and the failed subset) is recorded in the CAS
 // counters, making retry storms on contended words a counter
 // assertion.
-func (w *Word64) CompareAndSwap(c *Ctx, old, new uint64) bool {
-	ok := w.amo(c, func() uint64 {
-		if w.v.CompareAndSwap(old, new) {
-			return 1
-		}
-		return 0
-	}) == 1
+func (w *Word64) CompareAndSwap(c *Ctx, old, new uint64) (ok bool) {
+	if c.sys.routeAMO64(c, w.home) {
+		ok = w.am(c, func() uint64 { return b2u(w.v.CompareAndSwap(old, new)) }) == 1
+	} else {
+		ok = w.v.CompareAndSwap(old, new)
+	}
 	c.sys.counters.IncCAS(c.here.id, ok)
 	return ok
 }
 
 // Add atomically adds delta and returns the new value.
 func (w *Word64) Add(c *Ctx, delta uint64) uint64 {
-	return w.amo(c, func() uint64 { return w.v.Add(delta) })
+	if c.sys.routeAMO64(c, w.home) {
+		return w.am(c, func() uint64 { return w.v.Add(delta) })
+	}
+	return w.v.Add(delta)
 }
 
 // TestAndSet sets the word to 1 and reports whether it was already
 // set — the primitive behind the paper's is_setting_epoch election
 // flags.
 func (w *Word64) TestAndSet(c *Ctx) bool {
-	return w.amo(c, func() uint64 { return w.v.Swap(1) }) == 1
+	return w.Exchange(c, 1) == 1
 }
 
 // Clear resets a TestAndSet flag.
 func (w *Word64) Clear(c *Ctx) {
-	w.amo(c, func() uint64 { w.v.Store(0); return 0 })
+	w.Write(c, 0)
+}
+
+// b2u carries a CAS outcome through a handler's uint64 result.
+func b2u(ok bool) uint64 {
+	if ok {
+		return 1
+	}
+	return 0
 }
 
 // Word128 is a network-atomic 128-bit cell: the double-word the
@@ -133,94 +155,64 @@ func NewWord128(c *Ctx, home int, lo, hi uint64) *Word128 {
 // Home returns the id of the locale the cell resides on.
 func (w *Word128) Home() int { return w.home }
 
-// route executes op locally or via active message per locality.
-func (w *Word128) route(c *Ctx, op func()) {
-	c.sys.dispatchDCAS(c, w.home, op)
-}
-
 // Read atomically loads both halves.
 func (w *Word128) Read(c *Ctx) (lo, hi uint64) {
-	w.route(c, func() {
-		w.mu.Lock()
-		lo, hi = w.lo, w.hi
-		w.mu.Unlock()
-	})
-	return
+	if c.sys.routeDCAS(c, w.home) {
+		c.sys.amCall(c, w.home, func() { lo, hi = w.load() })
+		return lo, hi
+	}
+	return w.load()
 }
 
 // Write atomically stores both halves.
 func (w *Word128) Write(c *Ctx, lo, hi uint64) {
-	w.route(c, func() {
-		w.mu.Lock()
-		w.lo, w.hi = lo, hi
-		w.mu.Unlock()
-	})
+	w.Exchange(c, lo, hi)
 }
 
 // Exchange atomically swaps in (lo, hi), returning the previous pair.
 func (w *Word128) Exchange(c *Ctx, lo, hi uint64) (oldLo, oldHi uint64) {
-	w.route(c, func() {
-		w.mu.Lock()
-		oldLo, oldHi = w.lo, w.hi
-		w.lo, w.hi = lo, hi
-		w.mu.Unlock()
-	})
-	return
+	if c.sys.routeDCAS(c, w.home) {
+		c.sys.amCall(c, w.home, func() { oldLo, oldHi = w.swap(lo, hi) })
+		return oldLo, oldHi
+	}
+	return w.swap(lo, hi)
 }
 
-// lo64 routes a 64-bit operation on the cell's low word with Word64
-// semantics: NIC atomic under ugni, processor atomic locally under
-// none, active message remotely under none. This is how the paper's
-// AtomicObject lets "normal" (non-ABA) operations on an ABA-protected
-// cell keep their RDMA fast path: they touch only the pointer word.
-func (w *Word128) lo64(c *Ctx, op func() uint64) uint64 {
-	return c.sys.dispatchAMO64(c, w.home, op)
-}
-
-// ReadLo64 atomically loads the low word only.
+// ReadLo64 atomically loads the low word only. The lo64 operations
+// route with Word64 semantics — NIC atomic under ugni, processor atomic
+// locally under none, active message remotely under none — which is how
+// the paper's AtomicObject lets "normal" (non-ABA) operations on an
+// ABA-protected cell keep their RDMA fast path: they touch only the
+// pointer word.
 func (w *Word128) ReadLo64(c *Ctx) uint64 {
-	return w.lo64(c, func() uint64 {
-		w.mu.Lock()
-		v := w.lo
-		w.mu.Unlock()
-		return v
-	})
+	if c.sys.routeAMO64(c, w.home) {
+		return c.sys.amAMO64(c, w.home, w.loadLo)
+	}
+	return w.loadLo()
 }
 
 // WriteLo64 atomically stores the low word, leaving the high word (the
 // ABA stamp) untouched — the "advanced user" mixed-mode write.
 func (w *Word128) WriteLo64(c *Ctx, lo uint64) {
-	w.lo64(c, func() uint64 {
-		w.mu.Lock()
-		w.lo = lo
-		w.mu.Unlock()
-		return 0
-	})
+	w.ExchangeLo64(c, lo)
 }
 
 // ExchangeLo64 atomically swaps the low word, leaving the high word
 // untouched.
 func (w *Word128) ExchangeLo64(c *Ctx, lo uint64) uint64 {
-	return w.lo64(c, func() uint64 {
-		w.mu.Lock()
-		old := w.lo
-		w.lo = lo
-		w.mu.Unlock()
-		return old
-	})
+	if c.sys.routeAMO64(c, w.home) {
+		return c.sys.amAMO64(c, w.home, func() uint64 { return w.swapLo(lo) })
+	}
+	return w.swapLo(lo)
 }
 
 // CASLo64 atomically compares-and-swaps the low word only.
-func (w *Word128) CASLo64(c *Ctx, old, new uint64) bool {
-	ok := w.lo64(c, func() uint64 {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.lo != old {
-			return 0
-		}
-		w.lo = new
-		return 1
-	}) == 1
+func (w *Word128) CASLo64(c *Ctx, old, new uint64) (ok bool) {
+	if c.sys.routeAMO64(c, w.home) {
+		ok = c.sys.amAMO64(c, w.home, func() uint64 { return b2u(w.casLo(old, new)) }) == 1
+	} else {
+		ok = w.casLo(old, new)
+	}
 	c.sys.counters.IncCAS(c.here.id, ok)
 	return ok
 }
@@ -229,39 +221,88 @@ func (w *Word128) CASLo64(c *Ctx, old, new uint64) bool {
 // word — an ABA-aware unconditional write. Like all full-width
 // operations it routes as a DCAS (remote execution when remote).
 func (w *Word128) WriteLoBumpHi(c *Ctx, lo uint64) {
-	w.route(c, func() {
-		w.mu.Lock()
-		w.lo = lo
-		w.hi++
-		w.mu.Unlock()
-	})
+	w.ExchangeLoBumpHi(c, lo)
 }
 
 // ExchangeLoBumpHi atomically swaps the low word, increments the high
 // word, and returns the previous pair — an ABA-aware exchange.
 func (w *Word128) ExchangeLoBumpHi(c *Ctx, lo uint64) (oldLo, oldHi uint64) {
-	w.route(c, func() {
-		w.mu.Lock()
-		oldLo, oldHi = w.lo, w.hi
-		w.lo = lo
-		w.hi++
-		w.mu.Unlock()
-	})
-	return
+	if c.sys.routeDCAS(c, w.home) {
+		c.sys.amCall(c, w.home, func() { oldLo, oldHi = w.swapLoBumpHi(lo) })
+		return oldLo, oldHi
+	}
+	return w.swapLoBumpHi(lo)
 }
 
 // DCAS performs a double-word compare-and-swap: iff the cell equals
 // (expLo, expHi) it is replaced by (newLo, newHi). This is the
 // CMPXCHG16B the paper's ABA protection is built on.
 func (w *Word128) DCAS(c *Ctx, expLo, expHi, newLo, newHi uint64) (ok bool) {
-	w.route(c, func() {
-		w.mu.Lock()
-		if w.lo == expLo && w.hi == expHi {
-			w.lo, w.hi = newLo, newHi
-			ok = true
-		}
-		w.mu.Unlock()
-	})
+	if c.sys.routeDCAS(c, w.home) {
+		c.sys.amCall(c, w.home, func() { ok = w.dcas(expLo, expHi, newLo, newHi) })
+	} else {
+		ok = w.dcas(expLo, expHi, newLo, newHi)
+	}
 	c.sys.counters.IncCAS(c.here.id, ok)
-	return
+	return ok
+}
+
+// The cell's operations under its lock, run wherever the route put them.
+
+func (w *Word128) load() (lo, hi uint64) {
+	w.mu.Lock()
+	lo, hi = w.lo, w.hi
+	w.mu.Unlock()
+	return lo, hi
+}
+
+func (w *Word128) swap(lo, hi uint64) (oldLo, oldHi uint64) {
+	w.mu.Lock()
+	oldLo, oldHi = w.lo, w.hi
+	w.lo, w.hi = lo, hi
+	w.mu.Unlock()
+	return oldLo, oldHi
+}
+
+func (w *Word128) swapLoBumpHi(lo uint64) (oldLo, oldHi uint64) {
+	w.mu.Lock()
+	oldLo, oldHi = w.lo, w.hi
+	w.lo = lo
+	w.hi++
+	w.mu.Unlock()
+	return oldLo, oldHi
+}
+
+func (w *Word128) dcas(expLo, expHi, newLo, newHi uint64) (ok bool) {
+	w.mu.Lock()
+	if w.lo == expLo && w.hi == expHi {
+		w.lo, w.hi = newLo, newHi
+		ok = true
+	}
+	w.mu.Unlock()
+	return ok
+}
+
+func (w *Word128) loadLo() uint64 {
+	w.mu.Lock()
+	v := w.lo
+	w.mu.Unlock()
+	return v
+}
+
+func (w *Word128) swapLo(lo uint64) uint64 {
+	w.mu.Lock()
+	old := w.lo
+	w.lo = lo
+	w.mu.Unlock()
+	return old
+}
+
+func (w *Word128) casLo(old, new uint64) (ok bool) {
+	w.mu.Lock()
+	if ok = w.lo == old; ok {
+		w.lo = new
+	}
+	w.mu.Unlock()
+	return ok
 }

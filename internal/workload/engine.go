@@ -237,8 +237,7 @@ func (r *run) runPhase(pi int) PhaseReport {
 		ps.late = make([]bench.Histogram, workers)
 	}
 
-	before := sys.Counters().Snapshot()
-	beforeM := sys.Matrix().Snapshot()
+	before, beforeM := sys.Counters().SnapshotMatrix()
 	modelled0, wait0 := sys.DelayTotals()
 	start := time.Now()
 
@@ -314,8 +313,8 @@ func (r *run) runPhase(pi int) PhaseReport {
 			ops += n
 		}
 	}
-	snap := sys.Counters().Snapshot().Sub(before)
-	matrix := bench.SubMatrix(sys.Matrix().Snapshot(), beforeM)
+	after, afterM := sys.Counters().SnapshotMatrix()
+	snap, matrix := after.Sub(before), bench.SubMatrix(afterM, beforeM)
 	modelled, wait := sys.DelayTotals()
 	throughput := 0.0
 	if seconds > 0 {

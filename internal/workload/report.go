@@ -214,7 +214,18 @@ func (r *Report) Invariants() []Invariant {
 	var agg struct{ Shipped, Combined, Enqueued int64 }
 	var mig struct{ Adopted, Retired int64 }
 	var delay struct{ WaitNS, ModelledNS int64 }
+	var remote struct{ Events, Matrix int64 }
+	remoteHeld := true
 	for _, p := range r.Phases {
+		var m int64
+		for _, row := range p.Matrix {
+			for _, n := range row {
+				m += n
+			}
+		}
+		remoteHeld = remoteHeld && m == p.RemoteOps
+		remote.Events += p.RemoteOps
+		remote.Matrix += m
 		agg.Shipped += p.Comm.AggOps
 		agg.Combined += p.Comm.AggCombined
 		agg.Enqueued += p.Comm.AggOpsEnq
@@ -228,6 +239,10 @@ func (r *Report) Invariants() []Invariant {
 	sent := agg.Shipped + agg.Combined
 	add("shipped + combined == enqueued", sent == agg.Enqueued || a != nil && a.Crashes > 0 && sent < agg.Enqueued, agg)
 	add("adopted == retired", mig.Adopted == mig.Retired, mig)
+	// A phase's remote events and its matrix are sums over the same cells
+	// from the same read; they differ only if a count site books outside
+	// its (source, destination, kind) cell. Judged per phase.
+	add("remote events == Σ matrix", remoteHeld, remote)
 	// Judged over the whole run: a wait that straddles a phase boundary
 	// is charged in one phase and finished in the next.
 	add("delay_wait_ns >= modelled_ns", delay.WaitNS >= delay.ModelledNS, delay)

@@ -29,8 +29,10 @@ func TestInvariantsNameTheViolation(t *testing.T) {
 	clean := func() *Report {
 		return &Report{
 			Phases: []PhaseReport{
-				{Comm: comm.Snapshot{AggOps: 5, AggCombined: 3, AggOpsEnq: 8, MigAdopted: 2, MigRetired: 1}, ModelledNS: 900, DelayWaitNS: 800},
-				{Comm: comm.Snapshot{AggOps: 2, AggOpsEnq: 2, MigRetired: 1}, ModelledNS: 100, DelayWaitNS: 200},
+				{Comm: comm.Snapshot{AggOps: 5, AggCombined: 3, AggOpsEnq: 8, MigAdopted: 2, MigRetired: 1}, ModelledNS: 900, DelayWaitNS: 800,
+					RemoteOps: 6, Matrix: [][]int64{{0, 4}, {2, 0}}},
+				{Comm: comm.Snapshot{AggOps: 2, AggOpsEnq: 2, MigRetired: 1}, ModelledNS: 100, DelayWaitNS: 200,
+					RemoteOps: 1, Matrix: [][]int64{{0, 0}, {1, 0}}},
 			},
 			Epoch: EpochReport{Deferred: 7, Reclaimed: 7},
 			Trace: &TraceReport{Balanced: true},
@@ -62,6 +64,12 @@ func TestInvariantsNameTheViolation(t *testing.T) {
 		{"a wait that straddles a phase boundary balances over the run", func(r *Report) {
 			r.Phases[0].DelayWaitNS, r.Phases[1].DelayWaitNS = 0, 1000
 		}, nil},
+		{"a remote event counted outside its cell", func(r *Report) { r.Phases[1].RemoteOps++ }, []string{"remote events == Σ matrix"}},
+		{"a matrix entry no counter reads", func(r *Report) { r.Phases[0].Matrix[1][1]++ }, []string{"remote events == Σ matrix"}},
+		{"remote events are judged per phase, not over the run", func(r *Report) {
+			r.Phases[0].RemoteOps++
+			r.Phases[1].RemoteOps--
+		}, []string{"remote events == Σ matrix"}},
 		{"a charge nobody waited for", func(r *Report) { r.Phases[1].ModelledNS++ }, []string{"delay_wait_ns >= modelled_ns"}},
 		{"failover asked for, not recovered", func(r *Report) {
 			r.Spec.Faults, r.Availability = failover, &AvailabilityReport{Crashes: 1}
