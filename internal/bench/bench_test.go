@@ -140,6 +140,44 @@ func TestAblationAggregationCounters(t *testing.T) {
 	}
 }
 
+// The scatter-list ablation's claims, asserted on the deterministic
+// counters:
+//
+//  1. scatter lists: reclamation books at most one bulk transfer per
+//     (source, destination) locale pair, L·(L−1) in all, however many
+//     objects a list holds (at L=2 each holds 512, twice the
+//     aggregation capacity), and frees every deferred object;
+//  2. per-object RPC: one on-statement per remote object, beside the
+//     forall's one launch per remote locale.
+func TestAblationA3(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Scale = 0.25 // 1024 objects, every one remote
+	n := cfg.ops(1 << 12)
+	f := AblationScatter(cfg)
+	if f.ID != "A3" || len(f.Panels) != 1 || len(f.Panels[0].Series) != 2 {
+		t.Fatalf("A3 shape: id=%s panels=%d", f.ID, len(f.Panels))
+	}
+	scatter, rpc := f.Panels[0].Series[0], f.Panels[0].Series[1]
+	for i, p := range scatter.Points {
+		L := p.X
+		if bound := int64(L * (L - 1)); p.Comm.BulkXfers == 0 || p.Comm.BulkXfers > bound {
+			t.Fatalf("L=%d: scatter booked %d bulk transfers, want 1..%d: %v", L, p.Comm.BulkXfers, bound, p.Comm)
+		}
+		if p.Comm.BulkBytes != int64(8*n) {
+			t.Fatalf("L=%d: scatter shipped %d B, want one address per object (%d B)", L, p.Comm.BulkBytes, 8*n)
+		}
+		_, v := cfg.runDeletion(L, n, 100, 0, comm.BackendNone)
+		if v.Epoch.Deferred != int64(n) || v.Epoch.Reclaimed != int64(n) || v.Heap.UAFFrees != 0 {
+			t.Fatalf("L=%d: deferred %d, reclaimed %d, uafFrees %d; want %d, %d, 0",
+				L, v.Epoch.Deferred, v.Epoch.Reclaimed, v.Heap.UAFFrees, n, n)
+		}
+		r := rpc.Points[i]
+		if want := int64(n + L - 1); r.Comm.OnStmts != want {
+			t.Fatalf("L=%d: per-object RPC booked %d on-statements, want %d: %v", L, r.Comm.OnStmts, want, r.Comm)
+		}
+	}
+}
+
 // The sharding ablation's claims, asserted on the deterministic
 // matrix and counters. This is the CI smoke gate for the privatized,
 // owner-sharded structure layer (run with -short):

@@ -51,7 +51,7 @@ func buildObjs(c *pgas.Ctx, n int, remotePct int) []gas.Addr {
 func (cfg Config) runDeletion(locales, numObjects, remotePct, reclaimEvery int, backend comm.Backend) (Point, verdict) {
 	return cfg.measure(machine{locales: locales, backend: backend}, func(tr *trial) {
 		c := tr.c
-		em := epoch.NewEpochManager(c)
+		em := tr.epochs()
 		objs := buildObjs(c, numObjects, remotePct)
 		type taskPriv struct {
 			tok *epoch.Token

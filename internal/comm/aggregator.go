@@ -33,7 +33,7 @@ const (
 
 	// FlushManual never ships automatically: buffers grow without bound
 	// until an explicit Flush or FlushDst. Useful when the caller knows
-	// the batch boundary (e.g. the epoch scatter phase).
+	// the batch boundary (e.g. the end of a bulk-insert phase).
 	FlushManual
 )
 

@@ -255,10 +255,13 @@ func (em EpochManager) TryReclaim(c *pgas.Ctx) {
 
 // reclaimGeneration detaches limbo generation e on this locale,
 // scatters its objects by owning locale in one walk of the detached
-// chain, and frees each destination's batch in bulk: the locale's own
-// with one pass through its allocator lock, every remote one through
-// the task's aggregation buffers, one bulk flush per destination. Runs
-// on the instance's locale, driven by the single elected reclaimer.
+// chain, and frees each destination's batch, the locale's own and
+// every remote one alike, with one Ctx.FreeBulk on its owner — Listing
+// 4's `on Locales[i] do delete objs`: one bulk transfer and one pass
+// through the owner's allocator lock per non-empty destination, however
+// long its list. A bulk free crosses no admission, so a batch homed on
+// a crashed or severed locale still reaches its heap. Runs on the
+// instance's locale, driven by the single elected reclaimer.
 func (li *instance) reclaimGeneration(lc *pgas.Ctx, e uint64) {
 	list := li.limbo[e]
 	head := list.PopAll()
@@ -275,29 +278,14 @@ func (li *instance) reclaimGeneration(lc *pgas.Ctx, e uint64) {
 	list.Release(lc, head, func(obj gas.Addr) {
 		li.objsToDelete[obj.Locale()] = append(li.objsToDelete[obj.Locale()], obj)
 	})
-	// Delete, one bulk free or one flush per destination locale.
-	before := lc.Aggregator(li.locale).Freed()
-	var local int64
+	// Delete, one bulk free per destination locale, and clear the
+	// scatter lists.
+	var freed int64
 	for dest, batch := range li.objsToDelete {
-		if len(batch) == 0 {
-			continue
-		}
-		if dest == li.locale {
-			local += int64(lc.FreeBulk(dest, batch))
-			continue
-		}
-		buf := lc.Aggregator(dest)
-		for _, a := range batch {
-			buf.Free(a)
-		}
-		buf.Flush()
+		freed += int64(lc.FreeBulk(dest, batch))
+		li.objsToDelete[dest] = batch[:0]
 	}
-	freed := local + lc.Aggregator(li.locale).Freed() - before
 	li.reclaimed.Add(freed)
-	// Clear the scatter lists.
-	for i := range li.objsToDelete {
-		li.objsToDelete[i] = li.objsToDelete[i][:0]
-	}
 	sp.EndWith(0, freed)
 }
 

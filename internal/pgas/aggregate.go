@@ -63,7 +63,7 @@ func newAggregator(c *Ctx) *Aggregator {
 				return
 			}
 			// The batch executes on the destination, as if the flush
-			// were one on-statement carrying the whole scatter list.
+			// were one on-statement carrying the whole batch.
 			// The destination context is scoped to the batch, so it
 			// comes from the same pool the sync dispatch path uses.
 			// Each op is admitted on its own against the live fault
@@ -241,16 +241,19 @@ func (b AggBuffer) CallSized(bytes int64, fn func(ctx *Ctx)) {
 }
 
 // freeOp is the distinguished payload type of aggregated frees. The
-// named type is load-bearing: admit type-asserts on it to exempt the
-// reclamation plane's scatter lists from refusal, so a crash can lose
-// workload writes but never a deferred deletion.
+// named type is load-bearing: admit type-asserts on it to exempt
+// AggBuffer.Free callers from refusal, so a crash can lose workload
+// writes but never memory already handed to a free. (The epoch
+// reclaimer frees its scatter lists with Ctx.FreeBulk, which never
+// crosses admit, and uses no buffer.)
 type freeOp func(*Ctx)
 
 // Free buffers the release of addr, which must be owned by the
 // destination locale. The free executes on the owner when the buffer
 // flushes; successful releases are visible through Freed. This is the
-// aggregated form of Ctx.Free — the per-object RPC becomes a
-// scatter-list entry.
+// aggregated form of Ctx.Free — the per-object RPC becomes one buffered
+// op. A caller holding a whole batch for one owner frees it with
+// Ctx.FreeBulk instead: one transfer and one allocator-lock pass.
 func (b AggBuffer) Free(addr gas.Addr) {
 	if addr.Locale() != b.dst {
 		panic(fmt.Sprintf("pgas: aggregated Free(%v) into buffer for locale %d", addr, b.dst))

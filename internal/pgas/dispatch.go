@@ -143,10 +143,11 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 // retry plane disabled a partition accounts fail-stop, like a crash.
 //
 // Two exemptions: salvage contexts are never refused (refusalOf), and
-// neither are aggregated frees — the reclamation protocol's scatter
-// lists. Under the shared-storage failover conceit a dead locale's heap
-// partition remains reclaimable, so deferred==reclaimed stays provable
-// after a crash.
+// neither are aggregated frees (AggBuffer.Free): under the
+// shared-storage failover conceit a dead locale's heap partition
+// remains reclaimable, so memory handed to a free reaches the heap's
+// books. The epoch reclaimer's scatter lists never come here: they are
+// Ctx.FreeBulk calls, which belong to the memory plane.
 func (s *System) admit(src *Ctx, dst int, op comm.Op) bool {
 	// The un-faulted path — the hottest loop of every sweep — ends
 	// here: one atomic load and no second call.

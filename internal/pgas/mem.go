@@ -115,7 +115,9 @@ func (c *Ctx) Free(addr gas.Addr) bool {
 // frees them there under one acquisition of its allocator lock,
 // returning the number actually freed. All addrs must be owned by
 // locale (the heap panics on a foreign one); the EpochManager builds
-// exactly such per-locale batches in its scatter phase.
+// exactly such per-locale batches in its scatter phase. Like every
+// memory-plane operation it is never refused: a batch homed on a
+// crashed or severed locale still reaches that locale's heap.
 func (c *Ctx) FreeBulk(locale int, addrs []gas.Addr) int {
 	if len(addrs) == 0 {
 		return 0

@@ -1,9 +1,11 @@
 package rcuarray
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gopgas/internal/comm"
 	"gopgas/internal/core/epoch"
@@ -178,13 +180,19 @@ func TestConcurrentReadersVsResize(t *testing.T) {
 			}
 		}(r)
 	}
-	// Resizer: shrink and regrow repeatedly, reclaiming as it goes.
+	// Resizer: shrink and regrow repeatedly, reclaiming as it goes. It
+	// starts once a reader is reading (or a generous deadline passed),
+	// so the rounds overlap reads instead of finishing before the
+	// readers are scheduled.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		c := s.Ctx(0)
 		tok := em.Register(c)
 		defer tok.Unregister(c)
+		for deadline := time.Now().Add(5 * time.Second); reads.Load() == 0 && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
 		for round := 0; round < 60; round++ {
 			a.Resize(c, tok, 64)
 			tok.TryReclaim(c)
