@@ -183,7 +183,10 @@ func TestAblationA3(t *testing.T) {
 // owner-sharded structure layer (run with -short):
 //
 //  1. the single-home queue/stack funnel traffic into their home's
-//     matrix column, which grows with locale count under weak scaling;
+//     matrix column, which grows with locale count under weak scaling:
+//     at every L it holds at least (L−1) times what one locale books
+//     there uncontended. CAS retries only add events to the column, so
+//     contention cannot move the bound; the test logs them beside it;
 //  2. the owner-sharded versions keep the busiest column O(1) — the
 //     only remote events in the whole run are the coforall launches,
 //     one per column;
@@ -196,17 +199,27 @@ func TestAblationA7(t *testing.T) {
 	if f.ID != "A7" || len(f.Panels) != 3 {
 		t.Fatalf("A7 shape: id=%s panels=%d", f.ID, len(f.Panels))
 	}
-	for _, panel := range f.Panels[:2] {
+	perLocale := int64(cfg.ops(1 << 9))
+	// One locale's remote events per put+take pair on a structure homed
+	// on locale 0, uncontended, under backend none. Queue: an enqueue is
+	// the node's on-statement, one GET and five AM atomics, a dequeue
+	// two GETs and five AM atomics. Stack: a push and a pop are two
+	// remote DCAS each, the head's read and its swap.
+	perPair := [2]int64{14, 4}
+	for pi, panel := range f.Panels[:2] {
 		single, sharded := panel.Series[0], panel.Series[1]
-		// Single-home: the busiest (home) column grows with locales.
-		first := single.Points[0]
-		last := single.Points[len(single.Points)-1]
-		if first.MaxInbound <= 0 {
-			t.Fatalf("%s: single-home hot column empty: %+v", panel.Title, first.Comm)
-		}
-		if last.MaxInbound < 2*first.MaxInbound {
-			t.Fatalf("%s: single-home hot column did not grow with locales: %d -> %d",
-				panel.Title, first.MaxInbound, last.MaxInbound)
+		// Single-home: the home column holds every remote locale's ops.
+		for _, p := range single.Points {
+			var home int64
+			for _, row := range p.Matrix {
+				home += row[0]
+			}
+			bound := int64(p.X-1) * perLocale * perPair[pi]
+			t.Logf("%s L=%d: home column %d, bound %d, CAS retries %d", panel.Title, p.X, home, bound, p.Comm.CASRetries)
+			if home < bound {
+				t.Fatalf("%s L=%d: single-home column booked %d events, want >= (L-1)*%d*%d = %d (CAS retries %d): %v",
+					panel.Title, p.X, home, perLocale, perPair[pi], bound, p.Comm.CASRetries, p.Matrix)
+			}
 		}
 		// Sharded: busiest column is O(1) — exactly the one coforall
 		// launch on-statement per remote locale, regardless of count.

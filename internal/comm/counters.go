@@ -18,16 +18,29 @@ import (
 // of the bound Matrix's per-kind cells: a remote event is one
 // Matrix.Book, and it is both a counter and a matrix entry. Everything
 // else — and, on Counters not bound to a matrix, the remote totals'
-// src-only Inc* helpers too — lives in cache-line-padded shards merged
-// at Snapshot time: every Inc* takes a shard hint (the source locale,
+// src-only Inc* helpers too — lives in padded shards merged at
+// Snapshot time: every Inc* takes a shard hint (the source locale,
 // which each call site already has in hand), so tasks on different
 // locales increment disjoint cache lines. Addition is commutative, so
 // Snapshot/Sub/Reset observe exactly the values one flat counter
 // struct would.
 //
+// Layout: the shards sit on a 128-byte grid (the adjacent-line
+// prefetcher fetches lines in pairs), the same grid as the Matrix
+// rows. The header keeps a 128-byte block of its own, because every
+// Inc* from every locale reads it — the nil check of c loads byte 0 —
+// while shard 0 is written by locale 0 on every counted event.
+//
 // All methods are safe for concurrent use.
 type Counters struct {
-	pairs  *Matrix // nil unless made by NewCounters
+	pairs *Matrix // nil unless made by NewCounters
+
+	// Go's allocator puts a Counters 8 bytes past a 128-byte boundary:
+	// its size class's slots are 128-byte multiples, and a slot opens
+	// with the 8-byte type header of an object this large that holds a
+	// pointer. The pad puts shard 0 on the next boundary
+	// (TestCountersShardLayout checks real addresses).
+	_      [shardAlign - 16]byte
 	shards [counterShards]counterShard
 }
 
@@ -45,13 +58,15 @@ func NewCounters(pairs *Matrix) *Counters {
 // hints map to distinct shards.
 const counterShards = 64
 
-// counterShard is one padded cell: 28 counters span three and a half
-// 64-byte cache lines, and the trailing pad keeps
-// neighbouring shards' lines from abutting whatever alignment the
-// enclosing array lands on.
+// shardAlign is the shard grid: a 128-byte pair of cache lines.
+const shardAlign = 128
+
+// counterShard is one padded cell: the 28 counters' 224 bytes padded
+// to a whole number of 128-byte line pairs (256), so on the grid no
+// two shards share a line or a pair.
 type counterShard struct {
 	v counterSet[atomic.Int64]
-	_ [64]byte
+	_ [(shardAlign - unsafe.Sizeof(counterSet[int64]{})%shardAlign) % shardAlign]byte
 }
 
 // shard maps a source-locale hint to its padded cell. Hints are locale

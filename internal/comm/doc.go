@@ -37,7 +37,7 @@
 // replication cache's hit/miss/invalidation totals. Every event is
 // counted exactly once, so tests make deterministic assertions about
 // communication volume (for example: privatized lookup is
-// zero-communication; N aggregated frees ship as one bulk transfer per
+// zero-communication; N deferred frees ship as one bulk transfer per
 // destination; a warmed cache serves a hot-key get storm with zero
 // remote events). Matrix attributes the remote events to (source,
 // destination) locale pairs, answering what the scalars cannot:

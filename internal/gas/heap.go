@@ -37,11 +37,18 @@ import (
 // embedded box is already in use gets a fresh one) — which is what
 // lets a reader that loaded the box just before a Free still read the
 // old object instead of a recycled one.
+//
+// Layout: locale and dir are read by every Load and Store, other
+// locales' GETs included; the allocator words below them are written
+// by every Alloc and Free. 128 bytes (an adjacent-line pair) separate
+// the two groups, and the trailing pad does the same for the heap
+// allocated right after this one, the next locale's (TestHeapLayout).
 type Heap struct {
 	locale int
 
 	dir atomic.Pointer[[]*chunk] // immutable directory, grown copy-on-write
 
+	_    [128]byte
 	mu   sync.Mutex
 	next uint64   // bump index for never-used slots
 	free []uint64 // LIFO stack of free slot indices
@@ -53,6 +60,7 @@ type Heap struct {
 	uafStores atomic.Int64 // detected use-after-free stores
 	uafFrees  atomic.Int64 // detected double frees
 	highWater atomic.Int64 // maximum simultaneous live slots
+	_         [128]byte
 }
 
 const (

@@ -8,15 +8,18 @@ import (
 	"time"
 
 	"gopgas/internal/comm"
+	"gopgas/internal/gas"
 )
 
 // TestAdmitBooksEachRefusalOnce drives one op from locale 0 toward
 // locale 1 through every surface that crosses admit, under every kind
 // of refusal, from a plain and from a salvage context, and asserts the
 // whole ledger afterwards: each refused op is on exactly one book,
-// exactly once; an exempt op (salvage context, aggregated free) is on
-// none and runs; a dropped op charged no on-statement and no matrix
-// entry beyond the flush that carried it.
+// exactly once; an exempt op (salvage context) is on none and runs; a
+// dropped op charged no on-statement and no matrix entry beyond the
+// flush that carried it. A remote free (Ctx.FreeBulk) rides along as
+// the memory plane's witness: it never crosses admit, so under every
+// fault it is on no book and frees.
 func TestAdmitBooksEachRefusalOnce(t *testing.T) {
 	type books struct{ lost, parked, redelivered, expired int64 }
 
@@ -35,7 +38,7 @@ func TestAdmitBooksEachRefusalOnce(t *testing.T) {
 			c.Aggregator(1).Call(body)
 			c.Aggregator(1).Flush()
 		}},
-		{name: "agg-free", free: true, flights: 1},
+		{name: "free-bulk", free: true},
 	}
 
 	// inject installs the fault; heals says a concurrent healer repairs
@@ -84,10 +87,7 @@ func TestAdmitBooksEachRefusalOnce(t *testing.T) {
 						if sf.free {
 							addr := c.AllocOn(1, &struct{ v int }{})
 							issue = func(ic *Ctx) {
-								ab := ic.Aggregator(1)
-								ab.Free(addr)
-								ab.Flush()
-								ran.Add(ab.Freed())
+								ran.Add(int64(ic.FreeBulk(1, []gas.Addr{addr})))
 							}
 						}
 						if err := f.inject(s); err != nil {

@@ -2,15 +2,13 @@ package pgas
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"gopgas/internal/comm"
-	"gopgas/internal/gas"
 )
 
 // Per-task aggregation buffers: the pgas face of comm.Aggregator.
 // A task obtains a destination view with Ctx.Aggregator(dst), buffers
-// small remote operations into it (Call, Free, Put, Add), and drains
+// small remote operations into it (Call, CallSized, Add), and drains
 // everything with Ctx.Flush. Buffered operations execute on their
 // destination in enqueue order when the buffer flushes — either
 // explicitly, or automatically when it reaches the configured
@@ -18,10 +16,10 @@ import (
 // trip per operation.
 //
 // Callers aggregate uniformly without special-casing locality. Toward
-// the task's own locale, Call, CallSized and Free execute inline
-// immediately (as `on here` is elided): nothing about them can merge, so
-// buffering would only defer. Mergeable operations (CallCombinable, and
-// Put and Add, which ride it) do the same while the system's
+// the task's own locale, Call and CallSized execute inline immediately
+// (as `on here` is elided): nothing about them can merge, so buffering
+// would only defer. Mergeable operations (CallCombinable, and Add,
+// which rides it) do the same while the system's
 // AggConfig.Combine is off; with it on they buffer toward the own locale
 // like toward any other, because what absorption saves is the owner-side
 // work of the writes that never apply, and that costs the same whichever
@@ -29,12 +27,10 @@ import (
 // and executes on the task's own Ctx; only the transfer is elided.
 
 // Modelled payload sizes, in bytes, of the buffered operation kinds.
-// They keep BulkBytes meaningful: a Free ships one address, the others
-// ship an address/handle plus one word of argument.
+// They keep BulkBytes meaningful: each ships an address/handle plus one
+// word of argument.
 const (
-	aggFreeBytes = 8
 	aggCallBytes = 16
-	aggPutBytes  = 16
 	aggAddBytes  = 16
 )
 
@@ -42,9 +38,8 @@ const (
 // It is created lazily by Ctx.Aggregator and, like the Ctx itself,
 // must not be shared between goroutines.
 type Aggregator struct {
-	c     *Ctx
-	agg   *comm.Aggregator
-	freed atomic.Int64 // objects released by Free ops (local + flushed)
+	c   *Ctx
+	agg *comm.Aggregator
 }
 
 func newAggregator(c *Ctx) *Aggregator {
@@ -103,17 +98,9 @@ func (c *Ctx) Aggregator(dst int) AggBuffer {
 	return AggBuffer{a: c.agg, dst: dst}
 }
 
-// Dst returns the destination locale this buffer ships to.
-func (b AggBuffer) Dst() int { return b.dst }
-
 // Pending returns the number of operations currently buffered for this
 // destination.
 func (b AggBuffer) Pending() int { return b.a.agg.PendingTo(b.dst) }
-
-// Freed returns the total number of objects released through Free on
-// the owning task's aggregator (across all destinations). Callers
-// measure a batch by taking the difference around a Flush.
-func (b AggBuffer) Freed() int64 { return b.a.freed.Load() }
 
 // Flush ships this destination's buffer now (one bulk transfer) and
 // returns once the batch has executed. Other destinations' buffers are
@@ -189,34 +176,10 @@ func (o *addOp) Exec(tc *Ctx) {
 	o.w.Add(tc, o.delta)
 }
 
-// putOp is the mergeable payload behind AggBuffer.Put: stores to one
-// address keep only the last buffered value (within one task's buffer,
-// enqueue order is program order, so last-writer-wins is exact).
-type putOp struct {
-	addr gas.Addr
-	obj  any
-}
-
-func (o *putOp) CombineKey() comm.CombineKey {
-	return comm.CombineKey{Kind: combineKindPut, K: uint64(o.addr)}
-}
-
-func (o *putOp) Absorb(later comm.CombinableOp) (int64, bool) {
-	o.obj = later.(*putOp).obj
-	return 0, true
-}
-
-func (o *putOp) Exec(tc *Ctx) {
-	tc.here.heap.Store(o.addr, o.obj)
-}
-
 // Merge-key kind namespace for the pgas layer's own combinable ops.
 // Structure layers define their own kinds; keys never collide across
 // kinds regardless of the Ref/K values.
-const (
-	combineKindAdd uint8 = 1
-	combineKindPut uint8 = 2
-)
+const combineKindAdd uint8 = 1
 
 // Call buffers fn for deferred execution on the destination locale —
 // a batched on-statement. fn receives a Ctx pinned to the destination
@@ -238,50 +201,6 @@ func (b AggBuffer) CallSized(bytes int64, fn func(ctx *Ctx)) {
 		bytes = aggCallBytes
 	}
 	b.enqueue(bytes, fn)
-}
-
-// freeOp is the distinguished payload type of aggregated frees. The
-// named type is load-bearing: admit type-asserts on it to exempt
-// AggBuffer.Free callers from refusal, so a crash can lose workload
-// writes but never memory already handed to a free. (The epoch
-// reclaimer frees its scatter lists with Ctx.FreeBulk, which never
-// crosses admit, and uses no buffer.)
-type freeOp func(*Ctx)
-
-// Free buffers the release of addr, which must be owned by the
-// destination locale. The free executes on the owner when the buffer
-// flushes; successful releases are visible through Freed. This is the
-// aggregated form of Ctx.Free — the per-object RPC becomes one buffered
-// op. A caller holding a whole batch for one owner frees it with
-// Ctx.FreeBulk instead: one transfer and one allocator-lock pass.
-func (b AggBuffer) Free(addr gas.Addr) {
-	if addr.Locale() != b.dst {
-		panic(fmt.Sprintf("pgas: aggregated Free(%v) into buffer for locale %d", addr, b.dst))
-	}
-	a := b.a
-	if b.dst == a.c.here.id {
-		a.release(a.c, addr) // inline, and no closure built
-		return
-	}
-	var fn freeOp = func(tc *Ctx) { a.release(tc, addr) }
-	a.agg.Enqueue(b.dst, comm.Op{Bytes: aggFreeBytes, Exec: fn})
-}
-
-// release frees addr on tc's locale, its owner, and counts it in Freed.
-func (a *Aggregator) release(tc *Ctx, addr gas.Addr) {
-	if tc.here.heap.Free(addr) {
-		a.freed.Add(1)
-	}
-}
-
-// Put buffers an overwrite of the object stored at addr (owned by the
-// destination). The store executes on the owner at flush; a store to a
-// slot freed in the meantime is dropped, as with Ctx.Put.
-func (b AggBuffer) Put(addr gas.Addr, obj any) {
-	if addr.Locale() != b.dst {
-		panic(fmt.Sprintf("pgas: aggregated Put(%v) into buffer for locale %d", addr, b.dst))
-	}
-	b.CallCombinable(aggPutBytes, &putOp{addr: addr, obj: obj})
 }
 
 // Add buffers a fire-and-forget atomic add on w, which must be homed

@@ -16,21 +16,22 @@ func newAggTestSystem(t *testing.T, locales int) *System {
 	return s
 }
 
-// The acceptance-criteria test: 1000 remote frees to one destination
+// The acceptance-criteria test: 1000 remote calls to one destination
 // through the aggregator cost O(flushes) bulk transfers — four at the
-// default capacity of 256 — where the direct path costs 1000 AM round
+// default capacity of 256 — where the direct path costs 1000 round
 // trips. No on-statements, no per-op AMs.
 func TestThousandOpsFewFlushes(t *testing.T) {
 	s := newAggTestSystem(t, 2)
 	s.Run(func(c *Ctx) {
-		addrs := make([]gas.Addr, 1000)
-		for i := range addrs {
-			addrs[i] = c.AllocOn(1, &struct{ v int }{i})
-		}
+		var ran atomic.Int64
 		before := s.Counters().Snapshot()
 		buf := c.Aggregator(1)
-		for _, a := range addrs {
-			buf.Free(a)
+		for i := 0; i < 1000; i++ {
+			buf.Call(func(tc *Ctx) {
+				if tc.Here() == 1 {
+					ran.Add(1)
+				}
+			})
 		}
 		c.Flush()
 		d := s.Counters().Snapshot().Sub(before)
@@ -45,13 +46,8 @@ func TestThousandOpsFewFlushes(t *testing.T) {
 		if d.OnStmts != 0 || d.AMAMOs != 0 || d.Puts != 0 || d.Gets != 0 {
 			t.Fatalf("aggregated path leaked per-op round trips: %v", d)
 		}
-		if got := buf.Freed(); got != 1000 {
-			t.Fatalf("Freed() = %d, want 1000", got)
-		}
-		for _, a := range addrs {
-			if _, ok := c.Load(a); ok {
-				t.Fatalf("object %v survived aggregated free", a)
-			}
+		if got := ran.Load(); got != 1000 {
+			t.Fatalf("%d calls ran on locale 1, want 1000", got)
 		}
 	})
 }
@@ -114,18 +110,18 @@ func TestFlushLosesNothing(t *testing.T) {
 func TestLocalOpsExecuteInline(t *testing.T) {
 	s := newAggTestSystem(t, 2)
 	s.Run(func(c *Ctx) {
-		a := c.Alloc(&struct{ v int }{1})
 		w := NewWord64(c, 0, 0)
 		before := s.Counters().Snapshot()
 		buf := c.Aggregator(0)
 		buf.Add(w, 5)
-		buf.Free(a)
+		ran := false
+		buf.Call(func(*Ctx) { ran = true })
 		d := s.Counters().Snapshot().Sub(before)
 		if w.v.Load() != 5 {
 			t.Fatal("local aggregated Add did not execute inline")
 		}
-		if buf.Freed() != 1 {
-			t.Fatal("local aggregated Free did not execute inline")
+		if !ran {
+			t.Fatal("local aggregated Call did not execute inline")
 		}
 		if buf.Pending() != 0 || c.PendingOps() != 0 {
 			t.Fatalf("local ops buffered: pending=%d", buf.Pending())
@@ -139,30 +135,27 @@ func TestLocalOpsExecuteInline(t *testing.T) {
 // Under the Combine policy a mergeable op toward the task's own locale
 // buffers and merges like one toward any other: it lands at flush, on
 // the task's own Ctx, and the flush is booked as a flush and as nothing
-// else — no transfer, no matrix cell. Call and Free still run inline.
+// else — no transfer, no matrix cell. Call still runs inline.
 func TestOwnLocaleCombinableOpsBuffer(t *testing.T) {
 	s := NewSystem(Config{Locales: 2, Backend: comm.BackendNone, Agg: comm.AggConfig{Combine: true}})
 	defer s.Shutdown()
 	s.Run(func(c *Ctx) {
-		type obj struct{ v int }
-		w := NewWord64(c, 0, 0)
-		a, gone := c.Alloc(&obj{1}), c.Alloc(&obj{0})
+		w, x := NewWord64(c, 0, 0), NewWord64(c, 0, 1)
 		before, beforeM := s.Counters().Snapshot(), s.Matrix().Snapshot()
 		buf := c.Aggregator(0)
 		for i := 1; i <= 5; i++ {
 			buf.Add(w, uint64(i))
 		}
-		for v := 2; v <= 4; v++ {
-			buf.Put(a, &obj{v})
+		for i := 2; i <= 4; i++ {
+			buf.Add(x, uint64(i))
 		}
 		ran := false
 		buf.Call(func(tc *Ctx) { ran = tc == c })
-		buf.Free(gone)
-		if !ran || buf.Freed() != 1 {
-			t.Fatalf("own-locale Call ran inline on the task's Ctx: %v, Free freed %d; want true, 1", ran, buf.Freed())
+		if !ran {
+			t.Fatal("own-locale Call did not run inline on the task's Ctx")
 		}
-		if got := MustDeref[*obj](c, a); w.v.Load() != 0 || got.v != 1 {
-			t.Fatalf("before flush: word %d, object %d; want 0 and 1, both writes still buffered", w.v.Load(), got.v)
+		if w.v.Load() != 0 || x.v.Load() != 1 {
+			t.Fatalf("before flush: words %d and %d; want 0 and 1, both writes still buffered", w.v.Load(), x.v.Load())
 		}
 		if buf.Pending() != 2 || c.PendingOps() != 2 {
 			t.Fatalf("before flush: %d ops buffered (%d on the task), want the 2 the writes merged into", buf.Pending(), c.PendingOps())
@@ -172,35 +165,17 @@ func TestOwnLocaleCombinableOpsBuffer(t *testing.T) {
 			t.Fatalf("before flush: counters %+v, want %+v", d, want)
 		}
 		c.Flush()
-		if got := MustDeref[*obj](c, a); w.v.Load() != 15 || got.v != 4 {
-			t.Fatalf("after flush: word %d, object %d; want the sum 15 and the last store 4", w.v.Load(), got.v)
+		if w.v.Load() != 15 || x.v.Load() != 10 {
+			t.Fatalf("after flush: words %d and %d; want the sums 15 and 10", w.v.Load(), x.v.Load())
 		}
-		// One flush of two ops; the merged add is the one local atomic.
-		want = comm.Snapshot{AggOpsEnq: 8, AggCombined: 6, AggOps: 2, AggFlushes: 1, AggBytes: aggAddBytes + aggPutBytes, LocalAMOs: 1}
+		// One flush of two ops; each merged add is one local atomic.
+		want = comm.Snapshot{AggOpsEnq: 8, AggCombined: 6, AggOps: 2, AggFlushes: 1, AggBytes: 2 * aggAddBytes, LocalAMOs: 2}
 		d := s.Counters().Snapshot().Sub(before)
 		if d != want || d.Remote() != 0 || c.PendingOps() != 0 {
 			t.Fatalf("after flush: counters %+v (remote %d, pending %d), want %+v", d, d.Remote(), c.PendingOps(), want)
 		}
 		if m := s.Matrix().Snapshot(); !reflect.DeepEqual(m, beforeM) {
 			t.Fatalf("own-locale flush moved the matrix: %v -> %v", beforeM, m)
-		}
-	})
-}
-
-// Aggregated Put overwrites remote objects at flush.
-func TestAggregatedPut(t *testing.T) {
-	s := newAggTestSystem(t, 2)
-	s.Run(func(c *Ctx) {
-		type obj struct{ v int }
-		a := c.AllocOn(1, &obj{1})
-		buf := c.Aggregator(1)
-		buf.Put(a, &obj{2})
-		if got := MustDeref[*obj](c, a); got.v != 1 {
-			t.Fatalf("Put applied before flush: v=%d", got.v)
-		}
-		buf.Flush()
-		if got := MustDeref[*obj](c, a); got.v != 2 {
-			t.Fatalf("after flush v=%d, want 2", got.v)
 		}
 	})
 }
@@ -229,20 +204,6 @@ func TestAggregatedCallOrderAndLocale(t *testing.T) {
 		if len(order) != 10 {
 			t.Fatalf("executed %d ops, want 10", len(order))
 		}
-	})
-}
-
-// Foreign addresses are rejected at enqueue, not at flush.
-func TestAggregatedFreeForeignAddrPanics(t *testing.T) {
-	s := newAggTestSystem(t, 2)
-	s.Run(func(c *Ctx) {
-		a := c.Alloc(&struct{}{})
-		defer func() {
-			if recover() == nil {
-				t.Fatal("aggregated Free of a foreign addr must panic")
-			}
-		}()
-		c.Aggregator(1).Free(a)
 	})
 }
 

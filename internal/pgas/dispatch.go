@@ -142,12 +142,11 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 // proceeds with normal delivery if the pair heals in time. With the
 // retry plane disabled a partition accounts fail-stop, like a crash.
 //
-// Two exemptions: salvage contexts are never refused (refusalOf), and
-// neither are aggregated frees (AggBuffer.Free): under the
-// shared-storage failover conceit a dead locale's heap partition
-// remains reclaimable, so memory handed to a free reaches the heap's
-// books. The epoch reclaimer's scatter lists never come here: they are
-// Ctx.FreeBulk calls, which belong to the memory plane.
+// Salvage contexts are never refused (refusalOf). Frees never come
+// here: Ctx.Free and Ctx.FreeBulk, the epoch reclaimer's scatter lists
+// included, belong to the memory plane, so under the shared-storage
+// failover conceit memory handed to a free reaches its heap's books
+// even on a dead or severed locale.
 func (s *System) admit(src *Ctx, dst int, op comm.Op) bool {
 	// The un-faulted path — the hottest loop of every sweep — ends
 	// here: one atomic load and no second call.
@@ -157,9 +156,6 @@ func (s *System) admit(src *Ctx, dst int, op comm.Op) bool {
 	}
 	r := refusalOf(p, src, dst)
 	if r == refuseNone {
-		return true
-	}
-	if _, isFree := op.Exec.(freeOp); isFree {
 		return true
 	}
 	if r == refusePartition {
@@ -179,8 +175,6 @@ func (s *System) admit(src *Ctx, dst int, op comm.Op) bool {
 // destination-pinned context of its batch.
 func execOp(tc *Ctx, op comm.Op) {
 	switch exec := op.Exec.(type) {
-	case freeOp:
-		exec(tc)
 	case func(*Ctx):
 		exec(tc)
 	case CombinableCall:
@@ -238,16 +232,6 @@ func (s *System) routeAMO64(c *Ctx, home int) (am bool) {
 func (s *System) amAMO64(c *Ctx, home int, op func() uint64) (res uint64) {
 	s.amCall(c, home, func() { res = op() })
 	return res
-}
-
-// dispatchAMO64 routes, books, charges and runs one 64-bit atomic op on
-// a word homed on home (routeAMO64), over an active message when the
-// route says so.
-func (s *System) dispatchAMO64(c *Ctx, home int, op func() uint64) uint64 {
-	if s.routeAMO64(c, home) {
-		return s.amAMO64(c, home, op)
-	}
-	return op()
 }
 
 // routeDCAS books and charges one full-width 128-bit operation on a

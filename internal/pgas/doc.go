@@ -50,11 +50,11 @@
 // # Aggregation buffers
 //
 // Each task lazily owns per-destination aggregation buffers
-// (Ctx.Aggregator): Call/CallSized, Free, Put and Add buffer small
-// remote operations that ship as one bulk transfer per flush —
-// explicitly via Flush, or automatically at capacity. Local
-// destinations execute inline, as `on here` is elided — except
-// mergeable operations (CallCombinable, Put, Add) under
+// (Ctx.Aggregator): Call/CallSized and Add buffer small remote
+// operations that ship as one bulk transfer per flush — explicitly
+// via Flush, or automatically at capacity. Local destinations execute
+// inline, as `on here` is elided — except mergeable operations
+// (CallCombinable, Add) under
 // AggConfig.Combine, which buffer and merge toward the task's own locale
 // too and are delivered there without a transfer. Ctx.Flush
 // drains the task's buffers and then waits for system-wide quiescence

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"gopgas/internal/comm"
@@ -67,14 +66,15 @@ func TestAsyncOnStormQuiesce(t *testing.T) {
 	}
 }
 
-// TestAMSlotBoundUnderStorm drives a storm of remote AM atomics from
-// concurrent tasks on every locale, with handlers that track how many
-// of them are executing on each target at once. The handler-slot bound
-// is the modelled serialisation of the "none" backend: no locale may
-// ever run more than ProgressWorkers handlers concurrently, every call
-// must run its handler exactly once (exact sums), and each call counts
-// one AMAMO. The handler occupancy delay keeps slots held long enough
-// for callers to pile up behind them.
+// TestAMSlotBoundUnderStorm drives a storm of remote AM atomics
+// (Word64.Add on words homed elsewhere, under none) from concurrent
+// tasks on every locale, while a monitor samples how many handler slots
+// each target holds. The handler-slot bound is the modelled
+// serialisation of the "none" backend: no locale may ever run more than
+// ProgressWorkers handlers concurrently, every call must run its
+// handler exactly once (exact sums), and each call counts one AMAMO.
+// The handler occupancy delay keeps slots held long enough for callers
+// to pile up behind them.
 func TestAMSlotBoundUnderStorm(t *testing.T) {
 	const locales = 4
 	const tasks = 16
@@ -88,8 +88,30 @@ func TestAMSlotBoundUnderStorm(t *testing.T) {
 				Latency:         comm.LatencyProfile{AMHandlerNS: 1000},
 			})
 			defer s.Shutdown()
+			var words [locales]*Word64
+			for l := range words {
+				words[l] = NewWord64(s.Ctx(l), l, 0)
+			}
 
-			var inFlight, highWater, sums [locales]atomic.Int64
+			var highWater [locales]int64
+			done := make(chan struct{})
+			monitored := make(chan struct{})
+			go func() {
+				defer close(monitored)
+				for {
+					for l := range highWater {
+						if n := int64(s.locales[l].amBusy.Load()); n > highWater[l] {
+							highWater[l] = n
+						}
+					}
+					select {
+					case <-done:
+						return
+					default:
+						runtime.Gosched() // let a bound violation show
+					}
+				}
+			}()
 			var wg sync.WaitGroup
 			for g := 0; g < tasks; g++ {
 				wg.Add(1)
@@ -99,33 +121,23 @@ func TestAMSlotBoundUnderStorm(t *testing.T) {
 					for i := 0; i < perTask; i++ {
 						// Always a remote home, so the op must ride amCall.
 						dst := (c.Here() + 1 + i%(locales-1)) % locales
-						s.dispatchAMO64(c, dst, func() uint64 {
-							n := inFlight[dst].Add(1)
-							for {
-								h := highWater[dst].Load()
-								if n <= h || highWater[dst].CompareAndSwap(h, n) {
-									break
-								}
-							}
-							runtime.Gosched() // let a bound violation show
-							sums[dst].Add(1)
-							inFlight[dst].Add(-1)
-							return 0
-						})
+						words[dst].Add(c, 1)
 					}
 				}(g)
 			}
 			wg.Wait()
+			close(done)
+			<-monitored
 
 			var sum int64
 			for l := 0; l < locales; l++ {
-				if h := highWater[l].Load(); h > int64(slots) {
+				if h := highWater[l]; h > int64(slots) {
 					t.Errorf("locale %d ran %d handlers at once, bound is %d", l, h, slots)
 				}
 				if busy := s.locales[l].amBusy.Load(); busy != 0 {
 					t.Errorf("locale %d still holds %d handler slots", l, busy)
 				}
-				sum += sums[l].Load()
+				sum += int64(words[l].v.Load())
 			}
 			if want := int64(tasks * perTask); sum != want {
 				t.Fatalf("AM storm ran %d handlers, want %d", sum, want)

@@ -65,16 +65,21 @@ type Config struct {
 }
 
 // System is a running PGAS instance.
+//
+// Every field above the padded tail is read on the per-op path by
+// tasks of every locale and written, if at all, by boot, shutdown or
+// a fault event. The two tallies every locale adds to on the per-op
+// path sit in the tail, with 128 bytes clear on both sides (an
+// adjacent-line pair), so their adds never pull away a line that other
+// locales are reading, here or in the object allocated after this one
+// (TestSystemLayout holds this).
 type System struct {
 	cfg      Config
 	locales  []*Locale
 	counters *comm.Counters // bound to matrix: a remote event is one cell
 	matrix   *comm.Matrix
 
-	taskSeq atomic.Uint64 // unique task ids, also salts per-task RNG
-	ctxPool sync.Pool     // recycled Ctx structs for the sync dispatch path
-
-	asyncPending atomic.Int64 // in-flight AsyncOn tasks (quiescence)
+	ctxPool sync.Pool // recycled Ctx structs for the sync dispatch path
 
 	tracer *trace.Recorder // nil when tracing is off (Config.Tracer)
 
@@ -103,10 +108,21 @@ type System struct {
 	closing  atomic.Bool // Shutdown entered (guards the drain sequence)
 	shutdown atomic.Bool // new AsyncOn launches are refused
 	stopped  atomic.Bool // quiesce window over: active messages are refused
+
+	_            [128]byte
+	taskSeq      atomic.Uint64 // unique task ids (every borrowCtx), also salts per-task RNG
+	asyncPending atomic.Int64  // in-flight AsyncOn tasks (quiescence), two adds per AsyncOn
+	_            [128]byte
 }
 
 // Locale is one logical compute node: an id, a heap partition, bounded
 // active-message handler slots, and a table of privatized instances.
+//
+// The head (id, heap, privTable) is read by tasks of every locale on
+// every op; the words below it are written on the per-op path. 128
+// bytes (an adjacent-line pair) separate the two, and the trailing pad
+// does the same for the next Locale's head, which NewSystem's
+// allocations place right after this one (TestSystemLayout).
 type Locale struct {
 	id   int
 	heap *gas.Heap
@@ -120,10 +136,10 @@ type Locale struct {
 
 	// Active-message handler slots (amCall): amBusy counts the handlers
 	// executing here, at most Config.ProgressWorkers; every inbound AM
-	// atomic writes it, hence the cache line of its own. Callers park on
-	// amFree, not spin: a runnable waiter would stretch the occupancy
-	// delay of the handler it awaits.
-	_         [64]byte
+	// atomic writes it, hence the 128 bytes between it and the head.
+	// Callers park on amFree, not spin: a runnable waiter would stretch
+	// the occupancy delay of the handler it awaits.
+	_         [128]byte
 	amBusy    atomic.Int32
 	amWaiting atomic.Int32 // callers parked, or about to park, on amFree
 	_         [56]byte
@@ -135,7 +151,7 @@ type Locale struct {
 	_           [64]byte
 	modelledNS  atomic.Int64
 	delayWaitNS atomic.Int64
-	_           [48]byte
+	_           [128]byte
 }
 
 // tryAMSlot takes a handler slot unless all of them are busy.

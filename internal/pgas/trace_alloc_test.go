@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gopgas/internal/comm"
-	"gopgas/internal/gas"
 	"gopgas/internal/trace"
 )
 
@@ -120,17 +119,12 @@ func TestDirectAtomicsZeroAlloc(t *testing.T) {
 
 // The aggregation layer's own allocation contract: asking a combinable
 // op for its merge key boxes nothing (the key is built on every
-// enqueue), a lookup that finds nothing to merge into costs nothing,
-// and an aggregated Free toward the task's own locale releases inline
-// without building the closure a buffered free ships as — the one
-// allocation below is the freed object itself.
+// enqueue), and a lookup that finds nothing to merge into costs nothing.
 func TestAggregationPathsZeroAlloc(t *testing.T) {
 	s := NewSystem(Config{Locales: 2, Backend: comm.BackendNone, Agg: comm.AggConfig{Combine: true}})
 	defer s.Shutdown()
 	c := s.Ctx(0)
 	add := &addOp{w: NewWord64(c, 1, 0), delta: 1}
-	put := &putOp{addr: gas.MakeAddr(1, 7), obj: 1}
-	type cell struct{ gas.Boxed }
 	local, remote := c.Aggregator(0), c.Aggregator(1)
 	cases := []struct {
 		name string
@@ -138,9 +132,7 @@ func TestAggregationPathsZeroAlloc(t *testing.T) {
 		fn   func()
 	}{
 		{"addOp.CombineKey", 0, func() { add.CombineKey() }},
-		{"putOp.CombineKey", 0, func() { put.CombineKey() }},
 		{"AggBuffer.Buffered miss", 0, func() { remote.Buffered(add.CombineKey()) }},
-		{"local AggBuffer.Free", 1, func() { local.Free(c.Alloc(&cell{})) }},
 	}
 	for _, tc := range cases {
 		if avg := testing.AllocsPerRun(200, tc.fn); avg != tc.want {
