@@ -33,9 +33,8 @@
 // FAIL per structure; exit status 1 means at least one FAIL.
 //
 // The engine covers the four scenario targets (hashmap, sharded
-// queue/stack, skiplist); rcuarray and the bare Harris list keep
-// their dedicated stress coverage in their packages' property and
-// destroy/churn tests.
+// queue/stack, skiplist); the bare Harris list keeps its dedicated
+// stress coverage in its package's property and destroy/churn tests.
 package main
 
 import (

@@ -15,7 +15,6 @@
 //     64-bit global pointers, per-locale heaps, poison-on-free)
 //   - internal/comm    — backends (ugni/none), latency profiles, counters,
 //     the per-destination aggregation buffers (Aggregator)
-//   - internal/dist    — global-view cyclically distributed arrays
 //   - internal/core    — the paper's contributions (atomics, epoch)
 //   - internal/structures — non-blocking stack, queue, list, hash map
 //     built on the contributions
@@ -23,6 +22,6 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and the
 // simulation substitutions, and benchmark/README.md for the runtime
-// overhead benchmark. The root package holds the top-level benchmark
-// entry points (bench_test.go, structures_bench_test.go) and no code.
+// overhead benchmark. The root package holds only the examples smoke
+// test and no code.
 package gopgas

@@ -18,7 +18,6 @@ var smokeArgs = map[string][]string{
 	"hashmap":    {"-locales", "2", "-ops", "300", "-keys", "64", "-buckets", "16", "-tasks", "1"},
 	"quickstart": nil,
 	"scenario":   {"-locales", "2", "-tasks", "1", "-ops", "2000"},
-	"sensorgrid": {"-locales", "2", "-sensors", "256", "-windows", "4"},
 	"uafdemo":    {"-iters", "5000"},
 	"workqueue":  {"-locales", "2", "-items", "300"},
 }

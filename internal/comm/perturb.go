@@ -192,12 +192,3 @@ func SlowLocale(n, slow int, factor float64) Perturbation {
 	}
 	return Perturbation{Scales: scales}
 }
-
-// UniformPerturbation slows (or speeds) every locale of n by factor.
-func UniformPerturbation(n int, factor float64) Perturbation {
-	scales := make([]float64, n)
-	for i := range scales {
-		scales[i] = factor
-	}
-	return Perturbation{Scales: scales}
-}

@@ -65,12 +65,3 @@ func TestPerturbationProfileFor(t *testing.T) {
 		t.Fatalf("slow locale profile not scaled 3x: %+v", slow)
 	}
 }
-
-func TestUniformPerturbation(t *testing.T) {
-	p := UniformPerturbation(3, 2.5)
-	for i := 0; i < 3; i++ {
-		if got := p.ScaleFor(i); got != 2.5 {
-			t.Fatalf("ScaleFor(%d) = %v, want 2.5", i, got)
-		}
-	}
-}

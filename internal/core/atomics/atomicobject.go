@@ -119,9 +119,6 @@ func (a *AtomicObject) Home() int { return a.home }
 // Mode returns the resolved representation.
 func (a *AtomicObject) Mode() Mode { return a.mode }
 
-// HasABA reports whether the *ABA variants are available.
-func (a *AtomicObject) HasABA() bool { return a.hasAB }
-
 // encode converts an object reference into the representation's word.
 func (a *AtomicObject) encode(c *pgas.Ctx, addr gas.Addr) uint64 {
 	if a.mode == ModeDescriptor {

@@ -38,9 +38,6 @@ func NewLocal(locale int, aba bool) *LocalAtomicObject {
 // Locale returns the locale the object is pinned to.
 func (a *LocalAtomicObject) Locale() int { return a.locale }
 
-// HasABA reports whether the *ABA variants are available.
-func (a *LocalAtomicObject) HasABA() bool { return a.hasAB }
-
 // check enforces the locality contract: only local objects (or nil)
 // may be stored, since the locality bits are discarded.
 func (a *LocalAtomicObject) check(addr gas.Addr) {

@@ -251,16 +251,11 @@ func (s *System) routeDCAS(c *Ctx, home int) (am bool) {
 }
 
 // ChargeGet records and charges one small remote read toward owner.
-// It is exposed for global-view containers (package dist) whose
-// storage lives outside the gas heaps; owner must differ from the
-// calling locale.
+// It is exposed for reads of state that lives outside the gas heaps
+// (a descriptor-table entry, a shard's counter); owner must differ
+// from the calling locale.
 func (c *Ctx) ChargeGet(owner int) {
 	c.sys.charge(c, owner, comm.KindGet, c.sys.cfg.Latency.PutGetNS)
-}
-
-// ChargePut records and charges one small remote write toward owner.
-func (c *Ctx) ChargePut(owner int) {
-	c.sys.charge(c, owner, comm.KindPut, c.sys.cfg.Latency.PutGetNS)
 }
 
 // ChargeAMRoundTrip records and charges one active-message round trip
@@ -272,10 +267,9 @@ func (c *Ctx) ChargeAMRoundTrip(owner int) {
 }
 
 // ChargeBulk records and charges one bulk transfer of `bytes` between
-// the calling locale and owner. Like ChargeGet/ChargePut it exists for
-// global-view containers whose payloads move outside the gas heaps
-// (e.g. a sharded structure shipping a drained segment home); owner
-// must differ from the calling locale.
+// the calling locale and owner. Like ChargeGet it exists for payloads
+// that move outside the gas heaps (e.g. a sharded structure shipping a
+// drained segment home); owner must differ from the calling locale.
 func (c *Ctx) ChargeBulk(owner int, bytes int64) {
 	c.sys.chargeBulk(c, c.here.id, owner, bytes)
 }

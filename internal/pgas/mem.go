@@ -95,7 +95,7 @@ func MustDeref[T any](c *Ctx, addr gas.Addr) T {
 func (c *Ctx) Put(addr gas.Addr, obj any) bool {
 	owner := addr.Locale()
 	if owner != c.here.id {
-		c.ChargePut(owner)
+		c.sys.charge(c, owner, comm.KindPut, c.sys.cfg.Latency.PutGetNS)
 	}
 	return c.sys.locales[owner].heap.Store(addr, obj)
 }

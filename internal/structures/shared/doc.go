@@ -19,10 +19,9 @@
 //	Local(c)            the calling locale's shard, free
 //	Shard(c, i)         a peer's shard by id, free (diagnostic peek)
 //	OnOwner(c, i, fn)   synchronous on-statement to shard i's locale
-//	AsyncOnOwner        fire-and-forget on-statement (quiesce-tracked)
 //	AggOnOwner          buffered op toward shard i (one flush per batch)
 //	ForEachShard        coforall over every shard, on its locale
-//	Gather / Sum        owner-computed reduction over all shards
+//	Gather              owner-computed reduction over all shards
 //
 // # Lifecycle
 //

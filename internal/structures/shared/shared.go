@@ -68,14 +68,6 @@ func (o Object[S]) OnOwner(c *pgas.Ctx, owner int, fn func(lc *pgas.Ctx, s *S)) 
 	})
 }
 
-// AsyncOnOwner launches fn against shard `owner` on its locale without
-// waiting; completion is tracked by system quiescence (Ctx.Flush).
-func (o Object[S]) AsyncOnOwner(c *pgas.Ctx, owner int, fn func(lc *pgas.Ctx, s *S)) {
-	c.AsyncOn(owner, func(lc *pgas.Ctx) {
-		fn(lc, o.priv.Get(lc))
-	})
-}
-
 // AggOnOwner buffers fn into the calling task's aggregation buffer for
 // shard `owner`'s locale: the op executes there when the buffer
 // flushes (at capacity, or at Ctx.Flush), riding one bulk transfer per
@@ -114,14 +106,4 @@ func Gather[S, R any](c *pgas.Ctx, o Object[S], f func(lc *pgas.Ctx, s *S) R) []
 		out[lc.Here()] = f(lc, s)
 	})
 	return out
-}
-
-// Sum is Gather for int64 totals: the common case of summing
-// per-shard operation counters into a structure-wide statistic.
-func Sum[S any](c *pgas.Ctx, o Object[S], f func(s *S) int64) int64 {
-	var total int64
-	for _, v := range Gather(c, o, func(_ *pgas.Ctx, s *S) int64 { return f(s) }) {
-		total += v
-	}
-	return total
 }

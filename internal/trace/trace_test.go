@@ -313,22 +313,6 @@ func TestDrainWindow(t *testing.T) {
 	}
 }
 
-// BenchmarkBeginEnd measures the enabled, unsampled record cost and —
-// via -benchmem — asserts the zero-alloc claim.
-func BenchmarkBeginEnd(b *testing.B) {
-	r := NewRecorder(1, Config{BufferSize: 1 << 16})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Begin(0, KindDispatch, 1, 0, 1, 64, 0).End()
-		if i&0x3FFF == 0x3FFF {
-			b.StopTimer()
-			r.Drain(0)
-			b.StartTimer()
-		}
-	}
-}
-
 // TestRecordZeroAlloc pins the zero-allocation guarantee for the
 // enabled record path (both ring-hit and sampled-out flavours).
 func TestRecordZeroAlloc(t *testing.T) {

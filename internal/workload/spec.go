@@ -459,6 +459,17 @@ func (s Spec) WithDefaults() Spec {
 		cp := *s.Faults.Retry
 		s.Faults.Retry = &cp
 	}
+	// An empty list is no list: WriteJSON omits it, so keep it nil and
+	// the spec equals what its saved JSON loads back as.
+	if len(s.Faults.Scales) == 0 {
+		s.Faults.Scales = nil
+	}
+	if len(s.Faults.Crashes) == 0 {
+		s.Faults.Crashes = nil
+	}
+	if len(s.Faults.Partitions) == 0 {
+		s.Faults.Partitions = nil
+	}
 	if s.Trace != nil {
 		cp := *s.Trace
 		if cp.Enabled {

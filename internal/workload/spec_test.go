@@ -617,3 +617,61 @@ func TestRetrySpecParkConfig(t *testing.T) {
 		t.Fatalf("deadline_ms 0.5 lowered to %d ns, want 500000", pc.DeadlineNS)
 	}
 }
+
+// FuzzSpecRoundTrip feeds arbitrary bytes through LoadSpec, WithDefaults
+// and Validate. Every spec that validates must survive WriteJSON →
+// LoadSpec unchanged and still validate: what a run accepts is what its
+// saved spec replays.
+func FuzzSpecRoundTrip(f *testing.F) {
+	faulted := validSpec()
+	faulted.Faults = Faults{
+		Crashes:    []CrashSpec{{Locale: 2, Phase: 1, AfterOps: 100, Failover: true}},
+		Partitions: []PartitionSpec{{A: 1, B: 3, Phase: 1, AtOps: 25, HealAfterMS: 2.5}},
+		Retry:      &RetrySpec{DeadlineMS: 500, Capacity: 1024},
+	}
+	composed := goldenSpec()
+	composed.Combine.Enabled = true
+	composed.Rebalance.Enabled = true
+	composed.Faults.Crashes[0].Failover = true
+	for _, s := range []Spec{validSpec(), goldenSpec(), faulted, composed} {
+		var buf strings.Builder
+		if err := s.WriteJSON(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(buf.String()))
+	}
+	// examples/scenario's flash crowd at its default flags.
+	f.Add([]byte(`{"name": "flash-crowd", "structure": "hashmap", "locales": 4, "tasks_per_locale": 2, "backend": "ugni", "seed": 64206, "keyspace": 16384,
+		"dist": {"kind": "hotset", "hot_fraction": 0.1, "hot_prob": 0.9}, "faults": {"slow_factor": 6, "slow_locale": 1},
+		"phases": [{"name": "load", "mix": {"insert": 1}, "ops_per_task": 10000},
+			{"name": "run", "mix": {"insert": 2, "get": 7, "remove": 1, "bulk": 0.02}, "ops_per_task": 20000, "reclaim_every": 512},
+			{"name": "churn", "mix": {"insert": 3, "get": 5, "remove": 2}, "ops_per_task": 5000, "rounds": 2, "churn": true}]}`))
+	f.Add([]byte(`{"structure": "queue", "phases": [{"name": "run", "mix": {"enqueue": 1, "remove": 1}, "seconds": 0.5}]}`))
+	f.Add([]byte(`{"structure": "skiplist", "dist": {"kind": "zipfian"}, "faults": {"scales": [1, 2]}, "phases": [{"name": "run", "mix": {"get": 1}, "ops_per_task": 1}]}`))
+	f.Add([]byte(`{"structure": "stack", "faults": {"crashes": []}, "phases": [{"name": "run", "mix": {"enqueue": 1}, "ops_per_task": 1}]}`))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		in := filepath.Join(t.TempDir(), "in.json")
+		if err := os.WriteFile(in, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadSpec(in)
+		if err != nil {
+			return
+		}
+		s := loaded.WithDefaults()
+		if s.Validate() != nil {
+			return
+		}
+		back, err := LoadSpec(writeSpecFile(t, s))
+		if err != nil {
+			t.Fatalf("written spec does not load: %v", err)
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("round trip drifted:\n got %#v\nwant %#v", back, s)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("reloaded spec rejected: %v", err)
+		}
+	})
+}
