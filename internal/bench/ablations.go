@@ -901,7 +901,7 @@ func AblationCrashFailover(cfg Config) Figure {
 // a12 flash-partition geometry, shared by both arms and by
 // TestAblationA12's arithmetic: a12PreQuanta healthy quanta, then the
 // pair (a12PairA, a12PairB) severs, a12SevQuanta quanta run against
-// the partition, the pair heals (pumping the retry ledgers
+// the partition, the pair heals (settling the retry ledgers
 // synchronously), and a12PostQuanta quanta close the run. Each quantum
 // ends quiescent (coforall join + flush), so the refused-op count is
 // exact: the two pair locales each aim their whole per-quantum budget
@@ -989,7 +989,7 @@ func flashPartition(cfg Config, locales int, retry bool) (Point, verdict) {
 			for q := 0; q < a12SevQuanta; q++ {
 				quantum()
 			}
-			// Heal pumps the retry ledgers synchronously: every parked
+			// Heal settles the retry ledgers synchronously: every parked
 			// op redelivers before the next quantum issues.
 			if err := tr.sys.Heal(a12PairA, a12PairB); err != nil {
 				panic(err)
@@ -1002,7 +1002,7 @@ func flashPartition(cfg Config, locales int, retry bool) (Point, verdict) {
 }
 
 // AblationPartitionRetry measures what a transient network partition
-// costs with and without the retry/backoff plane. Disabled, every op
+// costs with and without the retry plane. Disabled, every op
 // refused across the severed pair drains to the lost-ops ledger for as
 // long as the partition lasts — O(rate × duration), indistinguishable
 // on the books from a crash. Enabled, refused ops park in the
@@ -1017,10 +1017,10 @@ func AblationPartitionRetry(cfg Config) Figure {
 	return Figure{
 		ID:      "A12",
 		Title:   "Ablation: partition retry plane vs fail-stop refusal",
-		Caption: "A transient partition is not a crash, but without a retry plane the books cannot tell the difference: every op refused across the severed pair drains to the lost-ops ledger for the whole outage, O(rate × duration). The retry plane parks refused ops in bounded per-locale ledgers with exponential backoff and redelivers them through the normal aggregation path when the pair heals — the settlement identity OpsParked == OpsRedelivered + OpsExpired closes with zero losses, reserving the fail-stop ledger for actual crashes.",
+		Caption: "A transient partition is not a crash, but without a retry plane the books cannot tell the difference: every op refused across the severed pair drains to the lost-ops ledger for the whole outage, O(rate × duration). The retry plane parks refused ops in bounded per-locale ledgers and redelivers them through the normal aggregation path when the pair heals — the settlement identity OpsParked == OpsRedelivered + OpsExpired closes with zero losses, reserving the fail-stop ledger for actual crashes.",
 		Panels: []Panel{cfg.sweep("Flash partition: ops lost (none)", "Locales", cfg.localeSweep(4),
 			arm{"retry disabled (every refused op lost: O(rate × duration))", "ablL dropped", partition(false)},
-			arm{"retry/backoff (parked, redelivered at heal)", "ablL retried", partition(true)})},
+			arm{"retry (parked, redelivered at heal)", "ablL retried", partition(true)})},
 	}
 }
 

@@ -110,28 +110,36 @@ func TestDelayApproximatelyAccurate(t *testing.T) {
 	}
 }
 
-// Every Inc* is called, alone and accumulated across wrapped shard
-// hints, and the whole Snapshot is compared each time; the reflection
-// walks then hold the two-sites-per-counter rule: a Snapshot field that
-// no Inc* in the table feeds, or that Snapshot()/Sub() fail to carry,
-// fails here.
+// Every Inc* and a Book of every remote kind are called, alone and
+// accumulated across wrapped shard hints, and the whole Snapshot is
+// compared each time; the reflection walks then hold the
+// two-sites-per-counter rule: a Snapshot field that no row of the table
+// feeds, or that Snapshot()/Sub() fail to carry, fails here.
 func TestCountersRoundTrip(t *testing.T) {
 	type inc struct {
 		name string
 		inc  func(c *Counters, src int)
 		want Snapshot
 	}
+	// Every counter here is bound to a matrix, so a remote event books
+	// on its (source, destination, kind) cell as the runtime does; the
+	// hint picks the source among the matrix's locales.
+	const locales = 4
+	bind := func() *Counters { return NewCounters(NewMatrix(locales)) }
+	book := func(k Kind) func(c *Counters, src int) {
+		return func(c *Counters, src int) { c.pairs.Book(src%locales, (src+1)%locales, k) }
+	}
 	incs := []inc{
-		{"IncPut", func(c *Counters, src int) { c.IncPut(src) }, Snapshot{Puts: 1}},
+		{"Book(KindPut)", book(KindPut), Snapshot{Puts: 1}},
 		{"IncGet", func(c *Counters, src int) { c.IncGet(src) }, Snapshot{Gets: 1}},
-		{"IncNICAMO", func(c *Counters, src int) { c.IncNICAMO(src) }, Snapshot{NICAMOs: 1}},
-		{"IncAMAMO", func(c *Counters, src int) { c.IncAMAMO(src) }, Snapshot{AMAMOs: 1}},
+		{"Book(KindNICAMO)", book(KindNICAMO), Snapshot{NICAMOs: 1}},
+		{"Book(KindAMAMO)", book(KindAMAMO), Snapshot{AMAMOs: 1}},
 		{"IncLocalAMO", func(c *Counters, src int) { c.IncLocalAMO(src) }, Snapshot{LocalAMOs: 1}},
-		{"IncOnStmt", func(c *Counters, src int) { c.IncOnStmt(src) }, Snapshot{OnStmts: 1}},
-		{"IncBulk", func(c *Counters, src int) { c.IncBulk(src, 128) }, Snapshot{BulkXfers: 1, BulkBytes: 128}},
+		{"Book(KindOnStmt)", book(KindOnStmt), Snapshot{OnStmts: 1}},
+		{"Book(KindBulk)+IncBulkBytes", func(c *Counters, src int) { book(KindBulk)(c, src); c.IncBulkBytes(src, 128) }, Snapshot{BulkXfers: 1, BulkBytes: 128}},
 		{"IncBulkBytes", func(c *Counters, src int) { c.IncBulkBytes(src, 128) }, Snapshot{BulkBytes: 128}},
 		{"IncDCASLocal", func(c *Counters, src int) { c.IncDCASLocal(src) }, Snapshot{DCASLocal: 1}},
-		{"IncDCASRemote", func(c *Counters, src int) { c.IncDCASRemote(src) }, Snapshot{DCASRemote: 1}},
+		{"Book(KindDCASRemote)", book(KindDCASRemote), Snapshot{DCASRemote: 1}},
 		{"IncAggFlush", func(c *Counters, src int) { c.IncAggFlush(src, 5, 80) }, Snapshot{AggFlushes: 1, AggOps: 5, AggBytes: 80}},
 		{"IncCacheHit", func(c *Counters, src int) { c.IncCacheHit(src) }, Snapshot{CacheHits: 1}},
 		{"IncCacheMiss", func(c *Counters, src int) { c.IncCacheMiss(src) }, Snapshot{CacheMiss: 1}},
@@ -162,12 +170,12 @@ func TestCountersRoundTrip(t *testing.T) {
 		return out
 	}
 
-	var all Counters
+	all := bind()
 	var sum Snapshot // what all must read, added up field by field
 	sumF := fields(&sum)
 	fed := make([]bool, len(sumF))
 	for i, tc := range incs {
-		c := new(Counters)
+		c := bind()
 		tc.inc(c, i)
 		if got := c.Snapshot(); got != tc.want {
 			t.Fatalf("%s alone: snapshot = %+v, want %+v", tc.name, got, tc.want)
@@ -175,8 +183,8 @@ func TestCountersRoundTrip(t *testing.T) {
 		// Twice more on the shared counters, the second hint past the
 		// shard count (it wraps): Snapshot must merge every shard.
 		before := all.Snapshot()
-		tc.inc(&all, i)
-		tc.inc(&all, i+counterShards+1)
+		tc.inc(all, i)
+		tc.inc(all, i+counterShards+1)
 		for f, w := range fields(&tc.want) {
 			sumF[f].SetInt(sumF[f].Int() + 2*w.Int())
 			fed[f] = fed[f] || w.Int() != 0
@@ -194,10 +202,10 @@ func TestCountersRoundTrip(t *testing.T) {
 	}
 	for f, ok := range fed {
 		if !ok {
-			t.Errorf("Snapshot.%s: no Inc* in the table feeds it", reflect.TypeOf(sum).Field(f).Name)
+			t.Errorf("Snapshot.%s: no row of the table feeds it", reflect.TypeOf(sum).Field(f).Name)
 		}
 	}
-	for ct, m := reflect.TypeOf(&all), 0; m < ct.NumMethod(); m++ {
+	for ct, m := reflect.TypeOf(all), 0; m < ct.NumMethod(); m++ {
 		name := ct.Method(m).Name
 		if strings.HasPrefix(name, "Inc") && !slices.ContainsFunc(incs, func(tc inc) bool { return strings.HasPrefix(tc.name, name) }) {
 			t.Errorf("Counters.%s is not in the table", name)
@@ -227,9 +235,9 @@ func TestCountersRoundTrip(t *testing.T) {
 	}
 
 	// Booked: each Kind, alone on counters bound to a matrix, reads as
-	// exactly the src-only helper of the same kind does, and as one event
-	// on its pair; accumulated over every pair, the kinds between them
-	// feed exactly the seven fields Remote() adds up.
+	// exactly its one Snapshot field, and as one event on its pair;
+	// accumulated over every pair, the kinds between them feed exactly
+	// the seven fields Remote() adds up.
 	kinds := []struct {
 		k    Kind
 		want Snapshot
@@ -288,11 +296,13 @@ func TestCountersRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotSub(t *testing.T) {
-	var c Counters
-	c.IncPut(0)
+	m := NewMatrix(2)
+	c := NewCounters(m)
+	m.Book(0, 1, KindPut)
 	before := c.Snapshot()
-	c.IncPut(1) // a different shard than the first put: Sub merges both
-	c.IncBulk(0, 64)
+	m.Book(1, 0, KindPut) // a different row than the first put: Sub merges both
+	m.Book(0, 1, KindBulk)
+	c.IncBulkBytes(0, 64)
 	d := c.Snapshot().Sub(before)
 	if d.Puts != 1 || d.BulkXfers != 1 || d.BulkBytes != 64 || d.Gets != 0 {
 		t.Fatalf("delta = %+v", d)
@@ -310,14 +320,16 @@ func TestSnapshotString(t *testing.T) {
 }
 
 func TestCountersConcurrent(t *testing.T) {
-	var c Counters
+	m := NewMatrix(4)
+	c := NewCounters(m)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 1000; i++ {
-				c.IncPut(g)
-				c.IncBulk(g, 2)
+				m.Book(g, (g+1)%4, KindPut)
+				m.Book(g, (g+1)%4, KindBulk)
+				c.IncBulkBytes(g, 2)
 			}
 		}(g)
 	}

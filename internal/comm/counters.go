@@ -17,8 +17,8 @@ import (
 // BulkXfers, DCASRemote) of Counters made by NewCounters are the sums
 // of the bound Matrix's per-kind cells: a remote event is one
 // Matrix.Book, and it is both a counter and a matrix entry. Everything
-// else — and, on Counters not bound to a matrix, the remote totals'
-// src-only Inc* helpers too — lives in padded shards merged at
+// else — and, on Counters not bound to a matrix, the src-only IncGet
+// too — lives in padded shards merged at
 // Snapshot time: every Inc* takes a shard hint (the source locale,
 // which each call site already has in hand), so tasks on different
 // locales increment disjoint cache lines. Addition is commutative, so
@@ -46,8 +46,7 @@ type Counters struct {
 
 // NewCounters returns counters bound to pairs: their remote totals are
 // the sums of its cells, so Snapshot().Remote() == pairs.Total() as long
-// as nothing books a kindless pair (Matrix.Inc) or a src-only remote
-// Inc*.
+// as nothing books a kindless pair (Matrix.Inc) or a src-only IncGet.
 func NewCounters(pairs *Matrix) *Counters {
 	return &Counters{pairs: pairs}
 }
@@ -148,9 +147,9 @@ type counterSet[T int64 | atomic.Int64] struct {
 	// source/destination pair is partitioned (both locales alive) park
 	// in the per-locale retry ledger instead of draining to OpsLost:
 	// OpsParked counts every op that entered the ledger, OpsRedelivered
-	// the subset that made it to its destination after a heal or a
-	// backoff retry, OpsExpired the subset dropped at the retry
-	// deadline or on ledger overflow. Once the ledger drains
+	// the subset that made it to its destination after a heal,
+	// OpsExpired the subset dropped at the retry deadline, on ledger
+	// overflow or at the final drain. Once the ledger drains
 	// (System.DrainParking or Shutdown),
 	// OpsParked == OpsRedelivered + OpsExpired exactly — the retry
 	// plane's settlement invariant. None enters Remote(): a parked op's
@@ -173,37 +172,14 @@ func (sh *counterShard) cells() *[numCounters]atomic.Int64 {
 	return (*[numCounters]atomic.Int64)(unsafe.Pointer(&sh.v))
 }
 
-// The src-only remote Inc* helpers below — IncPut, IncGet, IncNICAMO,
-// IncAMAMO, IncOnStmt, IncBulk, IncDCASRemote — count an event with no
-// destination on src's shard. Neither the pgas dispatch layer nor the
-// Aggregator calls them: both book each remote event once on its matrix
+// IncGet records a small remote read issued by locale src, on src's
+// shard with no destination. Neither the pgas dispatch layer nor the
+// Aggregator calls it: both book each remote event once on its matrix
 // cell (Matrix.Book).
-
-// IncPut records a small remote write issued by locale src.
-func (c *Counters) IncPut(src int) { c.shard(src).v.Puts.Add(1) }
-
-// IncGet records a small remote read issued by locale src.
 func (c *Counters) IncGet(src int) { c.shard(src).v.Gets.Add(1) }
-
-// IncNICAMO records a NIC-offloaded atomic issued by locale src.
-func (c *Counters) IncNICAMO(src int) { c.shard(src).v.NICAMOs.Add(1) }
-
-// IncAMAMO records an active-message atomic issued by locale src.
-func (c *Counters) IncAMAMO(src int) { c.shard(src).v.AMAMOs.Add(1) }
 
 // IncLocalAMO records a locale-local CPU atomic on a network word.
 func (c *Counters) IncLocalAMO(src int) { c.shard(src).v.LocalAMOs.Add(1) }
-
-// IncOnStmt records a remote procedure call issued by locale src.
-func (c *Counters) IncOnStmt(src int) { c.shard(src).v.OnStmts.Add(1) }
-
-// IncBulk records one bulk transfer carrying n payload bytes, issued
-// by locale src.
-func (c *Counters) IncBulk(src int, n int64) {
-	s := c.shard(src)
-	s.v.BulkXfers.Add(1)
-	s.v.BulkBytes.Add(n)
-}
 
 // IncBulkBytes records n payload bytes of a bulk transfer issued by
 // locale src whose event was booked on the bound matrix (KindBulk):
@@ -212,10 +188,6 @@ func (c *Counters) IncBulkBytes(src int, n int64) { c.shard(src).v.BulkBytes.Add
 
 // IncDCASLocal records a locale-local emulated DCAS.
 func (c *Counters) IncDCASLocal(src int) { c.shard(src).v.DCASLocal.Add(1) }
-
-// IncDCASRemote records a remote DCAS shipped as an active message by
-// locale src.
-func (c *Counters) IncDCASRemote(src int) { c.shard(src).v.DCASRemote.Add(1) }
 
 // IncAggFlush records one aggregated flush from locale src carrying
 // ops operations and bytes payload bytes. The bulk transfer the flush
@@ -289,7 +261,7 @@ func (c *Counters) IncOpsLost(src int, n int64) { c.shard(src).v.OpsLost.Add(n) 
 func (c *Counters) IncOpsParked(src int, n int64) { c.shard(src).v.OpsParked.Add(n) }
 
 // IncOpsRedelivered records n parked operations redelivered to their
-// destination by locale src after a heal or backoff retry.
+// destination by locale src after a heal.
 func (c *Counters) IncOpsRedelivered(src int, n int64) { c.shard(src).v.OpsRedelivered.Add(n) }
 
 // IncOpsExpired records n parked operations dropped by locale src at

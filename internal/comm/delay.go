@@ -37,13 +37,20 @@ func ClockNS() int64 { return int64(time.Since(clockBase)) }
 // runs in parallel and then waits once, on its own account, for the
 // largest.
 type Pacer struct {
-	credit int64 // ns waited beyond what was charged, <= maxCredit
-	owed   int64 // a tab's charges since it was opened
-	tab    bool
+	credit  int64 // ns waited beyond what was charged, <= maxCredit
+	dropped int64 // overshoot past maxCredit: waited, never carried
+	owed    int64 // a tab's charges since it was opened
+	tab     bool
 }
 
 // Credit returns the carried overshoot in nanoseconds (diagnostic).
 func (p *Pacer) Credit() int64 { return p.credit }
+
+// Dropped returns the overshoot the clamp discarded: nanoseconds the
+// account waited that no charge pays for and no credit carries. What an
+// account has waited is exactly what it was charged plus Dropped plus
+// Credit.
+func (p *Pacer) Dropped() int64 { return p.dropped }
 
 // OpenTab makes p an empty tab: until the next OpenTab, Delay adds each
 // charge to Owed and returns at once.
@@ -82,7 +89,9 @@ func (p *Pacer) Delay(ns int64) (waited int64) {
 		runtime.Gosched()
 		now = ClockNS()
 	}
-	p.credit = min(now-deadline, maxCredit)
+	over := now - deadline
+	p.credit = min(over, maxCredit)
+	p.dropped += max(over-maxCredit, 0)
 	return now - start
 }
 

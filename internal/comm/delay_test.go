@@ -80,9 +80,10 @@ func TestPacerChargesWallTimeOnce(t *testing.T) {
 // single P the delay's yields hand the CPU to a goroutine that holds it
 // for that long. The scheduler may run something else in the delay's
 // short window, so a missed stall is waited out and tried again with a
-// fresh delay. It reports whether a stall happened inside a delay. The
-// caller must have set GOMAXPROCS to 1.
-func stallInDelay(p *Pacer, ns int64, stall time.Duration) bool {
+// fresh delay. It reports whether a stall happened inside a delay, and
+// what its delays waited and were charged in all. The caller must have
+// set GOMAXPROCS to 1.
+func stallInDelay(p *Pacer, ns int64, stall time.Duration) (waited, charged int64, ok bool) {
 	for attempt := 0; attempt < 50; attempt++ {
 		var ran atomic.Bool
 		done := make(chan struct{})
@@ -92,13 +93,14 @@ func stallInDelay(p *Pacer, ns int64, stall time.Duration) bool {
 			ran.Store(true)
 			close(done)
 		}()
-		p.Delay(ns)
+		waited += p.Delay(ns)
+		charged += ns
 		if ran.Load() {
-			return true
+			return waited, charged, true
 		}
 		<-done
 	}
-	return false
+	return waited, charged, false
 }
 
 // A stall inside a delay is carried only up to the clamp: it buys
@@ -107,7 +109,7 @@ func stallInDelay(p *Pacer, ns int64, stall time.Duration) bool {
 func TestPacerCreditIsClamped(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var p Pacer
-	if !stallInDelay(&p, 20_000, 5*time.Millisecond) {
+	if _, _, ok := stallInDelay(&p, 20_000, 5*time.Millisecond); !ok {
 		t.Skip("the stalling goroutine was not scheduled inside the delay")
 	}
 	if got := p.Credit(); got != maxCredit {
@@ -124,6 +126,29 @@ func TestPacerCreditIsClamped(t *testing.T) {
 	}
 	if waited := p.Delay(ns); waited < ns {
 		t.Fatalf("first charge past the clamp waited %dns, want at least %dns", waited, ns)
+	}
+}
+
+// Every nanosecond an account waits is charged, carried or dropped: the
+// part of a stall past the clamp is Dropped, and the waits add up to
+// the charges plus Dropped plus Credit exactly, stall or not.
+func TestPacerWaitsBalance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var p Pacer
+	waited, charged, ok := stallInDelay(&p, 20_000, 5*time.Millisecond)
+	if !ok {
+		t.Skip("the stalling goroutine was not scheduled inside the delay")
+	}
+	if p.Dropped() < int64(4*time.Millisecond) {
+		t.Fatalf("a 5ms stall dropped %dns past the %dns clamp", p.Dropped(), maxCredit)
+	}
+	for _, ns := range []int64{2500, 60_000, 2500, 0, 200_000, 2500} {
+		waited += p.Delay(ns)
+		charged += ns
+		if waited != charged+p.Dropped()+p.Credit() {
+			t.Fatalf("after a %dns charge: waited %dns, charged %dns, dropped %dns, credit %dns",
+				ns, waited, charged, p.Dropped(), p.Credit())
+		}
 	}
 }
 
@@ -160,7 +185,7 @@ func TestPacerPartialCredit(t *testing.T) {
 	var waited int64
 	for attempt := 0; attempt < 3; attempt++ {
 		var p Pacer
-		if !stallInDelay(&p, 20_000, 5*time.Millisecond) {
+		if _, _, ok := stallInDelay(&p, 20_000, 5*time.Millisecond); !ok {
 			t.Skip("the stalling goroutine was not scheduled inside the delay")
 		}
 		if waited = p.Delay(ns); waited >= ns-maxCredit && waited < ns {

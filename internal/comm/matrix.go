@@ -157,7 +157,7 @@ func (m *Matrix) Total() int64 {
 // Totals returns the outbound (row) and inbound (column) totals per
 // locale from one pass over the cells — each cell is loaded exactly
 // once and contributes to both vectors, instead of the two full
-// re-scans separate RowTotals/ColTotals calls used to make.
+// re-scans separate row and column reads would make.
 func (m *Matrix) Totals() (rows, cols []int64) {
 	rows = make([]int64, m.n)
 	cols = make([]int64, m.n)
@@ -169,12 +169,6 @@ func (m *Matrix) Totals() (rows, cols []int64) {
 		}
 	}
 	return rows, cols
-}
-
-// RowTotals returns outbound totals per source locale.
-func (m *Matrix) RowTotals() []int64 {
-	rows, _ := m.Totals()
-	return rows
 }
 
 // ColTotals returns inbound totals per destination locale.

@@ -18,7 +18,7 @@ func TestMatrixBasics(t *testing.T) {
 	if m.Total() != 3 {
 		t.Fatalf("total = %d", m.Total())
 	}
-	rows := m.RowTotals()
+	rows, _ := m.Totals()
 	cols := m.ColTotals()
 	if rows[0] != 2 || rows[2] != 1 || rows[1] != 0 {
 		t.Fatalf("rows = %v", rows)
@@ -47,9 +47,6 @@ func TestMatrixTotalsOnePass(t *testing.T) {
 			}
 		}
 		rows, cols := m.Totals()
-		if got := m.RowTotals(); !equalInt64s(got, rows) {
-			t.Fatalf("n=%d RowTotals %v != Totals rows %v", n, got, rows)
-		}
 		if got := m.ColTotals(); !equalInt64s(got, cols) {
 			t.Fatalf("n=%d ColTotals %v != Totals cols %v", n, got, cols)
 		}

@@ -16,23 +16,15 @@ type ParkConfig struct {
 	// overflow. <= 0 selects DefaultParkCapacity.
 	Capacity int
 
-	// InitialBackoffNS is the first retry delay for a destination after
-	// an op parks; each failed retry doubles it up to MaxBackoffNS.
-	// <= 0 selects the defaults (200µs initial, 10ms max).
-	InitialBackoffNS int64
-	MaxBackoffNS     int64
-
-	// DeadlineNS bounds how long an op may stay parked: a retry pass
-	// that finds the destination still unreachable expires every op
-	// older than this. <= 0 selects DefaultParkDeadlineNS.
+	// DeadlineNS bounds how long an op may stay parked: a settlement
+	// pass expires every op older than this instead of redelivering
+	// it. <= 0 selects DefaultParkDeadlineNS.
 	DeadlineNS int64
 }
 
 // Default retry-plane policy values.
 const (
 	DefaultParkCapacity   = 4096
-	DefaultParkBackoffNS  = 200_000       // 200µs
-	DefaultParkMaxBackNS  = 10_000_000    // 10ms
 	DefaultParkDeadlineNS = 2_000_000_000 // 2s
 )
 
@@ -41,15 +33,6 @@ const (
 func (c ParkConfig) WithDefaults() ParkConfig {
 	if c.Capacity <= 0 {
 		c.Capacity = DefaultParkCapacity
-	}
-	if c.InitialBackoffNS <= 0 {
-		c.InitialBackoffNS = DefaultParkBackoffNS
-	}
-	if c.MaxBackoffNS <= 0 {
-		c.MaxBackoffNS = DefaultParkMaxBackNS
-	}
-	if c.MaxBackoffNS < c.InitialBackoffNS {
-		c.MaxBackoffNS = c.InitialBackoffNS
 	}
 	if c.DeadlineNS <= 0 {
 		c.DeadlineNS = DefaultParkDeadlineNS
@@ -63,31 +46,29 @@ type parkedOp struct {
 	deadlineNS int64
 }
 
-// parkDest is the retry state for one destination: the parked buffer
-// plus the destination's exponential-backoff clock. Backoff is per
-// destination, not per op — one probe per retry window answers for the
-// whole buffer, the way a real transport probes a severed peer once,
-// not once per queued message.
+// parkDest is one destination's parked buffer. Its ops are in deadline
+// order (Park never files an op due before the one ahead of it), so
+// the ops a settlement pass expires are always a prefix.
 type parkDest struct {
-	ops         []parkedOp
-	bytes       int64
-	backoffNS   int64
-	nextRetryNS int64
+	ops   []parkedOp
+	bytes int64
 }
 
 // Parking is one locale's partition retry ledger: per-destination
 // bounded buffers of ops refused because the source/destination pair
 // was partitioned, reusing the aggregation layer's Op framing so a
 // redelivered batch flows through the same bulk-transfer path a flush
-// does. Ops enter via Park, wait out an exponential per-destination
-// backoff, and leave exactly once — redelivered through the callback
-// when the pair heals (or a retry probe finds it reachable), or
-// expired at the deadline / on overflow / at final drain. The books
-// are exact: after DrainExpire, every op that ever booked OpsParked
-// has booked exactly one of OpsRedelivered or OpsExpired.
+// does. Ops enter via Park and leave exactly once, through Settle —
+// redelivered when the pair is reachable again, or expired at the
+// deadline, on overflow or at the final pass. Only a heal makes a pair
+// reachable again, so only the heal's pass and the final one need
+// run. The books are exact: after a final Settle, every op that ever
+// booked OpsParked has booked exactly one of OpsRedelivered or
+// OpsExpired.
 //
-// All methods are safe for concurrent use; the redeliver callback runs
-// outside the ledger lock.
+// All methods are safe for concurrent use. The reachable callbacks run
+// under the ledger lock, so they must not call back into the ledger;
+// the redeliver callback runs outside it.
 type Parking struct {
 	src       int
 	cfg       ParkConfig
@@ -112,52 +93,42 @@ func NewParking(src, n int, cfg ParkConfig, ctrs *Counters, redeliver func(dst i
 }
 
 // Park files one partition-refused op bound for dst, stamped against
-// the caller-supplied monotonic clock. Every call books OpsParked; an
-// op that overflows the destination's buffer is expired immediately
-// (still parked-then-expired, never silently dropped). Returns false
-// only when the retry plane is disabled — the caller falls back to the
-// lost-ops ledger.
-func (p *Parking) Park(dst int, op Op, nowNS int64) bool {
-	if p.cfg.Disable {
+// the caller-supplied monotonic clock, and reports whether it did. It
+// asks reachable under the ledger lock first: a pair healed since the
+// caller saw it severed parks nothing and books nothing, and Park
+// returns false — deliver now. Otherwise the op books OpsParked and a
+// heal's Settle, which takes the same lock after the heal is
+// published, is sure to find it. An op that overflows the
+// destination's buffer is expired immediately (still parked-then-
+// expired, never silently dropped).
+func (p *Parking) Park(dst int, op Op, nowNS int64, reachable func(dst int) bool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if reachable(dst) {
 		return false
 	}
-	p.mu.Lock()
 	p.counters.IncOpsParked(p.src, 1)
 	d := &p.dests[dst]
 	if len(d.ops) >= p.cfg.Capacity {
 		p.counters.IncOpsExpired(p.src, 1)
-		p.mu.Unlock()
 		return true
 	}
-	if len(d.ops) == 0 {
-		d.backoffNS = p.cfg.InitialBackoffNS
-		d.nextRetryNS = nowNS + d.backoffNS
+	deadline := nowNS + p.cfg.DeadlineNS
+	if n := len(d.ops); n > 0 {
+		deadline = max(deadline, d.ops[n-1].deadlineNS)
 	}
-	d.ops = append(d.ops, parkedOp{op: op, deadlineNS: nowNS + p.cfg.DeadlineNS})
+	d.ops = append(d.ops, parkedOp{op: op, deadlineNS: deadline})
 	d.bytes += op.Bytes
-	p.mu.Unlock()
 	return true
 }
 
-// Pump runs one retry pass: every destination whose backoff window has
-// elapsed (or every non-empty destination, when force is set — the
-// heal path) is probed through reachable. A reachable destination gets
-// its whole buffer redelivered as one batch; an unreachable one
-// expires its past-deadline ops and doubles its backoff.
-func (p *Parking) Pump(nowNS int64, force bool, reachable func(dst int) bool) {
-	p.pump(nowNS, force, false, reachable)
-}
-
-// DrainExpire is the final settlement pass, run at system drain or
-// shutdown: reachable destinations redeliver as usual, and everything
-// still unreachable expires wholesale, deadline or not. After it
-// returns the ledger is empty and the books balance:
+// Settle runs one pass over every destination: it expires the ops
+// past their deadline, then redelivers the rest of a reachable
+// destination as one batch. The final pass (system drain or shutdown)
+// also expires whatever is left behind a pair still unreachable, so
+// after it the ledger is empty and the books balance:
 // OpsParked == OpsRedelivered + OpsExpired.
-func (p *Parking) DrainExpire(nowNS int64, reachable func(dst int) bool) {
-	p.pump(nowNS, true, true, reachable)
-}
-
-func (p *Parking) pump(nowNS int64, force, final bool, reachable func(dst int) bool) {
+func (p *Parking) Settle(nowNS int64, final bool, reachable func(dst int) bool) {
 	type batch struct {
 		dst   int
 		ops   []Op
@@ -167,45 +138,31 @@ func (p *Parking) pump(nowNS int64, force, final bool, reachable func(dst int) b
 	p.mu.Lock()
 	for dst := range p.dests {
 		d := &p.dests[dst]
-		if len(d.ops) == 0 {
-			continue
+		due := 0
+		for due < len(d.ops) && nowNS >= d.ops[due].deadlineNS {
+			d.bytes -= d.ops[due].op.Bytes
+			due++
 		}
-		if !force && nowNS < d.nextRetryNS {
-			continue
-		}
-		if reachable(dst) {
-			ops := make([]Op, len(d.ops))
-			for i := range d.ops {
-				ops[i] = d.ops[i].op
+		rest := d.ops[due:]
+		if len(rest) > 0 && reachable(dst) {
+			ops := make([]Op, len(rest))
+			for i := range rest {
+				ops[i] = rest[i].op
 			}
 			out = append(out, batch{dst: dst, ops: ops, bytes: d.bytes})
-			d.ops, d.bytes, d.backoffNS, d.nextRetryNS = nil, 0, 0, 0
-			continue
+			rest = nil
+		} else if final {
+			due += len(rest)
+			rest = nil
 		}
-		// Still severed: shed what has aged out (everything, on the
-		// final pass) and widen the retry window.
-		kept := d.ops[:0]
-		var expired int64
-		for _, po := range d.ops {
-			if final || nowNS >= po.deadlineNS {
-				expired++
-				d.bytes -= po.op.Bytes
-			} else {
-				kept = append(kept, po)
-			}
+		if due > 0 {
+			p.counters.IncOpsExpired(p.src, int64(due))
 		}
-		d.ops = kept
-		if len(d.ops) == 0 {
-			d.ops = nil
+		if len(rest) == 0 {
+			d.ops, d.bytes = nil, 0
+		} else {
+			d.ops = rest
 		}
-		if expired > 0 {
-			p.counters.IncOpsExpired(p.src, expired)
-		}
-		d.backoffNS *= 2
-		if d.backoffNS > p.cfg.MaxBackoffNS {
-			d.backoffNS = p.cfg.MaxBackoffNS
-		}
-		d.nextRetryNS = nowNS + d.backoffNS
 	}
 	p.mu.Unlock()
 	for _, b := range out {
@@ -215,7 +172,7 @@ func (p *Parking) pump(nowNS int64, force, final bool, reachable func(dst int) b
 }
 
 // Parked returns the number of ops currently waiting in the ledger
-// (diagnostic; racy by nature against concurrent parks and pumps).
+// (diagnostic; racy by nature against concurrent parks and passes).
 func (p *Parking) Parked() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

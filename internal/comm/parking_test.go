@@ -31,29 +31,29 @@ func TestParkingRedeliverOnReachable(t *testing.T) {
 	severed := true
 	reach := func(dst int) bool { return !severed }
 	for i := 0; i < 5; i++ {
-		if !p.Park(2, Op{Bytes: 16, Exec: i}, 100) {
-			t.Fatal("enabled ledger refused a park")
+		if !p.Park(2, Op{Bytes: 16, Exec: i}, 100, reach) {
+			t.Fatal("ledger refused a park toward a severed pair")
 		}
 	}
 	if p.Parked() != 5 {
 		t.Fatalf("parked %d ops, want 5", p.Parked())
 	}
 
-	// Severed pump past the backoff window: nothing redelivers, nothing
-	// has reached its deadline yet.
-	p.Pump(100+DefaultParkBackoffNS+1, false, reach)
+	// A pass while still severed: nothing redelivers, nothing has
+	// reached its deadline yet.
+	p.Settle(200, false, reach)
 	if len(cr.batches) != 0 {
 		t.Fatalf("redelivered through a severed link: %v", cr.batches)
 	}
 	if pk, re, ex := parkBooks(t, &ctrs); pk != 5 || re != 0 || ex != 0 {
-		t.Fatalf("books after severed pump: parked=%d redelivered=%d expired=%d", pk, re, ex)
+		t.Fatalf("books after severed pass: parked=%d redelivered=%d expired=%d", pk, re, ex)
 	}
 
-	// Heal: a forced pump ships the whole buffer as one batch.
+	// Heal: the pass ships the whole buffer as one batch.
 	severed = false
-	p.Pump(200+DefaultParkBackoffNS, true, reach)
+	p.Settle(300, false, reach)
 	if got := len(cr.batches[2]); got != 1 {
-		t.Fatalf("healed pump shipped %d batches to dst 2, want 1", got)
+		t.Fatalf("healed pass shipped %d batches to dst 2, want 1", got)
 	}
 	if got := len(cr.batches[2][0]); got != 5 {
 		t.Fatalf("redelivered batch holds %d ops, want 5", got)
@@ -69,34 +69,24 @@ func TestParkingRedeliverOnReachable(t *testing.T) {
 	}
 }
 
-func TestParkingBackoffGatesRetries(t *testing.T) {
+// Park asks reachable under the ledger lock: a pair healed since admit
+// saw it severed is delivered now — Park books nothing, buffers
+// nothing and reports false.
+func TestParkingReachableAgainDeliversNow(t *testing.T) {
 	var ctrs Counters
-	probes := 0
-	var cr collectRedeliver
-	p := NewParking(0, 2, ParkConfig{}, &ctrs, cr.fn)
-	reach := func(dst int) bool { probes++; return false }
-
-	p.Park(1, Op{Bytes: 16}, 0)
-	// Before the backoff window opens the destination is not probed at
-	// all; after it opens, one probe per pump, and each failed probe
-	// doubles the window.
-	p.Pump(DefaultParkBackoffNS-1, false, reach)
-	if probes != 0 {
-		t.Fatalf("probed %d times inside the backoff window", probes)
+	p := NewParking(0, 2, ParkConfig{}, &ctrs, func(int, []Op, int64) {
+		t.Fatal("an op that was never parked redelivered")
+	})
+	if p.Park(1, Op{Bytes: 16}, 0, func(int) bool { return true }) {
+		t.Fatal("Park toward a reachable pair parked the op")
 	}
-	p.Pump(DefaultParkBackoffNS, false, reach)
-	if probes != 1 {
-		t.Fatalf("probes after first window = %d, want 1", probes)
+	if pk, re, ex := parkBooks(t, &ctrs); pk != 0 || re != 0 || ex != 0 {
+		t.Fatalf("deliver-now touched the books: parked=%d redelivered=%d expired=%d", pk, re, ex)
 	}
-	// The window doubled: a pump at +1 backoff is early, +3 is due.
-	p.Pump(2*DefaultParkBackoffNS, false, reach)
-	if probes != 1 {
-		t.Fatalf("probed again inside the doubled window (probes=%d)", probes)
+	if p.Parked() != 0 {
+		t.Fatalf("deliver-now left %d ops in the ledger", p.Parked())
 	}
-	p.Pump(3*DefaultParkBackoffNS, false, reach)
-	if probes != 2 {
-		t.Fatalf("probes after doubled window = %d, want 2", probes)
-	}
+	p.Settle(1, true, func(int) bool { return true })
 }
 
 func TestParkingDeadlineExpires(t *testing.T) {
@@ -106,10 +96,10 @@ func TestParkingDeadlineExpires(t *testing.T) {
 	p := NewParking(0, 2, cfg, &ctrs, cr.fn)
 	reach := func(dst int) bool { return false }
 
-	p.Park(1, Op{Bytes: 16}, 0)
-	p.Park(1, Op{Bytes: 16}, 500)
+	p.Park(1, Op{Bytes: 16}, 0, reach)
+	p.Park(1, Op{Bytes: 16}, 500, reach)
 	// At t=1100 only the first op is past its deadline.
-	p.Pump(1100, true, reach)
+	p.Settle(1100, false, reach)
 	if pk, re, ex := parkBooks(t, &ctrs); pk != 2 || re != 0 || ex != 1 {
 		t.Fatalf("books after partial expiry: parked=%d redelivered=%d expired=%d", pk, re, ex)
 	}
@@ -117,12 +107,41 @@ func TestParkingDeadlineExpires(t *testing.T) {
 		t.Fatalf("%d ops parked after partial expiry, want 1", p.Parked())
 	}
 	// Final drain expires the survivor wholesale, deadline or not.
-	p.DrainExpire(1200, reach)
+	p.Settle(1200, true, reach)
 	if pk, re, ex := parkBooks(t, &ctrs); pk != re+ex || ex != 2 {
 		t.Fatalf("settlement broken: parked=%d redelivered=%d expired=%d", pk, re, ex)
 	}
 	if p.Parked() != 0 {
-		t.Fatalf("ledger not empty after DrainExpire: %d", p.Parked())
+		t.Fatalf("ledger not empty after the final pass: %d", p.Parked())
+	}
+}
+
+// A reachable destination's pass drops the ops past their deadline
+// before it redelivers: the expired prefix never goes back out, and
+// the batch carries only the survivors' bytes. An op filed with an
+// earlier clock reading than the one ahead of it still expires no
+// earlier than that one, so the expired ops stay a prefix.
+func TestParkingSettleExpiresBeforeRedelivering(t *testing.T) {
+	var ctrs Counters
+	var cr collectRedeliver
+	p := NewParking(0, 2, ParkConfig{DeadlineNS: 1000}, &ctrs, cr.fn)
+	severed := func(int) bool { return false }
+	p.Park(1, Op{Bytes: 8, Exec: "old"}, 0, severed)
+	p.Park(1, Op{Bytes: 16, Exec: "young"}, 800, severed)
+	p.Park(1, Op{Bytes: 32, Exec: "late stamp"}, 700, severed)
+
+	p.Settle(1100, false, func(int) bool { return true })
+	if pk, re, ex := parkBooks(t, &ctrs); pk != 3 || re != 2 || ex != 1 {
+		t.Fatalf("books after the heal's pass: parked=%d redelivered=%d expired=%d", pk, re, ex)
+	}
+	if got := cr.batches[1]; len(got) != 1 || len(got[0]) != 2 || got[0][0].Exec != "young" || got[0][1].Exec != "late stamp" {
+		t.Fatalf("redelivered %v, want one batch [young, late stamp]", got)
+	}
+	if cr.bytes != 16+32 {
+		t.Fatalf("redelivered %d bytes, want %d", cr.bytes, 16+32)
+	}
+	if p.Parked() != 0 {
+		t.Fatalf("%d ops still parked after the heal's pass", p.Parked())
 	}
 }
 
@@ -130,9 +149,10 @@ func TestParkingOverflowParksThenExpires(t *testing.T) {
 	var ctrs Counters
 	var cr collectRedeliver
 	p := NewParking(0, 2, ParkConfig{Capacity: 2}, &ctrs, cr.fn)
+	severed := func(int) bool { return false }
 	for i := 0; i < 5; i++ {
-		if !p.Park(1, Op{Bytes: 16}, 0) {
-			t.Fatal("enabled ledger refused a park")
+		if !p.Park(1, Op{Bytes: 16}, 0, severed) {
+			t.Fatal("ledger refused a park toward a severed pair")
 		}
 	}
 	// 2 buffered + 3 overflowed: every op booked parked, the overflow
@@ -144,22 +164,9 @@ func TestParkingOverflowParksThenExpires(t *testing.T) {
 		t.Fatalf("buffer holds %d ops, want capacity 2", p.Parked())
 	}
 	// The buffered two still redeliver on heal: settlement is exact.
-	p.Pump(1, true, func(int) bool { return true })
+	p.Settle(1, false, func(int) bool { return true })
 	if pk, re, ex := parkBooks(t, &ctrs); pk != 5 || re != 2 || ex != 3 || pk != re+ex {
 		t.Fatalf("settlement after heal: parked=%d redelivered=%d expired=%d", pk, re, ex)
-	}
-}
-
-func TestParkingDisabled(t *testing.T) {
-	var ctrs Counters
-	p := NewParking(0, 2, ParkConfig{Disable: true}, &ctrs, func(int, []Op, int64) {
-		t.Fatal("disabled ledger redelivered")
-	})
-	if p.Park(1, Op{Bytes: 16}, 0) {
-		t.Fatal("disabled ledger accepted a park")
-	}
-	if pk, re, ex := parkBooks(t, &ctrs); pk != 0 || re != 0 || ex != 0 {
-		t.Fatalf("disabled ledger touched the books: parked=%d redelivered=%d expired=%d", pk, re, ex)
 	}
 }
 

@@ -70,29 +70,11 @@ func (p Perturbation) Alive(l int) bool {
 // dst: both endpoints alive and the pair not partitioned. Reachability
 // is symmetric, matching the unordered Partitions pairs.
 func (p Perturbation) Reachable(src, dst int) bool {
-	return p.Alive(src) && p.Deliverable(src, dst)
-}
-
-// Deliverable reports whether traffic from src can be delivered to
-// dst: dst alive and the pair not partitioned. The source's own
-// liveness is deliberately not consulted — work already executing on a
-// crashed locale drains at the dispatch boundary rather than being cut
-// mid-operation, matching fail-stop semantics where the crash point is
-// the last operation the locale completed.
-func (p Perturbation) Deliverable(src, dst int) bool {
-	if !p.Alive(dst) {
-		return false
-	}
-	for _, pr := range p.Partitions {
-		if (pr[0] == src && pr[1] == dst) || (pr[0] == dst && pr[1] == src) {
-			return false
-		}
-	}
-	return true
+	return p.Alive(src) && p.Alive(dst) && !p.Partitioned(src, dst)
 }
 
 // Partitioned reports whether the unordered pair (src, dst) is
-// currently severed — the partition-specific half of Deliverable,
+// currently severed — the partition-specific half of Reachable,
 // letting the dispatch layer distinguish a transient partition refusal
 // (park and retry) from a permanent crash refusal (lost).
 func (p Perturbation) Partitioned(src, dst int) bool {
@@ -171,12 +153,6 @@ func (p Perturbation) PairScale(src, dst int) float64 {
 		return d
 	}
 	return s
-}
-
-// ProfileFor returns base scaled for events local to one locale — the
-// per-locale view of a perturbed latency profile.
-func (p Perturbation) ProfileFor(base LatencyProfile, locale int) LatencyProfile {
-	return base.Scale(p.ScaleFor(locale))
 }
 
 // SlowLocale builds the classic fault plan: locale `slow` of n runs

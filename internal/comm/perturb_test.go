@@ -52,16 +52,3 @@ func TestPerturbationPairScaleTakesSlowerEndpoint(t *testing.T) {
 		t.Fatalf("slow-local pair = %v, want 8.0", got)
 	}
 }
-
-func TestPerturbationProfileFor(t *testing.T) {
-	base := DefaultProfile()
-	p := SlowLocale(2, 1, 3.0)
-	nominal := p.ProfileFor(base, 0)
-	if nominal != base {
-		t.Fatalf("nominal locale profile changed: %+v vs %+v", nominal, base)
-	}
-	slow := p.ProfileFor(base, 1)
-	if slow.NICAtomicNS != 3*base.NICAtomicNS || slow.AMRoundTripNS != 3*base.AMRoundTripNS {
-		t.Fatalf("slow locale profile not scaled 3x: %+v", slow)
-	}
-}

@@ -163,7 +163,7 @@ func TestDescriptorChargesThroughDispatch(t *testing.T) {
 	}
 
 	const scale = 3
-	s.SetPerturbation(comm.Perturbation{Scales: []float64{1, 1, scale, 1}})
+	s.SetScales([]float64{1, 1, scale, 1})
 	var d2 Descriptor
 	if ns := step("slowed register", 2, func() { d2 = tbl.Register(c, c.Alloc(&node{v: 2})) }); ns != scale*lat.AMRoundTripNS {
 		t.Fatalf("register toward the slowed shard charged %dns, want %dns", ns, scale*lat.AMRoundTripNS)

@@ -101,7 +101,7 @@ func TestScatterVisibleInMatrix(t *testing.T) {
 				t.Errorf("traffic 0→%d = %d events, want 2 (fan-out + bulk)", l, got)
 			}
 		}
-		if rows := m.RowTotals(); rows[1]+rows[2]+rows[3] != 0 {
+		if rows, _ := m.Totals(); rows[1]+rows[2]+rows[3] != 0 {
 			t.Errorf("unexpected traffic from non-coordinating locales: %v", rows)
 		}
 	})

@@ -48,6 +48,13 @@ func (c *Ctx) Salvage() *Ctx {
 // Here returns the id of the locale this task runs on.
 func (c *Ctx) Here() int { return c.here.id }
 
+// DelayAccount returns the task's delay account: the overshoot it
+// carries as credit and the overshoot its clamp has dropped
+// (comm.Pacer). The task's waits add up to its charges plus both.
+func (c *Ctx) DelayAccount() (credit, dropped int64) {
+	return c.pace.Credit(), c.pace.Dropped()
+}
+
 // NumLocales returns the system's locale count.
 func (c *Ctx) NumLocales() int { return len(c.sys.locales) }
 

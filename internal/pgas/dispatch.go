@@ -136,11 +136,13 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 // A dead destination fails fast — one OpsLost — which is what keeps
 // Quiesce and coforall joins crash-tolerant. A partitioned destination
 // is transient, so the op parks: op files into src's retry ledger and
-// redelivers through redeliverParked when the pair heals, while a zero
-// op is a synchronous on-statement, whose caller is waiting and whose
-// closure may capture its stack, so it parks in place (parkSyncOn) and
-// proceeds with normal delivery if the pair heals in time. With the
-// retry plane disabled a partition accounts fail-stop, like a crash.
+// redelivers through redeliverParked when the pair heals — unless the
+// ledger finds the pair healed already, and the caller delivers now —
+// while a zero op is a synchronous on-statement, whose caller is
+// waiting and whose closure may capture its stack, so it parks in place
+// (parkSyncOn) and proceeds with normal delivery if the pair heals in
+// time. With the retry plane disabled (read here and nowhere else) a
+// partition accounts fail-stop, like a crash.
 //
 // Salvage contexts are never refused (refusalOf). Frees never come
 // here: Ctx.Free and Ctx.FreeBulk, the epoch reclaimer's scatter lists
@@ -158,14 +160,12 @@ func (s *System) admit(src *Ctx, dst int, op comm.Op) bool {
 	if r == refuseNone {
 		return true
 	}
-	if r == refusePartition {
+	if r == refusePartition && !s.cfg.Park.Disable {
 		if op.Exec == nil {
-			if !s.cfg.Park.Disable {
-				return s.parkSyncOn(src, dst)
-			}
-		} else if s.parkOp(src.here.id, dst, op) {
-			return false
+			return s.parkSyncOn(src, dst)
 		}
+		srcID := src.here.id
+		return !s.parking[srcID].Park(dst, op, s.nowNS(), s.reachableFrom(srcID))
 	}
 	s.counters.IncOpsLost(src.here.id, 1)
 	return false

@@ -127,7 +127,7 @@ func TestAggFlushFollowsLivePerturbation(t *testing.T) {
 	c := s.Ctx(0)
 	buf := c.Aggregator(1)
 	buf.Call(func(*Ctx) {})
-	s.SetPerturbation(comm.Perturbation{Scales: []float64{1, scale}})
+	s.SetScales([]float64{1, scale})
 	start := time.Now()
 	buf.Flush()
 	if got, want := time.Since(start), time.Duration(scale*startupNS); got < want {

@@ -14,9 +14,10 @@ import (
 // OpsLost ledger and the dead locale's shards fail over. A partition
 // is transient: both endpoints stay alive, the pair may heal, so its
 // refused ops park in per-locale comm.Parking ledgers and redeliver
-// through the normal bulk framing when the link comes back (Heal, a
-// background backoff probe, or the final DrainParking pass). The books
-// are exact: once the ledger drains,
+// through the normal bulk framing when the link comes back. Only Heal
+// brings a link back, so Heal's settlement pass and the final
+// DrainParking pass are the only two. The books are exact: once the
+// ledger drains,
 // OpsParked == OpsRedelivered + OpsExpired, and OpsLost stays reserved
 // for crashes.
 
@@ -49,12 +50,13 @@ func (s *System) Sever(a, b int) error {
 	return nil
 }
 
-// Heal repairs the unordered pair (a, b) and synchronously pumps the
+// Heal repairs the unordered pair (a, b) and synchronously settles the
 // retry ledgers, so every op parked behind the healed link has been
 // redelivered (and its books settled) by the time Heal returns — which
-// is what makes heal-driven scenarios deterministic. Healing a pair
-// that is not currently severed is an error (the /api/fault 422 path).
-// Records one always-on KindHeal trace instant.
+// is what makes heal-driven scenarios deterministic — and wakes every
+// synchronous call waiting in place. Healing a pair that is not
+// currently severed is an error (the /api/fault 422 path). Records one
+// always-on KindHeal trace instant.
 func (s *System) Heal(a, b int) error {
 	s.faultMu.Lock()
 	p := s.Perturbation()
@@ -64,11 +66,13 @@ func (s *System) Heal(a, b int) error {
 		return fmt.Errorf("pgas: heal pair [%d %d]: not severed", a, b)
 	}
 	s.perturb.Store(&q)
+	close(s.healed)
+	s.healed = make(chan struct{})
 	s.faultMu.Unlock()
 	if tr := s.tracer; tr != nil {
 		tr.Instant(0, trace.KindHeal, 0, a, b, 0, 0)
 	}
-	s.pumpParking(true)
+	s.settleParking(false)
 	return nil
 }
 
@@ -80,12 +84,23 @@ func (s *System) Heal(a, b int) error {
 // engine calls it before reading final counters; Shutdown calls it
 // unconditionally.
 func (s *System) DrainParking() {
+	s.settleParking(true)
+	s.Quiesce()
+}
+
+// settleParking runs one comm.Parking.Settle pass over every locale's
+// ledger.
+func (s *System) settleParking(final bool) {
 	now := s.nowNS()
 	for src, pk := range s.parking {
-		src := src
-		pk.DrainExpire(now, func(dst int) bool { return s.Reachable(src, dst) })
+		pk.Settle(now, final, s.reachableFrom(src))
 	}
-	s.Quiesce()
+}
+
+// reachableFrom returns the ledger's view of the live fault plan for
+// source locale src.
+func (s *System) reachableFrom(src int) func(dst int) bool {
+	return func(dst int) bool { return s.Reachable(src, dst) }
 }
 
 // ParkedOps returns the number of ops currently waiting in the retry
@@ -103,52 +118,6 @@ func (s *System) nowNS() int64 {
 	return time.Since(s.startTime).Nanoseconds()
 }
 
-// parkOp files one partition-refused aggregated op or async launch
-// from srcLoc toward dst into the retry plane, starting the background
-// pump on first use. Returns false when the plane is disabled — admit
-// falls back to the lost-ops ledger.
-func (s *System) parkOp(srcLoc, dst int, op comm.Op) bool {
-	if !s.parking[srcLoc].Park(dst, op, s.nowNS()) {
-		return false
-	}
-	s.ensureParkPump()
-	return true
-}
-
-// ensureParkPump starts the background retry pump on the first parked
-// op: a single goroutine that periodically probes every ledger's
-// backoff clocks. It stops at Shutdown; systems that never see a
-// partition never pay for it.
-func (s *System) ensureParkPump() {
-	s.parkPump.Do(func() {
-		s.parkWG.Add(1)
-		go func() {
-			defer s.parkWG.Done()
-			t := time.NewTicker(500 * time.Microsecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-s.parkStop:
-					return
-				case <-t.C:
-					s.pumpParking(false)
-				}
-			}
-		}()
-	})
-}
-
-// pumpParking runs one retry pass over every locale's ledger; force
-// ignores the backoff clocks (the heal path, so a heal's redelivery is
-// immediate and synchronous).
-func (s *System) pumpParking(force bool) {
-	now := s.nowNS()
-	for src, pk := range s.parking {
-		src := src
-		pk.Pump(now, force, func(dst int) bool { return s.Reachable(src, dst) })
-	}
-}
-
 // redeliverParked lands one batch of previously parked ops on dst: the
 // redelivery flight is charged as one bulk transfer (the ops' original
 // enqueue/flush accounting already happened when they first shipped),
@@ -156,7 +125,7 @@ func (s *System) pumpParking(force bool) {
 // exactly like an aggregated delivery, except that no task is blocked
 // on it: the context pays the flight and its ops' charges from an
 // account of its own. It is marked async so an op that flushes inside
-// its exec never tries to quiesce the system from inside the pump.
+// its exec never tries to quiesce the system from inside the heal.
 func (s *System) redeliverParked(src, dst int, batch []comm.Op, bytes int64) {
 	tc := s.borrowCtx(s.locales[dst], nil)
 	tc.isAsync = true
@@ -168,39 +137,36 @@ func (s *System) redeliverParked(src, dst int, batch []comm.Op, bytes int64) {
 }
 
 // parkSyncOn parks a synchronous on-statement in place: the calling
-// task blocks with exponential backoff until the pair is reachable
-// again (the caller then proceeds with normal delivery, booked
-// redelivered) or the parking deadline expires (booked expired; the
-// call is dropped). Synchronous calls cannot park in the ledger — the
-// caller is waiting and the closure may capture its stack — so the
-// retry happens at the call site, with the same books and the same
-// policy knobs as the ledger. It reports whether the call may proceed;
-// a dropped call is already booked expired — never lost. admit calls it
-// only with the retry plane enabled.
+// task waits until a Heal makes the pair reachable again (the caller
+// then proceeds with normal delivery, booked redelivered) or the
+// parking deadline expires (booked expired; the call is dropped).
+// Synchronous calls cannot park in the ledger — the caller is waiting
+// and the closure may capture its stack — so the wait happens at the
+// call site, with the same books and the same deadline as the ledger.
+// It reports whether the call may proceed; a dropped call is already
+// booked expired — never lost. admit calls it only with the retry plane
+// enabled.
 func (s *System) parkSyncOn(src *Ctx, target int) bool {
-	cfg := s.cfg.Park
 	srcID := src.here.id
 	s.counters.IncOpsParked(srcID, 1)
-	deadline := s.nowNS() + cfg.DeadlineNS
-	backoff := cfg.InitialBackoffNS
+	deadline := time.NewTimer(time.Duration(s.cfg.Park.DeadlineNS))
+	defer deadline.Stop()
 	for {
-		if s.Reachable(srcID, target) {
+		// Under faultMu a Heal is either already in the plan or still
+		// to close the channel read here.
+		s.faultMu.Lock()
+		ok := s.Reachable(srcID, target)
+		healed := s.healed
+		s.faultMu.Unlock()
+		if ok {
 			s.counters.IncOpsRedelivered(srcID, 1)
 			return true
 		}
-		now := s.nowNS()
-		if now >= deadline {
+		select {
+		case <-healed:
+		case <-deadline.C:
 			s.counters.IncOpsExpired(srcID, 1)
 			return false
-		}
-		wait := backoff
-		if rem := deadline - now; wait > rem {
-			wait = rem
-		}
-		time.Sleep(time.Duration(wait))
-		backoff *= 2
-		if backoff > cfg.MaxBackoffNS {
-			backoff = cfg.MaxBackoffNS
 		}
 	}
 }

@@ -75,7 +75,7 @@ func TestPartitionParkAndRedeliver(t *testing.T) {
 			t.Fatalf("ledger holds %d ops, want %d", s.ParkedOps(), ops)
 		}
 
-		// Heal pumps synchronously: the parked batch has executed by the
+		// Heal settles synchronously: the parked batch has executed by the
 		// time Heal returns.
 		if err := s.Heal(0, 1); err != nil {
 			t.Fatalf("heal: %v", err)
@@ -254,6 +254,9 @@ func TestPartitionDisabledFailStop(t *testing.T) {
 			c.Aggregator(1).Call(func(tc *Ctx) { landed.Add(1) })
 		}
 		c.Flush()
+		if n := s.ParkedOps(); n != 0 {
+			t.Fatalf("disabled retry plane parked %d ops", n)
+		}
 		if err := s.Heal(0, 1); err != nil {
 			t.Fatalf("heal: %v", err)
 		}
@@ -266,6 +269,42 @@ func TestPartitionDisabledFailStop(t *testing.T) {
 	if snap.OpsLost != ops || snap.OpsParked != 0 || snap.OpsRedelivered != 0 {
 		t.Fatalf("disabled books: lost=%d parked=%d redelivered=%d",
 			snap.OpsLost, snap.OpsParked, snap.OpsRedelivered)
+	}
+}
+
+// Heal's settlement pass drops what has outlived the parking deadline
+// before it redelivers: an op parked longer than that expires at the
+// heal instead of landing late.
+func TestHealExpiresOpsPastDeadline(t *testing.T) {
+	const deadline = 100 * time.Microsecond
+	s := NewSystem(Config{
+		Locales: 2,
+		Backend: comm.BackendNone,
+		Park:    comm.ParkConfig{DeadlineNS: int64(deadline)},
+	})
+	defer s.Shutdown()
+	var landed atomic.Int64
+	s.Run(func(c *Ctx) {
+		if err := s.Sever(0, 1); err != nil {
+			t.Fatalf("sever: %v", err)
+		}
+		c.Aggregator(1).Call(func(*Ctx) { landed.Add(1) })
+		c.Flush()
+		time.Sleep(2 * deadline)
+		if err := s.Heal(0, 1); err != nil {
+			t.Fatalf("heal: %v", err)
+		}
+	})
+	if landed.Load() != 0 {
+		t.Fatal("an op parked past its deadline was redelivered at the heal")
+	}
+	snap := s.Counters().Snapshot()
+	if snap.OpsParked != 1 || snap.OpsExpired != 1 || snap.OpsRedelivered != 0 || snap.OpsLost != 0 {
+		t.Fatalf("heal books: parked=%d redelivered=%d expired=%d lost=%d",
+			snap.OpsParked, snap.OpsRedelivered, snap.OpsExpired, snap.OpsLost)
+	}
+	if s.ParkedOps() != 0 {
+		t.Fatalf("ledger not empty after the heal: %d", s.ParkedOps())
 	}
 }
 

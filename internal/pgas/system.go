@@ -2,6 +2,7 @@ package pgas
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,10 +44,10 @@ type Config struct {
 
 	// Park configures the partition retry plane: operations refused
 	// because the source/destination pair is partitioned (both locales
-	// alive) park in a per-locale comm.Parking ledger with exponential
-	// backoff and redeliver when the pair heals, instead of draining to
-	// OpsLost. The zero value enables the plane with the comm defaults;
-	// Park.Disable reverts partitions to fail-stop accounting.
+	// alive) park in a per-locale comm.Parking ledger and redeliver
+	// when the pair heals, instead of draining to OpsLost. The zero
+	// value enables the plane with the comm defaults; Park.Disable
+	// reverts partitions to fail-stop accounting.
 	Park comm.ParkConfig
 
 	// Tracer, when non-nil, records begin/end spans for the dispatch,
@@ -83,22 +84,21 @@ type System struct {
 
 	tracer *trace.Recorder // nil when tracing is off (Config.Tracer)
 
-	// perturb is the live latency fault plan. Config.Perturb installs
-	// the initial plan; SetPerturbation swaps it at runtime (the
+	// perturb is the live fault plan. Config.Perturb installs the
+	// initial plan; SetScales swaps its latency half at runtime (the
 	// telemetry /api/fault path). delay() reads it on every injected
 	// delay, so a swap takes effect on the next simulated communication.
 	// faultMu serializes the read-modify-write mutators (Crash, Sever,
-	// Heal) so concurrent fault events never lose each other's updates.
+	// Heal, SetScales) so concurrent fault events never lose each
+	// other's updates. healed is closed and replaced by every Heal,
+	// under faultMu: it wakes the synchronous calls waiting in place.
 	perturb atomic.Pointer[comm.Perturbation]
 	faultMu sync.Mutex
+	healed  chan struct{}
 
-	// Partition retry plane: one ledger per source locale, a lazily
-	// started background pump that retries parked ops on their backoff
-	// clocks, and the monotonic clock the ledgers are stamped against.
+	// Partition retry plane: one ledger per source locale and the
+	// monotonic clock the ledgers are stamped against.
 	parking   []*comm.Parking
-	parkPump  sync.Once
-	parkStop  chan struct{}
-	parkWG    sync.WaitGroup
 	startTime time.Time
 
 	privMu   sync.Mutex
@@ -216,7 +216,7 @@ func NewSystem(cfg Config) *System {
 		p := cfg.Perturb
 		s.perturb.Store(&p)
 	}
-	s.parkStop = make(chan struct{})
+	s.healed = make(chan struct{})
 	s.parking = make([]*comm.Parking, cfg.Locales)
 	for i := range s.parking {
 		src := i
@@ -247,8 +247,6 @@ func (s *System) Shutdown() {
 	if s.closing.Swap(true) {
 		return
 	}
-	close(s.parkStop)
-	s.parkWG.Wait()
 	s.DrainParking()
 	s.shutdown.Store(true)
 	s.Quiesce()
@@ -339,7 +337,7 @@ func (s *System) amCall(c *Ctx, target int, fn func()) {
 // the task's next charges, not paid on top), scaled by the live
 // perturbation plan. Every charge the pgas layer makes routes through
 // here, so a fault plan — including one installed mid-run via
-// SetPerturbation — covers every class of communication uniformly. The
+// SetScales — covers every class of communication uniformly. The
 // zero latency profile leaves at the first branch.
 func (s *System) delay(c *Ctx, src, dst int, ns int64) {
 	if ns <= 0 {
@@ -363,15 +361,21 @@ func (s *System) DelayTotals() (modelledNS, waitNS int64) {
 	return modelledNS, waitNS
 }
 
-// SetPerturbation swaps the live latency fault plan: every subsequent
-// injected delay uses p — AM handler occupancy and the flush charge of
-// already-created aggregation buffers included. The zero Perturbation
-// clears faults.
-func (s *System) SetPerturbation(p comm.Perturbation) {
+// SetScales replaces the latency half of the live fault plan: every
+// subsequent injected delay uses the per-locale scales (see
+// comm.Perturbation.Scales) — AM handler occupancy and the flush charge
+// of already-created aggregation buffers included. nil clears latency
+// faults. Crashes and severed pairs carry over: Crash, Sever and Heal
+// are the only writers of the liveness half.
+func (s *System) SetScales(scales []float64) {
+	s.faultMu.Lock()
+	p := s.Perturbation()
+	p.Scales = slices.Clone(scales)
 	s.perturb.Store(&p)
+	s.faultMu.Unlock()
 }
 
-// Perturbation returns the live latency fault plan.
+// Perturbation returns the live fault plan.
 func (s *System) Perturbation() comm.Perturbation {
 	if p := s.perturb.Load(); p != nil {
 		return *p
@@ -467,10 +471,10 @@ func (s *System) newCtx(l *Locale) *Ctx {
 // initialise a fresh one — same task-id draw, same RNG seeding — so a
 // pooled task is indistinguishable from a spawned one. It runs on the
 // goroutine of caller, the task blocked on it, so it charges caller's
-// delay account and inherits its salvage exemption; with no caller (the
-// retry pump) it owns its account. Callers must pair it with releaseCtx
-// and must not let the Ctx escape the call (dispatchOn's contract: the
-// callee's Ctx dies with the call).
+// delay account and inherits its salvage exemption; with no caller (a
+// heal's redelivery) it owns its account. Callers must pair it with
+// releaseCtx and must not let the Ctx escape the call (dispatchOn's
+// contract: the callee's Ctx dies with the call).
 func (s *System) borrowCtx(l *Locale, caller *Ctx) *Ctx {
 	c, _ := s.ctxPool.Get().(*Ctx)
 	if c == nil {

@@ -259,7 +259,7 @@ func TestCommunicationAfterShutdownPanics(t *testing.T) {
 }
 
 // AM handler occupancy follows the live fault plan: a locale slowed
-// after boot (SetPerturbation, the POST /api/fault path) services its
+// after boot (SetScales, the POST /api/fault path) services its
 // inbound active messages at the scaled cost from the next call on.
 func TestAMHandlerOccupancyFollowsLivePerturbation(t *testing.T) {
 	const handlerNS = 100_000 // above comm.Delay's spin/sleep threshold
@@ -272,7 +272,7 @@ func TestAMHandlerOccupancyFollowsLivePerturbation(t *testing.T) {
 	defer s.Shutdown()
 	c := s.Ctx(0)
 	w := NewWord64(c, 1, 0)
-	s.SetPerturbation(comm.Perturbation{Scales: []float64{1, scale}})
+	s.SetScales([]float64{1, scale})
 	start := time.Now()
 	w.Add(c, 1)
 	if got, want := time.Since(start), time.Duration(scale*handlerNS); got < want {

@@ -17,7 +17,7 @@ import (
 // retry across heal windows) and aggregated UpsertAggs (which park in
 // the retry ledgers and redeliver at the next heal). The values are a
 // pure function of the key, so redelivery order cannot change the
-// final contents: after the last heal pumps the ledgers, every key
+// final contents: after the last heal settles the ledgers, every key
 // must read back exactly, the settlement identity must hold with zero
 // expiries, and nothing may land in the fail-stop ledger.
 func TestPartitionFlapStorm(t *testing.T) {
@@ -81,7 +81,7 @@ func TestPartitionFlapStorm(t *testing.T) {
 
 		close(stop)
 		flapper.Wait()
-		// The flapper may have exited mid-window; a final heal pumps any
+		// The flapper may have exited mid-window; a final heal settles any
 		// ops still parked. "not severed" just means it exited healed.
 		_ = sys.Heal(1, 2)
 		sys.DrainParking()

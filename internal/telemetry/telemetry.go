@@ -9,7 +9,9 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -75,6 +77,13 @@ func Start(addr string, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
+	s := &Server{ln: ln, srv: &http.Server{Handler: newHandler(opts)}}
+	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
+	return s, nil
+}
+
+// newHandler routes the telemetry API and pprof to opts' providers.
+func newHandler(opts Options) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/status", func(w http.ResponseWriter, r *http.Request) {
 		if opts.Status == nil {
@@ -139,8 +148,15 @@ func Start(addr string, opts Options) (*Server, error) {
 			unavailable(w)
 			return
 		}
+		// One JSON value and nothing after it: a request with a tail
+		// is malformed, not a request plus noise.
+		dec := json.NewDecoder(r.Body)
 		var req FaultRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		err := dec.Decode(&req)
+		if err == nil && dec.Decode(new(json.RawMessage)) != io.EOF {
+			err = errors.New("data after the request")
+		}
+		if err != nil {
 			http.Error(w, fmt.Sprintf("telemetry: bad fault request: %v", err), http.StatusBadRequest)
 			return
 		}
@@ -157,10 +173,7 @@ func Start(addr string, opts Options) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
-	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
-	return s, nil
+	return mux
 }
 
 // Addr returns the bound listen address (useful with ":0").

@@ -3,9 +3,12 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"gopgas/internal/bench"
@@ -164,4 +167,94 @@ func TestNilProviders(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/api/fault with nil provider returned %d, want 503", resp.StatusCode)
 	}
+}
+
+// A fault request is one JSON value: a body with anything after it is
+// a 400, and the provider never sees its first value.
+func TestFaultRejectsTrailingData(t *testing.T) {
+	var faults []FaultRequest
+	s := startTestServer(t, Options{Fault: func(req FaultRequest) error {
+		faults = append(faults, req)
+		return nil
+	}})
+	for _, body := range []string{
+		`{"heal":true,"heal_a":2,"heal_b":3} {"crash":true} junk`,
+		`{"slow_locale":1,"slow_factor":8}}`,
+	} {
+		resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", s.Addr()),
+			"application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if len(faults) != 0 {
+		t.Fatalf("provider saw %+v from bodies with trailing data", faults)
+	}
+}
+
+// FuzzFaultRequest posts arbitrary bodies to /api/fault with a
+// recording provider that rejects a negative slow factor. The handler
+// never panics and answers 200, 400 or 422: a body that does not
+// decode as one FaultRequest is a 400 the provider never sees, and any
+// other body reaches the provider exactly once, as its decode — a 200
+// when the provider accepts it, a 422 when it refuses.
+func FuzzFaultRequest(f *testing.F) {
+	for _, body := range []string{
+		// TestEndpoints, TestNilProviders and the live workload test.
+		`{"slow_locale":1,"slow_factor":8}`,
+		`{"slow_factor":-1}`,
+		`{}`,
+		`{"slow_locale":1,"slow_factor":4}`,
+		// CI's telemetry smoke.
+		`{"crash":true,"crash_locale":1}`,
+		`{"crash":true,"crash_locale":0}`,
+		`{"sever":true,"sever_a":2,"sever_b":3}`,
+		`{"heal":true,"heal_a":2,"heal_b":3}`,
+		// The other forms, and a body with a tail.
+		`{"clear":true}`,
+		`{"scales":[1,2.5,1,1]}`,
+		`{"heal":true,"heal_a":2,"heal_b":3} {"crash":true} junk`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var seen []FaultRequest
+		h := newHandler(Options{Fault: func(req FaultRequest) error {
+			seen = append(seen, req)
+			if req.SlowFactor < 0 {
+				return errors.New("negative factor")
+			}
+			return nil
+		}})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/fault", bytes.NewReader(body)))
+
+		var want FaultRequest
+		decodeErr := json.Unmarshal(body, &want)
+		switch rec.Code {
+		case http.StatusOK, http.StatusUnprocessableEntity:
+			if decodeErr != nil {
+				t.Fatalf("status %d for a body that does not decode (%v)", rec.Code, decodeErr)
+			}
+			if len(seen) != 1 || !reflect.DeepEqual(seen[0], want) {
+				t.Fatalf("provider saw %+v, want exactly [%+v]", seen, want)
+			}
+			if refused := want.SlowFactor < 0; refused != (rec.Code == http.StatusUnprocessableEntity) {
+				t.Fatalf("status %d for %+v", rec.Code, want)
+			}
+		case http.StatusBadRequest:
+			if decodeErr == nil {
+				t.Fatalf("400 for a body that decodes to %+v", want)
+			}
+			if len(seen) != 0 {
+				t.Fatalf("provider saw %+v from a rejected body", seen)
+			}
+		default:
+			t.Fatalf("status %d, want 200, 400 or 422", rec.Code)
+		}
+	})
 }

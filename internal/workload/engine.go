@@ -183,6 +183,7 @@ type phaseState struct {
 	late    []bench.Histogram // paced phases only: actual issue − intended slot
 	counts  []countRow
 	digest  atomic.Uint64
+	unpaced atomic.Int64 // workers' delay overshoot, dropped or carried out
 }
 
 // countRow is one worker's op counts by kind. Each op is one atomic add,
@@ -329,6 +330,7 @@ func (r *run) runPhase(pi int) PhaseReport {
 		Throughput:  throughput,
 		ModelledNS:  modelled - modelled0,
 		DelayWaitNS: wait - wait0,
+		unpacedNS:   ps.unpaced.Load(),
 		Latency:     summary(ps.hists),
 		Comm:        snap,
 		RemoteOps:   snap.Remote(),
@@ -411,6 +413,10 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 	}
 
 	c := sys.Ctx(loc)
+	defer func() {
+		credit, dropped := c.DelayAccount()
+		ps.unpaced.Add(credit + dropped)
+	}()
 	tok := r.em.Register(c)
 	st := NewStream(spec.Seed, ps.idx, round, loc, task, spec.Keyspace, spec.Dist, ph.Mix, r.zipf)
 

@@ -143,6 +143,12 @@ type PhaseReport struct {
 	ModelledNS  int64 `json:"modelled_ns,omitempty"`
 	DelayWaitNS int64 `json:"delay_wait_ns,omitempty"`
 
+	// unpacedNS is what the workers' delay accounts waited beyond their
+	// charges: the overshoot their clamps dropped plus the credit they
+	// ended with (pgas.Ctx.DelayAccount). When the workers' accounts are
+	// the only ones charged, DelayWaitNS − unpacedNS == ModelledNS.
+	unpacedNS int64
+
 	// Latency digests the per-op wall latency histogram (HDR-style
 	// log buckets, <=~3% quantization). In a paced phase (TargetRate)
 	// it is response time, timed from each op's intended slot on the

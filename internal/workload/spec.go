@@ -670,6 +670,9 @@ func LoadSpec(path string) (Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("workload: parsing %s: %w", path, err)
 	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return Spec{}, fmt.Errorf("workload: parsing %s: data after the spec", path)
+	}
 	return s, nil
 }
 

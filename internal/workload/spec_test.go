@@ -397,6 +397,29 @@ func TestLoadSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// A spec file holds one JSON value: anything after it — a second
+// value, garbage — is an error, not silently ignored.
+func TestLoadSpecRejectsTrailingData(t *testing.T) {
+	const spec = `{"structure": "queue", "phases": [{"name": "run", "mix": {"enqueue": 1}, "ops_per_task": 1}]}`
+	for _, tc := range []struct {
+		tail string
+		ok   bool
+	}{
+		{` {"structure":"nope"} trailing garbage`, false},
+		{`junk`, false},
+		{`}`, false},
+		{" \n\t ", true},
+	} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, []byte(spec+tc.tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSpec(path); (err == nil) != tc.ok {
+			t.Errorf("%q after the spec: err = %v", tc.tail, err)
+		}
+	}
+}
+
 // The fault plan's validation surface: every malformed crash or
 // partition is rejected with a message naming the offending knob, and
 // the legal shapes (boundary failover, mid-phase crash outside churn,
@@ -588,7 +611,7 @@ func TestFaultsPerturbation(t *testing.T) {
 	if p.Enabled() {
 		t.Fatal("scheduled partitions must not lower into the boot perturbation")
 	}
-	if !p.Reachable(1, 3) || !p.Deliverable(3, 1) {
+	if !p.Reachable(1, 3) || !p.Reachable(3, 1) {
 		t.Fatal("pair refused before its scheduled sever")
 	}
 }

@@ -154,10 +154,6 @@ func (t *Telemetry) Options() telemetry.Options {
 			if sys == nil {
 				return fmt.Errorf("workload: no scenario is running")
 			}
-			// Latency forms replace only the Scales half: a crashed
-			// locale stays crashed (clearing latency faults must not
-			// resurrect a node whose shards were already adopted).
-			p := sys.Perturbation()
 			switch {
 			case req.Crash:
 				// Comm-plane only: the locale stops answering and its
@@ -167,22 +163,21 @@ func (t *Telemetry) Options() telemetry.Options {
 			case req.Sever:
 				return sys.Sever(req.SeverA, req.SeverB)
 			case req.Heal:
-				// Heal pumps the retry ledgers synchronously; a pair that
-				// is not currently severed errors into the 422 path.
+				// Heal settles the retry ledgers synchronously; a pair
+				// that is not currently severed errors into the 422 path.
 				return sys.Heal(req.HealA, req.HealB)
+			// The latency forms replace only the Scales half: a crashed
+			// locale stays crashed and a severed pair stays severed.
 			case req.Clear:
-				p.Scales = nil
-				sys.SetPerturbation(p)
+				sys.SetScales(nil)
 			case len(req.Scales) > 0:
-				p.Scales = req.Scales
-				sys.SetPerturbation(p)
+				sys.SetScales(req.Scales)
 			case req.SlowFactor > 0:
 				if req.SlowLocale < 0 || req.SlowLocale >= sys.NumLocales() {
 					return fmt.Errorf("workload: slow_locale %d out of range [0, %d)",
 						req.SlowLocale, sys.NumLocales())
 				}
-				p.Scales = comm.SlowLocale(sys.NumLocales(), req.SlowLocale, req.SlowFactor).Scales
-				sys.SetPerturbation(p)
+				sys.SetScales(comm.SlowLocale(sys.NumLocales(), req.SlowLocale, req.SlowFactor).Scales)
 			default:
 				return fmt.Errorf("workload: fault request needs crash, sever, heal, clear, scales, or slow_factor")
 			}

@@ -57,6 +57,62 @@ func TestTelemetryFaultCrash(t *testing.T) {
 	}
 }
 
+// The handler's latency forms replace only the latency half of the
+// plan, under the same lock as Sever and Heal: a sever/heal loop racing
+// a latency-swap loop never sees its sever undone by a swap that read
+// the plan before it, so every heal finds its pair severed and the pair
+// ends reachable.
+func TestLatencySwapKeepsFaultPlan(t *testing.T) {
+	sys := pgas.NewSystem(pgas.Config{Locales: 4, Backend: comm.BackendNone})
+	defer sys.Shutdown()
+	tel := NewTelemetry()
+	tel.attach("swap-race", sys, nil)
+	defer tel.detach()
+	fault := tel.Options().Fault
+
+	const rounds = 20_000
+	done := make(chan struct{})
+	swapErrs := make(chan error, 1)
+	go func() {
+		defer close(swapErrs)
+		swaps := []telemetry.FaultRequest{
+			{Scales: []float64{1, 2, 1, 1}},
+			{SlowLocale: 3, SlowFactor: 4},
+			{Clear: true},
+		}
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := fault(swaps[i%len(swaps)]); err != nil {
+				swapErrs <- err
+				return
+			}
+		}
+	}()
+	failed := 0
+	for i := 0; i < rounds; i++ {
+		if err := fault(telemetry.FaultRequest{Sever: true, SeverA: 1, SeverB: 2}); err != nil {
+			t.Fatalf("sever %d: %v", i, err)
+		}
+		if err := fault(telemetry.FaultRequest{Heal: true, HealA: 1, HealB: 2}); err != nil {
+			failed++
+		}
+	}
+	close(done)
+	if err := <-swapErrs; err != nil {
+		t.Fatalf("latency swap: %v", err)
+	}
+	if failed != 0 {
+		t.Errorf("%d of %d heals found their pair already healed by a latency swap", failed, rounds)
+	}
+	if !sys.Reachable(1, 2) {
+		t.Error("pair (1, 2) still severed after the last heal")
+	}
+}
+
 // TestRunLiveServesTelemetry drives the full live plane: a scenario
 // runs under RunLive with the HTTP server attached, and the test acts
 // as the operator — polling status until the run is live, reading the
