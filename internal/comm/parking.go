@@ -82,7 +82,12 @@ type Parking struct {
 // NewParking builds the retry ledger for source locale src of n, with
 // counters booked against src and redeliver invoked (outside the lock,
 // after OpsRedelivered is booked) for every batch that goes back out.
+// A disabled config builds no ledger: it returns nil, which settles
+// nothing and holds nothing, and must never be parked into.
 func NewParking(src, n int, cfg ParkConfig, ctrs *Counters, redeliver func(dst int, batch []Op, bytes int64)) *Parking {
+	if cfg.Disable {
+		return nil
+	}
 	return &Parking{
 		src:       src,
 		cfg:       cfg.WithDefaults(),
@@ -129,6 +134,9 @@ func (p *Parking) Park(dst int, op Op, nowNS int64, reachable func(dst int) bool
 // after it the ledger is empty and the books balance:
 // OpsParked == OpsRedelivered + OpsExpired.
 func (p *Parking) Settle(nowNS int64, final bool, reachable func(dst int) bool) {
+	if p == nil {
+		return
+	}
 	type batch struct {
 		dst   int
 		ops   []Op
@@ -174,6 +182,9 @@ func (p *Parking) Settle(nowNS int64, final bool, reachable func(dst int) bool) 
 // Parked returns the number of ops currently waiting in the ledger
 // (diagnostic; racy by nature against concurrent parks and passes).
 func (p *Parking) Parked() int {
+	if p == nil {
+		return 0
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0

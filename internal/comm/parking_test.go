@@ -191,3 +191,24 @@ func TestPerturbationPartitionSet(t *testing.T) {
 		t.Fatal("healing an unsevered pair reported success")
 	}
 }
+
+// A disabled config builds no ledger; the nil ledger a system keeps in
+// its place settles nothing, holds nothing, redelivers nothing and
+// never touches the books, even on the final pass.
+func TestParkingDisabled(t *testing.T) {
+	var ctrs Counters
+	p := NewParking(0, 2, ParkConfig{Disable: true}, &ctrs, func(int, []Op, int64) {
+		t.Fatal("disabled ledger redelivered")
+	})
+	if p != nil {
+		t.Fatal("disabled config built a ledger")
+	}
+	p.Settle(0, false, func(int) bool { return true })
+	p.Settle(1, true, func(int) bool { return false })
+	if n := p.Parked(); n != 0 {
+		t.Fatalf("disabled ledger holds %d ops", n)
+	}
+	if pk, re, ex := parkBooks(t, &ctrs); pk != 0 || re != 0 || ex != 0 {
+		t.Fatalf("disabled ledger touched the books: parked=%d redelivered=%d expired=%d", pk, re, ex)
+	}
+}

@@ -141,8 +141,9 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 // while a zero op is a synchronous on-statement, whose caller is
 // waiting and whose closure may capture its stack, so it parks in place
 // (parkSyncOn) and proceeds with normal delivery if the pair heals in
-// time. With the retry plane disabled (read here and nowhere else) a
-// partition accounts fail-stop, like a crash.
+// time. With the retry plane disabled (the system then keeps no
+// ledgers, so this is the one place that must ask) a partition
+// accounts fail-stop, like a crash.
 //
 // Salvage contexts are never refused (refusalOf). Frees never come
 // here: Ctx.Free and Ctx.FreeBulk, the epoch reclaimer's scatter lists
