@@ -69,7 +69,8 @@ type LatencyProfile struct {
 
 	// AMHandlerNS is how long an active-message atomic occupies one of
 	// the target locale's handler slots; with the slot count bounded it
-	// is what serializes AM atomics that target the same locale.
+	// is what serializes AM atomics that target the same locale. Zero
+	// means no occupancy to model: the handler takes no slot.
 	AMHandlerNS int64
 
 	// PutGetNS is the latency of a small RDMA PUT or GET.

@@ -31,8 +31,3 @@ func (c *Ctx) RandIntn(n int) int {
 	}
 	return int(c.RandUint64() % uint64(n))
 }
-
-// RandFloat64 returns a uniform float64 in [0, 1).
-func (c *Ctx) RandFloat64() float64 {
-	return float64(c.RandUint64()>>11) / (1 << 53)
-}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"gopgas/internal/comm"
 )
@@ -147,6 +148,72 @@ func TestAMSlotBoundUnderStorm(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestZeroOccupancyTakesNoSlot holds locale 1's only handler slot
+// while a task on locale 0 adds to a word homed there. Under the zero
+// profile the handler has no occupancy to model, so the Add takes no
+// slot and completes; with AMHandlerNS > 0 it must wait for the slot.
+func TestZeroOccupancyTakesNoSlot(t *testing.T) {
+	start := func(t *testing.T, lat comm.LatencyProfile) (*System, *Word64, chan struct{}) {
+		s := NewSystem(Config{Locales: 2, Backend: comm.BackendNone, ProgressWorkers: 1, Latency: lat})
+		t.Cleanup(s.Shutdown)
+		c := s.Ctx(0)
+		w := NewWord64(c, 1, 0)
+		s.locales[1].acquireAMSlot(1)
+		done := make(chan struct{})
+		go func() {
+			w.Add(c, 1)
+			close(done)
+		}()
+		return s, w, done
+	}
+	completes := func(t *testing.T, done chan struct{}) {
+		t.Helper()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the Add did not complete")
+		}
+	}
+
+	t.Run("zero-profile", func(t *testing.T) {
+		s, w, done := start(t, comm.Zero())
+		// Runs before Shutdown: a parked Add finishes once the slot is back.
+		t.Cleanup(func() {
+			s.locales[1].releaseAMSlot()
+			<-done
+		})
+		completes(t, done)
+		if got := w.v.Load(); got != 1 {
+			t.Fatalf("word = %d, want 1", got)
+		}
+	})
+
+	t.Run("handler-occupancy", func(t *testing.T) {
+		s, w, done := start(t, comm.LatencyProfile{AMHandlerNS: 1})
+		l := s.locales[1]
+		for deadline := time.Now().Add(5 * time.Second); l.amWaiting.Load() != 1; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				l.releaseAMSlot()
+				<-done
+				t.Fatalf("amWaiting = %d, want the Add parked on the held slot", l.amWaiting.Load())
+			}
+		}
+		select {
+		case <-done:
+			t.Fatal("the Add completed while the only handler slot was held")
+		default:
+		}
+		l.releaseAMSlot()
+		completes(t, done)
+		if got := w.Read(s.Ctx(0)); got != 1 {
+			t.Fatalf("word = %d, want 1", got)
+		}
+		if busy := l.amBusy.Load(); busy != 0 {
+			t.Fatalf("locale 1 still holds %d handler slots", busy)
+		}
+	})
 }
 
 // TestSyncOnPooledCtxStreams checks the determinism contract the Ctx

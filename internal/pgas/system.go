@@ -136,7 +136,8 @@ type Locale struct {
 
 	// Active-message handler slots (amCall): amBusy counts the handlers
 	// executing here, at most Config.ProgressWorkers; every inbound AM
-	// atomic writes it, hence the 128 bytes between it and the head.
+	// atomic with handler occupancy writes it, hence the 128 bytes
+	// between it and the head.
 	// Callers park on amFree, not spin: a runnable waiter would stretch
 	// the occupancy delay of the handler it awaits.
 	_         [128]byte
@@ -313,18 +314,25 @@ func (s *System) Run(fn func(ctx *Ctx)) {
 // the transport for AM atomics and remote DCAS; callers count the event.
 // The caller is blocked for the whole call either way, so — like
 // dispatchOn — the handler runs on the calling goroutine: the caller
-// pays the round trip, takes one of the target's ProgressWorkers handler
-// slots (parking while all are busy: the serialisation a bounded handler
-// pool imposes), pays the handler occupancy — scaled by the target's
-// factor in the live perturbation plan, so a slow locale services its
-// inbound AMs slowly — and runs fn. Both charges go to the caller's
-// delay account. Handlers are terminal (an atomic op, no further
+// pays the round trip and, when the profile gives the handler
+// occupancy, takes one of the target's ProgressWorkers handler slots
+// (parking while all are busy: the serialisation a bounded handler pool
+// imposes), pays that occupancy — scaled by the target's factor in the
+// live perturbation plan, so a slow locale services its inbound AMs
+// slowly — and runs fn. Both charges go to the caller's delay account.
+// A zero-occupancy handler holds a slot for no modelled time, so it
+// takes none: a perturbation only scales AMHandlerNS, and any scale of
+// zero is zero. Handlers are terminal (an atomic op, no further
 // communication), so a bounded slot count cannot deadlock.
 func (s *System) amCall(c *Ctx, target int, fn func()) {
 	if s.stopped.Load() {
 		panic("pgas: active message after Shutdown")
 	}
 	s.delay(c, c.here.id, target, s.cfg.Latency.AMRoundTripNS)
+	if s.cfg.Latency.AMHandlerNS <= 0 {
+		fn()
+		return
+	}
 	l := s.locales[target]
 	l.acquireAMSlot(int32(s.cfg.ProgressWorkers))
 	s.delay(c, target, target, s.cfg.Latency.AMHandlerNS)

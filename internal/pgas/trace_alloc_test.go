@@ -40,34 +40,50 @@ func TestDispatchZeroAllocAcrossTracerStates(t *testing.T) {
 // Active-message atomics run inline on the calling goroutine: no
 // request, no completion channel, and the handler closures stay on the
 // caller's stack. Under BackendNone every remote 64-bit atomic and
-// every remote 128-bit operation rides that path.
+// every remote 128-bit operation rides that path — without a handler
+// slot under the zero profile, through one when the handler has
+// occupancy.
 func TestAMAtomicsZeroAlloc(t *testing.T) {
-	s := NewSystem(Config{Locales: 2, Backend: comm.BackendNone})
-	defer s.Shutdown()
-	c := s.Ctx(0)
-	w64 := NewWord64(c, 1, 0)
-	w128 := NewWord128(c, 1, 0, 0)
-	cases := []struct {
+	profiles := []struct {
 		name string
-		fn   func()
+		lat  comm.LatencyProfile
 	}{
-		{"Word64.Add", func() { w64.Add(c, 1) }},
-		{"Word64.CompareAndSwap", func() { w64.CompareAndSwap(c, 0, 0) }},
-		{"Word64.Read", func() { w64.Read(c) }},
-		{"Word128.DCAS", func() { w128.DCAS(c, 0, 0, 0, 0) }},
-		{"Word128.Read", func() { w128.Read(c) }},
-		{"Word128.CASLo64", func() { w128.CASLo64(c, 0, 0) }},
-		{"Ctx.ChargeGet", func() { c.ChargeGet(1) }},
+		{"zero-profile", comm.Zero()},
+		{"handler-occupancy", comm.LatencyProfile{AMHandlerNS: 1}},
 	}
-	for _, tc := range cases {
-		if avg := testing.AllocsPerRun(200, tc.fn); avg != 0 {
-			t.Errorf("remote %s allocates %.2f/op", tc.name, avg)
-		}
-	}
-	// Under the zero profile a charge leaves System.delay at its first
-	// branch: it never reaches the task's account, so it reads no clock.
-	if m, w := s.DelayTotals(); m != 0 || w != 0 {
-		t.Errorf("zero-profile charges reached the delay account: modelled %dns, waited %dns", m, w)
+	for _, p := range profiles {
+		t.Run(p.name, func(t *testing.T) {
+			s := NewSystem(Config{Locales: 2, Backend: comm.BackendNone, Latency: p.lat})
+			defer s.Shutdown()
+			c := s.Ctx(0)
+			w64 := NewWord64(c, 1, 0)
+			w128 := NewWord128(c, 1, 0, 0)
+			cases := []struct {
+				name string
+				fn   func()
+			}{
+				{"Word64.Add", func() { w64.Add(c, 1) }},
+				{"Word64.CompareAndSwap", func() { w64.CompareAndSwap(c, 0, 0) }},
+				{"Word64.Read", func() { w64.Read(c) }},
+				{"Word128.DCAS", func() { w128.DCAS(c, 0, 0, 0, 0) }},
+				{"Word128.Read", func() { w128.Read(c) }},
+				{"Word128.CASLo64", func() { w128.CASLo64(c, 0, 0) }},
+				{"Ctx.ChargeGet", func() { c.ChargeGet(1) }},
+			}
+			for _, tc := range cases {
+				if avg := testing.AllocsPerRun(200, tc.fn); avg != 0 {
+					t.Errorf("remote %s allocates %.2f/op", tc.name, avg)
+				}
+			}
+			if p.lat != comm.Zero() {
+				return
+			}
+			// Under the zero profile a charge leaves System.delay at its first
+			// branch: it never reaches the task's account, so it reads no clock.
+			if m, w := s.DelayTotals(); m != 0 || w != 0 {
+				t.Errorf("zero-profile charges reached the delay account: modelled %dns, waited %dns", m, w)
+			}
+		})
 	}
 }
 

@@ -15,9 +15,11 @@ import (
 //     are not coherent with processor atomics, so there is no cheap
 //     local path; the paper measures this at up to 10×.)
 //   - none: operations from the word's own locale are native processor
-//     atomics; remote operations ship as active messages, serialized
-//     by the target's handler slots (Config.ProgressWorkers at a time,
-//     each paying the AMHandlerNS occupancy).
+//     atomics; remote operations ship as active messages. Under a
+//     profile with handler occupancy they are serialized by the
+//     target's handler slots (Config.ProgressWorkers at a time, each
+//     paying the AMHandlerNS occupancy); a zero-occupancy handler takes
+//     no slot.
 //
 // For locale-private state that never needs network atomicity (the
 // paper "opts out" of network atomics where possible), use plain
