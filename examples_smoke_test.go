@@ -5,6 +5,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -74,5 +75,20 @@ func TestExamplesBuildAndRun(t *testing.T) {
 				t.Fatalf("example did not finish within 2m")
 			}
 		})
+	}
+}
+
+// The load and soak drivers link the engine, the structures and the
+// runtime, never the figures: internal/bench (and through its
+// ablations core/hazard) sits above everything they need.
+func TestDriversSkipBench(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "./cmd/loadgen", "./cmd/soak").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "gopgas/internal/bench" || pkg == "gopgas/internal/core/hazard" {
+			t.Errorf("cmd/loadgen or cmd/soak depends on %s", pkg)
+		}
 	}
 }

@@ -30,7 +30,18 @@ import (
 	"gopgas/internal/gas"
 	"gopgas/internal/pgas"
 	"gopgas/internal/structures/rebalance"
+	"gopgas/internal/workload"
 )
+
+// Aliases kept only so that benchmark/ builds unchanged; drop them once
+// it imports workload.Histogram and the comm matrix helpers directly.
+type Histogram = workload.Histogram
+
+// SubMatrix is comm.SubMatrix; see Histogram.
+var SubMatrix = comm.SubMatrix
+
+// MaxInboundOf is comm.MaxInboundOf; see Histogram.
+var MaxInboundOf = comm.MaxInboundOf
 
 // Config controls sweep sizes. The zero value is unusable; use
 // DefaultConfig.
@@ -219,8 +230,8 @@ func (t *trial) timed(fn func()) {
 	after, afterM := t.sys.Counters().SnapshotMatrix()
 	t.pt.Comm = after.Sub(before)
 	if t.matrix {
-		t.pt.Matrix = SubMatrix(afterM, beforeM)
-		t.pt.MaxInbound = MaxInboundOf(t.pt.Matrix)
+		t.pt.Matrix = comm.SubMatrix(afterM, beforeM)
+		t.pt.MaxInbound = comm.MaxInboundOf(t.pt.Matrix)
 	}
 }
 
@@ -291,50 +302,4 @@ func (cfg Config) sweep(title, xLabel string, xs []int, arms ...arm) Panel {
 		}
 	}
 	return panel
-}
-
-// SubMatrix returns the element-wise difference a - b of two comm
-// matrix snapshots — the per-pair delta of a timed or measured region.
-// Exported for the workload engine, which captures the same evidence
-// per phase.
-func SubMatrix(a, b [][]int64) [][]int64 {
-	out := make([][]int64, len(a))
-	for i := range a {
-		out[i] = make([]int64, len(a[i]))
-		for j := range a[i] {
-			out[i][j] = a[i][j] - b[i][j]
-		}
-	}
-	return out
-}
-
-// TotalsOf returns the outbound (row) and inbound (column) totals of a
-// comm matrix snapshot from one pass over the cells — the snapshot-side
-// twin of comm.Matrix.Totals, for deltas produced by SubMatrix. The
-// workload engine's hotspot metric and the examples' traffic summaries
-// both derive from this single pass.
-func TotalsOf(m [][]int64) (rows, cols []int64) {
-	rows = make([]int64, len(m))
-	cols = make([]int64, len(m))
-	for i := range m {
-		for j := range m[i] {
-			rows[i] += m[i][j]
-			cols[j] += m[i][j]
-		}
-	}
-	return rows, cols
-}
-
-// MaxInboundOf returns the largest inbound (column) total of m: the
-// hotspot metric — how much of the system's traffic lands on the
-// busiest single locale.
-func MaxInboundOf(m [][]int64) int64 {
-	_, cols := TotalsOf(m)
-	var best int64
-	for _, col := range cols {
-		if col > best {
-			best = col
-		}
-	}
-	return best
 }

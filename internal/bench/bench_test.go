@@ -819,7 +819,7 @@ func TestAblationA13(t *testing.T) {
 		if s := none.Series[1].Points[idx].Comm; s.NICAMOs != 0 || s.Remote() != remoteOps {
 			t.Fatalf("none L=%d: ship arm booked %d remote events, want its %d on-statements: %v", locales, s.Remote(), remoteOps, s)
 		}
-		rows, _ := TotalsOf(none.Series[1].Points[idx].Matrix)
+		rows, _ := comm.TotalsOf(none.Series[1].Points[idx].Matrix)
 		var sent int64
 		for _, n := range rows {
 			sent += n

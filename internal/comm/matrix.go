@@ -184,3 +184,46 @@ func (m *Matrix) Reset() {
 		m.cells[i].Store(0)
 	}
 }
+
+// SubMatrix returns the element-wise difference a - b of two
+// matrix snapshots — the per-pair delta of a timed or measured region,
+// as the workload engine and the figures capture it.
+func SubMatrix(a, b [][]int64) [][]int64 {
+	out := make([][]int64, len(a))
+	for i := range a {
+		out[i] = make([]int64, len(a[i]))
+		for j := range a[i] {
+			out[i][j] = a[i][j] - b[i][j]
+		}
+	}
+	return out
+}
+
+// TotalsOf returns the outbound (row) and inbound (column) totals of a
+// matrix snapshot from one pass over the cells — the snapshot-side
+// twin of Matrix.Totals, for deltas produced by SubMatrix.
+func TotalsOf(m [][]int64) (rows, cols []int64) {
+	rows = make([]int64, len(m))
+	cols = make([]int64, len(m))
+	for i := range m {
+		for j := range m[i] {
+			rows[i] += m[i][j]
+			cols[j] += m[i][j]
+		}
+	}
+	return rows, cols
+}
+
+// MaxInboundOf returns the largest inbound (column) total of m: the
+// hotspot metric — how much of the system's traffic lands on the
+// busiest single locale.
+func MaxInboundOf(m [][]int64) int64 {
+	_, cols := TotalsOf(m)
+	var best int64
+	for _, col := range cols {
+		if col > best {
+			best = col
+		}
+	}
+	return best
+}

@@ -46,9 +46,6 @@ type ABA struct {
 	count uint64
 }
 
-// MakeABA builds a stamped pointer; primarily for tests.
-func MakeABA(addr gas.Addr, count uint64) ABA { return ABA{addr: addr, count: count} }
-
 // Object returns the pointer half of the stamped value.
 func (a ABA) Object() gas.Addr { return a.addr }
 

@@ -234,16 +234,10 @@ func (a *AtomicObject) requireABA() {
 // addrToWide splits an Addr into the (vaddr, locality) words of a wide
 // pointer; wideToAddr reverses it. Nil maps to (0, 0).
 func addrToWide(a gas.Addr) (lo, hi uint64) {
-	if a.IsNil() {
-		return 0, 0
-	}
 	w := a.Wide()
 	return w.VAddr, w.Locality
 }
 
 func wideToAddr(lo, hi uint64) gas.Addr {
-	if lo == 0 {
-		return gas.AddrNil
-	}
-	return gas.MakeAddr(int(hi), lo-1)
+	return gas.WidePtr{Locality: hi, VAddr: lo}.Compress()
 }

@@ -81,7 +81,7 @@ func TestAtomicObjectModelConformance(t *testing.T) {
 						modelVal = target
 						modelStamp++
 					case 7:
-						snap := MakeABA(pool[arg%8], modelStamp)
+						snap := ABA{addr: pool[arg%8], count: modelStamp}
 						expectOK := modelVal == pool[arg%8]
 						ok := a.CompareAndSwapABA(c, snap, target)
 						if ok != expectOK {

@@ -194,7 +194,7 @@ func TestTryReclaimSpawnsNoGoroutine(t *testing.T) {
 func TestLimboLen(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	c := s.Ctx(0)
-	l := NewLimboList(c)
+	l := newLimbo(c)
 	objs := []gas.Addr{c.Alloc(&payload{}), c.Alloc(&payload{}), c.Alloc(&payload{})}
 	for i, o := range objs {
 		if got := l.Len(c); got != i {

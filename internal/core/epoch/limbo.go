@@ -1,6 +1,6 @@
-// Package epoch implements the paper's EpochManager and
-// LocalEpochManager: epoch-based memory reclamation (EBR, Fraser 2004)
-// adapted to distributed memory with global-view programming.
+// Package epoch implements the paper's EpochManager: epoch-based
+// memory reclamation (EBR, Fraser 2004) adapted to distributed memory
+// with global-view programming.
 //
 // Deleting memory that concurrent tasks may still be reading is the
 // foundational problem of non-blocking data structures. EBR defers
@@ -65,11 +65,8 @@ type LimboList struct {
 	pool   *atomics.LocalAtomicObject // ABA-protected Treiber stack of free nodes
 }
 
-// NewLimboList creates an empty limbo list owned by the ctx's locale.
-func NewLimboList(c *pgas.Ctx) *LimboList {
-	return newLimboList(c, atomics.NewLocal(c.Here(), true))
-}
-
+// newLimboList creates an empty limbo list owned by the ctx's locale,
+// recycling its nodes through pool.
 func newLimboList(c *pgas.Ctx, pool *atomics.LocalAtomicObject) *LimboList {
 	return &LimboList{locale: c.Here(), head: atomics.NewLocal(c.Here(), false), pool: pool}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"gopgas/internal/comm"
+	"gopgas/internal/core/atomics"
 	"gopgas/internal/gas"
 	"gopgas/internal/pgas"
 )
@@ -19,10 +20,15 @@ func newTestSystem(t testing.TB, locales int, backend comm.Backend) *pgas.System
 
 type payload struct{ v int }
 
+// newLimbo creates a limbo list with a node pool of its own.
+func newLimbo(c *pgas.Ctx) *LimboList {
+	return newLimboList(c, atomics.NewLocal(c.Here(), true))
+}
+
 func TestLimboPushDrain(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	s.Run(func(c *pgas.Ctx) {
-		l := NewLimboList(c)
+		l := newLimbo(c)
 		var want []gas.Addr
 		for i := 0; i < 10; i++ {
 			a := c.Alloc(&payload{v: i})
@@ -48,7 +54,7 @@ func TestLimboPushDrain(t *testing.T) {
 func TestLimboEmptyDrain(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	s.Run(func(c *pgas.Ctx) {
-		l := NewLimboList(c)
+		l := newLimbo(c)
 		if got := l.Drain(c); len(got) != 0 {
 			t.Fatalf("fresh list drained %d objects", len(got))
 		}
@@ -62,7 +68,7 @@ func TestLimboEmptyDrain(t *testing.T) {
 func TestLimboNodeRecycling(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	s.Run(func(c *pgas.Ctx) {
-		l := NewLimboList(c)
+		l := newLimbo(c)
 		obj := c.Alloc(&payload{})
 		// First round allocates nodes; drain recycles them.
 		for i := 0; i < 5; i++ {
@@ -88,7 +94,7 @@ func TestLimboNodeRecycling(t *testing.T) {
 func TestLimboReleaseOneWalk(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	s.Run(func(c *pgas.Ctx) {
-		l := NewLimboList(c)
+		l := newLimbo(c)
 		const n = 100
 		seen := make(map[gas.Addr]int, n)
 		for i := 0; i < n; i++ {
@@ -212,7 +218,7 @@ func TestGenerationsShareOnePool(t *testing.T) {
 
 func TestLimboConcurrentInsertPhase(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
-	l := NewLimboList(s.Ctx(0))
+	l := newLimbo(s.Ctx(0))
 	const tasks = 8
 	const per = 200
 	var wg sync.WaitGroup
@@ -255,7 +261,7 @@ func TestLimboConcurrentInsertPhase(t *testing.T) {
 func TestLimboMultisetProperty(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	c := s.Ctx(0)
-	l := NewLimboList(c)
+	l := newLimbo(c)
 	f := func(sizes uint8) bool {
 		n := int(sizes % 64)
 		pushed := make(map[gas.Addr]bool, n)
@@ -288,7 +294,7 @@ func TestLimboMultisetProperty(t *testing.T) {
 func TestLimboPoolContention(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	c0 := s.Ctx(0)
-	l := NewLimboList(c0)
+	l := newLimbo(c0)
 	const rounds = 30
 	const tasks = 8
 	const per = 16

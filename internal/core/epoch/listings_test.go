@@ -65,7 +65,7 @@ func TestListing1Push(t *testing.T) {
 func TestListing2LimboList(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	s.Run(func(c *pgas.Ctx) {
-		l := NewLimboList(c)
+		l := newLimbo(c)
 		objs := []gas.Addr{c.Alloc(&payload{v: 1}), c.Alloc(&payload{v: 2})}
 		for _, o := range objs {
 			l.Push(c, o) // recycleNode + exchange + next, verbatim

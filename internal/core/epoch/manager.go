@@ -124,7 +124,7 @@ func NewEpochManager(c *pgas.Ctx) EpochManager {
 // quiescent (not pinned).
 func (em EpochManager) Register(c *pgas.Ctx) *Token {
 	li := em.priv.Get(c)
-	return li.reg.register(func() *Token { return &Token{inst: li, locale: li.locale} })
+	return li.reg.register(li)
 }
 
 // Pin is a convenience for Register-then-Pin in one call.
@@ -146,8 +146,8 @@ func (em EpochManager) Protect(c *pgas.Ctx, fn func(tok *Token)) {
 	fn(tok)
 }
 
-// CurrentEpoch returns this locale's cached view of the epoch.
-func (em EpochManager) CurrentEpoch(c *pgas.Ctx) uint64 {
+// currentEpoch returns this locale's cached view of the epoch.
+func (em EpochManager) currentEpoch(c *pgas.Ctx) uint64 {
 	return em.priv.Get(c).localeEpoch.Load()
 }
 

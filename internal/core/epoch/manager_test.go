@@ -322,7 +322,7 @@ func TestLocaleEpochCacheTracksGlobal(t *testing.T) {
 		em := NewEpochManager(c)
 		em.TryReclaim(c)
 		c.CoforallLocales(func(lc *pgas.Ctx) {
-			if got := em.CurrentEpoch(lc); got != 2 {
+			if got := em.currentEpoch(lc); got != 2 {
 				t.Errorf("locale %d cache = %d, want 2", lc.Here(), got)
 			}
 		})

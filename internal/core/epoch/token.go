@@ -22,6 +22,13 @@ import (
 // are only ever read remotely from inside an on-statement running on
 // their locale (the tryReclaim scan), so the paper "opts out" of NIC
 // atomics here — one of its explicitly-stated optimizations.
+//
+// A Token is padded to 64 bytes so that the allocator's 64-byte size
+// class puts each token, and so each task's epoch word, on its own
+// cache line. In the 48-byte class one pair in four consecutively
+// registered tokens shares a line, and pinning and unpinning such a
+// pair from two tasks costs three to four times as much
+// (TestTokenLayout).
 type Token struct {
 	epoch  atomic.Uint64
 	inst   *instance // the per-locale instance the token belongs to
@@ -30,7 +37,7 @@ type Token struct {
 	nextAlloc *Token        // append-only allocated list linkage
 	nextFree  atomic.Uint64 // free-list linkage (index+1 into the registry's tokens)
 	slot      int           // index of this token in the registry's tokens
-	localTok  *LocalToken   // backlink when owned by a LocalEpochManager
+	_         [16]byte      // pads the token to its own 64-byte line
 }
 
 // Locale returns the locale the token is registered on.
@@ -153,8 +160,8 @@ func (r *tokenRegistry) init() {
 const freeIdxMask = (uint64(1) << 32) - 1
 
 // register pops a free token or, when the free list is empty, mints one
-// with mint and links it into the registry.
-func (r *tokenRegistry) register(mint func() *Token) *Token {
+// for inst and links it into the registry.
+func (r *tokenRegistry) register(inst *instance) *Token {
 	// Fast path: ABA-protected pop of the free list.
 	for {
 		head := r.freeHead.Load()
@@ -170,7 +177,7 @@ func (r *tokenRegistry) register(mint func() *Token) *Token {
 		}
 	}
 	// Mint a new token and prepend it to the allocated list.
-	t := mint()
+	t := &Token{inst: inst, locale: inst.locale}
 	<-r.growMu
 	old := *r.tokens.Load()
 	t.slot = len(old)

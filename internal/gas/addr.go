@@ -113,15 +113,6 @@ func (a Addr) Wide() WidePtr {
 	return WidePtr{Locality: uint64(a.Locale()), VAddr: uint64(a) & indexMask}
 }
 
-// MakeWide builds a wide pointer directly from locale and index; unlike
-// MakeAddr it accepts locale ids beyond MaxLocales.
-func MakeWide(locale int, index uint64) WidePtr {
-	if locale < 0 {
-		panic("gas: negative locale")
-	}
-	return WidePtr{Locality: uint64(locale), VAddr: index + 1}
-}
-
 // IsNil reports whether the wide pointer is nil.
 func (w WidePtr) IsNil() bool { return w.VAddr == 0 }
 

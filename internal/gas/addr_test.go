@@ -110,7 +110,7 @@ func TestWideNil(t *testing.T) {
 
 func TestMakeWideBeyondCompressedRange(t *testing.T) {
 	// Locales beyond 2^16 are representable wide, not compressed.
-	w := MakeWide(1<<20, 5)
+	w := WidePtr{Locality: 1 << 20, VAddr: 5 + 1}
 	if w.Locale() != 1<<20 || w.Index() != 5 {
 		t.Fatalf("w = %v", w)
 	}

@@ -216,41 +216,3 @@ func ForallCyclic[P any](c *Ctx, n, tasksPerLocale int,
 	}
 	wg.Wait()
 }
-
-// ForallLocal iterates i over [0, n) using `tasks` tasks on the
-// current locale only — a shared-memory forall with task-private
-// state, for the LocalEpochManager and shared-memory benchmarks.
-func ForallLocal[P any](c *Ctx, n, tasks int,
-	perTask func(ctx *Ctx) P,
-	body func(ctx *Ctx, priv P, i int),
-	perTaskDone func(ctx *Ctx, priv P),
-) {
-	if tasks <= 0 {
-		tasks = 1
-	}
-	if tasks > n && n > 0 {
-		tasks = n
-	}
-	s := c.sys
-	var wg sync.WaitGroup
-	for t := 0; t < tasks; t++ {
-		lo := n * t / tasks
-		hi := n * (t + 1) / tasks
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			tctx := s.newCtx(c.here)
-			var priv P
-			if perTask != nil {
-				priv = perTask(tctx)
-			}
-			for i := lo; i < hi; i++ {
-				body(tctx, priv, i)
-			}
-			if perTaskDone != nil {
-				perTaskDone(tctx, priv)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}

@@ -162,24 +162,6 @@ func TestForallCyclicFewerItersThanLocales(t *testing.T) {
 	})
 }
 
-func TestForallLocal(t *testing.T) {
-	s := newTestSystem(t, 2, comm.BackendNone)
-	s.Run(func(c *Ctx) {
-		c.On(1, func(rc *Ctx) {
-			sum := atomic.Int64{}
-			ForallLocal(rc, 100, 4, nil, func(tc *Ctx, _ struct{}, i int) {
-				if tc.Here() != 1 {
-					t.Errorf("local forall escaped to locale %d", tc.Here())
-				}
-				sum.Add(int64(i))
-			}, nil)
-			if sum.Load() != 99*100/2 {
-				t.Errorf("sum = %d", sum.Load())
-			}
-		})
-	})
-}
-
 func TestRandDeterminism(t *testing.T) {
 	s1 := NewSystem(Config{Locales: 2, Seed: 7})
 	defer s1.Shutdown()

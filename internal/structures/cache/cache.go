@@ -137,9 +137,6 @@ func (ca Cache[V]) Manager() epoch.EpochManager { return ca.obj.Manager() }
 // NumSets returns the per-locale set count.
 func (ca Cache[V]) NumSets() int { return int(ca.mask) + 1 }
 
-// NumSlots returns the per-locale entry capacity (sets × ways).
-func (ca Cache[V]) NumSlots() int { return ca.NumSets() * Ways }
-
 // SetOf reports which set k maps to — placement-aware tests and
 // benchmarks use it to construct (or avoid) set collisions.
 func (ca Cache[V]) SetOf(k uint64) int { return int(ca.index(k)) }

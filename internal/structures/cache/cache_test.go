@@ -35,8 +35,8 @@ func TestGetThroughMemoizesLocally(t *testing.T) {
 	s.Run(func(c *pgas.Ctx) {
 		em := epoch.NewEpochManager(c)
 		ca := New[int](c, 64, em)
-		if !ca.Valid() || ca.NumSlots() != 64 {
-			t.Fatalf("handle: valid=%v slots=%d", ca.Valid(), ca.NumSlots())
+		if !ca.Valid() || ca.NumSets()*Ways != 64 {
+			t.Fatalf("handle: valid=%v slots=%d", ca.Valid(), ca.NumSets()*Ways)
 		}
 		var fetches [4]int
 		c.CoforallLocales(func(lc *pgas.Ctx) {

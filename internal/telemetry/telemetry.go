@@ -2,9 +2,9 @@
 // server exposing counter snapshots, the communication matrix, live
 // latency percentiles, trace windows and a fault-injection control —
 // the portal/API split over the measurement and tracing planes. It
-// depends only on the diagnostic layers (bench, trace) plus net/http;
-// the workload engine lowers its richer state into the provider
-// functions of Options, so the server never imports the simulator.
+// depends only on the trace plane plus net/http; the workload engine
+// lowers its richer state into the provider functions of Options, so
+// the server never imports the simulator.
 package telemetry
 
 import (
@@ -17,7 +17,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 
-	"gopgas/internal/bench"
 	"gopgas/internal/trace"
 )
 
@@ -56,8 +55,9 @@ type Options struct {
 	// Matrix returns the locale-pair communication matrix; the handler
 	// adds row and column totals.
 	Matrix func() [][]int64
-	// Hist returns live latency percentiles from the workload engine.
-	Hist func() bench.LatencySummary
+	// Hist returns the workload engine's live latency percentiles as
+	// any JSON-serializable value (a workload.LatencySummary).
+	Hist func() any
 	// Trace drains up to max buffered trace events (max <= 0: all).
 	Trace func(max int) []trace.Event
 	// Fault applies a fault request to the running system.

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"gopgas/internal/bench"
 	"gopgas/internal/trace"
 )
 
@@ -46,13 +45,8 @@ func TestEndpoints(t *testing.T) {
 	s := startTestServer(t, Options{
 		Status: func() any { return map[string]any{"scenario": "test", "ops": 42} },
 		Matrix: func() [][]int64 { return [][]int64{{0, 3}, {5, 0}} },
-		Hist: func() bench.LatencySummary {
-			var h bench.Histogram
-			h.Record(1000)
-			h.Record(2000)
-			return h.Summary()
-		},
-		Trace: func(max int) []trace.Event { return r.Drain(max) },
+		Hist:   func() any { return map[string]any{"count": 2, "p50_ns": 1000} },
+		Trace:  func(max int) []trace.Event { return r.Drain(max) },
 		Fault: func(req FaultRequest) error {
 			if req.SlowFactor < 0 {
 				return fmt.Errorf("negative factor")
@@ -95,7 +89,9 @@ func TestEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/api/hist: %d %s", code, body)
 	}
-	var hist bench.LatencySummary
+	var hist struct {
+		Count int64 `json:"count"`
+	}
 	if err := json.Unmarshal(body, &hist); err != nil {
 		t.Fatalf("/api/hist not JSON: %v", err)
 	}

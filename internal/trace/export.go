@@ -146,9 +146,6 @@ func (s Summary) Balanced() bool {
 	return true
 }
 
-// SpanCount returns the matched-span count for kind k.
-func (s Summary) SpanCount(k Kind) int64 { return s.Kinds[k].Spans }
-
 // WriteText writes the human-readable summary table: per-kind span
 // counts, mean/max durations, and the begin/end books.
 func (s Summary) WriteText(w io.Writer) {

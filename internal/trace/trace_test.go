@@ -275,7 +275,7 @@ func TestSummarize(t *testing.T) {
 	if sum.Events != 11 {
 		t.Fatalf("summarized %d events, want 11", sum.Events)
 	}
-	if got := sum.SpanCount(KindFlush); got != 5 {
+	if got := sum.Kinds[KindFlush].Spans; got != 5 {
 		t.Fatalf("matched %d flush spans, want 5", got)
 	}
 	if !sum.Balanced() {

@@ -53,7 +53,7 @@
 // # Evidence
 //
 // A PhaseReport records throughput, HDR-style log-bucketed latency
-// percentiles (bench.Histogram, ≤3% quantization; one chained clock
+// percentiles (Histogram, ≤3% quantization; one chained clock
 // read per op, and in a paced phase response time from each op's
 // intended slot beside service time and the generator's lateness),
 // the exact comm

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gopgas/internal/bench"
 	"gopgas/internal/comm"
 	"gopgas/internal/core/epoch"
 	"gopgas/internal/pgas"
@@ -178,9 +177,9 @@ func drainTrace(sys *pgas.System, tracer *trace.Recorder) (*TraceReport, []trace
 // Every slice has one entry per worker slot.
 type phaseState struct {
 	idx     int
-	hists   []bench.Histogram // each op's latency: response time when paced
-	service []bench.Histogram // paced phases only: from the op's actual issue
-	late    []bench.Histogram // paced phases only: actual issue − intended slot
+	hists   []Histogram // each op's latency: response time when paced
+	service []Histogram // paced phases only: from the op's actual issue
+	late    []Histogram // paced phases only: actual issue − intended slot
 	counts  []countRow
 	digest  atomic.Uint64
 	unpaced atomic.Int64 // workers' delay overshoot, dropped or carried out
@@ -215,8 +214,8 @@ func (ps *phaseState) byKind() (n [numOps]int64) {
 }
 
 // summary merges one histogram per worker into the phase's digest.
-func summary(hists []bench.Histogram) bench.LatencySummary {
-	var merged bench.Histogram
+func summary(hists []Histogram) LatencySummary {
+	var merged Histogram
 	for i := range hists {
 		merged.Merge(&hists[i])
 	}
@@ -230,12 +229,12 @@ func (r *run) runPhase(pi int) PhaseReport {
 	workers := spec.Locales * spec.TasksPerLocale
 	ps := &phaseState{
 		idx:    pi,
-		hists:  make([]bench.Histogram, workers),
+		hists:  make([]Histogram, workers),
 		counts: make([]countRow, workers),
 	}
 	if ph.TargetRate > 0 {
-		ps.service = make([]bench.Histogram, workers)
-		ps.late = make([]bench.Histogram, workers)
+		ps.service = make([]Histogram, workers)
+		ps.late = make([]Histogram, workers)
 	}
 
 	before, beforeM := sys.Counters().SnapshotMatrix()
@@ -315,7 +314,7 @@ func (r *run) runPhase(pi int) PhaseReport {
 		}
 	}
 	after, afterM := sys.Counters().SnapshotMatrix()
-	snap, matrix := after.Sub(before), bench.SubMatrix(afterM, beforeM)
+	snap, matrix := after.Sub(before), comm.SubMatrix(afterM, beforeM)
 	modelled, wait := sys.DelayTotals()
 	throughput := 0.0
 	if seconds > 0 {
@@ -335,7 +334,7 @@ func (r *run) runPhase(pi int) PhaseReport {
 		Comm:        snap,
 		RemoteOps:   snap.Remote(),
 		Matrix:      matrix,
-		MaxInbound:  bench.MaxInboundOf(matrix),
+		MaxInbound:  comm.MaxInboundOf(matrix),
 		Digest:      ps.digest.Load(),
 	}
 	if ps.service != nil {
@@ -396,7 +395,7 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 	spec, sys, drv := r.spec, r.sys, r.drv
 	ph, w := spec.Phases[ps.idx], loc*spec.TasksPerLocale+task
 	hist, counts := &ps.hists[w], &ps.counts[w].n
-	var service, late *bench.Histogram
+	var service, late *Histogram
 	var interval float64 // ns between slots; 0 in a closed loop
 	if ph.TargetRate > 0 {
 		service, late = &ps.service[w], &ps.late[w]

@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 
-	"gopgas/internal/bench"
 	"gopgas/internal/comm"
 	"gopgas/internal/trace"
 )
@@ -156,9 +155,9 @@ type PhaseReport struct {
 	// backlog; Service then times each op from its actual issue, and
 	// Late is how far behind its slot the generator issued it. A closed
 	// loop issues every op on time, so the two are omitted there.
-	Latency bench.LatencySummary  `json:"latency"`
-	Service *bench.LatencySummary `json:"service,omitempty"`
-	Late    *bench.LatencySummary `json:"late,omitempty"`
+	Latency LatencySummary  `json:"latency"`
+	Service *LatencySummary `json:"service,omitempty"`
+	Late    *LatencySummary `json:"late,omitempty"`
 
 	// Comm is the communication counter delta of the phase; RemoteOps
 	// is its locale-boundary-crossing total.

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"gopgas/internal/bench"
 	"gopgas/internal/comm"
 	"gopgas/internal/pgas"
 	"gopgas/internal/telemetry"
@@ -25,7 +24,7 @@ type Telemetry struct {
 	scenario string
 	sys      *pgas.System
 	tracer   *trace.Recorder
-	hist     bench.Histogram
+	hist     Histogram
 	ops      int64
 }
 
@@ -41,7 +40,7 @@ func (t *Telemetry) attach(scenario string, sys *pgas.System, tracer *trace.Reco
 	t.scenario = scenario
 	t.sys = sys
 	t.tracer = tracer
-	t.hist = bench.Histogram{}
+	t.hist = Histogram{}
 	t.ops = 0
 }
 
@@ -63,7 +62,7 @@ const liveChunkSize = 256
 // liveChunk is one worker's latency batch toward the bridge.
 type liveChunk struct {
 	tel  *Telemetry
-	hist bench.Histogram
+	hist Histogram
 	n    int
 }
 
@@ -84,7 +83,7 @@ func (lc *liveChunk) flush() {
 	lc.tel.hist.Merge(&lc.hist)
 	lc.tel.ops += int64(lc.n)
 	lc.tel.mu.Unlock()
-	lc.hist = bench.Histogram{}
+	lc.hist = Histogram{}
 	lc.n = 0
 }
 
@@ -133,7 +132,7 @@ func (t *Telemetry) Options() telemetry.Options {
 			}
 			return sys.Matrix().Snapshot()
 		},
-		Hist: func() bench.LatencySummary {
+		Hist: func() any {
 			t.mu.Lock()
 			defer t.mu.Unlock()
 			return t.hist.Summary()
