@@ -9,11 +9,12 @@
 //   - Compressed (default, systems with ≤ 2^16 locales): the wide
 //     pointer is packed into one 64-bit word (16-bit locale | 48-bit
 //     address), so every operation can be a NIC-offloaded RDMA atomic.
-//   - Wide (systems beyond 2^16 locales, or ForceWidePointers): the
-//     full 128-bit wide pointer is kept and every operation becomes a
-//     double-word compare-and-swap executed on the owning locale —
-//     demoted from RDMA to remote execution, exactly the fallback the
-//     paper describes.
+//   - Wide (the paper's fallback beyond 2^16 locales; chosen
+//     explicitly with ModeWide, since pgas.NewSystem refuses more
+//     locales than the compressed word encodes): the full 128-bit wide
+//     pointer is kept and every operation becomes a double-word
+//     compare-and-swap executed on the owning locale — demoted from
+//     RDMA to remote execution, exactly as the paper describes.
 //   - Descriptor (the paper's future work): the word holds an index
 //     into a distributed descriptor table instead of a pointer,
 //     re-enabling RDMA atomics at any locale count at the price of one

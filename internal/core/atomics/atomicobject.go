@@ -11,12 +11,14 @@ import (
 type Mode int
 
 const (
-	// ModeAuto picks Compressed when the system fits in 2^16 locales
-	// and Wide otherwise (honouring Config.ForceWidePointers).
+	// ModeAuto is Compressed: pgas.NewSystem refuses more than 2^16
+	// locales, so every system fits the compressed word.
 	ModeAuto Mode = iota
 	// ModeCompressed packs locale+address into one RDMA-able word.
 	ModeCompressed
-	// ModeWide keeps the 128-bit wide pointer; all ops become DCAS.
+	// ModeWide keeps the 128-bit wide pointer; all ops become DCAS. It
+	// is chosen explicitly: the paper's fallback beyond 2^16 locales,
+	// run here on systems that would fit the compressed word.
 	ModeWide
 	// ModeDescriptor stores a table index in the word (future work).
 	ModeDescriptor
@@ -40,8 +42,8 @@ func (m Mode) String() string {
 
 // Options configure an AtomicObject.
 type Options struct {
-	// Mode selects the representation; ModeAuto is the paper's
-	// behaviour (compression when possible, DCAS fallback otherwise).
+	// Mode selects the representation; ModeAuto (compressed) is the
+	// paper's behaviour on every system NewSystem accepts.
 	Mode Mode
 	// ABA enables the 128-bit stamped cell and the *ABA operation
 	// variants. Requires a compressed pointer word (ModeCompressed,
@@ -70,23 +72,15 @@ type AtomicObject struct {
 
 // New creates an AtomicObject homed on the given locale, initially
 // nil. With Options zero value it matches the paper's default:
-// compression when the system allows, wide-pointer DCAS fallback
-// otherwise, no ABA stamp.
+// compression, no ABA stamp.
 func New(c *pgas.Ctx, home int, opt Options) *AtomicObject {
 	mode := opt.Mode
 	if mode == ModeAuto {
-		if c.Sys().WidePointers() {
-			mode = ModeWide
-		} else {
-			mode = ModeCompressed
-		}
+		mode = ModeCompressed
 	}
 	a := &AtomicObject{home: home, mode: mode, hasAB: opt.ABA}
 	switch mode {
 	case ModeCompressed:
-		if c.Sys().NumLocales() > gas.MaxLocales {
-			panic("atomics: ModeCompressed on a system with more than 2^16 locales")
-		}
 		if opt.ABA {
 			a.w128 = pgas.NewWord128(c, home, 0, 0)
 		} else {

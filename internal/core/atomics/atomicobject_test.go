@@ -29,14 +29,6 @@ func TestAtomicObjectModes(t *testing.T) {
 			t.Errorf("auto resolved to %v on a small system", auto.Mode())
 		}
 	})
-	sw := pgas.NewSystem(pgas.Config{Locales: 2, ForceWidePointers: true})
-	defer sw.Shutdown()
-	sw.Run(func(c *pgas.Ctx) {
-		auto := New(c, 0, Options{})
-		if auto.Mode() != ModeWide {
-			t.Errorf("auto resolved to %v with forced wide pointers", auto.Mode())
-		}
-	})
 }
 
 func TestAtomicObjectBasicOps(t *testing.T) {
@@ -231,10 +223,10 @@ func TestAtomicObjectRouting(t *testing.T) {
 	})
 
 	// Wide mode: every op is DCAS-class on both backends.
-	s4 := pgas.NewSystem(pgas.Config{Locales: 2, Backend: comm.BackendUGNI, ForceWidePointers: true})
+	s4 := pgas.NewSystem(pgas.Config{Locales: 2, Backend: comm.BackendUGNI})
 	defer s4.Shutdown()
 	s4.Run(func(c *pgas.Ctx) {
-		a := New(c, 1, Options{})
+		a := New(c, 1, Options{Mode: ModeWide})
 		before := s4.Counters().Snapshot()
 		a.Read(c)
 		a.CompareAndSwap(c, gas.AddrNil, gas.AddrNil)
@@ -246,7 +238,7 @@ func TestAtomicObjectRouting(t *testing.T) {
 }
 
 func TestWideModePanicsOnABA(t *testing.T) {
-	s := pgas.NewSystem(pgas.Config{Locales: 1, ForceWidePointers: true})
+	s := pgas.NewSystem(pgas.Config{Locales: 1})
 	defer s.Shutdown()
 	s.Run(func(c *pgas.Ctx) {
 		defer func() {

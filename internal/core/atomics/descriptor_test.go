@@ -37,9 +37,7 @@ func TestDescriptorModeKeepsNICAtomics(t *testing.T) {
 	// The future-work claim: with descriptors, the word an AtomicObject
 	// CASes stays 64-bit even when pointers cannot be compressed, so
 	// NIC atomics survive — at the cost of resolution GETs.
-	s := pgas.NewSystem(pgas.Config{
-		Locales: 2, Backend: comm.BackendUGNI, ForceWidePointers: true,
-	})
+	s := pgas.NewSystem(pgas.Config{Locales: 2, Backend: comm.BackendUGNI})
 	defer s.Shutdown()
 	s.Run(func(c *pgas.Ctx) {
 		tbl := NewDescriptorTable(c)

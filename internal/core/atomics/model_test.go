@@ -105,22 +105,13 @@ func TestAtomicObjectModelConformance(t *testing.T) {
 // The same model over the plain (non-ABA) representations, including
 // wide mode and descriptors.
 func TestAtomicObjectModelAllModes(t *testing.T) {
-	configs := []struct {
-		name string
-		wide bool
-		mode Mode
-	}{
-		{"compressed", false, ModeCompressed},
-		{"wide", true, ModeWide},
-		{"descriptor", false, ModeDescriptor},
-	}
-	for _, cfg := range configs {
-		t.Run(cfg.name, func(t *testing.T) {
-			s := pgas.NewSystem(pgas.Config{Locales: 2, ForceWidePointers: cfg.wide})
+	for _, mode := range []Mode{ModeCompressed, ModeWide, ModeDescriptor} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := pgas.NewSystem(pgas.Config{Locales: 2})
 			defer s.Shutdown()
 			c := s.Ctx(0)
-			opt := Options{Mode: cfg.mode}
-			if cfg.mode == ModeDescriptor {
+			opt := Options{Mode: mode}
+			if mode == ModeDescriptor {
 				opt.Table = NewDescriptorTable(c)
 			}
 			pool := make([]gas.Addr, 6)

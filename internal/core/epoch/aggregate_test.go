@@ -167,64 +167,3 @@ func TestReclaimUnderFaults(t *testing.T) {
 		})
 	}
 }
-
-// DeferDeleteOn: a task deferring an object onto another locale's
-// instance through the aggregation buffers. The deferral lands in the
-// destination's limbo at flush and is reclaimed by the normal epoch
-// machinery; nothing is lost and nothing is freed early.
-func TestDeferDeleteOn(t *testing.T) {
-	s := newTestSystem(t, 3, comm.BackendNone)
-	s.Run(func(c *pgas.Ctx) {
-		em := NewEpochManager(c)
-		const n = 30
-		objs := make([]gas.Addr, n)
-		for i := range objs {
-			objs[i] = c.AllocOn(2, &payload{v: i})
-		}
-
-		tok := em.Pin(c)
-		for _, o := range objs {
-			em.DeferDeleteOn(c, tok, 1, o)
-		}
-		// Still buffered: nothing deferred yet, nothing freed.
-		if got := em.Stats(c).Deferred; got != 0 {
-			t.Fatalf("deferred = %d before flush, want 0", got)
-		}
-		c.Flush()
-		tok.Unpin(c)
-		if got := em.Stats(c).Deferred; got != n {
-			t.Fatalf("deferred = %d after flush, want %d", got, n)
-		}
-		for _, o := range objs {
-			if _, ok := pgas.Deref[*payload](c, o); !ok {
-				t.Fatalf("object %v freed before any epoch advance", o)
-			}
-		}
-
-		em.Clear(c)
-		for _, o := range objs {
-			if _, ok := pgas.Deref[*payload](c, o); ok {
-				t.Fatalf("object %v survived reclamation", o)
-			}
-		}
-		if got := em.Stats(c).Reclaimed; got != n {
-			t.Fatalf("reclaimed = %d, want %d", got, n)
-		}
-	})
-}
-
-// DeferDeleteOn requires a pinned token: the pin bounds epoch
-// advancement while the deferral is buffered.
-func TestDeferDeleteOnUnpinnedPanics(t *testing.T) {
-	s := newTestSystem(t, 2, comm.BackendNone)
-	s.Run(func(c *pgas.Ctx) {
-		em := NewEpochManager(c)
-		tok := em.Register(c)
-		defer func() {
-			if recover() == nil {
-				t.Fatal("DeferDeleteOn with an unpinned token must panic")
-			}
-		}()
-		em.DeferDeleteOn(c, tok, 1, c.Alloc(&payload{}))
-	})
-}

@@ -289,32 +289,6 @@ func (li *instance) reclaimGeneration(lc *pgas.Ctx, e uint64) {
 	sp.EndWith(0, freed)
 }
 
-// DeferDeleteOn queues obj for deferred deletion on another locale's
-// instance — a remote deferral, shipped through the calling task's
-// aggregation buffers instead of a synchronous round trip. The
-// deferral lands in the destination's current-epoch limbo list when
-// the buffer flushes (at capacity, or at Ctx.Flush).
-//
-// The caller must hold a *pinned* token on its own locale and keep it
-// pinned until after the buffer has flushed: the pin is what bounds
-// epoch advancement (to at most one step) while the deferral is still
-// buffered, giving the flushed deferral the same grace period a local
-// DeferDelete gets. A locale-local deferral executes
-// immediately, exactly like Token.DeferDelete.
-func (em EpochManager) DeferDeleteOn(c *pgas.Ctx, tok *Token, locale int, obj gas.Addr) {
-	if !tok.Pinned() {
-		panic("epoch: DeferDeleteOn with an unpinned token")
-	}
-	if tr := c.Sys().Tracer(); tr != nil {
-		tr.Instant(c.Here(), trace.KindDefer, c.TaskID(), c.Here(), locale, 0, 0)
-	}
-	c.Aggregator(locale).Call(func(tc *pgas.Ctx) {
-		li := em.priv.Get(tc)
-		li.limbo[li.localeEpoch.Load()].Push(tc, obj)
-		li.deferred.Add(1)
-	})
-}
-
 // ForceRetire is the crash-recovery half of the protocol: it clears
 // every pinned token on the given locale, so reclamation can never
 // wedge on a pin that will never be released. A fail-stop crash

@@ -143,16 +143,13 @@ func (t *Token) checkLocale(c *pgas.Ctx) {
 type tokenRegistry struct {
 	allocHead atomic.Pointer[Token]    // append-only; scan entry point
 	freeHead  atomic.Uint64            // stamp<<32 | index+1; low half 0 = empty
-	tokens    atomic.Pointer[[]*Token] // slot-indexed storage snapshot
-	growMu    chan struct{}            // 1-token semaphore serialising growth
+	tokens    atomic.Pointer[[]*Token] // slot-indexed storage snapshot, grown by CAS
 	count     atomic.Int64             // tokens ever minted on this locale
 }
 
 // init prepares the registry in place (the struct contains atomics and
 // therefore must not be copied).
 func (r *tokenRegistry) init() {
-	r.growMu = make(chan struct{}, 1)
-	r.growMu <- struct{}{}
 	empty := []*Token{}
 	r.tokens.Store(&empty)
 }
@@ -176,16 +173,21 @@ func (r *tokenRegistry) register(inst *instance) *Token {
 			return t
 		}
 	}
-	// Mint a new token and prepend it to the allocated list.
+	// Mint a new token, give it the next slot of a grown copy of the
+	// snapshot (cap == len, so no later growth writes into a published
+	// array), and publish the copy by CAS; a lost race retries against
+	// the winner's snapshot. Then prepend it to the allocated list.
 	t := &Token{inst: inst, locale: inst.locale}
-	<-r.growMu
-	old := *r.tokens.Load()
-	t.slot = len(old)
-	grown := make([]*Token, len(old)+1)
-	copy(grown, old)
-	grown[t.slot] = t
-	r.tokens.Store(&grown)
-	r.growMu <- struct{}{}
+	for {
+		cur := r.tokens.Load()
+		t.slot = len(*cur)
+		grown := make([]*Token, t.slot+1)
+		copy(grown, *cur)
+		grown[t.slot] = t
+		if r.tokens.CompareAndSwap(cur, &grown) {
+			break
+		}
+	}
 	for {
 		head := r.allocHead.Load()
 		t.nextAlloc = head

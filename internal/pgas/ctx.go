@@ -72,29 +72,50 @@ func (c *Ctx) On(target int, fn func(ctx *Ctx)) {
 
 // CoforallLocales spawns one task per locale (each running on its
 // locale), waits for all of them, and charges one on-statement per
-// remote locale — `coforall loc in Locales do on loc`. It is the
-// reclamation protocol's control plane (token scans, Clear, Stats) and
-// deliberately bypasses crash refusal: the protocol must still observe
-// a dead locale's tokens and limbo lists, or reclamation could never
-// be proven safe after a crash. Workload traffic goes through On /
-// AsyncOn / the aggregation buffers, which do refuse.
+// remote locale — `coforall loc in Locales do on loc`. Its callers are
+// privatized construction and teardown (NewPrivatized,
+// Privatized.Destroy), the hazard-pointer scans, shared.ForEachShard,
+// and the figures' and tests' per-locale worker fan-outs. It
+// deliberately bypasses crash refusal: a dead locale's replicas must
+// still be built and torn down, and its hazards still scanned. Workload
+// traffic goes through On / AsyncOn / the aggregation buffers, which do
+// refuse.
 func (c *Ctx) CoforallLocales(fn func(ctx *Ctx)) {
 	s := c.sys
-	var wg sync.WaitGroup
-	for _, loc := range s.locales {
-		if loc.id != c.here.id {
-			s.chargeOnStmt(c.here.id, loc.id)
+	c.bookOnStmts(len(s.locales))
+	fanOut(len(s.locales), func(i int) {
+		l := s.locales[i]
+		tc := s.newCtx(l)
+		tc.salvage = c.salvage
+		if l.id != c.here.id {
+			s.delay(tc, c.here.id, l.id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
 		}
+		fn(tc)
+	})
+}
+
+// bookOnStmts books the on-statements of a fan-out to locales [0, n):
+// one per locale but the caller's, all before any task starts, so a
+// task that reads the counters sees its whole fan-out booked.
+func (c *Ctx) bookOnStmts(n int) {
+	for id := 0; id < n; id++ {
+		if id != c.here.id {
+			c.sys.chargeOnStmt(c.here.id, id)
+		}
+	}
+}
+
+// fanOut runs task(i) for every i in [0, n), each as its own goroutine,
+// and waits for all of them: the one spawn and join behind
+// CoforallLocales, Coforall and ForallCyclic.
+func fanOut(n int, task func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(l *Locale) {
+		go func() {
 			defer wg.Done()
-			tc := s.newCtx(l)
-			tc.salvage = c.salvage
-			if l.id != c.here.id {
-				s.delay(tc, c.here.id, l.id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
-			}
-			fn(tc)
-		}(loc)
+			task(i)
+		}()
 	}
 	wg.Wait()
 }
@@ -131,16 +152,7 @@ func (c *Ctx) VisitLocales(fn func(ctx *Ctx)) {
 // Coforall spawns n tasks on the current locale and waits for them —
 // `coforall tid in 0..#n`.
 func (c *Ctx) Coforall(n int, fn func(ctx *Ctx, tid int)) {
-	s := c.sys
-	var wg sync.WaitGroup
-	for t := 0; t < n; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			fn(s.newCtx(c.here), t)
-		}(t)
-	}
-	wg.Wait()
+	fanOut(n, func(t int) { fn(c.sys.newCtx(c.here), t) })
 }
 
 // ForallCyclic iterates i over [0, n) with the iterations distributed
@@ -158,61 +170,34 @@ func ForallCyclic[P any](c *Ctx, n, tasksPerLocale int,
 	body func(ctx *Ctx, priv P, i int),
 	perTaskDone func(ctx *Ctx, priv P),
 ) {
-	if tasksPerLocale <= 0 {
-		tasksPerLocale = 1
-	}
 	s := c.sys
 	L := len(s.locales)
-	var wg sync.WaitGroup
-	for _, loc := range s.locales {
-		if loc.id >= n && n < L {
-			continue // no iterations land on this locale
+	// Only locales [0, min(n, L)) own iterations.
+	busy := max(0, min(n, L))
+	c.bookOnStmts(busy)
+	fanOut(busy, func(id int) {
+		l := s.locales[id]
+		if id != c.here.id {
+			// The on-statement carrying the locale's tasks is a task too.
+			s.delay(s.newCtx(l), c.here.id, id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
 		}
-		if loc.id != c.here.id {
-			s.chargeOnStmt(c.here.id, loc.id)
-		}
-		wg.Add(1)
-		go func(l *Locale) {
-			defer wg.Done()
-			if l.id != c.here.id {
-				// The on-statement carrying the locale's tasks is a task too.
-				s.delay(s.newCtx(l), c.here.id, l.id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+		// Iterations owned by locale l: id, id+L, id+2L, ...
+		// Split them contiguously among the locale's tasks.
+		count := (n - id + L - 1) / L
+		tasks := min(max(tasksPerLocale, 1), count)
+		fanOut(tasks, func(t int) {
+			tctx := s.newCtx(l)
+			var priv P
+			if perTask != nil {
+				priv = perTask(tctx)
 			}
-			// Iterations owned by locale l: l.id, l.id+L, l.id+2L, ...
-			// Split them contiguously among the locale's tasks.
-			count := 0
-			if n > l.id {
-				count = (n - l.id + L - 1) / L
+			lo, hi := count*t/tasks, count*(t+1)/tasks
+			for k := lo; k < hi; k++ {
+				body(tctx, priv, id+k*L)
 			}
-			if count == 0 {
-				return
+			if perTaskDone != nil {
+				perTaskDone(tctx, priv)
 			}
-			tasks := tasksPerLocale
-			if tasks > count {
-				tasks = count
-			}
-			var twg sync.WaitGroup
-			for t := 0; t < tasks; t++ {
-				lo := count * t / tasks
-				hi := count * (t + 1) / tasks
-				twg.Add(1)
-				go func(lo, hi int) {
-					defer twg.Done()
-					tctx := s.newCtx(l)
-					var priv P
-					if perTask != nil {
-						priv = perTask(tctx)
-					}
-					for k := lo; k < hi; k++ {
-						body(tctx, priv, l.id+k*L)
-					}
-					if perTaskDone != nil {
-						perTaskDone(tctx, priv)
-					}
-				}(lo, hi)
-			}
-			twg.Wait()
-		}(loc)
-	}
-	wg.Wait()
+		})
+	})
 }

@@ -58,11 +58,6 @@ type Config struct {
 
 	// Seed makes per-task random streams reproducible. Defaults to 1.
 	Seed uint64
-
-	// ForceWidePointers makes AtomicObject behave as if the system had
-	// more than 2^16 locales, exercising the wide-pointer/DCAS fallback
-	// without actually instantiating 65537 locales.
-	ForceWidePointers bool
 }
 
 // System is a running PGAS instance.
@@ -259,13 +254,6 @@ func (s *System) NumLocales() int { return len(s.locales) }
 
 // Backend returns the configured network-atomic backend.
 func (s *System) Backend() comm.Backend { return s.cfg.Backend }
-
-// WidePointers reports whether AtomicObject must use the 128-bit
-// wide-pointer representation (more locales than pointer compression
-// can encode, or ForceWidePointers set for testing).
-func (s *System) WidePointers() bool {
-	return s.cfg.ForceWidePointers || len(s.locales) > gas.MaxLocales
-}
 
 // Counters returns the system's communication-diagnostic counters.
 func (s *System) Counters() *comm.Counters { return s.counters }

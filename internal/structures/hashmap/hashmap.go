@@ -29,12 +29,13 @@
 //
 // There is one map type and one write path. Ownership of a bucket is a
 // live shared.OwnerTable entry (identity e % L until the first
-// Migrate), fire-and-forget writes carry the generation they sampled
-// and are applied — or re-routed — inside the owner's flat combiner
-// (writeOp.Exec), and a read replication cache attached with Cached is
-// invalidated from that same site, so caching, write absorption,
-// rebalancing and crash failover compose instead of excluding each
-// other. migrate.go holds the ownership handoff.
+// Migrate), fire-and-forget and shipped writes carry the generation
+// they sampled and are applied — or re-routed — inside the owner's flat
+// combiner (writeOp.applyOwned, the one owner-side write site), and a
+// read replication cache attached with Cached is invalidated after
+// every write, so caching, write absorption, rebalancing and crash
+// failover compose instead of excluding each other. migrate.go holds
+// the ownership handoff.
 package hashmap
 
 import (
@@ -343,9 +344,10 @@ const (
 	opGet
 )
 
-// writeOp is one buffered fire-and-forget write headed for its
-// bucket's owner, carrying the owner-table generation sampled at
-// enqueue. Upserts and removes of one key absorb last-writer-wins in
+// writeOp is one write headed for its bucket's owner, carrying the
+// owner-table generation it sampled: a buffered fire-and-forget write
+// (sampled at enqueue) or a shipped synchronous one (see shipWrite).
+// Upserts and removes of one key absorb last-writer-wins in
 // the task's aggregation buffer — an upsert superseded by a remove
 // ships only the remove, and vice versa, keeping the later (fresher)
 // generation sample — and the survivor applies on the owner through
@@ -353,13 +355,14 @@ const (
 // directly. Inserts ship as plain calls: insert-if-absent does not
 // merge.
 type writeOp[V any] struct {
-	m       Map[V]
-	gen     uint64
-	k       uint64
-	v       V
-	n       *atomic.Int64 // InsertBulk's tally of successful inserts
-	kind    opKind
-	changed bool // set under the combiner: applied, and k's entry changed
+	m     Map[V]
+	gen   uint64
+	k     uint64
+	v     V
+	n     *atomic.Int64 // InsertBulk's tally of successful inserts
+	kind  opKind
+	ok    bool // set by applyOwned: the list operation's result
+	stale bool // set by applyOwned: the bucket migrated since the sample
 }
 
 // mergeKey is the identity fire-and-forget writes of k combine under:
@@ -383,55 +386,66 @@ func (o *writeOp[V]) Absorb(later comm.CombinableOp) (int64, bool) {
 	return 0, true
 }
 
-// Exec is the delivered side of every fire-and-forget write, and the
-// map's one owner-side write site: take the local replica's combiner,
-// re-check the generation inside it (exact — migrations of this bucket
-// serialize on the same combiner), and either apply against the slot's
-// current list or re-dispatch to the bucket's new owner. On a map that
-// never migrated the generation always matches. The cache invalidation
-// follows once the combiner is released (see invalidate); when tc is
-// the runtime's context for a delivery, the runtime drains it before
-// the delivery returns.
+// Exec is the delivered side of every fire-and-forget write: apply it
+// through the map's one owner-side write site (applyOwned), or, when a
+// migration moved its bucket since the sample, re-dispatch it to the
+// bucket's new owner. On a map that never migrated the generation
+// always matches. The cache invalidation follows once the combiner is
+// released (see invalidate); when tc is the runtime's context for a
+// delivery, the runtime drains it before the delivery returns.
+//
+// The re-dispatch is an async task: a synchronous on-stmt could
+// deadlock two locales draining each other's combined deliveries, while
+// an async task is tracked by system quiescence. It carries o itself,
+// which Exec no longer reads once the task is launched.
 func (o *writeOp[V]) Exec(tc *pgas.Ctx) {
-	t := o.m.priv.Get(tc)
-	t.comb.Do(func() { o.applyOwned(tc, t) })
-	if o.changed {
-		o.m.invalidate(tc, o.k)
-	}
-}
-
-// applyOwned runs under t's combiner. The re-dispatch of a stale op is
-// an async task: a synchronous on-stmt here could deadlock two locales
-// draining each other's combined deliveries, while an async task is
-// tracked by system quiescence and holds no lock across the hop.
-func (o *writeOp[V]) applyOwned(tc *pgas.Ctx, t *table[V]) {
-	e := o.m.BucketOf(o.k)
-	owner, cur := o.m.core.tab.Owner(e)
-	if cur != o.gen {
+	o.applyOwned(tc)
+	switch {
+	case o.stale:
+		e := o.m.BucketOf(o.k)
+		owner, cur := o.m.core.tab.Owner(e)
 		tc.Sys().Counters().IncMigReroute(tc.Here())
 		if tr := tc.Sys().Tracer(); tr != nil {
 			tr.Instant(tc.Here(), trace.KindReroute, tc.TaskID(), tc.Here(), owner, 0, int64(e))
 		}
-		// The redelivery is a copy: this Exec still reads o.changed once
-		// the combiner lets go, possibly after the copy has applied.
-		re := *o
-		re.gen = cur
-		tc.AsyncOn(owner, re.Exec)
-		return
+		o.gen = cur
+		tc.AsyncOn(owner, o.Exec)
+	case o.ok || o.kind == opUpsert: // an upsert changes k's entry whether or not it replaced one
+		if o.kind == opInsert {
+			o.n.Add(1)
+		}
+		o.m.invalidate(tc, o.k)
 	}
-	slot := t.buckets[e]
-	if o.m.core.heatOn.Load() {
-		slot.heat.Add(1)
-	}
-	o.m.core.em.Protect(tc, func(tok *epoch.Token) {
-		w := syncOp[V]{kind: o.kind, k: o.k, v: o.v}
-		w.run(tc, tok, slot.list.Load())
-		// An upsert changes k's entry whether or not it replaced one.
-		o.changed = w.ok || o.kind == opUpsert
+}
+
+// applyOwned is the map's one owner-side write site, run on the locale
+// o's generation sample named: the delivered fire-and-forget writes
+// (Exec) and the shipped synchronous ones (shipWrite) both apply here.
+// Inside the local replica's combiner it re-checks the generation
+// (exact — migrations of this bucket serialize on the same combiner).
+// A stale sample applies nothing and sets o.stale; a current one bumps
+// the bucket's heat (once a controller ranks the map) and runs the
+// write on the slot's current list under an owner-local token, pinned
+// before the list pointer loads, and sets o.ok to its result.
+func (o *writeOp[V]) applyOwned(tc *pgas.Ctx) {
+	t := o.m.priv.Get(tc)
+	t.comb.Do(func() {
+		e := o.m.BucketOf(o.k)
+		if _, cur := o.m.core.tab.Owner(e); cur != o.gen {
+			o.stale = true
+			return
+		}
+		o.stale = false
+		slot := t.buckets[e]
+		if o.m.core.heatOn.Load() {
+			slot.heat.Add(1)
+		}
+		o.m.core.em.Protect(tc, func(tok *epoch.Token) {
+			w := syncOp[V]{kind: o.kind, k: o.k, v: o.v}
+			w.run(tc, tok, slot.list.Load())
+			o.ok = w.ok
+		})
 	})
-	if o.changed && o.kind == opInsert {
-		o.n.Add(1)
-	}
 }
 
 // UpsertAgg buffers a fire-and-forget upsert of (k, v) into the

@@ -13,9 +13,9 @@ import (
 // write-serialized:
 //
 //  1. the migration runs inside the source replica's flat combiner —
-//     the same serialization every fire-and-forget write applies under
-//     (writeOp.Exec) — so no such write can land on the old list after
-//     the snapshot;
+//     the same serialization every fire-and-forget or shipped write
+//     applies under (writeOp.applyOwned) — so no such write can land
+//     on the old list after the snapshot;
 //  2. the snapshot ships to the destination via the aggregation
 //     buffer's bulk framing and is drained synchronously (a
 //     single-destination flush, legal while holding the combiner);

@@ -14,11 +14,10 @@ import (
 // on-statement to the owner, which runs the same list code on local
 // words. New picks the route once per map (shipRule); Shipped pins it
 // on a handle copy. A shipped operation pins an owner-local token
-// before it loads the bucket's list pointer, and a shipped write runs
-// under the owner replica's combiner after the owner-table generation
-// re-check the fire-and-forget writes make (writeOp.applyOwned), so it
-// is serialized against Migrate. A ship the fault plan refuses books
-// nothing (pgas.Ctx.TryOn) and walks.
+// before it loads the bucket's list pointer, and a shipped write applies
+// through the owner-side write site the fire-and-forget writes use
+// (writeOp.applyOwned), so it is serialized against Migrate. A ship the
+// fault plan refuses books nothing (pgas.Ctx.TryOn) and walks.
 
 // shipRule is the route New chooses for the synchronous operations:
 // ship them to the bucket's owner iff one on-statement is strictly
@@ -47,14 +46,13 @@ func (m Map[V]) Shipped(on bool) Map[V] {
 }
 
 // syncOp is one operation on a key's bucket list: a synchronous one,
-// carried to the owner that runs it (see shipped), or the list
-// call a delivered fire-and-forget write makes (writeOp.applyOwned).
+// carried to the owner that runs it (see shipped), or the list call the
+// owner-side write site makes (writeOp.applyOwned).
 type syncOp[V any] struct {
-	kind  opKind
-	k     uint64
-	v     V    // the value written, or the one Get found
-	ok    bool // the list operation's result
-	stale bool // a shipped write found its bucket migrated since the sample
+	kind opKind
+	k    uint64
+	v    V    // the value written, or the one Get found
+	ok   bool // the list operation's result
 }
 
 // run applies o to b on c under tok.
@@ -92,44 +90,34 @@ func (m Map[V]) shipped(c *pgas.Ctx, tok *epoch.Token, o syncOp[V]) syncOp[V] {
 // The body pins before it loads the slot's list pointer: a list a
 // migration retires after the pin cannot be reclaimed under the body,
 // while a pointer loaded before it could name one retired and freed in
-// between. A write also goes through the owner's combiner (shipWrite).
+// between. A write goes through the owner-side write site (shipWrite).
 func (m Map[V]) shipToOwner(c *pgas.Ctx, o *syncOp[V]) bool {
-	slot := m.slot(c, o.k)
 	if o.kind != opGet {
-		return m.shipWrite(c, o, slot)
+		return m.shipWrite(c, o)
 	}
+	slot := m.slot(c, o.k)
 	return c.TryOn(m.HomeOf(o.k), func(oc *pgas.Ctx) {
 		m.core.em.Protect(oc, func(tok *epoch.Token) { o.run(oc, tok, slot.list.Load()) })
 	})
 }
 
-// shipWrite is shipToOwner for a write: the body runs inside the owner
-// replica's combiner after re-checking the owner-table generation it
-// sampled, as writeOp.applyOwned does, so a shipped write is serialized
-// against Migrate and never lands on a retired list. If a migration
-// moved the bucket since the sample, it samples again and ships to the
-// new owner. w is the heap copy of o the combiner's closure needs; a
-// read, which takes no combiner, pays no allocation.
-func (m Map[V]) shipWrite(c *pgas.Ctx, o *syncOp[V], slot *bucketSlot[V]) bool {
-	e := m.BucketOf(o.k)
-	w := *o
+// shipWrite is shipToOwner for a write: it ships the write, with the
+// owner-table generation it sampled, to that owner's write site
+// (writeOp.applyOwned), so a shipped write is serialized against Migrate
+// and never lands on a retired list. If a migration moved the bucket
+// since the sample, it samples again and ships to the new owner. w is
+// the heap op the combiner's closure needs; a read, which takes no
+// combiner, pays no allocation.
+func (m Map[V]) shipWrite(c *pgas.Ctx, o *syncOp[V]) bool {
+	w := &writeOp[V]{m: m, k: o.k, v: o.v, kind: o.kind}
 	for {
-		owner, gen := m.core.tab.Owner(e)
-		w.stale = false
-		shipped := c.TryOn(owner, func(oc *pgas.Ctx) {
-			m.priv.Get(oc).comb.Do(func() {
-				if _, cur := m.core.tab.Owner(e); cur != gen {
-					w.stale = true
-					return
-				}
-				m.core.em.Protect(oc, func(tok *epoch.Token) { w.run(oc, tok, slot.list.Load()) })
-			})
-		})
-		if !shipped {
+		var owner int
+		owner, w.gen = m.core.tab.Owner(m.BucketOf(o.k))
+		if !c.TryOn(owner, w.applyOwned) {
 			return false
 		}
 		if !w.stale {
-			*o = w
+			o.ok = w.ok
 			return true
 		}
 	}

@@ -257,6 +257,30 @@ func TestShipFollowsMigration(t *testing.T) {
 	}
 }
 
+// A shipped write heats its bucket like every other owner-applied write:
+// once a controller ranks the map, one remote Upsert and one Get through
+// a shipping handle raise the bucket's heat by two.
+func TestShippedWriteBumpsHeat(t *testing.T) {
+	s := newTestSystem(t, 2, comm.BackendNone)
+	c0 := s.Ctx(0)
+	em := epoch.NewEpochManager(c0)
+	m := New[int](c0, 8, em).Shipped(true)
+	k := uint64(0)
+	for m.HomeOf(k) != 1 {
+		k++
+	}
+	e := m.BucketOf(k)
+	tok := em.Register(c0)
+	before := m.EntryHeat(e)
+	m.Upsert(c0, tok, k, 7)
+	if v, ok := m.Get(c0, tok, k); !ok || v != 7 {
+		t.Fatalf("get after shipped upsert = (%d, %v), want (7, true)", v, ok)
+	}
+	if d := m.EntryHeat(e) - before; d != 2 {
+		t.Fatalf("heat rose by %d, want 2 (one upsert, one get)", d)
+	}
+}
+
 // A shipped write whose owner sample goes stale in flight ships again
 // instead of landing where the bucket used to live. The write samples
 // owner 1 and spends its on-statement's 20 ms round trip in flight;

@@ -269,9 +269,6 @@ func (r *Recorder) Enabled() bool { return r.enabled.Load() }
 // SampleRate returns the effective 1-in-N rate for sampled kinds.
 func (r *Recorder) SampleRate() int { return int(r.rate) }
 
-// Locales returns the number of per-locale rings.
-func (r *Recorder) Locales() int { return len(r.rings) }
-
 // now returns nanoseconds since the recorder's epoch (monotonic).
 func (r *Recorder) now() int64 { return int64(time.Since(r.start)) }
 

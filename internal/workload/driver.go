@@ -18,7 +18,6 @@ import (
 // round. Apply and ApplyBulk are called concurrently from many tasks
 // and must only touch the structure through its own concurrent API.
 type Driver interface {
-	Structure() Structure
 	// Supports reports whether the structure implements the kind;
 	// Spec.Validate rejects mixes that weight unsupported kinds.
 	Supports(k OpKind) bool
@@ -88,8 +87,6 @@ type hashmapDriver struct {
 	agg      bool                  // fire-and-forget writes
 	interval time.Duration
 }
-
-func (d *hashmapDriver) Structure() Structure { return StructureHashmap }
 
 func (d *hashmapDriver) Supports(k OpKind) bool {
 	switch k {
@@ -166,8 +163,6 @@ type queueDriver struct {
 	q queue.Sharded[int64]
 }
 
-func (d *queueDriver) Structure() Structure { return StructureQueue }
-
 func (d *queueDriver) Supports(k OpKind) bool {
 	switch k {
 	case OpEnqueue, OpRemove, OpSteal, OpBulk:
@@ -214,8 +209,6 @@ type stackDriver struct {
 	s stack.Sharded[int64]
 }
 
-func (d *stackDriver) Structure() Structure { return StructureStack }
-
 func (d *stackDriver) Supports(k OpKind) bool {
 	switch k {
 	case OpEnqueue, OpRemove, OpSteal, OpBulk:
@@ -261,8 +254,6 @@ func (d *stackDriver) Destroy(c *pgas.Ctx) { d.s.Destroy(c) }
 type skiplistDriver struct {
 	l *skiplist.List[int64]
 }
-
-func (d *skiplistDriver) Structure() Structure { return StructureSkiplist }
 
 func (d *skiplistDriver) Supports(k OpKind) bool {
 	switch k {

@@ -72,7 +72,7 @@ func runWith(spec Spec, drv Driver, progress io.Writer, tel *Telemetry) (*Report
 		defer tel.detach()
 	}
 	r := &run{spec: spec, sys: sys, c0: sys.Ctx(0), drv: drv, tel: tel,
-		sched: newSchedule(spec.Faults), live: make([]atomic.Int64, spec.Locales)}
+		sched: newSchedule(spec.Faults), workers: make([]sync.WaitGroup, spec.Locales)}
 	r.em = epoch.NewEpochManager(r.c0)
 	drv.Setup(r.c0, r.em, spec)
 	// The Zipfian generator's construction is an O(keyspace) zeta sum;
@@ -141,7 +141,9 @@ type run struct {
 	tel   *Telemetry
 	avail *AvailabilityReport // nil unless the spec schedules a liveness fault
 	sched schedule
-	live  []atomic.Int64 // running worker tasks per locale: what a crash waits out
+	// workers joins one round's worker tasks, per locale: the round
+	// waits on every locale's, a crash on the dead locale's.
+	workers []sync.WaitGroup
 }
 
 // drainTrace quiesces the system, drains whatever the live window left
@@ -250,16 +252,6 @@ func (r *run) runPhase(pi int) PhaseReport {
 		// A clock only when the round has an op mark to poll, an armed
 		// wall-clock heal to wait for or a driver loop (rebalancing) to
 		// tick: a fault-free round spawns workers and nothing else.
-		var tick time.Duration
-		if tk, ok := r.drv.(Ticker); ok {
-			tick = tk.TickInterval()
-		}
-		var stop, done chan struct{}
-		if _, timed := r.sched.wait(pi, now); timed || tick > 0 {
-			stop, done = make(chan struct{}), make(chan struct{})
-			go r.clock(ps, tick, stop, done)
-		}
-		var wg sync.WaitGroup
 		for loc := 0; loc < spec.Locales; loc++ {
 			for t := 0; t < spec.TasksPerLocale; t++ {
 				if !sys.Alive(loc) {
@@ -271,16 +263,27 @@ func (r *run) runPhase(pi int) PhaseReport {
 					}
 					continue
 				}
-				r.live[loc].Add(1)
-				wg.Add(1)
-				go func(loc, t int) {
-					defer wg.Done()
-					defer r.live[loc].Add(-1)
+				r.workers[loc].Add(1)
+				go func() {
+					defer r.workers[loc].Done()
 					r.runTask(ps, round, loc, t)
-				}(loc, t)
+				}()
 			}
 		}
-		wg.Wait()
+		// The clock starts after the last worker is added, so a crash it
+		// applies joins a complete set: its Wait never races an Add.
+		var tick time.Duration
+		if tk, ok := r.drv.(Ticker); ok {
+			tick = tk.TickInterval()
+		}
+		var stop, done chan struct{}
+		if _, timed := r.sched.wait(pi, now); timed || tick > 0 {
+			stop, done = make(chan struct{}), make(chan struct{})
+			go r.clock(ps, tick, stop, done)
+		}
+		for loc := range r.workers {
+			r.workers[loc].Wait()
+		}
 		if stop != nil {
 			// Joined before the round is judged: the clock can race neither
 			// a churn Destroy/Setup nor the final drain. A stale routed write

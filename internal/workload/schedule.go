@@ -139,8 +139,8 @@ func (r *run) step(phase int, issued int64, now time.Time) {
 //  2. Mark the locale dead (System.Crash): from here every op whose
 //     destination is the dead locale is refused into the OpsLost
 //     ledger, and the engine stops spawning its workers.
-//  3. When the crash asks for failover: wait for the dead locale's
-//     running tasks to notice and abandon (they poll Alive every 16 ops;
+//  3. When the crash asks for failover: join the dead locale's running
+//     tasks once they notice and abandon (they poll Alive every 16 ops;
 //     none run at a boundary) — clearing a pin a still-draining task
 //     holds would break the grace period that pin guarantees — then
 //     adopt its shards onto the survivors through the driver's
@@ -171,9 +171,7 @@ func (r *run) crash(cr CrashSpec) {
 		r.avail.Recovered = false
 		return
 	}
-	for r.live[cr.Locale].Load() > 0 {
-		time.Sleep(10 * time.Microsecond)
-	}
+	r.workers[cr.Locale].Wait()
 	t0 := time.Now()
 	sc := r.c0.Salvage()
 	shards, bytes := fh.Failover(sc, cr.Locale)

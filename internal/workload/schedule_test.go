@@ -2,7 +2,7 @@ package workload
 
 import (
 	"reflect"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,7 +35,7 @@ func scheduleRun(t *testing.T, faults Faults) *run {
 	}
 	r := &run{spec: spec, sys: sys, c0: sys.Ctx(0), drv: drv,
 		avail: &AvailabilityReport{Recovered: true},
-		sched: newSchedule(spec.Faults), live: make([]atomic.Int64, spec.Locales)}
+		sched: newSchedule(spec.Faults), workers: make([]sync.WaitGroup, spec.Locales)}
 	r.em = epoch.NewEpochManager(r.c0)
 	drv.Setup(r.c0, r.em, spec)
 	return r
