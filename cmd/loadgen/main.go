@@ -49,6 +49,10 @@
 // compare the run phase's maxInbound with and without it under a
 // hot-set distribution to see the owner hotspot dissolve.
 //
+// -slow-factor F slows locale -slow-locale by F: the spec's
+// faults.scales, with that locale's entry F and every other 1. A
+// negative factor or an out-of-range locale exits 2.
+//
 // -crash-locale kills one locale during the run (locale 0 cannot
 // crash — it hosts the global epoch word): at the start of phase
 // -crash-phase (default 1, the run phase), or mid-phase once the
@@ -95,6 +99,7 @@ import (
 	"io"
 	"os"
 
+	"gopgas/internal/comm"
 	"gopgas/internal/telemetry"
 	"gopgas/internal/trace"
 	"gopgas/internal/workload"
@@ -147,6 +152,14 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
+		if *slowFac < 0 {
+			fmt.Fprintf(os.Stderr, "loadgen: -slow-factor must be >= 0, got %v\n", *slowFac)
+			os.Exit(2)
+		}
+		if *slowFac > 0 && (*slowLoc < 0 || *slowLoc >= *locales) {
+			fmt.Fprintf(os.Stderr, "loadgen: -slow-locale %d out of range [0, %d)\n", *slowLoc, *locales)
+			os.Exit(2)
+		}
 		spec = flagSpec(*structure, *locales, *tasks, *backend, *seed, *keyspace,
 			*dist, *theta, *ops, *bulkSize, *rate, *latScale, *slowLoc, *slowFac)
 		if *useCache {
@@ -278,6 +291,10 @@ func flagSpec(structure string, locales, tasks int, backend string, seed, keyspa
 	slowLoc int, slowFac float64) workload.Spec {
 
 	s := workload.Structure(structure)
+	var faults workload.Faults
+	if slowFac > 0 {
+		faults.Scales = comm.SlowLocale(locales, slowLoc, slowFac).Scales
+	}
 	var load, run workload.Mix
 	switch s {
 	case workload.StructureQueue, workload.StructureStack:
@@ -300,7 +317,7 @@ func flagSpec(structure string, locales, tasks int, backend string, seed, keyspa
 		Keyspace:       keyspace,
 		Dist:           workload.KeyDist{Kind: workload.DistKind(dist), Theta: thetaFor(dist, theta)},
 		LatencyScale:   latScale,
-		Faults:         workload.Faults{SlowLocale: slowLoc, SlowFactor: slowFac},
+		Faults:         faults,
 		Phases: []workload.Phase{
 			{Name: "load", Mix: load, OpsPerTask: max(ops/2, 1), TargetRate: rate},
 			{Name: "run", Mix: run, OpsPerTask: ops, BulkSize: bulkSize, TargetRate: rate, ReclaimEvery: 512},

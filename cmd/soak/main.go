@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"os"
 
+	"gopgas/internal/comm"
 	"gopgas/internal/telemetry"
 	"gopgas/internal/workload"
 )
@@ -136,7 +137,7 @@ func soakSpec(s workload.Structure, locales, tasks int, backend string, seed uin
 	}
 	var faults workload.Faults
 	if slowFac > 0 {
-		faults = workload.Faults{SlowFactor: slowFac, SlowLocale: 0}
+		faults.Scales = comm.SlowLocale(locales, 0, slowFac).Scales
 	}
 	return workload.Spec{
 		Name:           "soak-" + string(s),

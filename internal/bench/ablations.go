@@ -10,7 +10,6 @@ import (
 	"gopgas/internal/core/epoch"
 	"gopgas/internal/gas"
 	"gopgas/internal/pgas"
-	"gopgas/internal/structures/cache"
 	"gopgas/internal/structures/hashmap"
 	"gopgas/internal/structures/queue"
 	"gopgas/internal/structures/rebalance"
@@ -393,22 +392,26 @@ func AblationSharding(cfg Config) Figure {
 	}
 }
 
-// a8HotKeys picks `count` keys that are all homed on locale 0 of the
-// given map and fall into distinct sets of the replication cache.
-// Homing every hot key on one locale concentrates the uncached
-// traffic into a single matrix column — the clean O(L) hotspot the
-// cache is supposed to erase — and one key per set makes the warmed
-// cached runs a pure all-hit steady state (even a 2-way set holds at
-// most two colliding hot keys, so the ablation removes the variable
-// entirely).
-func a8HotKeys(m hashmap.Map[int], ca cache.Cache[int], count int) []uint64 {
-	keys := make([]uint64, 0, count)
-	seen := make(map[int]bool, count)
-	for k := uint64(0); len(keys) < count; k++ {
-		if m.HomeOf(k) == 0 && !seen[ca.SetOf(k)] {
-			seen[ca.SetOf(k)] = true
-			keys = append(keys, k)
+// homedKeys returns the first n keys, in ascending order, that the map
+// homes on `home`. With a non-nil group it takes at most one key per
+// group value (a bucket, a cache set). The fault and hotspot ablations
+// home their hot keys on one locale so its matrix column carries the
+// storm.
+func homedKeys(m hashmap.Map[int], home, n int, group func(uint64) int) []uint64 {
+	keys := make([]uint64, 0, n)
+	seen := make(map[int]bool)
+	for k := uint64(0); len(keys) < n; k++ {
+		if m.HomeOf(k) != home {
+			continue
 		}
+		if group != nil {
+			g := group(k)
+			if seen[g] {
+				continue
+			}
+			seen[g] = true
+		}
+		keys = append(keys, k)
 	}
 	return keys
 }
@@ -439,8 +442,10 @@ func AblationReplication(cfg Config) Figure {
 				m := hashmap.New[int](c, 8*locales, em).Shipped(false) // the paper's walk; A13 ships
 				// Both arms attach the cache so both pick identical hot keys;
 				// the uncached arm simply reads through the cacheless handle.
+				// One key per cache set makes the warmed cached runs a pure
+				// all-hit steady state.
 				cv := m.Cached(c, cacheSlots)
-				hot := a8HotKeys(m, cv.Cache(), hotKeys)
+				hot := homedKeys(m, 0, hotKeys, cv.Cache().SetOf)
 				em.Protect(c, func(tok *epoch.Token) {
 					for _, k := range hot {
 						m.Insert(c, tok, k, int(k))
@@ -538,22 +543,6 @@ func replicationStorm(cfg Config, locales int) (Point, verdict) {
 	})
 }
 
-// a9HotKeys picks `count` keys all homed on locale 0 of the map: the
-// write storm funnels every locale's upserts toward one owner, the
-// worst case write absorption is built to collapse. Unlike a8HotKeys
-// there is no cache in play, so plain home-scanning suffices; callers
-// slice the result into disjoint per-locale windows so the final map
-// state is deterministic in both arms.
-func a9HotKeys(m hashmap.Map[int], count int) []uint64 {
-	keys := make([]uint64, 0, count)
-	for k := uint64(0); len(keys) < count; k++ {
-		if m.HomeOf(k) == 0 {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
 // AblationWriteAbsorption isolates the two write-absorption layers
 // stacked on top of plain aggregation. Panel 1 is a hot-key upsert
 // storm against hashmap keys all homed on locale 0, each remote locale
@@ -577,7 +566,9 @@ func AblationWriteAbsorption(cfg Config) Figure {
 		return func(locales int) (Point, verdict) {
 			return cfg.measure(machine{locales: locales, agg: comm.AggConfig{Combine: combine}, matrix: true}, func(tr *trial) {
 				m := hashmap.New[int](tr.c, 8*locales, tr.epochs())
-				hot := a9HotKeys(m, hotKeys*locales)
+				// Disjoint per-locale windows keep the final map state
+				// deterministic in both arms.
+				hot := homedKeys(m, 0, hotKeys*locales, nil)
 				tr.timed(func() {
 					tr.c.CoforallLocales(func(lc *pgas.Ctx) {
 						if lc.Here() == 0 {
@@ -646,17 +637,10 @@ func AblationWriteAbsorption(cfg Config) Figure {
 // j, its writes turn local, and the window goes quiet after one
 // migration round instead of chasing its own traffic around.
 func a10WindowKeys(m hashmap.Map[int], locales, windows int) [][]uint64 {
-	used := make(map[int]bool)
+	all := homedKeys(m, 0, windows*(locales-1), m.BucketOf)
 	keys := make([][]uint64, windows)
-	k := uint64(0)
 	for w := range keys {
-		for len(keys[w]) < locales-1 {
-			if e := m.BucketOf(k); m.HomeOf(k) == 0 && !used[e] {
-				used[e] = true
-				keys[w] = append(keys[w], k)
-			}
-			k++
-		}
+		keys[w] = all[w*(locales-1) : (w+1)*(locales-1)]
 		sort.Slice(keys[w], func(i, j int) bool {
 			return m.BucketOf(keys[w][i]) < m.BucketOf(keys[w][j])
 		})
@@ -780,22 +764,6 @@ const (
 // epoch word and the orchestrating task, and cannot crash).
 const a11Victim = 1
 
-// a11VictimKeys picks one hot key per writer locale (every locale but
-// the victim), all homed on the victim and each in a distinct bucket,
-// so the whole storm funnels into the locale that is about to die and
-// each failover adoption moves exactly one hot entry.
-func a11VictimKeys(m hashmap.Map[int], locales int) []uint64 {
-	used := make(map[int]bool)
-	var keys []uint64
-	for k := uint64(0); len(keys) < locales-1; k++ {
-		if e := m.BucketOf(k); m.HomeOf(k) == a11Victim && !used[e] {
-			used[e] = true
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
 // crashStorm drives the crash-under-hot-load scenario: every locale
 // but the victim hammers its own victim-homed key through the
 // owner-routed fire-and-forget writes (combine off, so refused ops count
@@ -820,7 +788,11 @@ func crashStorm(cfg Config, locales int, failover bool) (Point, verdict) {
 		c := tr.c
 		em := tr.epochs()
 		m := hashmap.New[int](c, 16*locales, em).Shipped(false) // the paper's walk; A13 ships
-		keys := a11VictimKeys(m, locales)
+		// One hot key per writer locale (every locale but the victim),
+		// all homed on the victim and each in a distinct bucket, so the
+		// whole storm funnels into the locale about to die and each
+		// failover adoption moves exactly one hot entry.
+		keys := homedKeys(m, a11Victim, locales-1, m.BucketOf)
 		em.Protect(c, func(tok *epoch.Token) {
 			for _, k := range keys {
 				m.Insert(c, tok, k, int(k))
@@ -919,15 +891,6 @@ const (
 	a12PairB = 2
 )
 
-// a12KeyHomedOn returns the smallest key the map homes on `home`.
-func a12KeyHomedOn(m hashmap.Map[int], home int) uint64 {
-	for k := uint64(0); ; k++ {
-		if m.HomeOf(k) == home {
-			return k
-		}
-	}
-}
-
 // flashPartition drives the transient-fault scenario: every locale
 // writes its per-quantum budget at a fixed peer through the aggregated
 // path (combine off, so refused ops count one-for-one) — locale
@@ -963,7 +926,7 @@ func flashPartition(cfg Config, locales int, retry bool) (Point, verdict) {
 			case a12PairB:
 				peer = a12PairA
 			}
-			targets[lc] = a12KeyHomedOn(m, peer)
+			targets[lc] = homedKeys(m, peer, 1, nil)[0]
 		}
 		em.Protect(c, func(tok *epoch.Token) {
 			for _, k := range targets {

@@ -1,7 +1,6 @@
 package atomics
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"gopgas/internal/gas"
@@ -22,11 +21,9 @@ type LocalAtomicObject struct {
 	hasAB  bool
 	v      atomic.Uint64
 
-	// ABA cell, used only when hasAB. The mutex emulates CMPXCHG16B as
-	// in pgas.Word128; here there is never a remote path.
-	mu sync.Mutex
-	lo uint64
-	hi uint64
+	// ABA cell (lo=address, hi=stamp), used only when hasAB; there is
+	// never a remote path.
+	cell gas.Cell128
 }
 
 // NewLocal creates a LocalAtomicObject pinned to the given locale,
@@ -49,35 +46,21 @@ func (a *LocalAtomicObject) check(addr gas.Addr) {
 // Read atomically loads the reference.
 func (a *LocalAtomicObject) Read() gas.Addr {
 	if a.hasAB {
-		a.mu.Lock()
-		v := a.lo
-		a.mu.Unlock()
-		return gas.Addr(v)
+		return gas.Addr(a.cell.LoadLo())
 	}
 	return gas.Addr(a.v.Load())
 }
 
 // Write atomically stores a reference.
 func (a *LocalAtomicObject) Write(addr gas.Addr) {
-	a.check(addr)
-	if a.hasAB {
-		a.mu.Lock()
-		a.lo = uint64(addr)
-		a.mu.Unlock()
-		return
-	}
-	a.v.Store(uint64(addr))
+	a.Exchange(addr)
 }
 
 // Exchange atomically swaps in a reference, returning the previous.
 func (a *LocalAtomicObject) Exchange(addr gas.Addr) gas.Addr {
 	a.check(addr)
 	if a.hasAB {
-		a.mu.Lock()
-		old := a.lo
-		a.lo = uint64(addr)
-		a.mu.Unlock()
-		return gas.Addr(old)
+		return gas.Addr(a.cell.SwapLo(uint64(addr)))
 	}
 	return gas.Addr(a.v.Swap(uint64(addr)))
 }
@@ -86,13 +69,7 @@ func (a *LocalAtomicObject) Exchange(addr gas.Addr) gas.Addr {
 func (a *LocalAtomicObject) CompareAndSwap(old, new gas.Addr) bool {
 	a.check(new)
 	if a.hasAB {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		if a.lo != uint64(old) {
-			return false
-		}
-		a.lo = uint64(new)
-		return true
+		return a.cell.CASLo(uint64(old), uint64(new))
 	}
 	return a.v.CompareAndSwap(uint64(old), uint64(new))
 }
@@ -100,20 +77,13 @@ func (a *LocalAtomicObject) CompareAndSwap(old, new gas.Addr) bool {
 // ReadABA atomically loads the stamped reference.
 func (a *LocalAtomicObject) ReadABA() ABA {
 	a.requireABA()
-	a.mu.Lock()
-	r := ABA{addr: gas.Addr(a.lo), count: a.hi}
-	a.mu.Unlock()
-	return r
+	lo, hi := a.cell.Load()
+	return ABA{addr: gas.Addr(lo), count: hi}
 }
 
 // WriteABA atomically stores a reference and bumps the stamp.
 func (a *LocalAtomicObject) WriteABA(addr gas.Addr) {
-	a.requireABA()
-	a.check(addr)
-	a.mu.Lock()
-	a.lo = uint64(addr)
-	a.hi++
-	a.mu.Unlock()
+	a.ExchangeABA(addr)
 }
 
 // ExchangeABA atomically swaps in a reference, bumps the stamp, and
@@ -121,26 +91,15 @@ func (a *LocalAtomicObject) WriteABA(addr gas.Addr) {
 func (a *LocalAtomicObject) ExchangeABA(addr gas.Addr) ABA {
 	a.requireABA()
 	a.check(addr)
-	a.mu.Lock()
-	old := ABA{addr: gas.Addr(a.lo), count: a.hi}
-	a.lo = uint64(addr)
-	a.hi++
-	a.mu.Unlock()
-	return old
+	lo, hi := a.cell.SwapLoBumpHi(uint64(addr))
+	return ABA{addr: gas.Addr(lo), count: hi}
 }
 
 // CompareAndSwapABA succeeds only if both reference and stamp match.
 func (a *LocalAtomicObject) CompareAndSwapABA(old ABA, new gas.Addr) bool {
 	a.requireABA()
 	a.check(new)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.lo != uint64(old.addr) || a.hi != old.count {
-		return false
-	}
-	a.lo = uint64(new)
-	a.hi = old.count + 1
-	return true
+	return a.cell.CAS(uint64(old.addr), old.count, uint64(new), old.count+1)
 }
 
 func (a *LocalAtomicObject) requireABA() {

@@ -371,7 +371,7 @@ func (em EpochManager) Stats(c *pgas.Ctx) Stats {
 		s.AdvanceFail += li.advanceFail.Load()
 		s.LocalBackoff += li.localBackoff.Load()
 		s.GlobalBackoff += li.globalBackoff.Load()
-		s.Tokens += li.reg.count.Load()
+		s.Tokens += int64(len(*li.reg.tokens.Load()))
 	})
 	return s
 }

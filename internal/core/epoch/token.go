@@ -34,10 +34,9 @@ type Token struct {
 	inst   *instance // the per-locale instance the token belongs to
 	locale int
 
-	nextAlloc *Token        // append-only allocated list linkage
-	nextFree  atomic.Uint64 // free-list linkage (index+1 into the registry's tokens)
-	slot      int           // index of this token in the registry's tokens
-	_         [16]byte      // pads the token to its own 64-byte line
+	nextFree atomic.Uint64 // free-list linkage (index+1 into the registry's tokens)
+	slot     int           // index of this token in the registry's tokens
+	_        [24]byte      // pads the token to its own 64-byte line
 }
 
 // Locale returns the locale the token is registered on.
@@ -131,9 +130,10 @@ func (t *Token) checkLocale(c *pgas.Ctx) {
 }
 
 // tokenRegistry is the per-instance token storage: an append-only
-// allocated list that the tryReclaim scan walks, plus a lock-free LIFO
-// free list for Register/Unregister. These are the "two separate
-// lists" the paper describes.
+// slot array of every token ever minted, which the tryReclaim scan
+// walks, plus a lock-free LIFO free list for Register/Unregister
+// threaded through it. These are the "two separate lists" the paper
+// describes.
 //
 // The free list is a Treiber stack of slot indices. Because tokens are
 // recycled, the pop is exposed to the ABA problem; the head therefore
@@ -141,10 +141,8 @@ func (t *Token) checkLocale(c *pgas.Ctx) {
 // stamped-pointer cure AtomicObject provides, inlined here since the
 // index fits comfortably beside its stamp in one word).
 type tokenRegistry struct {
-	allocHead atomic.Pointer[Token]    // append-only; scan entry point
-	freeHead  atomic.Uint64            // stamp<<32 | index+1; low half 0 = empty
-	tokens    atomic.Pointer[[]*Token] // slot-indexed storage snapshot, grown by CAS
-	count     atomic.Int64             // tokens ever minted on this locale
+	freeHead atomic.Uint64            // stamp<<32 | index+1; low half 0 = empty
+	tokens   atomic.Pointer[[]*Token] // slot-indexed storage snapshot, grown by CAS
 }
 
 // init prepares the registry in place (the struct contains atomics and
@@ -157,7 +155,7 @@ func (r *tokenRegistry) init() {
 const freeIdxMask = (uint64(1) << 32) - 1
 
 // register pops a free token or, when the free list is empty, mints one
-// for inst and links it into the registry.
+// for inst and appends it to the registry.
 func (r *tokenRegistry) register(inst *instance) *Token {
 	// Fast path: ABA-protected pop of the free list.
 	for {
@@ -176,7 +174,7 @@ func (r *tokenRegistry) register(inst *instance) *Token {
 	// Mint a new token, give it the next slot of a grown copy of the
 	// snapshot (cap == len, so no later growth writes into a published
 	// array), and publish the copy by CAS; a lost race retries against
-	// the winner's snapshot. Then prepend it to the allocated list.
+	// the winner's snapshot.
 	t := &Token{inst: inst, locale: inst.locale}
 	for {
 		cur := r.tokens.Load()
@@ -185,18 +183,9 @@ func (r *tokenRegistry) register(inst *instance) *Token {
 		copy(grown, *cur)
 		grown[t.slot] = t
 		if r.tokens.CompareAndSwap(cur, &grown) {
-			break
+			return t
 		}
 	}
-	for {
-		head := r.allocHead.Load()
-		t.nextAlloc = head
-		if r.allocHead.CompareAndSwap(head, t) {
-			break
-		}
-	}
-	r.count.Add(1)
-	return t
 }
 
 // pushFree returns a token to the free list (stamped Treiber push).
@@ -211,12 +200,12 @@ func (r *tokenRegistry) pushFree(t *Token) {
 	}
 }
 
-// forEach walks the allocated list (including currently
-// unregistered tokens, whose epoch is 0 and therefore quiescent),
-// stopping early if fn returns false. This is the scan tryReclaim
-// performs on every locale.
+// forEach walks every minted token (including currently unregistered
+// tokens, whose epoch is 0 and therefore quiescent), stopping early if
+// fn returns false. This is the scan tryReclaim performs on every
+// locale.
 func (r *tokenRegistry) forEach(fn func(t *Token) bool) {
-	for t := r.allocHead.Load(); t != nil; t = t.nextAlloc {
+	for _, t := range *r.tokens.Load() {
 		if !fn(t) {
 			return
 		}

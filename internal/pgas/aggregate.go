@@ -34,18 +34,11 @@ const (
 	aggAddBytes  = 16
 )
 
-// Aggregator is one task's set of per-destination remote-op buffers.
-// It is created lazily by Ctx.Aggregator and, like the Ctx itself,
-// must not be shared between goroutines.
-type Aggregator struct {
-	c   *Ctx
-	agg *comm.Aggregator
-}
-
-func newAggregator(c *Ctx) *Aggregator {
+// newAggregator builds c's per-destination remote-op buffers. Like the
+// Ctx itself, they must not be shared between goroutines.
+func newAggregator(c *Ctx) *comm.Aggregator {
 	s := c.sys
-	a := &Aggregator{c: c}
-	a.agg = comm.NewAggregator(c.here.id, len(s.locales), s.cfg.Agg,
+	a := comm.NewAggregator(c.here.id, len(s.locales), s.cfg.Agg,
 		s.counters, s.matrix, s.cfg.Latency,
 		func(dst int, batch []comm.Op) {
 			// The task's own locale: no wire, so nothing to admit and
@@ -71,21 +64,21 @@ func newAggregator(c *Ctx) *Aggregator {
 			}
 			s.releaseCtx(tc)
 		})
-	a.agg.SetDelay(func(dst int, ns int64) { s.delay(c, c.here.id, dst, ns) })
-	a.agg.SetTracer(s.tracer, c.taskID)
+	a.SetDelay(func(dst int, ns int64) { s.delay(c, c.here.id, dst, ns) })
+	a.SetTracer(s.tracer, c.taskID)
 	return a
 }
 
-// AggBuffer is a destination-locale view of a task's aggregator — the
-// handle Ctx.Aggregator returns. It is a small value; copy freely
-// within the owning task.
+// AggBuffer is a destination-locale view of a task's aggregation
+// buffers — the handle Ctx.Aggregator returns. It is a small value;
+// copy freely within the owning task.
 type AggBuffer struct {
-	a   *Aggregator
+	c   *Ctx
 	dst int
 }
 
 // Aggregator returns this task's aggregation buffer for the given
-// destination locale, creating the task's aggregator on first use.
+// destination locale, creating the task's buffers on first use.
 // Buffered operations are shipped by Flush (on the buffer or the Ctx)
 // or automatically at capacity per the system's comm.AggConfig.
 func (c *Ctx) Aggregator(dst int) AggBuffer {
@@ -95,25 +88,25 @@ func (c *Ctx) Aggregator(dst int) AggBuffer {
 	if c.agg == nil {
 		c.agg = newAggregator(c)
 	}
-	return AggBuffer{a: c.agg, dst: dst}
+	return AggBuffer{c: c, dst: dst}
 }
 
 // Pending returns the number of operations currently buffered for this
 // destination.
-func (b AggBuffer) Pending() int { return b.a.agg.PendingTo(b.dst) }
+func (b AggBuffer) Pending() int { return b.c.agg.PendingTo(b.dst) }
 
 // Flush ships this destination's buffer now (one bulk transfer) and
 // returns once the batch has executed. Other destinations' buffers are
 // untouched; use Ctx.Flush to drain everything.
-func (b AggBuffer) Flush() { b.a.agg.FlushDst(b.dst) }
+func (b AggBuffer) Flush() { b.c.agg.FlushDst(b.dst) }
 
 // enqueue buffers fn, or runs it inline for a local destination.
 func (b AggBuffer) enqueue(bytes int64, fn func(*Ctx)) {
-	if b.dst == b.a.c.here.id {
-		fn(b.a.c)
+	if b.dst == b.c.here.id {
+		fn(b.c)
 		return
 	}
-	b.a.agg.Enqueue(b.dst, comm.Op{Bytes: bytes, Exec: fn})
+	b.c.agg.Enqueue(b.dst, comm.Op{Bytes: bytes, Exec: fn})
 }
 
 // CombinableCall is the mergeable form of an aggregated operation: a
@@ -139,11 +132,11 @@ func (b AggBuffer) CallCombinable(bytes int64, op CombinableCall) {
 	if bytes < aggCallBytes {
 		bytes = aggCallBytes
 	}
-	if b.dst == b.a.c.here.id && !b.a.c.sys.cfg.Agg.Combine {
-		op.Exec(b.a.c)
+	if b.dst == b.c.here.id && !b.c.sys.cfg.Agg.Combine {
+		op.Exec(b.c)
 		return
 	}
-	b.a.agg.Enqueue(b.dst, comm.Op{Bytes: bytes, Exec: op})
+	b.c.agg.Enqueue(b.dst, comm.Op{Bytes: bytes, Exec: op})
 }
 
 // Buffered returns the combinable call this task already holds in its
@@ -152,7 +145,7 @@ func (b AggBuffer) CallCombinable(bytes int64, op CombinableCall) {
 // for what a hit books). It returns nil on a miss and with the Combine
 // policy off; the task's own locale is a destination like any other.
 func (b AggBuffer) Buffered(key comm.CombineKey) comm.CombinableOp {
-	return b.a.agg.Buffered(b.dst, key)
+	return b.c.agg.Buffered(b.dst, key)
 }
 
 // addOp is the mergeable payload behind AggBuffer.Add: deltas against
@@ -251,7 +244,7 @@ func (c *Ctx) Flush() {
 // flush could wait on itself.
 func (c *Ctx) drainBuffers() {
 	if c.agg != nil {
-		c.agg.agg.Flush()
+		c.agg.Flush()
 	}
 }
 
@@ -261,5 +254,5 @@ func (c *Ctx) PendingOps() int {
 	if c.agg == nil {
 		return 0
 	}
-	return c.agg.agg.Pending()
+	return c.agg.Pending()
 }

@@ -16,9 +16,9 @@ type Ctx struct {
 	here    *Locale
 	taskID  uint64
 	rng     uint64
-	agg     *Aggregator // lazily created per-task aggregation buffers
-	isAsync bool        // task was launched by AsyncOn (counted in asyncPending)
-	salvage bool        // recovery-plane task, exempt from crash/partition refusal
+	agg     *comm.Aggregator // lazily created per-task aggregation buffers
+	isAsync bool             // task was launched by AsyncOn (counted in asyncPending)
+	salvage bool             // recovery-plane task, exempt from crash/partition refusal
 
 	// pace is the delay account System.delay charges: the task's own
 	// pacer, or — for the pooled Ctx of a sync on-statement body or an

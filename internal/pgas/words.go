@@ -1,8 +1,9 @@
 package pgas
 
 import (
-	"sync"
 	"sync/atomic"
+
+	"gopgas/internal/gas"
 )
 
 // Word64 is a network-atomic 64-bit word that lives in one locale's
@@ -133,16 +134,11 @@ func b2u(ok bool) uint64 {
 // No NIC offloads 128-bit atomics, so — on both backends — a remote
 // operation always ships as an active message to the home locale
 // ("demoting" the operation from RDMA to remote execution, as the
-// paper puts it), while a local operation executes the (emulated)
-// CMPXCHG16B directly. The per-cell lock emulates the atomicity of the
-// hardware instruction Go lacks; it is held for a handful of
-// instructions and stands in the same relation to the algorithm as
-// LL/SC emulation does on ARM.
+// paper puts it), while a local operation executes the emulated
+// CMPXCHG16B, a gas.Cell128, directly.
 type Word128 struct {
 	home int
-	mu   sync.Mutex
-	lo   uint64
-	hi   uint64
+	cell gas.Cell128
 }
 
 // NewWord128 allocates a 128-bit network-atomic cell homed on the
@@ -151,7 +147,9 @@ func NewWord128(c *Ctx, home int, lo, hi uint64) *Word128 {
 	if home < 0 || home >= c.NumLocales() {
 		panic("pgas: Word128 home out of range")
 	}
-	return &Word128{home: home, lo: lo, hi: hi}
+	w := &Word128{home: home}
+	w.cell.Swap(lo, hi)
+	return w
 }
 
 // Home returns the id of the locale the cell resides on.
@@ -160,10 +158,10 @@ func (w *Word128) Home() int { return w.home }
 // Read atomically loads both halves.
 func (w *Word128) Read(c *Ctx) (lo, hi uint64) {
 	if c.sys.routeDCAS(c, w.home) {
-		c.sys.amCall(c, w.home, func() { lo, hi = w.load() })
+		c.sys.amCall(c, w.home, func() { lo, hi = w.cell.Load() })
 		return lo, hi
 	}
-	return w.load()
+	return w.cell.Load()
 }
 
 // Write atomically stores both halves.
@@ -174,10 +172,10 @@ func (w *Word128) Write(c *Ctx, lo, hi uint64) {
 // Exchange atomically swaps in (lo, hi), returning the previous pair.
 func (w *Word128) Exchange(c *Ctx, lo, hi uint64) (oldLo, oldHi uint64) {
 	if c.sys.routeDCAS(c, w.home) {
-		c.sys.amCall(c, w.home, func() { oldLo, oldHi = w.swap(lo, hi) })
+		c.sys.amCall(c, w.home, func() { oldLo, oldHi = w.cell.Swap(lo, hi) })
 		return oldLo, oldHi
 	}
-	return w.swap(lo, hi)
+	return w.cell.Swap(lo, hi)
 }
 
 // ReadLo64 atomically loads the low word only. The lo64 operations
@@ -188,9 +186,9 @@ func (w *Word128) Exchange(c *Ctx, lo, hi uint64) (oldLo, oldHi uint64) {
 // pointer word.
 func (w *Word128) ReadLo64(c *Ctx) uint64 {
 	if c.sys.routeAMO64(c, w.home) {
-		return c.sys.amAMO64(c, w.home, w.loadLo)
+		return c.sys.amAMO64(c, w.home, w.cell.LoadLo)
 	}
-	return w.loadLo()
+	return w.cell.LoadLo()
 }
 
 // WriteLo64 atomically stores the low word, leaving the high word (the
@@ -203,17 +201,17 @@ func (w *Word128) WriteLo64(c *Ctx, lo uint64) {
 // untouched.
 func (w *Word128) ExchangeLo64(c *Ctx, lo uint64) uint64 {
 	if c.sys.routeAMO64(c, w.home) {
-		return c.sys.amAMO64(c, w.home, func() uint64 { return w.swapLo(lo) })
+		return c.sys.amAMO64(c, w.home, func() uint64 { return w.cell.SwapLo(lo) })
 	}
-	return w.swapLo(lo)
+	return w.cell.SwapLo(lo)
 }
 
 // CASLo64 atomically compares-and-swaps the low word only.
 func (w *Word128) CASLo64(c *Ctx, old, new uint64) (ok bool) {
 	if c.sys.routeAMO64(c, w.home) {
-		ok = c.sys.amAMO64(c, w.home, func() uint64 { return b2u(w.casLo(old, new)) }) == 1
+		ok = c.sys.amAMO64(c, w.home, func() uint64 { return b2u(w.cell.CASLo(old, new)) }) == 1
 	} else {
-		ok = w.casLo(old, new)
+		ok = w.cell.CASLo(old, new)
 	}
 	c.sys.counters.IncCAS(c.here.id, ok)
 	return ok
@@ -230,10 +228,10 @@ func (w *Word128) WriteLoBumpHi(c *Ctx, lo uint64) {
 // word, and returns the previous pair — an ABA-aware exchange.
 func (w *Word128) ExchangeLoBumpHi(c *Ctx, lo uint64) (oldLo, oldHi uint64) {
 	if c.sys.routeDCAS(c, w.home) {
-		c.sys.amCall(c, w.home, func() { oldLo, oldHi = w.swapLoBumpHi(lo) })
+		c.sys.amCall(c, w.home, func() { oldLo, oldHi = w.cell.SwapLoBumpHi(lo) })
 		return oldLo, oldHi
 	}
-	return w.swapLoBumpHi(lo)
+	return w.cell.SwapLoBumpHi(lo)
 }
 
 // DCAS performs a double-word compare-and-swap: iff the cell equals
@@ -241,70 +239,10 @@ func (w *Word128) ExchangeLoBumpHi(c *Ctx, lo uint64) (oldLo, oldHi uint64) {
 // CMPXCHG16B the paper's ABA protection is built on.
 func (w *Word128) DCAS(c *Ctx, expLo, expHi, newLo, newHi uint64) (ok bool) {
 	if c.sys.routeDCAS(c, w.home) {
-		c.sys.amCall(c, w.home, func() { ok = w.dcas(expLo, expHi, newLo, newHi) })
+		c.sys.amCall(c, w.home, func() { ok = w.cell.CAS(expLo, expHi, newLo, newHi) })
 	} else {
-		ok = w.dcas(expLo, expHi, newLo, newHi)
+		ok = w.cell.CAS(expLo, expHi, newLo, newHi)
 	}
 	c.sys.counters.IncCAS(c.here.id, ok)
-	return ok
-}
-
-// The cell's operations under its lock, run wherever the route put them.
-
-func (w *Word128) load() (lo, hi uint64) {
-	w.mu.Lock()
-	lo, hi = w.lo, w.hi
-	w.mu.Unlock()
-	return lo, hi
-}
-
-func (w *Word128) swap(lo, hi uint64) (oldLo, oldHi uint64) {
-	w.mu.Lock()
-	oldLo, oldHi = w.lo, w.hi
-	w.lo, w.hi = lo, hi
-	w.mu.Unlock()
-	return oldLo, oldHi
-}
-
-func (w *Word128) swapLoBumpHi(lo uint64) (oldLo, oldHi uint64) {
-	w.mu.Lock()
-	oldLo, oldHi = w.lo, w.hi
-	w.lo = lo
-	w.hi++
-	w.mu.Unlock()
-	return oldLo, oldHi
-}
-
-func (w *Word128) dcas(expLo, expHi, newLo, newHi uint64) (ok bool) {
-	w.mu.Lock()
-	if w.lo == expLo && w.hi == expHi {
-		w.lo, w.hi = newLo, newHi
-		ok = true
-	}
-	w.mu.Unlock()
-	return ok
-}
-
-func (w *Word128) loadLo() uint64 {
-	w.mu.Lock()
-	v := w.lo
-	w.mu.Unlock()
-	return v
-}
-
-func (w *Word128) swapLo(lo uint64) uint64 {
-	w.mu.Lock()
-	old := w.lo
-	w.lo = lo
-	w.mu.Unlock()
-	return old
-}
-
-func (w *Word128) casLo(old, new uint64) (ok bool) {
-	w.mu.Lock()
-	if ok = w.lo == old; ok {
-		w.lo = new
-	}
-	w.mu.Unlock()
 	return ok
 }

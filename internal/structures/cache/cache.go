@@ -89,13 +89,10 @@ type set struct {
 	way [Ways]atomic.Uint64
 }
 
-// shard is one locale's replica: the set array plus diagnostic
-// counters (the system-wide comm.Counters mirror them).
+// shard is one locale's replica: the set array. Hits, misses and
+// invalidations are counted once, in the system's comm.Counters.
 type shard struct {
-	sets   []set
-	hits   atomic.Int64
-	misses atomic.Int64
-	invals atomic.Int64
+	sets []set
 }
 
 // Cache is the copyable handle to a distributed read cache: one
@@ -206,11 +203,9 @@ func (ca Cache[V]) GetThrough(c *pgas.Ctx, tok *epoch.Token, k uint64, fetch fun
 	sh := ca.obj.Local(c)
 	st, v, ok := ca.lookup(c, sh, k)
 	if ok {
-		sh.hits.Add(1)
 		c.Sys().Counters().IncCacheHit(c.Here())
 		return v, true
 	}
-	sh.misses.Add(1)
 	c.Sys().Counters().IncCacheMiss(c.Here())
 	gen := st.gen.Load() // sampled before the fetch: see the race note above
 	v, ok = fetch()
@@ -298,7 +293,6 @@ func (ca Cache[V]) Invalidate(c *pgas.Ctx, k uint64) {
 			continue
 		}
 		ca.obj.AggOnOwner(c, dst, func(lc *pgas.Ctx, sh *shard) {
-			sh.invals.Add(1)
 			lc.Sys().Counters().IncCacheInval(lc.Here())
 			st := &sh.sets[idx]
 			st.gen.Add(1) // order matters: kill racing fills first
@@ -325,12 +319,10 @@ func (ca Cache[V]) Invalidate(c *pgas.Ctx, k uint64) {
 }
 
 // Stats aggregates the per-locale replica statistics (communication:
-// one on-statement per remote locale).
+// one on-statement per remote locale). Hits, misses and invalidations
+// are the system's comm counters CacheHits, CacheMiss and CacheInval.
 type Stats struct {
-	Hits          int64 // lookups served from a local replica
-	Misses        int64 // lookups that fell through to the owner
-	Invalidations int64 // invalidation ops executed across all replicas
-	Entries       int64 // currently published entries across all replicas
+	Entries int64 // currently published entries across all replicas
 }
 
 // Stats gathers cache statistics from every locale's replica. Entries
@@ -338,11 +330,7 @@ type Stats struct {
 func (ca Cache[V]) Stats(c *pgas.Ctx) Stats {
 	var out Stats
 	for _, s := range shared.Gather(c, ca.obj, func(_ *pgas.Ctx, sh *shard) Stats {
-		st := Stats{
-			Hits:          sh.hits.Load(),
-			Misses:        sh.misses.Load(),
-			Invalidations: sh.invals.Load(),
-		}
+		var st Stats
 		for i := range sh.sets {
 			for w := range sh.sets[i].way {
 				if sh.sets[i].way[w].Load() != 0 {
@@ -352,9 +340,6 @@ func (ca Cache[V]) Stats(c *pgas.Ctx) Stats {
 		}
 		return st
 	}) {
-		out.Hits += s.Hits
-		out.Misses += s.Misses
-		out.Invalidations += s.Invalidations
 		out.Entries += s.Entries
 	}
 	return out

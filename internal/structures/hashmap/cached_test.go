@@ -3,6 +3,7 @@ package hashmap
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gopgas/internal/comm"
@@ -98,7 +99,7 @@ func TestCachedViewWriteThrough(t *testing.T) {
 				}
 			})
 		})
-		if st := cv.Cache().Stats(c); st.Invalidations == 0 {
+		if sys.Counters().Snapshot().CacheInval == 0 {
 			t.Fatal("write-through produced no invalidations")
 		}
 	})
@@ -175,6 +176,14 @@ func TestCachedViewChurn(t *testing.T) {
 // the cache on every locale must equal what the owner's list holds.
 // Under -race this storms the owner-side invalidation and the runtime's
 // context drain against fills, migrations and epoch reclamation.
+//
+// Both vacuity guards hold by construction. Removes draw only from the
+// upper half of the hot keys, so a lower-half key, which some task
+// upserts, ends absent only if a write was lost, whatever order a
+// migration's re-routed writes apply in. And after its flush each
+// writer keeps issuing ops until it has seen the migrator's first
+// migration land, ending on a write issued after it, so no storm ends
+// before a migration.
 func TestMapCacheCoherentUnderRoutedWrites(t *testing.T) {
 	const locales, tasks, hotKeys, ops, maxMigrations = 4, 2, 12, 600, 1024
 	s := pgas.NewSystem(pgas.Config{
@@ -192,9 +201,11 @@ func TestMapCacheCoherentUnderRoutedWrites(t *testing.T) {
 	stop := make(chan struct{})
 	var migWG sync.WaitGroup
 	var migrations int64
+	var landed atomic.Bool // set at the first migration, or when the migrator gives up
 	migWG.Add(1)
 	go func() {
 		defer migWG.Done()
+		defer landed.Store(true)
 		mc := s.Ctx(0)
 		for r := 0; r < maxMigrations; r++ {
 			select {
@@ -206,6 +217,7 @@ func TestMapCacheCoherentUnderRoutedWrites(t *testing.T) {
 			dst := (m.EntryOwner(e) + 1 + r%(locales-1)) % locales
 			if _, ok := m.Migrate(mc, e, dst); ok {
 				migrations++
+				landed.Store(true)
 			}
 			runtime.Gosched()
 		}
@@ -220,11 +232,11 @@ func TestMapCacheCoherentUnderRoutedWrites(t *testing.T) {
 				c := s.Ctx(loc)
 				id := int64(loc*tasks + task)
 				tok := em.Register(c)
-				for i := 0; i < ops; i++ {
+				op := func(i int) {
 					k := uint64(i+loc+task) % hotKeys
 					switch {
 					case i%41 == 17:
-						m.RemoveAgg(c, k)
+						m.RemoveAgg(c, hotKeys/2+k%(hotKeys/2))
 					case i%3 == 0:
 						m.UpsertAgg(c, k, id<<32|int64(i))
 					default:
@@ -233,6 +245,18 @@ func TestMapCacheCoherentUnderRoutedWrites(t *testing.T) {
 					if i%128 == 127 {
 						tok.TryReclaim(c)
 					}
+				}
+				for i := 0; i < ops; i++ {
+					op(i)
+				}
+				c.Flush()
+				for i := ops; ; i++ { // every i%3 == 0 op is a write
+					after := landed.Load()
+					op(i)
+					if after && i%3 == 0 {
+						break
+					}
+					runtime.Gosched()
 				}
 				c.Flush()
 				tok.Unregister(c)

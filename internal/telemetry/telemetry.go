@@ -27,8 +27,8 @@ import (
 // a later Clear does not resurrect it), Sever partitions the unordered
 // pair (SeverA, SeverB), Heal repairs a severed pair (422 when the
 // pair is not currently severed), Clear removes the latency
-// perturbation, Scales installs an explicit per-locale factor vector,
-// and SlowLocale/SlowFactor slows one locale.
+// perturbation, and Scales installs a per-locale factor vector (a slow
+// locale is one entry above 1).
 type FaultRequest struct {
 	Crash       bool      `json:"crash,omitempty"`
 	CrashLocale int       `json:"crash_locale,omitempty"`
@@ -40,8 +40,6 @@ type FaultRequest struct {
 	HealB       int       `json:"heal_b,omitempty"`
 	Clear       bool      `json:"clear,omitempty"`
 	Scales      []float64 `json:"scales,omitempty"`
-	SlowLocale  int       `json:"slow_locale,omitempty"`
-	SlowFactor  float64   `json:"slow_factor,omitempty"`
 }
 
 // Options wires the server's endpoints to whatever is running. Any nil

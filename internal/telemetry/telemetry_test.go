@@ -48,8 +48,8 @@ func TestEndpoints(t *testing.T) {
 		Hist:   func() any { return map[string]any{"count": 2, "p50_ns": 1000} },
 		Trace:  func(max int) []trace.Event { return r.Drain(max) },
 		Fault: func(req FaultRequest) error {
-			if req.SlowFactor < 0 {
-				return fmt.Errorf("negative factor")
+			if req.Crash && req.CrashLocale == 0 {
+				return fmt.Errorf("locale 0 cannot crash")
 			}
 			faults = append(faults, req)
 			return nil
@@ -118,7 +118,7 @@ func TestEndpoints(t *testing.T) {
 	}
 
 	resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", s.Addr()),
-		"application/json", bytes.NewBufferString(`{"slow_locale":1,"slow_factor":8}`))
+		"application/json", bytes.NewBufferString(`{"scales":[1,8]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/api/fault POST: %d", resp.StatusCode)
 	}
-	if len(faults) != 1 || faults[0].SlowLocale != 1 || faults[0].SlowFactor != 8 {
+	if len(faults) != 1 || !reflect.DeepEqual(faults[0].Scales, []float64{1, 8}) {
 		t.Fatalf("fault not delivered: %+v", faults)
 	}
 	resp, err = http.Post(fmt.Sprintf("http://%s/api/fault", s.Addr()),
-		"application/json", bytes.NewBufferString(`{"slow_factor":-1}`))
+		"application/json", bytes.NewBufferString(`{"crash":true,"crash_locale":0}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestFaultRejectsTrailingData(t *testing.T) {
 	}})
 	for _, body := range []string{
 		`{"heal":true,"heal_a":2,"heal_b":3} {"crash":true} junk`,
-		`{"slow_locale":1,"slow_factor":8}}`,
+		`{"scales":[1,8]}}`,
 	} {
 		resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", s.Addr()),
 			"application/json", bytes.NewBufferString(body))
@@ -193,7 +193,7 @@ func TestFaultRejectsTrailingData(t *testing.T) {
 }
 
 // FuzzFaultRequest posts arbitrary bodies to /api/fault with a
-// recording provider that rejects a negative slow factor. The handler
+// recording provider that refuses a crash of locale 0. The handler
 // never panics and answers 200, 400 or 422: a body that does not
 // decode as one FaultRequest is a 400 the provider never sees, and any
 // other body reaches the provider exactly once, as its decode — a 200
@@ -201,10 +201,10 @@ func TestFaultRejectsTrailingData(t *testing.T) {
 func FuzzFaultRequest(f *testing.F) {
 	for _, body := range []string{
 		// TestEndpoints, TestNilProviders and the live workload test.
-		`{"slow_locale":1,"slow_factor":8}`,
-		`{"slow_factor":-1}`,
+		`{"scales":[1,8]}`,
+		`{"slow_factor":-1}`, // a retired field: decodes to the empty request
 		`{}`,
-		`{"slow_locale":1,"slow_factor":4}`,
+		`{"scales":[1,4]}`,
 		// CI's telemetry smoke.
 		`{"crash":true,"crash_locale":1}`,
 		`{"crash":true,"crash_locale":0}`,
@@ -221,8 +221,8 @@ func FuzzFaultRequest(f *testing.F) {
 		var seen []FaultRequest
 		h := newHandler(Options{Fault: func(req FaultRequest) error {
 			seen = append(seen, req)
-			if req.SlowFactor < 0 {
-				return errors.New("negative factor")
+			if req.Crash && req.CrashLocale == 0 {
+				return errors.New("locale 0 cannot crash")
 			}
 			return nil
 		}})
@@ -239,7 +239,7 @@ func FuzzFaultRequest(f *testing.F) {
 			if len(seen) != 1 || !reflect.DeepEqual(seen[0], want) {
 				t.Fatalf("provider saw %+v, want exactly [%+v]", seen, want)
 			}
-			if refused := want.SlowFactor < 0; refused != (rec.Code == http.StatusUnprocessableEntity) {
+			if refused := want.Crash && want.CrashLocale == 0; refused != (rec.Code == http.StatusUnprocessableEntity) {
 				t.Fatalf("status %d for %+v", rec.Code, want)
 			}
 		case http.StatusBadRequest:

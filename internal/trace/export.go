@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // chromeEvent is one entry in the Chrome trace-event JSON format
@@ -133,53 +132,4 @@ func Summarize(events []Event) Summary {
 		}
 	}
 	return s
-}
-
-// Balanced reports whether every kind's event-level begins equal its
-// ends — true for any full drain with zero drops.
-func (s Summary) Balanced() bool {
-	for _, ks := range s.Kinds {
-		if ks.Begins != ks.Ends {
-			return false
-		}
-	}
-	return true
-}
-
-// WriteText writes the human-readable summary table: per-kind span
-// counts, mean/max durations, and the begin/end books.
-func (s Summary) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "trace: %d events\n", s.Events)
-	fmt.Fprintf(w, "  %-14s %10s %10s %10s %12s %12s %12s\n",
-		"kind", "begins", "ends", "instants", "spans", "mean", "max")
-	kinds := append([]KindStats(nil), s.Kinds...)
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i].Spans > kinds[j].Spans })
-	for _, ks := range kinds {
-		if ks.Begins == 0 && ks.Ends == 0 && ks.Instants == 0 {
-			continue
-		}
-		mean := int64(0)
-		if ks.Spans > 0 {
-			mean = ks.TotalNS / ks.Spans
-		}
-		fmt.Fprintf(w, "  %-14s %10d %10d %10d %12d %12s %12s\n",
-			ks.Kind, ks.Begins, ks.Ends, ks.Instants, ks.Spans,
-			fmtDur(mean), fmtDur(ks.MaxNS))
-	}
-	if s.Balanced() {
-		fmt.Fprintf(w, "  books: balanced (begins == ends per kind)\n")
-	} else {
-		fmt.Fprintf(w, "  books: UNBALANCED at event level (drops or open spans)\n")
-	}
-}
-
-func fmtDur(ns int64) string {
-	switch {
-	case ns >= 1e6:
-		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.2fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
 }

@@ -24,8 +24,9 @@
 //     (Seconds), optionally paced open-loop (TargetRate)
 //   - phases (the classic load → run → churn shape; churn rounds
 //     destroy and recreate the structure)
-//   - fault injection: a comm.Perturbation latency plan (slow-locale
-//     or explicit per-locale scales; counters stay exact) and a
+//   - fault injection: a comm.Perturbation latency plan (per-locale
+//     scales, a slow locale being one scale above 1; counters stay
+//     exact) and a
 //     liveness plan of fail-stop crashes and transient partitions
 //   - the hashmap's read replication cache (CacheSpec): gets served
 //     from per-locale replicas, mutations writing through with

@@ -60,7 +60,7 @@ func runWith(spec Spec, drv Driver, progress io.Writer, tel *Telemetry) (*Report
 		Locales: spec.Locales,
 		Backend: backend,
 		Latency: comm.DefaultProfile().Scale(spec.LatencyScale), // scale 0 is the zero profile: no injected delay
-		Perturb: spec.Faults.perturbation(spec.Locales),
+		Perturb: spec.Faults.perturbation(),
 		Seed:    spec.Seed,
 		Agg:     comm.AggConfig{Combine: spec.Combine != nil && spec.Combine.Enabled},
 		Park:    spec.Faults.parkConfig(),

@@ -424,7 +424,7 @@ func TestSlowLocaleFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := base
-	slow.Faults = Faults{SlowFactor: 16, SlowLocale: 1}
+	slow.Faults = Faults{Scales: comm.SlowLocale(2, 1, 16).Scales}
 	perturbed, err := Run(slow, nil)
 	if err != nil {
 		t.Fatal(err)

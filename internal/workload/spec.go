@@ -145,14 +145,9 @@ func (p Phase) bulkSize() int {
 // partitions, applied by the engine's schedule at their scheduled point
 // — moves only the OpsLost ledger and the retry plane's parked books.
 type Faults struct {
-	// SlowFactor, when positive, makes locale SlowLocale run that many
-	// times slower (the "slow locale" mode: every delay touching it is
-	// scaled).
-	SlowFactor float64 `json:"slow_factor,omitempty"`
-	SlowLocale int     `json:"slow_locale,omitempty"`
-
-	// Scales is an explicit per-locale multiplier plan; entries <= 0
-	// mean nominal. Overrides SlowFactor/SlowLocale when non-empty.
+	// Scales is a per-locale latency multiplier plan; entries <= 0 mean
+	// nominal. comm.SlowLocale builds the "slow locale" plan, in which
+	// every delay touching one locale is scaled.
 	Scales []float64 `json:"scales,omitempty"`
 
 	// Crashes schedules fail-stop locale crashes (per-locale, at a
@@ -270,14 +265,8 @@ func (s Spec) hasFailover() bool {
 // layer: the latency scales. The liveness half — crashes, and now
 // partitions too — is applied by the engine at its scheduled point,
 // not here.
-func (f Faults) perturbation(locales int) comm.Perturbation {
-	var p comm.Perturbation
-	if len(f.Scales) > 0 {
-		p.Scales = f.Scales
-	} else if f.SlowFactor > 0 {
-		p = comm.SlowLocale(locales, f.SlowLocale, f.SlowFactor)
-	}
-	return p
+func (f Faults) perturbation() comm.Perturbation {
+	return comm.Perturbation{Scales: f.Scales}
 }
 
 // CacheSpec configures the hot-key read replication cache
@@ -561,11 +550,6 @@ func (s Spec) Validate() error {
 		if tr.BufferSize > 1<<24 {
 			return fmt.Errorf("workload: trace buffer_size must be <= %d, got %d", 1<<24, tr.BufferSize)
 		}
-	}
-	if f := s.Faults; f.SlowFactor < 0 {
-		return fmt.Errorf("workload: slow_factor must be >= 0, got %v", f.SlowFactor)
-	} else if f.SlowFactor > 0 && (f.SlowLocale < 0 || f.SlowLocale >= s.Locales) {
-		return fmt.Errorf("workload: slow_locale %d out of range [0, %d)", f.SlowLocale, s.Locales)
 	}
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("workload: scenario has no phases")

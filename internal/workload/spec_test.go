@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -45,7 +46,6 @@ func TestValidateRejections(t *testing.T) {
 		{"bad hot fraction", func(s *Spec) { s.Dist = KeyDist{Kind: DistHotSet, HotFraction: 2, HotProb: 0.5} }, "hot_fraction"},
 		{"unknown dist", func(s *Spec) { s.Dist.Kind = "pareto" }, "distribution"},
 		{"negative latency scale", func(s *Spec) { s.LatencyScale = -1 }, "latency_scale"},
-		{"slow locale out of range", func(s *Spec) { s.Faults = Faults{SlowFactor: 4, SlowLocale: 64} }, "slow_locale"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -65,7 +65,7 @@ func TestValidateRejections(t *testing.T) {
 func TestSpecJSONRoundTrip(t *testing.T) {
 	s := validSpec()
 	s.Dist = KeyDist{Kind: DistZipfian, Theta: 0.9}
-	s.Faults = Faults{SlowFactor: 4, SlowLocale: 1}
+	s.Faults = Faults{Scales: []float64{1, 4}}
 	s.Phases[1].Churn = true
 	s.Phases[1].Rounds = 3
 
@@ -84,7 +84,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Structure != s.Structure || back.Dist != s.Dist ||
-		back.Faults.SlowFactor != s.Faults.SlowFactor ||
+		!slices.Equal(back.Faults.Scales, s.Faults.Scales) ||
 		len(back.Phases) != len(s.Phases) || back.Phases[1] != s.Phases[1] {
 		t.Fatalf("round trip drifted:\n got %+v\nwant %+v", back, s)
 	}
@@ -106,8 +106,7 @@ func goldenSpec() Spec {
 		Dist:           KeyDist{Kind: DistHotSet, HotFraction: 0.05, HotProb: 0.95},
 		LatencyScale:   0.5,
 		Faults: Faults{
-			SlowFactor: 4,
-			SlowLocale: 3,
+			Scales:     []float64{1, 1, 1, 4},
 			Crashes:    []CrashSpec{{Locale: 3, Phase: 1, AfterOps: 250}},
 			Partitions: []PartitionSpec{{A: 1, B: 2, Phase: 1, AtOps: 50, HealPhase: 2}},
 			Retry:      &RetrySpec{DeadlineMS: 500, Capacity: 1024},
@@ -590,24 +589,16 @@ func TestFaultPlanJSONRoundTrip(t *testing.T) {
 }
 
 func TestFaultsPerturbation(t *testing.T) {
-	p := Faults{SlowFactor: 6, SlowLocale: 2}.perturbation(4)
-	if got := p.ScaleFor(2); got != 6 {
-		t.Fatalf("slow locale scale = %v, want 6", got)
+	p := Faults{Scales: []float64{1, 9, 0}}.perturbation()
+	if p.ScaleFor(1) != 9 || p.ScaleFor(0) != 1 || p.ScaleFor(2) != 1 || p.ScaleFor(3) != 1 {
+		t.Fatalf("scales not honoured: %+v", p)
 	}
-	if got := p.ScaleFor(0); got != 1 {
-		t.Fatalf("nominal locale scale = %v, want 1", got)
-	}
-	// Explicit scales override the slow-locale shorthand.
-	p = Faults{SlowFactor: 6, SlowLocale: 2, Scales: []float64{1, 9}}.perturbation(4)
-	if p.ScaleFor(1) != 9 || p.ScaleFor(2) != 1 {
-		t.Fatalf("explicit scales not honoured: %+v", p)
-	}
-	if (Faults{}).perturbation(4).Enabled() {
+	if (Faults{}).perturbation().Enabled() {
 		t.Fatal("empty fault plan must be disabled")
 	}
 	// Partitions are schedule-driven now: the boot perturbation must NOT
 	// pre-sever the pair — the engine severs it at its scheduled phase.
-	p = Faults{Partitions: []PartitionSpec{{A: 1, B: 3, Phase: 1}}}.perturbation(4)
+	p = Faults{Partitions: []PartitionSpec{{A: 1, B: 3, Phase: 1}}}.perturbation()
 	if p.Enabled() {
 		t.Fatal("scheduled partitions must not lower into the boot perturbation")
 	}

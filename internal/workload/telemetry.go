@@ -171,14 +171,8 @@ func (t *Telemetry) Options() telemetry.Options {
 				sys.SetScales(nil)
 			case len(req.Scales) > 0:
 				sys.SetScales(req.Scales)
-			case req.SlowFactor > 0:
-				if req.SlowLocale < 0 || req.SlowLocale >= sys.NumLocales() {
-					return fmt.Errorf("workload: slow_locale %d out of range [0, %d)",
-						req.SlowLocale, sys.NumLocales())
-				}
-				sys.SetScales(comm.SlowLocale(sys.NumLocales(), req.SlowLocale, req.SlowFactor).Scales)
 			default:
-				return fmt.Errorf("workload: fault request needs crash, sever, heal, clear, scales, or slow_factor")
+				return fmt.Errorf("workload: fault request needs crash, sever, heal, clear or scales")
 			}
 			return nil
 		},

@@ -38,7 +38,7 @@ func TestTelemetryFaultCrash(t *testing.T) {
 	}
 
 	// Latency faults layer on and clear off without touching liveness.
-	if err := fault(telemetry.FaultRequest{SlowFactor: 8, SlowLocale: 1}); err != nil {
+	if err := fault(telemetry.FaultRequest{Scales: []float64{1, 8}}); err != nil {
 		t.Fatalf("slow-locale fault rejected: %v", err)
 	}
 	if err := fault(telemetry.FaultRequest{Clear: true}); err != nil {
@@ -77,7 +77,7 @@ func TestLatencySwapKeepsFaultPlan(t *testing.T) {
 		defer close(swapErrs)
 		swaps := []telemetry.FaultRequest{
 			{Scales: []float64{1, 2, 1, 1}},
-			{SlowLocale: 3, SlowFactor: 4},
+			{Scales: []float64{1, 1, 1, 4}},
 			{Clear: true},
 		}
 		for i := 0; ; i++ {
@@ -220,7 +220,7 @@ func TestRunLiveServesTelemetry(t *testing.T) {
 
 	// Inject a fault mid-run; the run must absorb it and keep going.
 	resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", srv.Addr()),
-		"application/json", bytes.NewBufferString(`{"slow_locale":1,"slow_factor":4}`))
+		"application/json", bytes.NewBufferString(`{"scales":[1,4]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
