@@ -146,9 +146,10 @@ func newHandler(opts Options) http.Handler {
 			unavailable(w)
 			return
 		}
-		// One JSON value and nothing after it: a request with a tail
-		// is malformed, not a request plus noise.
+		// One JSON value of known fields and nothing after it: a tail,
+		// or a retired or misspelt field, makes the request malformed.
 		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
 		var req FaultRequest
 		err := dec.Decode(&req)
 		if err == nil && dec.Decode(new(json.RawMessage)) != io.EOF {

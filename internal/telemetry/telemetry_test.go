@@ -192,17 +192,59 @@ func TestFaultRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// A fault request names only known fields: a retired field or a typo
+// beside a valid form is a 400 the provider never sees, while the
+// bodies the CI telemetry smoke posts still reach it.
+func TestFaultRejectsUnknownFields(t *testing.T) {
+	var faults []FaultRequest
+	s := startTestServer(t, Options{Fault: func(req FaultRequest) error {
+		faults = append(faults, req)
+		return nil
+	}})
+	post := func(body string) int {
+		resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", s.Addr()),
+			"application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range []string{`{"slow_factor":4}`, `{"scales":[1,4],"sevr":true}`} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, code)
+		}
+	}
+	if len(faults) != 0 {
+		t.Fatalf("provider saw %+v from bodies with unknown fields", faults)
+	}
+	smoke := []string{
+		`{"crash":true,"crash_locale":1}`,
+		`{"sever":true,"sever_a":2,"sever_b":3}`,
+		`{"heal":true,"heal_a":2,"heal_b":3}`,
+	}
+	for _, body := range smoke {
+		if code := post(body); code != http.StatusOK {
+			t.Errorf("%s: status %d, want 200", body, code)
+		}
+	}
+	if len(faults) != len(smoke) {
+		t.Fatalf("provider saw %d of the %d smoke bodies", len(faults), len(smoke))
+	}
+}
+
 // FuzzFaultRequest posts arbitrary bodies to /api/fault with a
 // recording provider that refuses a crash of locale 0. The handler
 // never panics and answers 200, 400 or 422: a body that does not
-// decode as one FaultRequest is a 400 the provider never sees, and any
+// decode strictly as one FaultRequest (a tail, or a field it does not
+// know) is a 400 the provider never sees, and any
 // other body reaches the provider exactly once, as its decode — a 200
 // when the provider accepts it, a 422 when it refuses.
 func FuzzFaultRequest(f *testing.F) {
 	for _, body := range []string{
 		// TestEndpoints, TestNilProviders and the live workload test.
 		`{"scales":[1,8]}`,
-		`{"slow_factor":-1}`, // a retired field: decodes to the empty request
+		`{"slow_factor":-1}`, // a retired field: a 400 the provider never sees
 		`{}`,
 		`{"scales":[1,4]}`,
 		// CI's telemetry smoke.
@@ -214,6 +256,7 @@ func FuzzFaultRequest(f *testing.F) {
 		`{"clear":true}`,
 		`{"scales":[1,2.5,1,1]}`,
 		`{"heal":true,"heal_a":2,"heal_b":3} {"crash":true} junk`,
+		`{"scales":[1,4],"sevr":true}`, // a typo beside a valid form
 	} {
 		f.Add([]byte(body))
 	}
@@ -229,8 +272,15 @@ func FuzzFaultRequest(f *testing.F) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/fault", bytes.NewReader(body)))
 
+		// The oracle: one JSON value and nothing after it (Unmarshal),
+		// whose every field FaultRequest knows (a strict decoder).
 		var want FaultRequest
 		decodeErr := json.Unmarshal(body, &want)
+		if decodeErr == nil {
+			strict := json.NewDecoder(bytes.NewReader(body))
+			strict.DisallowUnknownFields()
+			decodeErr = strict.Decode(new(FaultRequest))
+		}
 		switch rec.Code {
 		case http.StatusOK, http.StatusUnprocessableEntity:
 			if decodeErr != nil {

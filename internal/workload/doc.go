@@ -54,10 +54,10 @@
 // # Evidence
 //
 // A PhaseReport records throughput, HDR-style log-bucketed latency
-// percentiles (Histogram, ≤3% quantization; one chained clock
-// read per op, and in a paced phase response time from each op's
-// intended slot beside service time and the generator's lateness),
-// the exact comm
+// percentiles (Histogram, ≤3% quantization; a closed loop times one op
+// in 16, weighted by its segment, so counts and means stay exact; a
+// paced phase times each op, as response time from its slot beside
+// service time and the generator's lateness), the exact comm
 // counter and matrix deltas (including cache hits/misses/
 // invalidations), the busiest-inbound-column hotspot metric, and the
 // digest. The run-level Report adds the end-of-run heap verdict

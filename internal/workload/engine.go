@@ -377,27 +377,75 @@ func (r *run) clock(ps *phaseState, tick time.Duration, stop <-chan struct{}, do
 	}
 }
 
+const segmentOps = 16 // closed-loop ops per timed op
+
+// segments records a closed loop's latency. A segment is a timed op
+// and the untimed ops up to the next (a task's first also holds those
+// before it), recorded as the timed op's latency weighted by the op
+// count, with the segment's wall time less its reclaim time as the sum.
+// Segments chain, so counts equal ops and sums cover the task's time
+// outside reclaim exactly; quantiles and the max are the timed ops'.
+type segments struct {
+	hist *Histogram
+	live *liveChunk // nil without a telemetry bridge
+	from int64      // the open segment's start, moved on past its reclaim time
+	n    int64      // ops in the open segment
+	lat  int64      // its timed op's latency; -1 before the task's first
+}
+
+// timed adds an op timed from before to after, which opens a segment.
+func (s *segments) timed(before, after int64) {
+	if s.lat >= 0 {
+		s.close(before)
+	}
+	s.lat = after - before
+	s.n++
+}
+
+// close records the open segment as ending at t. A segment with no
+// timed op — a task that ended before its first — records its mean.
+func (s *segments) close(t int64) {
+	if s.n == 0 {
+		return
+	}
+	lat := s.lat
+	if lat < 0 {
+		lat = (t - s.from) / s.n
+	}
+	s.record(lat, s.n, t-s.from)
+	s.from, s.n = t, 0
+}
+
+// record writes n ops at ns, summing to sum, to histogram and live chunk.
+func (s *segments) record(ns, n, sum int64) {
+	s.hist.RecordWeighted(ns, n, sum)
+	if s.live != nil {
+		s.live.record(ns, n, sum)
+	}
+}
+
 // runTask is one worker task of one phase round: it draws ops from its
 // private stream and applies them through the driver, recording wall
-// latency per op. The loop reads only locals and its own worker slot.
+// latency. The loop reads only locals and its own worker slot.
 //
-// Time is one chained clock: the read that ends op i starts op i+1, so
-// all the loop does between two reads — the draw, the Apply, the
-// previous op's bookkeeping — is charged to one op, for one read per op.
-// A reclaim attempt is the exception: the clock is read again after it,
-// so reclaim time is in no op's latency.
+// A closed loop reads the clock just before the draw and just after
+// the Apply of one op in segmentOps, at an offset hashed from the
+// task's coordinates (no op draw moves), and checks a deadline against
+// the latest read, so it runs at most segmentOps-1 ops late. Reclaim
+// is read on both sides and taken out of its segment.
 //
-// A paced task (TargetRate) holds a fixed schedule: op i is due at slot
-// i × interval past the task's start. An op whose slot is ahead sleeps
-// to it; one whose slot has passed — a stall held it up — issues at
-// once, and either way its latency is response time, timed from its
-// slot, so the backlog behind a stall is counted rather than forgiven
-// (coordinated omission). Service time, from the actual issue, and how
-// late the generator issued the op go to their own histograms.
+// A paced task (TargetRate) reads the clock once per op and holds a
+// fixed schedule: op i is due at slot i × interval past the task's
+// start. An op whose slot is ahead sleeps to it; one whose slot has
+// passed — a stall held it up — issues at once, and either way its
+// latency is response time, timed from its slot, so the backlog behind
+// a stall is counted rather than forgiven (coordinated omission).
+// Service time, from the actual issue, and how late the generator
+// issued the op go to their own histograms.
 func (r *run) runTask(ps *phaseState, round, loc, task int) {
 	spec, sys, drv := r.spec, r.sys, r.drv
 	ph, w := spec.Phases[ps.idx], loc*spec.TasksPerLocale+task
-	hist, counts := &ps.hists[w], &ps.counts[w].n
+	seg, counts := segments{hist: &ps.hists[w], lat: -1}, &ps.counts[w].n
 	var service, late *Histogram
 	var interval float64 // ns between slots; 0 in a closed loop
 	if ph.TargetRate > 0 {
@@ -408,10 +456,9 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 	// Live telemetry rides in batches: samples accumulate in a private
 	// chunk and merge into the bridge every liveChunkSize ops, so the
 	// worker never takes the bridge mutex on the per-op path.
-	var live *liveChunk
 	if r.tel != nil {
-		live = r.tel.newChunk()
-		defer live.flush()
+		seg.live = r.tel.newChunk()
+		defer seg.live.flush()
 	}
 
 	c := sys.Ctx(loc)
@@ -421,9 +468,11 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 	}()
 	tok := r.em.Register(c)
 	st := NewStream(spec.Seed, ps.idx, round, loc, task, spec.Keyspace, spec.Dist, ph.Mix, r.zipf)
+	off := int(streamSeed(^spec.Seed, ps.idx, round, loc, task) % segmentOps)
 
 	t := comm.ClockNS() // the latest clock read
 	start, deadline := t, t+int64(ph.Seconds*float64(time.Second))
+	seg.from = t
 	reclaimIn := ph.ReclaimEvery // ops to the next reclaim attempt; below 0 for good when ReclaimEvery is 0
 	var sum uint64
 	for i := 0; ; i++ {
@@ -441,18 +490,26 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 		// quiescent token, are what force-retire clears). Checked every
 		// 16 ops: a mid-phase crash already lands at a racing op count.
 		if i&15 == 0 && !sys.Alive(loc) {
+			seg.close(comm.ClockNS())
 			if ph.OpsPerTask > 0 {
 				sys.Counters().IncOpsLost(loc, int64(ph.OpsPerTask-i))
 			}
 			return
 		}
-		from := t // where this op's latency is timed from: its slot, when paced
+		from := t // where a timed op's latency starts: its slot, when paced
+		timed := interval == 0 && i&(segmentOps-1) == off
 		if interval > 0 {
 			from = start + int64(float64(i)*interval)
 			if t < from {
 				time.Sleep(time.Duration(from - t))
 				t = comm.ClockNS()
 			}
+		} else if timed {
+			if t = comm.ClockNS(); ph.OpsPerTask == 0 && t >= deadline {
+				seg.close(t) // this read ends the task
+				break
+			}
+			from = t
 		}
 		kind := st.NextOp()
 		if kind == OpBulk {
@@ -467,22 +524,30 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 			drv.Apply(c, tok, kind, key)
 			sum += opDigest(kind, key)
 		}
-		end := comm.ClockNS()
-		hist.Record(end - from)
-		if service != nil {
+		switch {
+		case interval > 0:
+			end := comm.ClockNS()
+			seg.record(end-from, 1, end-from)
 			service.Record(end - t)
 			late.Record(t - from)
-		}
-		if live != nil {
-			live.record(end - from)
+			t = end
+		case timed:
+			t = comm.ClockNS()
+			seg.timed(from, t)
+		default:
+			seg.n++
 		}
 		counts[kind].Add(1)
-		t = end
 		if reclaimIn--; reclaimIn == 0 {
 			reclaimIn = ph.ReclaimEvery
+			before := comm.ClockNS()
 			tok.TryReclaim(c)
 			t = comm.ClockNS()
+			seg.from += t - before
 		}
+	}
+	if seg.n > 0 {
+		seg.close(comm.ClockNS())
 	}
 	// Ship anything still sitting in this task's aggregation buffers
 	// (bulk routing) before the round joins.

@@ -53,16 +53,17 @@ func histUpper(i int) int64 {
 }
 
 // Record adds one value. Negative values clamp to zero.
-func (h *Histogram) Record(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	h.counts[histIndex(uint64(ns))]++
-	h.count++
-	h.sum += ns
-	if ns > h.max {
-		h.max = ns
-	}
+func (h *Histogram) Record(ns int64) { h.RecordWeighted(ns, 1, max(ns, 0)) }
+
+// RecordWeighted adds n values at ns whose exact total is sum: one
+// timed op standing for the n ops of its segment. Quantiles count ns n
+// times; the mean is exact because sum is. A negative ns clamps to zero.
+func (h *Histogram) RecordWeighted(ns, n, sum int64) {
+	ns = max(ns, 0)
+	h.counts[histIndex(uint64(ns))] += n
+	h.count += n
+	h.sum += sum
+	h.max = max(h.max, ns)
 }
 
 // Merge folds o into h.
@@ -77,9 +78,7 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.count += o.count
 	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
+	h.max = max(h.max, o.max)
 }
 
 // Count returns the number of recorded values.
@@ -103,28 +102,13 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if h.count == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q*float64(h.count) + 0.9999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.count {
-		rank = h.count
-	}
+	q = min(max(q, 0), 1)
+	rank := min(max(int64(q*float64(h.count)+0.9999999), 1), h.count)
 	var cum int64
 	for i, n := range h.counts {
 		cum += n
 		if cum >= rank {
-			v := histUpper(i)
-			if v > h.max {
-				v = h.max
-			}
-			return v
+			return min(histUpper(i), h.max)
 		}
 	}
 	return h.max
@@ -139,7 +123,8 @@ type LatencySummary struct {
 	P95NS  int64   `json:"p95_ns"`
 	P99NS  int64   `json:"p99_ns"`
 	P999NS int64   `json:"p999_ns"`
-	MaxNS  int64   `json:"max_ns"`
+	// MaxNS is the largest value; in a closed loop, the largest timed op.
+	MaxNS int64 `json:"max_ns"`
 }
 
 // Summary digests the histogram into its percentile family.

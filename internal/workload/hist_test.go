@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -111,6 +112,97 @@ func TestHistogramMerge(t *testing.T) {
 	for _, q := range []float64{0.5, 0.9, 0.99} {
 		if a.Quantile(q) != whole.Quantile(q) {
 			t.Fatalf("Quantile(%v) differs after merge: %d vs %d", q, a.Quantile(q), whole.Quantile(q))
+		}
+	}
+}
+
+// A weighted record counts its value n times toward the quantiles but
+// adds its given sum, and merges with plain records as their union.
+func TestHistogramRecordWeighted(t *testing.T) {
+	var w Histogram
+	w.RecordWeighted(100, 16, 1700)
+	w.RecordWeighted(-5, 3, 0) // clamps to 0
+	if w.Count() != 19 || w.sum != 1700 || w.Max() != 100 {
+		t.Fatalf("weighted: count %d sum %d max %d, want 19 1700 100", w.Count(), w.sum, w.Max())
+	}
+	if w.Quantile(3.0/19) != 0 || w.Quantile(4.0/19) != 100 {
+		t.Fatalf("weighted quantiles %d %d, want 0 100", w.Quantile(3.0/19), w.Quantile(4.0/19))
+	}
+	var p Histogram
+	p.Record(50)
+	p.Record(300)
+	w.Merge(&p)
+	if w.Count() != 21 || w.sum != 2050 || w.Max() != 300 || w.Mean() != 2050.0/21 {
+		t.Fatalf("merged: count %d sum %d max %d mean %v", w.Count(), w.sum, w.Max(), w.Mean())
+	}
+	want := map[float64]int64{3.0 / 21: 0, 4.0 / 21: 50, 20.0 / 21: histUpper(histIndex(100)), 1: 300}
+	for q, v := range want {
+		if got := w.Quantile(q); got != v {
+			t.Errorf("merged Quantile(%.3f) = %d, want %d", q, got, v)
+		}
+	}
+}
+
+// TestSegmentsMatchEveryOp feeds the closed loop's estimator a seeded
+// synthetic latency stream — a log-normal body around 300 ns with a 2 %
+// tail at 20× — as four tasks at different offsets, with reclaim pauses,
+// and holds it against recording every op. A fifth task ends before its
+// first timed op and must record its five ops at their mean. Count and sum must be equal exactly. A sampled
+// quantile q must lie between the every-op quantiles at q ∓ 4 binomial
+// standard errors of m timed ops (4·√(q(1−q)/m)), each widened by one
+// 3 % bucket for the segments' uneven weights. No clock is read.
+func TestSegmentsMatchEveryOp(t *testing.T) {
+	rng := rand.New(rand.NewPCG(42, 7))
+	var every, sampled Histogram
+	var timed int
+	task := func(dst *Histogram, ops, off int) {
+		s := segments{hist: dst, lat: -1}
+		now := int64(rng.IntN(1 << 30))
+		s.from = now
+		for i := 0; i < ops; i++ {
+			lat := int64(300 * math.Exp(0.5*rng.NormFloat64()))
+			if rng.IntN(50) == 0 {
+				lat *= 20
+			}
+			every.Record(lat)
+			if i%segmentOps == off {
+				s.timed(now, now+lat)
+				timed++
+			} else {
+				s.n++
+			}
+			now += lat
+			if i%1000 == 999 { // a reclaim attempt: its time is in no op
+				pause := int64(rng.IntN(5000))
+				now += pause
+				s.from += pause
+			}
+		}
+		s.close(now)
+	}
+	for off := 0; off < 4; off++ {
+		task(&sampled, 100_000, off*5)
+	}
+	var short Histogram // no timed op: its five ops are recorded at their mean
+	task(&short, 5, 10)
+	if short.Count() != 5 || short.Max() != short.sum/5 {
+		t.Fatalf("untimed task: count %d max %d sum %d, want 5 ops at the mean", short.Count(), short.Max(), short.sum)
+	}
+	sampled.Merge(&short)
+	if sampled.Count() != every.Count() || sampled.sum != every.sum {
+		t.Fatalf("sampled count %d sum %d, every-op count %d sum %d",
+			sampled.Count(), sampled.sum, every.Count(), every.sum)
+	}
+	const bucket = 1.0 / histHalf
+	for _, q := range []float64{0.50, 0.99} {
+		se := 4 * math.Sqrt(q*(1-q)/float64(timed))
+		lo := float64(every.Quantile(q-se)) * (1 - bucket)
+		hi := float64(every.Quantile(q+se)) * (1 + bucket)
+		got := float64(sampled.Quantile(q))
+		t.Logf("p%g: sampled %.0f, every op %d, band [%.0f, %.0f] (%d timed ops)",
+			100*q, got, every.Quantile(q), lo, hi, timed)
+		if got < lo || got > hi {
+			t.Errorf("p%g: sampled %.0f outside [%.0f, %.0f]", 100*q, got, lo, hi)
 		}
 	}
 }

@@ -148,13 +148,14 @@ type PhaseReport struct {
 	// the only ones charged, DelayWaitNS − unpacedNS == ModelledNS.
 	unpacedNS int64
 
-	// Latency digests the per-op wall latency histogram (HDR-style
-	// log buckets, <=~3% quantization). In a paced phase (TargetRate)
-	// it is response time, timed from each op's intended slot on the
-	// fixed issue schedule, so the ops a stall held up count its
-	// backlog; Service then times each op from its actual issue, and
-	// Late is how far behind its slot the generator issued it. A closed
-	// loop issues every op on time, so the two are omitted there.
+	// Latency digests the wall latency histogram (HDR-style log
+	// buckets, <=~3% quantization). A closed loop times one op in 16,
+	// weighted by its segment: count and mean are exact, the max is the
+	// largest timed op. In a paced phase (TargetRate) it is response
+	// time, timed from each op's intended slot on the fixed issue
+	// schedule, so the ops a stall held up count its backlog; Service
+	// then times each op from its actual issue, and Late is how far
+	// behind its slot the generator issued it; a closed loop omits both.
 	Latency LatencySummary  `json:"latency"`
 	Service *LatencySummary `json:"service,omitempty"`
 	Late    *LatencySummary `json:"late,omitempty"`

@@ -24,8 +24,7 @@ type Telemetry struct {
 	scenario string
 	sys      *pgas.System
 	tracer   *trace.Recorder
-	hist     Histogram
-	ops      int64
+	hist     Histogram // every op of the run, weighted as recorded
 }
 
 // NewTelemetry creates an empty bridge; pass it to RunLive and serve
@@ -41,7 +40,6 @@ func (t *Telemetry) attach(scenario string, sys *pgas.System, tracer *trace.Reco
 	t.sys = sys
 	t.tracer = tracer
 	t.hist = Histogram{}
-	t.ops = 0
 }
 
 // detach clears the live System before it shuts down; the endpoints
@@ -53,7 +51,7 @@ func (t *Telemetry) detach() {
 	t.tracer = nil
 }
 
-// liveChunkSize is how many latency samples a worker batches before
+// liveChunkSize is how many ops' latency a worker batches before
 // taking the bridge mutex — big enough that live telemetry costs the
 // workers one uncontended merge per few hundred ops, small enough that
 // /api/hist lags the run by well under a second.
@@ -63,28 +61,26 @@ const liveChunkSize = 256
 type liveChunk struct {
 	tel  *Telemetry
 	hist Histogram
-	n    int
 }
 
 func (t *Telemetry) newChunk() *liveChunk { return &liveChunk{tel: t} }
 
-func (lc *liveChunk) record(ns int64) {
-	lc.hist.Record(ns)
-	if lc.n++; lc.n >= liveChunkSize {
+// record adds n ops at latency ns summing to sum (see segments).
+func (lc *liveChunk) record(ns, n, sum int64) {
+	lc.hist.RecordWeighted(ns, n, sum)
+	if lc.hist.Count() >= liveChunkSize {
 		lc.flush()
 	}
 }
 
 func (lc *liveChunk) flush() {
-	if lc.n == 0 {
+	if lc.hist.Count() == 0 {
 		return
 	}
 	lc.tel.mu.Lock()
 	lc.tel.hist.Merge(&lc.hist)
-	lc.tel.ops += int64(lc.n)
 	lc.tel.mu.Unlock()
 	lc.hist = Histogram{}
-	lc.n = 0
 }
 
 // LiveStatus is the /api/status payload.
@@ -111,7 +107,7 @@ func (t *Telemetry) Options() telemetry.Options {
 				Scenario:      t.scenario,
 				Running:       t.sys != nil,
 				UptimeSeconds: time.Since(t.start).Seconds(),
-				Ops:           t.ops,
+				Ops:           t.hist.Count(),
 			}
 			if t.sys != nil {
 				snap := t.sys.Counters().Snapshot()

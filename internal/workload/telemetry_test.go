@@ -290,3 +290,44 @@ func TestRunLiveServesTelemetry(t *testing.T) {
 		t.Fatal("no live latency samples ever reached the telemetry bridge")
 	}
 }
+
+// TestRunLiveOpsExact: a closed loop times one op in segmentOps and
+// records it with its segment's weight, so the live bridge's op count
+// and histogram still count every op. A 5-op phase, in which a task
+// whose offset is 5 or more never times an op, then a timed phase with
+// reclaim attempts: /api/status ops and the live histogram's count must
+// each equal the phases' ops, and each phase's latency count its ops.
+func TestRunLiveOpsExact(t *testing.T) {
+	tel := NewTelemetry()
+	spec := Spec{
+		Name:           "live-exact",
+		Structure:      StructureHashmap,
+		Locales:        2,
+		TasksPerLocale: 2,
+		Backend:        "none",
+		Seed:           31,
+		Keyspace:       256,
+		Dist:           KeyDist{Kind: DistUniform},
+		Phases: []Phase{
+			{Name: "short", Mix: Mix{Insert: 1}, OpsPerTask: 5},
+			{Name: "run", Mix: Mix{Insert: 2, Get: 7, Remove: 1}, Seconds: 0.1, ReclaimEvery: 100},
+		},
+	}
+	rep, err := RunLive(spec, nil, tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops int64
+	for _, p := range rep.Phases {
+		if p.Latency.Count != p.Ops {
+			t.Errorf("phase %s: latency count %d != ops %d", p.Name, p.Latency.Count, p.Ops)
+		}
+		ops += p.Ops
+	}
+	opts := tel.Options()
+	status := opts.Status().(LiveStatus)
+	hist := opts.Hist().(LatencySummary)
+	if status.Ops != ops || hist.Count != ops {
+		t.Fatalf("live ops %d, live histogram count %d, want the phases' %d", status.Ops, hist.Count, ops)
+	}
+}
