@@ -111,7 +111,7 @@ type Aggregator struct {
 	cfg      AggConfig
 	counters *Counters
 	matrix   *Matrix
-	lat      LatencyProfile
+	prices   Prices
 	delay    func(dst int, ns int64)
 	deliver  func(dst int, batch []Op)
 	bufs     [][]Op
@@ -229,8 +229,8 @@ func (ix *combineIndex) reset() {
 // locale src toward nDest destinations. Every flush increments the
 // aggregation counters and hands the batch to deliver; a flush toward
 // another locale is also one bulk transfer — one KindBulk add on
-// matrix's (src, dst) cell, its bytes on counters, and the
-// bulk-transfer latency from lat — while a flush of src's own buffer
+// matrix's (src, dst) cell, its bytes on counters, and its price on
+// lat's price list (Prices.Bulk) — while a flush of src's own buffer
 // crosses no wire and books none of those. Pass the matrix counters
 // are bound to (NewCounters) for counters to read the transfer.
 // A delivered batch is the callee's to keep: the aggregator starts a
@@ -244,7 +244,7 @@ func NewAggregator(src, nDest int, cfg AggConfig, counters *Counters, matrix *Ma
 		cfg:      cfg,
 		counters: counters,
 		matrix:   matrix,
-		lat:      lat,
+		prices:   lat.Prices(),
 		delay:    func(_ int, ns int64) { Delay(ns) },
 		deliver:  deliver,
 		bufs:     make([][]Op, nDest),
@@ -345,8 +345,8 @@ func (a *Aggregator) Pending() int {
 // event booked on the matrix's (src, dst) cell — which counters bound to
 // that matrix read as BulkXfers; an aggregated flush IS a bulk shipment,
 // so scatter-list style assertions keep holding — plus its bytes, and
-// the initiating task pays one startup plus per-byte cost for the whole
-// batch. The source's own buffer is delivered without
+// the initiating task pays one bulk transfer's price (Prices.Bulk) for
+// the whole batch. The source's own buffer is delivered without
 // a transfer: the flush is counted (shipped + combined == enqueued holds
 // over every destination) but no bulk counter, matrix cell or delay is.
 // An empty buffer is a no-op.
@@ -367,7 +367,7 @@ func (a *Aggregator) FlushDst(dst int) {
 	if dst != a.src {
 		a.matrix.Book(a.src, dst, KindBulk)
 		a.counters.IncBulkBytes(a.src, bytes)
-		a.delay(dst, a.lat.BulkStartupNS+bytes*a.lat.BulkPerByteNS)
+		a.delay(dst, a.prices.Bulk(bytes))
 	}
 	a.deliver(dst, batch)
 	sp.End()

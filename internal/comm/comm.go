@@ -114,6 +114,60 @@ func Zero() LatencyProfile {
 	return LatencyProfile{}
 }
 
+// Prices is a profile's price list: the modelled nanoseconds of one
+// counted event of each kind. The runtime charges every event it counts
+// at its kind's price, and nothing else, so Modelled of a run's counter
+// delta is what the run was charged, as long as no latency scale was in
+// force.
+type Prices struct {
+	// Event prices one remote event of each Kind: a GET or PUT is
+	// PutGetNS; a NIC atomic NICAtomicNS; an AM atomic or remote DCAS an
+	// active-message round trip plus its handler's occupancy,
+	// AMRoundTripNS + AMHandlerNS; an on-statement (a remote free
+	// included) a round trip plus the task spawn, AMRoundTripNS +
+	// OnStmtNS; a bulk transfer its BulkStartupNS, its bytes aside.
+	Event [NumKinds]int64
+	// BulkByte prices one payload byte of a bulk transfer.
+	BulkByte int64
+	// LocalAtomic prices one locale-local atomic or DCAS.
+	LocalAtomic int64
+}
+
+// Prices returns p's price list.
+func (p LatencyProfile) Prices() Prices {
+	am := p.AMRoundTripNS + p.AMHandlerNS
+	return Prices{
+		Event: [NumKinds]int64{
+			KindPut:        p.PutGetNS,
+			KindGet:        p.PutGetNS,
+			KindNICAMO:     p.NICAtomicNS,
+			KindAMAMO:      am,
+			KindOnStmt:     p.AMRoundTripNS + p.OnStmtNS,
+			KindBulk:       p.BulkStartupNS,
+			KindDCASRemote: am,
+		},
+		BulkByte:    p.BulkPerByteNS,
+		LocalAtomic: p.LocalAtomicNS,
+	}
+}
+
+// Bulk prices one bulk transfer of bytes payload bytes.
+func (pr *Prices) Bulk(bytes int64) int64 {
+	return pr.Event[KindBulk] + bytes*pr.BulkByte
+}
+
+// Modelled prices s: Σ counted events × price — every remote event at
+// its kind's price, bulk bytes at BulkByte, local atomics and local
+// DCAS at LocalAtomic.
+func (pr *Prices) Modelled(s Snapshot) int64 {
+	w := s.words()
+	var ns int64
+	for k, price := range pr.Event {
+		ns += w[kindWord[k]] * price
+	}
+	return ns + s.BulkBytes*pr.BulkByte + (s.LocalAMOs+s.DCASLocal)*pr.LocalAtomic
+}
+
 // Scale returns a copy of p with every delay multiplied by f. The
 // benchmark harness uses it to stretch or shrink the simulated network
 // without changing regime ordering.

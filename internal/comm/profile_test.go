@@ -53,3 +53,31 @@ func TestParseBackendRoundTrip(t *testing.T) {
 		t.Fatalf("Backend(99).String() = %q", got)
 	}
 }
+
+// The default profile's price list, kind by kind: an AM atomic and a
+// remote DCAS pay the round trip and the handler, an on-statement the
+// round trip and the spawn. Modelled prices a snapshot's counted events
+// at those prices, bulk bytes and local atomics included, and nothing
+// it does not count.
+func TestDefaultPrices(t *testing.T) {
+	pr := DefaultProfile().Prices()
+	want := [NumKinds]int64{
+		KindPut: 1200, KindGet: 1200, KindNICAMO: 800, KindAMAMO: 2900,
+		KindOnStmt: 4000, KindBulk: 3000, KindDCASRemote: 2900,
+	}
+	if pr.Event != want || pr.BulkByte != 1 || pr.LocalAtomic != 0 {
+		t.Fatalf("DefaultProfile().Prices() = %+v, want events %v, 1 ns per bulk byte, free local atomics", pr, want)
+	}
+	if got := pr.Bulk(64); got != 3064 {
+		t.Fatalf("Bulk(64) = %d, want 3064", got)
+	}
+	s := Snapshot{Puts: 1, Gets: 2, NICAMOs: 3, AMAMOs: 4, OnStmts: 5, BulkXfers: 6, BulkBytes: 7, DCASRemote: 8,
+		LocalAMOs: 9, DCASLocal: 10, AggOps: 11, CASAttempts: 12, CacheHits: 13}
+	if got, want := pr.Modelled(s), int64(1*1200+2*1200+3*800+4*2900+5*4000+6*3000+7*1+8*2900); got != want {
+		t.Fatalf("Modelled = %d, want %d", got, want)
+	}
+	local := LatencyProfile{LocalAtomicNS: 5}.Prices()
+	if got := local.Modelled(s); got != (9+10)*5 {
+		t.Fatalf("local atomics priced %d, want %d", got, (9+10)*5)
+	}
+}

@@ -45,8 +45,9 @@ func NewDescriptorTable(c *pgas.Ctx) *DescriptorTable {
 }
 
 // Register interns addr and returns its descriptor. A remote shard
-// insertion costs an active message; repeated registrations of the
-// same address are free after the first (interned).
+// insertion is one AM atomic toward the shard, priced like any other;
+// repeated registrations of the same address are free after the first
+// (interned).
 //
 // The table is stored process-side with a lock standing in for the
 // shard locale's insertion path; the simulated communication cost is
@@ -63,7 +64,7 @@ func (t *DescriptorTable) Register(c *pgas.Ctx, addr gas.Addr) Descriptor {
 	t.mu.Unlock()
 
 	if shard := t.shardOf(d); shard != c.Here() {
-		c.ChargeAMRoundTrip(shard)
+		c.ChargeAMAMO(shard)
 	}
 	return d
 }

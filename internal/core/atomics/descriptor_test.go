@@ -129,7 +129,9 @@ func TestGasLimitInSystemConstructor(t *testing.T) {
 // like any other remote event: counter and matrix move together, on the
 // (caller, shard) cell, and the cost follows the live fault plan.
 func TestDescriptorChargesThroughDispatch(t *testing.T) {
-	lat := comm.LatencyProfile{AMRoundTripNS: 2000, PutGetNS: 1000}
+	lat := comm.LatencyProfile{AMRoundTripNS: 2000, AMHandlerNS: 300, PutGetNS: 1000}
+	price := lat.Prices().Event
+	am, get := price[comm.KindAMAMO], price[comm.KindGet]
 	s := pgas.NewSystem(pgas.Config{Locales: 4, Backend: comm.BackendNone, Latency: lat})
 	defer s.Shutdown()
 	c := s.Ctx(0)
@@ -153,20 +155,20 @@ func TestDescriptorChargesThroughDispatch(t *testing.T) {
 
 	// Descriptors 1, 2, 3 live on shards 1, 2, 3: all remote from 0.
 	var d1 Descriptor
-	if ns := step("register", 1, func() { d1 = tbl.Register(c, c.Alloc(&node{v: 1})) }); ns != lat.AMRoundTripNS {
-		t.Fatalf("remote register charged %dns, want %dns", ns, lat.AMRoundTripNS)
+	if ns := step("register", 1, func() { d1 = tbl.Register(c, c.Alloc(&node{v: 1})) }); ns != am {
+		t.Fatalf("remote register charged %dns, want an AM atomic's %dns", ns, am)
 	}
-	if ns := step("resolve", 1, func() { tbl.Resolve(c, d1) }); ns != lat.PutGetNS {
-		t.Fatalf("remote resolve charged %dns, want %dns", ns, lat.PutGetNS)
+	if ns := step("resolve", 1, func() { tbl.Resolve(c, d1) }); ns != get {
+		t.Fatalf("remote resolve charged %dns, want %dns", ns, get)
 	}
 
 	const scale = 3
 	s.SetScales([]float64{1, 1, scale, 1})
 	var d2 Descriptor
-	if ns := step("slowed register", 2, func() { d2 = tbl.Register(c, c.Alloc(&node{v: 2})) }); ns != scale*lat.AMRoundTripNS {
-		t.Fatalf("register toward the slowed shard charged %dns, want %dns", ns, scale*lat.AMRoundTripNS)
+	if ns := step("slowed register", 2, func() { d2 = tbl.Register(c, c.Alloc(&node{v: 2})) }); ns != scale*am {
+		t.Fatalf("register toward the slowed shard charged %dns, want %dns", ns, scale*am)
 	}
-	if ns := step("slowed resolve", 2, func() { tbl.Resolve(c, d2) }); ns != scale*lat.PutGetNS {
-		t.Fatalf("resolve toward the slowed shard charged %dns, want %dns", ns, scale*lat.PutGetNS)
+	if ns := step("slowed resolve", 2, func() { tbl.Resolve(c, d2) }); ns != scale*get {
+		t.Fatalf("resolve toward the slowed shard charged %dns, want %dns", ns, scale*get)
 	}
 }

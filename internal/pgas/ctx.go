@@ -88,7 +88,7 @@ func (c *Ctx) CoforallLocales(fn func(ctx *Ctx)) {
 		tc := s.newCtx(l)
 		tc.salvage = c.salvage
 		if l.id != c.here.id {
-			s.delay(tc, c.here.id, l.id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+			s.delay(tc, c.here.id, l.id, s.prices.Event[comm.KindOnStmt])
 		}
 		fn(tc)
 	})
@@ -100,7 +100,7 @@ func (c *Ctx) CoforallLocales(fn func(ctx *Ctx)) {
 func (c *Ctx) bookOnStmts(n int) {
 	for id := 0; id < n; id++ {
 		if id != c.here.id {
-			c.sys.chargeOnStmt(c.here.id, id)
+			c.sys.matrix.Book(c.here.id, id, comm.KindOnStmt)
 		}
 	}
 }
@@ -139,8 +139,7 @@ func (c *Ctx) VisitLocales(fn func(ctx *Ctx)) {
 		tc := s.borrowCtx(l, c)
 		tc.pace = &tab
 		if l.id != c.here.id {
-			s.chargeOnStmt(c.here.id, l.id)
-			s.delay(tc, c.here.id, l.id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+			s.charge(tc, c.here.id, l.id, comm.KindOnStmt)
 		}
 		fn(tc)
 		s.releaseCtx(tc)
@@ -179,7 +178,7 @@ func ForallCyclic[P any](c *Ctx, n, tasksPerLocale int,
 		l := s.locales[id]
 		if id != c.here.id {
 			// The on-statement carrying the locale's tasks is a task too.
-			s.delay(s.newCtx(l), c.here.id, id, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+			s.delay(s.newCtx(l), c.here.id, id, s.prices.Event[comm.KindOnStmt])
 		}
 		// Iterations owned by locale l: id, id+L, id+2L, ...
 		// Split them contiguously among the locale's tasks.

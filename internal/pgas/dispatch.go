@@ -69,8 +69,7 @@ func (s *System) deliverOn(src *Ctx, target int, fn func(*Ctx)) {
 	if tr := s.tracer; tr != nil && tr.Enabled() {
 		sp = tr.Begin(src.here.id, trace.KindDispatch, src.taskID, src.here.id, target, 0, 0)
 	}
-	s.chargeOnStmt(src.here.id, target)
-	s.delay(src, src.here.id, target, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+	s.charge(src, src.here.id, target, comm.KindOnStmt)
 	tc := s.borrowCtx(s.locales[target], src)
 	fn(tc)
 	s.releaseCtx(tc)
@@ -105,7 +104,7 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 			s.asyncPending.Add(-1)
 			return
 		}
-		s.chargeOnStmt(srcID, target)
+		s.matrix.Book(srcID, target, comm.KindOnStmt)
 	}
 	var sp trace.Span
 	if tr := s.tracer; tr != nil && tr.Enabled() {
@@ -118,7 +117,7 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 		tc.isAsync = true
 		tc.salvage = salvage
 		if remote {
-			s.delay(tc, srcID, target, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+			s.delay(tc, srcID, target, s.prices.Event[comm.KindOnStmt])
 		}
 		fn(tc)
 		tc.drainBuffers()
@@ -185,26 +184,20 @@ func execOp(tc *Ctx, op comm.Op) {
 	}
 }
 
-// chargeOnStmt records one remote on-statement without paying its
-// latency (the payer differs between the sync and coforall paths).
-func (s *System) chargeOnStmt(src, dst int) {
-	s.matrix.Book(src, dst, comm.KindOnStmt)
+// charge books one remote event of kind k from src toward dst — one add
+// on its matrix cell, which is the counter too — and charges c its price.
+func (s *System) charge(c *Ctx, src, dst int, k comm.Kind) {
+	s.matrix.Book(src, dst, k)
+	s.delay(c, src, dst, s.prices.Event[k])
 }
 
-// charge books one remote event of kind k from c's locale toward dst and
-// charges ns of its latency to c: one add on the event's matrix cell,
-// which is the counter too.
-func (s *System) charge(c *Ctx, dst int, k comm.Kind, ns int64) {
-	s.matrix.Book(c.here.id, dst, k)
-	s.delay(c, c.here.id, dst, ns)
-}
-
-// routeAMO64 books and charges one 64-bit atomic on a word homed on
-// home, routed per the backend, and reports whether it must run on home
-// over an active message (amAMO64). Otherwise the caller runs the
-// atomic in place: a NIC atomic under ugni (even locale-locally — Aries
-// NIC atomics are not coherent with CPU atomics), a processor atomic on
-// the word's own locale under none.
+// routeAMO64 routes one 64-bit atomic on a word homed on home per the
+// backend and reports whether it must run on home over an active
+// message (amAMO64, which books and charges it). Otherwise it books and
+// charges the atomic, which the caller runs in place: a NIC atomic
+// under ugni (even locale-locally — Aries NIC atomics are not coherent
+// with CPU atomics), a processor atomic on the word's own locale under
+// none.
 //
 // Atomics are never refused, even toward a dead home: the fault plan
 // kills a locale's execution plane (on-statements, async launches,
@@ -216,39 +209,38 @@ func (s *System) charge(c *Ctx, dst int, k comm.Kind, ns int64) {
 func (s *System) routeAMO64(c *Ctx, home int) (am bool) {
 	switch {
 	case s.cfg.Backend == comm.BackendUGNI:
-		s.matrix.Book(c.here.id, home, comm.KindNICAMO)
-		s.delay(c, c.here.id, home, s.cfg.Latency.NICAtomicNS)
+		s.matrix.Book(c.here.id, home, comm.KindNICAMO) // charge, inlined on the hottest route
+		s.delay(c, c.here.id, home, s.prices.Event[comm.KindNICAMO])
 		return false
 	case home == c.here.id:
 		s.counters.IncLocalAMO(home)
-		s.delay(c, home, home, s.cfg.Latency.LocalAtomicNS)
+		s.delay(c, home, home, s.prices.LocalAtomic)
 		return false
 	}
-	s.matrix.Book(c.here.id, home, comm.KindAMAMO)
 	return true
 }
 
 // amAMO64 runs op as an active-message handler on home and returns its
-// result: the AM route of a 64-bit atomic routeAMO64 has booked.
+// result: the AM route of a 64-bit atomic, booked and charged as one AM
+// atomic.
 func (s *System) amAMO64(c *Ctx, home int, op func() uint64) (res uint64) {
-	s.amCall(c, home, func() { res = op() })
+	s.amCall(c, home, comm.KindAMAMO, func() { res = op() })
 	return res
 }
 
-// routeDCAS books and charges one full-width 128-bit operation on a
-// cell homed on home and reports whether it must run on home over an
-// active message (amCall): no NIC offloads these, so a remote cell
-// always demotes to remote execution, while a local cell runs the
-// emulated CMPXCHG16B in place. Never refused — memory plane, like
-// routeAMO64.
+// routeDCAS routes one full-width 128-bit operation on a cell homed on
+// home and reports whether it must run on home over an active message
+// (amCall, booked as a remote DCAS): no NIC offloads these, so a remote
+// cell always demotes to remote execution, while a local cell runs the
+// emulated CMPXCHG16B in place, booked and charged here. Never refused
+// — memory plane, like routeAMO64.
 func (s *System) routeDCAS(c *Ctx, home int) (am bool) {
-	if home == c.here.id {
-		s.counters.IncDCASLocal(home)
-		s.delay(c, home, home, s.cfg.Latency.LocalAtomicNS)
-		return false
+	if home != c.here.id {
+		return true
 	}
-	s.matrix.Book(c.here.id, home, comm.KindDCASRemote)
-	return true
+	s.counters.IncDCASLocal(home)
+	s.delay(c, home, home, s.prices.LocalAtomic)
+	return false
 }
 
 // ChargeGet records and charges one small remote read toward owner.
@@ -256,15 +248,15 @@ func (s *System) routeDCAS(c *Ctx, home int) (am bool) {
 // (a descriptor-table entry, a shard's counter); owner must differ
 // from the calling locale.
 func (c *Ctx) ChargeGet(owner int) {
-	c.sys.charge(c, owner, comm.KindGet, c.sys.cfg.Latency.PutGetNS)
+	c.sys.charge(c, c.here.id, owner, comm.KindGet)
 }
 
-// ChargeAMRoundTrip records and charges one active-message round trip
-// toward owner, counted as an AM atomic: the cost of an owner-side
-// insertion into storage that lives outside the gas heaps (the
-// descriptor table). owner must differ from the calling locale.
-func (c *Ctx) ChargeAMRoundTrip(owner int) {
-	c.sys.charge(c, owner, comm.KindAMAMO, c.sys.cfg.Latency.AMRoundTripNS)
+// ChargeAMAMO records and charges one AM atomic toward owner through
+// amCall: the cost of an owner-side insertion into storage that lives
+// outside the gas heaps (the descriptor table). owner must differ from
+// the calling locale.
+func (c *Ctx) ChargeAMAMO(owner int) {
+	c.sys.amCall(c, owner, comm.KindAMAMO, func() {})
 }
 
 // ChargeBulk records and charges one bulk transfer of `bytes` between
@@ -281,7 +273,7 @@ func (c *Ctx) ChargeBulk(owner int, bytes int64) {
 func (s *System) chargeBulk(c *Ctx, src, dst int, bytes int64) {
 	s.matrix.Book(src, dst, comm.KindBulk)
 	s.counters.IncBulkBytes(src, bytes)
-	s.delay(c, src, dst, s.cfg.Latency.BulkStartupNS+bytes*s.cfg.Latency.BulkPerByteNS)
+	s.delay(c, src, dst, s.prices.Bulk(bytes))
 }
 
 // AsyncOn launches fn on the target locale and returns immediately —

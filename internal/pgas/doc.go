@@ -37,14 +37,14 @@
 // atomic add on its (source, destination, kind) cell of the system's
 // comm.Matrix, which the bound comm.Counters read as well, so
 // System.Counters and System.Matrix agree by construction. A word's
-// routing function books and charges the atomic and says where it
-// runs: in the Word64/Word128 method itself on the NIC and local
-// routes, in a closure shipped over an active message otherwise. Injected delays come from the
-// configured comm.LatencyProfile, scaled by the live comm.Perturbation
-// fault plan at every site, and are charged to the issuing task's
-// delay account (comm.Pacer, held by its Ctx; the pooled Ctx of a sync
-// on-statement body or an aggregated delivery charges its caller's),
-// which carries a wait's overshoot into the task's next charges.
+// atomic runs in the Word64/Word128 method itself on the NIC and local
+// routes, in a closure shipped over an active message (amCall)
+// otherwise. Every counted event is charged its kind's price
+// (comm.Prices), scaled by the live comm.Perturbation fault plan, to
+// the issuing task's delay account (comm.Pacer, held by its Ctx; the
+// pooled Ctx of a sync on-statement body or an aggregated delivery
+// charges its caller's), which carries a wait's overshoot into the
+// task's next charges.
 // System.DelayTotals reports what was charged and waited.
 //
 // # Aggregation buffers

@@ -54,6 +54,7 @@ func TestSystemLayout(t *testing.T) {
 		size: unsafe.Sizeof(s),
 		read: []span{
 			{"cfg", unsafe.Offsetof(s.cfg), unsafe.Sizeof(s.cfg)},
+			{"prices", unsafe.Offsetof(s.prices), unsafe.Sizeof(s.prices)},
 			{"locales", unsafe.Offsetof(s.locales), unsafe.Sizeof(s.locales)},
 			{"counters", unsafe.Offsetof(s.counters), unsafe.Sizeof(s.counters)},
 			{"matrix", unsafe.Offsetof(s.matrix), unsafe.Sizeof(s.matrix)},

@@ -26,8 +26,7 @@ func (c *Ctx) AllocOn(locale int, obj any) gas.Addr {
 		return c.Alloc(obj)
 	}
 	s := c.sys
-	s.chargeOnStmt(c.here.id, locale)
-	s.delay(c, c.here.id, locale, s.cfg.Latency.AMRoundTripNS+s.cfg.Latency.OnStmtNS)
+	s.charge(c, c.here.id, locale, comm.KindOnStmt)
 	return s.locales[locale].heap.Alloc(obj)
 }
 
@@ -95,18 +94,18 @@ func MustDeref[T any](c *Ctx, addr gas.Addr) T {
 func (c *Ctx) Put(addr gas.Addr, obj any) bool {
 	owner := addr.Locale()
 	if owner != c.here.id {
-		c.sys.charge(c, owner, comm.KindPut, c.sys.cfg.Latency.PutGetNS)
+		c.sys.charge(c, c.here.id, owner, comm.KindPut)
 	}
 	return c.sys.locales[owner].heap.Store(addr, obj)
 }
 
 // Free releases the object at addr on its owning locale. A remote free
-// is an RPC (this is exactly the cost scatter lists avoid). It reports
-// false on double free.
+// is an on-statement (exactly the cost scatter lists avoid), booked and
+// charged as one. It reports false on double free.
 func (c *Ctx) Free(addr gas.Addr) bool {
 	owner := addr.Locale()
 	if owner != c.here.id {
-		c.sys.charge(c, owner, comm.KindOnStmt, c.sys.cfg.Latency.AMRoundTripNS)
+		c.sys.charge(c, c.here.id, owner, comm.KindOnStmt)
 	}
 	return c.sys.locales[owner].heap.Free(addr)
 }

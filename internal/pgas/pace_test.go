@@ -74,12 +74,13 @@ func TestBodyChargesLandOnCallersAccount(t *testing.T) {
 		}
 		tc.ChargeGet(2)
 	}
+	price := paceProfile.Prices()
 	c.On(1, body)
-	spent("on-statement", paceProfile.AMRoundTripNS+paceProfile.OnStmtNS+paceProfile.PutGetNS)
+	spent("on-statement", price.Event[comm.KindOnStmt]+price.Event[comm.KindGet])
 
 	c.Aggregator(1).Call(body)
 	c.Aggregator(1).Flush()
-	spent("aggregated delivery", paceProfile.BulkStartupNS+aggCallBytes*paceProfile.BulkPerByteNS+paceProfile.PutGetNS)
+	spent("aggregated delivery", price.Bulk(aggCallBytes)+price.Event[comm.KindGet])
 
 	// The next borrower of the pooled Ctx starts from nothing.
 	tc := s.borrowCtx(s.locales[1], nil)

@@ -71,6 +71,7 @@ type Config struct {
 // (TestSystemLayout holds this).
 type System struct {
 	cfg      Config
+	prices   comm.Prices // cfg.Latency's price list: what every counted event is charged
 	locales  []*Locale
 	counters *comm.Counters // bound to matrix: a remote event is one cell
 	matrix   *comm.Matrix
@@ -207,7 +208,7 @@ func NewSystem(cfg Config) *System {
 	}
 	cfg.Park = cfg.Park.WithDefaults()
 	matrix := comm.NewMatrix(cfg.Locales)
-	s := &System{cfg: cfg, counters: comm.NewCounters(matrix), matrix: matrix, tracer: cfg.Tracer, startTime: time.Now()}
+	s := &System{cfg: cfg, prices: cfg.Latency.Prices(), counters: comm.NewCounters(matrix), matrix: matrix, tracer: cfg.Tracer, startTime: time.Now()}
 	if cfg.Perturb.Enabled() {
 		p := cfg.Perturb
 		s.perturb.Store(&p)
@@ -298,32 +299,34 @@ func (s *System) Run(fn func(ctx *Ctx)) {
 	fn(s.Ctx(0))
 }
 
-// amCall executes fn as an active-message handler on the target locale:
-// the transport for AM atomics and remote DCAS; callers count the event.
-// The caller is blocked for the whole call either way, so — like
-// dispatchOn — the handler runs on the calling goroutine: the caller
-// pays the round trip and, when the profile gives the handler
-// occupancy, takes one of the target's ProgressWorkers handler slots
-// (parking while all are busy: the serialisation a bounded handler pool
-// imposes), pays that occupancy — scaled by the target's factor in the
+// amCall books one AM atomic or remote DCAS (kind k) toward the target
+// locale and runs fn as its active-message handler there — on the
+// calling goroutine, like dispatchOn, since the caller is blocked either
+// way. It is the one place that splits the AM price: the caller pays the
+// price less AMHandlerNS as wire time and, when the profile gives the
+// handler occupancy, takes one of the target's ProgressWorkers handler
+// slots (parking while all are busy: the serialisation a bounded handler
+// pool imposes), pays AMHandlerNS — scaled by the target's factor in the
 // live perturbation plan, so a slow locale services its inbound AMs
-// slowly — and runs fn. Both charges go to the caller's delay account.
-// A zero-occupancy handler holds a slot for no modelled time, so it
-// takes none: a perturbation only scales AMHandlerNS, and any scale of
-// zero is zero. Handlers are terminal (an atomic op, no further
-// communication), so a bounded slot count cannot deadlock.
-func (s *System) amCall(c *Ctx, target int, fn func()) {
+// slowly — and runs fn, all on the caller's delay account. A
+// zero-occupancy handler holds a slot for no modelled time, so it takes
+// none: a perturbation only scales AMHandlerNS, and any scale of zero is
+// zero. Handlers are terminal (an atomic op, no further communication),
+// so a bounded slot count cannot deadlock.
+func (s *System) amCall(c *Ctx, target int, k comm.Kind, fn func()) {
 	if s.stopped.Load() {
 		panic("pgas: active message after Shutdown")
 	}
-	s.delay(c, c.here.id, target, s.cfg.Latency.AMRoundTripNS)
-	if s.cfg.Latency.AMHandlerNS <= 0 {
+	s.matrix.Book(c.here.id, target, k)
+	handler := s.cfg.Latency.AMHandlerNS
+	s.delay(c, c.here.id, target, s.prices.Event[k]-handler)
+	if handler <= 0 {
 		fn()
 		return
 	}
 	l := s.locales[target]
 	l.acquireAMSlot(int32(s.cfg.ProgressWorkers))
-	s.delay(c, target, target, s.cfg.Latency.AMHandlerNS)
+	s.delay(c, target, target, handler)
 	fn()
 	l.releaseAMSlot()
 }

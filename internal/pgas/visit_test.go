@@ -120,11 +120,12 @@ func TestVisitWaitsForTheMakespan(t *testing.T) {
 		}
 	})
 	m1, _ := s.DelayTotals()
-	rt := lat.AMRoundTripNS + lat.OnStmtNS
-	if want := rt + n*lat.PutGetNS; tab.Owed() != want {
+	price := lat.Prices().Event
+	rt, get := price[comm.KindOnStmt], price[comm.KindGet]
+	if want := rt + n*get; tab.Owed() != want {
 		t.Fatalf("caller waited %dns, want one round trip plus the largest body, %dns", tab.Owed(), want)
 	}
-	if want := (n-1)*rt + n*(n+1)/2*lat.PutGetNS; m1-m0 != want {
+	if want := (n-1)*rt + n*(n+1)/2*get; m1-m0 != want {
 		t.Fatalf("visit modelled %dns, want every charge once, %dns", m1-m0, want)
 	}
 }

@@ -3,6 +3,7 @@ package pgas
 import (
 	"sync/atomic"
 
+	"gopgas/internal/comm"
 	"gopgas/internal/gas"
 )
 
@@ -158,7 +159,7 @@ func (w *Word128) Home() int { return w.home }
 // Read atomically loads both halves.
 func (w *Word128) Read(c *Ctx) (lo, hi uint64) {
 	if c.sys.routeDCAS(c, w.home) {
-		c.sys.amCall(c, w.home, func() { lo, hi = w.cell.Load() })
+		c.sys.amCall(c, w.home, comm.KindDCASRemote, func() { lo, hi = w.cell.Load() })
 		return lo, hi
 	}
 	return w.cell.Load()
@@ -172,7 +173,7 @@ func (w *Word128) Write(c *Ctx, lo, hi uint64) {
 // Exchange atomically swaps in (lo, hi), returning the previous pair.
 func (w *Word128) Exchange(c *Ctx, lo, hi uint64) (oldLo, oldHi uint64) {
 	if c.sys.routeDCAS(c, w.home) {
-		c.sys.amCall(c, w.home, func() { oldLo, oldHi = w.cell.Swap(lo, hi) })
+		c.sys.amCall(c, w.home, comm.KindDCASRemote, func() { oldLo, oldHi = w.cell.Swap(lo, hi) })
 		return oldLo, oldHi
 	}
 	return w.cell.Swap(lo, hi)
@@ -228,7 +229,7 @@ func (w *Word128) WriteLoBumpHi(c *Ctx, lo uint64) {
 // word, and returns the previous pair — an ABA-aware exchange.
 func (w *Word128) ExchangeLoBumpHi(c *Ctx, lo uint64) (oldLo, oldHi uint64) {
 	if c.sys.routeDCAS(c, w.home) {
-		c.sys.amCall(c, w.home, func() { oldLo, oldHi = w.cell.SwapLoBumpHi(lo) })
+		c.sys.amCall(c, w.home, comm.KindDCASRemote, func() { oldLo, oldHi = w.cell.SwapLoBumpHi(lo) })
 		return oldLo, oldHi
 	}
 	return w.cell.SwapLoBumpHi(lo)
@@ -239,7 +240,7 @@ func (w *Word128) ExchangeLoBumpHi(c *Ctx, lo uint64) (oldLo, oldHi uint64) {
 // CMPXCHG16B the paper's ABA protection is built on.
 func (w *Word128) DCAS(c *Ctx, expLo, expHi, newLo, newHi uint64) (ok bool) {
 	if c.sys.routeDCAS(c, w.home) {
-		c.sys.amCall(c, w.home, func() { ok = w.cell.CAS(expLo, expHi, newLo, newHi) })
+		c.sys.amCall(c, w.home, comm.KindDCASRemote, func() { ok = w.cell.CAS(expLo, expHi, newLo, newHi) })
 	} else {
 		ok = w.cell.CAS(expLo, expHi, newLo, newHi)
 	}

@@ -23,16 +23,17 @@ import (
 // ship them to the bucket's owner iff one on-statement is strictly
 // cheaper than the shortest remote walk that reaches a node — the head
 // word's read, one GET of the node and the read of its successor word,
-// each word access a remote atomic at the backend's price (a NIC atomic
-// under ugni, an active-message round trip plus handler occupancy
-// under none). Under the default profile that is 4,000 ns against
+// each word access a remote atomic of the backend's kind (a NIC atomic
+// under ugni, an AM atomic under none) — every event at its price on
+// p's price list. Under the default profile that is 4,000 ns against
 // 7,000 on none (ship) and 2,800 on ugni (walk); a zero profile walks.
 func shipRule(backend comm.Backend, p comm.LatencyProfile) bool {
-	amo := p.AMRoundTripNS + p.AMHandlerNS
+	price := p.Prices().Event
+	amo := price[comm.KindAMAMO]
 	if backend == comm.BackendUGNI {
-		amo = p.NICAtomicNS
+		amo = price[comm.KindNICAMO]
 	}
-	return p.AMRoundTripNS+p.OnStmtNS < p.PutGetNS+2*amo
+	return price[comm.KindOnStmt] < price[comm.KindGet]+2*amo
 }
 
 // Shipped returns the same map with the route of the returned handle's

@@ -59,7 +59,7 @@ func runWith(spec Spec, drv Driver, progress io.Writer, tel *Telemetry) (*Report
 	sys := pgas.NewSystem(pgas.Config{
 		Locales: spec.Locales,
 		Backend: backend,
-		Latency: comm.DefaultProfile().Scale(spec.LatencyScale), // scale 0 is the zero profile: no injected delay
+		Latency: spec.latency(),
 		Perturb: spec.Faults.perturbation(),
 		Seed:    spec.Seed,
 		Agg:     comm.AggConfig{Combine: spec.Combine != nil && spec.Combine.Enabled},
@@ -185,6 +185,7 @@ type phaseState struct {
 	counts  []countRow
 	digest  atomic.Uint64
 	unpaced atomic.Int64 // workers' delay overshoot, dropped or carried out
+	loopNS  atomic.Int64 // closed loops: Σ tasks' end − start − reclaim time
 }
 
 // countRow is one worker's op counts by kind. Each op is one atomic add,
@@ -224,6 +225,14 @@ func summary(hists []Histogram) LatencySummary {
 	return merged.Summary()
 }
 
+// scaled reports whether a latency scale is in force, or was installed
+// over the live control plane since the last call: a phase that saw
+// either was charged scaled prices.
+func (r *run) scaled() bool {
+	live := r.tel != nil && r.tel.scaled.Swap(false)
+	return live || len(r.sys.Perturbation().Scales) > 0
+}
+
 // runPhase executes one phase and assembles its report. A round is a
 // boundary step of the schedule, the workers and, if needed, a clock.
 func (r *run) runPhase(pi int) PhaseReport {
@@ -239,6 +248,7 @@ func (r *run) runPhase(pi int) PhaseReport {
 		ps.late = make([]Histogram, workers)
 	}
 
+	scaled := r.scaled()
 	before, beforeM := sys.Counters().SnapshotMatrix()
 	modelled0, wait0 := sys.DelayTotals()
 	start := time.Now()
@@ -319,26 +329,34 @@ func (r *run) runPhase(pi int) PhaseReport {
 	after, afterM := sys.Counters().SnapshotMatrix()
 	snap, matrix := after.Sub(before), comm.SubMatrix(afterM, beforeM)
 	modelled, wait := sys.DelayTotals()
+	scaled = r.scaled() || scaled // read after the totals: a later install charged none of them
 	throughput := 0.0
 	if seconds > 0 {
 		throughput = float64(ops) / seconds
 	}
+	var latencySum int64
+	for i := range ps.hists {
+		latencySum += ps.hists[i].sum
+	}
 	pr := PhaseReport{
-		Name:        ph.Name,
-		Rounds:      ph.rounds(),
-		Ops:         ops,
-		OpsByKind:   byKind,
-		Seconds:     seconds,
-		Throughput:  throughput,
-		ModelledNS:  modelled - modelled0,
-		DelayWaitNS: wait - wait0,
-		unpacedNS:   ps.unpaced.Load(),
-		Latency:     summary(ps.hists),
-		Comm:        snap,
-		RemoteOps:   snap.Remote(),
-		Matrix:      matrix,
-		MaxInbound:  comm.MaxInboundOf(matrix),
-		Digest:      ps.digest.Load(),
+		Name:         ph.Name,
+		Rounds:       ph.rounds(),
+		Ops:          ops,
+		OpsByKind:    byKind,
+		Seconds:      seconds,
+		Throughput:   throughput,
+		ModelledNS:   modelled - modelled0,
+		DelayWaitNS:  wait - wait0,
+		Scaled:       scaled,
+		unpacedNS:    ps.unpaced.Load(),
+		Latency:      summary(ps.hists),
+		latencySumNS: latencySum,
+		loopNS:       ps.loopNS.Load(),
+		Comm:         snap,
+		RemoteOps:    snap.Remote(),
+		Matrix:       matrix,
+		MaxInbound:   comm.MaxInboundOf(matrix),
+		Digest:       ps.digest.Load(),
 	}
 	if ps.service != nil {
 		service, late := summary(ps.service), summary(ps.late)
@@ -432,7 +450,9 @@ func (s *segments) record(ns, n, sum int64) {
 // the Apply of one op in segmentOps, at an offset hashed from the
 // task's coordinates (no op draw moves), and checks a deadline against
 // the latest read, so it runs at most segmentOps-1 ops late. Reclaim
-// is read on both sides and taken out of its segment.
+// is read on both sides and taken out of its segment. The task adds
+// its own span — its end read less its start read and its reclaim
+// time — to the phase's loopNS, which the segments' sums equal.
 //
 // A paced task (TargetRate) reads the clock once per op and holds a
 // fixed schedule: op i is due at slot i × interval past the task's
@@ -474,8 +494,11 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 	start, deadline := t, t+int64(ph.Seconds*float64(time.Second))
 	seg.from = t
 	reclaimIn := ph.ReclaimEvery // ops to the next reclaim attempt; below 0 for good when ReclaimEvery is 0
+	var reclaimNS int64
 	var sum uint64
-	for i := 0; ; i++ {
+	died := false
+	i := 0
+	for ; ; i++ {
 		if ph.OpsPerTask > 0 {
 			if i >= ph.OpsPerTask {
 				break
@@ -490,11 +513,8 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 		// quiescent token, are what force-retire clears). Checked every
 		// 16 ops: a mid-phase crash already lands at a racing op count.
 		if i&15 == 0 && !sys.Alive(loc) {
-			seg.close(comm.ClockNS())
-			if ph.OpsPerTask > 0 {
-				sys.Counters().IncOpsLost(loc, int64(ph.OpsPerTask-i))
-			}
-			return
+			died = true
+			break
 		}
 		from := t // where a timed op's latency starts: its slot, when paced
 		timed := interval == 0 && i&(segmentOps-1) == off
@@ -506,7 +526,6 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 			}
 		} else if timed {
 			if t = comm.ClockNS(); ph.OpsPerTask == 0 && t >= deadline {
-				seg.close(t) // this read ends the task
 				break
 			}
 			from = t
@@ -544,10 +563,19 @@ func (r *run) runTask(ps *phaseState, round, loc, task int) {
 			tok.TryReclaim(c)
 			t = comm.ClockNS()
 			seg.from += t - before
+			reclaimNS += t - before
 		}
 	}
-	if seg.n > 0 {
-		seg.close(comm.ClockNS())
+	end := comm.ClockNS()
+	seg.close(end)
+	if interval == 0 {
+		ps.loopNS.Add(end - start - reclaimNS)
+	}
+	if died {
+		if ph.OpsPerTask > 0 {
+			sys.Counters().IncOpsLost(loc, int64(ph.OpsPerTask-i))
+		}
+		return
 	}
 	// Ship anything still sitting in this task's aggregation buffers
 	// (bulk routing) before the round joins.

@@ -142,6 +142,12 @@ type PhaseReport struct {
 	ModelledNS  int64 `json:"modelled_ns,omitempty"`
 	DelayWaitNS int64 `json:"delay_wait_ns,omitempty"`
 
+	// Scaled records that a latency scale was in force during the phase
+	// — the spec's Faults.Scales, or scales POSTed to /api/fault — so its
+	// charges were scaled and truncated per event, and ModelledNS is not
+	// its books priced (Report.Invariants exempts it).
+	Scaled bool `json:"scaled,omitempty"`
+
 	// unpacedNS is what the workers' delay accounts waited beyond their
 	// charges: the overshoot their clamps dropped plus the credit they
 	// ended with (pgas.Ctx.DelayAccount). When the workers' accounts are
@@ -159,6 +165,11 @@ type PhaseReport struct {
 	Latency LatencySummary  `json:"latency"`
 	Service *LatencySummary `json:"service,omitempty"`
 	Late    *LatencySummary `json:"late,omitempty"`
+
+	// latencySumNS is Latency's exact sum. In a closed loop it equals
+	// loopNS, what the tasks add up from their own clock reads: each
+	// one's end less its start and its reclaim time.
+	latencySumNS, loopNS int64
 
 	// Comm is the communication counter delta of the phase; RemoteOps
 	// is its locale-boundary-crossing total.
@@ -221,7 +232,12 @@ func (r *Report) Invariants() []Invariant {
 	var mig struct{ Adopted, Retired int64 }
 	var delay struct{ WaitNS, ModelledNS int64 }
 	var remote struct{ Events, Matrix int64 }
-	remoteHeld := true
+	var priced struct {
+		ModelledNS, PricedNS int64
+		ScaledPhases         int
+	}
+	prices := r.Spec.latency().Prices()
+	remoteHeld, pricedHeld := true, true
 	for _, p := range r.Phases {
 		var m int64
 		for _, row := range p.Matrix {
@@ -239,6 +255,14 @@ func (r *Report) Invariants() []Invariant {
 		mig.Retired += p.Comm.MigRetired
 		delay.WaitNS += p.DelayWaitNS
 		delay.ModelledNS += p.ModelledNS
+		if p.Scaled {
+			priced.ScaledPhases++
+		} else {
+			want := prices.Modelled(p.Comm)
+			pricedHeld = pricedHeld && p.ModelledNS == want
+			priced.ModelledNS += p.ModelledNS
+			priced.PricedNS += want
+		}
 	}
 	// A dying locale's tasks abandon their buffers unflushed, so a crash
 	// may leave enqueued ahead of shipped + combined, never behind.
@@ -249,6 +273,10 @@ func (r *Report) Invariants() []Invariant {
 	// from the same read; they differ only if a count site books outside
 	// its (source, destination, kind) cell. Judged per phase.
 	add("remote events == Σ matrix", remoteHeld, remote)
+	// Every counted event is charged its kind's price and nothing else is
+	// charged, so a phase's modelled ns is its books priced (comm.Prices),
+	// exactly. Judged per phase, except where a latency scale was in force.
+	add("modelled_ns == Σ counted events × price", pricedHeld, priced)
 	// Judged over the whole run: a wait that straddles a phase boundary
 	// is charged in one phase and finished in the next.
 	add("delay_wait_ns >= modelled_ns", delay.WaitNS >= delay.ModelledNS, delay)

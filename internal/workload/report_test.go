@@ -26,12 +26,14 @@ func violated(r *Report) []string {
 // arm whose verdict depends on the spec — a crash that never asked for
 // failover — must not be held to what it was built to break.
 func TestInvariantsNameTheViolation(t *testing.T) {
+	// At LatencyScale 0.125 a GET is priced 150 ns and a NIC atomic 100.
 	clean := func() *Report {
 		return &Report{
+			Spec: Spec{LatencyScale: 0.125},
 			Phases: []PhaseReport{
-				{Comm: comm.Snapshot{AggOps: 5, AggCombined: 3, AggOpsEnq: 8, MigAdopted: 2, MigRetired: 1}, ModelledNS: 900, DelayWaitNS: 800,
+				{Comm: comm.Snapshot{Gets: 6, AggOps: 5, AggCombined: 3, AggOpsEnq: 8, MigAdopted: 2, MigRetired: 1}, ModelledNS: 900, DelayWaitNS: 800,
 					RemoteOps: 6, Matrix: [][]int64{{0, 4}, {2, 0}}},
-				{Comm: comm.Snapshot{AggOps: 2, AggOpsEnq: 2, MigRetired: 1}, ModelledNS: 100, DelayWaitNS: 200,
+				{Comm: comm.Snapshot{NICAMOs: 1, AggOps: 2, AggOpsEnq: 2, MigRetired: 1}, ModelledNS: 100, DelayWaitNS: 200,
 					RemoteOps: 1, Matrix: [][]int64{{0, 0}, {1, 0}}},
 			},
 			Epoch: EpochReport{Deferred: 7, Reclaimed: 7},
@@ -70,7 +72,20 @@ func TestInvariantsNameTheViolation(t *testing.T) {
 			r.Phases[0].RemoteOps++
 			r.Phases[1].RemoteOps--
 		}, []string{"remote events == Σ matrix"}},
-		{"a charge nobody waited for", func(r *Report) { r.Phases[1].ModelledNS++ }, []string{"delay_wait_ns >= modelled_ns"}},
+		{"a charge nobody waited for", func(r *Report) { r.Phases[1].DelayWaitNS-- }, []string{"delay_wait_ns >= modelled_ns"}},
+		{"a charge no counted event pays for", func(r *Report) {
+			r.Phases[1].ModelledNS++
+			r.Phases[1].DelayWaitNS++
+		}, []string{"modelled_ns == Σ counted events × price"}},
+		{"modelled ns are priced per phase, not over the run", func(r *Report) {
+			r.Phases[0].ModelledNS += 100
+			r.Phases[1].ModelledNS -= 100
+		}, []string{"modelled_ns == Σ counted events × price"}},
+		{"a phase with a latency scale in force is not priced", func(r *Report) {
+			r.Phases[1].Scaled = true
+			r.Phases[1].ModelledNS *= 3
+			r.Phases[1].DelayWaitNS *= 3
+		}, nil},
 		{"failover asked for, not recovered", func(r *Report) {
 			r.Spec.Faults, r.Availability = failover, &AvailabilityReport{Crashes: 1}
 		}, []string{"crash failover recovered"}},

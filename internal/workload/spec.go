@@ -261,6 +261,12 @@ func (s Spec) hasFailover() bool {
 	return false
 }
 
+// latency is the run's latency profile: LatencyScale × the calibrated
+// default, where scale 0 is the zero profile (no injected delay).
+func (s Spec) latency() comm.LatencyProfile {
+	return comm.DefaultProfile().Scale(s.LatencyScale)
+}
+
 // perturbation lowers the fault plan's boot-time half to the comm
 // layer: the latency scales. The liveness half — crashes, and now
 // partitions too — is applied by the engine at its scheduled point,

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gopgas/internal/comm"
@@ -25,6 +26,10 @@ type Telemetry struct {
 	sys      *pgas.System
 	tracer   *trace.Recorder
 	hist     Histogram // every op of the run, weighted as recorded
+
+	// scaled is set when /api/fault installs latency scales, before they
+	// land; the engine reads and clears it at each phase's ends (run.scaled).
+	scaled atomic.Bool
 }
 
 // NewTelemetry creates an empty bridge; pass it to RunLive and serve
@@ -166,6 +171,7 @@ func (t *Telemetry) Options() telemetry.Options {
 			case req.Clear:
 				sys.SetScales(nil)
 			case len(req.Scales) > 0:
+				t.scaled.Store(true)
 				sys.SetScales(req.Scales)
 			default:
 				return fmt.Errorf("workload: fault request needs crash, sever, heal, clear or scales")

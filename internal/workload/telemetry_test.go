@@ -331,3 +331,104 @@ func TestRunLiveOpsExact(t *testing.T) {
 		t.Fatalf("live ops %d, live histogram count %d, want the phases' %d", status.Ops, hist.Count, ops)
 	}
 }
+
+// TestModelledIsPricedBooks: every counted event is charged its kind's
+// price, so Report.Invariants holds "modelled_ns == Σ counted events ×
+// price" in every phase of an unscaled run — among them a walked ugni
+// hashmap at LatencyScale 0.05, whose losing inserts free their nodes
+// remotely — while a phase with a latency scale in force, from the
+// spec's Faults.Scales or POSTed to /api/fault mid-phase, is recorded
+// Scaled and exempt, every other invariant still holding.
+func TestModelledIsPricedBooks(t *testing.T) {
+	walked := Spec{
+		Structure:      StructureHashmap,
+		Locales:        4,
+		TasksPerLocale: 2,
+		Backend:        "ugni",
+		Seed:           1,
+		Keyspace:       64,
+		Dist:           KeyDist{Kind: DistHotSet, HotFraction: 0.1, HotProb: 0.9},
+		LatencyScale:   0.05,
+		Phases: []Phase{
+			{Name: "load", Mix: Mix{Insert: 1}, OpsPerTask: 300},
+			{Name: "run", Mix: Mix{Insert: 3, Get: 4, Remove: 3}, OpsPerTask: 600},
+		},
+	}
+	slowed := walked
+	slowed.Faults = Faults{Scales: comm.SlowLocale(4, 3, 4).Scales}
+	live := walked
+	live.Phases = []Phase{walked.Phases[0], {Name: "run", Mix: walked.Phases[1].Mix, Seconds: 0.5}}
+	for _, tc := range []struct {
+		name   string
+		spec   Spec
+		post   string // posted to /api/fault once the second phase runs
+		scaled []bool
+	}{
+		{"walked-ugni", walked, "", []bool{false, false}},
+		{"spec-scales", slowed, "", []bool{true, true}},
+		{"live-scales", live, `{"scales":[1,4]}`, []bool{false, true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rep *Report
+			var err error
+			if tc.post == "" {
+				rep, err = Run(tc.spec, nil)
+			} else {
+				rep, err = runPostingMidPhase(t, tc.spec, tc.post)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireInvariants(t, tc.name, rep)
+			for i, p := range rep.Phases {
+				if p.ModelledNS == 0 || p.Scaled != tc.scaled[i] {
+					t.Fatalf("phase %q: modelled %dns, scaled %v, want charges and scaled %v",
+						p.Name, p.ModelledNS, p.Scaled, tc.scaled[i])
+				}
+			}
+		})
+	}
+}
+
+// runPostingMidPhase runs spec live and POSTs body to /api/fault once
+// the live op count passes the first phase's ops, so mid-way through
+// the second phase, which must be timed.
+func runPostingMidPhase(t *testing.T, spec Spec, body string) (*Report, error) {
+	tel := NewTelemetry()
+	srv, err := telemetry.Start("127.0.0.1:0", tel.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	type result struct {
+		rep *Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := RunLive(spec, nil, tel)
+		done <- result{rep, err}
+	}()
+	first := int64(spec.Phases[0].OpsPerTask * spec.Locales * spec.TasksPerLocale)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second phase never showed ops on the live bridge")
+		}
+		tel.mu.Lock()
+		ops := tel.hist.Count()
+		tel.mu.Unlock()
+		if ops > first {
+			break
+		}
+	}
+	resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", srv.Addr()), "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/api/fault %s mid-phase: %d", body, resp.StatusCode)
+	}
+	res := <-done
+	return res.rep, res.err
+}
