@@ -83,7 +83,9 @@
 // -http starts the live telemetry server on the given address for the
 // duration of the run: /api/status, /api/matrix, /api/hist,
 // /api/trace?window=N (a live Perfetto-loadable window), POST
-// /api/fault (runtime latency perturbation), and /debug/pprof.
+// /api/fault (one crash, sever, heal, scales or clear per body, landed
+// through the engine's fault applier and booked in the report like a
+// scheduled fault), and /debug/pprof.
 //
 // -print-spec writes the effective spec JSON to stdout (pipe it to a
 // file, tweak, and feed it back with -spec). The run summary prints to

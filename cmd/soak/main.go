@@ -26,8 +26,9 @@
 // boundaries, re-attaching to each structure's run in turn, so an
 // operator can watch /api/status and /api/matrix, pull live
 // /api/trace windows (with -trace), profile via /debug/pprof, and
-// inject latency faults into whichever scenario is running with POST
-// /api/fault. -trace additionally records the event-tracing plane at
+// inject faults — crash, sever, heal, latency scales or clear — into
+// whichever scenario is running with POST /api/fault, where they land
+// through the engine's fault applier and are booked like scheduled ones. -trace additionally records the event-tracing plane at
 // 1/64 sampling and prints each run's span books in the summary. Every
 // verdict is one entry of workload.Report.Invariants, printed PASS or
 // FAIL per structure; exit status 1 means at least one FAIL.

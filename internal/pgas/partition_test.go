@@ -52,6 +52,49 @@ func TestSeverHealErrors(t *testing.T) {
 // Aggregated ops refused by a partition park and redeliver on heal:
 // nothing lands while severed, everything lands after, and the books
 // settle with zero lost ops.
+// SetScales replaces only the latency half of the fault plan, under the
+// same lock as Sever and Heal (faultMu): a sever/heal loop racing a
+// latency-swap loop never sees its sever undone by a swap that read the
+// plan before it, so every heal finds its pair severed and the pair ends
+// reachable.
+func TestLatencySwapKeepsFaultPlan(t *testing.T) {
+	s := NewSystem(Config{Locales: 4, Backend: comm.BackendNone})
+	defer s.Shutdown()
+
+	const rounds = 20_000
+	done := make(chan struct{})
+	swapped := make(chan struct{})
+	go func() {
+		defer close(swapped)
+		swaps := [][]float64{{1, 2, 1, 1}, {1, 1, 1, 4}, nil}
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			s.SetScales(swaps[i%len(swaps)])
+		}
+	}()
+	failed := 0
+	for i := 0; i < rounds; i++ {
+		if err := s.Sever(1, 2); err != nil {
+			t.Fatalf("sever %d: %v", i, err)
+		}
+		if err := s.Heal(1, 2); err != nil {
+			failed++
+		}
+	}
+	close(done)
+	<-swapped
+	if failed != 0 {
+		t.Errorf("%d of %d heals found their pair already healed by a latency swap", failed, rounds)
+	}
+	if !s.Reachable(1, 2) {
+		t.Error("pair (1, 2) still severed after the last heal")
+	}
+}
+
 func TestPartitionParkAndRedeliver(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
 	const ops = 8

@@ -20,27 +20,10 @@ import (
 	"gopgas/internal/trace"
 )
 
-// FaultRequest is the POST body of /api/fault: a fault to apply
-// system-wide, in the vocabulary of comm.Perturbation but declared
-// here so the server stays simulator-free. Exactly one form applies,
-// checked in order: Crash kills CrashLocale fail-stop (irreversible —
-// a later Clear does not resurrect it), Sever partitions the unordered
-// pair (SeverA, SeverB), Heal repairs a severed pair (422 when the
-// pair is not currently severed), Clear removes the latency
-// perturbation, and Scales installs a per-locale factor vector (a slow
-// locale is one entry above 1).
-type FaultRequest struct {
-	Crash       bool      `json:"crash,omitempty"`
-	CrashLocale int       `json:"crash_locale,omitempty"`
-	Sever       bool      `json:"sever,omitempty"`
-	SeverA      int       `json:"sever_a,omitempty"`
-	SeverB      int       `json:"sever_b,omitempty"`
-	Heal        bool      `json:"heal,omitempty"`
-	HealA       int       `json:"heal_a,omitempty"`
-	HealB       int       `json:"heal_b,omitempty"`
-	Clear       bool      `json:"clear,omitempty"`
-	Scales      []float64 `json:"scales,omitempty"`
-}
+// ErrBadRequest marks a Fault provider's error as the request's own: a
+// body the provider could not read as a fault is a 400, where any other
+// provider error — a fault it refused — is a 422.
+var ErrBadRequest = errors.New("telemetry: bad request")
 
 // Options wires the server's endpoints to whatever is running. Any nil
 // provider turns its endpoint into 503 Service Unavailable — the
@@ -58,8 +41,10 @@ type Options struct {
 	Hist func() any
 	// Trace drains up to max buffered trace events (max <= 0: all).
 	Trace func(max int) []trace.Event
-	// Fault applies a fault request to the running system.
-	Fault func(FaultRequest) error
+	// Fault reads a POST body and applies the fault it names to the
+	// running system, returning once it has landed. The server keeps no
+	// fault vocabulary: decoding the body is the provider's job.
+	Fault func(body io.Reader) error
 }
 
 // Server is a running telemetry endpoint.
@@ -146,21 +131,12 @@ func newHandler(opts Options) http.Handler {
 			unavailable(w)
 			return
 		}
-		// One JSON value of known fields and nothing after it: a tail,
-		// or a retired or misspelt field, makes the request malformed.
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		var req FaultRequest
-		err := dec.Decode(&req)
-		if err == nil && dec.Decode(new(json.RawMessage)) != io.EOF {
-			err = errors.New("data after the request")
-		}
-		if err != nil {
-			http.Error(w, fmt.Sprintf("telemetry: bad fault request: %v", err), http.StatusBadRequest)
-			return
-		}
-		if err := opts.Fault(req); err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		if err := opts.Fault(r.Body); err != nil {
+			code := http.StatusUnprocessableEntity
+			if errors.Is(err, ErrBadRequest) {
+				code = http.StatusBadRequest
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		writeJSON(w, map[string]any{"ok": true})

@@ -41,19 +41,13 @@ func get(t *testing.T, s *Server, path string) (int, []byte) {
 func TestEndpoints(t *testing.T) {
 	r := trace.NewRecorder(2, trace.Config{BufferSize: 256})
 	r.Begin(0, trace.KindDispatch, 1, 0, 1, 0, 0).End()
-	var faults []FaultRequest
+	var faults []string
 	s := startTestServer(t, Options{
 		Status: func() any { return map[string]any{"scenario": "test", "ops": 42} },
 		Matrix: func() [][]int64 { return [][]int64{{0, 3}, {5, 0}} },
 		Hist:   func() any { return map[string]any{"count": 2, "p50_ns": 1000} },
 		Trace:  func(max int) []trace.Event { return r.Drain(max) },
-		Fault: func(req FaultRequest) error {
-			if req.Crash && req.CrashLocale == 0 {
-				return fmt.Errorf("locale 0 cannot crash")
-			}
-			faults = append(faults, req)
-			return nil
-		},
+		Fault:  fakeFault(&faults),
 	})
 
 	code, body := get(t, s, "/api/status")
@@ -117,26 +111,20 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("bad window accepted: %d %s", code, body)
 	}
 
-	resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", s.Addr()),
-		"application/json", bytes.NewBufferString(`{"scales":[1,8]}`))
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		body string
+		code int
+	}{
+		{`{"scales":[1,8]}`, http.StatusOK},
+		{`{"scales":[1,8]} junk`, http.StatusBadRequest},
+		{`{"refuse":true}`, http.StatusUnprocessableEntity},
+	} {
+		if code := post(t, s, c.body); code != c.code {
+			t.Fatalf("/api/fault %s: %d, want %d", c.body, code, c.code)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/api/fault POST: %d", resp.StatusCode)
-	}
-	if len(faults) != 1 || !reflect.DeepEqual(faults[0].Scales, []float64{1, 8}) {
-		t.Fatalf("fault not delivered: %+v", faults)
-	}
-	resp, err = http.Post(fmt.Sprintf("http://%s/api/fault", s.Addr()),
-		"application/json", bytes.NewBufferString(`{"crash":true,"crash_locale":0}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("rejected fault returned %d", resp.StatusCode)
+	if want := []string{`{"scales":[1,8]}`, `{"scales":[1,8]} junk`, `{"refuse":true}`}; !reflect.DeepEqual(faults, want) {
+		t.Fatalf("provider saw %q, want every body verbatim: %q", faults, want)
 	}
 	if code, _ = get(t, s, "/api/fault"); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /api/fault returned %d", code)
@@ -154,153 +142,84 @@ func TestNilProviders(t *testing.T) {
 			t.Fatalf("%s with nil provider returned %d, want 503", path, code)
 		}
 	}
+	if code := post(t, s, `{}`); code != http.StatusServiceUnavailable {
+		t.Fatalf("/api/fault with nil provider returned %d, want 503", code)
+	}
+}
+
+func post(t *testing.T, s *Server, body string) int {
+	t.Helper()
 	resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", s.Addr()),
-		"application/json", bytes.NewBufferString(`{}`))
+		"application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/api/fault with nil provider returned %d, want 503", resp.StatusCode)
-	}
+	return resp.StatusCode
 }
 
-// A fault request is one JSON value: a body with anything after it is
-// a 400, and the provider never sees its first value.
-func TestFaultRejectsTrailingData(t *testing.T) {
-	var faults []FaultRequest
-	s := startTestServer(t, Options{Fault: func(req FaultRequest) error {
-		faults = append(faults, req)
-		return nil
-	}})
-	for _, body := range []string{
-		`{"heal":true,"heal_a":2,"heal_b":3} {"crash":true} junk`,
-		`{"scales":[1,8]}}`,
-	} {
-		resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", s.Addr()),
-			"application/json", bytes.NewBufferString(body))
+// fakeFault is a Fault provider that records each body it reads and
+// knows no fault vocabulary: a body that is not one JSON value is a
+// bad request, one that names "refuse" is refused, and the rest land.
+func fakeFault(seen *[]string) func(io.Reader) error {
+	return func(body io.Reader) error {
+		b, err := io.ReadAll(body)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		*seen = append(*seen, string(b))
+		switch {
+		case !json.Valid(b):
+			return fmt.Errorf("%w: not one JSON value", ErrBadRequest)
+		case bytes.Contains(b, []byte("refuse")):
+			return errors.New("refused")
 		}
-	}
-	if len(faults) != 0 {
-		t.Fatalf("provider saw %+v from bodies with trailing data", faults)
-	}
-}
-
-// A fault request names only known fields: a retired field or a typo
-// beside a valid form is a 400 the provider never sees, while the
-// bodies the CI telemetry smoke posts still reach it.
-func TestFaultRejectsUnknownFields(t *testing.T) {
-	var faults []FaultRequest
-	s := startTestServer(t, Options{Fault: func(req FaultRequest) error {
-		faults = append(faults, req)
 		return nil
-	}})
-	post := func(body string) int {
-		resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", s.Addr()),
-			"application/json", bytes.NewBufferString(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	for _, body := range []string{`{"slow_factor":4}`, `{"scales":[1,4],"sevr":true}`} {
-		if code := post(body); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", body, code)
-		}
-	}
-	if len(faults) != 0 {
-		t.Fatalf("provider saw %+v from bodies with unknown fields", faults)
-	}
-	smoke := []string{
-		`{"crash":true,"crash_locale":1}`,
-		`{"sever":true,"sever_a":2,"sever_b":3}`,
-		`{"heal":true,"heal_a":2,"heal_b":3}`,
-	}
-	for _, body := range smoke {
-		if code := post(body); code != http.StatusOK {
-			t.Errorf("%s: status %d, want 200", body, code)
-		}
-	}
-	if len(faults) != len(smoke) {
-		t.Fatalf("provider saw %d of the %d smoke bodies", len(faults), len(smoke))
 	}
 }
 
-// FuzzFaultRequest posts arbitrary bodies to /api/fault with a
-// recording provider that refuses a crash of locale 0. The handler
-// never panics and answers 200, 400 or 422: a body that does not
-// decode strictly as one FaultRequest (a tail, or a field it does not
-// know) is a 400 the provider never sees, and any
-// other body reaches the provider exactly once, as its decode — a 200
-// when the provider accepts it, a 422 when it refuses.
+// FuzzFaultRequest posts arbitrary bodies to /api/fault with fakeFault
+// as the provider. The handler never panics, hands the provider the body
+// verbatim exactly once, and answers by its verdict: 400 for an error
+// wrapping ErrBadRequest, 422 for any other error, 200 for none.
 func FuzzFaultRequest(f *testing.F) {
 	for _, body := range []string{
-		// TestEndpoints, TestNilProviders and the live workload test.
+		// TestEndpoints, TestNilProviders and the live workload tests.
 		`{"scales":[1,8]}`,
-		`{"slow_factor":-1}`, // a retired field: a 400 the provider never sees
+		`{"slow_factor":-1}`,
 		`{}`,
 		`{"scales":[1,4]}`,
 		// CI's telemetry smoke.
-		`{"crash":true,"crash_locale":1}`,
-		`{"crash":true,"crash_locale":0}`,
-		`{"sever":true,"sever_a":2,"sever_b":3}`,
-		`{"heal":true,"heal_a":2,"heal_b":3}`,
-		// The other forms, and a body with a tail.
+		`{"crash":{"locale":1}}`,
+		`{"crash":{"locale":0}}`,
+		`{"sever":[2,3]}`,
+		`{"heal":[2,3]}`,
+		// The other forms, a body with a tail and one the fake refuses.
 		`{"clear":true}`,
 		`{"scales":[1,2.5,1,1]}`,
-		`{"heal":true,"heal_a":2,"heal_b":3} {"crash":true} junk`,
-		`{"scales":[1,4],"sevr":true}`, // a typo beside a valid form
+		`{"heal":[2,3]} {"crash":{"locale":1}} junk`,
+		`{"refuse":true}`,
 	} {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var seen []FaultRequest
-		h := newHandler(Options{Fault: func(req FaultRequest) error {
-			seen = append(seen, req)
-			if req.Crash && req.CrashLocale == 0 {
-				return errors.New("locale 0 cannot crash")
-			}
-			return nil
-		}})
+		var seen []string
+		h := newHandler(Options{Fault: fakeFault(&seen)})
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/fault", bytes.NewReader(body)))
 
-		// The oracle: one JSON value and nothing after it (Unmarshal),
-		// whose every field FaultRequest knows (a strict decoder).
-		var want FaultRequest
-		decodeErr := json.Unmarshal(body, &want)
-		if decodeErr == nil {
-			strict := json.NewDecoder(bytes.NewReader(body))
-			strict.DisallowUnknownFields()
-			decodeErr = strict.Decode(new(FaultRequest))
+		want := http.StatusOK
+		switch {
+		case !json.Valid(body):
+			want = http.StatusBadRequest
+		case bytes.Contains(body, []byte("refuse")):
+			want = http.StatusUnprocessableEntity
 		}
-		switch rec.Code {
-		case http.StatusOK, http.StatusUnprocessableEntity:
-			if decodeErr != nil {
-				t.Fatalf("status %d for a body that does not decode (%v)", rec.Code, decodeErr)
-			}
-			if len(seen) != 1 || !reflect.DeepEqual(seen[0], want) {
-				t.Fatalf("provider saw %+v, want exactly [%+v]", seen, want)
-			}
-			if refused := want.Crash && want.CrashLocale == 0; refused != (rec.Code == http.StatusUnprocessableEntity) {
-				t.Fatalf("status %d for %+v", rec.Code, want)
-			}
-		case http.StatusBadRequest:
-			if decodeErr == nil {
-				t.Fatalf("400 for a body that decodes to %+v", want)
-			}
-			if len(seen) != 0 {
-				t.Fatalf("provider saw %+v from a rejected body", seen)
-			}
-		default:
-			t.Fatalf("status %d, want 200, 400 or 422", rec.Code)
+		if rec.Code != want {
+			t.Fatalf("status %d, want %d", rec.Code, want)
+		}
+		if len(seen) != 1 || seen[0] != string(body) {
+			t.Fatalf("provider saw %q, want the body once", seen)
 		}
 	})
 }

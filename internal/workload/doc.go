@@ -37,9 +37,11 @@
 // A spec's crashes and partitions become one ordered schedule: an event
 // is due at a (phase, issued-op count) mark — count 0 is the phase's
 // boundary, which replays exactly — or, for a wall-clock heal, some time
-// after its own sever. One function applies what is due, called at every
+// after its own sever. One function steps what is due, called at every
 // round boundary and, while a round's workers run, by one clock goroutine
-// that also steps the driver's control loop (see DESIGN.md).
+// that also steps the driver's control loop and, with a telemetry bridge
+// attached, receives /api/fault posts; scheduled and live faults land
+// through one applier and are booked alike (see DESIGN.md).
 //
 // # Determinism
 //

@@ -27,9 +27,10 @@ func Run(spec Spec, progress io.Writer) (*Report, error) {
 // run attaches its System and trace recorder to it for the duration,
 // so a telemetry.Server built from tel.Options() serves the run's
 // counters, latency percentiles, trace windows and fault control while
-// the scenario executes. Faults injected through that control plane
-// change the system under the schedule, never the schedule, which
-// tolerates them (a pair already healed just settles).
+// the scenario executes. A fault posted to that control plane lands
+// from the round's clock through the schedule's own applier (run.apply)
+// and is booked like a scheduled one; the schedule never changes, and
+// tolerates what live faults did first (a pair already healed settles).
 func RunLive(spec Spec, progress io.Writer, tel *Telemetry) (*Report, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -67,12 +68,13 @@ func runWith(spec Spec, drv Driver, progress io.Writer, tel *Telemetry) (*Report
 		Tracer:  tracer,
 	})
 	defer sys.Shutdown()
+	r := &run{spec: spec, sys: sys, c0: sys.Ctx(0), drv: drv, tel: tel,
+		avail: &AvailabilityReport{Recovered: true}, severed: make(map[[2]int]time.Time),
+		sched: newSchedule(spec.Faults), workers: make([]sync.WaitGroup, spec.Locales)}
 	if tel != nil {
-		tel.attach(spec.Name, sys, tracer)
+		r.posts = tel.attach(spec.Name, sys, tracer)
 		defer tel.detach()
 	}
-	r := &run{spec: spec, sys: sys, c0: sys.Ctx(0), drv: drv, tel: tel,
-		sched: newSchedule(spec.Faults), workers: make([]sync.WaitGroup, spec.Locales)}
 	r.em = epoch.NewEpochManager(r.c0)
 	drv.Setup(r.c0, r.em, spec)
 	// The Zipfian generator's construction is an O(keyspace) zeta sum;
@@ -81,10 +83,6 @@ func runWith(spec Spec, drv Driver, progress io.Writer, tel *Telemetry) (*Report
 	if spec.Dist.Kind == DistZipfian {
 		r.zipf = newZipfGen(spec.Keyspace, spec.Dist.Theta)
 	}
-	if len(r.sched) > 0 {
-		r.avail = &AvailabilityReport{Recovered: true}
-	}
-
 	rep := &Report{Spec: spec}
 	for pi := range spec.Phases {
 		pr := r.runPhase(pi)
@@ -112,7 +110,9 @@ func runWith(spec Spec, drv Driver, progress io.Writer, tel *Telemetry) (*Report
 	}
 	est := r.em.Stats(r.c0)
 	rep.Epoch = EpochReport{Deferred: est.Deferred, Reclaimed: est.Reclaimed, Advances: est.Advances, AdvanceFail: est.AdvanceFail}
-	if avail := r.avail; avail != nil {
+	// The availability section is the books of the liveness faults that
+	// landed, scheduled or live; a run none landed on has none.
+	if avail := r.avail; avail.Crashes > 0 || avail.Partitions > 0 {
 		snap := sys.Counters().Snapshot()
 		avail.OpsLost = snap.OpsLost
 		avail.OpsParked = snap.OpsParked
@@ -127,10 +127,11 @@ func runWith(spec Spec, drv Driver, progress io.Writer, tel *Telemetry) (*Report
 }
 
 // run is what one scenario execution shares across phases, rounds and
-// tasks. c0, avail and sched belong to whichever goroutine keeps the
-// engine's time — the scenario goroutine between rounds, the round's
-// clock during one, while the scenario goroutine sits in the worker join;
-// starting and joining the clock are the handoffs. The rest is fixed.
+// tasks. c0, avail, severed, scalesInstalled and sched belong to
+// whichever goroutine keeps the engine's time — the scenario goroutine
+// between rounds, the round's clock during one, while the scenario
+// goroutine sits in the worker join; starting and joining the clock are
+// the handoffs. The rest is fixed.
 type run struct {
 	spec  Spec
 	sys   *pgas.System
@@ -139,8 +140,13 @@ type run struct {
 	drv   Driver
 	zipf  *zipfGen
 	tel   *Telemetry
-	avail *AvailabilityReport // nil unless the spec schedules a liveness fault
-	sched schedule
+	posts <-chan livePost // /api/fault posts; nil without a telemetry bridge
+	avail *AvailabilityReport
+	// severed is the sever clock, shared by scheduled and live faults:
+	// when each severed pair went down.
+	severed         map[[2]int]time.Time
+	scalesInstalled bool // apply installed latency scales since the last run.scaled
+	sched           schedule
 	// workers joins one round's worker tasks, per locale: the round
 	// waits on every locale's, a crash on the dead locale's.
 	workers []sync.WaitGroup
@@ -226,11 +232,12 @@ func summary(hists []Histogram) LatencySummary {
 }
 
 // scaled reports whether a latency scale is in force, or was installed
-// over the live control plane since the last call: a phase that saw
-// either was charged scaled prices.
+// by apply since the last call: a phase that saw either was charged
+// scaled prices.
 func (r *run) scaled() bool {
-	live := r.tel != nil && r.tel.scaled.Swap(false)
-	return live || len(r.sys.Perturbation().Scales) > 0
+	installed := r.scalesInstalled
+	r.scalesInstalled = false
+	return installed || len(r.sys.Perturbation().Scales) > 0
 }
 
 // runPhase executes one phase and assembles its report. A round is a
@@ -260,8 +267,9 @@ func (r *run) runPhase(pi int) PhaseReport {
 		r.step(pi, ps.issued(), now)
 
 		// A clock only when the round has an op mark to poll, an armed
-		// wall-clock heal to wait for or a driver loop (rebalancing) to
-		// tick: a fault-free round spawns workers and nothing else.
+		// wall-clock heal to wait for, a driver loop (rebalancing) to tick
+		// or a telemetry bridge whose /api/fault posts it lands: a
+		// fault-free round without one spawns workers and nothing else.
 		for loc := 0; loc < spec.Locales; loc++ {
 			for t := 0; t < spec.TasksPerLocale; t++ {
 				if !sys.Alive(loc) {
@@ -287,7 +295,7 @@ func (r *run) runPhase(pi int) PhaseReport {
 			tick = tk.TickInterval()
 		}
 		var stop, done chan struct{}
-		if _, timed := r.sched.wait(pi, now); timed || tick > 0 {
+		if _, timed := r.wait(pi, now); timed || tick > 0 || r.posts != nil {
 			stop, done = make(chan struct{}), make(chan struct{})
 			go r.clock(ps, tick, stop, done)
 		}
@@ -367,24 +375,30 @@ func (r *run) runPhase(pi int) PhaseReport {
 
 // clock keeps the engine's time while a round's workers run: it sleeps
 // to the soonest of the schedule's next possible due time and the
-// driver's next tick, then steps whichever is due. It exits when stop
-// closes or nothing is left to wait for, and closes done.
+// driver's next tick, landing each /api/fault post as it arrives, then
+// steps whichever is due. It exits when stop closes or, without a
+// bridge, nothing is left to wait for, and closes done.
 func (r *run) clock(ps *phaseState, tick time.Duration, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	now := time.Now()
 	nextTick := now.Add(tick)
 	for {
-		d, ok := r.sched.wait(ps.idx, now)
+		d, ok := r.wait(ps.idx, now)
 		if tick > 0 && (!ok || nextTick.Sub(now) < d) {
 			d, ok = nextTick.Sub(now), true
 		}
-		if !ok {
+		var wake <-chan time.Time
+		if ok {
+			wake = time.After(d)
+		} else if r.posts == nil {
 			return
 		}
 		select {
 		case <-stop:
 			return
-		case <-time.After(d):
+		case p := <-r.posts:
+			p.landed <- r.apply(p.fault, time.Now())
+		case <-wake:
 		}
 		now = time.Now()
 		r.step(ps.idx, ps.issued(), now)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 
 	"gopgas/internal/comm"
 	"gopgas/internal/trace"
@@ -24,9 +23,9 @@ type Report struct {
 	Heap  HeapReport  `json:"heap"`
 	Epoch EpochReport `json:"epoch"`
 
-	// Availability is present when the spec scheduled crashes: the
-	// lost-ops ledger, the failover work performed, and the recovery
-	// cost.
+	// Availability is present when a liveness fault landed, scheduled
+	// or live: the lost-ops ledger, the failover work performed, the
+	// recovery cost and the partition books.
 	Availability *AvailabilityReport `json:"availability,omitempty"`
 
 	// Trace is present when the spec enabled tracing: the recorder's
@@ -61,8 +60,11 @@ type TraceReport struct {
 // partition half settles through the retry-plane books instead:
 // RetryBalanced must hold on every drained run.
 type AvailabilityReport struct {
-	// Crashes is how many scheduled crashes were applied.
+	// Crashes is how many crashes landed, scheduled or live; Wedged how
+	// many of them asked for no failover, the deliberately unrecovered
+	// arm.
 	Crashes int `json:"crashes"`
+	Wedged  int `json:"wedged,omitempty"`
 	// OpsLost is the end-of-run lost-ops ledger: operations refused
 	// toward dead destinations, plus the closed-loop budget the dead
 	// locales' tasks never issued. (Partition refusals park instead —
@@ -77,9 +79,9 @@ type AvailabilityReport struct {
 	// force-retiring tokens, summed across crashes (the time-to-recover
 	// metric; 0 when no crash asked for failover).
 	RecoverNS int64 `json:"recover_ns"`
-	// Partitions / Heals count the severs and heals the schedule
-	// applied; TimeToHealNS sums severed-to-healed wall time across the
-	// healed pairs (the time-to-heal metric).
+	// Partitions / Heals count the severs and heals that landed,
+	// scheduled or live; TimeToHealNS sums severed-to-healed wall time
+	// across the healed pairs (the time-to-heal metric).
 	Partitions   int   `json:"partitions,omitempty"`
 	Heals        int   `json:"heals,omitempty"`
 	TimeToHealNS int64 `json:"time_to_heal_ns,omitempty"`
@@ -215,10 +217,9 @@ type Invariant struct {
 
 // Invariants lists, each once, every end-of-run identity that applies to
 // the run: the one list loadgen, soak and the tests judge a report by.
-// Which apply is read from the report's own spec: a crash that did not
-// ask for failover (the deliberately wedged arm) is not held to recovery,
-// and a locale crashed by hand through /api/fault is in no spec, so its
-// run still gets the aggregator identity's exact form.
+// Which apply is read from the books of the faults that landed,
+// scheduled or live: a run with a crash that did not ask for failover
+// (the deliberately wedged arm) is not held to recovery.
 func (r *Report) Invariants() []Invariant {
 	var inv []Invariant
 	add := func(name string, held bool, evidence any) {
@@ -227,7 +228,7 @@ func (r *Report) Invariants() []Invariant {
 	add("heap safe", r.Heap.Safe(), r.Heap)
 	add("deferred == reclaimed", r.Epoch.Balanced(), r.Epoch)
 
-	a, faults := r.Availability, r.Spec.Faults
+	a := r.Availability
 	var agg struct{ Shipped, Combined, Enqueued int64 }
 	var mig struct{ Adopted, Retired int64 }
 	var delay struct{ WaitNS, ModelledNS int64 }
@@ -281,12 +282,11 @@ func (r *Report) Invariants() []Invariant {
 	// is charged in one phase and finished in the next.
 	add("delay_wait_ns >= modelled_ns", delay.WaitNS >= delay.ModelledNS, delay)
 	if a != nil {
-		wedged := slices.ContainsFunc(faults.Crashes, func(cr CrashSpec) bool { return !cr.Failover })
-		if len(faults.Crashes) > 0 && !wedged {
+		if a.Crashes > 0 && a.Wedged == 0 {
 			add("crash failover recovered", a.Recovered, *a)
 		}
 		add("parked == redelivered + expired", a.RetryBalanced(), *a)
-		if len(faults.Partitions) > 0 && len(faults.Crashes) == 0 {
+		if a.Partitions > 0 && a.Crashes == 0 {
 			add("crash-free partition lost nothing", a.OpsLost == 0, *a)
 		}
 	}
@@ -348,7 +348,7 @@ func (r *Report) WriteSummary(w io.Writer) {
 		r.TotalOps, r.TotalSeconds, r.Heap.Live, r.Heap.UAFLoads, r.Heap.UAFStores, r.Heap.UAFFrees,
 		r.Epoch.Reclaimed, r.Epoch.Deferred)
 	if a := r.Availability; a != nil {
-		if a.Crashes > 0 || a.Partitions == 0 {
+		if a.Crashes > 0 {
 			verdict := "recovered"
 			if !a.Recovered {
 				verdict = "NOT RECOVERED"

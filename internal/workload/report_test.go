@@ -23,8 +23,9 @@ func violated(r *Report) []string {
 
 // TestInvariantsNameTheViolation doctors a clean report one identity at
 // a time: each doctoring must yield exactly that named violation, and the
-// arm whose verdict depends on the spec — a crash that never asked for
-// failover — must not be held to what it was built to break.
+// arm whose verdict depends on the books of the faults that landed — a
+// crash that never asked for failover — must not be held to what it was
+// built to break.
 func TestInvariantsNameTheViolation(t *testing.T) {
 	// At LatencyScale 0.125 a GET is priced 150 ns and a NIC atomic 100.
 	clean := func() *Report {
@@ -40,8 +41,6 @@ func TestInvariantsNameTheViolation(t *testing.T) {
 			Trace: &TraceReport{Balanced: true},
 		}
 	}
-	failover := Faults{Crashes: []CrashSpec{{Locale: 1, Failover: true}}}
-	partition := Faults{Partitions: []PartitionSpec{{A: 1, B: 2}}}
 	cases := []struct {
 		name   string
 		doctor func(r *Report)
@@ -54,11 +53,11 @@ func TestInvariantsNameTheViolation(t *testing.T) {
 		{"aggregator dropped an op", func(r *Report) { r.Phases[1].Comm.AggOps-- }, []string{"shipped + combined == enqueued"}},
 		{"aggregator shipped an op twice", func(r *Report) { r.Phases[0].Comm.AggOps++ }, []string{"shipped + combined == enqueued"}},
 		{"a crash abandons buffers: enqueued may lead", func(r *Report) {
-			r.Spec.Faults, r.Availability = failover, &AvailabilityReport{Crashes: 1, Recovered: true}
+			r.Availability = &AvailabilityReport{Crashes: 1, Recovered: true}
 			r.Phases[1].Comm.AggOps--
 		}, nil},
 		{"a crash never lets shipped lead", func(r *Report) {
-			r.Spec.Faults, r.Availability = failover, &AvailabilityReport{Crashes: 1, Recovered: true}
+			r.Availability = &AvailabilityReport{Crashes: 1, Recovered: true}
 			r.Phases[1].Comm.AggOps++
 		}, []string{"shipped + combined == enqueued"}},
 		{"a shard adopted and never retired", func(r *Report) { r.Phases[1].Comm.MigAdopted++ }, []string{"adopted == retired"}},
@@ -87,17 +86,16 @@ func TestInvariantsNameTheViolation(t *testing.T) {
 			r.Phases[1].DelayWaitNS *= 3
 		}, nil},
 		{"failover asked for, not recovered", func(r *Report) {
-			r.Spec.Faults, r.Availability = failover, &AvailabilityReport{Crashes: 1}
+			r.Availability = &AvailabilityReport{Crashes: 1}
 		}, []string{"crash failover recovered"}},
 		{"no failover asked for: the wedged arm is not a violation", func(r *Report) {
-			r.Spec.Faults.Crashes = []CrashSpec{{Locale: 1}}
-			r.Availability = &AvailabilityReport{Crashes: 1, OpsLost: 40}
+			r.Availability = &AvailabilityReport{Crashes: 1, Wedged: 1, OpsLost: 40}
 		}, nil},
 		{"retry books", func(r *Report) {
-			r.Spec.Faults, r.Availability = partition, &AvailabilityReport{Recovered: true, OpsParked: 9, OpsRedelivered: 5, OpsExpired: 3}
+			r.Availability = &AvailabilityReport{Partitions: 1, Recovered: true, OpsParked: 9, OpsRedelivered: 5, OpsExpired: 3}
 		}, []string{"parked == redelivered + expired"}},
 		{"partition leaked into the fail-stop ledger", func(r *Report) {
-			r.Spec.Faults, r.Availability = partition, &AvailabilityReport{Recovered: true, OpsLost: 2}
+			r.Availability = &AvailabilityReport{Partitions: 1, Recovered: true, OpsLost: 2}
 		}, []string{"crash-free partition lost nothing"}},
 	}
 	for _, c := range cases {
@@ -148,14 +146,13 @@ func TestCrashAbandonsOwnLocaleBuffer(t *testing.T) {
 	}
 
 	rep := &Report{
-		Spec:         Spec{Faults: Faults{Crashes: []CrashSpec{{Locale: 2}}}},
 		Phases:       []PhaseReport{{Comm: snap}},
-		Availability: &AvailabilityReport{Crashes: 1, OpsLost: snap.OpsLost},
+		Availability: &AvailabilityReport{Crashes: 1, Wedged: 1, OpsLost: snap.OpsLost},
 	}
 	if got := violated(rep); got != nil {
 		t.Fatalf("crashed run violated %q", got)
 	}
-	rep.Spec.Faults, rep.Availability = Faults{}, nil
+	rep.Availability = nil
 	if got, want := violated(rep), []string{"shipped + combined == enqueued"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("the same books without a crash violated %q, want %q", got, want)
 	}

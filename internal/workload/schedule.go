@@ -2,81 +2,155 @@ package workload
 
 import (
 	"cmp"
+	"errors"
+	"fmt"
+	"io"
 	"slices"
 	"time"
 
 	"gopgas/internal/pgas"
+	"gopgas/internal/telemetry"
 )
 
-// eventKind is also the order events due at one instant apply in. Heals
-// go first: a pair that heals and re-severs at one boundary must end
-// severed, and the other order would heal the new sever away.
-type eventKind uint8
+// Fault is one fault in the vocabulary the schedule and /api/fault
+// share, a tagged form with exactly one key: {"crash":{"locale":2,
+// "failover":true}}, {"sever":[1,2]}, {"heal":[1,2]}, {"scales":[…]} (a
+// per-locale latency factor vector) or {"clear":true}. A crash is
+// irreversible, and the latency forms never touch liveness.
+type Fault struct {
+	Crash  *CrashFault `json:"crash,omitempty"`
+	Sever  []int       `json:"sever,omitempty"`
+	Heal   []int       `json:"heal,omitempty"`
+	Scales []float64   `json:"scales,omitempty"`
+	Clear  bool        `json:"clear,omitempty"`
+}
 
-const (
-	evHeal eventKind = iota
-	evSever
-	evCrash
-)
+// CrashFault is the crash form: the locale to kill, and whether the run
+// fails over from it (see run.apply).
+type CrashFault struct {
+	Locale   int  `json:"locale"`
+	Failover bool `json:"failover,omitempty"`
+}
+
+// decodeFault reads one Fault from an /api/fault body: one JSON object
+// of known fields holding exactly one well-formed form, and nothing
+// after it. Any other body is an error wrapping telemetry.ErrBadRequest.
+func decodeFault(body io.Reader) (Fault, error) {
+	var f Fault
+	err := decodeStrict(body, &f)
+	forms := 0
+	for _, set := range []bool{f.Crash != nil, f.Sever != nil, f.Heal != nil, f.Scales != nil, f.Clear} {
+		if set {
+			forms++
+		}
+	}
+	switch {
+	case err != nil:
+	case forms != 1:
+		err = errors.New("want exactly one of crash, sever, heal, scales or clear")
+	case f.Sever != nil && len(f.Sever) != 2, f.Heal != nil && len(f.Heal) != 2:
+		err = errors.New("a pair is two locales")
+	case f.Scales != nil && len(f.Scales) == 0:
+		err = errors.New("scales has no entry")
+	}
+	if err != nil {
+		return Fault{}, fmt.Errorf("%w: workload: fault: %v", telemetry.ErrBadRequest, err)
+	}
+	return f, nil
+}
+
+// check refuses a fault no run on locales locales can apply: a crash
+// outside [1, locales), or a pair outside [0, locales) or of one locale.
+// Validate holds the schedule to it, and apply every live fault.
+func (f Fault) check(locales int) error {
+	if c := f.Crash; c != nil && (c.Locale < 1 || c.Locale >= locales) {
+		return fmt.Errorf("locale %d out of range [1, %d) (locale 0 hosts the global epoch word and cannot crash)", c.Locale, locales)
+	}
+	for _, p := range [][]int{f.Sever, f.Heal} {
+		switch {
+		case p == nil:
+		case min(p[0], p[1]) < 0 || max(p[0], p[1]) >= locales:
+			return fmt.Errorf("pair %v out of range [0, %d)", p, locales)
+		case p[0] == p[1]:
+			return fmt.Errorf("pairs locale %d with itself", p[0])
+		}
+	}
+	return nil
+}
+
+// pairOf keys an unordered pair for the run's sever clock.
+func pairOf(p []int) [2]int { return [2]int{min(p[0], p[1]), max(p[0], p[1])} }
 
 // event is one scheduled liveness fault, due at the first step of its
 // phase whose issued-op total has reached ops: 0 is the phase's boundary
 // step, a positive mark lands at a racing op count. A wall-clock heal
-// (after > 0) is instead due that long after its own sever landed, in
-// whatever phase that finds the run.
+// (after > 0) is armed by the step that reaches its mark, its sever's
+// (it sorts just ahead of that sever), and is due from a later step,
+// in whatever phase that finds the run, once its pair has been down that
+// long on the run's sever clock — or at once if the pair is up again.
 type event struct {
-	kind  eventKind
-	phase int
-	ops   int64
-	after time.Duration
-	a, b  int // heal, sever: the pair
-	// at is when the sever landed, zero until it does, shared by a
-	// partition's sever and heal: it arms a wall-clock heal and starts the
-	// time-to-heal count.
-	at    *time.Time
-	crash CrashSpec
-	done  bool
+	fault       Fault
+	phase       int
+	ops         int64
+	after       time.Duration
+	armed, done bool
 }
 
 // schedule is the run's one list of liveness faults, built once from
-// Spec.Faults and ordered by (phase, op mark, kind): events fire in list
-// order, and events due together land in the same order everywhere. A
+// Spec.Faults and ordered by (phase, op mark), then heals, severs and
+// crashes, each in declaration order: events fire in list order, and
+// events due together land in the same order everywhere. Heals go
+// first: a pair that heals and re-severs at one boundary must end
+// severed, and the other order would heal the new sever away. A
 // wall-clock heal sorts at its sever's mark, ahead of every sever that
 // can come due in one step with it. Only run.step mutates a schedule.
 type schedule []event
 
 func newSchedule(f Faults) schedule {
-	var s schedule
+	var heals, severs, crashes schedule
 	for _, ps := range f.Partitions {
-		at := new(time.Time)
-		s = append(s, event{kind: evSever, phase: ps.Phase, ops: ps.AtOps, a: ps.A, b: ps.B, at: at})
+		pair := []int{ps.A, ps.B}
+		severs = append(severs, event{fault: Fault{Sever: pair}, phase: ps.Phase, ops: ps.AtOps})
 		switch {
 		case ps.HealPhase > 0:
-			s = append(s, event{kind: evHeal, phase: ps.HealPhase, a: ps.A, b: ps.B, at: at})
+			heals = append(heals, event{fault: Fault{Heal: pair}, phase: ps.HealPhase})
 		case ps.HealAfterMS > 0:
-			s = append(s, event{kind: evHeal, phase: ps.Phase, ops: ps.AtOps, a: ps.A, b: ps.B, at: at,
+			heals = append(heals, event{fault: Fault{Heal: pair}, phase: ps.Phase, ops: ps.AtOps,
 				after: time.Duration(ps.HealAfterMS * float64(time.Millisecond))})
 		}
 	}
 	for _, cr := range f.Crashes {
-		s = append(s, event{kind: evCrash, phase: cr.Phase, ops: cr.AfterOps, crash: cr})
+		crash := &CrashFault{Locale: cr.Locale, Failover: cr.Failover}
+		crashes = append(crashes, event{fault: Fault{Crash: crash}, phase: cr.Phase, ops: cr.AfterOps})
 	}
+	s := slices.Concat(heals, severs, crashes)
 	slices.SortStableFunc(s, func(a, b event) int {
-		return cmp.Or(cmp.Compare(a.phase, b.phase), cmp.Compare(a.ops, b.ops), cmp.Compare(a.kind, b.kind))
+		return cmp.Or(cmp.Compare(a.phase, b.phase), cmp.Compare(a.ops, b.ops))
 	})
 	return s
+}
+
+// healAt is when the armed wall-clock heal e comes due: once its pair has
+// been down e.after on the sever clock, or at once (the zero time) when
+// the pair is up, something else having healed it.
+func (r *run) healAt(e *event) time.Time {
+	at, down := r.severed[pairOf(e.fault.Heal)]
+	if !down {
+		return time.Time{}
+	}
+	return at.Add(e.after)
 }
 
 // wait returns how long after now a pending event can next come due
 // inside a round of phase: 200µs for one of the phase's op marks (op
 // counts have no wake-up of their own, so they are polled), the time left
 // for an armed wall-clock heal. False when none can — any fault-free run.
-func (s schedule) wait(phase int, now time.Time) (d time.Duration, ok bool) {
-	for i := range s {
-		e := &s[i]
+func (r *run) wait(phase int, now time.Time) (d time.Duration, ok bool) {
+	for i := range r.sched {
+		e := &r.sched[i]
 		w, can := 200*time.Microsecond, e.phase == phase
 		if e.after > 0 {
-			w, can = max(e.at.Add(e.after).Sub(now), 0), !e.at.IsZero()
+			w, can = max(r.healAt(e).Sub(now), 0), e.armed
 		}
 		if can && !e.done && (!ok || w < d) {
 			d, ok = w, true
@@ -85,51 +159,45 @@ func (s schedule) wait(phase int, now time.Time) (d time.Duration, ok bool) {
 	return d, ok
 }
 
-// step is the engine's one fault applier, the only caller of Sever, Heal
-// and (through crash) Crash: it lands every pending event due at (phase,
-// issued, now), in list order. The scenario goroutine calls it at every
-// round boundary and the round's clock while the workers run; the clock
-// starts after the boundary step and is joined before the next, so the
-// two never overlap and nothing here locks. A wall-clock heal due between
+// step lands every scheduled event due at (phase, issued, now), in list
+// order, through apply. The scenario goroutine calls it at every round
+// boundary and the round's clock while the workers run; the clock starts
+// after the boundary step and is joined before the next, so the two
+// never overlap and nothing here locks. A wall-clock heal due between
 // rounds lands at the next boundary step; one still pending when the last
 // round ends never lands, and the final drain expires what it left parked.
 func (r *run) step(phase int, issued int64, now time.Time) {
 	for i := range r.sched {
 		e := &r.sched[i]
-		due := e.phase == phase && issued >= e.ops
+		reached := e.phase == phase && issued >= e.ops
+		due := reached
 		if e.after > 0 {
-			due = !e.at.IsZero() && !now.Before(e.at.Add(e.after))
+			due = e.armed && !now.Before(r.healAt(e))
+			e.armed = e.armed || reached
 		}
 		if e.done || !due {
 			continue
 		}
 		e.done = true
-		switch e.kind {
-		case evHeal:
-			// A heal whose op-marked sever never landed has nothing to
-			// repair, and a pair /api/fault already healed just settles:
-			// heals and time-to-heal book only when this call repaired
-			// the link.
-			if !e.at.IsZero() && r.sys.Heal(e.a, e.b) == nil {
-				r.avail.Heals++
-				r.avail.TimeToHealNS += now.Sub(*e.at).Nanoseconds()
-			}
-		case evSever:
-			// Counted applied even when an overlapping run or /api/fault
-			// got there first (Sever is then a no-op): the pair is down.
-			if err := r.sys.Sever(e.a, e.b); err != nil {
-				panic(err) // Validate bounds the pairs
-			}
-			*e.at = now
-			r.avail.Partitions++
-		case evCrash:
-			r.crash(e.crash)
+		// Validate bounds what the schedule applies. Only a heal can find
+		// nothing to do — its op-marked sever never landed, or a live heal
+		// got there first — and it just settles.
+		if err := r.apply(e.fault, now); err != nil && e.fault.Heal == nil {
+			panic(err)
 		}
 	}
 }
 
-// crash kills one locale and, when asked, recovers from it. The
-// sequence models a fail-stop node loss:
+// apply lands one fault on the run's system and books it: the one caller
+// of Crash, Sever, Heal and SetScales, for scheduled events (step) and
+// live /api/fault posts (the round's clock) alike, on whichever goroutine
+// keeps the engine's time. An error says why the fault was refused, and
+// then nothing was applied: out of range, a heal of a pair that is not
+// severed, or a failover the run was not set up for — the hashmap driver
+// chose its write path at Setup from Spec.hasFailover.
+//
+// A crash models a fail-stop node loss, and is idempotent per locale (a
+// second crash of a dead locale is a no-op that records nothing):
 //
 //  1. Strand the pins the dead locale's tasks would have held: the
 //     simulator cannot kill goroutines mid-operation, so one pinned
@@ -139,36 +207,77 @@ func (r *run) step(phase int, issued int64, now time.Time) {
 //  2. Mark the locale dead (System.Crash): from here every op whose
 //     destination is the dead locale is refused into the OpsLost
 //     ledger, and the engine stops spawning its workers.
-//  3. When the crash asks for failover: join the dead locale's running
-//     tasks once they notice and abandon (they poll Alive every 16 ops;
-//     none run at a boundary) — clearing a pin a still-draining task
-//     holds would break the grace period that pin guarantees — then
-//     adopt its shards onto the survivors through the driver's
-//     FailoverHandler, force-retire the stranded tokens and drain the
-//     dead locale's limbo, all from a salvage context, the recovery
-//     plane's exemption from refusal (the shared-storage conceit). The
-//     wall time after the wait is the crash's time-to-recover.
-//
-// Idempotent per locale: a second crash of an already-dead locale is a
-// no-op that records nothing.
-func (r *run) crash(cr CrashSpec) {
-	if !r.sys.Alive(cr.Locale) {
-		return
+//  3. Fail over when asked (run.failover).
+func (r *run) apply(f Fault, now time.Time) error {
+	if err := f.check(r.spec.Locales); err != nil {
+		return fmt.Errorf("workload: fault refused: %w", err)
 	}
-	r.c0.On(cr.Locale, func(lc *pgas.Ctx) {
-		for t := 0; t < r.spec.TasksPerLocale; t++ {
-			r.em.Pin(lc)
+	switch {
+	case f.Crash != nil:
+		cr := *f.Crash
+		if cr.Failover && !r.spec.hasFailover() {
+			return errors.New("workload: fault refused: failover needs a spec that schedules a failover crash")
 		}
-	})
-	if err := r.sys.Crash(cr.Locale); err != nil {
-		// Validate bounds crash locales; reaching here means the spec
-		// bypassed validation, which the run should surface, not hide.
-		panic(err)
+		if !r.sys.Alive(cr.Locale) {
+			return nil
+		}
+		r.c0.On(cr.Locale, func(lc *pgas.Ctx) {
+			for t := 0; t < r.spec.TasksPerLocale; t++ {
+				r.em.Pin(lc)
+			}
+		})
+		if err := r.sys.Crash(cr.Locale); err != nil {
+			// check bounds crash locales; reaching here is a bug the run
+			// should surface, not hide.
+			panic(err)
+		}
+		r.avail.Crashes++
+		r.failover(cr)
+	case f.Sever != nil:
+		// Counted applied even when the pair is already down (Sever is
+		// then a no-op); its sever clock keeps when it went down.
+		if err := r.sys.Sever(f.Sever[0], f.Sever[1]); err != nil {
+			return err
+		}
+		if _, down := r.severed[pairOf(f.Sever)]; !down {
+			r.severed[pairOf(f.Sever)] = now
+		}
+		r.avail.Partitions++
+	case f.Heal != nil:
+		// Heal errors on a pair that is not severed: heals and
+		// time-to-heal book only when this call repaired the link.
+		if err := r.sys.Heal(f.Heal[0], f.Heal[1]); err != nil {
+			return err
+		}
+		r.avail.Heals++
+		r.avail.TimeToHealNS += now.Sub(r.severed[pairOf(f.Heal)]).Nanoseconds()
+		delete(r.severed, pairOf(f.Heal))
+	case f.Clear:
+		r.sys.SetScales(nil)
+	default:
+		r.sys.SetScales(f.Scales)
+		r.scalesInstalled = true
 	}
-	r.avail.Crashes++
+	return nil
+}
+
+// failover recovers from the crash cr that apply just landed, when it
+// asks to: join the dead locale's running tasks once they notice and
+// abandon (they poll Alive every 16 ops; none run at a boundary) —
+// clearing a pin a still-draining task holds would break the grace
+// period that pin guarantees — then adopt its shards onto the survivors
+// through the driver's FailoverHandler, force-retire the stranded tokens
+// and drain the dead locale's limbo, all from a salvage context, the
+// recovery plane's exemption from refusal (the shared-storage conceit).
+// The wall time after the wait is the crash's time-to-recover. A crash
+// that asks for none is booked Wedged.
+func (r *run) failover(cr CrashFault) {
 	fh, ok := r.drv.(FailoverHandler)
 	if !cr.Failover || !ok {
 		r.avail.Recovered = false
+		if !cr.Failover {
+			r.avail.Wedged++
+		}
 		return
 	}
 	r.workers[cr.Locale].Wait()

@@ -34,7 +34,7 @@ func scheduleRun(t *testing.T, faults Faults) *run {
 		t.Fatal(err)
 	}
 	r := &run{spec: spec, sys: sys, c0: sys.Ctx(0), drv: drv,
-		avail: &AvailabilityReport{Recovered: true},
+		avail: &AvailabilityReport{Recovered: true}, severed: make(map[[2]int]time.Time),
 		sched: newSchedule(spec.Faults), workers: make([]sync.WaitGroup, spec.Locales)}
 	r.em = epoch.NewEpochManager(r.c0)
 	drv.Setup(r.c0, r.em, spec)
@@ -55,18 +55,7 @@ type faultState struct {
 
 func stateOf(r *run) faultState {
 	var st faultState
-	n := r.sys.NumLocales()
-	for a := 0; a < n; a++ {
-		if !r.sys.Alive(a) {
-			st.Dead = append(st.Dead, a)
-			continue
-		}
-		for b := a + 1; b < n; b++ {
-			if r.sys.Alive(b) && !r.sys.Reachable(a, b) {
-				st.Severed = append(st.Severed, [2]int{a, b})
-			}
-		}
-	}
+	st.Severed, st.Dead = liveness(r.sys)
 	st.Partitions, st.Heals, st.Crashes = r.avail.Partitions, r.avail.Heals, r.avail.Crashes
 	st.TimeToHealNS = r.avail.TimeToHealNS
 	for i, e := range r.sched {
@@ -75,6 +64,23 @@ func stateOf(r *run) faultState {
 		}
 	}
 	return st
+}
+
+// liveness reads the system's severed pairs and dead locales.
+func liveness(sys *pgas.System) (severed [][2]int, dead []int) {
+	n := sys.NumLocales()
+	for a := 0; a < n; a++ {
+		if !sys.Alive(a) {
+			dead = append(dead, a)
+			continue
+		}
+		for b := a + 1; b < n; b++ {
+			if sys.Alive(b) && !sys.Reachable(a, b) {
+				severed = append(severed, [2]int{a, b})
+			}
+		}
+	}
+	return severed, dead
 }
 
 // TestScheduleStepsInListOrder drives the engine's one fault applier
@@ -100,25 +106,26 @@ func TestScheduleStepsInListOrder(t *testing.T) {
 		},
 	})
 	type ev struct {
-		kind       eventKind
-		phase      int
-		ops        int64
-		wallClock  bool
-		a, b, dead int
+		fault     Fault
+		phase     int
+		ops       int64
+		wallClock bool
 	}
 	var got []ev
 	for _, e := range r.sched {
-		got = append(got, ev{e.kind, e.phase, e.ops, e.after > 0, e.a, e.b, e.crash.Locale})
+		got = append(got, ev{e.fault, e.phase, e.ops, e.after > 0})
 	}
+	sever := func(a, b int) Fault { return Fault{Sever: []int{a, b}} }
+	heal := func(a, b int) Fault { return Fault{Heal: []int{a, b}} }
 	want := []ev{
-		0: {evSever, 0, 0, false, 0, 1, 0},
-		1: {evHeal, 1, 200, true, 1, 2, 0},
-		2: {evSever, 1, 200, false, 1, 2, 0},
-		3: {evCrash, 1, 500, false, 0, 0, 3},
-		4: {evHeal, 2, 0, false, 0, 1, 0},
-		5: {evSever, 2, 0, false, 0, 1, 0},
-		6: {evCrash, 2, 0, false, 0, 0, 3},
-		7: {evSever, 3, 900, false, 0, 2, 0},
+		0: {sever(0, 1), 0, 0, false},
+		1: {heal(1, 2), 1, 200, true},
+		2: {sever(1, 2), 1, 200, false},
+		3: {Fault{Crash: &CrashFault{Locale: 3, Failover: true}}, 1, 500, false},
+		4: {heal(0, 1), 2, 0, false},
+		5: {sever(0, 1), 2, 0, false},
+		6: {Fault{Crash: &CrashFault{Locale: 3}}, 2, 0, false},
+		7: {sever(0, 2), 3, 900, false},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("schedule order:\n got %+v\nwant %+v", got, want)
@@ -170,15 +177,16 @@ func TestScheduleStepsInListOrder(t *testing.T) {
 
 // TestScheduleWaitAndOutOfBandHeal covers what the round clock asks of
 // the schedule — how long it may sleep, and whether a round needs a clock
-// at all — and the one out-of-band case step must tolerate: a pair the
-// /api/fault handler healed first settles without booking a heal.
+// at all — and the one out-of-band case step must tolerate: a pair a live
+// heal repaired first (booked by apply, as a live fault is) makes the
+// scheduled heal settle without booking a second one.
 func TestScheduleWaitAndOutOfBandHeal(t *testing.T) {
 	r := scheduleRun(t, Faults{Partitions: []PartitionSpec{
 		{A: 1, B: 2, Phase: 1, AtOps: 100, HealAfterMS: 30},
 	}})
 	t0 := time.Unix(1_000_000, 0)
 	wait := func(phase int, now time.Time) time.Duration {
-		d, ok := r.sched.wait(phase, now)
+		d, ok := r.wait(phase, now)
 		if !ok {
 			return -1
 		}
@@ -199,11 +207,11 @@ func TestScheduleWaitAndOutOfBandHeal(t *testing.T) {
 	if d := wait(2, t0.Add(31*time.Millisecond)); d != 0 {
 		t.Fatalf("overdue heal in a later phase: wait %v, want 0", d)
 	}
-	if err := r.sys.Heal(1, 2); err != nil { // what the /api/fault handler does
+	if err := r.apply(Fault{Heal: []int{1, 2}}, t0.Add(20*time.Millisecond)); err != nil { // a live heal
 		t.Fatal(err)
 	}
 	r.step(2, 0, t0.Add(31*time.Millisecond))
-	want := faultState{Partitions: 1}
+	want := faultState{Partitions: 1, Heals: 1, TimeToHealNS: 20e6}
 	if got := stateOf(r); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the schedule's heal of a pair healed out of band:\n got %+v\nwant %+v", got, want)
 	}

@@ -2,9 +2,11 @@ package workload
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"gopgas/internal/comm"
 )
@@ -153,15 +155,15 @@ type Faults struct {
 	// Crashes schedules fail-stop locale crashes (per-locale, at a
 	// phase boundary or mid-phase op count), optionally with shard
 	// failover and token force-retirement. The run's report gains an
-	// availability verdict when any crash is scheduled.
+	// availability verdict once a crash, scheduled or live, lands.
 	Crashes []CrashSpec `json:"crashes,omitempty"`
 
 	// Partitions schedules transient network partitions: unordered
 	// locale pairs severed at a scheduled point and optionally healed
 	// later. Both endpoints stay alive; execution-plane ops between
 	// them park in the retry plane (see Retry) and redeliver on heal,
-	// or expire. The run's report gains an availability verdict when
-	// any partition is scheduled.
+	// or expire. The run's report gains an availability verdict once a
+	// sever, scheduled or live, lands.
 	Partitions []PartitionSpec `json:"partitions,omitempty"`
 
 	// Retry tunes the partition retry plane; nil runs the documented
@@ -251,14 +253,10 @@ func (f Faults) parkConfig() comm.ParkConfig {
 
 // hasFailover reports whether any scheduled crash requests failover
 // (which puts the hashmap driver's writes on the fire-and-forget path,
-// the one serialized against the adoption's migrations).
+// the one serialized against the adoption's migrations): a live crash
+// may ask for failover only on such a run.
 func (s Spec) hasFailover() bool {
-	for _, cr := range s.Faults.Crashes {
-		if cr.Failover {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(s.Faults.Crashes, func(cr CrashSpec) bool { return cr.Failover })
 }
 
 // latency is the run's latency profile: LatencyScale × the calibrated
@@ -581,8 +579,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	for i, cr := range s.Faults.Crashes {
-		if cr.Locale < 1 || cr.Locale >= s.Locales {
-			return fmt.Errorf("workload: crash %d locale %d out of range [1, %d) (locale 0 hosts the global epoch word and cannot crash)", i, cr.Locale, s.Locales)
+		if err := (Fault{Crash: &CrashFault{Locale: cr.Locale}}).check(s.Locales); err != nil {
+			return fmt.Errorf("workload: crash %d %w", i, err)
 		}
 		if cr.Phase < 0 || cr.Phase >= len(s.Phases) {
 			return fmt.Errorf("workload: crash %d phase %d out of range [0, %d)", i, cr.Phase, len(s.Phases))
@@ -602,11 +600,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	for i, pr := range s.Faults.Partitions {
-		if pr.A < 0 || pr.A >= s.Locales || pr.B < 0 || pr.B >= s.Locales {
-			return fmt.Errorf("workload: partition %d pair [%d %d] out of range [0, %d)", i, pr.A, pr.B, s.Locales)
-		}
-		if pr.A == pr.B {
-			return fmt.Errorf("workload: partition %d pairs locale %d with itself", i, pr.A)
+		if err := (Fault{Sever: []int{pr.A, pr.B}}).check(s.Locales); err != nil {
+			return fmt.Errorf("workload: partition %d %w", i, err)
 		}
 		if pr.Phase < 0 || pr.Phase >= len(s.Phases) {
 			return fmt.Errorf("workload: partition %d phase %d out of range [0, %d)", i, pr.Phase, len(s.Phases))
@@ -654,16 +649,25 @@ func LoadSpec(path string) (Spec, error) {
 		return Spec{}, fmt.Errorf("workload: %w", err)
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(f, &s); err != nil {
 		return Spec{}, fmt.Errorf("workload: parsing %s: %w", path, err)
 	}
-	if dec.Decode(new(json.RawMessage)) != io.EOF {
-		return Spec{}, fmt.Errorf("workload: parsing %s: data after the spec", path)
-	}
 	return s, nil
+}
+
+// decodeStrict decodes one JSON value from r into v: every field known,
+// and nothing after the value.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return errors.New("data after the value")
+	}
+	return nil
 }
 
 // WriteJSON writes the spec as indented JSON (the format LoadSpec

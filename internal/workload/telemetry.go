@@ -1,9 +1,9 @@
 package workload
 
 import (
-	"fmt"
+	"errors"
+	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gopgas/internal/comm"
@@ -27,33 +27,48 @@ type Telemetry struct {
 	tracer   *trace.Recorder
 	hist     Histogram // every op of the run, weighted as recorded
 
-	// scaled is set when /api/fault installs latency scales, before they
-	// land; the engine reads and clears it at each phase's ends (run.scaled).
-	scaled atomic.Bool
+	// posts is the attached run's inbox of /api/fault faults, which its
+	// round clock lands; gone closes when the run detaches.
+	posts chan<- livePost
+	gone  chan struct{}
+}
+
+// livePost is one /api/fault fault on its way to the round's clock, and
+// the channel apply's verdict on it comes back on.
+type livePost struct {
+	fault  Fault
+	landed chan error
 }
 
 // NewTelemetry creates an empty bridge; pass it to RunLive and serve
 // Options() via telemetry.Start.
 func NewTelemetry() *Telemetry { return &Telemetry{start: time.Now()} }
 
-// attach points the bridge at a freshly built System (engine-internal).
-// The live histogram restarts with the run.
-func (t *Telemetry) attach(scenario string, sys *pgas.System, tracer *trace.Recorder) {
+// attach points the bridge at a freshly built System (engine-internal)
+// and returns the inbox the run's round clocks take /api/fault posts
+// from. The live histogram restarts with the run.
+func (t *Telemetry) attach(scenario string, sys *pgas.System, tracer *trace.Recorder) <-chan livePost {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.scenario = scenario
 	t.sys = sys
 	t.tracer = tracer
 	t.hist = Histogram{}
+	posts := make(chan livePost)
+	t.posts, t.gone = posts, make(chan struct{})
+	return posts
 }
 
-// detach clears the live System before it shuts down; the endpoints
-// report unattached (empty) payloads until the next run attaches.
+// detach clears the live System before it shuts down and refuses every
+// post still waiting for a clock; the endpoints report unattached
+// (empty) payloads until the next run attaches.
 func (t *Telemetry) detach() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.sys = nil
 	t.tracer = nil
+	t.posts = nil
+	close(t.gone)
 }
 
 // liveChunkSize is how many ops' latency a worker batches before
@@ -98,6 +113,8 @@ type LiveStatus struct {
 	Comm          *comm.Snapshot `json:"comm,omitempty"`
 	TraceDropped  int64          `json:"trace_dropped"`
 }
+
+var errNotRunning = errors.New("workload: no scenario is running")
 
 // Options lowers the bridge into telemetry provider functions. Every
 // provider tolerates the unattached state (between runs): it reports
@@ -147,36 +164,27 @@ func (t *Telemetry) Options() telemetry.Options {
 			}
 			return tr.Drain(max)
 		},
-		Fault: func(req telemetry.FaultRequest) error {
+		// A post waits for the attached run's next round clock, which
+		// lands it through run.apply: between rounds it waits for the next
+		// round, and a run that detaches first refuses it.
+		Fault: func(body io.Reader) error {
+			f, err := decodeFault(body)
+			if err != nil {
+				return err
+			}
 			t.mu.Lock()
-			sys := t.sys
+			posts, gone := t.posts, t.gone
 			t.mu.Unlock()
-			if sys == nil {
-				return fmt.Errorf("workload: no scenario is running")
+			if posts == nil {
+				return errNotRunning
 			}
-			switch {
-			case req.Crash:
-				// Comm-plane only: the locale stops answering and its
-				// budget drains to the lost-ops ledger, but no failover
-				// runs — recovery is the spec-scheduled crash's job.
-				return sys.Crash(req.CrashLocale)
-			case req.Sever:
-				return sys.Sever(req.SeverA, req.SeverB)
-			case req.Heal:
-				// Heal settles the retry ledgers synchronously; a pair
-				// that is not currently severed errors into the 422 path.
-				return sys.Heal(req.HealA, req.HealB)
-			// The latency forms replace only the Scales half: a crashed
-			// locale stays crashed and a severed pair stays severed.
-			case req.Clear:
-				sys.SetScales(nil)
-			case len(req.Scales) > 0:
-				t.scaled.Store(true)
-				sys.SetScales(req.Scales)
-			default:
-				return fmt.Errorf("workload: fault request needs crash, sever, heal, clear or scales")
+			p := livePost{f, make(chan error, 1)}
+			select {
+			case posts <- p:
+				return <-p.landed
+			case <-gone:
+				return errNotRunning
 			}
-			return nil
 		},
 	}
 }

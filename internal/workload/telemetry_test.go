@@ -3,10 +3,13 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,131 +18,368 @@ import (
 	"gopgas/internal/telemetry"
 )
 
-// The fault provider's crash action is comm-plane only and
-// irreversible: the locale stops answering immediately, and clearing
-// or replacing latency faults afterward must not resurrect it — its
-// shards may already have been adopted elsewhere.
-func TestTelemetryFaultCrash(t *testing.T) {
-	sys := pgas.NewSystem(pgas.Config{Locales: 4, Backend: comm.BackendNone})
-	defer sys.Shutdown()
-	tel := NewTelemetry()
-	tel.attach("crash-test", sys, nil)
-	defer tel.detach()
-	fault := tel.Options().Fault
+// liveRun is a scenario running under RunLive with a telemetry server
+// attached, as an operator would drive one.
+type liveRun struct {
+	tel  *Telemetry
+	srv  *telemetry.Server
+	done chan struct{}
+	rep  *Report
+	err  error
+}
 
-	if err := fault(telemetry.FaultRequest{Crash: true, CrashLocale: 0}); err == nil {
-		t.Fatal("crash of locale 0 accepted")
+// startLive starts spec under RunLive behind a telemetry server and
+// returns once the run has attached to the bridge.
+func startLive(t *testing.T, spec Spec) *liveRun {
+	t.Helper()
+	lr := &liveRun{tel: NewTelemetry(), done: make(chan struct{})}
+	srv, err := telemetry.Start("127.0.0.1:0", lr.tel.Options())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := fault(telemetry.FaultRequest{Crash: true, CrashLocale: 2}); err != nil {
-		t.Fatalf("crash of locale 2 rejected: %v", err)
+	lr.srv = srv
+	t.Cleanup(func() { srv.Close() })
+	go func() {
+		defer close(lr.done)
+		lr.rep, lr.err = RunLive(spec, nil, lr.tel)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); lr.sys() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the run never attached to the bridge")
+		}
 	}
-	if sys.Alive(2) {
-		t.Fatal("locale 2 still alive after crash")
-	}
+	return lr
+}
 
-	// Latency faults layer on and clear off without touching liveness.
-	if err := fault(telemetry.FaultRequest{Scales: []float64{1, 8}}); err != nil {
-		t.Fatalf("slow-locale fault rejected: %v", err)
-	}
-	if err := fault(telemetry.FaultRequest{Clear: true}); err != nil {
-		t.Fatalf("clear rejected: %v", err)
-	}
-	if sys.Alive(2) {
-		t.Fatal("clearing latency faults resurrected the crashed locale")
-	}
-	if !sys.Alive(1) || !sys.Alive(3) {
-		t.Fatal("crash leaked onto other locales")
-	}
+// sys is the attached run's System, nil before and after the run.
+func (lr *liveRun) sys() *pgas.System {
+	lr.tel.mu.Lock()
+	defer lr.tel.mu.Unlock()
+	return lr.tel.sys
+}
 
-	// An empty request is rejected with a message naming the actions.
-	if err := fault(telemetry.FaultRequest{}); err == nil || !strings.Contains(err.Error(), "crash") {
-		t.Fatalf("empty fault request: %v", err)
+// post POSTs body to /api/fault and returns the status code.
+func (lr *liveRun) post(t *testing.T, body string) int {
+	t.Helper()
+	resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", lr.srv.Addr()), "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// awaitOps returns once the live bridge counts more than n ops.
+func (lr *liveRun) awaitOps(t *testing.T, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); lr.tel.Options().Status().(LiveStatus).Ops <= n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the live bridge never counted more than %d ops", n)
+		}
 	}
 }
 
-// The handler's latency forms replace only the latency half of the
-// plan, under the same lock as Sever and Heal: a sever/heal loop racing
-// a latency-swap loop never sees its sever undone by a swap that read
-// the plan before it, so every heal finds its pair severed and the pair
-// ends reachable.
-func TestLatencySwapKeepsFaultPlan(t *testing.T) {
-	sys := pgas.NewSystem(pgas.Config{Locales: 4, Backend: comm.BackendNone})
-	defer sys.Shutdown()
-	tel := NewTelemetry()
-	tel.attach("swap-race", sys, nil)
-	defer tel.detach()
-	fault := tel.Options().Fault
+// wait returns the run's report once it has finished.
+func (lr *liveRun) wait(t *testing.T) *Report {
+	t.Helper()
+	<-lr.done
+	if lr.err != nil {
+		t.Fatal(lr.err)
+	}
+	return lr.rep
+}
 
-	const rounds = 20_000
-	done := make(chan struct{})
-	swapErrs := make(chan error, 1)
-	go func() {
-		defer close(swapErrs)
-		swaps := []telemetry.FaultRequest{
-			{Scales: []float64{1, 2, 1, 1}},
-			{Scales: []float64{1, 1, 1, 4}},
-			{Clear: true},
+// pacedQueue is a queue scenario whose middle phase runs seconds long at
+// a paced, light rate, with every op on the task's own locale: no op is
+// ever refused toward a crashed locale, so what a crash loses is the
+// budget of the op-count phases after it, exactly.
+func pacedQueue(seconds float64) Spec {
+	return Spec{
+		Name: "paced-queue", Structure: StructureQueue, Locales: 4, TasksPerLocale: 2,
+		Backend: "none", Seed: 5,
+		Phases: []Phase{
+			{Name: "load", Mix: Mix{Enqueue: 1}, OpsPerTask: 100},
+			{Name: "run", Mix: Mix{Enqueue: 1, Remove: 1}, Seconds: seconds, TargetRate: 2000},
+			{Name: "tail", Mix: Mix{Enqueue: 1, Remove: 1}, OpsPerTask: 100},
+		},
+	}
+}
+
+// A live crash is fail-stop and irreversible: locale 0 is refused (it
+// hosts the global epoch word), and so is failover on a run whose spec
+// set its driver up without one; the crash that lands is booked, and
+// neither installing nor clearing latency scales afterward resurrects
+// the locale — its shards may already have been adopted elsewhere.
+func TestTelemetryFaultCrash(t *testing.T) {
+	lr := startLive(t, pacedQueue(2))
+	sys := lr.sys()
+	for _, c := range []struct {
+		body string
+		code int
+	}{
+		{`{"crash":{"locale":0}}`, http.StatusUnprocessableEntity},
+		{`{"crash":{"locale":2,"failover":true}}`, http.StatusUnprocessableEntity},
+		{`{}`, http.StatusBadRequest},
+		{`{"crash":{"locale":2}}`, http.StatusOK},
+		{`{"scales":[1,8]}`, http.StatusOK},
+		{`{"clear":true}`, http.StatusOK},
+	} {
+		if code := lr.post(t, c.body); code != c.code {
+			t.Fatalf("%s: status %d, want %d", c.body, code, c.code)
 		}
-		for i := 0; ; i++ {
+	}
+	// Clients posting at once each hear back about their own fault.
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := []string{`{"scales":[1,1,4,1]}`, `{"clear":true}`, `{"crash":{"locale":0}}`}[i%3]
+			if err := lr.tel.Options().Fault(strings.NewReader(body)); (err != nil) != (i%3 == 2) {
+				t.Errorf("%s: %v", body, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, dead := liveness(sys); !reflect.DeepEqual(dead, []int{2}) {
+		t.Fatalf("dead locales %v after the crash and the latency swaps, want [2]", dead)
+	}
+	rep := lr.wait(t)
+	requireInvariants(t, "live crash", rep)
+	if a := rep.Availability; a == nil || a.Crashes != 1 || a.Wedged != 1 || a.Recovered {
+		t.Fatalf("availability %+v, want the one no-failover crash booked", a)
+	}
+}
+
+// TestLiveFaultsLandLikeScheduledOnes drives /api/fault through a fault
+// lifecycle and, SNIPPETS-§2 style, compares the complete fault state —
+// status code, severed pairs, dead locales, latency scales — after every
+// post: a malformed body is a 400 and a refused fault a 422, neither
+// moving anything; a landed one has moved exactly its part when the 200
+// arrives. The crash it posts, with failover, leaves the same books and
+// the same invariant verdicts as the run's own scheduled copy of it,
+// which then finds the locale dead and records nothing; a post after the
+// run detached is a 422.
+func TestLiveFaultsLandLikeScheduledOnes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive (a 3 s paced phase)")
+	}
+	spec := pacedQueue(3)
+	spec.Faults.Crashes = []CrashSpec{{Locale: 2, Phase: 2, Failover: true}}
+	lr := startLive(t, spec)
+	lr.awaitOps(t, 800) // the load phase's ops: post in the paced phase
+	type state struct {
+		Code    int
+		Severed [][2]int
+		Dead    []int
+		Scales  []float64
+	}
+	sys := lr.sys()
+	for _, s := range []struct {
+		body string
+		want state
+	}{
+		{`{"crash":true,"crash_locale":1}`, state{Code: 400}},
+		{`{"sever":[1,3],"heal":[1,3]}`, state{Code: 400}},
+		{`{"sever":[1,3],"sevr":true}`, state{Code: 400}},
+		{`{"sever":[1,3]} {"heal":[1,3]}`, state{Code: 400}},
+		{`{"scales":[]}`, state{Code: 400}},
+		{`{"clear":false}`, state{Code: 400}},
+		{`{"crash":{"locale":0}}`, state{Code: 422}},
+		{`{"heal":[1,3]}`, state{Code: 422}},
+		{`{"sever":[1,4]}`, state{Code: 422}},
+		{`{"sever":[3,1]}`, state{Code: 200, Severed: [][2]int{{1, 3}}}},
+		{`{"scales":[1,2,1,1]}`, state{Code: 200, Severed: [][2]int{{1, 3}}, Scales: []float64{1, 2, 1, 1}}},
+		{`{"heal":[1,3]}`, state{Code: 200, Scales: []float64{1, 2, 1, 1}}},
+		{`{"heal":[1,3]}`, state{Code: 422, Scales: []float64{1, 2, 1, 1}}},
+		{`{"clear":true}`, state{Code: 200}},
+		{`{"crash":{"locale":2,"failover":true}}`, state{Code: 200, Dead: []int{2}}},
+	} {
+		got := state{Code: lr.post(t, s.body), Scales: sys.Perturbation().Scales}
+		got.Severed, got.Dead = liveness(sys)
+		if !reflect.DeepEqual(got, s.want) {
+			t.Fatalf("after %s:\n got %+v\nwant %+v", s.body, got, s.want)
+		}
+	}
+	live := lr.wait(t)
+	if code := lr.post(t, `{"clear":true}`); code != http.StatusUnprocessableEntity {
+		t.Fatalf("a post after the run detached: %d, want 422", code)
+	}
+	scheduled, err := Run(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type books struct {
+		Crashes            int
+		Recovered          bool
+		TokensForceRetired int64
+		OpsLost            int64
+		Verdicts           map[string]bool
+	}
+	booksOf := func(rep *Report) books {
+		a := rep.Availability
+		b := books{a.Crashes, a.Recovered, a.TokensForceRetired, a.OpsLost, map[string]bool{}}
+		for _, inv := range rep.Invariants() {
+			b.Verdicts[inv.Name] = inv.Held
+		}
+		return b
+	}
+	got, want := booksOf(live), booksOf(scheduled)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("live crash books\n %+v\nscheduled crash books\n %+v", got, want)
+	}
+	requireInvariants(t, "live faults", live)
+	if want.Crashes != 1 || !want.Recovered || want.TokensForceRetired != int64(spec.TasksPerLocale) || want.OpsLost != 2*100 {
+		t.Fatalf("scheduled crash books %+v, want one recovered crash losing the tail's budget", want)
+	}
+}
+
+// The crash a live post lands is booked like a scheduled one, so the
+// invariants judge it: with combining on, a dying locale's tasks abandon
+// their buffers, and the aggregator identity must be held in its crash
+// form. Before live faults went through the applier, this run reported
+// no availability section and, most runs, a violated identity.
+func TestLiveCrashBooksAvailability(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive (wall-clock phase)")
+	}
+	spec := Spec{
+		Name: "live-crash", Structure: StructureHashmap, Locales: 4, TasksPerLocale: 2,
+		Backend: "none", Seed: 11, Keyspace: 256,
+		Dist:    KeyDist{Kind: DistHotSet, HotFraction: 0.1, HotProb: 0.9},
+		Combine: &CombineSpec{Enabled: true},
+		Phases: []Phase{
+			{Name: "load", Mix: Mix{Insert: 1}, OpsPerTask: 200},
+			{Name: "run", Mix: Mix{Insert: 2, Get: 7, Remove: 1}, Seconds: 1},
+		},
+	}
+	rep, err := runPostingMidPhase(t, spec, `{"crash":{"locale":2}}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireInvariants(t, "live crash", rep)
+	if a := rep.Availability; a == nil || a.Crashes != 1 || a.Wedged != 1 {
+		t.Fatalf("availability %+v, want the live crash booked", a)
+	}
+}
+
+// A fault is one JSON value: a body with anything after it is a bad
+// request, decoded by no run, while the same value alone decodes (and,
+// with no run attached, is refused).
+func TestFaultRejectsTrailingData(t *testing.T) {
+	fault := NewTelemetry().Options().Fault
+	for _, body := range []string{
+		`{"heal":[2,3]} {"crash":{"locale":1}} junk`,
+		`{"scales":[1,8]}}`,
+	} {
+		if err := fault(strings.NewReader(body)); !errors.Is(err, telemetry.ErrBadRequest) {
+			t.Errorf("%s: %v, want a bad request", body, err)
+		}
+	}
+	if err := fault(strings.NewReader(`{"heal":[2,3]}`)); !errors.Is(err, errNotRunning) {
+		t.Errorf("the value alone: %v, want it refused for want of a run", err)
+	}
+}
+
+// A fault names only known fields: a retired field or a typo beside a
+// valid form is a bad request, while the bodies the CI telemetry smoke
+// posts decode.
+func TestFaultRejectsUnknownFields(t *testing.T) {
+	fault := NewTelemetry().Options().Fault
+	for _, body := range []string{`{"slow_factor":4}`, `{"scales":[1,4],"sevr":true}`, `{"crash":{"locale":1,"phase":2}}`} {
+		if err := fault(strings.NewReader(body)); !errors.Is(err, telemetry.ErrBadRequest) {
+			t.Errorf("%s: %v, want a bad request", body, err)
+		}
+	}
+	for _, body := range []string{`{"crash":{"locale":1}}`, `{"sever":[2,3]}`, `{"heal":[2,3]}`} {
+		if err := fault(strings.NewReader(body)); !errors.Is(err, errNotRunning) {
+			t.Errorf("%s: %v, want it refused for want of a run", body, err)
+		}
+	}
+}
+
+// FuzzFaultEvent hands arbitrary bodies to the Fault provider of a
+// bridge whose run lands every post. The oracle is a strict decode —
+// one JSON value of known fields — holding exactly one well-formed form:
+// such a body reaches the run exactly once, as its decode, and lands;
+// any other is a bad request the run never sees.
+func FuzzFaultEvent(f *testing.F) {
+	for _, body := range []string{
+		`{"scales":[1,8]}`,
+		`{"slow_factor":-1}`,
+		`{}`,
+		`{"crash":{"locale":1}}`,
+		`{"crash":{"locale":0}}`,
+		`{"crash":{"locale":2,"failover":true}}`,
+		`{"sever":[2,3]}`,
+		`{"heal":[2,3]}`,
+		`{"clear":true}`,
+		`{"heal":[2,3]} {"crash":{"locale":1}} junk`,
+		`{"scales":[1,4],"sevr":true}`,
+		// Two forms, an empty or false one, a pair that is not one.
+		`{"sever":[1,2],"heal":[1,2]}`,
+		`{"scales":[]}`,
+		`{"clear":false}`,
+		`{"sever":[1,2,3]}`,
+		`{"crash":true,"crash_locale":1}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		tel := NewTelemetry()
+		posts, gone := tel.attach("fuzz", nil, nil), tel.gone
+		seen := make(chan Fault, 1)
+		go func() {
 			select {
-			case <-done:
-				return
-			default:
+			case p := <-posts:
+				seen <- p.fault
+				p.landed <- nil
+			case <-gone:
 			}
-			if err := fault(swaps[i%len(swaps)]); err != nil {
-				swapErrs <- err
-				return
+		}()
+		err := tel.Options().Fault(bytes.NewReader(body))
+		tel.detach()
+
+		var want Fault
+		oracle := json.Unmarshal(body, &want)
+		if oracle == nil {
+			strict := json.NewDecoder(bytes.NewReader(body))
+			strict.DisallowUnknownFields()
+			oracle = strict.Decode(new(Fault))
+		}
+		forms := 0
+		for _, set := range []bool{want.Crash != nil, want.Sever != nil, want.Heal != nil, want.Scales != nil, want.Clear} {
+			if set {
+				forms++
 			}
 		}
-	}()
-	failed := 0
-	for i := 0; i < rounds; i++ {
-		if err := fault(telemetry.FaultRequest{Sever: true, SeverA: 1, SeverB: 2}); err != nil {
-			t.Fatalf("sever %d: %v", i, err)
+		wellFormed := oracle == nil && forms == 1 &&
+			(want.Sever == nil || len(want.Sever) == 2) && (want.Heal == nil || len(want.Heal) == 2) &&
+			(want.Scales == nil || len(want.Scales) > 0)
+		select {
+		case got := <-seen:
+			if !wellFormed || err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("the run saw %+v (provider error %v) from a body whose decode is %+v, well-formed %v", got, err, want, wellFormed)
+			}
+		default:
+			if wellFormed || !errors.Is(err, telemetry.ErrBadRequest) {
+				t.Fatalf("the run saw nothing (provider error %v) from a body whose decode is %+v, well-formed %v", err, want, wellFormed)
+			}
 		}
-		if err := fault(telemetry.FaultRequest{Heal: true, HealA: 1, HealB: 2}); err != nil {
-			failed++
-		}
-	}
-	close(done)
-	if err := <-swapErrs; err != nil {
-		t.Fatalf("latency swap: %v", err)
-	}
-	if failed != 0 {
-		t.Errorf("%d of %d heals found their pair already healed by a latency swap", failed, rounds)
-	}
-	if !sys.Reachable(1, 2) {
-		t.Error("pair (1, 2) still severed after the last heal")
-	}
+	})
 }
 
 // TestRunLiveServesTelemetry drives the full live plane: a scenario
 // runs under RunLive with the HTTP server attached, and the test acts
-// as the operator — polling status until the run is live, reading the
-// matrix and histogram mid-run, injecting a fault over POST, and
-// draining a trace window. The run must still finish with balanced
-// span books (the books count decisions, so windowed HTTP drains can't
-// unbalance them) and the server must report unattached after it.
+// as the operator — reading status, the matrix and histogram mid-run,
+// injecting faults over POST, and draining a trace window. The run must
+// still finish with balanced span books (the books count decisions, so
+// windowed HTTP drains can't unbalance them), every invariant held and
+// the live crash booked, and the server must report unattached after it.
 func TestRunLiveServesTelemetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive (wall-clock phase)")
 	}
-	tel := NewTelemetry()
-	srv, err := telemetry.Start("127.0.0.1:0", tel.Options())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	get := func(path string) (int, []byte) {
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", srv.Addr(), path))
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, body
-	}
-
 	spec := Spec{
 		Name:           "live",
 		Structure:      StructureHashmap,
@@ -155,48 +395,37 @@ func TestRunLiveServesTelemetry(t *testing.T) {
 			{Name: "run", Mix: Mix{Insert: 2, Get: 7, Remove: 1}, Seconds: 2},
 		},
 	}
-	type result struct {
-		rep *Report
-		err error
+	// startLive returns once the run is attached, which precedes every
+	// phase, so the whole multi-second run is budget for the mid-run
+	// probes below.
+	lr := startLive(t, spec)
+	get := func(path string) (int, []byte) {
+		resp, err := http.Get(fmt.Sprintf("http://%s%s", lr.srv.Addr(), path))
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
 	}
-	done := make(chan result, 1)
-	go func() {
-		rep, err := RunLive(spec, nil, tel)
-		done <- result{rep, err}
-	}()
 
-	// Poll until the run is attached. Attach precedes every phase, so
-	// breaking on Running (not on visible op progress, which lags a
-	// worker's first chunk flush) leaves the whole multi-second run as
-	// budget for the mid-run probes below — waiting for ops here is
-	// what once let a loaded host expire the run mid-probe.
 	var status struct {
 		Scenario string `json:"scenario"`
 		Running  bool   `json:"running"`
 		Ops      int64  `json:"ops"`
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("run never reported live over /api/status")
-		}
-		code, body := get("/api/status")
-		if code != http.StatusOK {
-			t.Fatalf("/api/status: %d %s", code, body)
-		}
-		if err := json.Unmarshal(body, &status); err != nil {
-			t.Fatalf("/api/status not JSON: %v", err)
-		}
-		if status.Running {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	code, body := get("/api/status")
+	if code != http.StatusOK {
+		t.Fatalf("/api/status: %d %s", code, body)
 	}
-	if status.Scenario != "live" {
-		t.Fatalf("status names scenario %q", status.Scenario)
+	if err := json.Unmarshal(body, &status); err != nil {
+		t.Fatalf("/api/status not JSON: %v", err)
+	}
+	if !status.Running || status.Scenario != "live" {
+		t.Fatalf("status reads scenario %q, running %v", status.Scenario, status.Running)
 	}
 
-	code, body := get("/api/matrix")
+	code, body = get("/api/matrix")
 	if code != http.StatusOK {
 		t.Fatalf("/api/matrix: %d %s", code, body)
 	}
@@ -219,38 +448,18 @@ func TestRunLiveServesTelemetry(t *testing.T) {
 	}
 
 	// Inject a fault mid-run; the run must absorb it and keep going.
-	resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", srv.Addr()),
-		"application/json", bytes.NewBufferString(`{"scales":[1,4]}`))
-	if err != nil {
-		t.Fatal(err)
+	if code := lr.post(t, `{"scales":[1,4]}`); code != http.StatusOK {
+		t.Fatalf("/api/fault mid-run: %d", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/api/fault mid-run: %d", resp.StatusCode)
-	}
-
 	// Crash a locale over HTTP mid-run: its tasks abandon fail-stop and
 	// the run must still finish cleanly — refusals drain to the ledger
-	// instead of stalling quiescence. Locale 0 is rejected (it hosts the
+	// instead of stalling quiescence. Locale 0 is refused (it hosts the
 	// global epoch word).
-	resp, err = http.Post(fmt.Sprintf("http://%s/api/fault", srv.Addr()),
-		"application/json", bytes.NewBufferString(`{"crash":true,"crash_locale":1}`))
-	if err != nil {
-		t.Fatal(err)
+	if code := lr.post(t, `{"crash":{"locale":1}}`); code != http.StatusOK {
+		t.Fatalf("/api/fault crash: %d", code)
 	}
-	crashBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/api/fault crash: %d %s", resp.StatusCode, crashBody)
-	}
-	resp, err = http.Post(fmt.Sprintf("http://%s/api/fault", srv.Addr()),
-		"application/json", bytes.NewBufferString(`{"crash":true,"crash_locale":0}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("crash of locale 0 returned %d, want 422", resp.StatusCode)
+	if code := lr.post(t, `{"crash":{"locale":0}}`); code != http.StatusUnprocessableEntity {
+		t.Fatalf("crash of locale 0 returned %d, want 422", code)
 	}
 
 	// Drain a live trace window: events stream out as trace-event JSON.
@@ -265,15 +474,13 @@ func TestRunLiveServesTelemetry(t *testing.T) {
 		t.Fatalf("/api/trace not trace-event JSON: %v", err)
 	}
 
-	res := <-done
-	if res.err != nil {
-		t.Fatal(res.err)
+	rep := lr.wait(t)
+	if rep.Trace == nil || !rep.Trace.Balanced {
+		t.Fatalf("live-drained run lost book balance: %+v", rep.Trace)
 	}
-	if res.rep.Trace == nil || !res.rep.Trace.Balanced {
-		t.Fatalf("live-drained run lost book balance: %+v", res.rep.Trace)
-	}
-	if !res.rep.Heap.Safe() || !res.rep.Epoch.Balanced() {
-		t.Fatalf("live run failed safety verdicts: heap %+v epoch %+v", res.rep.Heap, res.rep.Epoch)
+	requireInvariants(t, "live", rep)
+	if a := rep.Availability; a == nil || a.Crashes != 1 {
+		t.Fatalf("availability %+v, want the live crash booked", a)
 	}
 
 	// Detached: status must flip to not-running with the server still
@@ -394,41 +601,11 @@ func TestModelledIsPricedBooks(t *testing.T) {
 // the live op count passes the first phase's ops, so mid-way through
 // the second phase, which must be timed.
 func runPostingMidPhase(t *testing.T, spec Spec, body string) (*Report, error) {
-	tel := NewTelemetry()
-	srv, err := telemetry.Start("127.0.0.1:0", tel.Options())
-	if err != nil {
-		t.Fatal(err)
+	lr := startLive(t, spec)
+	lr.awaitOps(t, int64(spec.Phases[0].OpsPerTask*spec.Locales*spec.TasksPerLocale))
+	if code := lr.post(t, body); code != http.StatusOK {
+		t.Fatalf("/api/fault %s mid-phase: %d", body, code)
 	}
-	defer srv.Close()
-	type result struct {
-		rep *Report
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		rep, err := RunLive(spec, nil, tel)
-		done <- result{rep, err}
-	}()
-	first := int64(spec.Phases[0].OpsPerTask * spec.Locales * spec.TasksPerLocale)
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the second phase never showed ops on the live bridge")
-		}
-		tel.mu.Lock()
-		ops := tel.hist.Count()
-		tel.mu.Unlock()
-		if ops > first {
-			break
-		}
-	}
-	resp, err := http.Post(fmt.Sprintf("http://%s/api/fault", srv.Addr()), "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/api/fault %s mid-phase: %d", body, resp.StatusCode)
-	}
-	res := <-done
-	return res.rep, res.err
+	<-lr.done
+	return lr.rep, lr.err
 }
