@@ -13,7 +13,8 @@ import (
 // destination in enqueue order when the buffer flushes — either
 // explicitly, or automatically when it reaches the configured
 // capacity. One flush costs one bulk transfer instead of one round
-// trip per operation.
+// trip per operation, and at the destination one loop (deliver) hands
+// each run of one structure's combinable calls over in one call.
 //
 // Callers aggregate uniformly without special-casing locality. Toward
 // the task's own locale, Call and CallSized execute inline immediately
@@ -45,23 +46,15 @@ func newAggregator(c *Ctx) *comm.Aggregator {
 			// no context to borrow — the batch runs where an inline
 			// local call would have.
 			if dst == c.here.id {
-				for _, op := range batch {
-					execOp(c, op)
-				}
+				deliver(c, nil, batch)
 				return
 			}
 			// The batch executes on the destination, as if the flush
 			// were one on-statement carrying the whole batch.
 			// The destination context is scoped to the batch, so it
 			// comes from the same pool the sync dispatch path uses.
-			// Each op is admitted on its own against the live fault
-			// plan; a refused one is already parked or booked lost.
 			tc := s.borrowCtx(s.locales[dst], c)
-			for _, op := range batch {
-				if s.admit(c, dst, op) {
-					execOp(tc, op)
-				}
-			}
+			deliver(tc, c, batch)
 			s.releaseCtx(tc)
 		})
 	a.SetDelay(func(dst int, ns int64) { s.delay(c, c.here.id, dst, ns) })
@@ -115,9 +108,47 @@ func (b AggBuffer) enqueue(bytes int64, fn func(*Ctx)) {
 // with equal merge keys are folded together before the wire (see
 // comm.CombinableOp for the ordering contract); with the policy off
 // they ship one-for-one, exactly like Call.
+//
+// Exec runs one call; a delivered batch hands each maximal run of
+// consecutive admitted calls of one structure (equal CombineKey Kind
+// and Ref) to its first call's ExecRun, run holding them all in order.
 type CombinableCall interface {
 	comm.CombinableOp
 	Exec(c *Ctx)
+	ExecRun(c *Ctx, run []comm.Op)
+}
+
+// deliver runs a batch on tc, its destination's context, in enqueue
+// order: the one loop of the own-locale flush, the remote delivery and
+// the parked redelivery. From a source task src (remote delivery only)
+// each op is admitted on its own against the live fault plan; a refused
+// one is already parked or booked lost, and ends the run before it.
+func deliver(tc, src *Ctx, batch []comm.Op) {
+	var head CombinableCall // first call of the pending run batch[from:i]
+	from := 0
+	for i, op := range batch {
+		admitted := src == nil || tc.sys.admit(src, tc.here.id, op)
+		cc, _ := op.Exec.(CombinableCall)
+		if head != nil && admitted && cc != nil {
+			if k, hk := cc.CombineKey(), head.CombineKey(); k.Kind == hk.Kind && k.Ref == hk.Ref {
+				continue
+			}
+		}
+		if head != nil {
+			head.ExecRun(tc, batch[from:i])
+			head = nil
+		}
+		switch {
+		case !admitted:
+		case cc != nil:
+			head, from = cc, i
+		default:
+			op.Exec.(func(*Ctx))(tc)
+		}
+	}
+	if head != nil {
+		head.ExecRun(tc, batch[from:])
+	}
 }
 
 // CallCombinable buffers op for deferred execution on the destination
@@ -167,6 +198,12 @@ func (o *addOp) Absorb(later comm.CombinableOp) (int64, bool) {
 
 func (o *addOp) Exec(tc *Ctx) {
 	o.w.Add(tc, o.delta)
+}
+
+func (o *addOp) ExecRun(tc *Ctx, run []comm.Op) {
+	for _, op := range run {
+		op.Exec.(*addOp).Exec(tc)
+	}
 }
 
 // Merge-key kind namespace for the pgas layer's own combinable ops.

@@ -171,19 +171,6 @@ func (s *System) admit(src *Ctx, dst int, op comm.Op) bool {
 	return false
 }
 
-// execOp runs one delivered or redelivered aggregated op on tc, the
-// destination-pinned context of its batch.
-func execOp(tc *Ctx, op comm.Op) {
-	switch exec := op.Exec.(type) {
-	case func(*Ctx):
-		exec(tc)
-	case CombinableCall:
-		exec.Exec(tc)
-	default:
-		panic(fmt.Sprintf("pgas: unknown aggregated op payload %T", op.Exec))
-	}
-}
-
 // charge books one remote event of kind k from src toward dst — one add
 // on its matrix cell, which is the counter too — and charges c its price.
 func (s *System) charge(c *Ctx, src, dst int, k comm.Kind) {

@@ -130,9 +130,7 @@ func (s *System) redeliverParked(src, dst int, batch []comm.Op, bytes int64) {
 	tc := s.borrowCtx(s.locales[dst], nil)
 	tc.isAsync = true
 	s.chargeBulk(tc, src, dst, bytes)
-	for _, op := range batch {
-		execOp(tc, op)
-	}
+	deliver(tc, nil, batch)
 	s.releaseCtx(tc)
 }
 

@@ -2,6 +2,7 @@ package hashmap
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -162,6 +163,48 @@ func TestAbsorbedAggWriteZeroAlloc(t *testing.T) {
 	if d.AggOps+d.AggCombined != d.AggOpsEnq {
 		t.Errorf("shipped+combined != enqueued across the flush: %+v", d)
 	}
+}
+
+// Delivering a run costs the host a fixed number of allocations, not a
+// number per write: what a delivery allocates beyond the gas-heap
+// objects the list links and retires (one each, counted on the heap's
+// books) is the same for a run of 64 writes as for a run of 8.
+func TestDeliveredRunAllocs(t *testing.T) {
+	s := pgas.NewSystem(pgas.Config{
+		Locales: 2,
+		Backend: comm.BackendNone,
+		Agg:     comm.AggConfig{Combine: true, Policy: comm.FlushManual},
+	})
+	defer s.Shutdown()
+	c := s.Ctx(0)
+	em := epoch.NewEpochManager(c)
+	m := New[int64](c, 16, em)
+	keys := keysHomedOn(m, 1, 64)
+	// beyond returns the host allocations per delivered run of n
+	// buffered writes, less the gas-heap objects the run allocated.
+	beyond := func(n int) float64 {
+		const rounds = 50
+		var extra int64
+		for r := 0; r < rounds; r++ {
+			for _, k := range keys[:n] {
+				m.UpsertAgg(c, k, int64(r))
+			}
+			objs := s.HeapStats().Allocs
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c.Aggregator(1).Flush()
+			runtime.ReadMemStats(&after)
+			extra += int64(after.Mallocs-before.Mallocs) - (s.HeapStats().Allocs - objs)
+		}
+		return float64(extra) / rounds
+	}
+	beyond(64) // warm the context pool and the limbo lists
+	short, long := beyond(8), beyond(64)
+	if long > short+1 {
+		t.Fatalf("a delivered run allocates %.2f beyond its list's objects at 64 writes, %.2f at 8: it grows with the run", long, short)
+	}
+	em.Clear(c)
+	m.Destroy(c)
 }
 
 // Absorption depends on the key, not on where the key lives: with

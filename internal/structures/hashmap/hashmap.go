@@ -31,7 +31,8 @@
 // live shared.OwnerTable entry (identity e % L until the first
 // Migrate), fire-and-forget and shipped writes carry the generation
 // they sampled and are applied — or re-routed — inside the owner's flat
-// combiner (writeOp.applyOwned, the one owner-side write site), and a
+// combiner (writeOp.apply, the one owner-side write body; a delivered
+// run of writes takes one combiner pass under one pin), and a
 // read replication cache attached with Cached is invalidated after
 // every write, so caching, write absorption, rebalancing and crash
 // failover compose instead of excluding each other. migrate.go holds
@@ -361,8 +362,8 @@ type writeOp[V any] struct {
 	v     V
 	n     *atomic.Int64 // InsertBulk's tally of successful inserts
 	kind  opKind
-	ok    bool // set by applyOwned: the list operation's result
-	stale bool // set by applyOwned: the bucket migrated since the sample
+	ok    bool // set by apply: the list operation's result
+	stale bool // set by apply: the bucket migrated since the sample
 }
 
 // mergeKey is the identity fire-and-forget writes of k combine under:
@@ -386,20 +387,44 @@ func (o *writeOp[V]) Absorb(later comm.CombinableOp) (int64, bool) {
 	return 0, true
 }
 
-// Exec is the delivered side of every fire-and-forget write: apply it
-// through the map's one owner-side write site (applyOwned), or, when a
-// migration moved its bucket since the sample, re-dispatch it to the
-// bucket's new owner. On a map that never migrated the generation
-// always matches. The cache invalidation follows once the combiner is
-// released (see invalidate); when tc is the runtime's context for a
-// delivery, the runtime drains it before the delivery returns.
+// Exec is the delivered side of one fire-and-forget write: apply it
+// through the map's owner-side write site (applyOwned), then settle it.
+func (o *writeOp[V]) Exec(tc *pgas.Ctx) {
+	o.applyOwned(tc)
+	o.settle(tc)
+}
+
+// ExecRun is the delivered side of a run of fire-and-forget writes to
+// this map (see pgas.CombinableCall): one pass of the owner replica's
+// combiner, under one owner-local token, applies every write of the
+// run in order, and once the combiner is released each settles as Exec
+// settles one. The run's writes share o's core, and so its table.
+func (o *writeOp[V]) ExecRun(tc *pgas.Ctx, run []comm.Op) {
+	t := o.m.priv.Get(tc)
+	t.comb.DoRun(len(run), func() {
+		o.m.core.em.Protect(tc, func(tok *epoch.Token) {
+			for _, op := range run {
+				op.Exec.(*writeOp[V]).apply(tc, t, tok)
+			}
+		})
+	})
+	for _, op := range run {
+		op.Exec.(*writeOp[V]).settle(tc)
+	}
+}
+
+// settle finishes a write its owner-side pass has seen: a stale one
+// re-dispatches to the bucket's new owner, an applied one bumps its
+// InsertBulk tally and invalidates k in an attached cache. It runs
+// outside the combiner (see invalidate); when tc is the runtime's
+// context for a delivery, the runtime drains the invalidation before
+// the delivery returns.
 //
 // The re-dispatch is an async task: a synchronous on-stmt could
 // deadlock two locales draining each other's combined deliveries, while
 // an async task is tracked by system quiescence. It carries o itself,
-// which Exec no longer reads once the task is launched.
-func (o *writeOp[V]) Exec(tc *pgas.Ctx) {
-	o.applyOwned(tc)
+// which settle no longer reads once the task is launched.
+func (o *writeOp[V]) settle(tc *pgas.Ctx) {
 	switch {
 	case o.stale:
 		e := o.m.BucketOf(o.k)
@@ -418,34 +443,37 @@ func (o *writeOp[V]) Exec(tc *pgas.Ctx) {
 	}
 }
 
-// applyOwned is the map's one owner-side write site, run on the locale
-// o's generation sample named: the delivered fire-and-forget writes
-// (Exec) and the shipped synchronous ones (shipWrite) both apply here.
-// Inside the local replica's combiner it re-checks the generation
-// (exact — migrations of this bucket serialize on the same combiner).
-// A stale sample applies nothing and sets o.stale; a current one bumps
-// the bucket's heat (once a controller ranks the map) and runs the
-// write on the slot's current list under an owner-local token, pinned
-// before the list pointer loads, and sets o.ok to its result.
+// applyOwned is ExecRun's pass for one write, run on the locale o's
+// generation sample named: shipped (shipWrite), re-routed and inline
+// writes each take their own combiner pass and owner-local token.
 func (o *writeOp[V]) applyOwned(tc *pgas.Ctx) {
 	t := o.m.priv.Get(tc)
 	t.comb.Do(func() {
-		e := o.m.BucketOf(o.k)
-		if _, cur := o.m.core.tab.Owner(e); cur != o.gen {
-			o.stale = true
-			return
-		}
-		o.stale = false
-		slot := t.buckets[e]
-		if o.m.core.heatOn.Load() {
-			slot.heat.Add(1)
-		}
-		o.m.core.em.Protect(tc, func(tok *epoch.Token) {
-			w := syncOp[V]{kind: o.kind, k: o.k, v: o.v}
-			w.run(tc, tok, slot.list.Load())
-			o.ok = w.ok
-		})
+		o.m.core.em.Protect(tc, func(tok *epoch.Token) { o.apply(tc, t, tok) })
 	})
+}
+
+// apply is the per-write body of every owner-side pass, run inside t's
+// combiner under tok, which was pinned before any list pointer loads.
+// It re-checks the write's generation (exact — migrations of the
+// bucket serialize on the same combiner): a stale sample applies
+// nothing and sets o.stale; a current one bumps the bucket's heat (once
+// a controller ranks the map), runs the write on the slot's current
+// list and sets o.ok to its result.
+func (o *writeOp[V]) apply(tc *pgas.Ctx, t *table[V], tok *epoch.Token) {
+	e := o.m.BucketOf(o.k)
+	if _, cur := o.m.core.tab.Owner(e); cur != o.gen {
+		o.stale = true
+		return
+	}
+	o.stale = false
+	slot := t.buckets[e]
+	if o.m.core.heatOn.Load() {
+		slot.heat.Add(1)
+	}
+	w := syncOp[V]{kind: o.kind, k: o.k, v: o.v}
+	w.run(tc, tok, slot.list.Load())
+	o.ok = w.ok
 }
 
 // UpsertAgg buffers a fire-and-forget upsert of (k, v) into the

@@ -14,7 +14,7 @@ import (
 //
 //  1. the migration runs inside the source replica's flat combiner —
 //     the same serialization every fire-and-forget or shipped write
-//     applies under (writeOp.applyOwned) — so no such write can land
+//     applies under (writeOp.apply) — so no such write can land
 //     on the old list after the snapshot;
 //  2. the snapshot ships to the destination via the aggregation
 //     buffer's bulk framing and is drained synchronously (a

@@ -15,9 +15,10 @@ import (
 // words. New picks the route once per map (shipRule); Shipped pins it
 // on a handle copy. A shipped operation pins an owner-local token
 // before it loads the bucket's list pointer, and a shipped write applies
-// through the owner-side write site the fire-and-forget writes use
-// (writeOp.applyOwned), so it is serialized against Migrate. A ship the
-// fault plan refuses books nothing (pgas.Ctx.TryOn) and walks.
+// through the owner-side write body the fire-and-forget writes use
+// (writeOp.apply, in a combiner pass of its own), so it is serialized
+// against Migrate. A ship the fault plan refuses books nothing
+// (pgas.Ctx.TryOn) and walks.
 
 // shipRule is the route New chooses for the synchronous operations:
 // ship them to the bucket's owner iff one on-statement is strictly
@@ -48,7 +49,7 @@ func (m Map[V]) Shipped(on bool) Map[V] {
 
 // syncOp is one operation on a key's bucket list: a synchronous one,
 // carried to the owner that runs it (see shipped), or the list call the
-// owner-side write site makes (writeOp.applyOwned).
+// owner-side write body makes (writeOp.apply).
 type syncOp[V any] struct {
 	kind opKind
 	k    uint64

@@ -58,6 +58,14 @@ func (o *bulkOp[S, T]) Exec(lc *pgas.Ctx) {
 	})
 }
 
+// ExecRun applies a delivered run one batch at a time: a nil Ref lets
+// a run span objects, of other types too, each with its own combiner.
+func (o *bulkOp[S, T]) ExecRun(lc *pgas.Ctx, run []comm.Op) {
+	for _, op := range run {
+		op.Exec.(pgas.CombinableCall).Exec(lc)
+	}
+}
+
 // CombineBulkOn routes a batch of values to shard `owner` through both
 // absorption layers: in flight, batches to the same (object, owner)
 // merge per the system's AggConfig.Combine policy; at the owner, the

@@ -24,19 +24,16 @@ type Combiner struct {
 	head atomic.Pointer[combineRecord]
 	mu   sync.Mutex
 
-	applied atomic.Int64 // operations drained, across all passes
-	passes  atomic.Int64 // drain passes (combiner elections that found work)
-
 	tracer *trace.Recorder // nil unless SetTracer installed one
 	locale int
 }
 
 // SetTracer installs a span recorder: every drain pass that finds work
 // records a KindCombine span on the owning locale, its arg carrying
-// the number of operations the pass applied. The draining task is
-// whichever publisher won the election, so spans carry task 0 rather
-// than a misleading specific task id. Call once at construction,
-// before the combiner is shared.
+// the number of operations the pass applied (a DoRun counts as its n).
+// The draining task is whichever publisher won the election, so spans
+// carry task 0 rather than a misleading specific task id. Call once at
+// construction, before the combiner is shared.
 func (cb *Combiner) SetTracer(tr *trace.Recorder, locale int) {
 	cb.tracer = tr
 	cb.locale = locale
@@ -46,6 +43,7 @@ func (cb *Combiner) SetTracer(tr *trace.Recorder, locale int) {
 type combineRecord struct {
 	fn   func()
 	next *combineRecord
+	n    int32 // operations fn applies; shares a word with done
 	done atomic.Bool
 }
 
@@ -59,8 +57,12 @@ type combineRecord struct {
 // did is visible to the caller after Do returns. That edge is what
 // makes it safe for fn to capture the caller's Ctx even though a
 // different task may run it — the two tasks' uses never overlap.
-func (cb *Combiner) Do(fn func()) {
-	rec := &combineRecord{fn: fn}
+func (cb *Combiner) Do(fn func()) { cb.DoRun(1, fn) }
+
+// DoRun is Do for an fn that applies n operations in one go — a
+// delivered run of writes — so the pass that drains it counts n.
+func (cb *Combiner) DoRun(n int, fn func()) {
+	rec := &combineRecord{fn: fn, n: int32(n)}
 	for {
 		old := cb.head.Load()
 		rec.next = old
@@ -111,20 +113,9 @@ func (cb *Combiner) drain() {
 	for rec := rev; rec != nil; {
 		next := rec.next
 		rec.fn()
+		n += int64(rec.n)
 		rec.done.Store(true)
 		rec = next
-		n++
 	}
-	cb.applied.Add(n)
-	cb.passes.Add(1)
 	sp.EndWith(0, n)
 }
-
-// Applied returns the total number of operations drained through this
-// combiner.
-func (cb *Combiner) Applied() int64 { return cb.applied.Load() }
-
-// Passes returns the number of drain passes that found work. The ratio
-// Applied/Passes is the combining factor: how many operations each
-// elected combiner absorbed per pass.
-func (cb *Combiner) Passes() int64 { return cb.passes.Load() }
