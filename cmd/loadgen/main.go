@@ -49,14 +49,20 @@
 // compare the run phase's maxInbound with and without it under a
 // hot-set distribution to see the owner hotspot dissolve.
 //
-// -slow-factor F slows locale -slow-locale by F: the spec's
-// faults.scales, with that locale's entry F and every other 1. A
-// negative factor or an out-of-range locale exits 2.
+// The fault flags lower to the spec's faults.events, the timeline that
+// lands in phase order and, within a phase, in list order: the
+// -slow-* event, then the -partition sever and its heal, then the
+// -crash-locale crash (-print-spec shows the list).
+//
+// -slow-factor F slows locale -slow-locale by F: a phase-0 scales
+// event, with that locale's entry F and every other 1. A negative
+// factor or an out-of-range locale exits 2.
 //
 // -crash-locale kills one locale during the run (locale 0 cannot
 // crash — it hosts the global epoch word): at the start of phase
 // -crash-phase (default 1, the run phase), or mid-phase once the
-// system has issued -crash-after-ops operations. Ops toward the dead
+// phase has issued -crash-after-ops operations and any sever or heal
+// listed before the crash has landed. Ops toward the dead
 // locale are refused into the lost-ops ledger and the report gains an
 // availability section. Add -failover (hashmap, queue and stack) to
 // have the survivors adopt the dead locale's shards and force-retire
@@ -65,8 +71,10 @@
 //
 // -partition severs the locale pair A,B at the start of phase
 // -partition-phase (default 1). With -heal-after the pair heals that
-// many milliseconds after the sever; without it, at the next phase
-// boundary (or never, when the sever lands in the last phase). Ops
+// many milliseconds after the sever, or at the next phase boundary if
+// the phase ends first (a churn phase refuses the timed heal); without
+// it, at the next phase boundary (or never, when the sever lands in
+// the last phase). Ops
 // refused across the severed link park in the per-locale retry ledgers
 // and redeliver at the heal — the report's availability section gains
 // sever/heal counts, time-to-heal, and the parked/redelivered/expired
@@ -176,29 +184,31 @@ func main() {
 			spec.Rebalance = &workload.RebalanceSpec{Enabled: true}
 			spec.Name += "-rebalanced"
 		}
-		if *crashLoc != 0 {
-			spec.Faults.Crashes = []workload.CrashSpec{{
-				Locale:   *crashLoc,
-				Phase:    *crashPh,
-				AfterOps: *crashOps,
-				Failover: *failover,
-			}}
-			spec.Name += "-crashed"
-		}
+		// The sever and its heal go ahead of the crash in the list, so a
+		// crash waiting for its after_ops never holds back a boundary sever.
 		if *partition != "" {
 			var a, b int
 			if _, err := fmt.Sscanf(*partition, "%d,%d", &a, &b); err != nil {
 				fmt.Fprintf(os.Stderr, "loadgen: -partition wants \"A,B\", got %q\n", *partition)
 				os.Exit(2)
 			}
-			ps := workload.PartitionSpec{A: a, B: b, Phase: *partPh, HealAfterMS: *healAfter}
-			// No wall-clock heal: heal at the next phase boundary, or never
-			// when the sever lands in the last phase.
-			if *healAfter == 0 && *partPh+1 < len(spec.Phases) {
-				ps.HealPhase = *partPh + 1
+			pair := []int{a, b}
+			spec.Faults.Events = append(spec.Faults.Events, workload.Event{Phase: *partPh, Fault: workload.Fault{Sever: pair}})
+			// A timed heal lands -heal-after ms after the sever; without one
+			// the pair heals at the next phase boundary, or never when the
+			// sever lands in the last phase.
+			switch {
+			case *healAfter != 0:
+				spec.Faults.Events = append(spec.Faults.Events, workload.Event{Phase: *partPh, AfterMS: *healAfter, Fault: workload.Fault{Heal: pair}})
+			case *partPh+1 < len(spec.Phases):
+				spec.Faults.Events = append(spec.Faults.Events, workload.Event{Phase: *partPh + 1, Fault: workload.Fault{Heal: pair}})
 			}
-			spec.Faults.Partitions = []workload.PartitionSpec{ps}
 			spec.Name += "-partitioned"
+		}
+		if *crashLoc != 0 {
+			spec.Faults.Events = append(spec.Faults.Events, workload.Event{Phase: *crashPh, AfterOps: *crashOps,
+				Fault: workload.Fault{Crash: &workload.CrashFault{Locale: *crashLoc, Failover: *failover}}})
+			spec.Name += "-crashed"
 		}
 	}
 	if *traceOn || *traceOut != "" {
@@ -295,7 +305,7 @@ func flagSpec(structure string, locales, tasks int, backend string, seed, keyspa
 	s := workload.Structure(structure)
 	var faults workload.Faults
 	if slowFac > 0 {
-		faults.Scales = comm.SlowLocale(locales, slowLoc, slowFac).Scales
+		faults.Events = []workload.Event{{Fault: workload.Fault{Scales: comm.SlowLocale(locales, slowLoc, slowFac).Scales}}}
 	}
 	var load, run workload.Mix
 	switch s {

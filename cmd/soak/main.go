@@ -8,15 +8,17 @@
 //
 //	go run ./cmd/soak -seconds 30 -locales 8
 //
-// -structure limits the soak to one target; -slow-factor adds the
-// slow-locale fault plan on top. -crash kills the top locale midway
+// -structure limits the soak to one target. The fault flags lower to
+// the spec's faults.events: -slow-factor adds a scales event slowing
+// locale 0 from the start. -crash kills the top locale midway
 // through the hashmap scenario's steady phase and fails over — the
 // survivors adopt its shards and force-retire its stranded epoch
 // tokens — turning the soak into an availability drill: the summary
 // gains a PASS/FAIL recovery verdict beside the safety ones (crash
 // failover now covers the hashmap, sharded queue and sharded stack;
 // the skiplist soaks unperturbed). -partition severs the pair (1,2)
-// mid-steady-phase of every scenario and heals it 50ms later — the
+// mid-steady-phase of every scenario and heals it 50ms later, ahead of
+// the crash when both are on (events land in list order) — the
 // transient-fault drill: the summary's partitions line shows the sever,
 // the heal and the time between them, beside PASS/FAIL verdicts that
 // the retry ledgers settled (parked == redelivered + expired) and
@@ -86,15 +88,14 @@ func main() {
 	var totalOps int64
 	for _, s := range targets {
 		spec := soakSpec(s, *locales, *tasks, *backend, *seed, perStructure, *slowFac)
-		if *crash && s == workload.StructureHashmap {
-			spec.Faults.Crashes = []workload.CrashSpec{{
-				Locale: *locales - 1, Phase: 0, AfterOps: 2048, Failover: true,
-			}}
-		}
 		if *partition {
-			spec.Faults.Partitions = []workload.PartitionSpec{{
-				A: 1, B: 2, Phase: 0, AtOps: 1024, HealAfterMS: 50,
-			}}
+			spec.Faults.Events = append(spec.Faults.Events,
+				workload.Event{AfterOps: 1024, Fault: workload.Fault{Sever: []int{1, 2}}},
+				workload.Event{AfterMS: 50, Fault: workload.Fault{Heal: []int{1, 2}}})
+		}
+		if *crash && s == workload.StructureHashmap {
+			spec.Faults.Events = append(spec.Faults.Events, workload.Event{AfterOps: 2048,
+				Fault: workload.Fault{Crash: &workload.CrashFault{Locale: *locales - 1, Failover: true}}})
 		}
 		if *traceOn {
 			spec.Trace = &workload.TraceSpec{Enabled: true}
@@ -138,7 +139,7 @@ func soakSpec(s workload.Structure, locales, tasks int, backend string, seed uin
 	}
 	var faults workload.Faults
 	if slowFac > 0 {
-		faults.Scales = comm.SlowLocale(locales, 0, slowFac).Scales
+		faults.Events = []workload.Event{{Fault: workload.Fault{Scales: comm.SlowLocale(locales, 0, slowFac).Scales}}}
 	}
 	return workload.Spec{
 		Name:           "soak-" + string(s),

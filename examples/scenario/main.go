@@ -38,7 +38,9 @@ func main() {
 		Seed:           0xFACE,
 		Keyspace:       1 << 14,
 		Dist:           workload.KeyDist{Kind: workload.DistHotSet, HotFraction: 0.1, HotProb: 0.9},
-		Faults:         workload.Faults{Scales: comm.SlowLocale(*locales, 1%*locales, *slow).Scales},
+		Faults: workload.Faults{Events: []workload.Event{
+			{Fault: workload.Fault{Scales: comm.SlowLocale(*locales, 1%*locales, *slow).Scales}},
+		}},
 		Phases: []workload.Phase{
 			{Name: "load", Mix: workload.Mix{Insert: 1}, OpsPerTask: *ops / 2},
 			{Name: "run", Mix: workload.Mix{Insert: 2, Get: 7, Remove: 1, Bulk: 0.02}, OpsPerTask: *ops, ReclaimEvery: 512},

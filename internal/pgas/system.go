@@ -36,12 +36,6 @@ type Config struct {
 	// comm.DefaultAggCapacity operations per destination.
 	Agg comm.AggConfig
 
-	// Perturb is the per-locale latency fault plan (workload fault
-	// injection): every injected delay touching a perturbed locale is
-	// scaled by its factor. The zero value disables perturbation.
-	// Counters are never affected.
-	Perturb comm.Perturbation
-
 	// Park configures the partition retry plane: operations refused
 	// because the source/destination pair is partitioned (both locales
 	// alive) park in a per-locale comm.Parking ledger and redeliver
@@ -80,10 +74,10 @@ type System struct {
 
 	tracer *trace.Recorder // nil when tracing is off (Config.Tracer)
 
-	// perturb is the live fault plan. Config.Perturb installs the
-	// initial plan; SetScales swaps its latency half at runtime (the
-	// telemetry /api/fault path). delay() reads it on every injected
-	// delay, so a swap takes effect on the next simulated communication.
+	// perturb is the live fault plan, nil until the first fault lands.
+	// SetScales swaps its latency half at runtime (the workload engine's
+	// fault applier). delay() reads it on every injected delay, so a
+	// swap takes effect on the next simulated communication.
 	// faultMu serializes the read-modify-write mutators (Crash, Sever,
 	// Heal, SetScales) so concurrent fault events never lose each
 	// other's updates. healed is closed and replaced by every Heal,
@@ -209,10 +203,6 @@ func NewSystem(cfg Config) *System {
 	cfg.Park = cfg.Park.WithDefaults()
 	matrix := comm.NewMatrix(cfg.Locales)
 	s := &System{cfg: cfg, prices: cfg.Latency.Prices(), counters: comm.NewCounters(matrix), matrix: matrix, tracer: cfg.Tracer, startTime: time.Now()}
-	if cfg.Perturb.Enabled() {
-		p := cfg.Perturb
-		s.perturb.Store(&p)
-	}
 	s.healed = make(chan struct{})
 	s.parking = make([]*comm.Parking, cfg.Locales)
 	for i := range s.parking {

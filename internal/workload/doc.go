@@ -24,24 +24,31 @@
 //     (Seconds), optionally paced open-loop (TargetRate)
 //   - phases (the classic load → run → churn shape; churn rounds
 //     destroy and recreate the structure)
-//   - fault injection: a comm.Perturbation latency plan (per-locale
-//     scales, a slow locale being one scale above 1; counters stay
-//     exact) and a
-//     liveness plan of fail-stop crashes and transient partitions
+//   - fault injection: a timeline of the faults /api/fault posts —
+//     per-locale latency scales (a slow locale being one scale above 1;
+//     counters stay exact), fail-stop crashes, transient partitions
+//     and their heals — each with a phase and optional after_ops and
+//     after_ms triggers
 //   - the hashmap's read replication cache (CacheSpec): gets served
 //     from per-locale replicas, mutations writing through with
 //     broadcast invalidation
 //
 // # The fault schedule
 //
-// A spec's crashes and partitions become one ordered schedule: an event
-// is due at a (phase, issued-op count) mark — count 0 is the phase's
-// boundary, which replays exactly — or, for a wall-clock heal, some time
-// after its own sever. One function steps what is due, called at every
-// round boundary and, while a round's workers run, by one clock goroutine
-// that also steps the driver's control loop and, with a telemetry bridge
-// attached, receives /api/fault posts; scheduled and live faults land
-// through one applier and are booked alike (see DESIGN.md).
+// A spec's Faults.Events is one ordered list: sorted stably by phase,
+// it lands strictly in list order, each event waiting for the one
+// before it. An event is due once its phase has been reached, the
+// phase's issued ops are at least its after_ops, and its after_ms has
+// passed since the later of the phase's start and the landing of the
+// event before it — so a heal listed after a mid-phase sever is timed
+// from the sever. Triggers of 0 land at the phase's boundary, which
+// replays exactly. An event its phase leaves pending lands at the next
+// boundary step; what the last phase leaves pending never lands. One
+// function steps what is due, called at every round boundary and,
+// while a round's workers run, by one clock goroutine that also steps
+// the driver's control loop and, with a telemetry bridge attached,
+// receives /api/fault posts; scheduled and live faults land through one
+// applier and are booked alike (see DESIGN.md).
 //
 // # Determinism
 //

@@ -15,10 +15,10 @@ import (
 
 // Run executes a scenario on a fresh simulated System and returns its
 // Report. progress, when non-nil, receives one line per completed
-// phase. The System is built from the spec — locales, backend,
-// latency profile (LatencyScale × the calibrated default) and the
-// fault-injection perturbation — and torn down before Run returns. Its
-// crashes and partitions become one ordered schedule (see run.step).
+// phase. The System is built from the spec — locales, backend and
+// latency profile (LatencyScale × the calibrated default) — and torn
+// down before Run returns. Its fault events land from one ordered
+// schedule (see run.step).
 func Run(spec Spec, progress io.Writer) (*Report, error) {
 	return RunLive(spec, progress, nil)
 }
@@ -61,7 +61,6 @@ func runWith(spec Spec, drv Driver, progress io.Writer, tel *Telemetry) (*Report
 		Locales: spec.Locales,
 		Backend: backend,
 		Latency: spec.latency(),
-		Perturb: spec.Faults.perturbation(),
 		Seed:    spec.Seed,
 		Agg:     comm.AggConfig{Combine: spec.Combine != nil && spec.Combine.Enabled},
 		Park:    spec.Faults.parkConfig(),
@@ -204,7 +203,7 @@ type countRow struct {
 }
 
 // issued totals the phase's ops so far, across rounds: the count the
-// schedule's op marks are in.
+// schedule's after_ops triggers are in.
 func (ps *phaseState) issued() (n int64) {
 	for _, c := range ps.byKind() {
 		n += c
@@ -266,10 +265,10 @@ func (r *run) runPhase(pi int) PhaseReport {
 		now := time.Now()
 		r.step(pi, ps.issued(), now)
 
-		// A clock only when the round has an op mark to poll, an armed
-		// wall-clock heal to wait for, a driver loop (rebalancing) to tick
-		// or a telemetry bridge whose /api/fault posts it lands: a
-		// fault-free round without one spawns workers and nothing else.
+		// A clock only when the round has a mid-phase event to wait for,
+		// a driver loop (rebalancing) to tick or a telemetry bridge whose
+		// /api/fault posts it lands: a fault-free round without one
+		// spawns workers and nothing else.
 		for loc := 0; loc < spec.Locales; loc++ {
 			for t := 0; t < spec.TasksPerLocale; t++ {
 				if !sys.Alive(loc) {

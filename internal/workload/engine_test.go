@@ -195,7 +195,7 @@ func TestSeededCrashFailoverReplay(t *testing.T) {
 			{Name: "load", Mix: Mix{Insert: 1}, OpsPerTask: 400},
 			{Name: "degraded", Mix: Mix{Insert: 1}, OpsPerTask: 600},
 		},
-		Faults: Faults{Crashes: []CrashSpec{{Locale: 2, Phase: 1, Failover: true}}},
+		Faults: Faults{Events: []Event{{Phase: 1, Fault: crash(2, true)}}},
 	}
 	type crashParts struct {
 		deterministicParts
@@ -424,7 +424,7 @@ func TestSlowLocaleFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := base
-	slow.Faults = Faults{Scales: comm.SlowLocale(2, 1, 16).Scales}
+	slow.Faults = Faults{Events: []Event{{Fault: Fault{Scales: comm.SlowLocale(2, 1, 16).Scales}}}}
 	perturbed, err := Run(slow, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -749,7 +749,7 @@ func TestAllFeaturesScenarioBooksBalance(t *testing.T) {
 				OpsPerTask: 300, TargetRate: 3000, BulkSize: 8}, // ≈100ms of windows
 			{Name: "after", Mix: Mix{Insert: 1, Get: 3}, OpsPerTask: 200},
 		},
-		Faults: Faults{Crashes: []CrashSpec{{Locale: 2, Phase: 1, AfterOps: 400, Failover: true}}},
+		Faults: Faults{Events: []Event{{Phase: 1, AfterOps: 400, Fault: crash(2, true)}}},
 	}
 	all := plain
 	all.Cache = &CacheSpec{Enabled: true, Slots: 32}
@@ -820,7 +820,7 @@ func TestPartitionScenarioBooksSettle(t *testing.T) {
 			{Name: "healed", Mix: Mix{Insert: 1}, OpsPerTask: 300},
 		},
 		Faults: Faults{
-			Partitions: []PartitionSpec{{A: 1, B: 2, Phase: 1, HealPhase: 2}},
+			Events: []Event{{Phase: 1, Fault: sever(1, 2)}, {Phase: 2, Fault: heal(1, 2)}},
 			// A deadline far past the run keeps the deterministic
 			// settlement shape: every parked op waits for the heal.
 			Retry: &RetrySpec{DeadlineMS: 600_000},
@@ -889,8 +889,8 @@ func TestSeededPartitionHealReplay(t *testing.T) {
 			{Name: "healed", Mix: Mix{Insert: 1}, OpsPerTask: 400},
 		},
 		Faults: Faults{
-			Partitions: []PartitionSpec{{A: 1, B: 2, Phase: 1, HealPhase: 2}},
-			Retry:      &RetrySpec{DeadlineMS: 600_000},
+			Events: []Event{{Phase: 1, Fault: sever(1, 2)}, {Phase: 2, Fault: heal(1, 2)}},
+			Retry:  &RetrySpec{DeadlineMS: 600_000},
 		},
 	}
 	type partitionParts struct {
@@ -962,8 +962,8 @@ func TestMidPhaseSeverTimedHeal(t *testing.T) {
 			{Name: "storm", Mix: Mix{Insert: 1, Bulk: 0.05}, Seconds: 0.25, BulkSize: 8},
 		},
 		Faults: Faults{
-			Partitions: []PartitionSpec{{A: 1, B: 2, Phase: 1, AtOps: 1000, HealAfterMS: 20}},
-			Retry:      &RetrySpec{DeadlineMS: 600_000, Capacity: 1 << 20},
+			Events: []Event{{Phase: 1, AfterOps: 1000, Fault: sever(1, 2)}, {Phase: 1, AfterMS: 20, Fault: heal(1, 2)}},
+			Retry:  &RetrySpec{DeadlineMS: 600_000, Capacity: 1 << 20},
 		},
 	}
 	rep, err := Run(spec, nil)
@@ -1020,8 +1020,8 @@ func TestTimedHealNeverDue(t *testing.T) {
 			{Name: "severed", Mix: Mix{Insert: 1}, OpsPerTask: 400},
 		},
 		Faults: Faults{
-			Partitions: []PartitionSpec{{A: 1, B: 2, Phase: 1, HealAfterMS: 600_000}},
-			Retry:      &RetrySpec{DeadlineMS: 600_000},
+			Events: []Event{{Phase: 1, Fault: sever(1, 2)}, {Phase: 1, AfterMS: 600_000, Fault: heal(1, 2)}},
+			Retry:  &RetrySpec{DeadlineMS: 600_000},
 		},
 	}
 	rep, err := Run(spec, nil)
@@ -1073,7 +1073,7 @@ func TestQueueStackCrashFailover(t *testing.T) {
 					{Name: "load", Mix: Mix{Enqueue: 1}, OpsPerTask: 400},
 					{Name: "degraded", Mix: Mix{Enqueue: 2, Remove: 1, Steal: 1}, OpsPerTask: 300},
 				},
-				Faults: Faults{Crashes: []CrashSpec{{Locale: 2, Phase: 1, Failover: true}}},
+				Faults: Faults{Events: []Event{{Phase: 1, Fault: crash(2, true)}}},
 			}
 			rep, err := Run(spec, nil)
 			if err != nil {

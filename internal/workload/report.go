@@ -145,7 +145,7 @@ type PhaseReport struct {
 	DelayWaitNS int64 `json:"delay_wait_ns,omitempty"`
 
 	// Scaled records that a latency scale was in force during the phase
-	// — the spec's Faults.Scales, or scales POSTed to /api/fault — so its
+	// — a spec event's scales, or scales POSTed to /api/fault — so its
 	// charges were scaled and truncated per event, and ModelledNS is not
 	// its books priced (Report.Invariants exempts it).
 	Scaled bool `json:"scaled,omitempty"`

@@ -38,20 +38,8 @@ type CrashFault struct {
 func decodeFault(body io.Reader) (Fault, error) {
 	var f Fault
 	err := decodeStrict(body, &f)
-	forms := 0
-	for _, set := range []bool{f.Crash != nil, f.Sever != nil, f.Heal != nil, f.Scales != nil, f.Clear} {
-		if set {
-			forms++
-		}
-	}
-	switch {
-	case err != nil:
-	case forms != 1:
-		err = errors.New("want exactly one of crash, sever, heal, scales or clear")
-	case f.Sever != nil && len(f.Sever) != 2, f.Heal != nil && len(f.Heal) != 2:
-		err = errors.New("a pair is two locales")
-	case f.Scales != nil && len(f.Scales) == 0:
-		err = errors.New("scales has no entry")
+	if err == nil {
+		err = f.wellFormed()
 	}
 	if err != nil {
 		return Fault{}, fmt.Errorf("%w: workload: fault: %v", telemetry.ErrBadRequest, err)
@@ -59,9 +47,30 @@ func decodeFault(body io.Reader) (Fault, error) {
 	return f, nil
 }
 
-// check refuses a fault no run on locales locales can apply: a crash
-// outside [1, locales), or a pair outside [0, locales) or of one locale.
-// Validate holds the schedule to it, and apply every live fault.
+// wellFormed refuses a fault that is not exactly one form, a pair that
+// is not two locales and an empty scales vector: the checks that need
+// no run. decodeFault holds every post to it, and Validate every event.
+func (f Fault) wellFormed() error {
+	forms := 0
+	for _, set := range []bool{f.Crash != nil, f.Sever != nil, f.Heal != nil, f.Scales != nil, f.Clear} {
+		if set {
+			forms++
+		}
+	}
+	switch {
+	case forms != 1:
+		return errors.New("want exactly one of crash, sever, heal, scales or clear")
+	case f.Sever != nil && len(f.Sever) != 2, f.Heal != nil && len(f.Heal) != 2:
+		return errors.New("a pair is two locales")
+	case f.Scales != nil && len(f.Scales) == 0:
+		return errors.New("scales has no entry")
+	}
+	return nil
+}
+
+// check refuses a well-formed fault no run on locales locales can apply:
+// a crash outside [1, locales), or a pair outside [0, locales) or of one
+// locale. Validate holds the schedule to it, and apply every live fault.
 func (f Fault) check(locales int) error {
 	if c := f.Crash; c != nil && (c.Locale < 1 || c.Locale >= locales) {
 		return fmt.Errorf("locale %d out of range [1, %d) (locale 0 hosts the global epoch word and cannot crash)", c.Locale, locales)
@@ -81,108 +90,68 @@ func (f Fault) check(locales int) error {
 // pairOf keys an unordered pair for the run's sever clock.
 func pairOf(p []int) [2]int { return [2]int{min(p[0], p[1]), max(p[0], p[1])} }
 
-// event is one scheduled liveness fault, due at the first step of its
-// phase whose issued-op total has reached ops: 0 is the phase's boundary
-// step, a positive mark lands at a racing op count. A wall-clock heal
-// (after > 0) is armed by the step that reaches its mark, its sever's
-// (it sorts just ahead of that sever), and is due from a later step,
-// in whatever phase that finds the run, once its pair has been down that
-// long on the run's sever clock — or at once if the pair is up again.
-type event struct {
-	fault       Fault
-	phase       int
-	ops         int64
-	after       time.Duration
-	armed, done bool
+// timeline is the order a spec's events land in: Faults.Events sorted
+// stably by phase, so one phase's events keep their list order.
+func timeline(events []Event) []Event {
+	return slices.SortedStableFunc(slices.Values(events), func(a, b Event) int { return cmp.Compare(a.Phase, b.Phase) })
 }
 
-// schedule is the run's one list of liveness faults, built once from
-// Spec.Faults and ordered by (phase, op mark), then heals, severs and
-// crashes, each in declaration order: events fire in list order, and
-// events due together land in the same order everywhere. Heals go
-// first: a pair that heals and re-severs at one boundary must end
-// severed, and the other order would heal the new sever away. A
-// wall-clock heal sorts at its sever's mark, ahead of every sever that
-// can come due in one step with it. Only run.step mutates a schedule.
-type schedule []event
-
-func newSchedule(f Faults) schedule {
-	var heals, severs, crashes schedule
-	for _, ps := range f.Partitions {
-		pair := []int{ps.A, ps.B}
-		severs = append(severs, event{fault: Fault{Sever: pair}, phase: ps.Phase, ops: ps.AtOps})
-		switch {
-		case ps.HealPhase > 0:
-			heals = append(heals, event{fault: Fault{Heal: pair}, phase: ps.HealPhase})
-		case ps.HealAfterMS > 0:
-			heals = append(heals, event{fault: Fault{Heal: pair}, phase: ps.Phase, ops: ps.AtOps,
-				after: time.Duration(ps.HealAfterMS * float64(time.Millisecond))})
-		}
-	}
-	for _, cr := range f.Crashes {
-		crash := &CrashFault{Locale: cr.Locale, Failover: cr.Failover}
-		crashes = append(crashes, event{fault: Fault{Crash: crash}, phase: cr.Phase, ops: cr.AfterOps})
-	}
-	s := slices.Concat(heals, severs, crashes)
-	slices.SortStableFunc(s, func(a, b event) int {
-		return cmp.Or(cmp.Compare(a.phase, b.phase), cmp.Compare(a.ops, b.ops))
-	})
-	return s
+// schedule is the run's one list of scheduled faults, in timeline order,
+// and a cursor: events[:next] have landed, and only events[next] can
+// land next (the ordering rule is Faults.Events'). Only run.step mutates
+// a schedule.
+type schedule struct {
+	events []Event
+	next   int
+	phase  int       // the phase last stepped
+	since  time.Time // the later of that phase's start and the last landing
 }
 
-// healAt is when the armed wall-clock heal e comes due: once its pair has
-// been down e.after on the sever clock, or at once (the zero time) when
-// the pair is up, something else having healed it.
-func (r *run) healAt(e *event) time.Time {
-	at, down := r.severed[pairOf(e.fault.Heal)]
-	if !down {
-		return time.Time{}
-	}
-	return at.Add(e.after)
+func newSchedule(f Faults) schedule { return schedule{events: timeline(f.Events), phase: -1} }
+
+// after is e's wall-clock trigger as a duration, capped at 1e12 ms so a
+// huge after_ms stays never-due instead of overflowing.
+func (e Event) after() time.Duration {
+	return time.Duration(min(e.AfterMS, 1e12) * float64(time.Millisecond))
 }
 
-// wait returns how long after now a pending event can next come due
-// inside a round of phase: 200µs for one of the phase's op marks (op
-// counts have no wake-up of their own, so they are polled), the time left
-// for an armed wall-clock heal. False when none can — any fault-free run.
-func (r *run) wait(phase int, now time.Time) (d time.Duration, ok bool) {
-	for i := range r.sched {
-		e := &r.sched[i]
-		w, can := 200*time.Microsecond, e.phase == phase
-		if e.after > 0 {
-			w, can = max(r.healAt(e).Sub(now), 0), e.armed
-		}
-		if can && !e.done && (!ok || w < d) {
-			d, ok = w, true
-		}
+// wait returns how long after now the next event can come due inside a
+// round of phase: the time left on its after_ms, or 200µs once only its
+// after_ops is left (op counts have no wake-up of their own, so they are
+// polled). False when none can — the next event is a later phase's, or
+// none is left, as in any fault-free run.
+func (r *run) wait(phase int, now time.Time) (time.Duration, bool) {
+	s := &r.sched
+	if s.next == len(s.events) || s.events[s.next].Phase != phase {
+		return 0, false
 	}
-	return d, ok
+	if d := s.since.Add(s.events[s.next].after()).Sub(now); d > 0 {
+		return d, true
+	}
+	return 200 * time.Microsecond, true
 }
 
-// step lands every scheduled event due at (phase, issued, now), in list
-// order, through apply. The scenario goroutine calls it at every round
-// boundary and the round's clock while the workers run; the clock starts
-// after the boundary step and is joined before the next, so the two
-// never overlap and nothing here locks. A wall-clock heal due between
-// rounds lands at the next boundary step; one still pending when the last
-// round ends never lands, and the final drain expires what it left parked.
+// step lands, in list order through apply, every scheduled event that is
+// due at (phase, issued, now), stopping at the first that is not. The
+// scenario goroutine calls it at every round boundary and the round's
+// clock while the workers run; the clock starts after the boundary step
+// and is joined before the next, so the two never overlap and nothing
+// here locks. An event an earlier phase left pending is due at once.
 func (r *run) step(phase int, issued int64, now time.Time) {
-	for i := range r.sched {
-		e := &r.sched[i]
-		reached := e.phase == phase && issued >= e.ops
-		due := reached
-		if e.after > 0 {
-			due = e.armed && !now.Before(r.healAt(e))
-			e.armed = e.armed || reached
+	s := &r.sched
+	if phase != s.phase {
+		s.phase, s.since = phase, now
+	}
+	for ; s.next < len(s.events); s.next++ {
+		e := s.events[s.next]
+		if e.Phase > phase || e.Phase == phase && (issued < e.AfterOps || now.Sub(s.since) < e.after()) {
+			return
 		}
-		if e.done || !due {
-			continue
-		}
-		e.done = true
-		// Validate bounds what the schedule applies. Only a heal can find
-		// nothing to do — its op-marked sever never landed, or a live heal
-		// got there first — and it just settles.
-		if err := r.apply(e.fault, now); err != nil && e.fault.Heal == nil {
+		s.since = now
+		// Validate's dry run bounds what the schedule applies. Only a heal
+		// can find nothing to do — a live heal got there first — and it
+		// just settles.
+		if err := r.apply(e.Fault, now); err != nil && e.Heal == nil {
 			panic(err)
 		}
 	}

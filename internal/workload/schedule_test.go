@@ -44,7 +44,7 @@ func scheduleRun(t *testing.T, faults Faults) *run {
 // faultState is everything a liveness fault can change, read back from
 // the system and the run rather than from the schedule's own notion of
 // it: which pairs are cut, which locales are up, the lifecycle counters,
-// and which events (by list position) have yet to fire.
+// and which events (by timeline position) have yet to land.
 type faultState struct {
 	Severed                    [][2]int
 	Dead                       []int
@@ -58,10 +58,8 @@ func stateOf(r *run) faultState {
 	st.Severed, st.Dead = liveness(r.sys)
 	st.Partitions, st.Heals, st.Crashes = r.avail.Partitions, r.avail.Heals, r.avail.Crashes
 	st.TimeToHealNS = r.avail.TimeToHealNS
-	for i, e := range r.sched {
-		if !e.done {
-			st.Pending = append(st.Pending, i)
-		}
+	for i := r.sched.next; i < len(r.sched.events); i++ {
+		st.Pending = append(st.Pending, i)
 	}
 	return st
 }
@@ -83,52 +81,44 @@ func liveness(sys *pgas.System) (severed [][2]int, dead []int) {
 	return severed, dead
 }
 
+// Fault builders for the schedule tests.
+func sever(a, b int) Fault       { return Fault{Sever: []int{a, b}} }
+func heal(a, b int) Fault        { return Fault{Heal: []int{a, b}} }
+func crash(l int, fo bool) Fault { return Fault{Crash: &CrashFault{Locale: l, Failover: fo}} }
+
 // TestScheduleStepsInListOrder drives the engine's one fault applier
 // without workers, sleeps or a clock goroutine. After every step the
 // whole fault state is compared, not just the field the step was meant
-// to move: each event fires exactly once, at the first step of its phase
-// whose issued-op total reaches its mark, in list order; an event of a
-// phase that is not the stepped one never fires; a wall-clock heal fires
-// at the first step at or past its due time, whatever the phase; and a
-// pair that heals and re-severs at one boundary ends severed.
+// to move: events land once each, in timeline order, each waiting for
+// the one before it; a heal listed after an op-marked sever waits for
+// the sever even when its after_ms has passed since the phase started,
+// and is then due after_ms after the sever landed; an event its phase
+// left pending lands at the next boundary step, ahead of that phase's
+// own; a pair that heals and re-severs at one boundary ends severed; and
+// what the last phase leaves pending never lands.
 func TestScheduleStepsInListOrder(t *testing.T) {
-	r := scheduleRun(t, Faults{
-		// Declared out of schedule order on purpose: newSchedule sorts.
-		Crashes: []CrashSpec{
-			{Locale: 3, Phase: 1, AfterOps: 500, Failover: true},
-			{Locale: 3, Phase: 2}, // already dead by then: fires, records nothing
-		},
-		Partitions: []PartitionSpec{
-			{A: 0, B: 1, Phase: 2},                              // re-severs the pair the next one heals
-			{A: 0, B: 1, Phase: 0, HealPhase: 2},                // boundary sever, boundary heal
-			{A: 1, B: 2, Phase: 1, AtOps: 200, HealAfterMS: 30}, // mid-phase sever, wall-clock heal
-			{A: 0, B: 2, Phase: 3, AtOps: 900, HealPhase: 0},    // mark never reached: never fires
-		},
-	})
-	type ev struct {
-		fault     Fault
-		phase     int
-		ops       int64
-		wallClock bool
+	r := scheduleRun(t, Faults{Events: []Event{
+		// Declared out of phase order on purpose: newSchedule sorts
+		// stably, so each phase keeps its list order.
+		{Phase: 3, AfterOps: 900, Fault: sever(0, 2)},
+		{Phase: 1, AfterOps: 200, Fault: sever(1, 2)},
+		{Phase: 2, Fault: heal(0, 1)},
+		{Phase: 1, AfterMS: 30, Fault: heal(1, 2)},
+		{Phase: 0, Fault: sever(0, 1)},
+		{Phase: 1, AfterOps: 500, Fault: crash(3, true)},
+		{Phase: 2, Fault: sever(0, 1)},
+	}})
+	want := []Event{
+		0: {Phase: 0, Fault: sever(0, 1)},
+		1: {Phase: 1, AfterOps: 200, Fault: sever(1, 2)},
+		2: {Phase: 1, AfterMS: 30, Fault: heal(1, 2)},
+		3: {Phase: 1, AfterOps: 500, Fault: crash(3, true)},
+		4: {Phase: 2, Fault: heal(0, 1)},
+		5: {Phase: 2, Fault: sever(0, 1)},
+		6: {Phase: 3, AfterOps: 900, Fault: sever(0, 2)},
 	}
-	var got []ev
-	for _, e := range r.sched {
-		got = append(got, ev{e.fault, e.phase, e.ops, e.after > 0})
-	}
-	sever := func(a, b int) Fault { return Fault{Sever: []int{a, b}} }
-	heal := func(a, b int) Fault { return Fault{Heal: []int{a, b}} }
-	want := []ev{
-		0: {sever(0, 1), 0, 0, false},
-		1: {heal(1, 2), 1, 200, true},
-		2: {sever(1, 2), 1, 200, false},
-		3: {Fault{Crash: &CrashFault{Locale: 3, Failover: true}}, 1, 500, false},
-		4: {heal(0, 1), 2, 0, false},
-		5: {sever(0, 1), 2, 0, false},
-		6: {Fault{Crash: &CrashFault{Locale: 3}}, 2, 0, false},
-		7: {sever(0, 2), 3, 900, false},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("schedule order:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(r.sched.events, want) {
+		t.Fatalf("timeline:\n got %+v\nwant %+v", r.sched.events, want)
 	}
 
 	t0 := time.Unix(1_000_000, 0)
@@ -141,28 +131,30 @@ func TestScheduleStepsInListOrder(t *testing.T) {
 		want   faultState
 	}{
 		{"phase 0 boundary: the boundary sever, nothing of a later phase", 0, 0, at(0),
-			faultState{Severed: [][2]int{{0, 1}}, Partitions: 1, Pending: []int{1, 2, 3, 4, 5, 6, 7}}},
-		{"phase 0 clock: no mark in this phase, whatever the op count", 0, 1 << 40, at(1),
-			faultState{Severed: [][2]int{{0, 1}}, Partitions: 1, Pending: []int{1, 2, 3, 4, 5, 6, 7}}},
-		{"phase 1 boundary: marks not reached", 1, 0, at(10),
-			faultState{Severed: [][2]int{{0, 1}}, Partitions: 1, Pending: []int{1, 2, 3, 4, 5, 6, 7}}},
-		{"phase 1 clock: one op short of the first mark", 1, 199, at(11),
-			faultState{Severed: [][2]int{{0, 1}}, Partitions: 1, Pending: []int{1, 2, 3, 4, 5, 6, 7}}},
-		{"phase 1 clock: first step past the sever's mark, short of the crash's", 1, 340, at(12),
-			faultState{Severed: [][2]int{{0, 1}, {1, 2}}, Partitions: 2, Pending: []int{1, 3, 4, 5, 6, 7}}},
-		{"phase 1 clock: same total again fires nothing twice", 1, 340, at(13),
-			faultState{Severed: [][2]int{{0, 1}, {1, 2}}, Partitions: 2, Pending: []int{1, 3, 4, 5, 6, 7}}},
-		{"phase 1 clock: the crash's mark; heal still 1ms from due", 1, 500, at(41),
-			faultState{Severed: [][2]int{{0, 1}, {1, 2}}, Dead: []int{3}, Partitions: 2, Crashes: 1, Pending: []int{1, 4, 5, 6, 7}}},
-		{"phase 2 boundary, past the heal's due time: wall-clock heal lands here; (0,1) heals, re-severs and ends severed", 2, 0, at(60),
+			faultState{Severed: [][2]int{{0, 1}}, Partitions: 1, Pending: []int{1, 2, 3, 4, 5, 6}}},
+		{"phase 0 clock: the next event is phase 1's, whatever the op count", 0, 1 << 40, at(1),
+			faultState{Severed: [][2]int{{0, 1}}, Partitions: 1, Pending: []int{1, 2, 3, 4, 5, 6}}},
+		{"phase 1 boundary: the sever's mark not reached", 1, 0, at(10),
+			faultState{Severed: [][2]int{{0, 1}}, Partitions: 1, Pending: []int{1, 2, 3, 4, 5, 6}}},
+		{"phase 1 clock: one op short of the sever's mark; the heal's 30ms have passed since the phase began, but it waits for the sever", 1, 199, at(50),
+			faultState{Severed: [][2]int{{0, 1}}, Partitions: 1, Pending: []int{1, 2, 3, 4, 5, 6}}},
+		{"phase 1 clock: past the mark, the sever lands; the heal is now due 30ms after it", 1, 340, at(52),
+			faultState{Severed: [][2]int{{0, 1}, {1, 2}}, Partitions: 2, Pending: []int{2, 3, 4, 5, 6}}},
+		{"phase 1 clock: 29ms after the sever, the heal is not due and the crash waits behind it", 1, 499, at(81),
+			faultState{Severed: [][2]int{{0, 1}, {1, 2}}, Partitions: 2, Pending: []int{2, 3, 4, 5, 6}}},
+		{"phase 1 clock: 30ms after the sever, the heal lands; the crash is one op short of its mark", 1, 499, at(82),
+			faultState{Severed: [][2]int{{0, 1}}, Partitions: 2, Heals: 1, TimeToHealNS: 30e6, Pending: []int{3, 4, 5, 6}}},
+		{"phase 1 clock: same total again lands nothing", 1, 499, at(85),
+			faultState{Severed: [][2]int{{0, 1}}, Partitions: 2, Heals: 1, TimeToHealNS: 30e6, Pending: []int{3, 4, 5, 6}}},
+		{"phase 2 boundary: phase 1's pending crash lands first; then (0,1) heals, re-severs and ends severed", 2, 0, at(90),
 			faultState{Severed: [][2]int{{0, 1}}, Dead: []int{3}, Partitions: 3, Heals: 2, Crashes: 1,
-				TimeToHealNS: (60 + 48) * 1e6, Pending: []int{7}}},
-		{"phase 3 boundary: the op-marked sever waits", 3, 0, at(70),
+				TimeToHealNS: (30 + 90) * 1e6, Pending: []int{6}}},
+		{"phase 3 boundary: the op-marked sever waits", 3, 0, at(100),
 			faultState{Severed: [][2]int{{0, 1}}, Dead: []int{3}, Partitions: 3, Heals: 2, Crashes: 1,
-				TimeToHealNS: (60 + 48) * 1e6, Pending: []int{7}}},
-		{"phase 3 clock: the run ends below the mark, so it never fires", 3, 899, at(80),
+				TimeToHealNS: (30 + 90) * 1e6, Pending: []int{6}}},
+		{"phase 3 clock: the last phase ends below the mark, so it never lands", 3, 899, at(110),
 			faultState{Severed: [][2]int{{0, 1}}, Dead: []int{3}, Partitions: 3, Heals: 2, Crashes: 1,
-				TimeToHealNS: (60 + 48) * 1e6, Pending: []int{7}}},
+				TimeToHealNS: (30 + 90) * 1e6, Pending: []int{6}}},
 	}
 	for _, s := range steps {
 		r.step(s.phase, s.issued, s.now)
@@ -179,12 +171,16 @@ func TestScheduleStepsInListOrder(t *testing.T) {
 // the schedule — how long it may sleep, and whether a round needs a clock
 // at all — and the one out-of-band case step must tolerate: a pair a live
 // heal repaired first (booked by apply, as a live fault is) makes the
-// scheduled heal settle without booking a second one.
+// scheduled heal settle without booking a second one. An event with
+// both triggers waits for both.
 func TestScheduleWaitAndOutOfBandHeal(t *testing.T) {
-	r := scheduleRun(t, Faults{Partitions: []PartitionSpec{
-		{A: 1, B: 2, Phase: 1, AtOps: 100, HealAfterMS: 30},
+	r := scheduleRun(t, Faults{Events: []Event{
+		{Phase: 1, AfterOps: 100, Fault: sever(1, 2)},
+		{Phase: 1, AfterMS: 30, Fault: heal(1, 2)},
+		{Phase: 1, AfterOps: 300, AfterMS: 5, Fault: sever(2, 3)},
 	}})
 	t0 := time.Unix(1_000_000, 0)
+	ms := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Millisecond) }
 	wait := func(phase int, now time.Time) time.Duration {
 		d, ok := r.wait(phase, now)
 		if !ok {
@@ -194,28 +190,44 @@ func TestScheduleWaitAndOutOfBandHeal(t *testing.T) {
 	}
 	r.step(0, 0, t0)
 	if d := wait(0, t0); d != -1 {
-		t.Fatalf("phase 0 has nothing timed, yet its rounds would start a clock (wait %v)", d)
+		t.Fatalf("phase 0 has no event, yet its rounds would start a clock (wait %v)", d)
 	}
 	r.step(1, 0, t0)
 	if d := wait(1, t0); d != 200*time.Microsecond {
 		t.Fatalf("pending op mark: wait %v, want the 200µs poll", d)
 	}
 	r.step(1, 100, t0)
-	if d := wait(1, t0.Add(10*time.Millisecond)); d != 20*time.Millisecond {
-		t.Fatalf("armed heal: wait %v, want the 20ms left on it", d)
+	if d := wait(1, ms(10)); d != 20*time.Millisecond {
+		t.Fatalf("timed heal: wait %v, want the 20ms left on it", d)
 	}
-	if d := wait(2, t0.Add(31*time.Millisecond)); d != 0 {
-		t.Fatalf("overdue heal in a later phase: wait %v, want 0", d)
+	if d := wait(2, ms(31)); d != -1 {
+		t.Fatalf("phase 1's heal in phase 2: wait %v, want none (it lands at the boundary step)", d)
 	}
-	if err := r.apply(Fault{Heal: []int{1, 2}}, t0.Add(20*time.Millisecond)); err != nil { // a live heal
+	if err := r.apply(heal(1, 2), ms(20)); err != nil { // a live heal
 		t.Fatal(err)
 	}
-	r.step(2, 0, t0.Add(31*time.Millisecond))
-	want := faultState{Partitions: 1, Heals: 1, TimeToHealNS: 20e6}
+	r.step(1, 100, ms(31))
+	want := faultState{Partitions: 1, Heals: 1, TimeToHealNS: 20e6, Pending: []int{2}}
 	if got := stateOf(r); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the schedule's heal of a pair healed out of band:\n got %+v\nwant %+v", got, want)
 	}
-	if d := wait(2, t0.Add(32*time.Millisecond)); d != -1 {
-		t.Fatalf("everything fired, yet a round would start a clock (wait %v)", d)
+	if d := wait(1, ms(31)); d != 5*time.Millisecond {
+		t.Fatalf("both triggers, neither met: wait %v, want the 5ms left on after_ms", d)
+	}
+	r.step(1, 300, ms(35))
+	if d := wait(1, ms(40)); d != 200*time.Microsecond || len(stateOf(r).Severed) != 0 {
+		t.Fatalf("after_ms met, op mark not: wait %v, severed %v, want the 200µs poll and nothing landed", d, stateOf(r).Severed)
+	}
+	r.step(1, 299, ms(40))
+	if len(stateOf(r).Severed) != 0 {
+		t.Fatal("an event with both triggers landed on its after_ms alone")
+	}
+	r.step(1, 300, ms(41))
+	want = faultState{Severed: [][2]int{{2, 3}}, Partitions: 2, Heals: 1, TimeToHealNS: 20e6}
+	if got := stateOf(r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("both triggers met:\n got %+v\nwant %+v", got, want)
+	}
+	if d := wait(1, ms(42)); d != -1 {
+		t.Fatalf("everything landed, yet a round would start a clock (wait %v)", d)
 	}
 }

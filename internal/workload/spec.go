@@ -141,30 +141,23 @@ func (p Phase) bulkSize() int {
 	return p.BulkSize
 }
 
-// Faults is the scenario's fault-injection plan. The latency half
-// (scales, slow locale) lowers to a comm.Perturbation installed at
-// boot: latency scales, counters exact. The liveness half — crashes and
-// partitions, applied by the engine's schedule at their scheduled point
-// — moves only the OpsLost ledger and the retry plane's parked books.
+// Faults is the scenario's fault-injection plan: a timeline of the
+// faults /api/fault posts, and the retry plane's knobs. Latency scales
+// move delays only, counters staying exact; crashes and partitions move
+// only the OpsLost ledger and the retry plane's parked books.
 type Faults struct {
-	// Scales is a per-locale latency multiplier plan; entries <= 0 mean
-	// nominal. comm.SlowLocale builds the "slow locale" plan, in which
-	// every delay touching one locale is scaled.
-	Scales []float64 `json:"scales,omitempty"`
-
-	// Crashes schedules fail-stop locale crashes (per-locale, at a
-	// phase boundary or mid-phase op count), optionally with shard
-	// failover and token force-retirement. The run's report gains an
-	// availability verdict once a crash, scheduled or live, lands.
-	Crashes []CrashSpec `json:"crashes,omitempty"`
-
-	// Partitions schedules transient network partitions: unordered
-	// locale pairs severed at a scheduled point and optionally healed
-	// later. Both endpoints stay alive; execution-plane ops between
-	// them park in the retry plane (see Retry) and redeliver on heal,
-	// or expire. The run's report gains an availability verdict once a
-	// sever, scheduled or live, lands.
-	Partitions []PartitionSpec `json:"partitions,omitempty"`
+	// Events is the fault timeline. It lands sorted stably by phase, so
+	// one phase's events land in list order, and each waits for the one
+	// before it. An event is due once its phase has been reached, the
+	// phase's tasks have issued at least AfterOps ops system-wide, and
+	// AfterMS has passed since the later of the phase's start and the
+	// landing of the event before it. An event the phase leaves pending
+	// lands at the next phase's first boundary step, ahead of that
+	// phase's own events; what the last phase leaves pending never lands,
+	// and everything parked behind a pair still severed then expires at
+	// the final drain. So a heal listed after a mid-phase sever with
+	// after_ms 50 heals the pair 50ms after it went down.
+	Events []Event `json:"events,omitempty"`
 
 	// Retry tunes the partition retry plane; nil runs the documented
 	// defaults. Disabled reverts partitions to fail-stop accounting
@@ -172,59 +165,25 @@ type Faults struct {
 	Retry *RetrySpec `json:"retry,omitempty"`
 }
 
-// CrashSpec schedules one fail-stop locale crash. After the crash,
-// every operation whose destination is the dead locale is refused into
-// the OpsLost ledger, the dead locale's tasks issue nothing further
-// (their unissued closed-loop budget is also counted lost), and
-// quiescence excludes it.
-type CrashSpec struct {
-	// Locale is the locale to kill. Locale 0 hosts the global epoch
-	// word and the orchestrating main task, so valid crash locales are
-	// [1, locales).
-	Locale int `json:"locale"`
-	// Phase is the phase index at whose start the crash applies.
-	Phase int `json:"phase"`
-	// AfterOps, when positive, applies the crash mid-phase instead:
-	// once the phase's tasks have issued this many ops system-wide, the
-	// round's clock kills the locale. Mid-phase crashes land at a racing
-	// op count, so — like ReclaimEvery — they trade bit-identical
-	// replay for mid-storm realism; phase-boundary crashes (AfterOps 0)
-	// replay bit-identically.
-	AfterOps int64 `json:"after_ops,omitempty"`
-	// Failover recovers from the crash: the survivors adopt the dead
-	// locale's shards through the epoch-coherent migration path and its
-	// stranded epoch tokens are force-retired (hashmap only). Without
-	// it the crash is left unrecovered — the wedged-reclamation regime
-	// where every epoch advance fails on a pin that will never release.
-	Failover bool `json:"failover,omitempty"`
-}
-
-// PartitionSpec schedules one transient partition of the unordered
-// pair (a, b). The sever lands at the start of phase Phase — or, with
-// AtOps > 0, mid-phase once the phase's tasks have issued that many
-// ops system-wide (a racing op count, like mid-phase crashes). The
-// heal, when scheduled, comes from exactly one of two clocks: at the
-// start of phase HealPhase, or HealAfterMS of wall time after the
-// sever. With neither set the pair stays severed to the end of the
-// run, and everything still parked behind it expires at the final
-// drain.
-type PartitionSpec struct {
-	A int `json:"a"`
-	B int `json:"b"`
-	// Phase is the phase index at whose start (or within which, with
-	// AtOps) the sever applies.
-	Phase int `json:"phase"`
-	// AtOps, when positive, severs mid-phase at a system-wide issued-op
-	// mark instead of the phase boundary.
-	AtOps int64 `json:"at_ops,omitempty"`
-	// HealPhase, when positive, heals the pair at the start of that
-	// phase; it must come after Phase. (Phase 0 can never be a heal
-	// point — nothing is severed before it starts.)
-	HealPhase int `json:"heal_phase,omitempty"`
-	// HealAfterMS, when positive, heals the pair this many wall-clock
-	// milliseconds after the sever lands. Mutually exclusive with
-	// HealPhase.
-	HealAfterMS float64 `json:"heal_after_ms,omitempty"`
+// Event is one scheduled fault: a Fault in /api/fault's form, flat in
+// the event's JSON, and its trigger — {"phase":1,"after_ops":3000,
+// "crash":{"locale":5,"failover":true}}, {"phase":1,"after_ms":50,
+// "heal":[1,2]} or {"phase":0,"scales":[1,1,1,4]}. A trigger of 0 is the
+// phase's boundary step, which replays exactly; a positive one lands
+// mid-phase from the round's clock, at a racing op count or wall time,
+// trading bit-identical replay for mid-storm realism. A crash lands
+// once: later ops toward the dead locale are refused into the OpsLost
+// ledger, its tasks issue nothing further (their unissued closed-loop
+// budget counts lost), and with failover (hashmap, queue and stack) the
+// survivors adopt its shards and its stranded epoch tokens are
+// force-retired; without it every later epoch advance fails on a pin
+// that never releases. A severed pair's ops park in the retry plane
+// (see Retry) until a heal redelivers them, or they expire.
+type Event struct {
+	Phase    int     `json:"phase"`
+	AfterOps int64   `json:"after_ops,omitempty"`
+	AfterMS  float64 `json:"after_ms,omitempty"`
+	Fault
 }
 
 // RetrySpec tunes the partition retry plane (comm.ParkConfig).
@@ -256,21 +215,13 @@ func (f Faults) parkConfig() comm.ParkConfig {
 // the one serialized against the adoption's migrations): a live crash
 // may ask for failover only on such a run.
 func (s Spec) hasFailover() bool {
-	return slices.ContainsFunc(s.Faults.Crashes, func(cr CrashSpec) bool { return cr.Failover })
+	return slices.ContainsFunc(s.Faults.Events, func(e Event) bool { return e.Crash != nil && e.Crash.Failover })
 }
 
 // latency is the run's latency profile: LatencyScale × the calibrated
 // default, where scale 0 is the zero profile (no injected delay).
 func (s Spec) latency() comm.LatencyProfile {
 	return comm.DefaultProfile().Scale(s.LatencyScale)
-}
-
-// perturbation lowers the fault plan's boot-time half to the comm
-// layer: the latency scales. The liveness half — crashes, and now
-// partitions too — is applied by the engine at its scheduled point,
-// not here.
-func (f Faults) perturbation() comm.Perturbation {
-	return comm.Perturbation{Scales: f.Scales}
 }
 
 // CacheSpec configures the hot-key read replication cache
@@ -454,14 +405,8 @@ func (s Spec) WithDefaults() Spec {
 	}
 	// An empty list is no list: WriteJSON omits it, so keep it nil and
 	// the spec equals what its saved JSON loads back as.
-	if len(s.Faults.Scales) == 0 {
-		s.Faults.Scales = nil
-	}
-	if len(s.Faults.Crashes) == 0 {
-		s.Faults.Crashes = nil
-	}
-	if len(s.Faults.Partitions) == 0 {
-		s.Faults.Partitions = nil
+	if len(s.Faults.Events) == 0 {
+		s.Faults.Events = nil
 	}
 	if s.Trace != nil {
 		cp := *s.Trace
@@ -578,54 +523,13 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("workload: %s has an empty op mix", where)
 		}
 	}
-	for i, cr := range s.Faults.Crashes {
-		if err := (Fault{Crash: &CrashFault{Locale: cr.Locale}}).check(s.Locales); err != nil {
-			return fmt.Errorf("workload: crash %d %w", i, err)
-		}
-		if cr.Phase < 0 || cr.Phase >= len(s.Phases) {
-			return fmt.Errorf("workload: crash %d phase %d out of range [0, %d)", i, cr.Phase, len(s.Phases))
-		}
-		if cr.AfterOps < 0 {
-			return fmt.Errorf("workload: crash %d after_ops must be >= 0, got %d", i, cr.AfterOps)
-		}
-		if cr.AfterOps > 0 && s.Phases[cr.Phase].Churn {
-			return fmt.Errorf("workload: crash %d is mid-phase (after_ops > 0) in churn phase %d; a crash cannot race Destroy/Setup", i, cr.Phase)
-		}
-		if cr.Failover {
-			switch s.Structure {
-			case StructureHashmap, StructureQueue, StructureStack:
-			default:
-				return fmt.Errorf("workload: crash failover is only supported by the hashmap, queue and stack structures, not %q", s.Structure)
-			}
+	for i, e := range s.Faults.Events {
+		if err := s.checkEvent(e); err != nil {
+			return fmt.Errorf("workload: event %d: %w", i, err)
 		}
 	}
-	for i, pr := range s.Faults.Partitions {
-		if err := (Fault{Sever: []int{pr.A, pr.B}}).check(s.Locales); err != nil {
-			return fmt.Errorf("workload: partition %d %w", i, err)
-		}
-		if pr.Phase < 0 || pr.Phase >= len(s.Phases) {
-			return fmt.Errorf("workload: partition %d phase %d out of range [0, %d)", i, pr.Phase, len(s.Phases))
-		}
-		if pr.AtOps < 0 {
-			return fmt.Errorf("workload: partition %d at_ops must be >= 0, got %d", i, pr.AtOps)
-		}
-		if pr.AtOps > 0 && s.Phases[pr.Phase].Churn {
-			return fmt.Errorf("workload: partition %d is mid-phase (at_ops > 0) in churn phase %d; a sever cannot race Destroy/Setup", i, pr.Phase)
-		}
-		if pr.HealAfterMS < 0 {
-			return fmt.Errorf("workload: partition %d heal_after_ms must be >= 0, got %v", i, pr.HealAfterMS)
-		}
-		if pr.HealPhase != 0 {
-			if pr.HealAfterMS > 0 {
-				return fmt.Errorf("workload: partition %d sets both heal_phase and heal_after_ms; pick one heal clock", i)
-			}
-			if pr.HealPhase <= pr.Phase {
-				return fmt.Errorf("workload: partition %d heals at phase %d, not after its sever at phase %d", i, pr.HealPhase, pr.Phase)
-			}
-			if pr.HealPhase >= len(s.Phases) {
-				return fmt.Errorf("workload: partition %d heal_phase %d out of range [0, %d)", i, pr.HealPhase, len(s.Phases))
-			}
-		}
+	if err := s.dryRun(); err != nil {
+		return fmt.Errorf("workload: %w", err)
 	}
 	if r := s.Faults.Retry; r != nil {
 		if r.DeadlineMS < 0 {
@@ -636,6 +540,61 @@ func (s Spec) Validate() error {
 		}
 		if r.Disabled && (r.DeadlineMS > 0 || r.Capacity > 0) {
 			return fmt.Errorf("workload: retry is disabled but tunes the plane it turned off")
+		}
+	}
+	return nil
+}
+
+// checkEvent refuses an event on its own: a phase out of range, a
+// negative trigger, a mid-phase trigger in a churn phase, a fault that
+// is malformed or out of range, and failover on a structure that has
+// none.
+func (s Spec) checkEvent(e Event) error {
+	if e.Phase < 0 || e.Phase >= len(s.Phases) {
+		return fmt.Errorf("phase %d out of range [0, %d)", e.Phase, len(s.Phases))
+	}
+	if e.AfterOps < 0 || e.AfterMS < 0 {
+		return fmt.Errorf("after_ops and after_ms must be >= 0, got %d and %v", e.AfterOps, e.AfterMS)
+	}
+	if (e.AfterOps > 0 || e.AfterMS > 0) && s.Phases[e.Phase].Churn {
+		return fmt.Errorf("mid-phase in churn phase %d; a fault cannot race Destroy/Setup", e.Phase)
+	}
+	if err := e.wellFormed(); err != nil {
+		return err
+	}
+	if err := e.check(s.Locales); err != nil {
+		return err
+	}
+	if e.Crash != nil && e.Crash.Failover {
+		switch s.Structure {
+		case StructureHashmap, StructureQueue, StructureStack:
+		default:
+			return fmt.Errorf("crash failover is only supported by the hashmap, queue and stack structures, not %q", s.Structure)
+		}
+	}
+	return nil
+}
+
+// dryRun walks the timeline in landing order and refuses what apply
+// would: a heal of a pair no earlier event severed, and a second crash
+// of one locale. Events land strictly in that order, so an event that
+// lands finds every event before it landed, as here.
+func (s Spec) dryRun() error {
+	severed, dead := map[[2]int]bool{}, map[int]bool{}
+	for _, e := range timeline(s.Faults.Events) {
+		switch {
+		case e.Sever != nil:
+			severed[pairOf(e.Sever)] = true
+		case e.Heal != nil:
+			if !severed[pairOf(e.Heal)] {
+				return fmt.Errorf("phase %d heals %v, a pair no event before it severs", e.Phase, e.Heal)
+			}
+			delete(severed, pairOf(e.Heal))
+		case e.Crash != nil:
+			if dead[e.Crash.Locale] {
+				return fmt.Errorf("phase %d crashes locale %d a second time", e.Phase, e.Crash.Locale)
+			}
+			dead[e.Crash.Locale] = true
 		}
 	}
 	return nil

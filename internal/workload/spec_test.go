@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -65,7 +64,7 @@ func TestValidateRejections(t *testing.T) {
 func TestSpecJSONRoundTrip(t *testing.T) {
 	s := validSpec()
 	s.Dist = KeyDist{Kind: DistZipfian, Theta: 0.9}
-	s.Faults = Faults{Scales: []float64{1, 4}}
+	s.Faults = Faults{Events: []Event{{Fault: Fault{Scales: []float64{1, 4}}}}}
 	s.Phases[1].Churn = true
 	s.Phases[1].Rounds = 3
 
@@ -84,7 +83,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Structure != s.Structure || back.Dist != s.Dist ||
-		!slices.Equal(back.Faults.Scales, s.Faults.Scales) ||
+		!reflect.DeepEqual(back.Faults, s.Faults) ||
 		len(back.Phases) != len(s.Phases) || back.Phases[1] != s.Phases[1] {
 		t.Fatalf("round trip drifted:\n got %+v\nwant %+v", back, s)
 	}
@@ -106,10 +105,13 @@ func goldenSpec() Spec {
 		Dist:           KeyDist{Kind: DistHotSet, HotFraction: 0.05, HotProb: 0.95},
 		LatencyScale:   0.5,
 		Faults: Faults{
-			Scales:     []float64{1, 1, 1, 4},
-			Crashes:    []CrashSpec{{Locale: 3, Phase: 1, AfterOps: 250}},
-			Partitions: []PartitionSpec{{A: 1, B: 2, Phase: 1, AtOps: 50, HealPhase: 2}},
-			Retry:      &RetrySpec{DeadlineMS: 500, Capacity: 1024},
+			Events: []Event{
+				{Phase: 0, Fault: Fault{Scales: []float64{1, 1, 1, 4}}},
+				{Phase: 1, AfterOps: 50, Fault: sever(1, 2)},
+				{Phase: 1, AfterOps: 250, Fault: crash(3, false)},
+				{Phase: 2, Fault: heal(1, 2)},
+			},
+			Retry: &RetrySpec{DeadlineMS: 500, Capacity: 1024},
 		},
 		Cache:     &CacheSpec{Enabled: true, Slots: 128},
 		Combine:   &CombineSpec{Enabled: false},
@@ -206,7 +208,7 @@ func TestSpecGoldenRoundTrip(t *testing.T) {
 func TestSpecComposedFeaturesRoundTrip(t *testing.T) {
 	combine := func(s *Spec) { s.Combine.Enabled = true }
 	rebalance := func(s *Spec) { s.Rebalance.Enabled = true }
-	failover := func(s *Spec) { s.Faults.Crashes[0].Failover = true }
+	failover := func(s *Spec) { s.Faults.Events[2].Crash.Failover = true }
 	cases := []struct {
 		name   string
 		enable []func(*Spec)
@@ -419,67 +421,57 @@ func TestLoadSpecRejectsTrailingData(t *testing.T) {
 	}
 }
 
-// The fault plan's validation surface: every malformed crash or
-// partition is rejected with a message naming the offending knob, and
-// the legal shapes (boundary failover, mid-phase crash outside churn,
-// partitions between live locales) pass.
+// The fault plan's validation surface: every malformed event is
+// rejected with a message naming what is wrong — a malformed fault in
+// /api/fault's own words, a trigger out of range, a mid-phase event in a
+// churn phase, and what the dry run of the timeline refuses as apply
+// would — while an event with both triggers is legal (no "pick one"
+// rule), as are the legal shapes after the table.
 func TestValidateFaultPlan(t *testing.T) {
+	events := func(evs ...Event) func(*Spec) {
+		return func(s *Spec) { s.Faults.Events = evs }
+	}
+	churn := func(evs ...Event) func(*Spec) {
+		return func(s *Spec) {
+			s.Phases[1].Churn = true
+			s.Phases[1].Rounds = 2
+			s.Faults.Events = evs
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func(*Spec)
-		want   string
+		want   string // "" for a spec Validate must accept
 	}{
-		{"crash locale zero", func(s *Spec) {
-			s.Faults.Crashes = []CrashSpec{{Locale: 0, Phase: 0}}
-		}, "cannot crash"},
-		{"crash locale out of range", func(s *Spec) {
-			s.Faults.Crashes = []CrashSpec{{Locale: 99, Phase: 0}}
-		}, "out of range"},
-		{"crash phase out of range", func(s *Spec) {
-			s.Faults.Crashes = []CrashSpec{{Locale: 1, Phase: 7}}
-		}, "phase 7 out of range"},
-		{"negative after_ops", func(s *Spec) {
-			s.Faults.Crashes = []CrashSpec{{Locale: 1, Phase: 0, AfterOps: -5}}
-		}, "after_ops"},
-		{"mid-phase crash in churn", func(s *Spec) {
-			s.Phases[1].Churn = true
-			s.Phases[1].Rounds = 2
-			s.Faults.Crashes = []CrashSpec{{Locale: 1, Phase: 1, AfterOps: 10}}
-		}, "churn"},
+		{"crash locale zero", events(Event{Fault: crash(0, false)}), "cannot crash"},
+		{"crash locale out of range", events(Event{Fault: crash(99, false)}), "out of range"},
+		{"crash phase out of range", events(Event{Phase: 7, Fault: crash(1, false)}), "phase 7 out of range"},
+		{"negative after_ops", events(Event{AfterOps: -5, Fault: crash(1, false)}), "after_ops"},
+		{"mid-phase crash in churn", churn(Event{Phase: 1, AfterOps: 10, Fault: crash(1, false)}), "churn"},
 		{"failover on skiplist", func(s *Spec) {
 			s.Structure = StructureSkiplist
 			s.Phases = []Phase{{Name: "run", Mix: Mix{Insert: 1}, OpsPerTask: 10}}
-			s.Faults.Crashes = []CrashSpec{{Locale: 1, Phase: 0, Failover: true}}
+			s.Faults.Events = []Event{{Fault: crash(1, true)}}
 		}, "hashmap, queue and stack"},
-		{"partition out of range", func(s *Spec) {
-			s.Faults.Partitions = []PartitionSpec{{A: 0, B: 64}}
-		}, "out of range"},
-		{"partition self-pair", func(s *Spec) {
-			s.Faults.Partitions = []PartitionSpec{{A: 2, B: 2}}
-		}, "itself"},
-		{"partition phase out of range", func(s *Spec) {
-			s.Faults.Partitions = []PartitionSpec{{A: 1, B: 2, Phase: 9}}
-		}, "phase 9 out of range"},
-		{"partition negative at_ops", func(s *Spec) {
-			s.Faults.Partitions = []PartitionSpec{{A: 1, B: 2, AtOps: -1}}
-		}, "at_ops"},
-		{"mid-phase sever in churn", func(s *Spec) {
-			s.Phases[1].Churn = true
-			s.Phases[1].Rounds = 2
-			s.Faults.Partitions = []PartitionSpec{{A: 1, B: 2, Phase: 1, AtOps: 10}}
-		}, "churn"},
-		{"heal before sever", func(s *Spec) {
-			s.Faults.Partitions = []PartitionSpec{{A: 1, B: 2, Phase: 1, HealPhase: 1}}
-		}, "not after its sever"},
-		{"heal phase out of range", func(s *Spec) {
-			s.Faults.Partitions = []PartitionSpec{{A: 1, B: 2, Phase: 0, HealPhase: 9}}
-		}, "heal_phase 9 out of range"},
-		{"both heal clocks", func(s *Spec) {
-			s.Faults.Partitions = []PartitionSpec{{A: 1, B: 2, Phase: 0, HealPhase: 1, HealAfterMS: 5}}
-		}, "one heal clock"},
-		{"negative heal_after_ms", func(s *Spec) {
-			s.Faults.Partitions = []PartitionSpec{{A: 1, B: 2, HealAfterMS: -1}}
-		}, "heal_after_ms"},
+		{"partition out of range", events(Event{Fault: sever(0, 64)}), "out of range"},
+		{"partition self-pair", events(Event{Fault: sever(2, 2)}), "itself"},
+		{"partition phase out of range", events(Event{Phase: 9, Fault: sever(1, 2)}), "phase 9 out of range"},
+		{"partition negative at_ops", events(Event{AfterOps: -1, Fault: sever(1, 2)}), "after_ops"},
+		{"mid-phase sever in churn", churn(Event{Phase: 1, AfterOps: 10, Fault: sever(1, 2)}), "churn"},
+		{"timed heal in churn", churn(Event{Fault: sever(1, 2)}, Event{Phase: 1, AfterMS: 5, Fault: heal(1, 2)}), "churn"},
+		{"heal before sever", events(Event{Phase: 1, Fault: heal(1, 2)}, Event{Phase: 1, Fault: sever(1, 2)}),
+			"heals [1 2], a pair no event before it severs"},
+		{"heal of a healed pair", events(Event{Fault: sever(1, 2)}, Event{Phase: 1, Fault: heal(2, 1)}, Event{Phase: 1, Fault: heal(1, 2)}),
+			"no event before it severs"},
+		{"heal phase out of range", events(Event{Fault: sever(1, 2)}, Event{Phase: 9, Fault: heal(1, 2)}), "phase 9 out of range"},
+		{"both heal clocks", events(Event{Fault: sever(1, 2)}, Event{Phase: 1, AfterOps: 5, AfterMS: 5, Fault: heal(1, 2)}), ""},
+		{"negative heal_after_ms", events(Event{Fault: sever(1, 2)}, Event{AfterMS: -1, Fault: heal(1, 2)}), "after_ms"},
+		{"second crash of one locale", events(Event{Fault: crash(1, false)}, Event{Phase: 1, Fault: crash(1, false)}), "crashes locale 1 a second time"},
+		{"sever and heal in one event", events(Event{Phase: 1, Fault: Fault{Sever: []int{1, 2}, Heal: []int{1, 2}}}),
+			"want exactly one of crash, sever, heal, scales or clear"},
+		{"event without a fault", events(Event{Phase: 1}), "want exactly one"},
+		{"sever of three locales", events(Event{Phase: 1, Fault: Fault{Sever: []int{1, 2, 3}}}), "a pair is two locales"},
+		{"empty scales", events(Event{Fault: Fault{Scales: []float64{}}}), "scales has no entry"},
 		{"negative retry deadline", func(s *Spec) {
 			s.Faults.Retry = &RetrySpec{DeadlineMS: -1}
 		}, "deadline_ms"},
@@ -495,10 +487,13 @@ func TestValidateFaultPlan(t *testing.T) {
 			s := validSpec()
 			c.mutate(&s)
 			err := s.Validate()
-			if err == nil {
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("legal plan rejected: %v", err)
+			case c.want == "":
+			case err == nil:
 				t.Fatalf("mutation %q accepted", c.name)
-			}
-			if !strings.Contains(err.Error(), c.want) {
+			case !strings.Contains(err.Error(), c.want):
 				t.Fatalf("error %q does not mention %q", err, c.want)
 			}
 		})
@@ -507,15 +502,22 @@ func TestValidateFaultPlan(t *testing.T) {
 	// The legal shapes pass: a boundary failover crash, a mid-phase
 	// crash in a non-churn phase, and a partition lifecycle — boundary
 	// sever healed at a later phase boundary, mid-phase sever healed on
-	// the wall clock, a pair that never heals — with a tuned retry
-	// plane.
+	// the wall clock, a pair that never heals, a pair severed again
+	// after its heal — with latency scales set and cleared and a tuned
+	// retry plane.
 	ok := validSpec()
 	ok.Faults = Faults{
-		Crashes: []CrashSpec{{Locale: 1, Phase: 1, Failover: true}, {Locale: 2, Phase: 0, AfterOps: 5}},
-		Partitions: []PartitionSpec{
-			{A: 1, B: 3, Phase: 0, HealPhase: 1},
-			{A: 0, B: 2, Phase: 0, AtOps: 5, HealAfterMS: 2},
-			{A: 2, B: 3, Phase: 1},
+		Events: []Event{
+			{Phase: 1, Fault: crash(1, true)},
+			{Phase: 0, AfterOps: 5, Fault: crash(2, false)},
+			{Phase: 0, Fault: sever(1, 3)},
+			{Phase: 1, Fault: heal(1, 3)},
+			{Phase: 0, AfterOps: 5, Fault: sever(0, 2)},
+			{Phase: 0, AfterMS: 2, Fault: heal(0, 2)},
+			{Phase: 1, Fault: sever(2, 3)},
+			{Phase: 1, AfterMS: 1, Fault: sever(3, 1)},
+			{Phase: 0, Fault: Fault{Scales: []float64{1, 4}}},
+			{Phase: 1, Fault: Fault{Clear: true}},
 		},
 		Retry: &RetrySpec{DeadlineMS: 100, Capacity: 64},
 	}
@@ -534,7 +536,7 @@ func TestValidateFaultPlan(t *testing.T) {
 		q := validSpec()
 		q.Structure = st
 		q.Phases = []Phase{{Name: "run", Mix: Mix{Enqueue: 1}, OpsPerTask: 10}}
-		q.Faults.Crashes = []CrashSpec{{Locale: 1, Phase: 0, Failover: true}}
+		q.Faults.Events = []Event{{Fault: crash(1, true)}}
 		if err := q.Validate(); err != nil {
 			t.Fatalf("failover on %s rejected: %v", st, err)
 		}
@@ -545,11 +547,7 @@ func TestValidateFaultPlan(t *testing.T) {
 // no faults serializes without the keys at all.
 func TestFaultPlanJSONRoundTrip(t *testing.T) {
 	s := validSpec()
-	s.Faults = Faults{
-		Crashes:    []CrashSpec{{Locale: 2, Phase: 1, AfterOps: 100, Failover: true}},
-		Partitions: []PartitionSpec{{A: 1, B: 3, Phase: 1, AtOps: 25, HealAfterMS: 2.5}},
-		Retry:      &RetrySpec{DeadlineMS: 500, Capacity: 1024},
-	}
+	s.Faults = faultedPlan()
 	path := filepath.Join(t.TempDir(), "faults.json")
 	f, err := os.Create(path)
 	if err != nil {
@@ -571,15 +569,36 @@ func TestFaultPlanJSONRoundTrip(t *testing.T) {
 	if err := validSpec().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"\"crashes\"", "\"partitions\"", "\"retry\""} {
+	for _, key := range []string{"\"events\"", "\"retry\""} {
 		if strings.Contains(buf.String(), key) {
 			t.Fatalf("fault-free spec serialized %s:\n%s", key, buf.String())
 		}
 	}
 
+	// An event is flat: its fault reads as /api/fault's body does, beside
+	// the trigger.
+	flat := filepath.Join(t.TempDir(), "flat.json")
+	raw := `{"structure": "hashmap", "faults": {"events": [{"phase": 1, "after_ops": 3000, "crash": {"locale": 5, "failover": true}},
+		{"phase": 1, "after_ms": 50, "heal": [1, 2]}, {"phase": 0, "scales": [1, 1, 1, 4]}]}, "phases": [{"name": "run", "mix": {"get": 1}, "ops_per_task": 1}]}`
+	if err := os.WriteFile(flat, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSpec(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{
+		{Phase: 1, AfterOps: 3000, Fault: crash(5, true)},
+		{Phase: 1, AfterMS: 50, Fault: heal(1, 2)},
+		{Phase: 0, Fault: Fault{Scales: []float64{1, 1, 1, 4}}},
+	}
+	if !reflect.DeepEqual(loaded.Faults.Events, want) {
+		t.Fatalf("flat events parsed as\n %+v\nwant\n %+v", loaded.Faults.Events, want)
+	}
+
 	// A typo'd crash knob fails loudly (strict nested parsing).
 	bad := filepath.Join(t.TempDir(), "typo.json")
-	raw := `{"structure": "hashmap", "faults": {"crashes": [{"lcoale": 1}]}, "phases": [{"name": "run", "mix": {"get": 1}, "ops_per_task": 1}]}`
+	raw = `{"structure": "hashmap", "faults": {"events": [{"phase": 0, "crash": {"lcoale": 1}}]}, "phases": [{"name": "run", "mix": {"get": 1}, "ops_per_task": 1}]}`
 	if err := os.WriteFile(bad, []byte(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -588,22 +607,17 @@ func TestFaultPlanJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFaultsPerturbation(t *testing.T) {
-	p := Faults{Scales: []float64{1, 9, 0}}.perturbation()
-	if p.ScaleFor(1) != 9 || p.ScaleFor(0) != 1 || p.ScaleFor(2) != 1 || p.ScaleFor(3) != 1 {
-		t.Fatalf("scales not honoured: %+v", p)
-	}
-	if (Faults{}).perturbation().Enabled() {
-		t.Fatal("empty fault plan must be disabled")
-	}
-	// Partitions are schedule-driven now: the boot perturbation must NOT
-	// pre-sever the pair — the engine severs it at its scheduled phase.
-	p = Faults{Partitions: []PartitionSpec{{A: 1, B: 3, Phase: 1}}}.perturbation()
-	if p.Enabled() {
-		t.Fatal("scheduled partitions must not lower into the boot perturbation")
-	}
-	if !p.Reachable(1, 3) || !p.Reachable(3, 1) {
-		t.Fatal("pair refused before its scheduled sever")
+// faultedPlan is a mid-phase partition and failover crash with a tuned
+// retry plane: the sever lands at an op mark, its heal 2.5ms after it,
+// and the crash at a later mark once the heal has landed.
+func faultedPlan() Faults {
+	return Faults{
+		Events: []Event{
+			{Phase: 1, AfterOps: 25, Fault: sever(1, 3)},
+			{Phase: 1, AfterMS: 2.5, Fault: heal(1, 3)},
+			{Phase: 1, AfterOps: 100, Fault: crash(2, true)},
+		},
+		Retry: &RetrySpec{DeadlineMS: 500, Capacity: 1024},
 	}
 }
 
@@ -638,15 +652,11 @@ func TestRetrySpecParkConfig(t *testing.T) {
 // saved spec replays.
 func FuzzSpecRoundTrip(f *testing.F) {
 	faulted := validSpec()
-	faulted.Faults = Faults{
-		Crashes:    []CrashSpec{{Locale: 2, Phase: 1, AfterOps: 100, Failover: true}},
-		Partitions: []PartitionSpec{{A: 1, B: 3, Phase: 1, AtOps: 25, HealAfterMS: 2.5}},
-		Retry:      &RetrySpec{DeadlineMS: 500, Capacity: 1024},
-	}
+	faulted.Faults = faultedPlan()
 	composed := goldenSpec()
 	composed.Combine.Enabled = true
 	composed.Rebalance.Enabled = true
-	composed.Faults.Crashes[0].Failover = true
+	composed.Faults.Events[2].Crash.Failover = true
 	for _, s := range []Spec{validSpec(), goldenSpec(), faulted, composed} {
 		var buf strings.Builder
 		if err := s.WriteJSON(&buf); err != nil {
@@ -661,8 +671,11 @@ func FuzzSpecRoundTrip(f *testing.F) {
 			{"name": "run", "mix": {"insert": 2, "get": 7, "remove": 1, "bulk": 0.02}, "ops_per_task": 20000, "reclaim_every": 512},
 			{"name": "churn", "mix": {"insert": 3, "get": 5, "remove": 2}, "ops_per_task": 5000, "rounds": 2, "churn": true}]}`))
 	f.Add([]byte(`{"structure": "queue", "phases": [{"name": "run", "mix": {"enqueue": 1, "remove": 1}, "seconds": 0.5}]}`))
-	f.Add([]byte(`{"structure": "skiplist", "dist": {"kind": "zipfian"}, "faults": {"scales": [1, 2]}, "phases": [{"name": "run", "mix": {"get": 1}, "ops_per_task": 1}]}`))
-	f.Add([]byte(`{"structure": "stack", "faults": {"crashes": []}, "phases": [{"name": "run", "mix": {"enqueue": 1}, "ops_per_task": 1}]}`))
+	f.Add([]byte(`{"structure": "skiplist", "dist": {"kind": "zipfian"}, "faults": {"events": [{"phase": 0, "scales": [1, 2]}]}, "phases": [{"name": "run", "mix": {"get": 1}, "ops_per_task": 1}]}`))
+	f.Add([]byte(`{"structure": "stack", "faults": {"events": []}, "phases": [{"name": "run", "mix": {"enqueue": 1}, "ops_per_task": 1}]}`))
+	// One event with both triggers: the heal waits for 100 ops and 2.5ms.
+	f.Add([]byte(`{"structure": "hashmap", "faults": {"events": [{"phase": 0, "sever": [1, 2]}, {"phase": 1, "after_ops": 100, "after_ms": 2.5, "heal": [2, 1]}]},
+		"phases": [{"name": "load", "mix": {"insert": 1}, "ops_per_task": 10}, {"name": "run", "mix": {"get": 1}, "ops_per_task": 10}]}`))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		in := filepath.Join(t.TempDir(), "in.json")

@@ -165,7 +165,7 @@ func TestLiveFaultsLandLikeScheduledOnes(t *testing.T) {
 		t.Skip("timing-sensitive (a 3 s paced phase)")
 	}
 	spec := pacedQueue(3)
-	spec.Faults.Crashes = []CrashSpec{{Locale: 2, Phase: 2, Failover: true}}
+	spec.Faults.Events = []Event{{Phase: 2, Fault: crash(2, true)}}
 	lr := startLive(t, spec)
 	lr.awaitOps(t, 800) // the load phase's ops: post in the paced phase
 	type state struct {
@@ -544,7 +544,7 @@ func TestRunLiveOpsExact(t *testing.T) {
 // price" in every phase of an unscaled run — among them a walked ugni
 // hashmap at LatencyScale 0.05, whose losing inserts free their nodes
 // remotely — while a phase with a latency scale in force, from the
-// spec's Faults.Scales or POSTed to /api/fault mid-phase, is recorded
+// spec's events or POSTed to /api/fault mid-phase, is recorded
 // Scaled and exempt, every other invariant still holding.
 func TestModelledIsPricedBooks(t *testing.T) {
 	walked := Spec{
@@ -562,7 +562,7 @@ func TestModelledIsPricedBooks(t *testing.T) {
 		},
 	}
 	slowed := walked
-	slowed.Faults = Faults{Scales: comm.SlowLocale(4, 3, 4).Scales}
+	slowed.Faults = Faults{Events: []Event{{Fault: Fault{Scales: comm.SlowLocale(4, 3, 4).Scales}}}}
 	live := walked
 	live.Phases = []Phase{walked.Phases[0], {Name: "run", Mix: walked.Phases[1].Mix, Seconds: 0.5}}
 	for _, tc := range []struct {
