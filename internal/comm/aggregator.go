@@ -124,6 +124,17 @@ type Aggregator struct {
 	// destination. It fills only under Combine and is cleared at flush:
 	// the positions it holds are positions in the flushed buffer.
 	idx []combineIndex
+	// miss is the last Buffered miss: its key and the empty slot its
+	// probe ended on, so the Enqueue that follows files the op there
+	// without probing again. The next Enqueue of a combinable op and
+	// every flush forget it.
+	miss combineMiss
+}
+
+type combineMiss struct {
+	dst, slot int
+	key       CombineKey
+	ok        bool
 }
 
 // combineIndex is one destination's merge index: an open-addressing
@@ -160,40 +171,54 @@ func (ix *combineIndex) home(key CombineKey) int {
 	return int(h * 0x9E3779B97F4A7C15 >> ix.shift)
 }
 
-// get returns the position filed under key.
-func (ix *combineIndex) get(key CombineKey) (pos int, hit bool) {
+// find is the index's one probe: it returns the slot filed under key,
+// or on a miss the empty slot the probe ended on, where fill files key.
+// An index with no live slot answers -1 without hashing: every slot is
+// empty, so fill files key at its home.
+func (ix *combineIndex) find(key CombineKey) (slot int, hit bool) {
 	if ix.n == 0 {
-		return 0, false
+		return -1, false
 	}
 	mask := len(ix.slots) - 1
 	for i := ix.home(key); ; i = (i + 1) & mask {
 		s := &ix.slots[i]
 		if s.gen != ix.gen {
-			return 0, false
+			return i, false
 		}
 		if s.key == key {
-			return s.pos, true
+			return i, true
 		}
 	}
 }
 
-// put files pos under key, replacing what was filed there.
-func (ix *combineIndex) put(key CombineKey, pos int) {
+// fill files pos under key in slot, the empty slot find returned for
+// it. A table at load ½ doubles first, and key is then probed again.
+func (ix *combineIndex) fill(slot int, key CombineKey, pos int) {
 	if 2*(ix.n+1) > len(ix.slots) {
 		ix.grow()
+		slot, _ = ix.find(key)
 	}
-	mask := len(ix.slots) - 1
-	for i := ix.home(key); ; i = (i + 1) & mask {
-		s := &ix.slots[i]
-		if s.gen != ix.gen {
-			*s = combineSlot{key: key, pos: pos, gen: ix.gen}
-			ix.n++
-			return
-		}
-		if s.key == key {
-			s.pos = pos
-			return
-		}
+	if slot < 0 {
+		slot = ix.home(key)
+	}
+	ix.slots[slot] = combineSlot{key: key, pos: pos, gen: ix.gen}
+	ix.n++
+}
+
+// get returns the position filed under key.
+func (ix *combineIndex) get(key CombineKey) (pos int, hit bool) {
+	if slot, hit := ix.find(key); hit {
+		return ix.slots[slot].pos, true
+	}
+	return 0, false
+}
+
+// put files pos under key, replacing what was filed there.
+func (ix *combineIndex) put(key CombineKey, pos int) {
+	if slot, hit := ix.find(key); hit {
+		ix.slots[slot].pos = pos
+	} else {
+		ix.fill(slot, key, pos)
 	}
 }
 
@@ -283,15 +308,19 @@ func (a *Aggregator) Enqueue(dst int, op Op) {
 	if a.cfg.Combine {
 		if co, isCombinable := op.Exec.(CombinableOp); isCombinable {
 			key := co.CombineKey()
-			if prev := a.buffered(dst, key); prev != nil {
+			ix := &a.idx[dst]
+			if slot, hit := a.probe(dst, key); !hit {
+				ix.fill(slot, key, len(a.bufs[dst]))
+			} else {
+				prev := &a.bufs[dst][ix.slots[slot].pos]
 				if grow, ok := prev.Exec.(CombinableOp).Absorb(co); ok {
 					prev.Bytes += grow
 					a.bytes[dst] += grow
 					a.counters.IncAggCombined(a.src)
 					return
 				}
+				ix.slots[slot].pos = len(a.bufs[dst])
 			}
-			a.idx[dst].put(key, len(a.bufs[dst]))
 		}
 	}
 	a.bufs[dst] = append(a.bufs[dst], op)
@@ -301,15 +330,16 @@ func (a *Aggregator) Enqueue(dst int, op Op) {
 	}
 }
 
-// buffered is the one reader of the combine index: it returns the op
-// in dst's buffer filed under key, nil when there is none. The index
-// only fills under AggConfig.Combine, so with the policy off every
-// lookup misses.
-func (a *Aggregator) buffered(dst int, key CombineKey) *Op {
-	if i, hit := a.idx[dst].get(key); hit {
-		return &a.bufs[dst][i]
+// probe finds key in dst's combine index for Enqueue. When the last
+// Buffered missed on the same key and destination, nothing has changed
+// the index since, so the slot that probe ended on is reused.
+func (a *Aggregator) probe(dst int, key CombineKey) (slot int, hit bool) {
+	m := a.miss
+	a.miss.ok = false
+	if m.ok && m.dst == dst && m.key == key {
+		return m.slot, false
 	}
-	return nil
+	return a.idx[dst].find(key)
 }
 
 // Buffered returns the op already buffered for dst under key, for a
@@ -317,15 +347,18 @@ func (a *Aggregator) buffered(dst int, key CombineKey) *Op {
 // would only absorb and drop (a value merge; the buffered op's Bytes
 // stay as they are). A hit books exactly what that Enqueue would have:
 // one AggEnqueue and one AggCombined. A miss returns nil and books
-// nothing — the caller builds its op and Enqueues it.
+// nothing — the caller builds its op and Enqueues it, and that Enqueue
+// files the op in the slot this probe found. The index only fills
+// under AggConfig.Combine, so with the policy off every lookup misses.
 func (a *Aggregator) Buffered(dst int, key CombineKey) CombinableOp {
-	prev := a.buffered(dst, key)
-	if prev == nil {
+	slot, hit := a.idx[dst].find(key)
+	if !hit {
+		a.miss = combineMiss{dst: dst, slot: slot, key: key, ok: true}
 		return nil
 	}
 	a.counters.IncAggEnqueue(a.src)
 	a.counters.IncAggCombined(a.src)
-	return prev.Exec.(CombinableOp)
+	return a.bufs[dst][a.idx[dst].slots[slot].pos].Exec.(CombinableOp)
 }
 
 // PendingTo returns the number of operations buffered for dst.
@@ -359,6 +392,7 @@ func (a *Aggregator) FlushDst(dst int) {
 	a.bufs[dst] = nil
 	a.bytes[dst] = 0
 	a.idx[dst].reset()
+	a.miss.ok = false
 	var sp trace.Span
 	if a.tracer != nil {
 		sp = a.tracer.Begin(a.src, trace.KindFlush, a.traceTask, a.src, dst, bytes, int64(len(batch)))

@@ -602,3 +602,81 @@ func FuzzCombineIndex(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, gen uint32, script []byte) { ixScript(t, gen, script) })
 }
+
+// A Buffered miss hands its probe's empty slot to the Enqueue that
+// follows it. Against a model of which keys each buffer holds, a
+// seeded mix of the merge-before-build write (Buffered, then merge or
+// Enqueue), a bare Enqueue, a miss followed by a flush or by another
+// key's Enqueue before its own, and capacity flushes over keys that
+// grow the index: every Buffered hits exactly when the model holds the
+// key, and the delivered ops leave each key at its last written value.
+func TestBufferedMissFilesInPlace(t *testing.T) {
+	for _, capacity := range []int{8, 1 << 20} {
+		c, m := boundCounters(2)
+		ref := new(int)
+		got := [2]map[uint64]int64{{}, {}}
+		a := NewAggregator(0, 2, AggConfig{Capacity: capacity, Combine: true}, c, m, Zero(),
+			func(dst int, batch []Op) {
+				for _, op := range batch {
+					o := op.Exec.(*lastOp)
+					got[dst][o.k] = o.v
+				}
+			})
+		held := [2]map[uint64]bool{{}, {}}
+		want := [2]map[uint64]int64{{}, {}}
+		enqueue := func(dst int, k uint64, v int64) {
+			a.Enqueue(dst, Op{Bytes: 16, Exec: &lastOp{ref: ref, k: k, v: v}})
+			held[dst][k] = true
+			want[dst][k] = v
+			if a.PendingTo(dst) == 0 {
+				clear(held[dst])
+			}
+		}
+		buffered := func(dst int, k uint64) CombinableOp {
+			t.Helper()
+			prev := a.Buffered(dst, (&lastOp{ref: ref, k: k}).CombineKey())
+			if (prev != nil) != held[dst][k] {
+				t.Fatalf("capacity %d: Buffered(%d, %d) hit=%v, model holds it: %v", capacity, dst, k, prev != nil, held[dst][k])
+			}
+			return prev
+		}
+		rng := rand.New(rand.NewSource(1))
+		for i := int64(1); i <= 20000; i++ {
+			dst, k := rng.Intn(2), uint64(rng.Intn(300))
+			switch rng.Intn(8) {
+			case 0: // a bare Enqueue probes on its own
+				enqueue(dst, k, i)
+			case 1: // a miss, then a flush of its destination
+				buffered(dst, k)
+				a.FlushDst(dst)
+				clear(held[dst])
+				enqueue(dst, k, i)
+			case 2: // a miss, then another key's write before its own
+				buffered(dst, k)
+				enqueue(dst, k+1, i)
+				enqueue(dst, k, i)
+			default: // the merge-before-build write
+				if prev := buffered(dst, k); prev != nil {
+					prev.(*lastOp).v = i
+					want[dst][k] = i
+				} else {
+					enqueue(dst, k, i)
+				}
+			}
+		}
+		a.Flush()
+		for dst := range got {
+			if len(got[dst]) != len(want[dst]) {
+				t.Fatalf("capacity %d: destination %d received %d keys, want %d", capacity, dst, len(got[dst]), len(want[dst]))
+			}
+			for k, v := range want[dst] {
+				if got[dst][k] != v {
+					t.Fatalf("capacity %d: destination %d key %d = %d, want %d", capacity, dst, k, got[dst][k], v)
+				}
+			}
+		}
+		if s := c.Snapshot(); s.AggOps+s.AggCombined != s.AggOpsEnq {
+			t.Fatalf("capacity %d: shipped+combined != enqueued: %+v", capacity, s)
+		}
+	}
+}

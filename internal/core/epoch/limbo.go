@@ -25,54 +25,72 @@ import (
 	"gopgas/internal/pgas"
 )
 
-// limboNode is one deferred object in a limbo list. Nodes are
+// limboBlockSize is how many deferred objects one limbo block holds.
+const limboBlockSize = 64
+
+// limboBlock is a run of deferred objects in a limbo list. Blocks are
 // allocated from the owning locale's heap and recycled through an
 // ABA-protected Treiber stack, never freed — the recycling pattern the
-// paper builds from its own AtomicObject (Listing 1 / Listing 2).
+// paper builds from its own AtomicObject (Listing 1 / Listing 2),
+// applied to a block of addresses rather than to one node per object
+// (DEBRA's "blockbags", Brown 2015).
 //
-// The fields are atomics because a Treiber pop reads the next pointer
-// of a node another task may concurrently win and repurpose; the ABA
-// stamp makes the subsequent CAS fail safely, but the read itself must
-// still be a proper atomic load (the Go analogue of the relaxed loads
-// a C/Chapel implementation would use).
-type limboNode struct {
+// n counts the slots pushers have claimed, with one fetch-and-add
+// each. It runs past limboBlockSize when pushers find the block full,
+// so every reader clamps it (len). next is an atomic because a Treiber
+// pop reads the next pointer of a block another task may concurrently
+// win and repurpose; the ABA stamp makes the subsequent CAS fail
+// safely, but the read itself must still be a proper atomic load (the
+// Go analogue of the relaxed loads a C/Chapel implementation would
+// use). The slots are plain words: each is written once, by the one
+// pusher whose fetch-and-add claimed it, and read only in the deletion
+// phase (LimboList).
+type limboBlock struct {
 	gas.Boxed
-	val  atomic.Uint64 // gas.Addr of the deferred object
-	next atomic.Uint64 // gas.Addr of the next limboNode (locale-local)
+	n    atomic.Int64  // slots claimed; past limboBlockSize once full
+	next atomic.Uint64 // gas.Addr of the next block (locale-local)
+	objs [limboBlockSize]gas.Addr
 }
 
-func (n *limboNode) loadVal() gas.Addr   { return gas.Addr(n.val.Load()) }
-func (n *limboNode) storeVal(a gas.Addr) { n.val.Store(uint64(a)) }
-func (n *limboNode) loadNext() gas.Addr  { return gas.Addr(n.next.Load()) }
-func (n *limboNode) storeNext(a gas.Addr) {
-	n.next.Store(uint64(a))
-}
+// len is the number of filled slots.
+func (b *limboBlock) len() int { return int(min(b.n.Load(), limboBlockSize)) }
 
-// LimboList is the paper's wait-free deferral list (Listing 2). It has
-// two strictly disjoint phases: an insertion phase in which any number
-// of tasks Push concurrently, and a deletion phase in which the
-// elected reclaimer removes everything at once. Both a push and the
-// bulk removal complete in a single atomic exchange — wait-free.
+func (b *limboBlock) loadNext() gas.Addr   { return gas.Addr(b.next.Load()) }
+func (b *limboBlock) storeNext(a gas.Addr) { b.next.Store(uint64(a)) }
+
+// LimboList is the paper's wait-free deferral list (Listing 2), kept
+// as a chain of blocks. It has two strictly disjoint phases: an
+// insertion phase in which any number of tasks Push concurrently, and
+// a deletion phase in which the elected reclaimer removes everything
+// at once. A push claims a slot of the head block with one
+// fetch-and-add; only a push that finds the head block full publishes
+// a new one, with Listing 2's single exchange. The bulk removal is one
+// exchange too — wait-free.
 //
-// The next pointer of a pushed node is written *after* the exchange
-// (exactly as in Listing 2). That is safe, and race-free, because the
-// epoch protocol guarantees the deletion phase for a given list begins
-// only after every task that could push to it has become quiescent;
-// the unpin/scan atomics order those writes before the traversal.
+// Two writes of a push land after whatever made them visible: the
+// slot store after the fetch-and-add that claimed it, and a new
+// block's next pointer after the exchange that published it (exactly
+// as in Listing 2). Both are safe, and race-free, because the epoch
+// protocol guarantees the deletion phase for a given list begins only
+// after every task that could push to it has become quiescent; the
+// unpin/scan atomics order those writes before the traversal. A new
+// block's count and slot 0 are written before its exchange, so a
+// pusher that reads the new head sees a block already holding one
+// object.
 type LimboList struct {
 	locale int
 	head   *atomics.LocalAtomicObject // exchange-only; no CAS, no ABA hazard
-	pool   *atomics.LocalAtomicObject // ABA-protected Treiber stack of free nodes
+	pool   *atomics.LocalAtomicObject // ABA-protected Treiber stack of free blocks
 }
 
 // newLimboList creates an empty limbo list owned by the ctx's locale,
-// recycling its nodes through pool.
+// recycling its blocks through pool.
 func newLimboList(c *pgas.Ctx, pool *atomics.LocalAtomicObject) *LimboList {
 	return &LimboList{locale: c.Here(), head: atomics.NewLocal(c.Here(), false), pool: pool}
 }
 
 // newGenerations builds a manager's limbo lists, one per epoch, on the
-// ctx's locale. They share one node pool, so the pool holds the
+// ctx's locale. They share one block pool, so the pool holds the
 // locale's peak limbo length once: a pool per list held every
 // generation's own peak, and deferrals come in bursts (a pinned task
 // descheduled for a few milliseconds blocks every advance meanwhile).
@@ -87,12 +105,32 @@ func newGenerations(c *pgas.Ctx) (limbo [numEpochs + 1]*LimboList) {
 	return limbo
 }
 
-// Push defers obj onto the list: recycle (or allocate) a node, then a
-// single wait-free exchange of the head. Listing 2, verbatim.
+// Push defers obj onto the list: one fetch-and-add claims a slot of
+// the head block. When the block is full (or the list empty), a block
+// from the pool, obj already in its slot 0, is published with a single
+// wait-free exchange of the head: Listing 2, verbatim, once per
+// limboBlockSize objects. Two pushers that find the head full at once
+// both publish a block; the one that loses the head keeps its spare
+// slots as slack, and nothing is lost.
 func (l *LimboList) Push(c *pgas.Ctx, obj gas.Addr) {
-	node, n := l.recycleNode(c, obj)
-	oldHead := l.head.Exchange(node)
-	n.storeNext(oldHead)
+	if top := l.head.Read(); !top.IsNil() {
+		b := pgas.MustDeref[*limboBlock](c, top)
+		if i := b.n.Add(1) - 1; i < limboBlockSize {
+			b.objs[i] = obj
+			return
+		}
+	}
+	l.publish(c, obj)
+}
+
+// publish files obj in slot 0 of a block from the pool and makes that
+// block the list's head: old := head.Exchange(block); block.next = old.
+func (l *LimboList) publish(c *pgas.Ctx, obj gas.Addr) {
+	addr, b := l.freshBlock(c)
+	b.n.Store(1)
+	b.objs[0] = obj
+	oldHead := l.head.Exchange(addr)
+	b.storeNext(oldHead)
 }
 
 // PopAll detaches the entire list in one exchange and returns its
@@ -111,13 +149,12 @@ func (l *LimboList) Release(c *pgas.Ctx, head gas.Addr, visit func(obj gas.Addr)
 	if head.IsNil() {
 		return
 	}
-	var tail *limboNode
-	for node := head; !node.IsNil(); node = tail.loadNext() {
-		tail = pgas.MustDeref[*limboNode](c, node)
-		if obj := tail.loadVal(); !obj.IsNil() {
+	var tail *limboBlock
+	for blk := head; !blk.IsNil(); blk = tail.loadNext() {
+		tail = pgas.MustDeref[*limboBlock](c, blk)
+		for _, obj := range tail.objs[:tail.len()] {
 			visit(obj)
 		}
-		tail.storeVal(gas.AddrNil)
 	}
 	for {
 		top := l.pool.ReadABA()
@@ -128,34 +165,34 @@ func (l *LimboList) Release(c *pgas.Ctx, head gas.Addr, visit func(obj gas.Addr)
 	}
 }
 
-// recycleNode pops a node from the free pool — ABA-protected: between
+// freshBlock pops a block from the free pool — ABA-protected: between
 // reading the top and the CAS another task may pop, recycle, and
-// re-push the same node address, which the stamp detects — or
-// allocates a fresh node if the pool is empty.
-func (l *LimboList) recycleNode(c *pgas.Ctx, obj gas.Addr) (gas.Addr, *limboNode) {
+// re-push the same block address, which the stamp detects — or
+// allocates one if the pool is empty.
+func (l *LimboList) freshBlock(c *pgas.Ctx) (gas.Addr, *limboBlock) {
 	for {
 		top := l.pool.ReadABA()
 		if top.IsNil() {
-			n := &limboNode{}
-			n.storeVal(obj)
-			return c.Alloc(n), n
+			b := &limboBlock{}
+			return c.Alloc(b), b
 		}
-		n := pgas.MustDeref[*limboNode](c, top.Object())
-		if l.pool.CompareAndSwapABA(top, n.loadNext()) {
-			n.storeVal(obj)
-			n.storeNext(gas.AddrNil)
-			return top.Object(), n
+		b := pgas.MustDeref[*limboBlock](c, top.Object())
+		if l.pool.CompareAndSwapABA(top, b.loadNext()) {
+			return top.Object(), b
 		}
 	}
 }
 
-// Len counts the deferred objects on the list by walking it. A push
-// links its node only after the exchange that publishes it, so the
-// count is exact only while no push is in flight.
+// Len counts the deferred objects on the list by walking its blocks. A
+// push fills its slot after the fetch-and-add that counts it, and links
+// a new block after the exchange that publishes it, so the count is
+// exact only while no push is in flight.
 func (l *LimboList) Len(c *pgas.Ctx) int {
 	n := 0
-	for node := l.head.Read(); !node.IsNil(); node = pgas.MustDeref[*limboNode](c, node).loadNext() {
-		n++
+	for blk := l.head.Read(); !blk.IsNil(); {
+		b := pgas.MustDeref[*limboBlock](c, blk)
+		n += b.len()
+		blk = b.loadNext()
 	}
 	return n
 }

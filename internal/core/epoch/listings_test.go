@@ -68,7 +68,7 @@ func TestListing2LimboList(t *testing.T) {
 		l := newLimbo(c)
 		objs := []gas.Addr{c.Alloc(&payload{v: 1}), c.Alloc(&payload{v: 2})}
 		for _, o := range objs {
-			l.Push(c, o) // recycleNode + exchange + next, verbatim
+			l.Push(c, o) // a fresh block from the pool + exchange + next, verbatim
 		}
 		head := l.PopAll() // one exchange detaches everything
 		seen := 0

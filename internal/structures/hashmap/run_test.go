@@ -244,9 +244,13 @@ func TestDeliveredRunStraddlesPartition(t *testing.T) {
 	}
 
 	// The storm writes until the flapper has severed the pair a few
-	// times, flushing every few writes so deliveries keep crossing it.
+	// times and a delivery has parked on a severed window, flushing
+	// every few writes so deliveries keep crossing it.
 	const flush, maxPerLocale = 16, 1 << 14
 	var flaps atomic.Int64
+	stormDone := func() bool {
+		return flaps.Load() >= 8 && s.Counters().Snapshot().OpsParked > half
+	}
 	stop := make(chan struct{})
 	var flapper sync.WaitGroup
 	flapper.Add(1)
@@ -275,7 +279,7 @@ func TestDeliveredRunStraddlesPartition(t *testing.T) {
 	written := make([]uint64, locales)
 	c.CoforallLocales(func(lc *pgas.Ctx) {
 		i := uint64(0)
-		for ; i < maxPerLocale && (i%flush != 0 || flaps.Load() < 8); i++ {
+		for ; i < maxPerLocale && (i%flush != 0 || !stormDone()); i++ {
 			k := base + uint64(lc.Here())*maxPerLocale + i
 			m.UpsertAgg(lc, k, value(k))
 			if i%flush == flush-1 {

@@ -227,7 +227,7 @@ func TestQueueCellIsOneAllocation(t *testing.T) {
 		q := New[int](c, 0, em)
 		tok := em.Register(c)
 		const n = 200
-		// Warm the current generation's pool with n+1 limbo nodes (one per
+		// Warm the limbo pool with the blocks n+1 deferrals fill (one per
 		// AllocsPerRun call, warm-up included): Clear hands the whole chain
 		// back to the pool without advancing the epoch.
 		for i := 0; i <= n; i++ {

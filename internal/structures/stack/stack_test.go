@@ -130,7 +130,7 @@ func TestStackConcurrentMultiLocale(t *testing.T) {
 }
 
 // Node reclamation end-to-end: after churn + Clear, the only live heap
-// slots are the epoch managers' recycled limbo nodes — every stack
+// slots are the epoch managers' recycled limbo blocks — every stack
 // node must be gone.
 func TestStackNodesReclaimed(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
@@ -152,7 +152,7 @@ func TestStackNodesReclaimed(t *testing.T) {
 		tok.Unregister(c)
 		em.Clear(c)
 		// All 250 nodes freed; live heap returns to the baseline plus
-		// recycled limbo-node pool slots (they are never freed).
+		// recycled limbo-block pool slots (they are never freed).
 		live := s.HeapStats().Live
 		mgr := em.Stats(c)
 		if mgr.Reclaimed != 250 {
