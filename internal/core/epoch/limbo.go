@@ -46,7 +46,6 @@ const limboBlockSize = 64
 // pusher whose fetch-and-add claimed it, and read only in the deletion
 // phase (LimboList).
 type limboBlock struct {
-	gas.Boxed
 	n    atomic.Int64  // slots claimed; past limboBlockSize once full
 	next atomic.Uint64 // gas.Addr of the next block (locale-local)
 	objs [limboBlockSize]gas.Addr
@@ -81,12 +80,14 @@ type LimboList struct {
 	locale int
 	head   *atomics.LocalAtomicObject // exchange-only; no CAS, no ABA hazard
 	pool   *atomics.LocalAtomicObject // ABA-protected Treiber stack of free blocks
+	blocks pgas.Slab[limboBlock]
 }
 
 // newLimboList creates an empty limbo list owned by the ctx's locale,
 // recycling its blocks through pool.
 func newLimboList(c *pgas.Ctx, pool *atomics.LocalAtomicObject) *LimboList {
-	return &LimboList{locale: c.Here(), head: atomics.NewLocal(c.Here(), false), pool: pool}
+	return &LimboList{locale: c.Here(), head: atomics.NewLocal(c.Here(), false), pool: pool,
+		blocks: pgas.NewSlab[limboBlock](c.Sys())}
 }
 
 // newGenerations builds a manager's limbo lists, one per epoch, on the
@@ -114,7 +115,7 @@ func newGenerations(c *pgas.Ctx) (limbo [numEpochs + 1]*LimboList) {
 // slots as slack, and nothing is lost.
 func (l *LimboList) Push(c *pgas.Ctx, obj gas.Addr) {
 	if top := l.head.Read(); !top.IsNil() {
-		b := pgas.MustDeref[*limboBlock](c, top)
+		b := l.blocks.MustLoad(c, top)
 		if i := b.n.Add(1) - 1; i < limboBlockSize {
 			b.objs[i] = obj
 			return
@@ -151,7 +152,7 @@ func (l *LimboList) Release(c *pgas.Ctx, head gas.Addr, visit func(obj gas.Addr)
 	}
 	var tail *limboBlock
 	for blk := head; !blk.IsNil(); blk = tail.loadNext() {
-		tail = pgas.MustDeref[*limboBlock](c, blk)
+		tail = l.blocks.MustLoad(c, blk)
 		for _, obj := range tail.objs[:tail.len()] {
 			visit(obj)
 		}
@@ -174,9 +175,9 @@ func (l *LimboList) freshBlock(c *pgas.Ctx) (gas.Addr, *limboBlock) {
 		top := l.pool.ReadABA()
 		if top.IsNil() {
 			b := &limboBlock{}
-			return c.Alloc(b), b
+			return l.blocks.AllocOn(c, c.Here(), b), b
 		}
-		b := pgas.MustDeref[*limboBlock](c, top.Object())
+		b := l.blocks.MustLoad(c, top.Object())
 		if l.pool.CompareAndSwapABA(top, b.loadNext()) {
 			return top.Object(), b
 		}
@@ -190,7 +191,7 @@ func (l *LimboList) freshBlock(c *pgas.Ctx) (gas.Addr, *limboBlock) {
 func (l *LimboList) Len(c *pgas.Ctx) int {
 	n := 0
 	for blk := l.head.Read(); !blk.IsNil(); {
-		b := pgas.MustDeref[*limboBlock](c, blk)
+		b := l.blocks.MustLoad(c, blk)
 		n += b.len()
 		blk = b.loadNext()
 	}

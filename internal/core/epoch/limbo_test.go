@@ -408,7 +408,7 @@ func TestLimboBlockFilledBeforePublish(t *testing.T) {
 			t.Fatalf("the chain shows %d of %d published blocks", len(seen), tasks)
 		}
 		for blk := l.head.Read(); !blk.IsNil(); {
-			b := pgas.MustDeref[*limboBlock](c, blk)
+			b := l.blocks.MustLoad(c, blk)
 			if !seen[blk] {
 				if n, first := b.n.Load(), b.objs[0]; n != 1 || first.IsNil() {
 					t.Fatalf("block %v published with count %d and slot 0 = %v", blk, n, first)
@@ -440,7 +440,7 @@ func TestLimboFullBlockRace(t *testing.T) {
 	for i := 0; i < limboBlockSize; i++ {
 		l.Push(c, push())
 	}
-	full := pgas.MustDeref[*limboBlock](c, l.head.Read())
+	full := l.blocks.MustLoad(c, l.head.Read())
 	for range 2 {
 		if i := full.n.Add(1) - 1; i < limboBlockSize {
 			t.Fatalf("claimed slot %d of a full block", i)
@@ -478,8 +478,9 @@ func TestLimboFullBlockRace(t *testing.T) {
 // chainBlocks counts the blocks linked from top: a list's head or its
 // pool's. Quiescent callers only.
 func chainBlocks(c *pgas.Ctx, top gas.Addr) int {
+	blocks := pgas.NewSlab[limboBlock](c.Sys())
 	n := 0
-	for blk := top; !blk.IsNil(); blk = pgas.MustDeref[*limboBlock](c, blk).loadNext() {
+	for blk := top; !blk.IsNil(); blk = blocks.MustLoad(c, blk).loadNext() {
 		n++
 	}
 	return n

@@ -20,6 +20,11 @@
 // the ABA hazard in the paper is therefore real in this system, and the
 // poison-on-free machinery makes use-after-free *detectable* rather
 // than undefined.
+//
+// A structure's nodes live in typed chunks (Type): a slot holds the
+// bare node pointer, so behind the 64-bit word is one host object and
+// nothing else. Arbitrary values ride the untyped path (Heap.Alloc),
+// whose slots hold a pointer to an `any` box.
 package gas
 
 import "fmt"

@@ -3,6 +3,7 @@ package gas
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -23,36 +24,79 @@ func TestHeapAllocLoad(t *testing.T) {
 	}
 }
 
-// boxedObj carries its own slot box (the Boxed header), as structure
-// nodes do.
-type boxedObj struct {
-	Boxed
-	v int
+// typedObj is a node of a typed chunk, as structure nodes are.
+type typedObj struct{ v int }
+
+// otherObj is a second node type, for tests that mix chunks of two
+// types in one heap.
+type otherObj struct{ v int }
+
+var (
+	objType   = TypeOf[typedObj]()
+	otherType = TypeOf[otherObj]()
+)
+
+// objectKind is one face of the heap contract: values on the untyped
+// path, or nodes of a typed chunk.
+type objectKind struct {
+	alloc func(h *Heap, v int) Addr
+	load  func(h *Heap, a Addr) (int, bool)
+	// hold loads a's slot as a racing reader would and returns a reader
+	// of the object the loaded pointer names.
+	hold func(h *Heap, a Addr) func() int
 }
 
 // forEachObjectKind runs one heap-contract test twice: with plain
-// values, whose box the heap allocates, and with a header-carrying
-// type, whose box lives inside the object. The contract — poison,
-// UAF counting, LIFO reuse, Stats — must not tell them apart.
-func forEachObjectKind(t *testing.T, test func(t *testing.T, mk func(v int) any, val func(obj any) int)) {
+// values, which ride the untyped path in a box the heap allocates, and
+// with the nodes of a typed chunk, which sit bare in their slots. The
+// contract — poison, UAF counting, LIFO reuse, Stats — must not tell
+// them apart.
+func forEachObjectKind(t *testing.T, test func(t *testing.T, k objectKind)) {
 	t.Run("plain", func(t *testing.T) {
-		test(t, func(v int) any { return v }, func(obj any) int { return obj.(int) })
+		test(t, objectKind{
+			alloc: func(h *Heap, v int) Addr { return h.Alloc(v) },
+			load: func(h *Heap, a Addr) (int, bool) {
+				obj, ok := h.Load(a)
+				if !ok {
+					return 0, false
+				}
+				return obj.(int), true
+			},
+			hold: func(h *Heap, a Addr) func() int {
+				s, _ := h.slot(a.Index())
+				box := (*any)(atomic.LoadPointer(s))
+				return func() int { return (*box).(int) }
+			},
+		})
 	})
-	t.Run("boxed", func(t *testing.T) {
-		test(t, func(v int) any { return &boxedObj{v: v} }, func(obj any) int { return obj.(*boxedObj).v })
+	t.Run("typed", func(t *testing.T) {
+		test(t, objectKind{
+			alloc: func(h *Heap, v int) Addr { return objType.Alloc(h, &typedObj{v: v}) },
+			load: func(h *Heap, a Addr) (int, bool) {
+				n, ok := objType.Load(h, a)
+				if !ok {
+					return 0, false
+				}
+				return n.v, true
+			},
+			hold: func(h *Heap, a Addr) func() int {
+				n, _ := objType.Load(h, a)
+				return func() int { return n.v }
+			},
+		})
 	})
 }
 
 func TestHeapFreePoisons(t *testing.T) {
-	forEachObjectKind(t, func(t *testing.T, mk func(int) any, val func(any) int) {
+	forEachObjectKind(t, func(t *testing.T, k objectKind) {
 		h := NewHeap(0)
-		a := h.Alloc(mk(1))
-		// A reader that wins the race to load the box just before Free...
-		stale := h.slot(a.Index()).Load()
+		a := k.alloc(h, 1)
+		// A reader that wins the race to load the slot just before Free...
+		stale := k.hold(h, a)
 		if !h.Free(a) {
 			t.Fatal("first free failed")
 		}
-		if _, ok := h.Load(a); ok {
+		if _, ok := k.load(h, a); ok {
 			t.Fatal("load after free must fail (poison)")
 		}
 		if h.Free(a) {
@@ -63,58 +107,48 @@ func TestHeapFreePoisons(t *testing.T) {
 			t.Fatalf("stats = %+v", st)
 		}
 		// ...still reads the old object, even once the address is reused:
-		// a published box is never rewritten.
-		if b := h.Alloc(mk(2)); b != a {
+		// what a slot points at is never rewritten.
+		if b := k.alloc(h, 2); b != a {
 			t.Fatalf("slot not reused: %v vs %v", a, b)
 		}
-		if got := val(*stale); got != 1 {
-			t.Fatalf("stale reader sees %d through the old box, want 1", got)
+		if got := stale(); got != 1 {
+			t.Fatalf("stale reader sees %d through the old pointer, want 1", got)
 		}
 	})
 }
 
 func TestHeapLIFOReuse(t *testing.T) {
-	forEachObjectKind(t, func(t *testing.T, mk func(int) any, val func(any) int) {
+	forEachObjectKind(t, func(t *testing.T, k objectKind) {
 		h := NewHeap(0)
-		a := h.Alloc(mk(1))
+		a := k.alloc(h, 1)
 		h.Free(a)
-		b := h.Alloc(mk(2))
+		b := k.alloc(h, 2)
 		if a != b {
 			t.Fatalf("expected LIFO slot reuse: %v vs %v — the ABA hazard depends on it", a, b)
 		}
-		got, ok := h.Load(b)
-		if !ok || val(got) != 2 {
+		if got, ok := k.load(h, b); !ok || got != 2 {
 			t.Fatalf("reused slot holds %v ok=%v", got, ok)
 		}
 	})
 }
 
 func TestHeapStoreInPlace(t *testing.T) {
-	forEachObjectKind(t, func(t *testing.T, mk func(int) any, val func(any) int) {
+	t.Run("plain", func(t *testing.T) {
 		h := NewHeap(0)
-		first := mk(1)
-		a := h.Alloc(first)
-		before := h.slot(a.Index()).Load()
-		if !h.Store(a, mk(2)) {
+		a := h.Alloc(1)
+		before, _ := h.slot(a.Index())
+		old := (*any)(atomic.LoadPointer(before))
+		if !h.Store(a, 2) {
 			t.Fatal("store to live slot failed")
 		}
-		got, _ := h.Load(a)
-		if val(got) != 2 {
+		if got, _ := h.Load(a); got.(int) != 2 {
 			t.Fatalf("got %v", got)
 		}
-		if val(*before) != 1 {
-			t.Fatalf("Store rewrote the box a reader may hold: it reads %d", val(*before))
-		}
-		// Storing an object whose box is already in use — here the one
-		// Alloc published — installs a fresh box, never the used one.
-		if !h.Store(a, first) {
-			t.Fatal("store of the first object failed")
-		}
-		if again := h.slot(a.Index()).Load(); again == before || val(*again) != 1 {
-			t.Fatalf("re-stored object rides its old box (%v) or reads %d", again == before, val(*again))
+		if (*old).(int) != 1 {
+			t.Fatalf("Store rewrote the box a reader may hold: it reads %v", *old)
 		}
 		h.Free(a)
-		if h.Store(a, mk(3)) {
+		if h.Store(a, 3) {
 			t.Fatal("store to freed slot must be detected")
 		}
 		st := h.Stats()
@@ -129,26 +163,88 @@ func TestHeapStoreInPlace(t *testing.T) {
 		}
 		// A store to an address beyond anything ever allocated is the same
 		// class of bug.
-		if h.Store(MakeAddr(0, 1<<20), mk(4)) {
+		if h.Store(MakeAddr(0, 1<<20), 4) {
 			t.Fatal("store to never-allocated slot must be detected")
 		}
 		if st = h.Stats(); st.UAFStores != 2 {
 			t.Fatalf("UAFStores = %d, want 2", st.UAFStores)
 		}
 	})
+	// A typed node is published once and never replaced: a Store of its
+	// address panics and leaves the slot and the books as they were.
+	t.Run("typed", func(t *testing.T) {
+		h := NewHeap(0)
+		a := objType.Alloc(h, &typedObj{v: 1})
+		st := h.Stats()
+		mustPanic(t, "untyped store of a typed address", func() { h.Store(a, 2) })
+		if n, ok := objType.Load(h, a); !ok || n.v != 1 {
+			t.Fatalf("typed slot after a refused store: %+v ok=%v", n, ok)
+		}
+		if got := h.Stats(); got != st {
+			t.Fatalf("a refused store moved the books: %+v, want %+v", got, st)
+		}
+	})
 }
 
-// Publishing a header-carrying object costs the heap no host
-// allocation: the object's own is the only one, against two (object
-// and box) for a type without the header.
-func TestHeapAllocBoxedAddsNoAllocation(t *testing.T) {
+// Publishing a typed node costs the heap no host allocation: the node
+// itself is the only one, and a Load none, against two per Alloc
+// (object and box) on the untyped path.
+func TestHeapTypedAllocAddsNoAllocation(t *testing.T) {
 	h := NewHeap(0)
-	h.Free(h.Alloc(0)) // first chunk and free-list capacity exist
-	if avg := testing.AllocsPerRun(200, func() { h.Free(h.Alloc(&boxedObj{})) }); avg != 1 {
-		t.Errorf("Alloc of a header-carrying object: %.2f allocations, want 1 (the object)", avg)
+	h.Free(h.Alloc(0))                    // the untyped chunk and pool exist
+	h.Free(objType.Alloc(h, &typedObj{})) // and the typed ones
+	a := objType.Alloc(h, &typedObj{v: 7})
+	if avg := testing.AllocsPerRun(200, func() { h.Free(objType.Alloc(h, &typedObj{})) }); avg != 1 {
+		t.Errorf("typed Alloc: %.2f allocations, want 1 (the node)", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { objType.Load(h, a) }); avg != 0 {
+		t.Errorf("typed Load: %.2f allocations, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() { h.Free(h.Alloc(&struct{ v int }{})) }); avg != 2 {
-		t.Errorf("Alloc of a plain object: %.2f allocations, want 2 (object and box)", avg)
+		t.Errorf("untyped Alloc of a plain object: %.2f allocations, want 2 (object and box)", avg)
+	}
+}
+
+// A dereference through the wrong face panics instead of reading a
+// slot as a type it does not hold: a typed Load of another type's
+// chunk, a typed Load of an untyped slot, and an untyped Load or Store
+// of a typed one.
+func TestHeapWrongFacePanics(t *testing.T) {
+	h := NewHeap(0)
+	typed := objType.Alloc(h, &typedObj{v: 1})
+	other := otherType.Alloc(h, &otherObj{v: 2})
+	plain := h.Alloc(3)
+	mustPanic(t, "typed load with another type's tag", func() { otherType.Load(h, typed) })
+	mustPanic(t, "typed load with another type's tag", func() { objType.Load(h, other) })
+	mustPanic(t, "typed load of an untyped slot", func() { objType.Load(h, plain) })
+	mustPanic(t, "untyped load of a typed slot", func() { h.Load(typed) })
+	mustPanic(t, "untyped store to a typed slot", func() { h.Store(other, 4) })
+	// A freed typed slot is still its chunk's: the wrong face panics
+	// there too, rather than reporting a use-after-free.
+	h.Free(typed)
+	mustPanic(t, "untyped load of a freed typed slot", func() { h.Load(typed) })
+	if st := h.Stats(); st.UAFLoads != 0 || st.UAFStores != 0 {
+		t.Fatalf("a panicking access was booked as a use-after-free: %+v", st)
+	}
+}
+
+// A reader that loaded a typed node before it was freed and its
+// address reallocated keeps reading the node it loaded; the new node
+// is a different object.
+func TestHeapTypedStaleReaderKeepsOldNode(t *testing.T) {
+	h := NewHeap(0)
+	a := objType.Alloc(h, &typedObj{v: 1})
+	held, _ := objType.Load(h, a)
+	h.Free(a)
+	if b := objType.Alloc(h, &typedObj{v: 2}); b != a {
+		t.Fatalf("slot not reused: %v vs %v", a, b)
+	}
+	fresh, ok := objType.Load(h, a)
+	if !ok || fresh.v != 2 || fresh == held {
+		t.Fatalf("reused slot holds %+v ok=%v (same node as the stale reader's: %v)", fresh, ok, fresh == held)
+	}
+	if held.v != 1 {
+		t.Fatalf("stale reader sees %d, want 1", held.v)
 	}
 }
 
@@ -158,6 +254,7 @@ func TestHeapWrongLocalePanics(t *testing.T) {
 	mustPanic(t, "foreign load", func() { h.Load(other) })
 	mustPanic(t, "foreign free", func() { h.Free(other) })
 	mustPanic(t, "nil load", func() { h.Load(AddrNil) })
+	mustPanic(t, "foreign typed load", func() { objType.Load(h, other) })
 }
 
 func TestHeapFreeBulk(t *testing.T) {
@@ -178,11 +275,11 @@ func TestHeapFreeBulk(t *testing.T) {
 }
 
 func TestHeapStats(t *testing.T) {
-	forEachObjectKind(t, func(t *testing.T, mk func(int) any, _ func(any) int) {
+	forEachObjectKind(t, func(t *testing.T, k objectKind) {
 		h := NewHeap(0)
 		var addrs []Addr
 		for i := 0; i < 5; i++ {
-			addrs = append(addrs, h.Alloc(mk(i)))
+			addrs = append(addrs, k.alloc(h, i))
 		}
 		st := h.Stats()
 		if st.Live != 5 || st.Allocs != 5 || st.HighWater != 5 {

@@ -56,8 +56,7 @@ func TestHeapLayout(t *testing.T) {
 		},
 		written: []span{
 			{"mu", unsafe.Offsetof(h.mu), unsafe.Sizeof(h.mu)},
-			{"next", unsafe.Offsetof(h.next), unsafe.Sizeof(h.next)},
-			{"free", unsafe.Offsetof(h.free), unsafe.Sizeof(h.free)},
+			{"pools", unsafe.Offsetof(h.pools), unsafe.Sizeof(h.pools)},
 			{"live", unsafe.Offsetof(h.live), unsafe.Sizeof(h.live)},
 			{"allocs", unsafe.Offsetof(h.allocs), unsafe.Sizeof(h.allocs)},
 			{"frees", unsafe.Offsetof(h.frees), unsafe.Sizeof(h.frees)},

@@ -53,9 +53,14 @@ func newAggregator(c *Ctx) *comm.Aggregator {
 			// were one on-statement carrying the whole batch.
 			// The destination context is scoped to the batch, so it
 			// comes from the same pool the sync dispatch path uses.
-			tc := s.borrowCtx(s.locales[dst], c)
+			// It counts as running there from before deliver admits
+			// its first op (enter's ordering) until its last one ran.
+			l := s.locales[dst]
+			l.running.Add(1)
+			tc := s.borrowCtx(l, c)
 			deliver(tc, c, batch)
 			s.releaseCtx(tc)
+			l.running.Add(-1)
 		})
 	a.SetDelay(func(dst int, ns int64) { s.delay(c, c.here.id, dst, ns) })
 	a.SetTracer(s.tracer, c.taskID)

@@ -153,7 +153,7 @@ func driveEveryRoute(t *testing.T, c *Ctx, r int) {
 	}
 	c.ChargeAMAMO(r)
 	c.ChargeBulk(r, 64)
-	if freed := c.FreeBulk(r, c.AllocBulkOn(r, []any{1, 2})); freed != 2 {
+	if freed := c.FreeBulk(r, NewSlab[int](c.sys).AllocBulkOn(c, r, []*int{new(int), new(int)})); freed != 2 {
 		t.Errorf("FreeBulk freed %d, want 2", freed)
 	}
 	c.Aggregator(r).Call(func(*Ctx) {})

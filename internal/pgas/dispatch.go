@@ -36,9 +36,34 @@ func (s *System) dispatchOn(src *Ctx, target int, fn func(*Ctx)) {
 		fn(src)
 		return
 	}
-	if s.admit(src, target, comm.Op{}) {
-		s.deliverOn(src, target, fn)
+	if !s.admit(src, target, comm.Op{}) {
+		return
 	}
+	l := s.locales[target]
+	if !s.enter(src, l) {
+		s.counters.IncOpsLost(src.here.id, 1)
+		return
+	}
+	s.deliverOn(src, target, fn)
+	l.running.Add(-1)
+}
+
+// enter counts one execution arriving at dst from src and reports
+// whether it may run there: false, with nothing counted, when the live
+// fault plan has dst dead for src. It counts before it reads the plan,
+// and Crash publishes the plan before it waits for the count to drain,
+// so of an execution and a crash racing on one locale either the
+// execution sees the crash or the crash waits for the execution. An
+// admitted execution calls it after admit, which may park in place, so
+// that a crash never waits on a parked caller; the caller undoes the
+// count (dst.running) once the execution has finished.
+func (s *System) enter(src *Ctx, dst *Locale) bool {
+	dst.running.Add(1)
+	if p := s.perturb.Load(); p != nil && p.Faulted() && refusalOf(p, src, dst.id) == refuseCrash {
+		dst.running.Add(-1)
+		return false
+	}
+	return true
 }
 
 // TryOn is On for a caller that has another route: when the live fault
@@ -56,7 +81,12 @@ func (c *Ctx) TryOn(target int, fn func(ctx *Ctx)) bool {
 	if p := s.perturb.Load(); p != nil && p.Faulted() && refusalOf(p, c, target) != refuseNone {
 		return false
 	}
+	l := s.locales[target]
+	if !s.enter(c, l) {
+		return false
+	}
 	s.deliverOn(c, target, fn)
+	l.running.Add(-1)
 	return true
 }
 
@@ -95,12 +125,17 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 	}
 	srcID := src.here.id
 	remote := target != srcID
+	l := s.locales[target]
 	// A refused launch leaves nothing in flight: a dropped task never
 	// existed and a parked one launches from the ledger when the pair
 	// heals, so Quiesce excludes dead locales and is not wedged while a
-	// pair is severed.
+	// pair is severed. A remote task counts as running on its target
+	// from before its admission (enter's ordering; this admit never
+	// parks in place) until it finishes.
 	if remote {
+		l.running.Add(1)
 		if !s.admit(src, target, comm.Op{Bytes: aggCallBytes, Exec: fn}) {
+			l.running.Add(-1)
 			s.asyncPending.Add(-1)
 			return
 		}
@@ -113,7 +148,10 @@ func (s *System) dispatchOnAsync(src *Ctx, target int, fn func(*Ctx)) {
 	salvage := src.salvage
 	go func() {
 		defer s.asyncPending.Add(-1)
-		tc := s.newCtx(s.locales[target])
+		if remote {
+			defer l.running.Add(-1)
+		}
+		tc := s.newCtx(l)
 		tc.isAsync = true
 		tc.salvage = salvage
 		if remote {

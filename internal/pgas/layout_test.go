@@ -80,6 +80,7 @@ func TestSystemLayout(t *testing.T) {
 		written: []span{
 			{"amBusy", unsafe.Offsetof(l.amBusy), unsafe.Sizeof(l.amBusy)},
 			{"amWaiting", unsafe.Offsetof(l.amWaiting), unsafe.Sizeof(l.amWaiting)},
+			{"running", unsafe.Offsetof(l.running), unsafe.Sizeof(l.running)},
 			{"amMu", unsafe.Offsetof(l.amMu), unsafe.Sizeof(l.amMu)},
 			{"amFree", unsafe.Offsetof(l.amFree), unsafe.Sizeof(l.amFree)},
 			{"modelledNS", unsafe.Offsetof(l.modelledNS), unsafe.Sizeof(l.modelledNS)},

@@ -10,7 +10,9 @@ import (
 // Global-address-space memory operations. Allocation and free are
 // routed to the owning locale's heap; loads of remote objects pay a
 // GET. Bulk free is the transport for the EpochManager's scatter
-// lists: one shipment per locale instead of one RPC per object.
+// lists: one shipment per locale instead of one RPC per object. The
+// Ctx methods store untyped objects, each behind an `any` box; a
+// structure's nodes go through its Slab instead.
 
 // Alloc stores obj on the current locale's heap and returns its global
 // address — `new unmanaged C()` on `here`.
@@ -28,27 +30,6 @@ func (c *Ctx) AllocOn(locale int, obj any) gas.Addr {
 	s := c.sys
 	s.charge(c, c.here.id, locale, comm.KindOnStmt)
 	return s.locales[locale].heap.Alloc(obj)
-}
-
-// AllocBulkOn stores every object in objs on the given locale's heap,
-// shipping the batch as one bulk transfer instead of one on-statement
-// per object — the allocation-side counterpart of FreeBulk, and what
-// the structures' bulk-insert paths build on. The returned addresses
-// are in objs order. A local batch is free, like Alloc.
-func (c *Ctx) AllocBulkOn(locale int, objs []any) []gas.Addr {
-	addrs := make([]gas.Addr, len(objs))
-	if len(objs) == 0 {
-		return addrs
-	}
-	s := c.sys
-	if locale != c.here.id {
-		s.chargeBulk(c, c.here.id, locale, int64(len(objs)*16))
-	}
-	h := s.locales[locale].heap
-	for i, obj := range objs {
-		addrs[i] = h.Alloc(obj)
-	}
-	return addrs
 }
 
 // Load fetches the object at addr. Remote addresses pay a GET. ok is
@@ -87,6 +68,74 @@ func MustDeref[T any](c *Ctx, addr gas.Addr) T {
 		panic(fmt.Sprintf("pgas: use-after-free dereferencing %v", addr))
 	}
 	return v
+}
+
+// Slab is the typed allocation handle for node type T: the structure
+// that owns T's nodes obtains it once, when it is constructed, and
+// allocates and dereferences through it. Its nodes sit bare in typed
+// heap chunks (gas.Type), so a Load is a directory load, a tag compare
+// and a slot load, with no interface box and no type assertion. AllocOn
+// and Load book and charge exactly what Ctx.AllocOn and Ctx.Load do.
+// Frees go through Ctx.Free and Ctx.FreeBulk, which take any address.
+type Slab[T any] struct {
+	sys *System
+	typ gas.Type[T]
+}
+
+// NewSlab returns s's handle for node type T.
+func NewSlab[T any](s *System) Slab[T] {
+	return Slab[T]{sys: s, typ: gas.TypeOf[T]()}
+}
+
+// AllocOn publishes obj on the given locale's heap, as Ctx.AllocOn
+// does: a remote allocation is one on-statement.
+func (sl Slab[T]) AllocOn(c *Ctx, locale int, obj *T) gas.Addr {
+	if locale != c.here.id {
+		sl.sys.charge(c, c.here.id, locale, comm.KindOnStmt)
+	}
+	return sl.typ.Alloc(sl.sys.locales[locale].heap, obj)
+}
+
+// AllocBulkOn publishes every node in objs on the given locale's heap,
+// shipping the batch as one bulk transfer (16 bytes a node) instead of
+// one on-statement per node — the allocation-side counterpart of
+// FreeBulk, and what the structures' bulk-insert paths build on. The
+// returned addresses are in objs order. A local batch is free.
+func (sl Slab[T]) AllocBulkOn(c *Ctx, locale int, objs []*T) []gas.Addr {
+	addrs := make([]gas.Addr, len(objs))
+	if len(objs) == 0 {
+		return addrs
+	}
+	if locale != c.here.id {
+		sl.sys.chargeBulk(c, c.here.id, locale, int64(len(objs)*16))
+	}
+	h := sl.sys.locales[locale].heap
+	for i, obj := range objs {
+		addrs[i] = sl.typ.Alloc(h, obj)
+	}
+	return addrs
+}
+
+// Load fetches the node at addr; remote addresses pay a GET. ok is
+// false on a detected use-after-free. It panics if addr is not a T
+// node (gas.Type.Load).
+func (sl Slab[T]) Load(c *Ctx, addr gas.Addr) (*T, bool) {
+	owner := addr.Locale()
+	if owner != c.here.id {
+		c.ChargeGet(owner)
+	}
+	return sl.typ.Load(sl.sys.locales[owner].heap, addr)
+}
+
+// MustLoad is Load for callers whose protocol guarantees the node is
+// live (e.g. under an epoch pin); it panics on use-after-free, which
+// the test suite uses to prove reclamation safety.
+func (sl Slab[T]) MustLoad(c *Ctx, addr gas.Addr) *T {
+	n, ok := sl.Load(c, addr)
+	if !ok {
+		panic(fmt.Sprintf("pgas: use-after-free dereferencing %v", addr))
+	}
+	return n
 }
 
 // Put overwrites the object stored at addr. Remote addresses pay a

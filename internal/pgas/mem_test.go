@@ -210,3 +210,40 @@ func TestMultiplePrivatizedObjects(t *testing.T) {
 		}
 	})
 }
+
+// A Slab books and charges exactly what the untyped Ctx operations do:
+// a remote AllocOn is one on-statement, a remote Load one GET, and a
+// remote AllocBulkOn one bulk transfer of 16 bytes a node; local ones
+// are free. Only the storage differs.
+func TestSlabBooksAsCtx(t *testing.T) {
+	s := NewSystem(Config{Locales: 3, Backend: comm.BackendNone, Latency: comm.DefaultProfile()})
+	defer s.Shutdown()
+	c := s.Ctx(0)
+	things := NewSlab[thing](s)
+	cost := func(op func()) (comm.Snapshot, int64) {
+		before := s.Counters().Snapshot()
+		m0, _ := s.DelayTotals()
+		op()
+		m1, _ := s.DelayTotals()
+		return s.Counters().Snapshot().Sub(before), m1 - m0
+	}
+	for _, home := range []int{0, 2} {
+		var untyped, typed gas.Addr
+		wantD, wantNS := cost(func() { untyped = c.AllocOn(home, &thing{v: 1}) })
+		if d, ns := cost(func() { typed = things.AllocOn(c, home, &thing{v: 1}) }); d != wantD || ns != wantNS {
+			t.Errorf("AllocOn(%d): slab booked %+v, %d ns; Ctx %+v, %d ns", home, d, ns, wantD, wantNS)
+		}
+		wantD, wantNS = cost(func() { MustDeref[*thing](c, untyped) })
+		if d, ns := cost(func() { things.MustLoad(c, typed) }); d != wantD || ns != wantNS {
+			t.Errorf("Load(%d): slab booked %+v, %d ns; Ctx %+v, %d ns", home, d, ns, wantD, wantNS)
+		}
+		wantD, wantNS = cost(func() {
+			if home != c.Here() {
+				c.ChargeBulk(home, 2*16)
+			}
+		})
+		if d, ns := cost(func() { things.AllocBulkOn(c, home, []*thing{{v: 2}, {v: 3}}) }); d != wantD || ns != wantNS {
+			t.Errorf("AllocBulkOn(%d): slab booked %+v, %d ns; a 32-byte bulk transfer %+v, %d ns", home, d, ns, wantD, wantNS)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package pgas
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -130,10 +131,14 @@ type Locale struct {
 	// between it and the head.
 	// Callers park on amFree, not spin: a runnable waiter would stretch
 	// the occupancy delay of the handler it awaits.
+	// running counts the executions the fault plan admitted here and
+	// that have not finished — remote on-statements, async tasks and
+	// aggregated deliveries (enter) — which Crash waits out.
 	_         [128]byte
 	amBusy    atomic.Int32
 	amWaiting atomic.Int32 // callers parked, or about to park, on amFree
-	_         [56]byte
+	running   atomic.Int64
+	_         [48]byte
 	amMu      sync.Mutex
 	amFree    sync.Cond
 
@@ -421,6 +426,13 @@ func refusalOf(p *comm.Perturbation, src *Ctx, target int) refusal {
 // Crash marks locale l dead in the live fault plan — fail-stop: every
 // subsequent operation whose destination is l is refused with a
 // counted OpsLost, while work already executing on l drains cleanly.
+// Crash returns once it has: every execution admitted on l before the
+// crash — a remote on-statement, an async task, an aggregated delivery
+// — has finished, so a recovery that follows (EpochManager.ForceRetire
+// clearing l's stranded pins) never races a handler still running
+// there. l's own tasks are not waited for; they abandon on their next
+// liveness check, and their owners join them. Crash must therefore not
+// be called from an execution running on l.
 // The crash composes with whatever latency plan is installed and
 // records one always-on KindCrash trace instant. Crashing an
 // already-dead locale is a no-op, so crash instants equal crashes
@@ -438,6 +450,9 @@ func (s *System) Crash(l int) error {
 	p := s.Perturbation().WithDown(len(s.locales), l)
 	s.perturb.Store(&p)
 	s.faultMu.Unlock()
+	for s.locales[l].running.Load() != 0 {
+		runtime.Gosched()
+	}
 	if tr := s.tracer; tr != nil {
 		tr.Instant(0, trace.KindCrash, 0, 0, l, 0, int64(l))
 	}

@@ -68,10 +68,9 @@ const Ways = 2
 // entry is one published cache cell: an immutable (key, value) pair
 // tagged with the set generation it was fetched under. Entries are
 // allocated on the caching locale's gas heap and reclaimed only
-// through the epoch manager once unpublished. The heap box lives inside
-// the entry, so a fill is one host allocation.
+// through the epoch manager once unpublished. The entry sits bare in a
+// typed heap slot (pgas.Slab), so a fill is one host allocation.
 type entry[V any] struct {
-	gas.Boxed
 	key uint64
 	gen uint64
 	val V
@@ -100,8 +99,9 @@ type shard struct {
 // manager for entry reclamation. The zero value is invalid; create
 // with New. Copy the handle freely into tasks and across locales.
 type Cache[V any] struct {
-	obj  shared.Object[shard]
-	mask uint64
+	obj     shared.Object[shard]
+	entries pgas.Slab[entry[V]]
+	mask    uint64
 }
 
 // New creates a cache with the given per-locale entry capacity: the
@@ -118,7 +118,8 @@ func New[V any](c *pgas.Ctx, slots int, em epoch.EpochManager) Cache[V] {
 		sets <<= 1
 	}
 	return Cache[V]{
-		mask: uint64(sets - 1),
+		entries: pgas.NewSlab[entry[V]](c.Sys()),
+		mask:    uint64(sets - 1),
 		obj: shared.New(c, em, func(lc *pgas.Ctx, _ int) *shard {
 			return &shard{sets: make([]set, sets)}
 		}),
@@ -164,7 +165,7 @@ func (ca Cache[V]) lookup(c *pgas.Ctx, sh *shard, k uint64) (*set, V, bool) {
 			// The pin makes this dereference safe: an entry is only ever
 			// unpublished into the epoch manager, so it outlives every
 			// reader pinned before its retirement.
-			e := pgas.MustDeref[*entry[V]](c, a)
+			e := ca.entries.MustLoad(c, a)
 			if e.key == k && e.gen == gen {
 				return st, e.val, true
 			}
@@ -232,7 +233,7 @@ func (ca Cache[V]) publish(c *pgas.Ctx, tok *epoch.Token, st *set, k uint64, gen
 			victim = w
 			break
 		}
-		e := pgas.MustDeref[*entry[V]](c, a)
+		e := ca.entries.MustLoad(c, a)
 		if e.key == k {
 			victim = w
 			break
@@ -248,7 +249,7 @@ func (ca Cache[V]) publish(c *pgas.Ctx, tok *epoch.Token, st *set, k uint64, gen
 		victim = int(st.victim.Add(1)) % Ways
 	}
 	old := st.way[victim].Load()
-	a := c.Alloc(&entry[V]{key: k, gen: gen, val: v})
+	a := ca.entries.AllocOn(c, c.Here(), &entry[V]{key: k, gen: gen, val: v})
 	if st.way[victim].CompareAndSwap(old, uint64(a)) {
 		if o := gas.Addr(old); !o.IsNil() {
 			tok.DeferDelete(c, o)
@@ -304,7 +305,7 @@ func (ca Cache[V]) Invalidate(c *pgas.Ctx, k uint64) {
 					}
 					// The pin covers this deref against a concurrent
 					// fill retiring the entry under us.
-					if e := pgas.MustDeref[*entry[V]](lc, a); e.key != k {
+					if e := ca.entries.MustLoad(lc, a); e.key != k {
 						continue
 					}
 					// CAS so a racing fill or invalidation can win the

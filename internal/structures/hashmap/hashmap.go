@@ -10,11 +10,11 @@
 // mutation is non-blocking CAS on network-atomic words; all
 // reclamation of removed entries goes through a shared EpochManager.
 //
-// The bucket *table* is privatized: Map is a copyable record-wrapped
-// handle, and every locale holds its own replica of the (immutable)
-// bucket metadata through the pgas privatization registry. Resolving
-// key → bucket is therefore a locale-private indexed load on every
-// locale — zero communication.
+// Map is a copyable record-wrapped handle. Every locale resolves
+// key → bucket by indexing the one slot array the handles share — zero
+// communication — and holds, through the pgas privatization registry,
+// a replica of the only per-locale state: the flat combiner its owned
+// buckets' writes apply under.
 //
 // A synchronous operation on a bucket another locale owns takes one of
 // two routes, chosen once per map from the backend and latency profile
@@ -55,27 +55,23 @@ import (
 // bucketSlot is one bucket's shared, mutable cell: the current list
 // behind an atomic pointer (swapped by ownership migrations, loaded by
 // every operation) and a heat counter the rebalance controller reads
-// to rank candidate buckets. Slots are shared across every locale's
-// table replica, so a migration's single pointer store republishes the
-// new list to all locales at once. They sit in one backing array, and
-// each list holds its head word inside itself, so a lookup goes replica
-// → slot → list → first node with no other object in between.
+// to rank candidate buckets. Every locale indexes the one slot array
+// in the map's core, so a migration's single pointer store republishes
+// the new list to all locales at once, and since each list holds its
+// head word inside itself a lookup goes slot → list → first node with
+// no other object in between.
 type bucketSlot[V any] struct {
 	list atomic.Pointer[list.List[V]]
 	heat atomic.Int64
 }
 
-// table is one locale's replica of the bucket metadata. The slot
-// handles are immutable after construction (the slots' contents are
-// the mutable part), so replicas never need coherence traffic —
-// exactly what makes privatization free. The combiner is the other
-// mutable member: each locale's replica carries the flat combiner that
-// serializes the fire-and-forget writes delivered to that locale's
-// buckets (see UpsertAgg), the synchronous writes shipped to them (see
-// shipWrite) and the migrations of buckets it owns.
+// table is one locale's replica: the flat combiner that serializes
+// the fire-and-forget writes delivered to that locale's buckets (see
+// UpsertAgg), the synchronous writes shipped to them (see shipWrite)
+// and the migrations of buckets it owns. The bucket slots themselves
+// are not replicated: every locale reads them from the core.
 type table[V any] struct {
-	buckets []*bucketSlot[V]
-	comb    shared.Combiner
+	comb shared.Combiner
 }
 
 // core is what every copy of a Map handle shares by pointer: the
@@ -118,9 +114,9 @@ func New[V any](c *pgas.Ctx, buckets int, em epoch.EpochManager) Map[V] {
 	L := c.NumLocales()
 	// Build the shared bucket slots once: slot i's initial list is
 	// homed on locale i%L, so the bucket's mutable state lives with its
-	// owner regardless of which locale's replica resolved it. The slots
-	// are shared across replicas; a migration's list swap is
-	// therefore visible to every locale with one store. The owner table
+	// owner regardless of which locale resolved it. Every locale reads
+	// the one slot array; a migration's list swap is therefore visible
+	// to every locale with one store. The owner table
 	// starts as the same identity, and nothing republishes it on a map
 	// that never migrates.
 	slots := make([]bucketSlot[V], n)
@@ -134,11 +130,7 @@ func New[V any](c *pgas.Ctx, buckets int, em epoch.EpochManager) Map[V] {
 		em:    em,
 	}}
 	m.priv = pgas.NewPrivatized(c, func(lc *pgas.Ctx) *table[V] {
-		replica := make([]*bucketSlot[V], n)
-		for i := range replica {
-			replica[i] = &slots[i]
-		}
-		t := &table[V]{buckets: replica}
+		t := &table[V]{}
 		t.comb.SetTracer(lc.Sys().Tracer(), lc.Here())
 		return t
 	})
@@ -224,10 +216,9 @@ func hash(k uint64) uint64 {
 	return k
 }
 
-// slot returns k's bucket slot, resolved through the calling locale's
-// privatized table replica — zero communication.
-func (m Map[V]) slot(c *pgas.Ctx, k uint64) *bucketSlot[V] {
-	return m.priv.Get(c).buckets[hash(k)&m.mask]
+// slot returns k's bucket slot — zero communication.
+func (m Map[V]) slot(k uint64) *bucketSlot[V] {
+	return &m.core.slots[hash(k)&m.mask]
 }
 
 // bucket returns the current list for k — zero communication beyond the
@@ -235,8 +226,8 @@ func (m Map[V]) slot(c *pgas.Ctx, k uint64) *bucketSlot[V] {
 // pointer always names a complete list (old until a migration's swap,
 // new after). This is the walk's resolution: load, then the list op's
 // own pin on the caller's token.
-func (m Map[V]) bucket(c *pgas.Ctx, k uint64) *list.List[V] {
-	return m.slot(c, k).list.Load()
+func (m Map[V]) bucket(k uint64) *list.List[V] {
+	return m.slot(k).list.Load()
 }
 
 // BucketOf reports which bucket index k hashes to — the entry
@@ -276,7 +267,7 @@ func (m Map[V]) Insert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
 	if m.ship {
 		ok = m.shipped(c, tok, syncOp[V]{kind: opInsert, k: k, v: v}).ok
 	} else {
-		ok = m.bucket(c, k).Insert(c, tok, k, v)
+		ok = m.bucket(k).Insert(c, tok, k, v)
 	}
 	if ok {
 		m.invalidate(c, k)
@@ -300,7 +291,7 @@ func (m Map[V]) Upsert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
 	if m.ship {
 		replaced = m.shipped(c, tok, syncOp[V]{kind: opUpsert, k: k, v: v}).ok
 	} else {
-		replaced = m.bucket(c, k).Upsert(c, tok, k, v)
+		replaced = m.bucket(k).Upsert(c, tok, k, v)
 	}
 	m.invalidate(c, k)
 	return replaced
@@ -312,7 +303,7 @@ func (m Map[V]) Remove(c *pgas.Ctx, tok *epoch.Token, k uint64) bool {
 	if m.ship {
 		ok = m.shipped(c, tok, syncOp[V]{kind: opRemove, k: k}).ok
 	} else {
-		ok = m.bucket(c, k).Remove(c, tok, k)
+		ok = m.bucket(k).Remove(c, tok, k)
 	}
 	if ok {
 		m.invalidate(c, k)
@@ -404,7 +395,7 @@ func (o *writeOp[V]) ExecRun(tc *pgas.Ctx, run []comm.Op) {
 	t.comb.DoRun(len(run), func() {
 		o.m.core.em.Protect(tc, func(tok *epoch.Token) {
 			for _, op := range run {
-				op.Exec.(*writeOp[V]).apply(tc, t, tok)
+				op.Exec.(*writeOp[V]).apply(tc, tok)
 			}
 		})
 	})
@@ -447,27 +438,26 @@ func (o *writeOp[V]) settle(tc *pgas.Ctx) {
 // generation sample named: shipped (shipWrite), re-routed and inline
 // writes each take their own combiner pass and owner-local token.
 func (o *writeOp[V]) applyOwned(tc *pgas.Ctx) {
-	t := o.m.priv.Get(tc)
-	t.comb.Do(func() {
-		o.m.core.em.Protect(tc, func(tok *epoch.Token) { o.apply(tc, t, tok) })
+	o.m.priv.Get(tc).comb.Do(func() {
+		o.m.core.em.Protect(tc, func(tok *epoch.Token) { o.apply(tc, tok) })
 	})
 }
 
-// apply is the per-write body of every owner-side pass, run inside t's
-// combiner under tok, which was pinned before any list pointer loads.
+// apply is the per-write body of every owner-side pass, run inside the
+// owner replica's combiner under tok, which was pinned before any list pointer loads.
 // It re-checks the write's generation (exact — migrations of the
 // bucket serialize on the same combiner): a stale sample applies
 // nothing and sets o.stale; a current one bumps the bucket's heat (once
 // a controller ranks the map), runs the write on the slot's current
 // list and sets o.ok to its result.
-func (o *writeOp[V]) apply(tc *pgas.Ctx, t *table[V], tok *epoch.Token) {
+func (o *writeOp[V]) apply(tc *pgas.Ctx, tok *epoch.Token) {
 	e := o.m.BucketOf(o.k)
 	if _, cur := o.m.core.tab.Owner(e); cur != o.gen {
 		o.stale = true
 		return
 	}
 	o.stale = false
-	slot := t.buckets[e]
+	slot := &o.m.core.slots[e]
 	if o.m.core.heatOn.Load() {
 		slot.heat.Add(1)
 	}
@@ -557,7 +547,7 @@ func (m Map[V]) Get(c *pgas.Ctx, tok *epoch.Token, k uint64) (V, bool) {
 // lookup is the owner-computed read: the current list's Get, shipped
 // or walked, counting the bucket's heat once a controller ranks it.
 func (m Map[V]) lookup(c *pgas.Ctx, tok *epoch.Token, k uint64) (V, bool) {
-	slot := m.slot(c, k)
+	slot := m.slot(k)
 	if m.core.heatOn.Load() {
 		slot.heat.Add(1)
 	}
@@ -580,8 +570,8 @@ func (m Map[V]) Contains(c *pgas.Ctx, tok *epoch.Token, k uint64) bool {
 // bucket's list once. Iteration order is bucket order then key order.
 // fn returning false stops early.
 func (m Map[V]) ForEach(c *pgas.Ctx, tok *epoch.Token, fn func(k uint64, v V) bool) {
-	for _, s := range m.priv.Get(c).buckets {
-		keys, vals := s.list.Load().Entries(c, tok)
+	for i := range m.core.slots {
+		keys, vals := m.core.slots[i].list.Load().Entries(c, tok)
 		for i, k := range keys {
 			if !fn(k, vals[i]) {
 				return
@@ -593,19 +583,19 @@ func (m Map[V]) ForEach(c *pgas.Ctx, tok *epoch.Token, fn func(k uint64, v V) bo
 // Len counts entries across all buckets (O(n), diagnostic).
 func (m Map[V]) Len(c *pgas.Ctx, tok *epoch.Token) int {
 	n := 0
-	for _, s := range m.priv.Get(c).buckets {
-		n += s.list.Load().Len(c, tok)
+	for i := range m.core.slots {
+		n += m.core.slots[i].list.Load().Len(c, tok)
 	}
 	return n
 }
 
-// Stats sums the bucket lists' operation counters. It takes a Ctx
-// because the bucket handles are resolved through the calling locale's
-// privatized replica.
+// Stats sums the bucket lists' operation counters. The Ctx names the
+// calling task, as the other structures' Stats take one; the slots it
+// reads are every locale's alike.
 func (m Map[V]) Stats(c *pgas.Ctx) list.Stats {
 	var s list.Stats
-	for _, slot := range m.priv.Get(c).buckets {
-		bs := slot.list.Load().Stats()
+	for i := range m.core.slots {
+		bs := m.core.slots[i].list.Load().Stats()
 		s.Inserts += bs.Inserts
 		s.Removes += bs.Removes
 		s.Unlinks += bs.Unlinks

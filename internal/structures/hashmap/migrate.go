@@ -142,14 +142,13 @@ func (m Map[V]) Migrate(c *pgas.Ctx, e, dst int) (bytes int64, ok bool) {
 		return 0, false
 	}
 	c.On(src, func(lc *pgas.Ctx) {
-		t := m.priv.Get(lc)
-		t.comb.Do(func() {
+		m.priv.Get(lc).comb.Do(func() {
 			// Re-check under the combiner: a migration that won the race
 			// republished e, and this one must not double-move it.
 			if _, cur := m.core.tab.Owner(e); cur != gen {
 				return
 			}
-			slot := t.buckets[e]
+			slot := &m.core.slots[e]
 			old := slot.list.Load()
 			var keys []uint64
 			var vals []V

@@ -80,7 +80,7 @@ func (o *syncOp[V]) run(c *pgas.Ctx, tok *epoch.Token, b *list.List[V]) {
 // keep the walk a direct list call.
 func (m Map[V]) shipped(c *pgas.Ctx, tok *epoch.Token, o syncOp[V]) syncOp[V] {
 	if !m.shipToOwner(c, &o) {
-		o.run(c, tok, m.bucket(c, o.k))
+		o.run(c, tok, m.bucket(o.k))
 	}
 	return o
 }
@@ -97,7 +97,7 @@ func (m Map[V]) shipToOwner(c *pgas.Ctx, o *syncOp[V]) bool {
 	if o.kind != opGet {
 		return m.shipWrite(c, o)
 	}
-	slot := m.slot(c, o.k)
+	slot := m.slot(o.k)
 	return c.TryOn(m.HomeOf(o.k), func(oc *pgas.Ctx) {
 		m.core.em.Protect(oc, func(tok *epoch.Token) { o.run(oc, tok, slot.list.Load()) })
 	})

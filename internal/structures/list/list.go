@@ -39,10 +39,10 @@ func unpack(v uint64) (gas.Addr, bool) {
 
 // node is one list cell; key and val are immutable, next is a
 // network-atomic word carrying (successor address | mark bit). The
-// word and the heap box live inside the node, so a cell is one host
-// object and a traversal step touches one cache line.
+// word lives inside the node and the node sits bare in a typed heap
+// slot (pgas.Slab), so a cell is one host object of 32 bytes for an
+// int64 value, and a traversal step touches one cache line.
 type node[V any] struct {
-	gas.Boxed
 	key  uint64
 	val  V
 	next pgas.Word64
@@ -53,15 +53,16 @@ type node[V any] struct {
 func (l *List[V]) newNode(c *pgas.Ctx, k uint64, v V, succ gas.Addr) (gas.Addr, *node[V]) {
 	n := &node[V]{key: k, val: v}
 	n.next.Init(c, l.home, pack(succ, false))
-	return c.AllocOn(l.home, n), n
+	return l.nodes.AllocOn(c, l.home, n), n
 }
 
 // List is a distributed sorted lock-free list keyed by uint64. Nodes
 // live on the list's home locale.
 type List[V any] struct {
-	head pgas.Word64 // sentinel successor word (no sentinel node needed), held in the list like a node's next
-	em   epoch.EpochManager
-	home int
+	head  pgas.Word64 // sentinel successor word (no sentinel node needed), held in the list like a node's next
+	em    epoch.EpochManager
+	home  int
+	nodes pgas.Slab[node[V]]
 
 	inserts   atomic.Int64
 	removes   atomic.Int64
@@ -74,7 +75,7 @@ func New[V any](c *pgas.Ctx, home int, em epoch.EpochManager) *List[V] {
 	if c.NumLocales() > 1<<15 {
 		panic("list: the mark bit needs locale ids below 2^15")
 	}
-	l := &List[V]{em: em, home: home}
+	l := &List[V]{em: em, home: home, nodes: pgas.NewSlab[node[V]](c.Sys())}
 	l.head.Init(c, home, 0)
 	return l
 }
@@ -94,7 +95,7 @@ retry:
 	pred = &l.head
 	curr, _ = unpack(pred.Read(c))
 	for !curr.IsNil() {
-		cn = pgas.MustDeref[*node[V]](c, curr)
+		cn = l.nodes.MustLoad(c, curr)
 		next = cn.next.Read(c)
 		succ, marked := unpack(next)
 		switch {
@@ -229,7 +230,7 @@ retry:
 	for {
 		curr, _ := unpack(l.head.Read(c))
 		for !curr.IsNil() {
-			cn := pgas.MustDeref[*node[V]](c, curr)
+			cn := l.nodes.MustLoad(c, curr)
 			if cn.key > k {
 				return v, false // before reading a successor word it would not use
 			}
@@ -263,7 +264,7 @@ func (l *List[V]) Len(c *pgas.Ctx, tok *epoch.Token) int {
 	n := 0
 	curr, _ := unpack(l.head.Read(c))
 	for !curr.IsNil() {
-		cn := pgas.MustDeref[*node[V]](c, curr)
+		cn := l.nodes.MustLoad(c, curr)
 		succ, marked := unpack(cn.next.Read(c))
 		if !marked {
 			n++
@@ -280,7 +281,7 @@ func (l *List[V]) Keys(c *pgas.Ctx, tok *epoch.Token) []uint64 {
 	var keys []uint64
 	curr, _ := unpack(l.head.Read(c))
 	for !curr.IsNil() {
-		cn := pgas.MustDeref[*node[V]](c, curr)
+		cn := l.nodes.MustLoad(c, curr)
 		succ, marked := unpack(cn.next.Read(c))
 		if !marked {
 			keys = append(keys, cn.key)
@@ -299,7 +300,7 @@ func (l *List[V]) Entries(c *pgas.Ctx, tok *epoch.Token) (keys []uint64, vals []
 	defer tok.Unpin(c)
 	curr, _ := unpack(l.head.Read(c))
 	for !curr.IsNil() {
-		cn := pgas.MustDeref[*node[V]](c, curr)
+		cn := l.nodes.MustLoad(c, curr)
 		succ, marked := unpack(cn.next.Read(c))
 		if !marked {
 			keys = append(keys, cn.key)
@@ -331,7 +332,7 @@ func (l *List[V]) Retire(c *pgas.Ctx, tok *epoch.Token) int {
 	n := 0
 	curr, _ := unpack(l.head.Read(c))
 	for !curr.IsNil() {
-		cn := pgas.MustDeref[*node[V]](c, curr)
+		cn := l.nodes.MustLoad(c, curr)
 		succ, marked := unpack(cn.next.Read(c))
 		if !marked {
 			tok.DeferDelete(c, curr)
@@ -359,7 +360,7 @@ func (l *List[V]) Destroy(c *pgas.Ctx) {
 	var addrs []gas.Addr
 	curr, _ := unpack(l.head.Read(c))
 	for !curr.IsNil() {
-		cn := pgas.MustDeref[*node[V]](c, curr)
+		cn := l.nodes.MustLoad(c, curr)
 		succ, marked := unpack(cn.next.Read(c))
 		if !marked {
 			addrs = append(addrs, curr)

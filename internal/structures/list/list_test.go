@@ -273,7 +273,7 @@ func TestListStats(t *testing.T) {
 func rawWalk[V any](c *pgas.Ctx, l *List[V]) (linked, marked int) {
 	curr, _ := unpack(l.head.Read(c))
 	for !curr.IsNil() {
-		cn := pgas.MustDeref[*node[V]](c, curr)
+		cn := l.nodes.MustLoad(c, curr)
 		succ, m := unpack(cn.next.Read(c))
 		linked++
 		if m {

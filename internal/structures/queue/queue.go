@@ -24,10 +24,10 @@ import (
 // node is one queue cell. next is a network-atomic word holding a
 // gas.Addr: it is CASed by enqueuers on arbitrary locales, so a
 // processor atomic would not model a real PGAS system; val is
-// immutable after construction. The word and the heap box live inside
-// the node, so a cell is one host object.
+// immutable after construction. The word lives inside the node and the
+// node sits bare in a typed heap slot (pgas.Slab), so a cell is one
+// host object of 24 bytes for an int64 value.
 type node[T any] struct {
-	gas.Boxed
 	val  T
 	next pgas.Word64
 }
@@ -37,16 +37,17 @@ type node[T any] struct {
 func (q *Queue[T]) newNode(c *pgas.Ctx, v T) gas.Addr {
 	n := &node[T]{val: v}
 	n.next.Init(c, q.home, 0)
-	return c.AllocOn(q.home, n)
+	return q.nodes.AllocOn(c, q.home, n)
 }
 
 // Queue is a distributed lock-free FIFO. Nodes live on the queue's
 // home locale (values may of course reference data anywhere).
 type Queue[T any] struct {
-	head *atomics.AtomicObject
-	tail *atomics.AtomicObject
-	em   epoch.EpochManager
-	home int
+	head  *atomics.AtomicObject
+	tail  *atomics.AtomicObject
+	em    epoch.EpochManager
+	home  int
+	nodes pgas.Slab[node[T]]
 
 	enqs atomic.Int64
 	deqs atomic.Int64
@@ -56,10 +57,11 @@ type Queue[T any] struct {
 // node reclamation. The queue starts with the MS dummy node.
 func New[T any](c *pgas.Ctx, home int, em epoch.EpochManager) *Queue[T] {
 	q := &Queue[T]{
-		head: atomics.New(c, home, atomics.Options{}),
-		tail: atomics.New(c, home, atomics.Options{}),
-		em:   em,
-		home: home,
+		head:  atomics.New(c, home, atomics.Options{}),
+		tail:  atomics.New(c, home, atomics.Options{}),
+		em:    em,
+		home:  home,
+		nodes: pgas.NewSlab[node[T]](c.Sys()),
 	}
 	var zero T
 	dummy := q.newNode(c, zero)
@@ -81,7 +83,7 @@ func (q *Queue[T]) destroy(c *pgas.Ctx) {
 	var addrs []gas.Addr
 	addr := q.head.Read(c)
 	for !addr.IsNil() {
-		n := pgas.MustDeref[*node[T]](c, addr)
+		n := q.nodes.MustLoad(c, addr)
 		addrs = append(addrs, addr)
 		addr = gas.Addr(n.next.Read(c))
 	}
@@ -98,7 +100,7 @@ func (q *Queue[T]) Enqueue(c *pgas.Ctx, tok *epoch.Token, v T) {
 	defer tok.Unpin(c)
 	for {
 		tail := q.tail.Read(c)
-		tn := pgas.MustDeref[*node[T]](c, tail)
+		tn := q.nodes.MustLoad(c, tail)
 		next := gas.Addr(tn.next.Read(c))
 		if tail != q.tail.Read(c) {
 			continue // tail moved under us; retry
@@ -127,12 +129,10 @@ func (q *Queue[T]) EnqueueBulk(c *pgas.Ctx, tok *epoch.Token, vals []T) {
 		return
 	}
 	nodes := make([]*node[T], len(vals))
-	objs := make([]any, len(vals))
 	for i, v := range vals {
 		nodes[i] = &node[T]{val: v}
-		objs[i] = nodes[i]
 	}
-	addrs := c.AllocBulkOn(q.home, objs)
+	addrs := q.nodes.AllocBulkOn(c, q.home, nodes)
 	// Pre-link the chain: the nodes are unpublished, so the next words
 	// can be initialised without any communication.
 	for i := range nodes {
@@ -147,7 +147,7 @@ func (q *Queue[T]) EnqueueBulk(c *pgas.Ctx, tok *epoch.Token, vals []T) {
 	defer tok.Unpin(c)
 	for {
 		tail := q.tail.Read(c)
-		tn := pgas.MustDeref[*node[T]](c, tail)
+		tn := q.nodes.MustLoad(c, tail)
 		next := gas.Addr(tn.next.Read(c))
 		if tail != q.tail.Read(c) {
 			continue
@@ -173,7 +173,7 @@ func (q *Queue[T]) Dequeue(c *pgas.Ctx, tok *epoch.Token) (v T, ok bool) {
 	for {
 		head := q.head.Read(c)
 		tail := q.tail.Read(c)
-		hn := pgas.MustDeref[*node[T]](c, head)
+		hn := q.nodes.MustLoad(c, head)
 		next := gas.Addr(hn.next.Read(c))
 		if head != q.head.Read(c) {
 			continue
@@ -185,7 +185,7 @@ func (q *Queue[T]) Dequeue(c *pgas.Ctx, tok *epoch.Token) (v T, ok bool) {
 			q.tail.CompareAndSwap(c, tail, next) // help
 			continue
 		}
-		val := pgas.MustDeref[*node[T]](c, next).val
+		val := q.nodes.MustLoad(c, next).val
 		if q.head.CompareAndSwap(c, head, next) {
 			tok.DeferDelete(c, head) // the old dummy
 			q.deqs.Add(1)
@@ -199,7 +199,7 @@ func (q *Queue[T]) IsEmpty(c *pgas.Ctx, tok *epoch.Token) bool {
 	tok.Pin(c)
 	defer tok.Unpin(c)
 	head := q.head.Read(c)
-	hn := pgas.MustDeref[*node[T]](c, head)
+	hn := q.nodes.MustLoad(c, head)
 	return gas.Addr(hn.next.Read(c)).IsNil()
 }
 
@@ -210,7 +210,7 @@ func (q *Queue[T]) Len(c *pgas.Ctx, tok *epoch.Token) int {
 	n := 0
 	cur := q.head.Read(c)
 	for {
-		nd := pgas.MustDeref[*node[T]](c, cur)
+		nd := q.nodes.MustLoad(c, cur)
 		next := gas.Addr(nd.next.Read(c))
 		if next.IsNil() {
 			return n

@@ -39,9 +39,9 @@ func unpack(v uint64) (gas.Addr, bool) {
 
 // node is one tower. key/val are immutable; next[i] is level i's
 // marked successor word, held by value: a tower is the node plus one
-// slice of words, and the heap box lives inside the node.
+// slice of words, and the node sits bare in a typed heap slot
+// (pgas.Slab).
 type node[V any] struct {
-	gas.Boxed
 	key      uint64
 	val      V
 	topLevel int
@@ -51,9 +51,10 @@ type node[V any] struct {
 // List is a distributed lock-free skip list keyed by uint64. Nodes
 // live on the list's home locale.
 type List[V any] struct {
-	head []pgas.Word64 // sentinel successor words per level
-	em   epoch.EpochManager
-	home int
+	head  []pgas.Word64 // sentinel successor words per level
+	em    epoch.EpochManager
+	home  int
+	nodes pgas.Slab[node[V]]
 
 	inserts   atomic.Int64
 	removes   atomic.Int64
@@ -66,7 +67,7 @@ func New[V any](c *pgas.Ctx, home int, em epoch.EpochManager) *List[V] {
 	if c.NumLocales() > 1<<15 {
 		panic("skiplist: the mark bit needs locale ids below 2^15")
 	}
-	l := &List[V]{em: em, home: home}
+	l := &List[V]{em: em, home: home, nodes: pgas.NewSlab[node[V]](c.Sys())}
 	l.head = make([]pgas.Word64, MaxLevel)
 	for i := range l.head {
 		l.head[i].Init(c, home, 0)
@@ -109,7 +110,7 @@ retry:
 				if curr.IsNil() {
 					break
 				}
-				cn := pgas.MustDeref[*node[V]](c, curr)
+				cn := l.nodes.MustLoad(c, curr)
 				succ, marked := unpack(cn.next[level].Read(c))
 				if marked {
 					// Snip; retire at the bottom-level unlink only.
@@ -138,7 +139,7 @@ retry:
 		if bottom.IsNil() {
 			return false, preds, succs, nil
 		}
-		bn := pgas.MustDeref[*node[V]](c, bottom)
+		bn := l.nodes.MustLoad(c, bottom)
 		return bn.key == k, preds, succs, bn
 	}
 }
@@ -157,7 +158,7 @@ func (l *List[V]) Insert(c *pgas.Ctx, tok *epoch.Token, k uint64, v V) bool {
 		for i := range n.next {
 			n.next[i].Init(c, l.home, pack(succs[i], false))
 		}
-		addr := c.AllocOn(l.home, n)
+		addr := l.nodes.AllocOn(c, l.home, n)
 		// Linearization: link the bottom level.
 		if !preds[0].CompareAndSwap(c, pack(succs[0], false), pack(addr, false)) {
 			c.Free(addr) // never published
@@ -246,7 +247,7 @@ func (l *List[V]) Get(c *pgas.Ctx, tok *epoch.Token, k uint64) (v V, ok bool) {
 		}
 		curr, _ := unpack(pred.Read(c))
 		for !curr.IsNil() {
-			cn := pgas.MustDeref[*node[V]](c, curr)
+			cn := l.nodes.MustLoad(c, curr)
 			succ, marked := unpack(cn.next[level].Read(c))
 			if cn.key < k {
 				predNode = cn
@@ -278,7 +279,7 @@ func (l *List[V]) Len(c *pgas.Ctx, tok *epoch.Token) int {
 	n := 0
 	curr, _ := unpack(l.head[0].Read(c))
 	for !curr.IsNil() {
-		cn := pgas.MustDeref[*node[V]](c, curr)
+		cn := l.nodes.MustLoad(c, curr)
 		succ, marked := unpack(cn.next[0].Read(c))
 		if !marked {
 			n++
@@ -295,7 +296,7 @@ func (l *List[V]) Keys(c *pgas.Ctx, tok *epoch.Token) []uint64 {
 	var keys []uint64
 	curr, _ := unpack(l.head[0].Read(c))
 	for !curr.IsNil() {
-		cn := pgas.MustDeref[*node[V]](c, curr)
+		cn := l.nodes.MustLoad(c, curr)
 		succ, marked := unpack(cn.next[0].Read(c))
 		if !marked {
 			keys = append(keys, cn.key)
@@ -320,7 +321,7 @@ func (l *List[V]) Destroy(c *pgas.Ctx) {
 	var addrs []gas.Addr
 	curr, _ := unpack(l.head[0].Read(c))
 	for !curr.IsNil() {
-		cn := pgas.MustDeref[*node[V]](c, curr)
+		cn := l.nodes.MustLoad(c, curr)
 		succ, marked := unpack(cn.next[0].Read(c))
 		if !marked {
 			addrs = append(addrs, curr)

@@ -23,10 +23,9 @@ import (
 // node is one stack cell. The next field is written only before the
 // node is published by the CAS and read only by tasks that obtained
 // the node from the head afterwards, so a plain field suffices; val is
-// immutable after construction. The heap box lives inside the node, so
-// a cell is one host object.
+// immutable after construction. The node sits bare in a typed heap
+// slot (pgas.Slab), so a cell is one host object.
 type node[T any] struct {
-	gas.Boxed
 	val  T
 	next gas.Addr
 }
@@ -34,9 +33,10 @@ type node[T any] struct {
 // Stack is a distributed lock-free LIFO. All operations require a
 // registered epoch token; they pin and unpin it internally.
 type Stack[T any] struct {
-	head *atomics.AtomicObject
-	em   epoch.EpochManager
-	home int
+	head  *atomics.AtomicObject
+	em    epoch.EpochManager
+	home  int
+	nodes pgas.Slab[node[T]]
 
 	pushes atomic.Int64
 	pops   atomic.Int64
@@ -47,9 +47,10 @@ type Stack[T any] struct {
 // whose reclamation is handled by em.
 func New[T any](c *pgas.Ctx, home int, em epoch.EpochManager) *Stack[T] {
 	return &Stack[T]{
-		head: atomics.New(c, home, atomics.Options{ABA: true}),
-		em:   em,
-		home: home,
+		head:  atomics.New(c, home, atomics.Options{ABA: true}),
+		em:    em,
+		home:  home,
+		nodes: pgas.NewSlab[node[T]](c.Sys()),
 	}
 }
 
@@ -67,7 +68,7 @@ func (s *Stack[T]) destroy(c *pgas.Ctx) {
 	byLocale := make(map[int][]gas.Addr)
 	addr := s.head.ReadABA(c).Object()
 	for !addr.IsNil() {
-		n := pgas.MustDeref[*node[T]](c, addr)
+		n := s.nodes.MustLoad(c, addr)
 		byLocale[addr.Locale()] = append(byLocale[addr.Locale()], addr)
 		addr = n.next
 	}
@@ -81,7 +82,7 @@ func (s *Stack[T]) destroy(c *pgas.Ctx) {
 // pushes never communicate beyond the head CAS itself.
 func (s *Stack[T]) Push(c *pgas.Ctx, tok *epoch.Token, v T) {
 	n := &node[T]{val: v}
-	addr := c.Alloc(n)
+	addr := s.nodes.AllocOn(c, c.Here(), n)
 	tok.Pin(c)
 	defer tok.Unpin(c)
 	for {
@@ -109,7 +110,7 @@ func (s *Stack[T]) PushBulk(c *pgas.Ctx, tok *epoch.Token, vals []T) {
 	addrs := make([]gas.Addr, len(vals))
 	for i, v := range vals {
 		nodes[i] = &node[T]{val: v}
-		addrs[i] = c.Alloc(nodes[i])
+		addrs[i] = s.nodes.AllocOn(c, c.Here(), nodes[i])
 		if i > 0 {
 			nodes[i].next = addrs[i-1]
 		}
@@ -140,7 +141,7 @@ func (s *Stack[T]) Pop(c *pgas.Ctx, tok *epoch.Token) (v T, ok bool) {
 			s.empty.Add(1)
 			return v, false
 		}
-		n := pgas.MustDeref[*node[T]](c, oldHead.Object())
+		n := s.nodes.MustLoad(c, oldHead.Object())
 		if s.head.CompareAndSwapABA(c, oldHead, n.next) {
 			tok.DeferDelete(c, oldHead.Object())
 			s.pops.Add(1)
@@ -157,7 +158,7 @@ func (s *Stack[T]) Peek(c *pgas.Ctx, tok *epoch.Token) (v T, ok bool) {
 	if top.IsNil() {
 		return v, false
 	}
-	return pgas.MustDeref[*node[T]](c, top.Object()).val, true
+	return s.nodes.MustLoad(c, top.Object()).val, true
 }
 
 // IsEmpty reports whether the stack appeared empty.
@@ -172,7 +173,7 @@ func (s *Stack[T]) Len(c *pgas.Ctx, tok *epoch.Token) int {
 	defer tok.Unpin(c)
 	n := 0
 	for cur := s.head.ReadABA(c).Object(); !cur.IsNil(); {
-		nd := pgas.MustDeref[*node[T]](c, cur)
+		nd := s.nodes.MustLoad(c, cur)
 		cur = nd.next
 		n++
 	}
