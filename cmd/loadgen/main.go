@@ -107,6 +107,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"gopgas/internal/comm"
@@ -162,7 +163,7 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
-		if *slowFac < 0 {
+		if *slowFac < 0 || math.IsNaN(*slowFac) {
 			fmt.Fprintf(os.Stderr, "loadgen: -slow-factor must be >= 0, got %v\n", *slowFac)
 			os.Exit(2)
 		}

@@ -117,8 +117,8 @@ func Zero() LatencyProfile {
 // Prices is a profile's price list: the modelled nanoseconds of one
 // counted event of each kind. The runtime charges every event it counts
 // at its kind's price, and nothing else, so Modelled of a run's counter
-// delta is what the run was charged, as long as no latency scale was in
-// force.
+// delta is what the run was charged at nominal prices; a latency scale's
+// excess is booked apart (pgas.System.DelayTotals).
 type Prices struct {
 	// Event prices one remote event of each Kind: a GET or PUT is
 	// PutGetNS; a NIC atomic NICAtomicNS; an AM atomic or remote DCAS an

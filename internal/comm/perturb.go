@@ -48,12 +48,6 @@ type Perturbation struct {
 	Partitions [][2]int `json:"partitions,omitempty"`
 }
 
-// Enabled reports whether any perturbation — latency scaling or
-// liveness faults — is configured.
-func (p Perturbation) Enabled() bool {
-	return len(p.Scales) > 0 || p.Faulted()
-}
-
 // Faulted reports whether the plan carries liveness faults (crashes or
 // partitions) that the dispatch layer must gate operations on.
 func (p Perturbation) Faulted() bool {

@@ -4,8 +4,8 @@ import "testing"
 
 func TestPerturbationZeroValue(t *testing.T) {
 	var p Perturbation
-	if p.Enabled() {
-		t.Fatal("zero Perturbation must be disabled")
+	if p.Faulted() || p.Scales != nil {
+		t.Fatal("zero Perturbation must carry no fault")
 	}
 	if got := p.ScaleFor(0); got != 1.0 {
 		t.Fatalf("ScaleFor on zero value = %v, want 1.0", got)
@@ -36,8 +36,8 @@ func TestPerturbationScaleFor(t *testing.T) {
 
 func TestPerturbationPairScaleTakesSlowerEndpoint(t *testing.T) {
 	p := SlowLocale(4, 2, 8.0)
-	if !p.Enabled() {
-		t.Fatal("SlowLocale plan must be enabled")
+	if len(p.Scales) != 4 || p.Faulted() {
+		t.Fatalf("SlowLocale plan = %+v, want a scale per locale and no liveness fault", p)
 	}
 	if got := p.PairScale(0, 1); got != 1.0 {
 		t.Fatalf("unperturbed pair = %v, want 1.0", got)

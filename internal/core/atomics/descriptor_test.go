@@ -138,19 +138,20 @@ func TestDescriptorChargesThroughDispatch(t *testing.T) {
 	tbl := NewDescriptorTable(c)
 
 	// step runs fn, which must make exactly one remote event toward
-	// shard, and returns the nanoseconds the model charged for it.
+	// shard, and returns the nanoseconds the model charged for it: its
+	// nominal price plus the live latency scale's excess.
 	step := func(what string, shard int, fn func()) int64 {
 		t.Helper()
 		before, cell := s.Counters().Snapshot(), s.Matrix().Get(0, shard)
-		m0, _ := s.DelayTotals()
+		m0, p0, _ := s.DelayTotals()
 		fn()
 		d := s.Counters().Snapshot().Sub(before)
 		if d.Remote() != 1 || s.Matrix().Get(0, shard) != cell+1 || s.Matrix().Total() != before.Remote()+1 {
 			t.Fatalf("%s: %d remote events, matrix cell (0,%d) %d -> %d, matrix total %d",
 				what, d.Remote(), shard, cell, s.Matrix().Get(0, shard), s.Matrix().Total())
 		}
-		m1, _ := s.DelayTotals()
-		return m1 - m0
+		m1, p1, _ := s.DelayTotals()
+		return m1 + p1 - m0 - p0
 	}
 
 	// Descriptors 1, 2, 3 live on shards 1, 2, 3: all remote from 0.

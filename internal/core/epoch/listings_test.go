@@ -135,7 +135,7 @@ func TestListing4Contract(t *testing.T) {
 		want := []uint64{2, 3, 4, 1, 2}
 		for _, w := range want {
 			em.TryReclaim(c)
-			if got := em.GlobalEpoch(c); got != w {
+			if got := em.readGlobal(c); got != w {
 				t.Fatalf("epoch = %d, want %d", got, w)
 			}
 		}

@@ -151,8 +151,8 @@ func (em EpochManager) currentEpoch(c *pgas.Ctx) uint64 {
 	return em.priv.Get(c).localeEpoch.Load()
 }
 
-// GlobalEpoch reads the authoritative global epoch (communication).
-func (em EpochManager) GlobalEpoch(c *pgas.Ctx) uint64 {
+// readGlobal reads the authoritative global epoch (communication).
+func (em EpochManager) readGlobal(c *pgas.Ctx) uint64 {
 	return em.global.epoch.Read(c)
 }
 

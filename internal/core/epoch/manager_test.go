@@ -152,12 +152,12 @@ func TestPinnedTokenBlocksAdvance(t *testing.T) {
 
 		// First advance succeeds: blocker is in the current epoch.
 		em.TryReclaim(c)
-		if got := em.GlobalEpoch(c); got != 2 {
+		if got := em.readGlobal(c); got != 2 {
 			t.Fatalf("epoch = %d, want 2", got)
 		}
 		// Now blocker (still in epoch 1) must block 2 → 3.
 		em.TryReclaim(c)
-		if got := em.GlobalEpoch(c); got != 2 {
+		if got := em.readGlobal(c); got != 2 {
 			t.Fatalf("advance proceeded past a pinned token: epoch = %d", got)
 		}
 		if em.Stats(c).AdvanceFail == 0 {
@@ -166,7 +166,7 @@ func TestPinnedTokenBlocksAdvance(t *testing.T) {
 		// Unpin: advancement resumes.
 		c.On(1, func(rc *pgas.Ctx) { blocker.Unpin(rc) })
 		em.TryReclaim(c)
-		if got := em.GlobalEpoch(c); got != 3 {
+		if got := em.readGlobal(c); got != 3 {
 			t.Fatalf("epoch = %d after unblock, want 3", got)
 		}
 	})
@@ -184,7 +184,7 @@ func TestUnregisteredTokenDoesNotBlock(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			em.TryReclaim(c)
 		}
-		if got := em.GlobalEpoch(c); got != nextEpoch(nextEpoch(nextEpoch(nextEpoch(nextEpoch(1))))) {
+		if got := em.readGlobal(c); got != nextEpoch(nextEpoch(nextEpoch(nextEpoch(nextEpoch(1))))) {
 			t.Fatalf("epoch = %d", got)
 		}
 	})
@@ -246,7 +246,7 @@ func TestElectionBackoff(t *testing.T) {
 		if st.GlobalBackoff != 1 {
 			t.Fatalf("global backoff = %d", st.GlobalBackoff)
 		}
-		if got := em.GlobalEpoch(c); got != 1 {
+		if got := em.readGlobal(c); got != 1 {
 			t.Fatalf("epoch advanced to %d during a held election", got)
 		}
 		em.global.isSettingEpoch.Clear(c)
@@ -262,7 +262,7 @@ func TestElectionBackoff(t *testing.T) {
 
 		// With both free, reclamation works again.
 		em.TryReclaim(c)
-		if got := em.GlobalEpoch(c); got != 2 {
+		if got := em.readGlobal(c); got != 2 {
 			t.Fatalf("epoch = %d", got)
 		}
 	})

@@ -80,7 +80,7 @@ func TestEpochModelConformance(t *testing.T) {
 					modelEpoch = nextEpoch(modelEpoch)
 					advances++
 				}
-				if em.GlobalEpoch(c) != modelEpoch {
+				if em.readGlobal(c) != modelEpoch {
 					return false
 				}
 			}

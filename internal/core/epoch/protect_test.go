@@ -45,7 +45,7 @@ func TestProtectUnregistersOnPanic(t *testing.T) {
 		// must recycle rather than mint.
 		em.TryReclaim(c)
 		em.TryReclaim(c)
-		if got := em.GlobalEpoch(c); got != 3 {
+		if got := em.readGlobal(c); got != 3 {
 			t.Fatalf("epoch = %d — panicked token still pinned", got)
 		}
 		em.Register(c)

@@ -110,7 +110,7 @@ func TestDeferEpochSafety(t *testing.T) {
 	obj := c.Alloc(&payload{v: 42})
 
 	em.TryReclaim(c) // 1 → 2 (retirer in thisEpoch, allowed)
-	if em.GlobalEpoch(c) != 2 {
+	if em.readGlobal(c) != 2 {
 		t.Fatal("setup: advance to 2 failed")
 	}
 
@@ -123,7 +123,7 @@ func TestDeferEpochSafety(t *testing.T) {
 	retirer.Unregister(c)
 
 	em.TryReclaim(c) // 2 → 3, reclaims generation 1
-	if em.GlobalEpoch(c) != 3 {
+	if em.readGlobal(c) != 3 {
 		t.Fatal("advance to 3 blocked unexpectedly")
 	}
 	if _, ok := pgas.Deref[*payload](c, held); !ok {

@@ -34,7 +34,7 @@ func checkEveryRoute(t *testing.T, backend comm.Backend, lat comm.LatencyProfile
 	s := NewSystem(Config{Locales: n, Backend: backend, Latency: lat})
 	defer s.Shutdown()
 	before, beforeM := s.Counters().SnapshotMatrix()
-	modelled0, _ := s.DelayTotals()
+	modelled0, _, _ := s.DelayTotals()
 	var wg sync.WaitGroup
 	for l := 0; l < n; l++ {
 		wg.Add(1)
@@ -106,7 +106,7 @@ func checkEveryRoute(t *testing.T, backend comm.Backend, lat comm.LatencyProfile
 			total, r, after.Remote(), s.Matrix().Total())
 	}
 	prices := lat.Prices()
-	if modelled, _ := s.DelayTotals(); modelled-modelled0 != prices.Modelled(want) {
+	if modelled, _, _ := s.DelayTotals(); modelled-modelled0 != prices.Modelled(want) {
 		t.Fatalf("%+v: modelled %d ns, want the books' price %d ns",
 			lat, modelled-modelled0, prices.Modelled(want))
 	}

@@ -45,7 +45,8 @@
 // pooled Ctx of a sync on-statement body or an aggregated delivery
 // charges its caller's), which carries a wait's overshoot into the
 // task's next charges.
-// System.DelayTotals reports what was charged and waited.
+// System.DelayTotals reports what was charged, nominal prices and a
+// latency scale's excess over them booked apart, and what was waited.
 //
 // # Aggregation buffers
 //

@@ -84,6 +84,7 @@ func TestSystemLayout(t *testing.T) {
 			{"amMu", unsafe.Offsetof(l.amMu), unsafe.Sizeof(l.amMu)},
 			{"amFree", unsafe.Offsetof(l.amFree), unsafe.Sizeof(l.amFree)},
 			{"modelledNS", unsafe.Offsetof(l.modelledNS), unsafe.Sizeof(l.modelledNS)},
+			{"perturbNS", unsafe.Offsetof(l.perturbNS), unsafe.Sizeof(l.perturbNS)},
 			{"delayWaitNS", unsafe.Offsetof(l.delayWaitNS), unsafe.Sizeof(l.delayWaitNS)},
 		},
 	}} {

@@ -222,9 +222,9 @@ func TestSlabBooksAsCtx(t *testing.T) {
 	things := NewSlab[thing](s)
 	cost := func(op func()) (comm.Snapshot, int64) {
 		before := s.Counters().Snapshot()
-		m0, _ := s.DelayTotals()
+		m0, _, _ := s.DelayTotals()
 		op()
-		m1, _ := s.DelayTotals()
+		m1, _, _ := s.DelayTotals()
 		return s.Counters().Snapshot().Sub(before), m1 - m0
 	}
 	for _, home := range []int{0, 2} {

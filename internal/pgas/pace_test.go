@@ -54,7 +54,7 @@ func TestBodyChargesLandOnCallersAccount(t *testing.T) {
 	defer s.Shutdown()
 	c := s.Ctx(0)
 	credit := stallCredit(t, c)
-	modelled, waited := s.DelayTotals()
+	modelled, _, waited := s.DelayTotals()
 
 	// spent asserts that the account paid exactly ns more, from credit.
 	spent := func(what string, ns int64) {
@@ -64,7 +64,7 @@ func TestBodyChargesLandOnCallersAccount(t *testing.T) {
 		if got := c.pace.Credit(); got != credit {
 			t.Fatalf("%s: caller's credit = %dns, want %dns", what, got, credit)
 		}
-		if m, w := s.DelayTotals(); m != modelled || w != waited {
+		if m, _, w := s.DelayTotals(); m != modelled || w != waited {
 			t.Fatalf("%s: totals = (%d, %d), want (%d, %d)", what, m, w, modelled, waited)
 		}
 	}
@@ -134,7 +134,7 @@ func TestAggFlushFollowsLivePerturbation(t *testing.T) {
 	if got, want := time.Since(start), time.Duration(scale*startupNS); got < want {
 		t.Fatalf("flush toward the slowed locale took %v, want at least the scaled startup %v", got, want)
 	}
-	if m, _ := s.DelayTotals(); m != scale*startupNS {
-		t.Fatalf("flush charged %dns, want %dns", m, scale*startupNS)
+	if m, perturb, _ := s.DelayTotals(); m != startupNS || perturb != (scale-1)*startupNS {
+		t.Fatalf("flush booked %dns modelled + %dns perturbation, want %dns + %dns", m, perturb, startupNS, (scale-1)*startupNS)
 	}
 }

@@ -151,14 +151,14 @@ func TestTryOnRefusesWithoutBooking(t *testing.T) {
 	refused := func(fault string) {
 		t.Helper()
 		before := s.Counters().Snapshot()
-		modelled, _ := s.DelayTotals()
+		modelled, _, _ := s.DelayTotals()
 		if c.TryOn(1, fn) || ran != 0 {
 			t.Fatalf("%s: TryOn delivered (ran %d)", fault, ran)
 		}
 		if d := s.Counters().Snapshot(); d != before {
 			t.Fatalf("%s: refusal booked\n %+v\nwas\n %+v", fault, d, before)
 		}
-		if m, _ := s.DelayTotals(); m != modelled {
+		if m, _, _ := s.DelayTotals(); m != modelled {
 			t.Fatalf("%s: refusal charged %d ns", fault, m-modelled)
 		}
 		if n := s.ParkedOps(); n != 0 {

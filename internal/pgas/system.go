@@ -142,10 +142,12 @@ type Locale struct {
 	amMu      sync.Mutex
 	amFree    sync.Cond
 
-	// DelayTotals: what System.delay charged this locale's contexts and
-	// how long they waited, on a cache line of their own.
+	// DelayTotals: what System.delay charged this locale's contexts,
+	// nominal and scales' excess, and how long they waited, on a cache
+	// line of their own.
 	_           [64]byte
 	modelledNS  atomic.Int64
+	perturbNS   atomic.Int64
 	delayWaitNS atomic.Int64
 	_           [128]byte
 }
@@ -331,28 +333,34 @@ func (s *System) amCall(c *Ctx, target int, k comm.Kind, fn func()) {
 // the task's next charges, not paid on top), scaled by the live
 // perturbation plan. Every charge the pgas layer makes routes through
 // here, so a fault plan — including one installed mid-run via
-// SetScales — covers every class of communication uniformly. The
-// zero latency profile leaves at the first branch.
+// SetScales — covers every class of communication uniformly. It books
+// the nominal price as modelled and the scale's excess (scaled −
+// nominal, negative below 1) apart. The zero latency profile leaves at
+// the first branch.
 func (s *System) delay(c *Ctx, src, dst int, ns int64) {
 	if ns <= 0 {
 		return
 	}
-	if p := s.perturb.Load(); p != nil && p.Enabled() {
-		ns = int64(float64(ns) * p.PairScale(src, dst))
-	}
 	c.here.modelledNS.Add(ns)
+	if p := s.perturb.Load(); p != nil && len(p.Scales) > 0 {
+		scaled := int64(float64(ns) * p.PairScale(src, dst))
+		c.here.perturbNS.Add(scaled - ns)
+		ns = scaled
+	}
 	c.here.delayWaitNS.Add(c.pace.Delay(ns))
 }
 
-// DelayTotals returns the nanoseconds the model has charged so far
-// (perturbation applied) and the wall nanoseconds tasks waited for
-// them; the excess is what stalls longer than the account's clamp cost.
-func (s *System) DelayTotals() (modelledNS, waitNS int64) {
+// DelayTotals returns the nanoseconds the model has charged so far at
+// nominal prices, what latency scales added to them, and the wall
+// nanoseconds tasks waited for both; the wait's excess is what stalls
+// longer than the account's clamp cost.
+func (s *System) DelayTotals() (modelledNS, perturbNS, waitNS int64) {
 	for _, l := range s.locales {
 		modelledNS += l.modelledNS.Load()
+		perturbNS += l.perturbNS.Load()
 		waitNS += l.delayWaitNS.Load()
 	}
-	return modelledNS, waitNS
+	return modelledNS, perturbNS, waitNS
 }
 
 // SetScales replaces the latency half of the live fault plan: every

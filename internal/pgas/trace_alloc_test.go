@@ -80,7 +80,7 @@ func TestAMAtomicsZeroAlloc(t *testing.T) {
 			}
 			// Under the zero profile a charge leaves System.delay at its first
 			// branch: it never reaches the task's account, so it reads no clock.
-			if m, w := s.DelayTotals(); m != 0 || w != 0 {
+			if m, _, w := s.DelayTotals(); m != 0 || w != 0 {
 				t.Errorf("zero-profile charges reached the delay account: modelled %dns, waited %dns", m, w)
 			}
 		})

@@ -48,10 +48,10 @@ func TestVisitBooksLikeCoforall(t *testing.T) {
 	measure := func(fanOut func(func(*Ctx))) books {
 		var b books
 		before := s.Counters().Snapshot()
-		m0, _ := s.DelayTotals()
+		m0, _, _ := s.DelayTotals()
 		b.matrix = matrixDelta(s, func() { fanOut(body) })
 		b.counters = s.Counters().Snapshot().Sub(before)
-		m1, _ := s.DelayTotals()
+		m1, _, _ := s.DelayTotals()
 		b.modelled = m1 - m0
 		return b
 	}
@@ -112,14 +112,14 @@ func TestVisitWaitsForTheMakespan(t *testing.T) {
 	var tab comm.Pacer
 	tab.OpenTab()
 	c.pace = &tab
-	m0, _ := s.DelayTotals()
+	m0, _, _ := s.DelayTotals()
 	// Locale l charges l+1 GETs toward its neighbour.
 	c.VisitLocales(func(tc *Ctx) {
 		for i := 0; i <= tc.Here(); i++ {
 			tc.ChargeGet((tc.Here() + 1) % n)
 		}
 	})
-	m1, _ := s.DelayTotals()
+	m1, _, _ := s.DelayTotals()
 	price := lat.Prices().Event
 	rt, get := price[comm.KindOnStmt], price[comm.KindGet]
 	if want := rt + n*get; tab.Owed() != want {

@@ -132,8 +132,8 @@ func (ca Cache[V]) Valid() bool { return ca.obj.Valid() }
 // Manager returns the epoch manager entries are retired through.
 func (ca Cache[V]) Manager() epoch.EpochManager { return ca.obj.Manager() }
 
-// NumSets returns the per-locale set count.
-func (ca Cache[V]) NumSets() int { return int(ca.mask) + 1 }
+// numSets returns the per-locale set count.
+func (ca Cache[V]) numSets() int { return int(ca.mask) + 1 }
 
 // SetOf reports which set k maps to — placement-aware tests and
 // benchmarks use it to construct (or avoid) set collisions.
@@ -175,12 +175,12 @@ func (ca Cache[V]) lookup(c *pgas.Ctx, sh *shard, k uint64) (*set, V, bool) {
 	return st, zero, false
 }
 
-// Lookup probes the calling locale's replica for k — a pure local hit
+// peek probes the calling locale's replica for k — a pure local hit
 // test (zero communication either way). tok must be registered on the
-// calling locale; Lookup pins it for the probe. Misses are NOT counted
-// against the hit/miss statistics: Lookup is the diagnostic peek,
+// calling locale; peek pins it for the probe. Misses are NOT counted
+// against the hit/miss statistics: peek is the diagnostic probe,
 // GetThrough the memoizing read path.
-func (ca Cache[V]) Lookup(c *pgas.Ctx, tok *epoch.Token, k uint64) (V, bool) {
+func (ca Cache[V]) peek(c *pgas.Ctx, tok *epoch.Token, k uint64) (V, bool) {
 	tok.Pin(c)
 	defer tok.Unpin(c)
 	_, v, ok := ca.lookup(c, ca.obj.Local(c), k)

@@ -35,8 +35,8 @@ func TestGetThroughMemoizesLocally(t *testing.T) {
 	s.Run(func(c *pgas.Ctx) {
 		em := epoch.NewEpochManager(c)
 		ca := New[int](c, 64, em)
-		if !ca.Valid() || ca.NumSets()*Ways != 64 {
-			t.Fatalf("handle: valid=%v slots=%d", ca.Valid(), ca.NumSets()*Ways)
+		if !ca.Valid() || ca.numSets()*Ways != 64 {
+			t.Fatalf("handle: valid=%v slots=%d", ca.Valid(), ca.numSets()*Ways)
 		}
 		var fetches [4]int
 		c.CoforallLocales(func(lc *pgas.Ctx) {
@@ -119,7 +119,7 @@ func TestInvalidateUnpublishesAllReplicas(t *testing.T) {
 		}
 		c.CoforallLocales(func(lc *pgas.Ctx) {
 			em.Protect(lc, func(tok *epoch.Token) {
-				if _, ok := ca.Lookup(lc, tok, 3); ok {
+				if _, ok := ca.peek(lc, tok, 3); ok {
 					t.Errorf("locale %d still serves the invalidated key", lc.Here())
 				}
 			})
@@ -156,14 +156,14 @@ func TestRacingFillIsDeadOnArrival(t *testing.T) {
 			}
 			// The published entry carries the pre-bump generation, so it
 			// must not be served.
-			if _, ok := ca.Lookup(c, tok, 5); ok {
+			if _, ok := ca.peek(c, tok, 5); ok {
 				t.Fatal("stale entry served after a racing invalidation")
 			}
 			// The next miss refills under the current generation.
 			if v, ok := ca.GetThrough(c, tok, 5, func() (int, bool) { return 2, true }); !ok || v != 2 {
 				t.Fatalf("refill read = (%d, %v)", v, ok)
 			}
-			if v, ok := ca.Lookup(c, tok, 5); !ok || v != 2 {
+			if v, ok := ca.peek(c, tok, 5); !ok || v != 2 {
 				t.Fatalf("refilled entry not served: (%d, %v)", v, ok)
 			}
 		})
@@ -190,19 +190,19 @@ func TestSetCollisionsAbsorbedThenEvict(t *testing.T) {
 			ca.GetThrough(c, tok, k1, func() (int, bool) { return 11, true })
 			ca.GetThrough(c, tok, k2, func() (int, bool) { return 22, true })
 			// Associativity: the colliding pair is served side by side.
-			if v, ok := ca.Lookup(c, tok, k1); !ok || v != 11 {
+			if v, ok := ca.peek(c, tok, k1); !ok || v != 11 {
 				t.Fatalf("k1 after pair fill = (%d, %v), want (11, true)", v, ok)
 			}
-			if v, ok := ca.Lookup(c, tok, k2); !ok || v != 22 {
+			if v, ok := ca.peek(c, tok, k2); !ok || v != 22 {
 				t.Fatalf("k2 after pair fill = (%d, %v), want (22, true)", v, ok)
 			}
 			// A third key forces a round-robin eviction of one resident.
 			ca.GetThrough(c, tok, k3, func() (int, bool) { return 33, true })
-			if v, ok := ca.Lookup(c, tok, k3); !ok || v != 33 {
+			if v, ok := ca.peek(c, tok, k3); !ok || v != 33 {
 				t.Fatalf("k3 after eviction fill = (%d, %v), want (33, true)", v, ok)
 			}
-			_, ok1 := ca.Lookup(c, tok, k1)
-			_, ok2 := ca.Lookup(c, tok, k2)
+			_, ok1 := ca.peek(c, tok, k1)
+			_, ok2 := ca.peek(c, tok, k2)
 			if ok1 == ok2 {
 				t.Fatalf("exactly one of the pair must survive eviction: k1=%v k2=%v", ok1, ok2)
 			}

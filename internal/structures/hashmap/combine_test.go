@@ -58,7 +58,7 @@ func runCombineStorm(t *testing.T, combine bool) (map[uint64]int64, comm.Snapsho
 
 	got := make(map[uint64]int64)
 	tok := em.Register(c0)
-	m.ForEach(c0, tok, func(k uint64, v int64) bool {
+	m.forEach(c0, tok, func(k uint64, v int64) bool {
 		got[k] = v
 		return true
 	})

@@ -564,12 +564,12 @@ func (m Map[V]) Contains(c *pgas.Ctx, tok *epoch.Token, k uint64) bool {
 	return ok
 }
 
-// ForEach visits every live entry under the caller's token (a weakly
+// forEach visits every live entry under the caller's token (a weakly
 // consistent snapshot, like iterating Go's sync.Map: entries inserted
 // or removed concurrently may or may not be observed), walking each
 // bucket's list once. Iteration order is bucket order then key order.
 // fn returning false stops early.
-func (m Map[V]) ForEach(c *pgas.Ctx, tok *epoch.Token, fn func(k uint64, v V) bool) {
+func (m Map[V]) forEach(c *pgas.Ctx, tok *epoch.Token, fn func(k uint64, v V) bool) {
 	for i := range m.core.slots {
 		keys, vals := m.core.slots[i].list.Load().Entries(c, tok)
 		for i, k := range keys {

@@ -265,7 +265,7 @@ func TestMapForEach(t *testing.T) {
 			m.Insert(c, tok, k, int(k)*3)
 		}
 		got := map[uint64]int{}
-		m.ForEach(c, tok, func(k uint64, v int) bool {
+		m.forEach(c, tok, func(k uint64, v int) bool {
 			got[k] = v
 			return true
 		})
@@ -279,7 +279,7 @@ func TestMapForEach(t *testing.T) {
 		}
 		// Early stop.
 		n := 0
-		m.ForEach(c, tok, func(uint64, int) bool { n++; return n < 5 })
+		m.forEach(c, tok, func(uint64, int) bool { n++; return n < 5 })
 		if n != 5 {
 			t.Fatalf("early stop visited %d", n)
 		}

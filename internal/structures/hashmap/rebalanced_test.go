@@ -282,7 +282,7 @@ func runMigrationStorm(t *testing.T, migrate bool) (map[uint64]int64, comm.Snaps
 
 	got := make(map[uint64]int64)
 	tok := em.Register(c0)
-	m.ForEach(c0, tok, func(k uint64, v int64) bool {
+	m.forEach(c0, tok, func(k uint64, v int64) bool {
 		got[k] = v
 		return true
 	})
@@ -498,7 +498,7 @@ func TestRebalancedCrashFailoverStorm(t *testing.T) {
 	}
 	got := make(map[uint64]int64)
 	tok := em.Register(c0)
-	m.ForEach(c0, tok, func(k uint64, v int64) bool {
+	m.forEach(c0, tok, func(k uint64, v int64) bool {
 		got[k] = v
 		return true
 	})

@@ -455,7 +455,7 @@ func TestShippedStorm(t *testing.T) {
 	}
 	got := map[uint64]int64{}
 	em.Protect(c0, func(tok *epoch.Token) {
-		m.ForEach(c0, tok, func(k uint64, v int64) bool {
+		m.forEach(c0, tok, func(k uint64, v int64) bool {
 			got[k] = v
 			return true
 		})

@@ -132,7 +132,7 @@ func TestEnqueueBulkEmpty(t *testing.T) {
 		tok := em.Register(c)
 		defer tok.Unregister(c)
 		q.EnqueueBulk(c, tok, nil)
-		if !q.IsEmpty(c, tok) {
+		if !q.isEmpty(c, tok) {
 			t.Fatal("empty bulk enqueue changed the queue")
 		}
 	})

@@ -58,7 +58,7 @@ func TestQueueModelProperty(t *testing.T) {
 	}
 }
 
-// Property: IsEmpty agrees with Len == 0 at every step.
+// Property: isEmpty agrees with Len == 0 at every step.
 func TestIsEmptyConsistencyProperty(t *testing.T) {
 	s := pgas.NewSystem(pgas.Config{Locales: 1, Backend: comm.BackendNone})
 	defer s.Shutdown()
@@ -76,7 +76,7 @@ func TestIsEmptyConsistencyProperty(t *testing.T) {
 			} else if _, ok := q.Dequeue(c, tok); ok {
 				n--
 			}
-			if q.IsEmpty(c, tok) != (n == 0) {
+			if q.isEmpty(c, tok) != (n == 0) {
 				return false
 			}
 		}

@@ -194,8 +194,8 @@ func (q *Queue[T]) Dequeue(c *pgas.Ctx, tok *epoch.Token) (v T, ok bool) {
 	}
 }
 
-// IsEmpty reports whether the queue appeared empty.
-func (q *Queue[T]) IsEmpty(c *pgas.Ctx, tok *epoch.Token) bool {
+// isEmpty reports whether the queue appeared empty.
+func (q *Queue[T]) isEmpty(c *pgas.Ctx, tok *epoch.Token) bool {
 	tok.Pin(c)
 	defer tok.Unpin(c)
 	head := q.head.Read(c)

@@ -22,7 +22,7 @@ func TestQueueFIFO(t *testing.T) {
 		em := epoch.NewEpochManager(c)
 		q := New[int](c, 0, em)
 		tok := em.Register(c)
-		if !q.IsEmpty(c, tok) {
+		if !q.isEmpty(c, tok) {
 			t.Fatal("fresh queue not empty")
 		}
 		for i := 0; i < 10; i++ {

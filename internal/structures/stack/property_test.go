@@ -59,7 +59,7 @@ func TestStackModelProperty(t *testing.T) {
 	}
 }
 
-// Property: Peek never mutates.
+// Property: peek never mutates.
 func TestPeekPureProperty(t *testing.T) {
 	s := pgas.NewSystem(pgas.Config{Locales: 1, Backend: comm.BackendNone})
 	defer s.Shutdown()
@@ -74,7 +74,7 @@ func TestPeekPureProperty(t *testing.T) {
 		}
 		before := st.Len(c, tok)
 		for i := 0; i < 5; i++ {
-			st.Peek(c, tok)
+			st.peek(c, tok)
 		}
 		return st.Len(c, tok) == before
 	}

@@ -150,8 +150,8 @@ func (s *Stack[T]) Pop(c *pgas.Ctx, tok *epoch.Token) (v T, ok bool) {
 	}
 }
 
-// Peek returns the top value without removing it.
-func (s *Stack[T]) Peek(c *pgas.Ctx, tok *epoch.Token) (v T, ok bool) {
+// peek returns the top value without removing it.
+func (s *Stack[T]) peek(c *pgas.Ctx, tok *epoch.Token) (v T, ok bool) {
 	tok.Pin(c)
 	defer tok.Unpin(c)
 	top := s.head.ReadABA(c)
@@ -161,8 +161,8 @@ func (s *Stack[T]) Peek(c *pgas.Ctx, tok *epoch.Token) (v T, ok bool) {
 	return s.nodes.MustLoad(c, top.Object()).val, true
 }
 
-// IsEmpty reports whether the stack appeared empty.
-func (s *Stack[T]) IsEmpty(c *pgas.Ctx) bool {
+// isEmpty reports whether the stack appeared empty.
+func (s *Stack[T]) isEmpty(c *pgas.Ctx) bool {
 	return s.head.ReadABA(c).IsNil()
 }
 

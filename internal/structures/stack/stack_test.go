@@ -34,8 +34,8 @@ func TestStackLIFO(t *testing.T) {
 		if _, ok := st.Pop(c, tok); ok {
 			t.Fatal("pop from empty succeeded")
 		}
-		if !st.IsEmpty(c) {
-			t.Fatal("IsEmpty false after draining")
+		if !st.isEmpty(c) {
+			t.Fatal("isEmpty false after draining")
 		}
 	})
 }
@@ -46,12 +46,12 @@ func TestStackPeekLen(t *testing.T) {
 		em := epoch.NewEpochManager(c)
 		st := New[string](c, 0, em)
 		tok := em.Register(c)
-		if _, ok := st.Peek(c, tok); ok {
+		if _, ok := st.peek(c, tok); ok {
 			t.Fatal("peek on empty")
 		}
 		st.Push(c, tok, "a")
 		st.Push(c, tok, "b")
-		if v, ok := st.Peek(c, tok); !ok || v != "b" {
+		if v, ok := st.peek(c, tok); !ok || v != "b" {
 			t.Fatalf("peek = %q", v)
 		}
 		if n := st.Len(c, tok); n != 2 {

@@ -289,8 +289,8 @@ type Span struct {
 	kind  Kind
 }
 
-// Active reports whether the span was actually recorded.
-func (s Span) Active() bool { return s.r != nil }
+// active reports whether the span was actually recorded.
+func (s Span) active() bool { return s.r != nil }
 
 // Begin opens a span of kind k recorded on locale's ring (conventionally
 // where the lifecycle executes). Sampled kinds record 1 in SampleRate

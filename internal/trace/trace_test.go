@@ -12,7 +12,7 @@ import (
 func TestSpanRoundTrip(t *testing.T) {
 	r := NewRecorder(2, Config{BufferSize: 128})
 	sp := r.Begin(0, KindDispatch, 7, 0, 1, 64, 3)
-	if !sp.Active() {
+	if !sp.active() {
 		t.Fatal("unsampled recorder declined a span")
 	}
 	sp.End()
@@ -67,7 +67,7 @@ func TestDisabledAndZeroSpan(t *testing.T) {
 	r := NewRecorder(1, Config{BufferSize: 64})
 	r.SetEnabled(false)
 	sp := r.Begin(0, KindDispatch, 1, 0, 0, 0, 0)
-	if sp.Active() {
+	if sp.active() {
 		t.Fatal("disabled recorder handed out a live span")
 	}
 	sp.End() // must not panic or record

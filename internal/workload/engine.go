@@ -126,11 +126,11 @@ func runWith(spec Spec, drv Driver, progress io.Writer, tel *Telemetry) (*Report
 }
 
 // run is what one scenario execution shares across phases, rounds and
-// tasks. c0, avail, severed, scalesInstalled and sched belong to
-// whichever goroutine keeps the engine's time — the scenario goroutine
-// between rounds, the round's clock during one, while the scenario
-// goroutine sits in the worker join; starting and joining the clock are
-// the handoffs. The rest is fixed.
+// tasks. c0, avail, severed and sched belong to whichever goroutine
+// keeps the engine's time — the scenario goroutine between rounds, the
+// round's clock during one, while the scenario goroutine sits in the
+// worker join; starting and joining the clock are the handoffs. The
+// rest is fixed.
 type run struct {
 	spec  Spec
 	sys   *pgas.System
@@ -143,9 +143,8 @@ type run struct {
 	avail *AvailabilityReport
 	// severed is the sever clock, shared by scheduled and live faults:
 	// when each severed pair went down.
-	severed         map[[2]int]time.Time
-	scalesInstalled bool // apply installed latency scales since the last run.scaled
-	sched           schedule
+	severed map[[2]int]time.Time
+	sched   schedule
 	// workers joins one round's worker tasks, per locale: the round
 	// waits on every locale's, a crash on the dead locale's.
 	workers []sync.WaitGroup
@@ -230,15 +229,6 @@ func summary(hists []Histogram) LatencySummary {
 	return merged.Summary()
 }
 
-// scaled reports whether a latency scale is in force, or was installed
-// by apply since the last call: a phase that saw either was charged
-// scaled prices.
-func (r *run) scaled() bool {
-	installed := r.scalesInstalled
-	r.scalesInstalled = false
-	return installed || len(r.sys.Perturbation().Scales) > 0
-}
-
 // runPhase executes one phase and assembles its report. A round is a
 // boundary step of the schedule, the workers and, if needed, a clock.
 func (r *run) runPhase(pi int) PhaseReport {
@@ -254,9 +244,8 @@ func (r *run) runPhase(pi int) PhaseReport {
 		ps.late = make([]Histogram, workers)
 	}
 
-	scaled := r.scaled()
 	before, beforeM := sys.Counters().SnapshotMatrix()
-	modelled0, wait0 := sys.DelayTotals()
+	modelled0, perturb0, wait0 := sys.DelayTotals()
 	start := time.Now()
 
 	for round := 0; round < ph.rounds(); round++ {
@@ -335,8 +324,7 @@ func (r *run) runPhase(pi int) PhaseReport {
 	}
 	after, afterM := sys.Counters().SnapshotMatrix()
 	snap, matrix := after.Sub(before), comm.SubMatrix(afterM, beforeM)
-	modelled, wait := sys.DelayTotals()
-	scaled = r.scaled() || scaled // read after the totals: a later install charged none of them
+	modelled, perturb, wait := sys.DelayTotals()
 	throughput := 0.0
 	if seconds > 0 {
 		throughput = float64(ops) / seconds
@@ -353,8 +341,8 @@ func (r *run) runPhase(pi int) PhaseReport {
 		Seconds:      seconds,
 		Throughput:   throughput,
 		ModelledNS:   modelled - modelled0,
+		PerturbNS:    perturb - perturb0,
 		DelayWaitNS:  wait - wait0,
-		Scaled:       scaled,
 		unpacedNS:    ps.unpaced.Load(),
 		Latency:      summary(ps.hists),
 		latencySumNS: latencySum,

@@ -1118,7 +1118,9 @@ func TestQueueStackCrashFailover(t *testing.T) {
 // longer than its clamp — a descheduled vCPU, another test binary on
 // the CPU — nor the credit a task still holds when it ends. Both are
 // counted (comm.Pacer.Dropped, Credit), so every slice of the run must
-// balance exactly: waited − dropped − final credit == modelled.
+// balance exactly: waited − dropped − final credit == modelled +
+// perturbation. The last slice runs with locale 3 slowed, so there the
+// perturbation is the scale's excess, not zero.
 func TestDelayWaitMatchesModelled(t *testing.T) {
 	const slices = 40
 	spec := Spec{
@@ -1133,9 +1135,11 @@ func TestDelayWaitMatchesModelled(t *testing.T) {
 		LatencyScale:   1,
 		Phases:         []Phase{{Name: "load", Mix: Mix{Insert: 1}, OpsPerTask: 700}},
 	}
-	for i := 0; i < slices; i++ {
+	for i := 0; i <= slices; i++ {
 		spec.Phases = append(spec.Phases, Phase{Name: "run", Mix: Mix{Insert: 2, Get: 6, Remove: 1}, OpsPerTask: 100})
 	}
+	spec.Phases[slices+1].Name = "scaled"
+	spec.Faults.Events = []Event{{Phase: slices + 1, Fault: Fault{Scales: comm.SlowLocale(4, 3, 2).Scales}}}
 	rep, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -1145,13 +1149,18 @@ func TestDelayWaitMatchesModelled(t *testing.T) {
 		if ph.ModelledNS == 0 {
 			t.Fatal("a scale-1 phase reports no modelled nanoseconds")
 		}
-		if paid := ph.DelayWaitNS - ph.unpacedNS; paid != ph.ModelledNS {
-			t.Errorf("slice %d: waited %dns − %dns uncharged overshoot = %dns, want exactly the %dns modelled",
-				i, ph.DelayWaitNS, ph.unpacedNS, paid, ph.ModelledNS)
+		if scaled := i == slices; (ph.PerturbNS > 0) != scaled {
+			t.Errorf("slice %d (%s): perturbation %dns", i, ph.Name, ph.PerturbNS)
 		}
-		ratios = append(ratios, float64(ph.DelayWaitNS)/float64(ph.ModelledNS))
+		charged := ph.ModelledNS + ph.PerturbNS
+		if paid := ph.DelayWaitNS - ph.unpacedNS; paid != charged {
+			t.Errorf("slice %d: waited %dns − %dns uncharged overshoot = %dns, want exactly the %dns modelled + %dns perturbation",
+				i, ph.DelayWaitNS, ph.unpacedNS, paid, ph.ModelledNS, ph.PerturbNS)
+		}
+		ratios = append(ratios, float64(ph.DelayWaitNS)/float64(charged))
 	}
 	sort.Float64s(ratios)
-	t.Logf("delay_wait_ns/modelled_ns over %d slices: min %.4f, lower quartile %.4f, median %.4f, max %.4f",
-		slices, ratios[0], ratios[slices/4], ratios[slices/2], ratios[slices-1])
+	n := len(ratios)
+	t.Logf("delay_wait_ns/(modelled_ns + perturb_ns) over %d slices: min %.4f, lower quartile %.4f, median %.4f, max %.4f",
+		n, ratios[0], ratios[n/4], ratios[n/2], ratios[n-1])
 }

@@ -136,24 +136,21 @@ type PhaseReport struct {
 	Seconds    float64 `json:"seconds"`
 	Throughput float64 `json:"throughput_ops_per_sec"`
 
-	// ModelledNS is what the latency model charged during the phase
-	// (pgas.System.DelayTotals: every injected delay, perturbation
-	// applied, summed over tasks) and DelayWaitNS the wall time tasks
-	// waited for it. Seconds × tasks − DelayWaitNS is the runtime's own
-	// cost. Both are zero, and omitted, under the zero latency profile.
+	// ModelledNS is what the latency model charged during the phase at
+	// nominal prices (pgas.System.DelayTotals, summed over tasks),
+	// PerturbNS what latency scales added to those charges (negative
+	// below a scale of 1), and DelayWaitNS the wall time tasks waited for
+	// both. Seconds × tasks − DelayWaitNS is the runtime's own cost. All
+	// are zero, and omitted, under the zero latency profile.
 	ModelledNS  int64 `json:"modelled_ns,omitempty"`
+	PerturbNS   int64 `json:"perturb_ns,omitempty"`
 	DelayWaitNS int64 `json:"delay_wait_ns,omitempty"`
-
-	// Scaled records that a latency scale was in force during the phase
-	// — a spec event's scales, or scales POSTed to /api/fault — so its
-	// charges were scaled and truncated per event, and ModelledNS is not
-	// its books priced (Report.Invariants exempts it).
-	Scaled bool `json:"scaled,omitempty"`
 
 	// unpacedNS is what the workers' delay accounts waited beyond their
 	// charges: the overshoot their clamps dropped plus the credit they
 	// ended with (pgas.Ctx.DelayAccount). When the workers' accounts are
-	// the only ones charged, DelayWaitNS − unpacedNS == ModelledNS.
+	// the only ones charged, DelayWaitNS − unpacedNS == ModelledNS +
+	// PerturbNS.
 	unpacedNS int64
 
 	// Latency digests the wall latency histogram (HDR-style log
@@ -231,12 +228,9 @@ func (r *Report) Invariants() []Invariant {
 	a := r.Availability
 	var agg struct{ Shipped, Combined, Enqueued int64 }
 	var mig struct{ Adopted, Retired int64 }
-	var delay struct{ WaitNS, ModelledNS int64 }
+	var delay struct{ WaitNS, ModelledNS, PerturbNS int64 }
 	var remote struct{ Events, Matrix int64 }
-	var priced struct {
-		ModelledNS, PricedNS int64
-		ScaledPhases         int
-	}
+	var priced struct{ ModelledNS, PricedNS int64 }
 	prices := r.Spec.latency().Prices()
 	remoteHeld, pricedHeld := true, true
 	for _, p := range r.Phases {
@@ -256,14 +250,11 @@ func (r *Report) Invariants() []Invariant {
 		mig.Retired += p.Comm.MigRetired
 		delay.WaitNS += p.DelayWaitNS
 		delay.ModelledNS += p.ModelledNS
-		if p.Scaled {
-			priced.ScaledPhases++
-		} else {
-			want := prices.Modelled(p.Comm)
-			pricedHeld = pricedHeld && p.ModelledNS == want
-			priced.ModelledNS += p.ModelledNS
-			priced.PricedNS += want
-		}
+		delay.PerturbNS += p.PerturbNS
+		want := prices.Modelled(p.Comm)
+		pricedHeld = pricedHeld && p.ModelledNS == want
+		priced.ModelledNS += p.ModelledNS
+		priced.PricedNS += want
 	}
 	// A dying locale's tasks abandon their buffers unflushed, so a crash
 	// may leave enqueued ahead of shipped + combined, never behind.
@@ -276,11 +267,11 @@ func (r *Report) Invariants() []Invariant {
 	add("remote events == Σ matrix", remoteHeld, remote)
 	// Every counted event is charged its kind's price and nothing else is
 	// charged, so a phase's modelled ns is its books priced (comm.Prices),
-	// exactly. Judged per phase, except where a latency scale was in force.
+	// exactly; a latency scale's excess books apart. Judged per phase.
 	add("modelled_ns == Σ counted events × price", pricedHeld, priced)
 	// Judged over the whole run: a wait that straddles a phase boundary
 	// is charged in one phase and finished in the next.
-	add("delay_wait_ns >= modelled_ns", delay.WaitNS >= delay.ModelledNS, delay)
+	add("delay_wait_ns >= modelled_ns + perturb_ns", delay.WaitNS >= delay.ModelledNS+delay.PerturbNS, delay)
 	if a != nil {
 		if a.Crashes > 0 && a.Wedged == 0 {
 			add("crash failover recovered", a.Recovered, *a)

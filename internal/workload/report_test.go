@@ -71,7 +71,7 @@ func TestInvariantsNameTheViolation(t *testing.T) {
 			r.Phases[0].RemoteOps++
 			r.Phases[1].RemoteOps--
 		}, []string{"remote events == Σ matrix"}},
-		{"a charge nobody waited for", func(r *Report) { r.Phases[1].DelayWaitNS-- }, []string{"delay_wait_ns >= modelled_ns"}},
+		{"a charge nobody waited for", func(r *Report) { r.Phases[1].DelayWaitNS-- }, []string{"delay_wait_ns >= modelled_ns + perturb_ns"}},
 		{"a charge no counted event pays for", func(r *Report) {
 			r.Phases[1].ModelledNS++
 			r.Phases[1].DelayWaitNS++
@@ -80,11 +80,18 @@ func TestInvariantsNameTheViolation(t *testing.T) {
 			r.Phases[0].ModelledNS += 100
 			r.Phases[1].ModelledNS -= 100
 		}, []string{"modelled_ns == Σ counted events × price"}},
-		{"a phase with a latency scale in force is not priced", func(r *Report) {
-			r.Phases[1].Scaled = true
+		{"a latency scale's excess is booked apart and waited for", func(r *Report) {
+			r.Phases[1].PerturbNS = 200
+			r.Phases[1].DelayWaitNS += 200
+		}, nil},
+		{"a latency scale's excess booked as modelled", func(r *Report) {
 			r.Phases[1].ModelledNS *= 3
 			r.Phases[1].DelayWaitNS *= 3
-		}, nil},
+		}, []string{"modelled_ns == Σ counted events × price"}},
+		{"a scaled charge nobody waited for", func(r *Report) {
+			r.Phases[1].PerturbNS = 200
+			r.Phases[1].DelayWaitNS += 199
+		}, []string{"delay_wait_ns >= modelled_ns + perturb_ns"}},
 		{"failover asked for, not recovered", func(r *Report) {
 			r.Availability = &AvailabilityReport{Crashes: 1}
 		}, []string{"crash failover recovered"}},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"time"
 
@@ -47,9 +48,15 @@ func decodeFault(body io.Reader) (Fault, error) {
 	return f, nil
 }
 
+// maxScale bounds a latency scale: a charge of up to 9.2e12 ns (2.5 h,
+// far above any price) times maxScale still fits in an int64.
+const maxScale = 1e6
+
 // wellFormed refuses a fault that is not exactly one form, a pair that
-// is not two locales and an empty scales vector: the checks that need
-// no run. decodeFault holds every post to it, and Validate every event.
+// is not two locales, an empty scales vector and a scale that is NaN,
+// infinite or above maxScale (<= 0 still means nominal): the checks that
+// need no run. decodeFault holds every post to it, and Validate every
+// event.
 func (f Fault) wellFormed() error {
 	forms := 0
 	for _, set := range []bool{f.Crash != nil, f.Sever != nil, f.Heal != nil, f.Scales != nil, f.Clear} {
@@ -64,6 +71,8 @@ func (f Fault) wellFormed() error {
 		return errors.New("a pair is two locales")
 	case f.Scales != nil && len(f.Scales) == 0:
 		return errors.New("scales has no entry")
+	case slices.ContainsFunc(f.Scales, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) || x > maxScale }):
+		return fmt.Errorf("scales %v: each must be finite and at most %g", f.Scales, float64(maxScale))
 	}
 	return nil
 }
@@ -225,7 +234,6 @@ func (r *run) apply(f Fault, now time.Time) error {
 		r.sys.SetScales(nil)
 	default:
 		r.sys.SetScales(f.Scales)
-		r.scalesInstalled = true
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -472,6 +473,7 @@ func TestValidateFaultPlan(t *testing.T) {
 		{"event without a fault", events(Event{Phase: 1}), "want exactly one"},
 		{"sever of three locales", events(Event{Phase: 1, Fault: Fault{Sever: []int{1, 2, 3}}}), "a pair is two locales"},
 		{"empty scales", events(Event{Fault: Fault{Scales: []float64{}}}), "scales has no entry"},
+		{"infinite scale", events(Event{Fault: Fault{Scales: []float64{1, math.Inf(1)}}}), "scales [1 +Inf]: each must be finite and at most 1e+06"},
 		{"negative retry deadline", func(s *Spec) {
 			s.Faults.Retry = &RetrySpec{DeadlineMS: -1}
 		}, "deadline_ms"},

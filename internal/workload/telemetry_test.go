@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -298,6 +299,25 @@ func TestFaultRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// A scale JSON can carry but the ledger cannot hold is a bad request;
+// one <= 0 still means nominal, and maxScale itself is a scale.
+func TestDecodeFaultBoundsScales(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		bad  bool
+	}{
+		{`{"scales":[1e300]}`, true},
+		{`{"scales":[1,1000001]}`, true},
+		{`{"scales":[1,1e6]}`, false},
+		{`{"scales":[0,-1e300]}`, false},
+	} {
+		_, err := decodeFault(strings.NewReader(tc.body))
+		if bad := errors.Is(err, telemetry.ErrBadRequest); bad != tc.bad || !bad && err != nil {
+			t.Errorf("%s: %v, want a bad request %v", tc.body, err, tc.bad)
+		}
+	}
+}
+
 // FuzzFaultEvent hands arbitrary bodies to the Fault provider of a
 // bridge whose run lands every post. The oracle is a strict decode —
 // one JSON value of known fields — holding exactly one well-formed form:
@@ -322,6 +342,11 @@ func FuzzFaultEvent(f *testing.F) {
 		`{"clear":false}`,
 		`{"sever":[1,2,3]}`,
 		`{"crash":true,"crash_locale":1}`,
+		// Scales at, beyond and far beyond the bound.
+		`{"scales":[1,1e6]}`,
+		`{"scales":[1,1000001]}`,
+		`{"scales":[1e300]}`,
+		`{"scales":[-1e300,0]}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -355,7 +380,7 @@ func FuzzFaultEvent(f *testing.F) {
 		}
 		wellFormed := oracle == nil && forms == 1 &&
 			(want.Sever == nil || len(want.Sever) == 2) && (want.Heal == nil || len(want.Heal) == 2) &&
-			(want.Scales == nil || len(want.Scales) > 0)
+			(want.Scales == nil || len(want.Scales) > 0) && !slices.ContainsFunc(want.Scales, func(x float64) bool { return x > maxScale })
 		select {
 		case got := <-seen:
 			if !wellFormed || err != nil || !reflect.DeepEqual(got, want) {
@@ -541,11 +566,11 @@ func TestRunLiveOpsExact(t *testing.T) {
 
 // TestModelledIsPricedBooks: every counted event is charged its kind's
 // price, so Report.Invariants holds "modelled_ns == Σ counted events ×
-// price" in every phase of an unscaled run — among them a walked ugni
-// hashmap at LatencyScale 0.05, whose losing inserts free their nodes
-// remotely — while a phase with a latency scale in force, from the
-// spec's events or POSTed to /api/fault mid-phase, is recorded
-// Scaled and exempt, every other invariant still holding.
+// price" in every phase of every run — among them a walked ugni hashmap
+// at LatencyScale 0.05, whose losing inserts free their nodes remotely
+// — and a latency scale's excess is booked apart: perturb_ns is
+// non-zero in exactly the phases where a scale was in force, from the
+// spec's events or POSTed to /api/fault mid-phase.
 func TestModelledIsPricedBooks(t *testing.T) {
 	walked := Spec{
 		Structure:      StructureHashmap,
@@ -588,9 +613,9 @@ func TestModelledIsPricedBooks(t *testing.T) {
 			}
 			requireInvariants(t, tc.name, rep)
 			for i, p := range rep.Phases {
-				if p.ModelledNS == 0 || p.Scaled != tc.scaled[i] {
-					t.Fatalf("phase %q: modelled %dns, scaled %v, want charges and scaled %v",
-						p.Name, p.ModelledNS, p.Scaled, tc.scaled[i])
+				if p.ModelledNS == 0 || (p.PerturbNS > 0) != tc.scaled[i] || p.PerturbNS < 0 {
+					t.Fatalf("phase %q: modelled %dns, perturb %dns, want charges and perturb > 0 %v, else 0",
+						p.Name, p.ModelledNS, p.PerturbNS, tc.scaled[i])
 				}
 			}
 		})
