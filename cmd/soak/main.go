@@ -10,7 +10,8 @@
 //
 // -structure limits the soak to one target. The fault flags lower to
 // the spec's faults.events: -slow-factor adds a scales event slowing
-// locale 0 from the start. -crash kills the top locale midway
+// locale 0 from the start, and gives the run the calibrated latency
+// profile for it to stretch. -crash kills the top locale midway
 // through the hashmap scenario's steady phase and fails over — the
 // survivors adopt its shards and force-retire its stranded epoch
 // tokens — turning the soak into an availability drill: the summary
@@ -65,6 +66,10 @@ func main() {
 		httpAddr  = flag.String("http", "", "serve live telemetry + control on this address (e.g. :8077) for the whole soak")
 	)
 	flag.Parse()
+	if err := checkSlowFactor(*slowFac); err != nil {
+		fmt.Fprintln(os.Stderr, "soak:", err)
+		os.Exit(2)
+	}
 
 	targets := workload.Structures()
 	if *structure != "" {
@@ -124,9 +129,20 @@ func main() {
 	fmt.Println("all invariants held")
 }
 
+// checkSlowFactor refuses a -slow-factor that is negative or NaN; 0
+// is off.
+func checkSlowFactor(f float64) error {
+	if !(f >= 0) {
+		return fmt.Errorf("-slow-factor must be >= 0, got %v", f)
+	}
+	return nil
+}
+
 // soakSpec builds the churn scenario for one structure: half the time
 // in a steady mixed-op phase, half across destroy/recreate churn
-// rounds, both with in-phase reclamation.
+// rounds, both with in-phase reclamation. A slowed run (slowFac > 0)
+// runs at the calibrated latency profile, so the slow locale's
+// charges have a price to stretch.
 func soakSpec(s workload.Structure, locales, tasks int, backend string, seed uint64, seconds, slowFac float64) workload.Spec {
 	var mix workload.Mix
 	switch s {
@@ -138,8 +154,10 @@ func soakSpec(s workload.Structure, locales, tasks int, backend string, seed uin
 		mix = workload.Mix{Insert: 3, Get: 4, Remove: 2}
 	}
 	var faults workload.Faults
+	var scale float64
 	if slowFac > 0 {
 		faults.Events = []workload.Event{{Fault: workload.Fault{Scales: comm.SlowLocale(locales, 0, slowFac).Scales}}}
+		scale = 1
 	}
 	return workload.Spec{
 		Name:           "soak-" + string(s),
@@ -150,6 +168,7 @@ func soakSpec(s workload.Structure, locales, tasks int, backend string, seed uin
 		Seed:           seed,
 		Keyspace:       1 << 12,
 		Dist:           workload.KeyDist{Kind: workload.DistZipfian, Theta: 0.99},
+		LatencyScale:   scale,
 		Faults:         faults,
 		Phases: []workload.Phase{
 			{Name: "steady", Mix: mix, Seconds: seconds / 2, ReclaimEvery: 256},

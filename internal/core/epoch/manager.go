@@ -3,6 +3,7 @@ package epoch
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 
@@ -176,7 +177,9 @@ var yieldAfterStore func(locale int)
 //     its objects into per-destination scatter lists, and free each
 //     destination's batch with one bulk transfer.
 //  5. Release both flags, once every locale's cache holds the new
-//     epoch.
+//     epoch. A blocked advance then yields the processor once
+//     (runtime.Gosched), so a pinned straggler that the Go scheduler
+//     preempted mid-op can run and unpin.
 //
 // Listing 4's two `coforall … on` blocks are visits here
 // (pgas.Ctx.VisitLocales): the elected task walks the locales itself,
@@ -251,6 +254,11 @@ func (em EpochManager) TryReclaim(c *pgas.Ctx) {
 
 	em.global.isSettingEpoch.Clear(c)
 	inst.isSettingEpoch.Store(0)
+	if !safe {
+		// A Go scheduler preemption, not a Chapel task, most likely left
+		// the straggler pinned mid-op: run it, once, before returning.
+		runtime.Gosched()
+	}
 }
 
 // reclaimGeneration detaches limbo generation e on this locale,

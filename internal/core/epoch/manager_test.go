@@ -1,7 +1,9 @@
 package epoch
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gopgas/internal/comm"
@@ -170,6 +172,43 @@ func TestPinnedTokenBlocksAdvance(t *testing.T) {
 			t.Fatalf("epoch = %d after unblock, want 3", got)
 		}
 	})
+}
+
+// A blocked advance yields the processor once, so a straggler that the
+// scheduler descheduled mid-op while pinned can finish and unpin before
+// the next election. On one processor, task A pins in epoch 1 and
+// yields, standing in for a preemption; task B then elects three times
+// and never yields of its own accord. The first election advances to 2,
+// the second finds A's pin and yields to A, which unpins, so the third
+// advances to 3. Without the yield A never runs between the elections
+// and the stats read one advance and two failures.
+func TestBlockedAdvanceYieldsToStraggler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newTestSystem(t, 2, comm.BackendNone)
+	c0, c1 := s.Ctx(0), s.Ctx(1)
+	em := NewEpochManager(c0)
+	var electing atomic.Bool
+	pinned, done := make(chan struct{}), make(chan struct{})
+	go func() { // task A, on locale 1
+		tok := em.Pin(c1)
+		close(pinned)
+		for !electing.Load() {
+			runtime.Gosched() // descheduled mid-op, still pinned
+		}
+		tok.Unpin(c1)
+		tok.Unregister(c1)
+		close(done)
+	}()
+	<-pinned
+	electing.Store(true)
+	for range 3 {
+		em.TryReclaim(c0) // task B, on locale 0
+	}
+	<-done
+	if got, want := em.Stats(c0), (Stats{Advances: 2, AdvanceFail: 1, Tokens: 1}); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
+	checkState(t, c0, em, "three elections", settled(2, 3))
 }
 
 // An unregistered-but-allocated token (epoch 0) never blocks.

@@ -278,15 +278,22 @@ func (h *Heap) Free(addr Addr) bool {
 // FreeBulk frees every address in addrs, typed or not, returning how
 // many were live. It is the locale-side half of the EpochManager's
 // scatter-list bulk deletion: one call per locale instead of one RPC
-// per object — and, mirroring that batching, the free-list appends of
-// the whole batch under one lock acquisition, each index onto its own
-// tag's list.
+// per object — and, mirroring that batching, one pass under one lock
+// acquisition that poisons each slot and pushes its index onto its own
+// tag's free list. It allocates nothing beyond free-list growth.
 func (h *Heap) FreeBulk(addrs []Addr) int {
-	type freed struct {
-		idx uint64
-		tag Tag
-	}
-	batch := make([]freed, 0, len(addrs))
+	n := 0
+	h.mu.Lock()
+	// As in Free: the batch is counted dead before any of its slots
+	// become allocatable — a racing Alloc claims under h.mu — so live
+	// never transiently overshoots by the batch size. Deferred, so a
+	// foreign address's panic leaves the heap unlocked and the books
+	// matching the slots already poisoned.
+	defer func() {
+		h.frees.Add(int64(n))
+		h.live.Add(-int64(n))
+		h.mu.Unlock()
+	}()
 	for _, a := range addrs {
 		if a.IsNil() {
 			continue
@@ -298,23 +305,11 @@ func (h *Heap) FreeBulk(addrs []Addr) int {
 			h.uafFrees.Add(1)
 			continue
 		}
-		batch = append(batch, freed{idx, tag})
+		p := &h.pools[tag]
+		p.free = append(p.free, idx)
+		n++
 	}
-	if len(batch) == 0 {
-		return 0
-	}
-	// As in Free: the batch is counted dead before any of its slots
-	// become allocatable, so live never transiently overshoots by the
-	// batch size under a racing Alloc.
-	h.frees.Add(int64(len(batch)))
-	h.live.Add(-int64(len(batch)))
-	h.mu.Lock()
-	for _, f := range batch {
-		p := &h.pools[f.tag]
-		p.free = append(p.free, f.idx)
-	}
-	h.mu.Unlock()
-	return len(batch)
+	return n
 }
 
 // checkOwner panics unless addr is a non-nil address of h's locale.

@@ -257,23 +257,6 @@ func TestHeapWrongLocalePanics(t *testing.T) {
 	mustPanic(t, "foreign typed load", func() { objType.Load(h, other) })
 }
 
-func TestHeapFreeBulk(t *testing.T) {
-	h := NewHeap(0)
-	addrs := make([]Addr, 10)
-	for i := range addrs {
-		addrs[i] = h.Alloc(i)
-	}
-	// Include a nil and a duplicate: both must be tolerated.
-	batch := append([]Addr{AddrNil}, addrs...)
-	batch = append(batch, addrs[0])
-	if n := h.FreeBulk(batch); n != 10 {
-		t.Fatalf("FreeBulk freed %d, want 10", n)
-	}
-	if live := h.Stats().Live; live != 0 {
-		t.Fatalf("live = %d after bulk free", live)
-	}
-}
-
 func TestHeapStats(t *testing.T) {
 	forEachObjectKind(t, func(t *testing.T, k objectKind) {
 		h := NewHeap(0)

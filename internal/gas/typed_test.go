@@ -46,6 +46,60 @@ func TestHeapFreeBulkMixedTypes(t *testing.T) {
 	}
 }
 
+// One FreeBulk batch holding a nil, a duplicate, an address freed
+// before it and slots of two tags leaves the whole heap state right:
+// each live slot is freed once, each dead one is counted as a double
+// free, and each tag's next allocations reuse its own slots newest
+// first. A warm batch, whose free lists already have room, allocates
+// nothing.
+func TestFreeBulkWholeState(t *testing.T) {
+	h := NewHeap(0)
+	var plain, typed []Addr
+	for i := 0; i < 3; i++ {
+		plain = append(plain, h.Alloc(i))
+		typed = append(typed, objType.Alloc(h, &typedObj{v: i}))
+	}
+	h.Free(plain[2])
+	batch := []Addr{typed[0], AddrNil, plain[0], typed[1], plain[2], plain[1], typed[0], typed[2]}
+	if n := h.FreeBulk(batch); n != 5 {
+		t.Fatalf("FreeBulk freed %d, want 5", n)
+	}
+	if got, want := h.Stats(), (Stats{Live: 0, Allocs: 6, Frees: 6, UAFFrees: 2, HighWater: 6}); got != want {
+		t.Fatalf("after the batch: stats = %+v, want %+v", got, want)
+	}
+	// Untyped pushes ran plain[2] (Free), plain[0], plain[1]; typed ones
+	// typed[0], typed[1], typed[2]. Each list pops its last push first.
+	for i, want := range []Addr{plain[1], plain[0], plain[2]} {
+		if a := h.Alloc(10 + i); a != want {
+			t.Fatalf("untyped reuse %d: got %v, want %v", i, a, want)
+		}
+	}
+	for i, want := range []Addr{typed[2], typed[1], typed[0]} {
+		if a := objType.Alloc(h, &typedObj{v: 10 + i}); a != want {
+			t.Fatalf("typed reuse %d: got %v, want %v", i, a, want)
+		}
+	}
+	if got, want := h.Stats(), (Stats{Live: 6, Allocs: 12, Frees: 6, UAFFrees: 2, HighWater: 6}); got != want {
+		t.Fatalf("after the reuse: stats = %+v, want %+v", got, want)
+	}
+
+	nodes := make([]*typedObj, 64)
+	for i := range nodes {
+		nodes[i] = &typedObj{v: i}
+	}
+	warm := make([]Addr, len(nodes))
+	cycle := func() {
+		for i, n := range nodes {
+			warm[i] = objType.Alloc(h, n)
+		}
+		h.FreeBulk(warm)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("a warm alloc-and-FreeBulk cycle allocates %v times, want 0", avg)
+	}
+}
+
 // Chunks of two types grow interleaved when two tasks allocate at once:
 // every chunk holds one type, every node loads back through its own
 // type with its own value, and the books balance. Run under -race this

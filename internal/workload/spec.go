@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 
@@ -448,8 +449,8 @@ func (s Spec) Validate() error {
 	if s.Home < 0 || s.Home >= s.Locales {
 		return fmt.Errorf("workload: home %d out of range [0, %d)", s.Home, s.Locales)
 	}
-	if s.LatencyScale < 0 {
-		return fmt.Errorf("workload: latency_scale must be >= 0, got %v", s.LatencyScale)
+	if !(s.LatencyScale >= 0 && s.LatencyScale <= maxScale) {
+		return fmt.Errorf("workload: latency_scale must be in [0, %g], got %v", float64(maxScale), s.LatencyScale)
 	}
 	switch s.Dist.Kind {
 	case DistUniform:
@@ -519,8 +520,8 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("workload: %s weights %s, which %s does not support", where, OpKind(k), s.Structure)
 			}
 		}
-		if p.Mix.total() <= 0 {
-			return fmt.Errorf("workload: %s has an empty op mix", where)
+		if t := p.Mix.total(); !(t > 0) || math.IsInf(t, 1) {
+			return fmt.Errorf("workload: %s has an empty op mix or one that overflows: its weights sum to %v", where, t)
 		}
 	}
 	for i, e := range s.Faults.Events {

@@ -46,6 +46,10 @@ func TestValidateRejections(t *testing.T) {
 		{"bad hot fraction", func(s *Spec) { s.Dist = KeyDist{Kind: DistHotSet, HotFraction: 2, HotProb: 0.5} }, "hot_fraction"},
 		{"unknown dist", func(s *Spec) { s.Dist.Kind = "pareto" }, "distribution"},
 		{"negative latency scale", func(s *Spec) { s.LatencyScale = -1 }, "latency_scale"},
+		{"huge latency scale", func(s *Spec) { s.LatencyScale = 1e300 }, "latency_scale"},
+		{"NaN latency scale", func(s *Spec) { s.LatencyScale = math.NaN() }, "latency_scale"},
+		{"infinite latency scale", func(s *Spec) { s.LatencyScale = math.Inf(1) }, "latency_scale"},
+		{"mix summing to +Inf", func(s *Spec) { s.Phases[1].Mix = Mix{Insert: 1e308, Get: 1e308} }, "sum to +Inf"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
