@@ -39,15 +39,16 @@ func main() {
 		// --- AtomicObject: atomics on arbitrary objects ------------
 		// Allocate two records on different locales and swap them
 		// through an AtomicObject homed on locale 1.
-		alice := c.AllocOn(2, &record{Name: "alice", Score: 1})
-		bob := c.AllocOn(3, &record{Name: "bob", Score: 2})
+		records := pgas.NewSlab[record](sys)
+		alice := records.AllocOn(c, 2, &record{Name: "alice", Score: 1})
+		bob := records.AllocOn(c, 3, &record{Name: "bob", Score: 2})
 
 		cell := atomics.New(c, 1, atomics.Options{ABA: true})
 		cell.Write(c, alice)
 
 		got := cell.Read(c)
 		fmt.Printf("cell holds %v (locale %d): %+v\n",
-			got, got.Locale(), pgas.MustDeref[*record](c, got))
+			got, got.Locale(), records.MustLoad(c, got))
 
 		// Plain CAS — RDMA-able thanks to pointer compression.
 		if cell.CompareAndSwap(c, alice, bob) {
@@ -71,7 +72,7 @@ func main() {
 		const objects = 1000
 		objs := make([]gas.Addr, objects)
 		for i := range objs {
-			objs[i] = c.AllocOn(i%c.NumLocales(), &record{Score: i})
+			objs[i] = records.AllocOn(c, i%c.NumLocales(), &record{Score: i})
 		}
 
 		pgas.ForallCyclic(c, objects, 2,

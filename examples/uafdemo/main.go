@@ -63,8 +63,9 @@ func run(iters int, useEBR bool) int64 {
 		em = epoch.NewEpochManager(c0)
 	}
 
+	blobs := pgas.NewSlab[blob](sys)
 	var current atomic.Uint64 // the shared slot (a gas.Addr)
-	current.Store(uint64(c0.Alloc(&blob{})))
+	current.Store(uint64(blobs.AllocOn(c0, 0, &blob{})))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -92,7 +93,7 @@ func run(iters int, useEBR bool) int64 {
 				addr := gas.Addr(current.Load())
 				// Under EBR this deref is guaranteed safe; without it,
 				// the slot may have been freed underneath us.
-				if b, ok := pgas.Deref[*blob](c, addr); ok {
+				if b, ok := blobs.Load(c, addr); ok {
 					_ = b.payload[0]
 				}
 				if useEBR {
@@ -111,7 +112,7 @@ func run(iters int, useEBR bool) int64 {
 			defer tok.Unregister(c)
 		}
 		for i := 0; i < iters; i++ {
-			fresh := c.Alloc(&blob{})
+			fresh := blobs.AllocOn(c, c.Here(), &blob{})
 			old := gas.Addr(current.Swap(uint64(fresh)))
 			if useEBR {
 				tok.Pin(c)

@@ -37,9 +37,10 @@ func AblationCompression(cfg Config) Figure {
 				}
 				cells := make([]*atomics.AtomicObject, fig3Cells)
 				objs := make([]gas.Addr, fig3Cells)
+				states := pgas.NewSlab[workerState](c.Sys())
 				for i := range cells {
 					cells[i] = atomics.New(c, i%locales, opt)
-					objs[i] = c.AllocOn(i%locales, &workerState{v: i})
+					objs[i] = states.AllocOn(c, i%locales, &workerState{v: i})
 					cells[i].Write(c, objs[i])
 				}
 				tr.timed(func() {
@@ -154,23 +155,24 @@ func AblationLimboPush(cfg Config) Figure {
 				casHead := atomics.NewLocal(0, true)
 				per := totalOps / tasks
 				nodes := make([][]gas.Addr, tasks)
+				pushNodes := pgas.NewSlab[pushNode](c.Sys())
 				for t := 0; t < tasks; t++ {
 					for i := 0; i < per; i++ {
-						nodes[t] = append(nodes[t], c.Alloc(&pushNode{}))
+						nodes[t] = append(nodes[t], pushNodes.AllocOn(c, c.Here(), &pushNode{}))
 					}
 				}
 				tr.timed(func() {
 					c.Coforall(tasks, func(tc *pgas.Ctx, t int) {
 						if useExchange {
 							for _, addr := range nodes[t] {
-								n := pgas.MustDeref[*pushNode](tc, addr)
+								n := pushNodes.MustLoad(tc, addr)
 								old := exHead.Exchange(addr)
 								n.next = old
 							}
 							return
 						}
 						for _, addr := range nodes[t] {
-							n := pgas.MustDeref[*pushNode](tc, addr)
+							n := pushNodes.MustLoad(tc, addr)
 							for {
 								top := casHead.ReadABA()
 								n.next = top.Object()

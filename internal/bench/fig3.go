@@ -74,11 +74,12 @@ func (v *objVariant) setup(c *pgas.Ctx, locales int) {
 	v.cells = make([]*atomics.AtomicObject, fig3Cells)
 	v.objs = make([]gas.Addr, 2*fig3Cells)
 	type blob struct{ x int }
+	blobs := pgas.NewSlab[blob](c.Sys())
 	for i := range v.cells {
 		home := i % locales
 		v.cells[i] = atomics.New(c, home, atomics.Options{ABA: v.aba})
-		v.objs[2*i] = c.AllocOn(home, &blob{x: i})
-		v.objs[2*i+1] = c.AllocOn(home, &blob{x: -i})
+		v.objs[2*i] = blobs.AllocOn(c, home, &blob{x: i})
+		v.objs[2*i+1] = blobs.AllocOn(c, home, &blob{x: -i})
 		v.cells[i].Write(c, v.objs[2*i])
 	}
 }

@@ -30,6 +30,7 @@ type workerState struct{ v int }
 func buildObjs(c *pgas.Ctx, n int, remotePct int) []gas.Addr {
 	L := c.NumLocales()
 	objs := make([]gas.Addr, n)
+	states := pgas.NewSlab[workerState](c.Sys())
 	for i := range objs {
 		owner := i % L
 		target := owner
@@ -39,7 +40,7 @@ func buildObjs(c *pgas.Ctx, n int, remotePct int) []gas.Addr {
 				target++
 			}
 		}
-		objs[i] = c.AllocOn(target, &workerState{v: i})
+		objs[i] = states.AllocOn(c, target, &workerState{v: i})
 	}
 	return objs
 }

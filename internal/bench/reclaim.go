@@ -31,7 +31,8 @@ func AblationReclamation(cfg Config) Figure {
 				dom := hazard.NewDomain(c0, 64)
 				cell := atomics.New(c0, 0, atomics.Options{})
 				type blob struct{ v int }
-				cell.Write(c0, c0.Alloc(&blob{}))
+				blobs := pgas.NewSlab[blob](c0.Sys())
+				cell.Write(c0, blobs.AllocOn(c0, c0.Here(), &blob{}))
 
 				tr.timed(func() {
 					var readers, writer sync.WaitGroup
@@ -47,7 +48,7 @@ func AblationReclamation(cfg Config) Figure {
 								for i := 0; i < opsPerReader; i++ {
 									addr := s.Protect(c, cell)
 									if !addr.IsNil() {
-										pgas.MustDeref[*blob](c, addr)
+										blobs.MustLoad(c, addr)
 									}
 									s.Clear()
 								}
@@ -59,7 +60,7 @@ func AblationReclamation(cfg Config) Figure {
 								tok.Pin(c)
 								addr := cell.Read(c)
 								if !addr.IsNil() {
-									pgas.MustDeref[*blob](c, addr)
+									blobs.MustLoad(c, addr)
 								}
 								tok.Unpin(c)
 							}
@@ -80,7 +81,7 @@ func AblationReclamation(cfg Config) Figure {
 							default:
 							}
 							i++
-							fresh := c.Alloc(&blob{v: i})
+							fresh := blobs.AllocOn(c, c.Here(), &blob{v: i})
 							old := cell.Exchange(c, fresh)
 							if old.IsNil() {
 								continue

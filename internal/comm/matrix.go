@@ -11,6 +11,10 @@ import (
 type Kind uint8
 
 const (
+	// Nothing books KindPut: heap nodes are published once and never
+	// overwritten, so the runtime issues no PUT. The kind stays while
+	// the benchmark's pgas.puts_per_op reads it (ROADMAP item 7 drops
+	// both).
 	KindPut        Kind = iota // Snapshot.Puts
 	KindGet                    // Snapshot.Gets
 	KindNICAMO                 // Snapshot.NICAMOs

@@ -45,13 +45,14 @@ func TestAtomicObjectBasicOps(t *testing.T) {
 		for _, cfg := range configs {
 			t.Run(backend.String()+"/"+cfg.name, func(t *testing.T) {
 				s := newTestSystem(t, 3, backend)
+				nodes := pgas.NewSlab[node](s)
 				s.Run(func(c *pgas.Ctx) {
 					a := New(c, 1, cfg.opt)
 					if got := a.Read(c); !got.IsNil() {
 						t.Fatalf("fresh object reads %v", got)
 					}
-					n1 := c.AllocOn(2, &node{v: 1})
-					n2 := c.Alloc(&node{v: 2})
+					n1 := nodes.AllocOn(c, 2, &node{v: 1})
+					n2 := nodes.AllocOn(c, c.Here(), &node{v: 2})
 					a.Write(c, n1)
 					if got := a.Read(c); got != n1 {
 						t.Fatalf("Read = %v want %v", got, n1)
@@ -85,10 +86,11 @@ func TestAtomicObjectBasicOps(t *testing.T) {
 
 func TestAtomicObjectABAOps(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
+	nodes := pgas.NewSlab[node](s)
 	s.Run(func(c *pgas.Ctx) {
 		a := New(c, 1, Options{ABA: true})
-		n1 := c.Alloc(&node{v: 1})
-		n2 := c.Alloc(&node{v: 2})
+		n1 := nodes.AllocOn(c, c.Here(), &node{v: 1})
+		n2 := nodes.AllocOn(c, c.Here(), &node{v: 2})
 
 		r0 := a.ReadABA(c)
 		if !r0.IsNil() || r0.Count() != 0 {
@@ -126,11 +128,12 @@ func TestAtomicObjectABAOps(t *testing.T) {
 // incorrectly succeeds, while the ABA-protected CAS correctly fails.
 func TestABAProblemDemonstration(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	nodes := pgas.NewSlab[node](s)
 	s.Run(func(c *pgas.Ctx) {
 		// Plain CAS: vulnerable.
 		{
 			head := New(c, 0, Options{})
-			alpha := c.Alloc(&node{v: 1})
+			alpha := nodes.AllocOn(c, c.Here(), &node{v: 1})
 			head.Write(c, alpha)
 
 			tau1Saw := head.Read(c) // τ1 preempted here
@@ -139,7 +142,7 @@ func TestABAProblemDemonstration(t *testing.T) {
 			head.Write(c, gas.AddrNil)
 			c.Free(alpha)
 			// τ3: allocate (LIFO reuse gives the same address) and push.
-			alphaReborn := c.Alloc(&node{v: 99})
+			alphaReborn := nodes.AllocOn(c, c.Here(), &node{v: 99})
 			if alphaReborn != alpha {
 				t.Fatalf("allocator did not reuse the slot (%v vs %v)", alpha, alphaReborn)
 			}
@@ -154,14 +157,14 @@ func TestABAProblemDemonstration(t *testing.T) {
 		// ABA-protected CAS: safe.
 		{
 			head := New(c, 0, Options{ABA: true})
-			alpha := c.Alloc(&node{v: 1})
+			alpha := nodes.AllocOn(c, c.Here(), &node{v: 1})
 			head.WriteABA(c, alpha)
 
 			tau1Saw := head.ReadABA(c) // τ1 preempted here
 
 			head.WriteABA(c, gas.AddrNil)
 			c.Free(alpha)
-			alphaReborn := c.Alloc(&node{v: 99})
+			alphaReborn := nodes.AllocOn(c, c.Here(), &node{v: 99})
 			if alphaReborn != alpha {
 				t.Fatalf("allocator did not reuse the slot")
 			}
@@ -269,6 +272,7 @@ func TestAtomicObjectConcurrentStack(t *testing.T) {
 	for _, backend := range []comm.Backend{comm.BackendNone, comm.BackendUGNI} {
 		t.Run(backend.String(), func(t *testing.T) {
 			s := newTestSystem(t, 4, backend)
+			nodes := pgas.NewSlab[node](s)
 			head := New(s.Ctx(0), 0, Options{ABA: true})
 			const perLocale = 100
 			var wg sync.WaitGroup
@@ -278,10 +282,10 @@ func TestAtomicObjectConcurrentStack(t *testing.T) {
 					defer wg.Done()
 					c := s.Ctx(l)
 					for i := 0; i < perLocale; i++ {
-						n := c.Alloc(&node{v: l*perLocale + i})
+						n := nodes.AllocOn(c, c.Here(), &node{v: l*perLocale + i})
 						for {
 							old := head.ReadABA(c)
-							pgas.MustDeref[*node](c, n).next = old.Object()
+							nodes.MustLoad(c, n).next = old.Object()
 							if head.CompareAndSwapABA(c, old, n) {
 								break
 							}
@@ -299,7 +303,7 @@ func TestAtomicObjectConcurrentStack(t *testing.T) {
 				if old.IsNil() {
 					break
 				}
-				n := pgas.MustDeref[*node](c, old.Object())
+				n := nodes.MustLoad(c, old.Object())
 				if !head.CompareAndSwapABA(c, old, n.next) {
 					continue
 				}

@@ -10,9 +10,10 @@ import (
 
 func TestDescriptorRegisterResolve(t *testing.T) {
 	s := newTestSystem(t, 4, comm.BackendNone)
+	nodes := pgas.NewSlab[node](s)
 	s.Run(func(c *pgas.Ctx) {
 		tbl := NewDescriptorTable(c)
-		a := c.AllocOn(3, &node{v: 1})
+		a := nodes.AllocOn(c, 3, &node{v: 1})
 		d := tbl.Register(c, a)
 		if d == DescriptorNil {
 			t.Fatal("register returned nil descriptor")
@@ -39,11 +40,12 @@ func TestDescriptorModeKeepsNICAtomics(t *testing.T) {
 	// NIC atomics survive — at the cost of resolution GETs.
 	s := pgas.NewSystem(pgas.Config{Locales: 2, Backend: comm.BackendUGNI})
 	defer s.Shutdown()
+	nodes := pgas.NewSlab[node](s)
 	s.Run(func(c *pgas.Ctx) {
 		tbl := NewDescriptorTable(c)
 		a := New(c, 1, Options{Mode: ModeDescriptor, Table: tbl})
-		n1 := c.AllocOn(1, &node{v: 1})
-		n2 := c.Alloc(&node{v: 2})
+		n1 := nodes.AllocOn(c, 1, &node{v: 1})
+		n2 := nodes.AllocOn(c, c.Here(), &node{v: 2})
 		a.Write(c, n1)
 
 		before := s.Counters().Snapshot()
@@ -63,10 +65,11 @@ func TestDescriptorModeKeepsNICAtomics(t *testing.T) {
 
 func TestDescriptorModeWithABA(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
+	nodes := pgas.NewSlab[node](s)
 	s.Run(func(c *pgas.Ctx) {
 		tbl := NewDescriptorTable(c)
 		a := New(c, 0, Options{Mode: ModeDescriptor, Table: tbl, ABA: true})
-		n1 := c.Alloc(&node{v: 1})
+		n1 := nodes.AllocOn(c, c.Here(), &node{v: 1})
 		r := a.ReadABA(c)
 		if !a.CompareAndSwapABA(c, r, n1) {
 			t.Fatal("CASABA failed")
@@ -94,9 +97,10 @@ func TestDescriptorResolutionCost(t *testing.T) {
 	// Resolving a descriptor whose shard is remote costs one GET; the
 	// ablation bench quantifies this indirection.
 	s := newTestSystem(t, 2, comm.BackendNone)
+	nodes := pgas.NewSlab[node](s)
 	s.Run(func(c *pgas.Ctx) {
 		tbl := NewDescriptorTable(c)
-		a := c.Alloc(&node{})
+		a := nodes.AllocOn(c, c.Here(), &node{})
 		var d Descriptor
 		for {
 			d = tbl.Register(c, a)
@@ -105,7 +109,7 @@ func TestDescriptorResolutionCost(t *testing.T) {
 			}
 			// Shard depends on the descriptor value; register fresh
 			// addresses until one lands on the remote shard.
-			a = c.Alloc(&node{})
+			a = nodes.AllocOn(c, c.Here(), &node{})
 		}
 		before := s.Counters().Snapshot()
 		tbl.Resolve(c, d)
@@ -134,6 +138,7 @@ func TestDescriptorChargesThroughDispatch(t *testing.T) {
 	am, get := price[comm.KindAMAMO], price[comm.KindGet]
 	s := pgas.NewSystem(pgas.Config{Locales: 4, Backend: comm.BackendNone, Latency: lat})
 	defer s.Shutdown()
+	nodes := pgas.NewSlab[node](s)
 	c := s.Ctx(0)
 	tbl := NewDescriptorTable(c)
 
@@ -156,7 +161,7 @@ func TestDescriptorChargesThroughDispatch(t *testing.T) {
 
 	// Descriptors 1, 2, 3 live on shards 1, 2, 3: all remote from 0.
 	var d1 Descriptor
-	if ns := step("register", 1, func() { d1 = tbl.Register(c, c.Alloc(&node{v: 1})) }); ns != am {
+	if ns := step("register", 1, func() { d1 = tbl.Register(c, nodes.AllocOn(c, c.Here(), &node{v: 1})) }); ns != am {
 		t.Fatalf("remote register charged %dns, want an AM atomic's %dns", ns, am)
 	}
 	if ns := step("resolve", 1, func() { tbl.Resolve(c, d1) }); ns != get {
@@ -166,7 +171,7 @@ func TestDescriptorChargesThroughDispatch(t *testing.T) {
 	const scale = 3
 	s.SetScales([]float64{1, 1, scale, 1})
 	var d2 Descriptor
-	if ns := step("slowed register", 2, func() { d2 = tbl.Register(c, c.Alloc(&node{v: 2})) }); ns != scale*am {
+	if ns := step("slowed register", 2, func() { d2 = tbl.Register(c, nodes.AllocOn(c, c.Here(), &node{v: 2})) }); ns != scale*am {
 		t.Fatalf("register toward the slowed shard charged %dns, want %dns", ns, scale*am)
 	}
 	if ns := step("slowed resolve", 2, func() { tbl.Resolve(c, d2) }); ns != scale*get {

@@ -19,12 +19,13 @@ func TestAtomicObjectModelConformance(t *testing.T) {
 		t.Run(backend.String(), func(t *testing.T) {
 			s := pgas.NewSystem(pgas.Config{Locales: 3, Backend: backend})
 			defer s.Shutdown()
+			nodes := pgas.NewSlab[node](s)
 			c := s.Ctx(0)
 
 			// A pool of candidate addresses on various locales.
 			pool := make([]gas.Addr, 8)
 			for i := range pool {
-				pool[i] = c.AllocOn(i%3, &node{v: i})
+				pool[i] = nodes.AllocOn(c, i%3, &node{v: i})
 			}
 			pick := func(x uint8) gas.Addr {
 				if x%9 == 8 {
@@ -109,6 +110,7 @@ func TestAtomicObjectModelAllModes(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			s := pgas.NewSystem(pgas.Config{Locales: 2})
 			defer s.Shutdown()
+			nodes := pgas.NewSlab[node](s)
 			c := s.Ctx(0)
 			opt := Options{Mode: mode}
 			if mode == ModeDescriptor {
@@ -116,7 +118,7 @@ func TestAtomicObjectModelAllModes(t *testing.T) {
 			}
 			pool := make([]gas.Addr, 6)
 			for i := range pool {
-				pool[i] = c.AllocOn(i%2, &node{v: i})
+				pool[i] = nodes.AllocOn(c, i%2, &node{v: i})
 			}
 
 			f := func(ops []uint8) bool {

@@ -15,6 +15,7 @@ import (
 // visits themselves.
 func TestReclaimFreesOneBulkPerDestination(t *testing.T) {
 	s := newTestSystem(t, 4, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 		tok := em.Register(c)
@@ -23,7 +24,7 @@ func TestReclaimFreesOneBulkPerDestination(t *testing.T) {
 		var objs []gas.Addr
 		for l := 0; l < 4; l++ {
 			for i := 0; i < perLocale; i++ {
-				a := c.AllocOn(l, &payload{v: i})
+				a := payloads.AllocOn(c, l, &payload{v: i})
 				objs = append(objs, a)
 				tok.DeferDelete(c, a)
 			}
@@ -50,7 +51,7 @@ func TestReclaimFreesOneBulkPerDestination(t *testing.T) {
 			t.Fatalf("reclaimed = %d, want %d", got, 4*perLocale)
 		}
 		for _, a := range objs {
-			if _, live := s.LocaleHeap(a.Locale()).Load(a); live {
+			if _, live := payloads.Load(c, a); live {
 				t.Fatalf("object %v survived reclamation", a)
 			}
 		}
@@ -66,13 +67,14 @@ func TestReclaimBatchSizeDoesNotSplitTheBulk(t *testing.T) {
 		t.Fatalf("perDest %d must exceed the aggregation capacity %d", perDest, comm.DefaultAggCapacity)
 	}
 	s := newTestSystem(t, locales, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 		tok := em.Register(c)
 		tok.Pin(c)
 		for l := 1; l < locales; l++ {
 			for i := 0; i < perDest; i++ {
-				tok.DeferDelete(c, c.AllocOn(l, &payload{v: i}))
+				tok.DeferDelete(c, payloads.AllocOn(c, l, &payload{v: i}))
 			}
 		}
 		tok.Unpin(c)
@@ -99,6 +101,7 @@ func TestReclaimUnderFaults(t *testing.T) {
 		t.Run(backend.String(), func(t *testing.T) {
 			const locales, perDest = 4, 20
 			s := newTestSystem(t, locales, backend)
+			payloads := pgas.NewSlab[payload](s)
 			c := s.Ctx(0)
 			em := NewEpochManager(c)
 			// Two generations' worth of objects, allocated before the
@@ -109,7 +112,7 @@ func TestReclaimUnderFaults(t *testing.T) {
 				for range 2 { // one batch per deferrer
 					for dst := 0; dst < locales; dst++ {
 						for i := 0; i < perDest; i++ {
-							objs[g] = append(objs[g], c.AllocOn(dst, &payload{v: i}))
+							objs[g] = append(objs[g], payloads.AllocOn(c, dst, &payload{v: i}))
 						}
 					}
 				}
@@ -160,7 +163,7 @@ func TestReclaimUnderFaults(t *testing.T) {
 				t.Fatalf("uafFrees = %d, want 0", h.UAFFrees)
 			}
 			for _, a := range append(objs[0], objs[1]...) {
-				if _, live := s.LocaleHeap(a.Locale()).Load(a); live {
+				if _, live := payloads.Load(c, a); live {
 					t.Fatalf("object %v survived reclamation", a)
 				}
 			}

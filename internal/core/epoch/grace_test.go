@@ -46,9 +46,10 @@ func setYield(t *testing.T, fn func(locale int)) {
 // free x, which the reader still holds; with three generations it did.
 func TestGraceSpansALaggingCache(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	c0, c1 := s.Ctx(0), s.Ctx(1)
 	em := NewEpochManager(c0)
-	x := c1.Alloc(&payload{v: 7})
+	x := payloads.AllocOn(c1, c1.Here(), &payload{v: 7})
 	reader := em.Register(c0)
 	var held *payload
 	setYield(t, func(locale int) {
@@ -56,7 +57,7 @@ func TestGraceSpansALaggingCache(t *testing.T) {
 			return
 		}
 		reader.Pin(c0)
-		held = pgas.MustDeref[*payload](c0, x)
+		held = payloads.MustLoad(c0, x)
 		unlinker := em.Register(c1)
 		unlinker.Pin(c1)
 		unlinker.DeferDelete(c1, x)
@@ -74,7 +75,7 @@ func TestGraceSpansALaggingCache(t *testing.T) {
 	checkState(t, c0, em, "the advance to 2", want)
 
 	em.TryReclaim(c0)
-	if _, ok := pgas.Deref[*payload](c0, x); !ok || held.v != 7 {
+	if _, ok := payloads.Load(c0, x); !ok || held.v != 7 {
 		t.Fatal("x was freed while a reader pinned in the current epoch held it")
 	}
 	want.Global, want.Locales[0].Cache, want.Locales[1].Cache = 3, 3, 3
@@ -101,6 +102,7 @@ func TestGraceSpansALaggingCache(t *testing.T) {
 func TestWholeStateAcrossTransitions(t *testing.T) {
 	const n = 3
 	s := newTestSystem(t, n, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	c := s.Ctx(0)
 	em := NewEpochManager(c)
 	want := settled(n, 1)
@@ -109,7 +111,7 @@ func TestWholeStateAcrossTransitions(t *testing.T) {
 	tok := em.Register(c)
 	tok.Pin(c)
 	for i := 0; i < 2; i++ {
-		tok.DeferDelete(c, c.AllocOn(i+1, &payload{v: i}))
+		tok.DeferDelete(c, payloads.AllocOn(c, i+1, &payload{v: i}))
 	}
 	tok.Unpin(c)
 	c2 := s.Ctx(2)
@@ -150,7 +152,7 @@ func TestWholeStateAcrossTransitions(t *testing.T) {
 	checkState(t, c, em, "the advance to 4, which reclaims generation 1", want)
 
 	tok.Pin(c)
-	tok.DeferDelete(c, c.Alloc(&payload{}))
+	tok.DeferDelete(c, payloads.AllocOn(c, c.Here(), &payload{}))
 	tok.Unpin(c)
 	want.Locales[0].Limbo[4] = 1
 	checkState(t, c, em, "a deferral in 4", want)
@@ -193,9 +195,13 @@ func TestTryReclaimSpawnsNoGoroutine(t *testing.T) {
 // would visit.
 func TestLimboLen(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	c := s.Ctx(0)
 	l := newLimbo(c)
-	objs := []gas.Addr{c.Alloc(&payload{}), c.Alloc(&payload{}), c.Alloc(&payload{})}
+	objs := make([]gas.Addr, 3)
+	for i := range objs {
+		objs[i] = payloads.AllocOn(c, c.Here(), &payload{})
+	}
 	for i, o := range objs {
 		if got := l.Len(c); got != i {
 			t.Fatalf("Len = %d after %d pushes", got, i)

@@ -28,11 +28,12 @@ func newLimbo(c *pgas.Ctx) *LimboList {
 
 func TestLimboPushDrain(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		l := newLimbo(c)
 		var want []gas.Addr
 		for i := 0; i < 10; i++ {
-			a := c.Alloc(&payload{v: i})
+			a := payloads.AllocOn(c, c.Here(), &payload{v: i})
 			want = append(want, a)
 			l.Push(c, a)
 		}
@@ -68,9 +69,10 @@ func TestLimboEmptyDrain(t *testing.T) {
 
 func TestLimboNodeRecycling(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		l := newLimbo(c)
-		obj := c.Alloc(&payload{})
+		obj := payloads.AllocOn(c, c.Here(), &payload{})
 		// First round allocates one block per limboBlockSize objects on
 		// a cold pool; drain recycles them.
 		const n = 3*limboBlockSize + 5
@@ -102,12 +104,13 @@ func TestLimboNodeRecycling(t *testing.T) {
 // the chain held without touching the heap or the host allocator.
 func TestLimboReleaseOneWalk(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		l := newLimbo(c)
 		const n = 5*limboBlockSize + 3
 		seen := make(map[gas.Addr]int, n)
 		for i := 0; i < n; i++ {
-			l.Push(c, c.Alloc(&payload{v: i}))
+			l.Push(c, payloads.AllocOn(c, c.Here(), &payload{v: i}))
 		}
 		l.Release(c, l.PopAll(), func(obj gas.Addr) { seen[obj]++ })
 		if len(seen) != n {
@@ -121,7 +124,7 @@ func TestLimboReleaseOneWalk(t *testing.T) {
 		if !l.PopAll().IsNil() {
 			t.Fatal("list not empty after the detach")
 		}
-		obj := c.Alloc(&payload{})
+		obj := payloads.AllocOn(c, c.Here(), &payload{})
 		heapAllocs := s.HeapStats().Allocs
 		visited := 0
 		if avg := testing.AllocsPerRun(20, func() {
@@ -148,6 +151,7 @@ func TestLimboReleaseOneWalk(t *testing.T) {
 // on either.
 func TestLimboReleaseBesidePushersOnAnotherList(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	c0 := s.Ctx(0)
 	gens := newGenerations(c0)
 	current, reclaiming := gens[1], gens[2]
@@ -160,7 +164,7 @@ func TestLimboReleaseBesidePushersOnAnotherList(t *testing.T) {
 			defer wg.Done()
 			c := s.Ctx(0)
 			for i := 0; i < per; i++ {
-				current.Push(c, c.Alloc(&payload{}))
+				current.Push(c, payloads.AllocOn(c, c.Here(), &payload{}))
 			}
 		}()
 	}
@@ -168,7 +172,7 @@ func TestLimboReleaseBesidePushersOnAnotherList(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		want := make(map[gas.Addr]bool, 32)
 		for i := 0; i < 32; i++ {
-			a := c0.Alloc(&payload{})
+			a := payloads.AllocOn(c0, c0.Here(), &payload{})
 			want[a] = true
 			reclaiming.Push(c0, a)
 		}
@@ -205,9 +209,10 @@ func TestLimboReleaseBesidePushersOnAnotherList(t *testing.T) {
 // other: the pool holds the locale's peak once, not once per list.
 func TestGenerationsShareOnePool(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	c := s.Ctx(0)
 	gens := newGenerations(c)
-	obj := c.Alloc(&payload{})
+	obj := payloads.AllocOn(c, c.Here(), &payload{})
 	const burst = 64
 	for i := 0; i < burst; i++ {
 		gens[1].Push(c, obj)
@@ -227,6 +232,7 @@ func TestGenerationsShareOnePool(t *testing.T) {
 
 func TestLimboConcurrentInsertPhase(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	l := newLimbo(s.Ctx(0))
 	const tasks = 8
 	const per = 200
@@ -238,7 +244,7 @@ func TestLimboConcurrentInsertPhase(t *testing.T) {
 			defer wg.Done()
 			c := s.Ctx(0)
 			for i := 0; i < per; i++ {
-				a := c.Alloc(&payload{v: g*per + i})
+				a := payloads.AllocOn(c, c.Here(), &payload{v: g*per + i})
 				addrs[g] = append(addrs[g], a)
 				l.Push(c, a)
 			}
@@ -269,13 +275,14 @@ func TestLimboConcurrentInsertPhase(t *testing.T) {
 // multiset (as a set — addresses are unique).
 func TestLimboMultisetProperty(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	c := s.Ctx(0)
 	l := newLimbo(c)
 	f := func(sizes uint8) bool {
 		n := int(sizes % 64)
 		pushed := make(map[gas.Addr]bool, n)
 		for i := 0; i < n; i++ {
-			a := c.Alloc(&payload{v: i})
+			a := payloads.AllocOn(c, c.Here(), &payload{v: i})
 			pushed[a] = true
 			l.Push(c, a)
 		}
@@ -302,6 +309,7 @@ func TestLimboMultisetProperty(t *testing.T) {
 // protocol requires.
 func TestLimboPoolContention(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	c0 := s.Ctx(0)
 	l := newLimbo(c0)
 	const rounds = 30
@@ -309,7 +317,7 @@ func TestLimboPoolContention(t *testing.T) {
 	const per = 16
 	// Pre-seed the pool so round one already contends on recycling.
 	for i := 0; i < tasks*per; i++ {
-		l.Push(c0, c0.Alloc(&payload{}))
+		l.Push(c0, payloads.AllocOn(c0, c0.Here(), &payload{}))
 	}
 	for _, a := range l.Drain(c0) {
 		c0.Free(a)
@@ -322,7 +330,7 @@ func TestLimboPoolContention(t *testing.T) {
 				defer wg.Done()
 				c := s.Ctx(0)
 				for i := 0; i < per; i++ {
-					l.Push(c, c.Alloc(&payload{}))
+					l.Push(c, payloads.AllocOn(c, c.Here(), &payload{}))
 				}
 			}()
 		}
@@ -342,6 +350,7 @@ func TestLimboPoolContention(t *testing.T) {
 // next block. Every object is visited exactly once.
 func TestLimboBlocksAcrossBoundaries(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	l := newLimbo(s.Ctx(0))
 	const tasks, per = 4, 10*limboBlockSize + 7
 	addrs := make([][]gas.Addr, tasks)
@@ -352,7 +361,7 @@ func TestLimboBlocksAcrossBoundaries(t *testing.T) {
 			defer wg.Done()
 			c := s.Ctx(0)
 			for i := 0; i < per; i++ {
-				a := c.Alloc(&payload{v: g*per + i})
+				a := payloads.AllocOn(c, c.Here(), &payload{v: g*per + i})
 				addrs[g] = append(addrs[g], a)
 				l.Push(c, a)
 			}
@@ -387,12 +396,13 @@ func TestLimboBlocksAcrossBoundaries(t *testing.T) {
 // stored after the exchange is a reported race, whatever the timing.
 func TestLimboBlockFilledBeforePublish(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	c := s.Ctx(0)
 	l := newLimbo(c)
 	const tasks = 8
 	objs := make([]gas.Addr, tasks)
 	for i := range objs {
-		objs[i] = c.Alloc(&payload{v: i})
+		objs[i] = payloads.AllocOn(c, c.Here(), &payload{v: i})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < tasks; g++ {
@@ -429,11 +439,12 @@ func TestLimboBlockFilledBeforePublish(t *testing.T) {
 // exactly once.
 func TestLimboFullBlockRace(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	c := s.Ctx(0)
 	l := newLimbo(c)
 	var pushed []gas.Addr
 	push := func() gas.Addr {
-		a := c.Alloc(&payload{v: len(pushed)})
+		a := payloads.AllocOn(c, c.Here(), &payload{v: len(pushed)})
 		pushed = append(pushed, a)
 		return a
 	}
@@ -502,11 +513,12 @@ type limboState struct {
 // blocks until the pool runs dry.
 func TestLimboBlockLifecycleState(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	c := s.Ctx(0)
 	gens := newGenerations(c)
 	objs := make([]gas.Addr, 4*limboBlockSize)
 	for i := range objs {
-		objs[i] = c.Alloc(&payload{v: i})
+		objs[i] = payloads.AllocOn(c, c.Here(), &payload{v: i})
 	}
 	base := s.HeapStats()
 	next := 0

@@ -28,11 +28,12 @@ func TestListing1Push(t *testing.T) {
 			val  int
 			next gas.Addr
 		}
+		nodes := pgas.NewSlab[Node](s)
 		head := atomics.New(c, 0, atomics.Options{ABA: true})
 
 		push := func(newObj int) {
 			n := &Node{val: newObj}
-			node := c.Alloc(n)
+			node := nodes.AllocOn(c, c.Here(), n)
 			for {
 				oldHead := head.ReadABA(c)
 				n.next = oldHead.Object()
@@ -47,7 +48,7 @@ func TestListing1Push(t *testing.T) {
 		// LIFO check.
 		cur := head.ReadABA(c).Object()
 		for want := 4; want >= 0; want-- {
-			n := pgas.MustDeref[*Node](c, cur)
+			n := nodes.MustLoad(c, cur)
 			if n.val != want {
 				t.Fatalf("stack order: got %d want %d", n.val, want)
 			}
@@ -64,9 +65,10 @@ func TestListing1Push(t *testing.T) {
 //	proc pop() { return _head.exchange(nil); }
 func TestListing2LimboList(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		l := newLimbo(c)
-		objs := []gas.Addr{c.Alloc(&payload{v: 1}), c.Alloc(&payload{v: 2})}
+		objs := []gas.Addr{payloads.AllocOn(c, c.Here(), &payload{v: 1}), payloads.AllocOn(c, c.Here(), &payload{v: 2})}
 		for _, o := range objs {
 			l.Push(c, o) // a fresh block from the pool + exchange + next, verbatim
 		}
@@ -89,6 +91,7 @@ func TestListing2LimboList(t *testing.T) {
 //	em.clear();
 func TestListing3Usage(t *testing.T) {
 	s := newTestSystem(t, 4, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 
@@ -102,7 +105,7 @@ func TestListing3Usage(t *testing.T) {
 		const n = 200
 		X := make([]gas.Addr, n)
 		for i := range X {
-			X[i] = c.AllocOn(i%4, &payload{v: i})
+			X[i] = payloads.AllocOn(c, i%4, &payload{v: i})
 		}
 		pgas.ForallCyclic(c, n, 2,
 			func(tc *pgas.Ctx) *Token { return em.Register(tc) },
@@ -128,6 +131,7 @@ func TestListing3Usage(t *testing.T) {
 // the public API (this test pins the port's behaviour).
 func TestListing4Contract(t *testing.T) {
 	s := newTestSystem(t, 3, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 
@@ -147,7 +151,7 @@ func TestListing4Contract(t *testing.T) {
 		var objs []gas.Addr
 		for l := 0; l < 3; l++ {
 			for i := 0; i < 10; i++ {
-				o := c.AllocOn(l, &payload{v: i})
+				o := payloads.AllocOn(c, l, &payload{v: i})
 				tok.DeferDelete(c, o)
 				objs = append(objs, o)
 			}
@@ -157,7 +161,7 @@ func TestListing4Contract(t *testing.T) {
 		em.TryReclaim(c)
 		em.TryReclaim(c)
 		for _, o := range objs {
-			if _, ok := pgas.Deref[*payload](c, o); ok {
+			if _, ok := payloads.Load(c, o); ok {
 				t.Fatalf("object %v not reclaimed after three advances", o)
 			}
 		}
@@ -174,13 +178,14 @@ func TestListing4Contract(t *testing.T) {
 //	manager.clear();
 func TestListing5Microbenchmark(t *testing.T) {
 	s := newTestSystem(t, 4, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		manager := NewEpochManager(c)
 		const numObjects = 512
 		const perIteration = 64
 		objs := make([]gas.Addr, numObjects)
 		for i := range objs {
-			objs[i] = c.AllocOn(c.RandIntn(4), &payload{v: i}) // randomizeObjs
+			objs[i] = payloads.AllocOn(c, c.RandIntn(4), &payload{v: i}) // randomizeObjs
 		}
 		type intents struct {
 			tok *Token

@@ -95,10 +95,11 @@ func TestTokenWrongLocalePanics(t *testing.T) {
 
 func TestDeferDeleteRequiresPin(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 		tok := em.Register(c)
-		obj := c.Alloc(&payload{})
+		obj := payloads.AllocOn(c, c.Here(), &payload{})
 		defer func() {
 			if recover() == nil {
 				t.Fatal("DeferDelete while unpinned must panic")
@@ -113,12 +114,13 @@ func TestDeferDeleteRequiresPin(t *testing.T) {
 // that can hold it may be pinned in.
 func TestTwoAdvanceReclamation(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 		tok := em.Register(c)
 
 		tok.Pin(c)
-		obj := c.Alloc(&payload{v: 1})
+		obj := payloads.AllocOn(c, c.Here(), &payload{v: 1})
 		tok.DeferDelete(c, obj)
 		tok.Unpin(c)
 
@@ -126,13 +128,13 @@ func TestTwoAdvanceReclamation(t *testing.T) {
 		// generations 3 and 4 (empty): the object must still be live.
 		for n := 1; n <= 2; n++ {
 			em.TryReclaim(c)
-			if _, ok := pgas.Deref[*payload](c, obj); !ok {
+			if _, ok := payloads.Load(c, obj); !ok {
 				t.Fatalf("object reclaimed after %d advance(s)", n)
 			}
 		}
 		// Third advance: new epoch 4 reclaims generation 1 → freed.
 		em.TryReclaim(c)
-		if _, ok := pgas.Deref[*payload](c, obj); ok {
+		if _, ok := payloads.Load(c, obj); ok {
 			t.Fatal("object still live after three advances")
 		}
 		if got := em.Stats(c).Reclaimed; got != 1 {
@@ -233,6 +235,7 @@ func TestUnregisteredTokenDoesNotBlock(t *testing.T) {
 // transfers, not per-object RPCs.
 func TestScatterListBulkFree(t *testing.T) {
 	s := newTestSystem(t, 4, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 		tok := em.Register(c)
@@ -241,7 +244,7 @@ func TestScatterListBulkFree(t *testing.T) {
 		var objs []gas.Addr
 		for l := 0; l < 4; l++ {
 			for i := 0; i < perLocale; i++ {
-				objs = append(objs, c.AllocOn(l, &payload{v: i}))
+				objs = append(objs, payloads.AllocOn(c, l, &payload{v: i}))
 			}
 		}
 		for _, o := range objs {
@@ -256,7 +259,7 @@ func TestScatterListBulkFree(t *testing.T) {
 		d := s.Counters().Snapshot().Sub(before)
 
 		for _, o := range objs {
-			if _, ok := pgas.Deref[*payload](c, o); ok {
+			if _, ok := payloads.Load(c, o); ok {
 				t.Fatalf("object %v survived reclamation", o)
 			}
 		}
@@ -309,6 +312,7 @@ func TestElectionBackoff(t *testing.T) {
 
 func TestClearReclaimsEverything(t *testing.T) {
 	s := newTestSystem(t, 3, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 		var objs []gas.Addr
@@ -318,7 +322,7 @@ func TestClearReclaimsEverything(t *testing.T) {
 			tok := em.Register(lc)
 			tok.Pin(lc)
 			for i := 0; i < 20; i++ {
-				o := lc.AllocOn(lc.RandIntn(3), &payload{v: i})
+				o := payloads.AllocOn(lc, lc.RandIntn(3), &payload{v: i})
 				tok.DeferDelete(lc, o)
 				mu.Lock()
 				objs = append(objs, o)
@@ -332,7 +336,7 @@ func TestClearReclaimsEverything(t *testing.T) {
 			tok := em.Register(lc)
 			tok.Pin(lc)
 			for i := 0; i < 20; i++ {
-				o := lc.Alloc(&payload{v: i})
+				o := payloads.AllocOn(lc, lc.Here(), &payload{v: i})
 				tok.DeferDelete(lc, o)
 				mu.Lock()
 				objs = append(objs, o)
@@ -344,7 +348,7 @@ func TestClearReclaimsEverything(t *testing.T) {
 
 		em.Clear(c)
 		for _, o := range objs {
-			if _, ok := pgas.Deref[*payload](c, o); ok {
+			if _, ok := payloads.Load(c, o); ok {
 				t.Fatalf("object %v survived Clear", o)
 			}
 		}
@@ -393,13 +397,14 @@ func TestPinUnpinZeroCommunication(t *testing.T) {
 // protected by the manager — no use-after-free may ever be detected.
 func TestNoUseAfterFreeUnderEBR(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	em := NewEpochManager(s.Ctx(0))
 
 	// A shared cell holding the current object; writers swap in new
 	// objects and defer-delete the old; readers deref what they see.
 	type cell struct{ cur gas.Addr }
 	c0 := s.Ctx(0)
-	shared := &cell{cur: c0.Alloc(&payload{v: 0})}
+	shared := &cell{cur: payloads.AllocOn(c0, c0.Here(), &payload{v: 0})}
 	var mu sync.Mutex // guards shared.cur pointer swap only
 
 	const readers = 4
@@ -418,7 +423,7 @@ func TestNoUseAfterFreeUnderEBR(t *testing.T) {
 				a := shared.cur
 				mu.Unlock()
 				// Under the pin, the object must be dereferenceable.
-				p := pgas.MustDeref[*payload](c, a)
+				p := payloads.MustLoad(c, a)
 				_ = p.v
 				tok.Unpin(c)
 			}
@@ -433,7 +438,7 @@ func TestNoUseAfterFreeUnderEBR(t *testing.T) {
 			tok := em.Register(c)
 			for i := 0; i < iters; i++ {
 				tok.Pin(c)
-				fresh := c.Alloc(&payload{v: i})
+				fresh := payloads.AllocOn(c, c.Here(), &payload{v: i})
 				mu.Lock()
 				old := shared.cur
 				shared.cur = fresh
@@ -465,9 +470,10 @@ func TestNoUseAfterFreeUnderEBR(t *testing.T) {
 // the hazard the manager exists to prevent.
 func TestUseAfterFreeWithoutEBR(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	c0 := s.Ctx(0)
 	type cell struct{ cur gas.Addr }
-	shared := &cell{cur: c0.Alloc(&payload{v: 0})}
+	shared := &cell{cur: payloads.AllocOn(c0, c0.Here(), &payload{v: 0})}
 	var mu sync.Mutex
 
 	const iters = 2000
@@ -485,13 +491,13 @@ func TestUseAfterFreeWithoutEBR(t *testing.T) {
 		mu.Unlock()
 		close(snapped)
 		<-freed
-		pgas.Deref[*payload](c, a) // reads a freed slot
+		payloads.Load(c, a) // reads a freed slot
 	}()
 	go func() {
 		defer wg.Done()
 		c := s.Ctx(0)
 		<-snapped
-		fresh := c.Alloc(&payload{v: -1})
+		fresh := payloads.AllocOn(c, c.Here(), &payload{v: -1})
 		mu.Lock()
 		old := shared.cur
 		shared.cur = fresh
@@ -509,7 +515,7 @@ func TestUseAfterFreeWithoutEBR(t *testing.T) {
 				mu.Lock()
 				a := shared.cur
 				mu.Unlock()
-				pgas.Deref[*payload](c, a) // may hit a freed slot
+				payloads.Load(c, a) // may hit a freed slot
 			}
 		}()
 	}
@@ -518,7 +524,7 @@ func TestUseAfterFreeWithoutEBR(t *testing.T) {
 		defer wg.Done()
 		c := s.Ctx(0)
 		for i := 0; i < iters; i++ {
-			fresh := c.Alloc(&payload{v: i})
+			fresh := payloads.AllocOn(c, c.Here(), &payload{v: i})
 			mu.Lock()
 			old := shared.cur
 			shared.cur = fresh
@@ -537,6 +543,7 @@ func TestUseAfterFreeWithoutEBR(t *testing.T) {
 // eventually reclaimed.
 func TestConcurrentTryReclaim(t *testing.T) {
 	s := newTestSystem(t, 4, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	em := NewEpochManager(s.Ctx(0))
 	const tasks = 8
 	const iters = 100
@@ -549,7 +556,7 @@ func TestConcurrentTryReclaim(t *testing.T) {
 			tok := em.Register(c)
 			for i := 0; i < iters; i++ {
 				tok.Pin(c)
-				obj := c.AllocOn(c.RandIntn(4), &payload{v: i})
+				obj := payloads.AllocOn(c, c.RandIntn(4), &payload{v: i})
 				tok.DeferDelete(c, obj)
 				tok.Unpin(c)
 				tok.TryReclaim(c)
@@ -579,12 +586,13 @@ func TestConcurrentTryReclaim(t *testing.T) {
 // paper's Listing 3 usage pattern.
 func TestForallTaskIntentUsage(t *testing.T) {
 	s := newTestSystem(t, 3, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 		const n = 300
 		objs := make([]gas.Addr, n)
 		for i := range objs {
-			objs[i] = c.AllocOn(i%3, &payload{v: i})
+			objs[i] = payloads.AllocOn(c, i%3, &payload{v: i})
 		}
 		pgas.ForallCyclic(c, n, 2,
 			func(tc *pgas.Ctx) *Token { return em.Register(tc) },

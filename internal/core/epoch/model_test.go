@@ -19,6 +19,7 @@ import (
 func TestEpochModelConformance(t *testing.T) {
 	s := pgas.NewSystem(pgas.Config{Locales: 2, Backend: comm.BackendNone})
 	defer s.Shutdown()
+	payloads := pgas.NewSlab[payload](s)
 	c := s.Ctx(0)
 
 	f := func(ops []uint8) bool {
@@ -35,7 +36,7 @@ func TestEpochModelConformance(t *testing.T) {
 		checkAll := func() bool {
 			kept := objs[:0]
 			for _, d := range objs {
-				_, live := pgas.Deref[*payload](c, d.addr)
+				_, live := payloads.Load(c, d.addr)
 				dead := advances >= d.deadline
 				if live == dead {
 					return false
@@ -60,7 +61,7 @@ func TestEpochModelConformance(t *testing.T) {
 				tok.Unpin(c)
 			case 2:
 				if tok.Pinned() {
-					a := c.Alloc(&payload{})
+					a := payloads.AllocOn(c, c.Here(), &payload{})
 					tok.DeferDelete(c, a)
 					// Deferral goes to the locale's *current* epoch
 					// (== modelEpoch here), and the object dies exactly

@@ -9,6 +9,7 @@ import (
 
 func TestProtectRunsPinned(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 		ran := false
@@ -17,7 +18,7 @@ func TestProtectRunsPinned(t *testing.T) {
 			if !tok.Pinned() {
 				t.Error("token not pinned inside Protect")
 			}
-			obj := c.Alloc(&payload{v: 1})
+			obj := payloads.AllocOn(c, c.Here(), &payload{v: 1})
 			tok.DeferDelete(c, obj)
 		})
 		if !ran {
@@ -76,13 +77,14 @@ func TestProtectNested(t *testing.T) {
 // bulk shipment per destination in the comm matrix.
 func TestScatterVisibleInMatrix(t *testing.T) {
 	s := newTestSystem(t, 4, comm.BackendNone)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		em := NewEpochManager(c)
 		tok := em.Register(c)
 		tok.Pin(c)
 		for l := 1; l < 4; l++ {
 			for i := 0; i < 5; i++ {
-				tok.DeferDelete(c, c.AllocOn(l, &payload{}))
+				tok.DeferDelete(c, payloads.AllocOn(c, l, &payload{}))
 			}
 		}
 		tok.Unpin(c)

@@ -19,6 +19,7 @@ import (
 func TestStalledReaderTradeoff(t *testing.T) {
 	s := pgas.NewSystem(pgas.Config{Locales: 2, Backend: comm.BackendNone})
 	defer s.Shutdown()
+	payloads := pgas.NewSlab[payload](s)
 	c := s.Ctx(0)
 
 	const churn = 300
@@ -32,7 +33,7 @@ func TestStalledReaderTradeoff(t *testing.T) {
 		writer := em.Register(c)
 		for i := 0; i < churn; i++ {
 			writer.Pin(c)
-			writer.DeferDelete(c, c.Alloc(&payload{v: i}))
+			writer.DeferDelete(c, payloads.AllocOn(c, c.Here(), &payload{v: i}))
 			writer.Unpin(c)
 			writer.TryReclaim(c)
 		}
@@ -62,7 +63,7 @@ func TestStalledReaderTradeoff(t *testing.T) {
 
 		var protected gas.Addr
 		for i := 0; i < churn; i++ {
-			obj := c.Alloc(&payload{v: i})
+			obj := payloads.AllocOn(c, c.Here(), &payload{v: i})
 			if i == 0 {
 				protected = obj
 				hp.Set(obj) // the stalled reader's single hazard
@@ -74,7 +75,7 @@ func TestStalledReaderTradeoff(t *testing.T) {
 		if st.Freed != churn-1 {
 			t.Fatalf("HP freed %d of %d (one may be protected)", st.Freed, churn)
 		}
-		if _, ok := pgas.Deref[*payload](c, protected); !ok {
+		if _, ok := payloads.Load(c, protected); !ok {
 			t.Fatal("HP freed the protected object")
 		}
 		hp.Clear()
@@ -102,12 +103,13 @@ func TestStalledReaderTradeoff(t *testing.T) {
 func TestDeferEpochSafety(t *testing.T) {
 	s := pgas.NewSystem(pgas.Config{Locales: 2, Backend: comm.BackendNone})
 	defer s.Shutdown()
+	payloads := pgas.NewSlab[payload](s)
 	c := s.Ctx(0)
 	em := NewEpochManager(c)
 
 	retirer := em.Register(c)
 	retirer.Pin(c) // epoch 1
-	obj := c.Alloc(&payload{v: 42})
+	obj := payloads.AllocOn(c, c.Here(), &payload{v: 42})
 
 	em.TryReclaim(c) // 1 → 2 (retirer in thisEpoch, allowed)
 	if em.readGlobal(c) != 2 {
@@ -126,14 +128,14 @@ func TestDeferEpochSafety(t *testing.T) {
 	if em.readGlobal(c) != 3 {
 		t.Fatal("advance to 3 blocked unexpectedly")
 	}
-	if _, ok := pgas.Deref[*payload](c, held); !ok {
+	if _, ok := payloads.Load(c, held); !ok {
 		t.Fatal("use-after-free: object freed while a current-epoch reader holds it")
 	}
 
 	reader.Unpin(c)
 	reader.Unregister(c)
 	em.Clear(c)
-	if _, ok := pgas.Deref[*payload](c, held); ok {
+	if _, ok := payloads.Load(c, held); ok {
 		t.Fatal("object leaked after quiescence")
 	}
 }
@@ -143,13 +145,14 @@ func TestDeferEpochSafety(t *testing.T) {
 func TestBoundedGarbageHealthyWorkload(t *testing.T) {
 	s := pgas.NewSystem(pgas.Config{Locales: 2, Backend: comm.BackendNone})
 	defer s.Shutdown()
+	payloads := pgas.NewSlab[payload](s)
 	c := s.Ctx(0)
 	em := NewEpochManager(c)
 	tok := em.Register(c)
 	const churn = 2000
 	for i := 0; i < churn; i++ {
 		tok.Pin(c)
-		tok.DeferDelete(c, c.Alloc(&payload{v: i}))
+		tok.DeferDelete(c, payloads.AllocOn(c, c.Here(), &payload{v: i}))
 		tok.Unpin(c)
 		if i%64 == 0 {
 			tok.TryReclaim(c)

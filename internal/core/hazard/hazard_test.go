@@ -21,10 +21,11 @@ type payload struct{ v int }
 
 func TestProtectValidates(t *testing.T) {
 	s := newTestSystem(t, 2)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		d := NewDomain(c, 8)
 		cell := atomics.New(c, 1, atomics.Options{})
-		a := c.Alloc(&payload{v: 1})
+		a := payloads.AllocOn(c, c.Here(), &payload{v: 1})
 		cell.Write(c, a)
 		hp := d.Acquire(c)
 		got := hp.Protect(c, cell)
@@ -43,10 +44,11 @@ func TestProtectValidates(t *testing.T) {
 
 func TestScanSparesProtected(t *testing.T) {
 	s := newTestSystem(t, 2)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		d := NewDomain(c, 1000) // manual scans only
-		protected := c.Alloc(&payload{v: 1})
-		doomed := c.Alloc(&payload{v: 2})
+		protected := payloads.AllocOn(c, c.Here(), &payload{v: 1})
+		doomed := payloads.AllocOn(c, c.Here(), &payload{v: 2})
 
 		hp := d.Acquire(c)
 		hp.Set(protected)
@@ -55,17 +57,17 @@ func TestScanSparesProtected(t *testing.T) {
 		d.Retire(c, doomed)
 		d.Scan(c)
 
-		if _, ok := pgas.Deref[*payload](c, protected); !ok {
+		if _, ok := payloads.Load(c, protected); !ok {
 			t.Fatal("protected object was freed")
 		}
-		if _, ok := pgas.Deref[*payload](c, doomed); ok {
+		if _, ok := payloads.Load(c, doomed); ok {
 			t.Fatal("unprotected object survived the scan")
 		}
 
 		// Clearing the hazard lets the next scan free it.
 		hp.Clear()
 		d.Scan(c)
-		if _, ok := pgas.Deref[*payload](c, protected); ok {
+		if _, ok := payloads.Load(c, protected); ok {
 			t.Fatal("object survived after its hazard cleared")
 		}
 		st := d.Stats(c)
@@ -77,9 +79,10 @@ func TestScanSparesProtected(t *testing.T) {
 
 func TestScanHonoursRemoteHazards(t *testing.T) {
 	s := newTestSystem(t, 3)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		d := NewDomain(c, 1000)
-		obj := c.Alloc(&payload{v: 7})
+		obj := payloads.AllocOn(c, c.Here(), &payload{v: 7})
 		// A task on locale 2 protects the object...
 		var remote *Slot
 		c.On(2, func(rc *pgas.Ctx) {
@@ -89,7 +92,7 @@ func TestScanHonoursRemoteHazards(t *testing.T) {
 		// ...and a retire+scan on locale 0 must spare it.
 		d.Retire(c, obj)
 		d.Scan(c)
-		if _, ok := pgas.Deref[*payload](c, obj); !ok {
+		if _, ok := payloads.Load(c, obj); !ok {
 			t.Fatal("scan ignored a remote locale's hazard")
 		}
 		c.On(2, func(rc *pgas.Ctx) {
@@ -97,7 +100,7 @@ func TestScanHonoursRemoteHazards(t *testing.T) {
 			d.Release(rc, remote)
 		})
 		d.Scan(c)
-		if _, ok := pgas.Deref[*payload](c, obj); ok {
+		if _, ok := payloads.Load(c, obj); ok {
 			t.Fatal("object survived after remote hazard cleared")
 		}
 	})
@@ -105,10 +108,11 @@ func TestScanHonoursRemoteHazards(t *testing.T) {
 
 func TestThresholdTriggersScan(t *testing.T) {
 	s := newTestSystem(t, 1)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		d := NewDomain(c, 4)
 		for i := 0; i < 4; i++ {
-			d.Retire(c, c.Alloc(&payload{v: i}))
+			d.Retire(c, payloads.AllocOn(c, c.Here(), &payload{v: i}))
 		}
 		st := d.Stats(c)
 		if st.Scans != 1 || st.Freed != 4 {
@@ -134,10 +138,11 @@ func TestSlotRecycling(t *testing.T) {
 // dereference it even while writers retire and scans run concurrently.
 func TestConcurrentProtectRetire(t *testing.T) {
 	s := newTestSystem(t, 2)
+	payloads := pgas.NewSlab[payload](s)
 	c0 := s.Ctx(0)
 	d := NewDomain(c0, 16)
 	cell := atomics.New(c0, 0, atomics.Options{})
-	cell.Write(c0, c0.Alloc(&payload{v: 0}))
+	cell.Write(c0, payloads.AllocOn(c0, c0.Here(), &payload{v: 0}))
 
 	const readers = 3
 	const iters = 400
@@ -154,7 +159,7 @@ func TestConcurrentProtectRetire(t *testing.T) {
 				if addr.IsNil() {
 					continue
 				}
-				p := pgas.MustDeref[*payload](c, addr) // must be safe under the hazard
+				p := payloads.MustLoad(c, addr) // must be safe under the hazard
 				_ = p.v
 				hp.Clear()
 			}
@@ -165,7 +170,7 @@ func TestConcurrentProtectRetire(t *testing.T) {
 		defer wg.Done()
 		c := s.Ctx(0)
 		for i := 1; i <= iters; i++ {
-			fresh := c.Alloc(&payload{v: i})
+			fresh := payloads.AllocOn(c, c.Here(), &payload{v: i})
 			old := cell.Exchange(c, fresh)
 			if !old.IsNil() {
 				d.Retire(c, old)
@@ -188,10 +193,11 @@ func TestConcurrentProtectRetire(t *testing.T) {
 
 func TestStatsAggregation(t *testing.T) {
 	s := newTestSystem(t, 4)
+	payloads := pgas.NewSlab[payload](s)
 	s.Run(func(c *pgas.Ctx) {
 		d := NewDomain(c, 1000)
 		c.CoforallLocales(func(lc *pgas.Ctx) {
-			d.Retire(lc, lc.Alloc(&payload{}))
+			d.Retire(lc, payloads.AllocOn(lc, lc.Here(), &payload{}))
 		})
 		st := d.Stats(c)
 		if st.Retired != 4 {

@@ -21,10 +21,10 @@
 // poison-on-free machinery makes use-after-free *detectable* rather
 // than undefined.
 //
-// A structure's nodes live in typed chunks (Type): a slot holds the
-// bare node pointer, so behind the 64-bit word is one host object and
-// nothing else. Arbitrary values ride the untyped path (Heap.Alloc),
-// whose slots hold a pointer to an `any` box.
+// Every object lives in a typed chunk (Type): a slot holds the bare
+// node pointer, so behind the 64-bit word is one host object and
+// nothing else. The boxed Heap.Alloc/Load/Store face is Type[any], a
+// deprecated veneer kept for the benchmark ladder.
 package gas
 
 import "fmt"

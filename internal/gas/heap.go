@@ -20,28 +20,24 @@ import (
 //
 // Storage is chunked: slots live in fixed-size chunks reachable
 // through an immutable directory slice that the allocator republishes
-// atomically when it grows. Every chunk belongs to one node type,
-// named by the Tag stored beside the chunk pointer in the directory:
-// tag 0 is the untyped chunk, whose slots point at a boxed `any`
-// (Alloc, Load, Store), and any other tag is a Type's chunk, whose
-// slots hold the bare *T (Type.Alloc, Type.Load). A load through the
-// wrong face — a typed Load with another tag, an untyped Load or Store
-// of a typed address — panics rather than reinterpret memory. A slot is
-// a single atomic pointer — nil is the poison state — so Load and Store
-// are lock-free (Store is a CAS loop so it can never resurrect a slot a
-// concurrent Free just poisoned). The allocator's mutex is confined to
-// the free-list bookkeeping of Alloc and Free, standing in for the
-// (also locking) system allocator underneath Chapel's `new`; the read
-// path every structure dereference rides never touches it. Each tag
-// has its own LIFO free list and its own bump range in its newest
-// chunk, so a freed slot is reused only by an object of its own type.
+// atomically when it grows. Every chunk belongs to one node type, named
+// by the Tag of its Type stored beside the chunk pointer in the
+// directory, and its slots hold that type's bare *T (Type.Alloc,
+// Type.Load). A load through another type's face panics rather than
+// reinterpret memory. A slot is a single atomic pointer — nil is the
+// poison state — so loads are lock-free. The allocator's mutex is
+// confined to the free-list bookkeeping of Alloc and Free, standing in
+// for the (also locking) system allocator underneath Chapel's `new`;
+// the read path every structure dereference rides never touches it.
+// Each tag has its own LIFO free list and its own bump range in its
+// newest chunk, so a freed slot is reused only by an object of its own
+// type.
 //
-// Whatever a slot points at — a typed node, or an untyped object's box
-// — is a fresh Go allocation written before the slot store that
-// publishes it and never rewritten: not by Free (which only nils the
-// slot), not by a later Store (which installs a fresh box). That is
-// what lets a reader that loaded the pointer just before a Free still
-// read the old object instead of a recycled one.
+// Whatever a slot points at is a fresh Go allocation written before
+// the slot store that publishes it and never rewritten: not by Free
+// (which only nils the slot), not by a later Store (which installs a
+// fresh box). That is what lets a reader that loaded the pointer just
+// before a Free still read the old object instead of a recycled one.
 //
 // Layout: locale and dir are read by every Load and Store, other
 // locales' GETs included; the allocator words below them are written
@@ -75,8 +71,7 @@ const (
 
 // chunk is one fixed block of slots, each accessed only through
 // sync/atomic. A slot is nil while free (or never yet allocated) and
-// points at its object while live: the bare node in a typed chunk, a
-// box holding the object in an untyped one.
+// points at its node while live.
 type chunk [chunkSize]unsafe.Pointer
 
 // dirEntry is one directory entry: a chunk and the tag of the type
@@ -181,11 +176,18 @@ func (h *Heap) publish(tag Tag, obj unsafe.Pointer) Addr {
 	return MakeAddr(h.locale, idx)
 }
 
-// Alloc boxes obj in a slot of an untyped chunk and returns its global
-// address. Freed slots are reused LIFO, so the returned Addr may equal
-// one freed a moment ago — deliberately so; see the package comment.
+// boxed is the face of the deprecated Alloc, Load and Store: its
+// chunks hold a pointer to an `any` box per slot.
+var boxed = TypeOf[any]()
+
+// Alloc boxes obj in a slot of a Type[any] chunk and returns its global
+// address.
+//
+// Deprecated: allocate through a Type (or a pgas.Slab) instead. The
+// boxed face stays only for the benchmark ladder's rungs; ROADMAP item
+// 7 moves them onto typed nodes and item 27(c) then deletes it.
 func (h *Heap) Alloc(obj any) Addr {
-	return h.publish(0, unsafe.Pointer(boxOf(obj)))
+	return boxed.Alloc(h, boxOf(obj))
 }
 
 // boxOf returns a fresh box holding obj: a box, once published, is
@@ -196,45 +198,36 @@ func boxOf(obj any) *any {
 	return box
 }
 
-// Load returns the object at addr. ok is false — and the use-after-free
-// counter is incremented — if the slot has been freed and not yet
-// reallocated. Load panics if addr belongs to another locale: locality
-// routing is the caller's job (package pgas performs GETs for remote
-// addresses); it panics too if addr is typed (use Type.Load). Load is
-// lock-free: one directory load plus one slot load.
+// Load returns the object Alloc or Store left at addr, with Type.Load's
+// checks: ok is false on a detected use-after-free, and an address of
+// another locale or of another type's chunk panics.
+//
+// Deprecated: load through the object's Type instead; see Alloc.
 func (h *Heap) Load(addr Addr) (obj any, ok bool) {
-	h.checkOwner(addr)
-	s, tag := h.slot(addr.Index())
-	if tag != 0 {
-		badTag(addr, tag, 0) // an `any` view of a bare node would reinterpret it
-	}
-	if s == nil {
-		h.uafLoads.Add(1)
-		return nil, false
-	}
-	box := (*any)(atomic.LoadPointer(s))
-	if box == nil {
-		h.uafLoads.Add(1)
+	box, ok := boxed.Load(h, addr)
+	if !ok {
 		return nil, false
 	}
 	return *box, true
 }
 
-// Store overwrites the untyped object at addr, reporting false if the
+// Store overwrites the boxed object at addr, reporting false if the
 // slot has been freed (a detected use-after-free write, counted in
-// UAFStores); it panics on a typed address, whose nodes are published
-// once and never replaced. Store is lock-free: it installs a fresh box
+// UAFStores); it panics on an address of another type's chunk, whose
+// nodes are published once and never replaced. Store is lock-free: it installs a fresh box
 // with a CAS so that racing a concurrent Free can only lose — a
 // poisoned slot is never resurrected.
+//
+// Deprecated: typed nodes are never replaced; see Alloc.
 func (h *Heap) Store(addr Addr, obj any) bool {
 	h.checkOwner(addr)
 	s, tag := h.slot(addr.Index())
-	if tag != 0 {
-		badTag(addr, tag, 0)
-	}
 	if s == nil {
 		h.uafStores.Add(1)
 		return false
+	}
+	if tag != boxed.tag {
+		badTag(addr, tag, boxed.tag)
 	}
 	box := unsafe.Pointer(boxOf(obj))
 	for {
@@ -249,8 +242,8 @@ func (h *Heap) Store(addr Addr, obj any) bool {
 	}
 }
 
-// Free poisons the slot at addr, typed or not, and pushes it onto its
-// tag's free list. A double free is detected, counted, and reported by
+// Free poisons the slot at addr and pushes it onto its tag's free
+// list. A double free is detected, counted, and reported by
 // the return value rather than corrupting the free list. The poison
 // swap is atomic, so of two racing frees exactly one wins; only the
 // winner touches the free list.
@@ -275,8 +268,8 @@ func (h *Heap) Free(addr Addr) bool {
 	return true
 }
 
-// FreeBulk frees every address in addrs, typed or not, returning how
-// many were live. It is the locale-side half of the EpochManager's
+// FreeBulk frees every address in addrs, of whatever type, returning
+// how many were live. It is the locale-side half of the EpochManager's
 // scatter-list bulk deletion: one call per locale instead of one RPC
 // per object — and, mirroring that batching, one pass under one lock
 // acquisition that poisons each slot and pushes its index onto its own
@@ -330,12 +323,12 @@ func (h *Heap) badOwner(addr Addr) {
 }
 
 // badTag panics for an access to addr, a slot of a chunk of tag got,
-// through the face of tag want (0: the untyped one) — a program bug,
-// not a reclamation hazard. It is out of line so the loads stay small.
+// through the face of tag want — a program bug, not a reclamation
+// hazard. It is out of line so the loads stay small.
 //
 //go:noinline
 func badTag(addr Addr, got, want Tag) {
-	panic(fmt.Sprintf("gas: %v is a slot of chunk tag %d, accessed as tag %d (0 = untyped)", addr, got, want))
+	panic(fmt.Sprintf("gas: %v is a slot of chunk tag %d, accessed as tag %d", addr, got, want))
 }
 
 // Stats is a snapshot of a heap's allocation counters.

@@ -36,7 +36,7 @@ var (
 	otherType = TypeOf[otherObj]()
 )
 
-// objectKind is one face of the heap contract: values on the untyped
+// objectKind is one face of the heap contract: values on the boxed
 // path, or nodes of a typed chunk.
 type objectKind struct {
 	alloc func(h *Heap, v int) Addr
@@ -47,7 +47,7 @@ type objectKind struct {
 }
 
 // forEachObjectKind runs one heap-contract test twice: with plain
-// values, which ride the untyped path in a box the heap allocates, and
+// values, which ride the boxed path in a box the heap allocates, and
 // with the nodes of a typed chunk, which sit bare in their slots. The
 // contract — poison, UAF counting, LIFO reuse, Stats — must not tell
 // them apart.
@@ -176,7 +176,7 @@ func TestHeapStoreInPlace(t *testing.T) {
 		h := NewHeap(0)
 		a := objType.Alloc(h, &typedObj{v: 1})
 		st := h.Stats()
-		mustPanic(t, "untyped store of a typed address", func() { h.Store(a, 2) })
+		mustPanic(t, "boxed store of a typed address", func() { h.Store(a, 2) })
 		if n, ok := objType.Load(h, a); !ok || n.v != 1 {
 			t.Fatalf("typed slot after a refused store: %+v ok=%v", n, ok)
 		}
@@ -188,10 +188,10 @@ func TestHeapStoreInPlace(t *testing.T) {
 
 // Publishing a typed node costs the heap no host allocation: the node
 // itself is the only one, and a Load none, against two per Alloc
-// (object and box) on the untyped path.
+// (object and box) on the boxed path.
 func TestHeapTypedAllocAddsNoAllocation(t *testing.T) {
 	h := NewHeap(0)
-	h.Free(h.Alloc(0))                    // the untyped chunk and pool exist
+	h.Free(h.Alloc(0))                    // the boxed chunk and pool exist
 	h.Free(objType.Alloc(h, &typedObj{})) // and the typed ones
 	a := objType.Alloc(h, &typedObj{v: 7})
 	if avg := testing.AllocsPerRun(200, func() { h.Free(objType.Alloc(h, &typedObj{})) }); avg != 1 {
@@ -201,14 +201,14 @@ func TestHeapTypedAllocAddsNoAllocation(t *testing.T) {
 		t.Errorf("typed Load: %.2f allocations, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() { h.Free(h.Alloc(&struct{ v int }{})) }); avg != 2 {
-		t.Errorf("untyped Alloc of a plain object: %.2f allocations, want 2 (object and box)", avg)
+		t.Errorf("boxed Alloc of a plain object: %.2f allocations, want 2 (object and box)", avg)
 	}
 }
 
 // A dereference through the wrong face panics instead of reading a
 // slot as a type it does not hold: a typed Load of another type's
-// chunk, a typed Load of an untyped slot, and an untyped Load or Store
-// of a typed one.
+// chunk, a typed Load of a boxed slot, and a boxed Load or Store of a
+// typed one.
 func TestHeapWrongFacePanics(t *testing.T) {
 	h := NewHeap(0)
 	typed := objType.Alloc(h, &typedObj{v: 1})
@@ -216,13 +216,13 @@ func TestHeapWrongFacePanics(t *testing.T) {
 	plain := h.Alloc(3)
 	mustPanic(t, "typed load with another type's tag", func() { otherType.Load(h, typed) })
 	mustPanic(t, "typed load with another type's tag", func() { objType.Load(h, other) })
-	mustPanic(t, "typed load of an untyped slot", func() { objType.Load(h, plain) })
-	mustPanic(t, "untyped load of a typed slot", func() { h.Load(typed) })
-	mustPanic(t, "untyped store to a typed slot", func() { h.Store(other, 4) })
+	mustPanic(t, "typed load of a boxed slot", func() { objType.Load(h, plain) })
+	mustPanic(t, "boxed load of a typed slot", func() { h.Load(typed) })
+	mustPanic(t, "boxed store to a typed slot", func() { h.Store(other, 4) })
 	// A freed typed slot is still its chunk's: the wrong face panics
 	// there too, rather than reporting a use-after-free.
 	h.Free(typed)
-	mustPanic(t, "untyped load of a freed typed slot", func() { h.Load(typed) })
+	mustPanic(t, "boxed load of a freed typed slot", func() { h.Load(typed) })
 	if st := h.Stats(); st.UAFLoads != 0 || st.UAFStores != 0 {
 		t.Fatalf("a panicking access was booked as a use-after-free: %+v", st)
 	}

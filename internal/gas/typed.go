@@ -6,17 +6,16 @@ import (
 	"unsafe"
 )
 
-// Tag names the node type whose objects a chunk holds. Tag 0 is the
-// untyped chunk (boxed `any` values); TypeOf assigns every other tag,
-// one per Go type for the whole process, so a tag never names two
-// types and a typed slot is never read as another type.
+// Tag names the node type whose objects a chunk holds. TypeOf assigns
+// tags from 1, one per Go type for the whole process, so a tag never
+// names two types and a slot is never read as another type. Tag 0
+// names no type.
 type Tag uint32
 
-// Type is the typed face of the heaps for node type T: its chunks hold
-// bare *T slots, with no `any` box in front of each node, so a node
-// costs the heap one host allocation (the node) and a Load is one
-// directory load, one tag compare and one slot load. The zero Type is
-// invalid; obtain one with TypeOf.
+// Type is the face of the heaps for node type T: its chunks hold bare
+// *T slots, so a node costs the heap one host allocation (the node) and
+// a Load is one directory load, one tag compare and one slot load. The
+// zero Type is invalid; obtain one with TypeOf.
 type Type[T any] struct{ tag Tag }
 
 var types struct {
@@ -45,7 +44,8 @@ func TypeOf[T any]() Type[T] {
 // Alloc publishes obj in a slot of one of h's chunks of T and returns
 // its global address. obj must be a node no other slot holds: it is
 // published once and never rewritten by the heap. Freed slots of T are
-// reused LIFO, exactly as Heap.Alloc reuses untyped ones.
+// reused LIFO, so the returned Addr may equal that of a T freed a
+// moment ago — deliberately so; see the package comment.
 func (t Type[T]) Alloc(h *Heap, obj *T) Addr {
 	return h.publish(t.tag, unsafe.Pointer(obj))
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// A FreeBulk batch that mixes untyped slots with two types' nodes
+// A FreeBulk batch that mixes boxed slots with two types' nodes
 // returns every index to its own tag's free list: each type's next
 // allocations reuse exactly its own freed addresses, newest first.
 func TestHeapFreeBulkMixedTypes(t *testing.T) {
@@ -30,7 +30,7 @@ func TestHeapFreeBulkMixedTypes(t *testing.T) {
 	}
 	for i := len(plain) - 1; i >= 0; i-- {
 		if a := h.Alloc(-i); a != plain[i] {
-			t.Fatalf("untyped reuse %d: got %v, want %v", i, a, plain[i])
+			t.Fatalf("boxed reuse %d: got %v, want %v", i, a, plain[i])
 		}
 		if a := objType.Alloc(h, &typedObj{v: -i}); a != typed[i] {
 			t.Fatalf("typed reuse %d: got %v, want %v", i, a, typed[i])
@@ -67,11 +67,11 @@ func TestFreeBulkWholeState(t *testing.T) {
 	if got, want := h.Stats(), (Stats{Live: 0, Allocs: 6, Frees: 6, UAFFrees: 2, HighWater: 6}); got != want {
 		t.Fatalf("after the batch: stats = %+v, want %+v", got, want)
 	}
-	// Untyped pushes ran plain[2] (Free), plain[0], plain[1]; typed ones
+	// Boxed pushes ran plain[2] (Free), plain[0], plain[1]; typed ones
 	// typed[0], typed[1], typed[2]. Each list pops its last push first.
 	for i, want := range []Addr{plain[1], plain[0], plain[2]} {
 		if a := h.Alloc(10 + i); a != want {
-			t.Fatalf("untyped reuse %d: got %v, want %v", i, a, want)
+			t.Fatalf("boxed reuse %d: got %v, want %v", i, a, want)
 		}
 	}
 	for i, want := range []Addr{typed[2], typed[1], typed[0]} {
@@ -179,12 +179,12 @@ func stateOf(h *Heap) heapState {
 
 // The whole allocator state — Live, Allocs, Frees, HighWater and both
 // pools, free lists and bump ranges — after every step of a lifecycle
-// that allocates, frees, bulk-frees and reuses on an untyped and a
+// that allocates, frees, bulk-frees and reuses on a boxed and a
 // typed pool at once, not only the field each step is about.
 func TestHeapBooksWholeState(t *testing.T) {
 	h := NewHeap(0)
-	u0 := h.Alloc(0)                    // untyped chunk 0: slots [0, 4096)
-	n0 := objType.Alloc(h, &typedObj{}) // typed chunk 1: slots [4096, 8192)
+	u0 := h.Alloc(0)                    // boxed chunk 0: slots [0, 4096)
+	n0 := objType.Alloc(h, &typedObj{}) // objType chunk 1: slots [4096, 8192)
 	u1 := h.Alloc(1)
 	n1 := objType.Alloc(h, &typedObj{})
 	tag := objType.tag
@@ -207,32 +207,59 @@ func TestHeapBooksWholeState(t *testing.T) {
 	}
 	check("alloc", heapState{
 		Stats: Stats{Live: 4, Allocs: 4, HighWater: 4},
-		Pools: map[Tag]poolState{0: {Next: 2, End: c1}, tag: {Next: c1 + 2, End: 2 * c1}},
+		Pools: map[Tag]poolState{boxed.tag: {Next: 2, End: c1}, tag: {Next: c1 + 2, End: 2 * c1}},
 	})
 	h.Free(n0)
 	check("typed free", heapState{
 		Stats: Stats{Live: 3, Allocs: 4, Frees: 1, HighWater: 4},
-		Pools: map[Tag]poolState{0: {Next: 2, End: c1}, tag: {Free: []uint64{c1}, Next: c1 + 2, End: 2 * c1}},
+		Pools: map[Tag]poolState{boxed.tag: {Next: 2, End: c1}, tag: {Free: []uint64{c1}, Next: c1 + 2, End: 2 * c1}},
 	})
 	h.FreeBulk([]Addr{u1, n1, u0})
 	check("bulk free", heapState{
 		Stats: Stats{Live: 0, Allocs: 4, Frees: 4, HighWater: 4},
-		Pools: map[Tag]poolState{0: {Free: []uint64{1, 0}, Next: 2, End: c1}, tag: {Free: []uint64{c1, c1 + 1}, Next: c1 + 2, End: 2 * c1}},
+		Pools: map[Tag]poolState{boxed.tag: {Free: []uint64{1, 0}, Next: 2, End: c1}, tag: {Free: []uint64{c1, c1 + 1}, Next: c1 + 2, End: 2 * c1}},
 	})
 	if a := objType.Alloc(h, &typedObj{}); a != n1 {
 		t.Fatalf("typed reuse got %v, want %v", a, n1)
 	}
 	if a := h.Alloc(2); a != u0 {
-		t.Fatalf("untyped reuse got %v, want %v", a, u0)
+		t.Fatalf("boxed reuse got %v, want %v", a, u0)
 	}
 	check("reuse", heapState{
 		Stats: Stats{Live: 2, Allocs: 6, Frees: 4, HighWater: 4},
-		Pools: map[Tag]poolState{0: {Free: []uint64{1}, Next: 2, End: c1}, tag: {Free: []uint64{c1}, Next: c1 + 2, End: 2 * c1}},
+		Pools: map[Tag]poolState{boxed.tag: {Free: []uint64{1}, Next: 2, End: c1}, tag: {Free: []uint64{c1}, Next: c1 + 2, End: 2 * c1}},
 	})
 	h.Free(n1)
 	h.Free(n1)
 	check("double free", heapState{
 		Stats: Stats{Live: 1, Allocs: 6, Frees: 5, UAFFrees: 1, HighWater: 4},
-		Pools: map[Tag]poolState{0: {Free: []uint64{1}, Next: 2, End: c1}, tag: {Free: []uint64{c1, c1 + 1}, Next: c1 + 2, End: 2 * c1}},
+		Pools: map[Tag]poolState{boxed.tag: {Free: []uint64{1}, Next: 2, End: c1}, tag: {Free: []uint64{c1, c1 + 1}, Next: c1 + 2, End: 2 * c1}},
 	})
+}
+
+// The heap has one chunk kind: every directory entry, boxed ones
+// included, carries the tag of a registered Type, never the zero tag.
+func TestEveryChunkNamesARegisteredType(t *testing.T) {
+	h := NewHeap(0)
+	h.Alloc(1)
+	objType.Alloc(h, &typedObj{})
+	otherType.Alloc(h, &otherObj{})
+	types.mu.Lock()
+	registered := map[Tag]bool{}
+	for _, tag := range types.tags {
+		registered[tag] = true
+	}
+	types.mu.Unlock()
+	dir := *h.dir.Load()
+	if len(dir) != 3 {
+		t.Fatalf("directory has %d chunks, want 3", len(dir))
+	}
+	for i, e := range dir {
+		if e.tag == 0 || !registered[e.tag] {
+			t.Errorf("chunk %d has tag %d, which names no registered Type", i, e.tag)
+		}
+	}
+	if dir[0].tag != boxed.tag {
+		t.Errorf("the boxed object's chunk has tag %d, want Type[any]'s %d", dir[0].tag, boxed.tag)
+	}
 }

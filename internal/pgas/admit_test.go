@@ -85,7 +85,7 @@ func TestAdmitBooksEachRefusalOnce(t *testing.T) {
 					s.Run(func(c *Ctx) {
 						issue := func(ic *Ctx) { sf.issue(ic, func(*Ctx) { ran.Add(1) }) }
 						if sf.free {
-							addr := c.AllocOn(1, &struct{ v int }{})
+							addr := NewSlab[thing](s).AllocOn(c, 1, &thing{})
 							issue = func(ic *Ctx) {
 								ran.Add(int64(ic.FreeBulk(1, []gas.Addr{addr})))
 							}

@@ -57,9 +57,10 @@ func TestThousandOpsFewFlushes(t *testing.T) {
 func TestDirectPathPaysPerOp(t *testing.T) {
 	s := newAggTestSystem(t, 2)
 	s.Run(func(c *Ctx) {
+		things := NewSlab[thing](s)
 		addrs := make([]gas.Addr, 100)
 		for i := range addrs {
-			addrs[i] = c.AllocOn(1, &struct{ v int }{i})
+			addrs[i] = things.AllocOn(c, 1, &thing{v: i})
 		}
 		before := s.Counters().Snapshot()
 		for _, a := range addrs {

@@ -51,7 +51,7 @@ func checkEveryRoute(t *testing.T, backend comm.Backend, lat comm.LatencyProfile
 	// 5 per Word128's low word; 7 full-width ops per Word128.
 	const wordOps = 8 + 5
 	per := comm.Snapshot{
-		Puts: 1, Gets: 1,
+		Gets:    1,
 		AMAMOs:  1, // ChargeAMAMO
 		OnStmts: 4, // AllocOn, Free, On, AsyncOn
 		// ChargeBulk, AllocBulkOn, FreeBulk, the aggregated flush.
@@ -62,7 +62,7 @@ func checkEveryRoute(t *testing.T, backend comm.Backend, lat comm.LatencyProfile
 		// CASLo64 on the Word128, one of each pair failing.
 		CASAttempts: 12, CASRetries: 6,
 	}
-	remotePair, ownPair := int64(1+1+1+4+4+7), int64(0) // GET, PUT, AM round trip, on, bulk, DCAS
+	remotePair, ownPair := int64(1+1+4+4+7), int64(0) // GET, AM round trip, on, bulk, DCAS
 	if backend == comm.BackendUGNI {
 		per.NICAMOs = 2 * wordOps // the successor's words and, on the diagonal, its own
 		remotePair += wordOps
@@ -147,13 +147,14 @@ func driveEveryRoute(t *testing.T, c *Ctx, r int) {
 		c.AsyncOn(home, func(*Ctx) {})
 		c.Aggregator(home).Call(func(*Ctx) {})
 	}
-	a := c.AllocOn(r, 1)
-	if _, ok := c.Load(a); !ok || !c.Put(a, 2) || !c.Free(a) {
-		t.Errorf("remote object on %d: load/put/free failed", r)
+	ints := NewSlab[int](c.sys)
+	a := ints.AllocOn(c, r, new(int))
+	if _, ok := ints.Load(c, a); !ok || !c.Free(a) {
+		t.Errorf("remote object on %d: load/free failed", r)
 	}
 	c.ChargeAMAMO(r)
 	c.ChargeBulk(r, 64)
-	if freed := c.FreeBulk(r, NewSlab[int](c.sys).AllocBulkOn(c, r, []*int{new(int), new(int)})); freed != 2 {
+	if freed := c.FreeBulk(r, ints.AllocBulkOn(c, r, []*int{new(int), new(int)})); freed != 2 {
 		t.Errorf("FreeBulk freed %d, want 2", freed)
 	}
 	c.Aggregator(r).Call(func(*Ctx) {})

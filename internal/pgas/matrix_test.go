@@ -25,19 +25,20 @@ func TestMatrixAttribution(t *testing.T) {
 			t.Fatalf("AM atomic not attributed: %v", m.Snapshot())
 		}
 
-		a := c.AllocOn(1, 7) // 0 → 1
+		things := NewSlab[thing](s)
+		a := things.AllocOn(c, 1, &thing{v: 7}) // 0 → 1
 		before := m.Get(0, 1)
-		MustDeref[int](c, a) // 0 → 1 GET
+		things.MustLoad(c, a) // 0 → 1 GET
 		if m.Get(0, 1) != before+1 {
 			t.Fatal("GET not attributed")
 		}
 
 		// From locale 2, touching locale 1.
 		c.On(2, func(rc *Ctx) {
-			rc.Put(a, 9) // 2 → 1
+			things.MustLoad(rc, a) // 2 → 1
 		})
 		if m.Get(2, 1) != 1 {
-			t.Fatalf("PUT not attributed to 2→1: %v", m.Snapshot())
+			t.Fatalf("GET not attributed to 2→1: %v", m.Snapshot())
 		}
 	})
 }
@@ -46,9 +47,10 @@ func TestMatrixLocalOpsInvisible(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
 	s.Run(func(c *Ctx) {
 		w := NewWord64(c, 0, 0)
-		a := c.Alloc(1)
+		things := NewSlab[thing](s)
+		a := things.AllocOn(c, 0, &thing{v: 1})
 		w.Read(c)
-		MustDeref[int](c, a)
+		things.MustLoad(c, a)
 		c.On(0, func(*Ctx) {})
 		if got := s.Matrix().Total(); got != 0 {
 			t.Fatalf("local operations appeared in the matrix: %d", got)
@@ -72,9 +74,10 @@ func TestMatrixUGNILocalNICVisible(t *testing.T) {
 func TestMatrixBulkAttribution(t *testing.T) {
 	s := newTestSystem(t, 3, comm.BackendNone)
 	s.Run(func(c *Ctx) {
+		things := NewSlab[thing](s)
 		var addrs []gas.Addr
 		for i := 0; i < 10; i++ {
-			addrs = append(addrs, c.AllocOn(2, i))
+			addrs = append(addrs, things.AllocOn(c, 2, &thing{v: i}))
 		}
 		before := s.Matrix().Get(0, 2)
 		c.FreeBulk(2, addrs)

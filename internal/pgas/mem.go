@@ -7,33 +7,28 @@ import (
 	"gopgas/internal/gas"
 )
 
-// Global-address-space memory operations. Allocation and free are
-// routed to the owning locale's heap; loads of remote objects pay a
-// GET. Bulk free is the transport for the EpochManager's scatter
-// lists: one shipment per locale instead of one RPC per object. The
-// Ctx methods store untyped objects, each behind an `any` box; a
-// structure's nodes go through its Slab instead.
+// Global-address-space memory operations. Every object lives on its
+// owning locale's heap as a typed node: a structure, a figure or an
+// example obtains one Slab per node type and allocates and loads
+// through it; a remote allocation is an on-statement, a remote load a
+// GET. Free and FreeBulk take any address. Bulk free is the transport
+// for the EpochManager's scatter lists: one shipment per locale instead
+// of one RPC per object.
 
-// Alloc stores obj on the current locale's heap and returns its global
+// Alloc boxes obj on the current locale's heap and returns its global
 // address — `new unmanaged C()` on `here`.
+//
+// Deprecated: allocate through a Slab instead. Alloc and Load stay
+// only for the benchmark ladder's rungs; ROADMAP item 7 moves them onto
+// typed nodes and item 27(c) then deletes both.
 func (c *Ctx) Alloc(obj any) gas.Addr {
 	return c.here.heap.Alloc(obj)
 }
 
-// AllocOn stores obj on the given locale's heap. A remote allocation
-// is an on-statement (the paper's benchmarks randomize object
-// placement this way before the timed region).
-func (c *Ctx) AllocOn(locale int, obj any) gas.Addr {
-	if locale == c.here.id {
-		return c.Alloc(obj)
-	}
-	s := c.sys
-	s.charge(c, c.here.id, locale, comm.KindOnStmt)
-	return s.locales[locale].heap.Alloc(obj)
-}
-
-// Load fetches the object at addr. Remote addresses pay a GET. ok is
-// false when the slot has been freed — a detected use-after-free.
+// Load fetches the boxed object at addr. Remote addresses pay a GET.
+// ok is false when the slot has been freed — a detected use-after-free.
+//
+// Deprecated: load through the object's Slab instead; see Alloc.
 func (c *Ctx) Load(addr gas.Addr) (any, bool) {
 	owner := addr.Locale()
 	if owner != c.here.id {
@@ -42,41 +37,12 @@ func (c *Ctx) Load(addr gas.Addr) (any, bool) {
 	return c.sys.locales[owner].heap.Load(addr)
 }
 
-// Deref fetches the object at addr and asserts its type. The second
-// result is false on a detected use-after-free. Deref panics if the
-// object exists but has a different type: that is a program bug, not a
-// reclamation hazard.
-func Deref[T any](c *Ctx, addr gas.Addr) (T, bool) {
-	obj, ok := c.Load(addr)
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	t, isT := obj.(T)
-	if !isT {
-		panic(fmt.Sprintf("pgas: Deref[%T] of %v which holds %T", t, addr, obj))
-	}
-	return t, true
-}
-
-// MustDeref is Deref for callers whose protocol guarantees the object
-// is live (e.g. under an epoch pin); it panics on use-after-free,
-// which the test suite uses to prove reclamation safety.
-func MustDeref[T any](c *Ctx, addr gas.Addr) T {
-	v, ok := Deref[T](c, addr)
-	if !ok {
-		panic(fmt.Sprintf("pgas: use-after-free dereferencing %v", addr))
-	}
-	return v
-}
-
 // Slab is the typed allocation handle for node type T: the structure
 // that owns T's nodes obtains it once, when it is constructed, and
 // allocates and dereferences through it. Its nodes sit bare in typed
 // heap chunks (gas.Type), so a Load is a directory load, a tag compare
-// and a slot load, with no interface box and no type assertion. AllocOn
-// and Load book and charge exactly what Ctx.AllocOn and Ctx.Load do.
-// Frees go through Ctx.Free and Ctx.FreeBulk, which take any address.
+// and a slot load, with no interface box and no type assertion. Frees
+// go through Ctx.Free and Ctx.FreeBulk, which take any address.
 type Slab[T any] struct {
 	sys *System
 	typ gas.Type[T]
@@ -87,8 +53,9 @@ func NewSlab[T any](s *System) Slab[T] {
 	return Slab[T]{sys: s, typ: gas.TypeOf[T]()}
 }
 
-// AllocOn publishes obj on the given locale's heap, as Ctx.AllocOn
-// does: a remote allocation is one on-statement.
+// AllocOn publishes obj on the given locale's heap. A remote
+// allocation is one on-statement (the paper's benchmarks randomize
+// object placement this way before the timed region).
 func (sl Slab[T]) AllocOn(c *Ctx, locale int, obj *T) gas.Addr {
 	if locale != c.here.id {
 		sl.sys.charge(c, c.here.id, locale, comm.KindOnStmt)
@@ -136,16 +103,6 @@ func (sl Slab[T]) MustLoad(c *Ctx, addr gas.Addr) *T {
 		panic(fmt.Sprintf("pgas: use-after-free dereferencing %v", addr))
 	}
 	return n
-}
-
-// Put overwrites the object stored at addr. Remote addresses pay a
-// PUT. It reports false if the slot was already freed.
-func (c *Ctx) Put(addr gas.Addr, obj any) bool {
-	owner := addr.Locale()
-	if owner != c.here.id {
-		c.sys.charge(c, c.here.id, owner, comm.KindPut)
-	}
-	return c.sys.locales[owner].heap.Store(addr, obj)
 }
 
 // Free releases the object at addr on its owning locale. A remote free

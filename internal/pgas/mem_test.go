@@ -9,6 +9,9 @@ import (
 
 type thing struct{ v int }
 
+// The deprecated boxed face: Ctx.Alloc places obj on the caller's
+// locale, and Ctx.Load reads it back for free there and for one GET
+// from another locale.
 func TestAllocLoadLocal(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
 	s.Run(func(c *Ctx) {
@@ -16,13 +19,15 @@ func TestAllocLoadLocal(t *testing.T) {
 		if a.Locale() != 0 {
 			t.Fatalf("local alloc landed on locale %d", a.Locale())
 		}
-		before := s.Counters().Snapshot()
-		got := MustDeref[*thing](c, a)
-		if got.v != 1 {
-			t.Fatalf("deref = %+v", got)
-		}
-		if d := s.Counters().Snapshot().Sub(before); d.Gets != 0 {
-			t.Fatalf("local deref cost %d GETs", d.Gets)
+		for _, lc := range []*Ctx{c, s.Ctx(1)} {
+			before := s.Counters().Snapshot()
+			got, ok := lc.Load(a)
+			if !ok || got.(*thing).v != 1 {
+				t.Fatalf("load from %d = %v ok=%v", lc.Here(), got, ok)
+			}
+			if d := s.Counters().Snapshot().Sub(before); d.Gets != int64(lc.Here()) {
+				t.Fatalf("load from %d cost %d GETs, want %d", lc.Here(), d.Gets, lc.Here())
+			}
 		}
 	})
 }
@@ -30,8 +35,9 @@ func TestAllocLoadLocal(t *testing.T) {
 func TestAllocOnRemoteAndDeref(t *testing.T) {
 	s := newTestSystem(t, 3, comm.BackendNone)
 	s.Run(func(c *Ctx) {
+		things := NewSlab[thing](s)
 		before := s.Counters().Snapshot()
-		a := c.AllocOn(2, &thing{v: 7})
+		a := things.AllocOn(c, 2, &thing{v: 7})
 		if a.Locale() != 2 {
 			t.Fatalf("remote alloc landed on %d", a.Locale())
 		}
@@ -40,69 +46,61 @@ func TestAllocOnRemoteAndDeref(t *testing.T) {
 			t.Fatalf("remote alloc cost %d on-statements, want 1", d.OnStmts)
 		}
 		before = s.Counters().Snapshot()
-		got := MustDeref[*thing](c, a)
+		got := things.MustLoad(c, a)
 		if got.v != 7 {
-			t.Fatalf("deref = %+v", got)
+			t.Fatalf("load = %+v", got)
 		}
 		if d := s.Counters().Snapshot().Sub(before); d.Gets != 1 {
-			t.Fatalf("remote deref cost %d GETs, want 1", d.Gets)
+			t.Fatalf("remote load cost %d GETs, want 1", d.Gets)
 		}
 	})
 }
 
+// A Load after Free reports the use-after-free and counts it; MustLoad
+// panics on it.
 func TestDerefAfterFreeDetected(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	s.Run(func(c *Ctx) {
-		a := c.Alloc(&thing{})
+		things := NewSlab[thing](s)
+		a := things.AllocOn(c, 0, &thing{})
 		if !c.Free(a) {
 			t.Fatal("free failed")
 		}
-		if _, ok := Deref[*thing](c, a); ok {
-			t.Fatal("deref after free must report use-after-free")
+		if _, ok := things.Load(c, a); ok {
+			t.Fatal("load after free must report use-after-free")
+		}
+		if got := s.HeapStats().UAFLoads; got != 1 {
+			t.Fatalf("UAFLoads = %d, want 1", got)
 		}
 		defer func() {
 			if recover() == nil {
-				t.Fatal("MustDeref after free must panic")
+				t.Fatal("MustLoad after free must panic")
 			}
 		}()
-		MustDeref[*thing](c, a)
+		things.MustLoad(c, a)
 	})
 }
 
+// A Slab[A].Load of a Slab[B] address panics: a slot is never read as
+// a type it does not hold.
 func TestDerefTypeMismatchPanics(t *testing.T) {
 	s := newTestSystem(t, 1, comm.BackendNone)
 	s.Run(func(c *Ctx) {
-		a := c.Alloc("a string")
+		type other struct{ s string }
+		a := NewSlab[other](s).AllocOn(c, 0, &other{s: "a string"})
 		defer func() {
 			if recover() == nil {
-				t.Fatal("type-mismatched deref must panic")
+				t.Fatal("type-mismatched load must panic")
 			}
 		}()
-		Deref[*thing](c, a)
-	})
-}
-
-func TestPutRemote(t *testing.T) {
-	s := newTestSystem(t, 2, comm.BackendNone)
-	s.Run(func(c *Ctx) {
-		a := c.AllocOn(1, 10)
-		before := s.Counters().Snapshot()
-		if !c.Put(a, 20) {
-			t.Fatal("put failed")
-		}
-		if d := s.Counters().Snapshot().Sub(before); d.Puts != 1 {
-			t.Fatalf("remote put cost %d PUTs, want 1", d.Puts)
-		}
-		if got := MustDeref[int](c, a); got != 20 {
-			t.Fatalf("after put: %d", got)
-		}
+		NewSlab[thing](s).Load(c, a)
 	})
 }
 
 func TestRemoteFreeCountsRPC(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
 	s.Run(func(c *Ctx) {
-		a := c.AllocOn(1, 1)
+		a := NewSlab[int](s).AllocOn(c, 1, new(int))
 		before := s.Counters().Snapshot()
 		c.Free(a)
 		if d := s.Counters().Snapshot().Sub(before); d.OnStmts != 1 {
@@ -114,9 +112,10 @@ func TestRemoteFreeCountsRPC(t *testing.T) {
 func TestFreeBulkOneTransferManyObjects(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
 	s.Run(func(c *Ctx) {
+		ints := NewSlab[int](s)
 		var addrs []gas.Addr
 		for i := 0; i < 100; i++ {
-			addrs = append(addrs, c.AllocOn(1, i))
+			addrs = append(addrs, ints.AllocOn(c, 1, &i))
 		}
 		before := s.Counters().Snapshot()
 		if n := c.FreeBulk(1, addrs); n != 100 {
@@ -136,7 +135,8 @@ func TestFreeBulkOneTransferManyObjects(t *testing.T) {
 func TestFreeBulkLocalIsFree(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
 	s.Run(func(c *Ctx) {
-		addrs := []gas.Addr{c.Alloc(1), c.Alloc(2)}
+		ints := NewSlab[int](s)
+		addrs := []gas.Addr{ints.AllocOn(c, 0, new(int)), ints.AllocOn(c, 0, new(int))}
 		before := s.Counters().Snapshot()
 		c.FreeBulk(0, addrs)
 		if d := s.Counters().Snapshot().Sub(before); d.Remote() != 0 {
@@ -148,7 +148,7 @@ func TestFreeBulkLocalIsFree(t *testing.T) {
 func TestFreeBulkForeignAddrPanics(t *testing.T) {
 	s := newTestSystem(t, 2, comm.BackendNone)
 	s.Run(func(c *Ctx) {
-		a := c.Alloc(1)
+		a := NewSlab[int](s).AllocOn(c, 0, new(int))
 		defer func() {
 			if recover() == nil {
 				t.Fatal("FreeBulk with a foreign addr must panic")
@@ -211,39 +211,43 @@ func TestMultiplePrivatizedObjects(t *testing.T) {
 	})
 }
 
-// A Slab books and charges exactly what the untyped Ctx operations do:
+// A Slab's books are exact under the default profile: from locale 0,
 // a remote AllocOn is one on-statement, a remote Load one GET, and a
-// remote AllocBulkOn one bulk transfer of 16 bytes a node; local ones
-// are free. Only the storage differs.
-func TestSlabBooksAsCtx(t *testing.T) {
+// remote AllocBulkOn of two nodes one bulk transfer of 32 bytes; local
+// ones book nothing. Each is charged its books' modelled price.
+func TestSlabBooksExact(t *testing.T) {
 	s := NewSystem(Config{Locales: 3, Backend: comm.BackendNone, Latency: comm.DefaultProfile()})
 	defer s.Shutdown()
 	c := s.Ctx(0)
 	things := NewSlab[thing](s)
-	cost := func(op func()) (comm.Snapshot, int64) {
+	prices := comm.DefaultProfile().Prices()
+	check := func(step string, home int, want comm.Snapshot, op func()) {
+		t.Helper()
 		before := s.Counters().Snapshot()
 		m0, _, _ := s.DelayTotals()
 		op()
 		m1, _, _ := s.DelayTotals()
-		return s.Counters().Snapshot().Sub(before), m1 - m0
+		if d := s.Counters().Snapshot().Sub(before); d != want {
+			t.Errorf("%s(%d) booked %+v, want %+v", step, home, d, want)
+		}
+		if ns := m1 - m0; ns != prices.Modelled(want) {
+			t.Errorf("%s(%d) charged %d ns, want %d", step, home, ns, prices.Modelled(want))
+		}
 	}
 	for _, home := range []int{0, 2} {
-		var untyped, typed gas.Addr
-		wantD, wantNS := cost(func() { untyped = c.AllocOn(home, &thing{v: 1}) })
-		if d, ns := cost(func() { typed = things.AllocOn(c, home, &thing{v: 1}) }); d != wantD || ns != wantNS {
-			t.Errorf("AllocOn(%d): slab booked %+v, %d ns; Ctx %+v, %d ns", home, d, ns, wantD, wantNS)
+		var allocD, loadD, bulkD comm.Snapshot
+		if home != c.Here() {
+			allocD = comm.Snapshot{OnStmts: 1}
+			loadD = comm.Snapshot{Gets: 1}
+			bulkD = comm.Snapshot{BulkXfers: 1, BulkBytes: 32}
 		}
-		wantD, wantNS = cost(func() { MustDeref[*thing](c, untyped) })
-		if d, ns := cost(func() { things.MustLoad(c, typed) }); d != wantD || ns != wantNS {
-			t.Errorf("Load(%d): slab booked %+v, %d ns; Ctx %+v, %d ns", home, d, ns, wantD, wantNS)
-		}
-		wantD, wantNS = cost(func() {
-			if home != c.Here() {
-				c.ChargeBulk(home, 2*16)
+		var a gas.Addr
+		check("AllocOn", home, allocD, func() { a = things.AllocOn(c, home, &thing{v: 1}) })
+		check("Load", home, loadD, func() {
+			if n := things.MustLoad(c, a); n.v != 1 {
+				t.Errorf("Load(%d) = %+v", home, n)
 			}
 		})
-		if d, ns := cost(func() { things.AllocBulkOn(c, home, []*thing{{v: 2}, {v: 3}}) }); d != wantD || ns != wantNS {
-			t.Errorf("AllocBulkOn(%d): slab booked %+v, %d ns; a 32-byte bulk transfer %+v, %d ns", home, d, ns, wantD, wantNS)
-		}
+		check("AllocBulkOn", home, bulkD, func() { things.AllocBulkOn(c, home, []*thing{{v: 2}, {v: 3}}) })
 	}
 }
