@@ -26,9 +26,10 @@ import (
 // Type.Load). A load through another type's face panics rather than
 // reinterpret memory. A slot is a single atomic pointer — nil is the
 // poison state — so loads are lock-free. The allocator's mutex is
-// confined to the free-list bookkeeping of Alloc and Free, standing in
-// for the (also locking) system allocator underneath Chapel's `new`;
-// the read path every structure dereference rides never touches it.
+// confined to the free lists and the allocation books of Alloc and
+// Free, standing in for the (also locking) system allocator underneath
+// Chapel's `new`; the read path every structure dereference rides
+// never touches it.
 // Each tag has its own LIFO free list and its own bump range in its
 // newest chunk, so a freed slot is reused only by an object of its own
 // type.
@@ -53,13 +54,16 @@ type Heap struct {
 	mu    sync.Mutex
 	pools []pool // allocator state per tag, indexed by Tag
 
-	live      atomic.Int64 // currently allocated slots
-	allocs    atomic.Int64 // total allocations
-	frees     atomic.Int64 // total frees
+	// The allocation books, guarded by mu: claim, Free and FreeBulk
+	// update them in the critical section that moves the free list.
+	live      int64 // currently allocated slots
+	allocs    int64 // total allocations
+	frees     int64 // total frees
+	highWater int64 // maximum simultaneous live slots
+
 	uafLoads  atomic.Int64 // detected use-after-free loads
 	uafStores atomic.Int64 // detected use-after-free stores
 	uafFrees  atomic.Int64 // detected double frees
-	highWater atomic.Int64 // maximum simultaneous live slots
 	_         [128]byte
 }
 
@@ -114,10 +118,11 @@ func (h *Heap) slot(idx uint64) (*unsafe.Pointer, Tag) {
 	return &e.slots[idx&chunkMask], e.tag
 }
 
-// claim takes a slot index for an object of tag: the top of the tag's
-// free list, or the next never-used slot of its newest chunk, growing
-// the directory by one chunk of tag when that chunk is full. The index
-// is privately owned until the caller publishes into it.
+// claim takes a slot index for an object of tag, and books the
+// allocation: the top of the tag's free list, or the next never-used
+// slot of its newest chunk, growing the directory by one chunk of tag
+// when that chunk is full. The index is privately owned until the
+// caller publishes into it.
 func (h *Heap) claim(tag Tag) uint64 {
 	h.mu.Lock()
 	if int(tag) >= len(h.pools) {
@@ -136,6 +141,9 @@ func (h *Heap) claim(tag Tag) uint64 {
 		idx = p.next
 		p.next++
 	}
+	h.allocs++
+	h.live++
+	h.highWater = max(h.highWater, h.live)
 	h.mu.Unlock()
 	return idx
 }
@@ -156,23 +164,13 @@ func (h *Heap) grow(tag Tag) uint64 {
 	return uint64(len(dir)) << chunkBits
 }
 
-// publish stores obj in a freshly claimed slot of tag and books the
-// allocation.
+// publish stores obj in a freshly claimed slot of tag.
 func (h *Heap) publish(tag Tag, obj unsafe.Pointer) Addr {
 	idx := h.claim(tag)
 	// A Load racing the reallocation of idx sees either poison or the
 	// new object.
 	s, _ := h.slot(idx)
 	atomic.StorePointer(s, obj)
-
-	h.allocs.Add(1)
-	live := h.live.Add(1)
-	for {
-		hw := h.highWater.Load()
-		if live <= hw || h.highWater.CompareAndSwap(hw, live) {
-			break
-		}
-	}
 	return MakeAddr(h.locale, idx)
 }
 
@@ -255,13 +253,9 @@ func (h *Heap) Free(addr Addr) bool {
 		h.uafFrees.Add(1)
 		return false
 	}
-	// Count the death before the free-list push makes the slot
-	// reusable: once a racing Alloc can pop idx, live must already
-	// reflect the free, or its high-water update reads a peak that
-	// never existed.
-	h.frees.Add(1)
-	h.live.Add(-1)
 	h.mu.Lock()
+	h.frees++
+	h.live--
 	p := &h.pools[tag]
 	p.free = append(p.free, idx)
 	h.mu.Unlock()
@@ -277,16 +271,9 @@ func (h *Heap) Free(addr Addr) bool {
 func (h *Heap) FreeBulk(addrs []Addr) int {
 	n := 0
 	h.mu.Lock()
-	// As in Free: the batch is counted dead before any of its slots
-	// become allocatable — a racing Alloc claims under h.mu — so live
-	// never transiently overshoots by the batch size. Deferred, so a
-	// foreign address's panic leaves the heap unlocked and the books
-	// matching the slots already poisoned.
-	defer func() {
-		h.frees.Add(int64(n))
-		h.live.Add(-int64(n))
-		h.mu.Unlock()
-	}()
+	// Deferred, so a foreign address's panic leaves the heap unlocked,
+	// with the books matching the slots already poisoned.
+	defer h.mu.Unlock()
 	for _, a := range addrs {
 		if a.IsNil() {
 			continue
@@ -298,6 +285,8 @@ func (h *Heap) FreeBulk(addrs []Addr) int {
 			h.uafFrees.Add(1)
 			continue
 		}
+		h.frees++
+		h.live--
 		p := &h.pools[tag]
 		p.free = append(p.free, idx)
 		n++
@@ -344,14 +333,21 @@ type Stats struct {
 
 // Stats returns a point-in-time snapshot of the heap counters.
 func (h *Heap) Stats() Stats {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.statsLocked()
+}
+
+// statsLocked is Stats for a caller that holds h.mu.
+func (h *Heap) statsLocked() Stats {
 	return Stats{
-		Live:      h.live.Load(),
-		Allocs:    h.allocs.Load(),
-		Frees:     h.frees.Load(),
+		Live:      h.live,
+		Allocs:    h.allocs,
+		Frees:     h.frees,
 		UAFLoads:  h.uafLoads.Load(),
 		UAFStores: h.uafStores.Load(),
 		UAFFrees:  h.uafFrees.Load(),
-		HighWater: h.highWater.Load(),
+		HighWater: h.highWater,
 	}
 }
 

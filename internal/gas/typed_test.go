@@ -168,7 +168,7 @@ type heapState struct {
 func stateOf(h *Heap) heapState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st := heapState{Stats: h.Stats(), Pools: map[Tag]poolState{}}
+	st := heapState{Stats: h.statsLocked(), Pools: map[Tag]poolState{}}
 	for tag, p := range h.pools {
 		if p.end != 0 {
 			st.Pools[Tag(tag)] = poolState{Free: slices.Clone(p.free), Next: p.next, End: p.end}

@@ -2,6 +2,7 @@ package pgas
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"gopgas/internal/comm"
 	"gopgas/internal/gas"
@@ -32,10 +33,26 @@ type Word64 struct {
 	v    atomic.Uint64
 }
 
+// wordBlock is the size and alignment of a standalone word's
+// allocation: an adjacent-line pair, the span the layout rule keeps a
+// written word from its neighbours. Go's allocator places objects of
+// its 128-byte size class on 128-byte boundaries.
+const wordBlock = 128
+
+// word64Block is a standalone Word64 padded to a block of its own, so
+// that words made one after another (the head and tail of one locale's
+// queue segment, then the next locale's) share no line
+// (TestStandaloneWordsApart).
+type word64Block struct {
+	w Word64
+	_ [wordBlock - unsafe.Sizeof(Word64{})]byte
+}
+
 // NewWord64 allocates a network-atomic word homed on the given locale
-// with an initial value.
+// with an initial value, in a 128-byte block of its own. A word held
+// inside its object is set up with Init instead and stays compact.
 func NewWord64(c *Ctx, home int, init uint64) *Word64 {
-	w := new(Word64)
+	w := &new(word64Block).w
 	w.Init(c, home, init)
 	return w
 }

@@ -1,8 +1,11 @@
 package queue
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
+
+	"gopgas/internal/layouttest"
 )
 
 // A queue cell sits bare in its typed heap slot: value and successor
@@ -11,4 +14,12 @@ func TestNodeLayout(t *testing.T) {
 	if got := unsafe.Sizeof(node[int64]{}); got != 24 {
 		t.Fatalf("queue.node[int64] is %d bytes, want 24", got)
 	}
+}
+
+// Every op reads a segment's header and adds to its enqs or deqs; the
+// next locale's segment is the next object of the same size.
+func TestQueueLayout(t *testing.T) {
+	layouttest.CheckApart(t, reflect.TypeFor[Queue[int64]](),
+		[]string{"head", "tail", "em", "home", "nodes"},
+		[]string{"enqs", "deqs"})
 }

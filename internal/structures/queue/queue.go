@@ -42,6 +42,12 @@ func (q *Queue[T]) newNode(c *pgas.Ctx, v T) gas.Addr {
 
 // Queue is a distributed lock-free FIFO. Nodes live on the queue's
 // home locale (values may of course reference data anywhere).
+//
+// Layout: every op reads the fields up to nodes and adds to one of the
+// tallies below them. A queue.Sharded builds one Queue per locale back
+// to back, so 128 bytes (an adjacent-line pair) separate the tallies
+// from the header's read fields, and the trailing pad does the same
+// for the next locale's segment (TestQueueLayout).
 type Queue[T any] struct {
 	head  *atomics.AtomicObject
 	tail  *atomics.AtomicObject
@@ -49,8 +55,10 @@ type Queue[T any] struct {
 	home  int
 	nodes pgas.Slab[node[T]]
 
+	_    [128]byte
 	enqs atomic.Int64
 	deqs atomic.Int64
+	_    [128]byte
 }
 
 // New creates an empty queue homed on the given locale, using em for
